@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -34,20 +35,15 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     RationalLike,
+    _as_fraction,
+    check_multi_index,
     format_rational,
+    tensor_expand,
 )
 
 
 class UnitMismatchError(ValueError):
     """Exact scalars with different symbolic units were combined."""
-
-
-def _fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, str):
-        from .polynomials import parse_rational
-
-        return parse_rational(value)
-    return Fraction(value)
 
 
 # ----------------------------------------------------------------------
@@ -64,8 +60,8 @@ class WeightSpec:
     center: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _fraction(self.lam))
-        center = tuple(_fraction(c) for c in (self.center or (0,) * self.dim))
+        object.__setattr__(self, "lam", _as_fraction(self.lam))
+        center = tuple(_as_fraction(c) for c in (self.center or (0,) * self.dim))
         object.__setattr__(self, "center", center)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
@@ -137,9 +133,9 @@ class GaussianScalar:
     __slots__ = ("value", "pi_pow", "lam")
 
     def __init__(self, value: RationalLike, pi_pow: RationalLike, lam: RationalLike = 1):
-        self.value = _fraction(value)
-        self.pi_pow = _fraction(pi_pow)
-        self.lam = _fraction(lam)
+        self.value = _as_fraction(value)
+        self.pi_pow = _as_fraction(pi_pow)
+        self.lam = _as_fraction(lam)
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
 
@@ -170,13 +166,13 @@ class GaussianScalar:
             return GaussianScalar(
                 self.value * other.value, self.pi_pow + other.pi_pow, self.lam
             )
-        return GaussianScalar(self.value * _fraction(other), self.pi_pow, self.lam)
+        return GaussianScalar(self.value * _as_fraction(other), self.pi_pow, self.lam)
 
     def __rmul__(self, other) -> "GaussianScalar":
         return self.__mul__(other)
 
     def scale(self, factor: RationalLike) -> "GaussianScalar":
-        return GaussianScalar(self.value * _fraction(factor), self.pi_pow, self.lam)
+        return GaussianScalar(self.value * _as_fraction(factor), self.pi_pow, self.lam)
 
     def ratio(self, other: "GaussianScalar") -> Fraction:
         """Exact ratio of two same-unit scalars."""
@@ -265,10 +261,33 @@ def _hermite_monomial_coeffs(k: int) -> list[Fraction]:
     return _H_TO_MONOMIAL[k]
 
 
+@lru_cache(maxsize=4096)
+def _scaled_monomial_row(m: int, lam: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    """u^m = sum_k c_k G_k(u) on one axis: pairs (k, h_m[k] * lam^((k-m)/2)).
+
+    Only indices of the parity of m occur, so the lam power is an integer.
+    """
+    h = _monomial_in_hermite(m)
+    return tuple((k, h[k] * lam ** ((k - m) // 2)) for k in range(m % 2, m + 1, 2))
+
+
+@lru_cache(maxsize=4096)
+def _scaled_hermite_row(k: int, lam: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    """G_k(u) = sum_i c_i u^i on one axis: pairs (i, [H_k]_i * lam^((i-k)/2))."""
+    h = _hermite_monomial_coeffs(k)
+    return tuple((i, c * lam ** ((i - k) // 2)) for i, c in enumerate(h) if c != 0)
+
+
+@lru_cache(maxsize=None)
+def _axis_norm_sq(a: int) -> int:
+    """||H_a||^2 / sqrt(pi) = 2^a a!."""
+    return 2**a * math.factorial(a)
+
+
 def hermite_polynomial_1d(k: int) -> Polynomial:
     """H_k as an exact one-dimensional Polynomial (physicists' convention)."""
     coeffs = _hermite_monomial_coeffs(k)
-    return Polynomial(1, {(i,): c for i, c in enumerate(coeffs) if c != 0})
+    return Polynomial._trusted(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 # ----------------------------------------------------------------------
@@ -284,23 +303,30 @@ class HermiteExpansion:
     def __init__(self, weight: WeightSpec, coeffs: Mapping[MultiIndex, RationalLike]):
         clean: dict[MultiIndex, Fraction] = {}
         for key, val in coeffs.items():
-            k = tuple(int(e) for e in key)
-            if len(k) != weight.dim:
-                raise DimensionMismatchError(
-                    f"index {k} has length {len(k)}, expected {weight.dim}"
-                )
-            c = _fraction(val)
+            k = check_multi_index(key, weight.dim)
+            c = _as_fraction(val)
             if c != 0:
                 clean[k] = clean.get(k, Fraction(0)) + c
         self.weight = weight
         self.coeffs = {k: v for k, v in clean.items() if v != 0}
 
+    @classmethod
+    def _trusted(
+        cls, weight: WeightSpec, coeffs: Mapping[MultiIndex, Fraction]
+    ) -> "HermiteExpansion":
+        """Wrap coefficients that already meet the Polynomial invariant for
+        ``weight.dim`` apart from zeros, which are dropped."""
+        self = object.__new__(cls)
+        self.weight = weight
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        return self
+
     @staticmethod
     def basis_norm_sq(alpha: MultiIndex, lam: Fraction) -> Fraction:
         """Rational part of ||G_alpha||^2 in units (pi/lam)^{n/2}."""
-        r = Fraction(1)
+        r = 1
         for a in alpha:
-            r *= Fraction(2) ** a * math.factorial(a)
+            r *= _axis_norm_sq(a)
         return r * lam ** (-sum(alpha))
 
     def degree(self) -> int:
@@ -322,11 +348,13 @@ class HermiteExpansion:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return HermiteExpansion(self.weight, out)
+        return HermiteExpansion._trusted(self.weight, out)
 
     def scale(self, factor: RationalLike) -> "HermiteExpansion":
-        f = _fraction(factor)
-        return HermiteExpansion(self.weight, {k: v * f for k, v in self.coeffs.items()})
+        f = _as_fraction(factor)
+        return HermiteExpansion._trusted(
+            self.weight, {k: v * f for k, v in self.coeffs.items()}
+        )
 
     def inner(self, other: "HermiteExpansion") -> GaussianScalar:
         """Exact weighted inner product via basis orthogonality (Parseval)."""
@@ -351,23 +379,8 @@ class HermiteExpansion:
     def to_polynomial(self) -> Polynomial:
         """Exact inverse of monomial_to_hermite."""
         w = self.weight
-        n = w.dim
-        result = Polynomial.zero(n)
-        for alpha, coef in self.coeffs.items():
-            term = Polynomial.constant(n, coef)
-            for j, k in enumerate(alpha):
-                if k == 0:
-                    continue
-                haxis = _hermite_monomial_coeffs(k)
-                axis_terms: dict[MultiIndex, Fraction] = {}
-                for i, c in enumerate(haxis):
-                    if c == 0:
-                        continue
-                    # G_k(u) picks up lam^{(i-k)/2}; i and k share parity.
-                    key = tuple(i if jj == j else 0 for jj in range(n))
-                    axis_terms[key] = c * w.lam ** ((i - k) // 2)
-                term = term * Polynomial(n, axis_terms)
-            result = result + term
+        terms = tensor_expand(self.coeffs, lambda j, k: _scaled_hermite_row(k, w.lam))
+        result = Polynomial._trusted(w.dim, terms)
         if any(c != 0 for c in w.center):
             result = result.shift([-c for c in w.center])
         return result
@@ -394,23 +407,8 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
         )
     q = p.shift(weight.center) if any(c != 0 for c in weight.center) else p
     lam = weight.lam
-    out: dict[MultiIndex, Fraction] = {}
-    for exps, coef in q.terms.items():
-        # per-axis: u^m = sum_k h[k] * lam^{(k-m)/2} G_k(u)
-        partial: list[tuple[tuple[int, ...], Fraction]] = [((), coef)]
-        for m in exps:
-            h = _monomial_in_hermite(m)
-            nxt: list[tuple[tuple[int, ...], Fraction]] = []
-            for prefix, pc in partial:
-                for k in range(m % 2, m + 1, 2):
-                    c = h[k]
-                    if c == 0:
-                        continue
-                    nxt.append((prefix + (k,), pc * c * lam ** ((k - m) // 2)))
-            partial = nxt
-        for alpha, c in partial:
-            out[alpha] = out.get(alpha, Fraction(0)) + c
-    return HermiteExpansion(weight, out)
+    out = tensor_expand(q.terms, lambda j, m: _scaled_monomial_row(m, lam))
+    return HermiteExpansion._trusted(weight, out)
 
 
 def hermite_to_monomial(expansion: HermiteExpansion) -> Polynomial:

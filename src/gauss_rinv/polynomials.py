@@ -8,12 +8,22 @@ literal equality.
 
 Canonical term order is graded lexicographic (total degree first, then
 lexicographic on the exponent tuple), used for serialization and repr.
+
+Invariant of every instance: ``terms`` has tuple-of-int keys of length
+``dim`` with no negative entry, and nonzero ``Fraction`` values.  Outside
+input goes through the validating ``Polynomial.__init__``, which coerces
+and checks each entry.  Ring and calculus operations build their results
+from operands that already meet the invariant, so they use the trusted
+``Polynomial._trusted``, which only drops zero coefficients.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 # One entry per variable: entry j is the exponent of x_j.
 MultiIndex = tuple[int, ...]
@@ -49,9 +59,55 @@ def format_rational(value: Fraction) -> str:
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return parse_rational(value)
     return Fraction(value)
+
+
+def check_multi_index(exps: Iterable, dim: int) -> MultiIndex:
+    """Validate an outside multi-index: ``dim`` ints (numpy ints too), none
+    negative.  Floats are rejected rather than truncated."""
+    key = tuple(operator.index(e) for e in exps)
+    if len(key) != dim:
+        raise DimensionMismatchError(
+            f"multi-index {key} has length {len(key)}, expected {dim}"
+        )
+    if any(e < 0 for e in key):
+        raise ValueError(f"negative entry in multi-index {key}")
+    return key
+
+
+def tensor_expand(
+    terms: Mapping[MultiIndex, Fraction],
+    row: Callable[[int, int], Sequence[tuple[int, Fraction]]],
+) -> dict[MultiIndex, Fraction]:
+    """Expand every term one axis at a time: sum of coef * prod_j row(j, e_j).
+
+    ``row(j, e)`` is the sparse 1-D image of the e-th basis element on axis
+    j, as (index, coefficient) pairs.  Keys and values of the result meet
+    the Polynomial invariant except that zero sums are not yet dropped.
+    """
+    out: dict[MultiIndex, Fraction] = {}
+    for exps, coef in terms.items():
+        partial: list[tuple[MultiIndex, Fraction]] = [((), coef)]
+        for j, e in enumerate(exps):
+            partial = [
+                (prefix + (i,), pc * c) for prefix, pc in partial for i, c in row(j, e)
+            ]
+        for key, c in partial:
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _binomial_row(e: int, offset: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    """(x + offset)^e = sum_i C(e, i) offset^(e-i) x^i, as nonzero (i, coef) pairs."""
+    if offset == 0:
+        return ((e, Fraction(1)),)
+    return tuple((i, math.comb(e, i) * offset ** (e - i)) for i in range(e + 1))
 
 
 class Polynomial:
@@ -69,18 +125,21 @@ class Polynomial:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         clean: dict[MultiIndex, Fraction] = {}
         for exps, coef in terms.items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != dim:
-                raise DimensionMismatchError(
-                    f"multi-index {key} has length {len(key)}, expected {dim}"
-                )
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in multi-index {key}")
+            key = check_multi_index(exps, dim)
             c = _as_fraction(coef)
             if c != 0:
                 clean[key] = clean.get(key, Fraction(0)) + c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: Mapping[MultiIndex, Fraction]) -> "Polynomial":
+        """Wrap a term map that already meets the invariant (see module
+        docstring) apart from zero coefficients, which are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", {k: v for k, v in terms.items() if v})
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -171,17 +230,17 @@ class Polynomial:
         out = dict(self.terms)
         for exps, coef in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + coef
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
         out = dict(self.terms)
         for exps, coef in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) - coef
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
@@ -190,11 +249,11 @@ class Polynomial:
             for eb, cb in other.terms.items():
                 key = tuple(a + b for a, b in zip(ea, eb))
                 out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, out)
 
     def scale(self, factor: RationalLike) -> "Polynomial":
         f = _as_fraction(factor)
-        return Polynomial(self.dim, {e: c * f for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: c * f for e, c in self.terms.items()})
 
     def __rmul__(self, factor: RationalLike) -> "Polynomial":
         return self.scale(factor)
@@ -229,16 +288,22 @@ class Polynomial:
             new[index] = k - 1
             key = tuple(new)
             out[key] = out.get(key, Fraction(0)) + coef * k
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, out)
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.partial(j) for j in range(self.dim))
 
     def laplacian(self) -> "Polynomial":
-        out = Polynomial.zero(self.dim)
-        for j in range(self.dim):
-            out = out + self.partial(j).partial(j)
-        return out
+        out: dict[MultiIndex, Fraction] = {}
+        for exps, coef in self.terms.items():
+            for j, k in enumerate(exps):
+                if k < 2:
+                    continue
+                key = exps[:j] + (k - 2,) + exps[j + 1:]
+                c = coef * (k * (k - 1))
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+        return Polynomial._trusted(self.dim, out)
 
     # ------------------------------------------------------------------
     # evaluation and substitution
@@ -268,19 +333,8 @@ class Polynomial:
                 f"offset length {len(offset)} != dimension {self.dim}"
             )
         off = [_as_fraction(v) for v in offset]
-        result = Polynomial.zero(self.dim)
-        for exps, coef in self.terms.items():
-            factor = Polynomial.constant(self.dim, coef)
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                axis = Polynomial(self.dim, {
-                    tuple(1 if i == j else 0 for i in range(self.dim)): Fraction(1),
-                    (0,) * self.dim: off[j],
-                })
-                factor = factor * axis**e
-            result = result + factor
-        return result
+        terms = tensor_expand(self.terms, lambda j, e: _binomial_row(e, off[j]))
+        return Polynomial._trusted(self.dim, terms)
 
     # ------------------------------------------------------------------
     # JSON wire format
@@ -301,7 +355,7 @@ class Polynomial:
         dim = int(data["dim"])
         terms: dict[MultiIndex, Fraction] = {}
         for entry in data.get("terms", []):
-            key = tuple(int(e) for e in entry["exp"])
+            key = check_multi_index(entry["exp"], dim)
             terms[key] = terms.get(key, Fraction(0)) + parse_rational(str(entry["coef"]))
         return cls(dim, terms)
 

@@ -140,7 +140,7 @@ class OperatorMatrix:
                 if g >= 2:
                     row = tuple(g - 2 if i == j else e for i, e in enumerate(gamma))
                     out[row] = out.get(row, Fraction(0)) + 4 * g * (g - 1) * c
-        return HermiteExpansion(expansion.weight, out)
+        return HermiteExpansion._trusted(expansion.weight, out)
 
 
 def assemble(dim: int, a: RationalLike, degree: int) -> OperatorMatrix:
@@ -516,9 +516,9 @@ def solve_min_norm(
     if f.is_zero():
         u_exp = HermiteExpansion(w, {})
     elif a == 0:
-        u_exp = HermiteExpansion(w, _min_norm_coeffs(f_exp.coeffs, w.dim, w.lam))
+        u_exp = HermiteExpansion._trusted(w, _min_norm_coeffs(f_exp.coeffs, w.dim, w.lam))
     else:
-        u_exp = HermiteExpansion(w, _triangular_coeffs(f_exp.coeffs, w.dim, a))
+        u_exp = HermiteExpansion._trusted(w, _triangular_coeffs(f_exp.coeffs, w.dim, a))
     return _finalize_polynomial_report(f, u_exp, f_exp, a, w, n_trunc)
 
 
@@ -720,7 +720,7 @@ def operator_norm(
                 float(_basis_norm(gamma, lam) / scale_in)
             )
         if enrichment != "none":
-            solutions.append(HermiteExpansion(w, u).to_polynomial())
+            solutions.append(HermiteExpansion._trusted(w, u).to_polynomial())
     form = t.T @ t
     if enrichment != "none":
         dirs = (

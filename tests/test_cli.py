@@ -1,12 +1,15 @@
 """CLI surface: subcommands, exit codes, validation, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from gauss_rinv import cli
 from gauss_rinv.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_SPEC,
     PROBLEM_SPEC_SCHEMA,
@@ -110,6 +113,13 @@ class TestOpnormCommand:
         assert code == EXIT_OK
         entry = report["results"]["opnorm"]
         assert entry["value"] == pytest.approx(entry["reference_bound"], abs=1e-10)
+
+    def test_value_over_bound_fails(self, tmp_path, monkeypatch):
+        over = 1.0 / math.sqrt(8.0) * (1 + 1e-9)
+        monkeypatch.setattr(cli, "operator_norm", lambda *args, **kwargs: over)
+        code, report = run_cli("opnorm", "--dim", "1", "--degree", "4", tmp_path=tmp_path)
+        assert code == EXIT_CHECK_FAILED
+        assert report["results"]["opnorm"]["value"] == over
 
 
 class TestBoundedCommand:

@@ -56,6 +56,20 @@ class TestMonomialToHermite:
             monomial_to_hermite(one, WeightSpec.unit(2))
 
 
+class TestExpansionValidation:
+    def test_float_index_rejected(self):
+        with pytest.raises(TypeError):
+            HermiteExpansion(WeightSpec.unit(1), {(1.7,): 1})
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            HermiteExpansion(WeightSpec.unit(1), {(-1,): 1})
+
+    def test_index_length_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            HermiteExpansion(WeightSpec.unit(2), {(1,): 1})
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     polynomials(max_degree=12, max_terms=6),

@@ -43,6 +43,30 @@ class TestArithmetic:
         assert x**4 == x * x * x * x
 
 
+class TestValidation:
+    def test_float_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1.7,): 1})
+
+    def test_integral_float_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1.0,): 1})
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, -1): 1})
+
+    def test_numpy_int_exponent_accepted(self):
+        np = pytest.importorskip("numpy")
+        p = Polynomial(2, {(np.int64(2), np.int32(0)): 3})
+        assert p == Polynomial(2, {(2, 0): 3})
+        assert all(type(e) is int for e in next(iter(p.terms)))
+
+    def test_json_float_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial.from_json_dict({"dim": 1, "terms": [{"exp": [1.5], "coef": "1"}]})
+
+
 class TestCalculus:
     def test_laplacian_radial_n3(self):
         # lap |x|^2 = 2n
