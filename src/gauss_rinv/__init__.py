@@ -18,7 +18,6 @@ from .hermite import (
     inner_product,
     integrate_gaussian,
     monomial_to_hermite,
-    hermite_to_monomial,
     norm_sq,
 )
 from .adjoint import (
@@ -40,13 +39,11 @@ from .rightinverse import (
     OperatorMatrix,
     SolveReport,
     apply_right_inverse,
-    assemble,
     enrich,
     harmonic_polynomial_basis,
     kernel_basis,
     operator_norm,
     solve_min_norm,
-    solve_scaled,
 )
 from .domains import (
     BoxDomain,

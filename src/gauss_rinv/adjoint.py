@@ -25,13 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .hermite import (
-    GaussianScalar,
-    WeightSpec,
-    inner_product,
-    norm_sq,
-    weight_spec_from_polynomial,
-)
+from .hermite import GaussianScalar, WeightSpec, inner_product, norm_sq
 from .polynomials import Polynomial, RationalLike, dot, coordinate_vector, random_polynomial
 
 COMMUTATOR_METHODS = ("direct", "expanded", "reduced")
@@ -55,9 +49,6 @@ class AdjointConfig:
     @property
     def dim(self) -> int:
         return self.weight.dim
-
-    def weight_spec(self) -> WeightSpec | None:
-        return weight_spec_from_polynomial(self.weight)
 
 
 def formal_adjoint(psi: Polynomial, cfg: AdjointConfig, include_shift: bool = False) -> Polynomial:
@@ -371,12 +362,10 @@ def run_identity_battery(
     seed: int = 42,
     cases_per_identity: int = 200,
     weight_cases: int = 50,
-    threads: int = 1,
 ) -> list[dict]:
     """The full seeded identity corpus: every identity over fresh seeds.
 
-    Case seeds derive deterministically from the master seed; the result
-    list order is independent of the thread count.
+    Case seeds derive deterministically from the master seed.
     """
     jobs: list[tuple[str, int]] = []
     for offset, identity in enumerate(CORPUS_IDENTITIES):
@@ -384,10 +373,4 @@ def run_identity_battery(
         jobs.extend((identity, base + i) for i in range(cases_per_identity))
     base = seed * 1_000_003 + len(CORPUS_IDENTITIES) * 10_007
     jobs.extend(("weight-expansion", base + i) for i in range(weight_cases))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: run_identity_case(*job), jobs))
     return [run_identity_case(identity, s) for identity, s in jobs]

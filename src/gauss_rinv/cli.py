@@ -1,15 +1,11 @@
-"""Batch front-end: spec ingestion, subcommand dispatch, JSON reporting.
+"""Batch front-end: argument validation, subcommand dispatch, JSON reporting.
 
-Subcommands: solve | scaled-solve | verify | opnorm | bounded |
-counterexample | suite.  Reports are deterministic given (spec, seed):
-exact quantities serialize as rational strings, floats with a fixed
-17-significant-digit format, and timing goes to stderr so repeated runs
-emit byte-identical JSON.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 spec/validation error, 3 numeric failure.
-
-The environment variable GAUSS_RINV_THREADS caps parallel fan-out of
-independent verification cases; results are assembled in input order so
-the report does not depend on the thread count.
+Subcommands: solve | verify | opnorm | bounded | counterexample | suite.
+Reports are deterministic given the arguments (``--seed`` included, on
+``verify`` and ``suite``): exact quantities serialize as rational strings,
+floats as Python's shortest round-trip repr, and timing goes to stderr so
+repeated runs emit byte-identical JSON.  Exit codes: 0 all checks pass,
+1 a check failed, 2 invalid input, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -49,7 +44,6 @@ from .rightinverse import (
     apply_right_inverse,
     operator_norm,
     solve_min_norm,
-    solve_scaled,
 )
 
 EXIT_OK = 0
@@ -64,58 +58,6 @@ class SpecValidationError(ValueError):
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
         self.location = location
-
-
-POLYNOMIAL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "exp": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                    "coef": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-                },
-                "required": ["exp", "coef"],
-            },
-        },
-    },
-    "required": ["dim", "terms"],
-}
-
-PROBLEM_SPEC_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "ProblemSpec",
-    "type": "object",
-    "properties": {
-        "dimension": {"type": "integer", "minimum": 1},
-        "a": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-        "weight": {
-            "type": "object",
-            "properties": {
-                "lambda": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-                "center": {
-                    "type": "array",
-                    "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-                },
-            },
-        },
-        "f": {
-            "oneOf": [
-                {"type": "string", "description": "const:<rational> or a file path"},
-                POLYNOMIAL_SCHEMA,
-            ]
-        },
-        "truncation": {"type": "integer", "minimum": 0},
-        "enrichment": {"enum": ["auto", "axes", "none"]},
-        "quad_order": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-    },
-    "required": ["dimension", "a"],
-    "additionalProperties": False,
-}
 
 
 def _rational_field(value, location: str) -> Fraction:
@@ -136,8 +78,6 @@ class ProblemSpec:
     f_label: str = "const:1"
     truncation: int | None = None
     enrichment: str = "auto"
-    quad_order: int = 40
-    seed: int = 42
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -152,62 +92,11 @@ class ProblemSpec:
             )
         if self.enrichment not in ("auto", "axes", "none"):
             raise SpecValidationError("enrichment", f"unknown policy {self.enrichment!r}")
-        if self.quad_order < 1:
-            raise SpecValidationError("quad_order", "must be >= 1")
         if self.truncation is not None and self.truncation < 0:
             raise SpecValidationError("truncation", "must be >= 0")
 
     def weight(self) -> WeightSpec:
         return WeightSpec(dim=self.dimension, lam=self.lam, center=self.center)
-
-    @classmethod
-    def from_json_dict(cls, data) -> "ProblemSpec":
-        """Validate a problem-spec document against the published schema."""
-        if not isinstance(data, dict):
-            raise SpecValidationError("$", "problem spec must be a JSON object")
-        allowed = set(PROBLEM_SPEC_SCHEMA["properties"])
-        for key in data:
-            if key not in allowed:
-                raise SpecValidationError(key, "unknown field")
-        for required in PROBLEM_SPEC_SCHEMA["required"]:
-            if required not in data:
-                raise SpecValidationError(required, "missing required field")
-
-        def _int(value, location, minimum=None):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SpecValidationError(location, f"expected an integer, got {value!r}")
-            if minimum is not None and value < minimum:
-                raise SpecValidationError(location, f"must be >= {minimum}, got {value}")
-            return value
-
-        dimension = _int(data["dimension"], "dimension", minimum=1)
-        weight = data.get("weight", {})
-        if not isinstance(weight, dict):
-            raise SpecValidationError("weight", "expected an object")
-        center_raw = weight.get("center", [])
-        if not isinstance(center_raw, list):
-            raise SpecValidationError("weight.center", "expected an array")
-        f_field = data.get("f", "const:1")
-        if isinstance(f_field, str):
-            f_label = f_field
-        else:
-            polynomial_from_json(f_field, location="f")
-            f_label = "inline-polynomial"
-        truncation = data.get("truncation")
-        return cls(
-            dimension=dimension,
-            a=_rational_field(data["a"], "a"),
-            lam=_rational_field(weight.get("lambda", "1"), "weight.lambda"),
-            center=tuple(
-                _rational_field(c, f"weight.center[{i}]")
-                for i, c in enumerate(center_raw)
-            ),
-            f_label=f_label,
-            truncation=None if truncation is None else _int(truncation, "truncation", minimum=0),
-            enrichment=data.get("enrichment", "auto"),
-            quad_order=_int(data.get("quad_order", 40), "quad_order", minimum=1),
-            seed=_int(data.get("seed", 42), "seed"),
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,8 +109,6 @@ class ProblemSpec:
             "f": self.f_label,
             "truncation": self.truncation,
             "enrichment": self.enrichment,
-            "quad_order": self.quad_order,
-            "seed": self.seed,
         }
 
 
@@ -230,39 +117,21 @@ def load_polynomial(arg: str, dimension: int) -> Polynomial:
     if arg.startswith("const:"):
         value = _rational_field(arg[len("const:") :], "f.const")
         return Polynomial.constant(dimension, value)
+    data = _read_json(arg)
     try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        return Polynomial.from_json_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise SpecValidationError("f", f"invalid polynomial in {arg!r}: {exc}")
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise SpecValidationError("f", f"cannot read polynomial file {arg!r}: {exc}")
+        raise SpecValidationError("f", f"cannot read {path!r}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SpecValidationError("f", f"malformed JSON in {arg!r}: {exc}")
-    return polynomial_from_json(data, location="f")
-
-
-def polynomial_from_json(data, location: str = "f") -> Polynomial:
-    if not isinstance(data, dict):
-        raise SpecValidationError(location, "polynomial must be a JSON object")
-    if "dim" not in data or "terms" not in data:
-        raise SpecValidationError(location, "polynomial needs 'dim' and 'terms'")
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SpecValidationError(f"{location}.dim", f"invalid dimension {dim!r}")
-    terms = {}
-    for i, entry in enumerate(data["terms"]):
-        loc = f"{location}.terms[{i}]"
-        if not isinstance(entry, dict) or "exp" not in entry or "coef" not in entry:
-            raise SpecValidationError(loc, "term needs 'exp' and 'coef'")
-        exp = entry["exp"]
-        if (
-            not isinstance(exp, list)
-            or len(exp) != dim
-            or any(not isinstance(e, int) or e < 0 for e in exp)
-        ):
-            raise SpecValidationError(f"{loc}.exp", f"invalid multi-index {exp!r}")
-        coef = _rational_field(entry["coef"], f"{loc}.coef")
-        terms[tuple(exp)] = terms.get(tuple(exp), Fraction(0)) + coef
-    return Polynomial(dim, terms)
+        raise SpecValidationError("f", f"malformed JSON in {path!r}: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -278,26 +147,9 @@ def _run_solve(spec: ProblemSpec, f: Polynomial) -> tuple[dict, bool]:
         )
     else:
         # plane-wave enrichment is a unit-weight construction
-        report = solve_scaled(f, spec.a, weight, truncation=spec.truncation)
+        report = solve_min_norm(f, spec.a, truncation=spec.truncation, weight=weight)
     passed = report.residual_exact and (spec.a != 0 or report.bound_satisfied)
     return {"solve": report.to_json_dict()}, passed
-
-
-def _run_scaled_solve(spec: ProblemSpec, f: Polynomial) -> tuple[dict, bool]:
-    report = solve_scaled(f, spec.a, spec.weight(), truncation=spec.truncation)
-    passed = report.residual_exact and (spec.a != 0 or report.bound_satisfied)
-    return {"scaled_solve": report.to_json_dict()}, passed
-
-
-def _run_verify(spec: ProblemSpec, cases: int, weight_cases: int, threads: int) -> tuple[list, bool]:
-    results = run_identity_battery(
-        seed=spec.seed,
-        cases_per_identity=cases,
-        weight_cases=weight_cases,
-        threads=threads,
-    )
-    passed = all(c["pass"] for c in results)
-    return results, passed
 
 
 def _run_opnorm(spec: ProblemSpec) -> tuple[dict, bool]:
@@ -367,7 +219,6 @@ def run_suite(
     weight_cases: int = 50,
     bound_cases: int = 100,
     quad_order: int = 40,
-    threads: int = 1,
 ) -> tuple[list[dict], bool]:
     """One-command reproduction of the full acceptance battery."""
     results: list[dict] = []
@@ -442,7 +293,6 @@ def run_suite(
         seed=seed,
         cases_per_identity=cases_per_identity,
         weight_cases=weight_cases,
-        threads=threads,
     )
     record(
         "identity-battery",
@@ -453,8 +303,8 @@ def run_suite(
 
     # scaled weight
     w2 = WeightSpec(dim=1, lam=Fraction(2))
-    rep_s = solve_scaled(Polynomial.constant(1, 1), 0, w2)
-    rep_u = solve_scaled(Polynomial.constant(1, 1), 0, WeightSpec.unit(1))
+    rep_s = solve_min_norm(Polynomial.constant(1, 1), 0, weight=w2)
+    rep_u = solve_min_norm(Polynomial.constant(1, 1), 0, weight=WeightSpec.unit(1))
     rep_base = solve_min_norm(Polynomial.constant(1, 1))
     record(
         "scaled-weight",
@@ -509,19 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gauss-rinv",
         description="Right inverse of lap + a on Gaussian-weighted L2: solvers and exact identity checks.",
     )
-    parser.add_argument(
-        "--json-schema",
-        action="store_true",
-        help="print the problem-spec JSON schema and exit",
-    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=42, help="master seed for random corpora")
-    common.add_argument("--quad-order", type=int, default=40, help="Gauss-Hermite order for float cross-checks")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--seed", type=int, default=42, help="master seed for random corpora")
+    corpus.add_argument("--cases", type=int, default=200, help="cases per identity")
+    corpus.add_argument("--weight-cases", type=int, default=50)
     sub = parser.add_subparsers(dest="command")
 
     p_solve = sub.add_parser(
-        "solve", parents=[common], help="minimal-norm solve of (lap+a)u = f"
+        "solve", parents=[common], help="minimal-norm solve of (lap+a)u = f under the weight lam*|x-x0|^2"
     )
     p_solve.add_argument("--dim", type=int, required=True)
     p_solve.add_argument("--a", default="0", help="rational shift, e.g. 1, -2, 1/2")
@@ -531,17 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--enrich", choices=("auto", "axes", "none"), default="auto")
     p_solve.add_argument("--f", required=True, help="const:<rational> or polynomial JSON path")
 
-    p_scaled = sub.add_parser("scaled-solve", parents=[common], help="solve under the weight lam*|x-x0|^2")
-    p_scaled.add_argument("--dim", type=int, required=True)
-    p_scaled.add_argument("--a", default="0")
-    p_scaled.add_argument("--lambda", dest="lam", default="1", help="rational scale")
-    p_scaled.add_argument("--center", default="", help="comma-separated rationals")
-    p_scaled.add_argument("--degree", type=int, default=None)
-    p_scaled.add_argument("--f", required=True)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="run the exact identity corpus")
-    p_verify.add_argument("--cases", type=int, default=200, help="cases per identity")
-    p_verify.add_argument("--weight-cases", type=int, default=50)
+    sub.add_parser("verify", parents=[common, corpus], help="run the exact identity corpus")
 
     p_opnorm = sub.add_parser("opnorm", parents=[common], help="operator norm of the truncated right inverse")
     p_opnorm.add_argument("--dim", type=int, required=True)
@@ -561,10 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--c1", default="0")
     p_ce.add_argument("--c2", default="0")
 
-    p_suite = sub.add_parser("suite", parents=[common], help="full acceptance battery, one command")
-    p_suite.add_argument("--cases", type=int, default=200)
-    p_suite.add_argument("--weight-cases", type=int, default=50)
+    p_suite = sub.add_parser("suite", parents=[common, corpus], help="full acceptance battery, one command")
     p_suite.add_argument("--bound-cases", type=int, default=100)
+    p_suite.add_argument("--quad-order", type=int, default=40, help="Gauss-Hermite order for float cross-checks")
 
     return parser
 
@@ -580,31 +416,26 @@ def _load_bounded_f(arg: str, box: BoxDomain) -> SampledFunction:
         return SampledFunction.from_polynomial(poly, box)
     if arg.startswith("expr-grid:"):
         path = arg[len("expr-grid:") :]
+        data = _read_json(path)
+        if not isinstance(data, dict) or "shape" not in data or "values" not in data:
+            raise SpecValidationError("f", f"grid file {path!r} needs an object with 'shape' and 'values'")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SpecValidationError("f", f"cannot read grid file {path!r}: {exc}")
-        if "shape" not in data or "values" not in data:
-            raise SpecValidationError("f", "grid file needs 'shape' and 'values'")
-        return SampledFunction.from_grid(box, data["shape"], data["values"])
+            return SampledFunction.from_grid(box, data["shape"], data["values"])
+        except (TypeError, ValueError) as exc:
+            raise SpecValidationError("f", f"invalid grid in {path!r}: {exc}")
     raise SpecValidationError("f", f"unrecognized data descriptor {arg!r}")
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("GAUSS_RINV_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+def _at_least_one(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise SpecValidationError("--" + name.replace("_", "-"), f"must be >= 1, got {value}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.json_schema:
-        sys.stdout.write(dump_json(PROBLEM_SPEC_SCHEMA, indent=2))
-        return EXIT_OK
     if not args.command:
         parser.print_help()
         return EXIT_SPEC
@@ -629,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "pass": passed,
         "version": __version__,
     }
-    text = dump_json(report, indent=2)
+    text = dump_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -641,7 +472,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args) -> tuple[dict, dict | list, bool]:
-    threads = _threads_from_env()
     if args.command == "solve":
         center = (
             tuple(_rational_field(v, "weight.center") for v in args.center.split(","))
@@ -656,8 +486,6 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
             f_label=args.f,
             truncation=args.degree,
             enrichment=args.enrich,
-            quad_order=args.quad_order,
-            seed=args.seed,
         )
         f = load_polynomial(args.f, spec.dimension)
         if f.dim != spec.dimension:
@@ -665,38 +493,17 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
         results, passed = _run_solve(spec, f)
         return spec.to_json_dict(), results, passed
 
-    if args.command == "scaled-solve":
-        center = (
-            tuple(_rational_field(v, "weight.center") for v in args.center.split(","))
-            if args.center
-            else ()
-        )
-        spec = ProblemSpec(
-            dimension=args.dim,
-            a=_rational_field(args.a, "a"),
-            lam=_rational_field(args.lam, "weight.lambda"),
-            center=center,
-            f_label=args.f,
-            truncation=args.degree,
-            quad_order=args.quad_order,
-            seed=args.seed,
-        )
-        f = load_polynomial(args.f, spec.dimension)
-        if f.dim != spec.dimension:
-            raise SpecValidationError("f", f"dimension {f.dim} != --dim {spec.dimension}")
-        results, passed = _run_scaled_solve(spec, f)
-        return spec.to_json_dict(), results, passed
-
     if args.command == "verify":
+        _at_least_one(args, "cases", "weight_cases")
         spec_echo = {
             "seed": args.seed,
             "cases_per_identity": args.cases,
             "weight_cases": args.weight_cases,
-            "threads": threads,
         }
-        spec = ProblemSpec(dimension=1, seed=args.seed, quad_order=args.quad_order)
-        results, passed = _run_verify(spec, args.cases, args.weight_cases, threads)
-        return spec_echo, results, passed
+        results = run_identity_battery(
+            seed=args.seed, cases_per_identity=args.cases, weight_cases=args.weight_cases
+        )
+        return spec_echo, results, all(c["pass"] for c in results)
 
     if args.command == "opnorm":
         spec = ProblemSpec(
@@ -704,8 +511,6 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
             a=_rational_field(args.a, "a"),
             truncation=args.degree,
             enrichment=args.enrich,
-            quad_order=args.quad_order,
-            seed=args.seed,
         )
         results, passed = _run_opnorm(spec)
         return spec.to_json_dict(), results, passed
@@ -720,8 +525,6 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
             a=_rational_field(args.a, "a"),
             f_label=args.f,
             truncation=args.degree,
-            quad_order=args.quad_order,
-            seed=args.seed,
         )
         f = _load_bounded_f(args.f, box)
         results, passed = _run_bounded(spec, box, f, args.quad_tol)
@@ -737,13 +540,13 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
         return spec_echo, results, passed
 
     if args.command == "suite":
+        _at_least_one(args, "cases", "weight_cases", "bound_cases", "quad_order")
         spec_echo = {
             "seed": args.seed,
             "cases_per_identity": args.cases,
             "weight_cases": args.weight_cases,
             "bound_cases": args.bound_cases,
             "quad_order": args.quad_order,
-            "threads": threads,
         }
         results, passed = run_suite(
             seed=args.seed,
@@ -751,7 +554,6 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
             weight_cases=args.weight_cases,
             bound_cases=args.bound_cases,
             quad_order=args.quad_order,
-            threads=threads,
         )
         return spec_echo, {"criteria": results}, passed
 

@@ -130,6 +130,10 @@ class SampledFunction:
         arr = np.asarray(values, dtype=float).reshape(tuple(shape))
         if arr.ndim != box.dim:
             raise ValueError(f"grid rank {arr.ndim} != box dimension {box.dim}")
+        if min(arr.shape) < 2:
+            raise ValueError(f"grid shape {arr.shape} needs at least 2 points per axis")
+        if not np.isfinite(arr).all():
+            raise ValueError("grid values must be finite")
         axes = [
             np.linspace(lo, hi, num) for (lo, hi), num in zip(box.intervals, shape)
         ]

@@ -411,10 +411,6 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
     return HermiteExpansion._trusted(weight, out)
 
 
-def hermite_to_monomial(expansion: HermiteExpansion) -> Polynomial:
-    return expansion.to_polynomial()
-
-
 def inner_product(p: Polynomial, q: Polynomial, weight: WeightSpec) -> GaussianScalar:
     """Exact <p, q>_weight = integral of p*q*e^{-weight} over R^n."""
     if p.dim != q.dim:

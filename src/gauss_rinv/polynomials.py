@@ -351,11 +351,30 @@ class Polynomial:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Polynomial":
-        dim = int(data["dim"])
+    def from_json_dict(cls, data) -> "Polynomial":
+        """Parse the wire form ``{"dim": n, "terms": [{"exp": [...], "coef": "p/q"}]}``.
+
+        ``dim`` must be an int >= 1, ``terms`` a list and every exponent an
+        int; bools count as neither.  A wrong type raises TypeError, a wrong
+        value ValueError.
+        """
+        if not isinstance(data, Mapping) or "dim" not in data or "terms" not in data:
+            raise TypeError("polynomial must be an object with 'dim' and 'terms'")
+        dim, entries = data["dim"], data["terms"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"dim: expected an integer, got {dim!r}")
+        if dim < 1:
+            raise ValueError(f"dim: must be >= 1, got {dim}")
+        if not isinstance(entries, list):
+            raise TypeError(f"terms: expected a list, got {entries!r}")
         terms: dict[MultiIndex, Fraction] = {}
-        for entry in data.get("terms", []):
-            key = check_multi_index(entry["exp"], dim)
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, Mapping) or "exp" not in entry or "coef" not in entry:
+                raise TypeError(f"terms[{i}]: term needs 'exp' and 'coef'")
+            exp = entry["exp"]
+            if not isinstance(exp, list) or any(isinstance(e, bool) for e in exp):
+                raise TypeError(f"terms[{i}].exp: expected a list of integers, got {exp!r}")
+            key = check_multi_index(exp, dim)
             terms[key] = terms.get(key, Fraction(0)) + parse_rational(str(entry["coef"]))
         return cls(dim, terms)
 

@@ -1,93 +1,31 @@
 """Deterministic JSON serialization for reports.
 
-Exact quantities (Fractions, GaussianScalars) serialize as rational
-strings so the headline claims round-trip unchanged; floats print with a
-fixed 17-significant-digit format so repeated runs emit byte-identical
-reports.  Construction order of dicts is preserved.
+Exact quantities (Fractions) serialize as rational strings so the headline
+claims round-trip unchanged; floats print as Python's shortest round-trip
+repr, so repeated runs emit byte-identical reports.  Dict order is kept,
+and a non-finite float raises ValueError.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from fractions import Fraction
 
 import numpy as np
 
 
-def _atom(obj) -> str | None:
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (np.integer,)):
-        return str(int(obj))
+def _default(obj):
     if isinstance(obj, Fraction):
         from .polynomials import format_rational
 
-        return _escape(format_rational(obj))
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float in report: {obj}")
-        text = format(obj, ".17g")
-        # keep the token a valid JSON number
-        if "." not in text and "e" not in text and "E" not in text:
-            text += ".0"
-        return text
-    if isinstance(obj, str):
-        return _escape(obj)
-    return None
+        return format_rational(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} in report")
 
 
-def _escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _encode(obj, pieces: list[str], indent: int | None, level: int) -> None:
-    atom = _atom(obj)
-    if atom is not None:
-        pieces.append(atom)
-        return
-    if isinstance(obj, dict):
-        opener, closer, items = "{", "}", list(obj.items())
-    elif isinstance(obj, (list, tuple)):
-        opener, closer, items = "[", "]", [(None, v) for v in obj]
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} in report")
-    if not items:
-        pieces.append(opener + closer)
-        return
-    pieces.append(opener)
-    pad = "" if indent is None else "\n" + " " * indent * (level + 1)
-    for i, (key, value) in enumerate(items):
-        if i:
-            pieces.append(",")
-        pieces.append(pad)
-        if key is not None:
-            pieces.append(_escape(str(key)))
-            pieces.append(": " if indent is not None else ":")
-        _encode(value, pieces, indent, level + 1)
-    if indent is not None:
-        pieces.append("\n" + " " * indent * level)
-    pieces.append(closer)
-
-
-def dump_json(obj, indent: int | None = None) -> str:
+def dump_json(obj) -> str:
     """Serialize a report to deterministic JSON text (trailing newline)."""
-    pieces: list[str] = []
-    _encode(obj, pieces, indent, 0)
-    return "".join(pieces) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False, default=_default) + "\n"

@@ -17,8 +17,8 @@ on the diagonal) but the resulting ratio ||u||^2/||f||^2 generally
 violates the 1/(8n) target: the kernel of lap + a contains no
 polynomials.  Kernel enrichment subtracts the weighted projection onto
 explicit kernel elements (plane waves cos/sin(k.x) with |k|^2 = a for
-a > 0, e^{k.x} with |k|^2 = -a for a < 0, harmonic polynomials for
-a = 0), driving the ratio toward the bound.
+a > 0, e^{k.x} with |k|^2 = -a for a < 0), driving the ratio toward the
+bound.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .hermite import (
     HermiteExpansion,
     WeightSpec,
     gaussian_moment,
-    inner_product,
     monomial_to_hermite,
 )
 from .linalg import SingularMatrixError, nullspace_exact, solve_exact
@@ -143,10 +142,6 @@ class OperatorMatrix:
         return HermiteExpansion._trusted(expansion.weight, out)
 
 
-def assemble(dim: int, a: RationalLike, degree: int) -> OperatorMatrix:
-    return OperatorMatrix.assemble(dim, a, degree)
-
-
 # ----------------------------------------------------------------------
 # kernel functions
 # ----------------------------------------------------------------------
@@ -154,25 +149,19 @@ def assemble(dim: int, a: RationalLike, degree: int) -> OperatorMatrix:
 
 @dataclass(frozen=True)
 class KernelFunction:
-    """An explicit element of ker(lap + a) living in the weighted space.
+    """An explicit plane wave in ker(lap + a) living in the weighted space.
 
-    Plane waves carry a float wavevector (|k|^2 = a for trig, -a for exp);
-    the a = 0 case carries an exact harmonic polynomial payload.
+    The float wavevector has |k|^2 = a for trig kinds, -a for exp.
     """
 
-    kind: str  # "cos" | "sin" | "exp" | "harmonic"
+    kind: str  # "cos" | "sin" | "exp"
     wavevector: tuple[float, ...] = ()
-    payload: Polynomial | None = None
 
     def describe(self) -> str:
-        if self.kind == "harmonic":
-            return f"harmonic:{self.payload.to_json_dict()['terms']}"
         vec = ",".join(f"{v:.12g}" for v in self.wavevector)
         return f"{self.kind}({vec})"
 
     def evaluate(self, point: Sequence[float]) -> float:
-        if self.kind == "harmonic":
-            return float(self.payload.evaluate([float(v) for v in point]))
         phase = sum(k * float(x) for k, x in zip(self.wavevector, point))
         if self.kind == "cos":
             return math.cos(phase)
@@ -181,31 +170,19 @@ class KernelFunction:
         return math.exp(phase)
 
     def annihilation_defect(self, a: Fraction) -> float:
-        """How far (lap + a) is from annihilating this function.
-
-        Exact symbolic check for harmonic payloads; |k|^2 defect for plane
-        waves (their only error source is the float wavevector).
-        """
-        if self.kind == "harmonic":
-            residual = self.payload.laplacian() + self.payload.scale(a)
-            return 0.0 if residual.is_zero() else math.inf
+        """How far (lap + a) is from annihilating this function: the |k|^2
+        defect (the float wavevector is the only error source)."""
         k_sq = sum(v * v for v in self.wavevector)
         target = float(a) if self.kind in ("cos", "sin") else -float(a)
         return abs(k_sq - target)
 
     def pair_with_polynomial(self, p: Polynomial) -> float:
         """<self, p> under the unit Gaussian weight."""
-        if self.kind == "harmonic":
-            return inner_product(self.payload, p, WeightSpec.unit(p.dim)).to_float()
         return gaussian_moment(p, self.wavevector, self.kind)
 
     def gram_entry(self, other: "KernelFunction", dim: int) -> float:
         """<self, other> under the unit Gaussian weight (product-to-sum rules)."""
         one = Polynomial.constant(dim, 1)
-        if self.kind == "harmonic" and other.kind == "harmonic":
-            return inner_product(self.payload, other.payload, WeightSpec.unit(dim)).to_float()
-        if self.kind == "harmonic" or other.kind == "harmonic":
-            raise ValueError("cannot mix harmonic and plane-wave kernel functions")
         k = self.wavevector
         l = other.wavevector
         diff = [a - b for a, b in zip(k, l)]
@@ -271,15 +248,11 @@ def kernel_basis(
     a: RationalLike,
     dim: int,
     directions: Sequence[Sequence[float]] | None = None,
-    max_harmonic_degree: int = 2,
 ) -> list[KernelFunction]:
-    """Explicit kernel elements of lap + a inside the weighted space."""
+    """Plane-wave kernel elements of lap + a (a != 0) in the weighted space."""
     a = Fraction(a)
     if a == 0:
-        return [
-            KernelFunction(kind="harmonic", payload=h)
-            for h in harmonic_polynomial_basis(dim, max_harmonic_degree)
-        ]
+        raise ValueError("plane-wave kernel basis requires a != 0")
     dirs = [tuple(float(v) for v in d) for d in (directions or default_directions(dim))]
     if not dirs:
         raise ValueError("plane-wave kernel basis requires at least one direction")
@@ -522,20 +495,6 @@ def solve_min_norm(
     return _finalize_polynomial_report(f, u_exp, f_exp, a, w, n_trunc)
 
 
-def solve_scaled(
-    f: Polynomial,
-    a: RationalLike,
-    weight: WeightSpec,
-    truncation: int | None = None,
-) -> SolveReport:
-    """Solve under the scaled weight lam*|x-x0|^2; bound 1/(8 n lam^2).
-
-    The lam = 1, centered case delegates to the identical code path as
-    solve_min_norm, so the two agree coefficient for coefficient.
-    """
-    return solve_min_norm(f, a, truncation=truncation, weight=weight)
-
-
 # ----------------------------------------------------------------------
 # kernel enrichment
 # ----------------------------------------------------------------------
@@ -548,8 +507,7 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
 
     The residual is untouched ((lap + a) annihilates every basis element);
     the new squared norm is ||u_p||^2 - 2 b.v + b.G b from the normal
-    equations G b = v, v_i = <g_i, u_p>.  Harmonic-polynomial bases stay
-    exact; plane-wave bases go through closed-form float Gram data.
+    equations G b = v, v_i = <g_i, u_p>, from closed-form float Gram data.
     """
     if not basis:
         return report
@@ -562,10 +520,6 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
     if not defect <= 1e-10:
         raise ValueError(f"basis element not annihilated by lap + a (defect {defect})")
     u_poly = report.solution_polynomial()
-
-    if all(g.kind == "harmonic" for g in basis):
-        return _enrich_exact(report, basis, u_poly)
-
     gram = np.array(
         [[gi.gram_entry(gj, dim) for gj in basis] for gi in basis], dtype=float
     )
@@ -602,51 +556,12 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
     )
 
 
-def _enrich_exact(
-    report: SolveReport, basis: Sequence[KernelFunction], u_poly: Polynomial
-) -> SolveReport:
-    w = report.weight
-    gram = [
-        [inner_product(gi.payload, gj.payload, w).value for gj in basis]
-        for gi in basis
-    ]
-    v = [inner_product(g.payload, u_poly, w).value for g in basis]
-    beta = solve_exact(gram, v)
-    new_poly = u_poly
-    for g, b in zip(basis, beta):
-        if b != 0:
-            new_poly = new_poly - g.payload.scale(b)
-    u_exp = monomial_to_hermite(new_poly, w)
-    norm_u = u_exp.norm_sq()
-    ratio = (
-        Fraction(0) if report.norm_f_sq.is_zero() else norm_u.ratio(report.norm_f_sq)
-    )
-    return SolveReport(
-        weight=w,
-        a=report.a,
-        truncation=report.truncation,
-        solution=u_exp,
-        residual_exact=report.residual_exact,
-        norm_f_sq=report.norm_f_sq,
-        norm_u_sq=norm_u,
-        norm_u_sq_float=norm_u.to_float(),
-        ratio=ratio,
-        ratio_float=float(ratio),
-        pre_enrichment_ratio=report.ratio,
-        pre_enrichment_ratio_float=report.ratio_float,
-        bound=report.bound,
-        bound_satisfied=ratio <= report.bound,
-        enrichment=f"harmonic-polynomials[{len(basis)}]",
-    )
-
-
 def apply_right_inverse(
     f: Polynomial,
     a: RationalLike = 0,
     truncation: int | None = None,
     enrichment: str = "auto",
     directions: Sequence[Sequence[float]] | None = None,
-    max_harmonic_degree: int | None = None,
 ) -> SolveReport:
     """The full right-inverse application: minimal-norm solve, then enrich.
 
@@ -669,9 +584,7 @@ def apply_right_inverse(
         dirs = [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
     else:
         dirs = directions or default_directions(dim)
-    depth = max_harmonic_degree if max_harmonic_degree is not None else report.truncation + 2
-    basis = kernel_basis(a, dim, directions=dirs, max_harmonic_degree=depth)
-    return enrich(report, basis)
+    return enrich(report, kernel_basis(a, dim, directions=dirs))
 
 
 # ----------------------------------------------------------------------
@@ -690,7 +603,9 @@ def operator_norm(
     a = 0 (primary path): exact per-column minimal-norm solves expressed in
     orthonormal coordinates, then a dense SVD.  For a != 0 the map is the
     triangular solve optionally followed by kernel projection; the norm
-    comes from the Gram-corrected quadratic form.
+    comes from the Gram-corrected quadratic form.  Un-enriched, the value is
+    the same at a and -a: D = diag((-1)^floor(|alpha|/2)) has D lap D = -lap,
+    so the inverse at -a is -D (inverse at a) D.
     """
     a = Fraction(a)
     cols = multi_indices_up_to(dim, degree)

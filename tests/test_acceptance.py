@@ -26,7 +26,6 @@ from gauss_rinv.rightinverse import (
     apply_right_inverse,
     operator_norm,
     solve_min_norm,
-    solve_scaled,
 )
 
 SEED = 42
@@ -134,8 +133,8 @@ def test_criterion_05_identity_battery():
 def test_criterion_06_scaled_weight():
     """lambda=2 gives the exact ratio 1/32 = 1/(8 n lambda^2); the
     lambda=1 path is bit-identical to the unscaled solver."""
-    rep2 = solve_scaled(Polynomial.constant(1, 1), 0, WeightSpec(dim=1, lam=Fraction(2)))
-    rep1 = solve_scaled(Polynomial.constant(1, 1), 0, WeightSpec.unit(1))
+    rep2 = solve_min_norm(Polynomial.constant(1, 1), 0, weight=WeightSpec(dim=1, lam=Fraction(2)))
+    rep1 = solve_min_norm(Polynomial.constant(1, 1), 0, weight=WeightSpec.unit(1))
     base = solve_min_norm(Polynomial.constant(1, 1))
     ok = (
         rep2.ratio == Fraction(1, 32)

@@ -211,8 +211,3 @@ def test_small_battery_all_pass():
     ids = [c["id"] for c in cases]
     assert len(set(ids)) == len(ids)
 
-
-def test_battery_thread_fanout_matches_sequential():
-    seq = run_identity_battery(seed=5, cases_per_identity=4, weight_cases=2, threads=1)
-    par = run_identity_battery(seed=5, cases_per_identity=4, weight_cases=2, threads=4)
-    assert seq == par

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,14 +13,13 @@ from gauss_rinv.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_SPEC,
-    PROBLEM_SPEC_SCHEMA,
     ProblemSpec,
     SpecValidationError,
     load_polynomial,
     main,
-    polynomial_from_json,
 )
 from gauss_rinv.polynomials import Polynomial
+from gauss_rinv.reporting import dump_json
 
 
 def run_cli(*argv, **kwargs) -> tuple[int, dict | None]:
@@ -83,17 +83,17 @@ class TestSolveCommand:
 class TestScaledSolve:
     def test_lambda_two(self, tmp_path):
         code, report = run_cli(
-            "scaled-solve", "--dim", "1", "--lambda", "2", "--f", "const:1", tmp_path=tmp_path
+            "solve", "--dim", "1", "--lambda", "2", "--f", "const:1", tmp_path=tmp_path
         )
         assert code == EXIT_OK
-        assert report["results"]["scaled_solve"]["ratio"] == "1/32"
+        assert report["results"]["solve"]["ratio"] == "1/32"
 
     def test_center(self, tmp_path):
         code, report = run_cli(
-            "scaled-solve", "--dim", "2", "--center", "3,0", "--f", "const:1", tmp_path=tmp_path
+            "solve", "--dim", "2", "--center", "3,0", "--f", "const:1", tmp_path=tmp_path
         )
         assert code == EXIT_OK
-        assert report["results"]["scaled_solve"]["ratio"] == "1/16"
+        assert report["results"]["solve"]["ratio"] == "1/16"
 
 
 class TestVerifyCommand:
@@ -113,6 +113,18 @@ class TestOpnormCommand:
         assert code == EXIT_OK
         entry = report["results"]["opnorm"]
         assert entry["value"] == pytest.approx(entry["reference_bound"], abs=1e-10)
+
+    def test_shift_value_is_unenriched_and_even_in_a(self, tmp_path):
+        """opnorm's --enrich defaults to none: at a = 1 it reports the
+        un-enriched inverse, whose norm is the same at a = -1."""
+        values = []
+        for a in ("1", "-1"):
+            code, report = run_cli("opnorm", "--dim", "1", f"--a={a}", "--degree", "8", tmp_path=tmp_path)
+            assert code == EXIT_CHECK_FAILED
+            assert report["spec"]["enrichment"] == "none"
+            values.append(report["results"]["opnorm"]["value"])
+        assert values[0] == values[1] == cli.operator_norm(1, 1, 8, "none")
+        assert values[0] == pytest.approx(3419.31, rel=1e-6)
 
     def test_value_over_bound_fails(self, tmp_path, monkeypatch):
         over = 1.0 / math.sqrt(8.0) * (1 + 1e-9)
@@ -155,69 +167,136 @@ class TestCounterexampleCommand:
 
 
 class TestSchema:
-    def test_flag_prints_schema(self, capsys):
-        assert main(["--json-schema"]) == EXIT_OK
-        data = json.loads(capsys.readouterr().out)
-        assert data["title"] == "ProblemSpec"
-        assert data == PROBLEM_SPEC_SCHEMA
-
     def test_problem_spec_validation(self):
         with pytest.raises(SpecValidationError):
             ProblemSpec(dimension=0)
         with pytest.raises(SpecValidationError):
             ProblemSpec(dimension=1, enrichment="everything")
 
-    def test_polynomial_from_json_rejects_bad_terms(self):
-        with pytest.raises(SpecValidationError):
-            polynomial_from_json({"dim": 1, "terms": [{"exp": [0], "coef": "1/0"}]})
-        with pytest.raises(SpecValidationError):
-            polynomial_from_json({"dim": 2, "terms": [{"exp": [1], "coef": "1"}]})
+    def test_polynomial_from_json_rejects_bad_terms(self, tmp_path):
+        for i, data in enumerate(
+            (
+                {"dim": 1, "terms": [{"exp": [0], "coef": "1/0"}]},
+                {"dim": 2, "terms": [{"exp": [1], "coef": "1"}]},
+            )
+        ):
+            path = tmp_path / f"f{i}.json"
+            path.write_text(json.dumps(data))
+            with pytest.raises(SpecValidationError) as info:
+                load_polynomial(str(path), data["dim"])
+            assert info.value.location == "f"
 
     def test_load_polynomial_const(self):
         assert load_polynomial("const:3/4", 2) == Polynomial.constant(2, "3/4")
 
-    def test_document_round_trip(self):
-        spec = ProblemSpec.from_json_dict(
-            {
-                "dimension": 2,
-                "a": "1/2",
-                "weight": {"lambda": "2", "center": ["1", "-1/3"]},
-                "f": "const:1",
-                "truncation": 6,
-                "enrichment": "axes",
-                "quad_order": 24,
-                "seed": 7,
-            }
-        )
-        assert ProblemSpec.from_json_dict(spec.to_json_dict()).to_json_dict() == spec.to_json_dict()
 
-    def test_document_rejects_bad_fields(self):
-        with pytest.raises(SpecValidationError):
-            ProblemSpec.from_json_dict({"dimension": 1, "a": "1/0"})
-        with pytest.raises(SpecValidationError):
-            ProblemSpec.from_json_dict({"dimension": 1, "a": "0", "mystery": 1})
-        with pytest.raises(SpecValidationError):
-            ProblemSpec.from_json_dict({"a": "0"})
-        with pytest.raises(SpecValidationError):
-            ProblemSpec.from_json_dict({"dimension": True, "a": "0"})
+class TestRemovedSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--json-schema"],
+            ["scaled-solve", "--dim", "1", "--f", "const:1"],
+            ["solve", "--dim", "1", "--f", "const:1", "--seed", "1"],
+            ["solve", "--dim", "1", "--f", "const:1", "--quad-order", "8"],
+            ["opnorm", "--dim", "1", "--seed", "1"],
+            ["bounded", "--box=-1,1", "--f", "const:1", "--quad-order", "8"],
+            ["counterexample", "--seed", "1"],
+            ["verify", "--quad-order", "8"],
+        ],
+    )
+    def test_flag_or_command_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+    def test_spec_echo_has_no_ignored_keys(self, tmp_path):
+        _, report = run_cli("solve", "--dim", "1", "--f", "const:1", tmp_path=tmp_path)
+        assert not {"seed", "quad_order", "threads"} & set(report["spec"])
+        _, report = run_cli("verify", "--cases", "1", "--weight-cases", "1", tmp_path=tmp_path)
+        assert set(report["spec"]) == {"seed", "cases_per_identity", "weight_cases"}
 
 
-class TestThreadFanout:
-    def test_env_cap_does_not_change_report(self, tmp_path):
-        import os
-        import subprocess
+class TestBadInputExits2:
+    """Malformed input ends with exit 2 and the location on stderr."""
 
-        cmd = [
-            sys.executable, "-m", "gauss_rinv",
-            "verify", "--cases", "3", "--weight-cases", "2",
-        ]
-        plain = subprocess.run(cmd, capture_output=True, check=True)
-        env = dict(os.environ, GAUSS_RINV_THREADS="4")
-        fanned = subprocess.run(cmd, capture_output=True, check=True, env=env)
-        a = json.loads(plain.stdout)
-        b = json.loads(fanned.stdout)
-        assert a["results"] == b["results"]
-        assert b["spec"]["threads"] == 4
+    def _write(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_solve_terms_not_a_list(self, tmp_path, capsys):
+        path = self._write(tmp_path, "t.json", {"dim": 1, "terms": 5})
+        assert main(["solve", "--dim", "1", "--f", path]) == EXIT_SPEC
+        assert "spec error at f:" in capsys.readouterr().err
+
+    def test_grid_size_mismatch(self, tmp_path, capsys):
+        path = self._write(tmp_path, "g.json", {"shape": [3], "values": [1, 2, 3, 4, 5]})
+        assert main(["bounded", "--box=0,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
+        assert "spec error at f:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape, values", [([1], [1.0]), ([0], []), ([3], [1.0, math.nan, 2.0])]
+    )
+    def test_grid_degenerate_or_non_finite(self, tmp_path, shape, values):
+        """Such grids used to crash the interpolant or stall the adaptive quadrature."""
+        path = self._write(tmp_path, "g.json", {"shape": shape, "values": values})
+        assert main(["bounded", "--box=0,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
+
+    def test_grid_not_an_object(self, tmp_path, capsys):
+        path = self._write(tmp_path, "g.json", 7)
+        assert main(["bounded", "--box=0,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
+        assert "spec error at f:" in capsys.readouterr().err
+
+    def test_suite_quad_order_zero(self, capsys):
+        assert main(["suite", "--quad-order", "0"]) == EXIT_SPEC
+        assert "spec error at --quad-order:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": True, "terms": []},
+            {"dim": 2.5, "terms": []},
+            {"dim": "2", "terms": []},
+            {"dim": 1, "terms": [{"exp": [True], "coef": "1"}]},
+        ],
+    )
+    def test_solve_rejects_loose_wire_form(self, tmp_path, data):
+        path = self._write(tmp_path, "p.json", data)
+        assert main(["solve", "--dim", "1", "--f", path]) == EXIT_SPEC
+
+
+class TestCountsBelowOne:
+    """A verdict over zero cases is no verdict: counts below 1 exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, location",
+        [
+            (["verify", "--cases", "-3", "--weight-cases", "-1"], "--cases"),
+            (["verify", "--cases", "1", "--weight-cases", "0"], "--weight-cases"),
+            (["suite", "--cases", "0", "--weight-cases", "0", "--bound-cases", "0"], "--cases"),
+            (["suite", "--cases", "1", "--weight-cases", "1", "--bound-cases", "0"], "--bound-cases"),
+        ],
+    )
+    def test_rejected(self, argv, location, capsys):
+        assert main(argv) == EXIT_SPEC
+        assert f"spec error at {location}:" in capsys.readouterr().err
+
+
+class TestReporting:
+    def test_non_finite_float_raises(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                dump_json({"x": [1, value]})
+
+    def test_exact_and_numpy_values(self):
+        np = pytest.importorskip("numpy")
+        text = dump_json({"r": Fraction(-3, 4), "b": np.bool_(True), "i": np.int64(5), "f": 0.1})
+        assert text.endswith("}\n")
+        assert json.loads(text) == {"r": "-3/4", "b": True, "i": 5, "f": 0.1}
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError):
+            dump_json({"x": object()})
 
 
 class TestSuiteDeterminism:

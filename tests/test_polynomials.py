@@ -66,6 +66,25 @@ class TestValidation:
         with pytest.raises(TypeError):
             Polynomial.from_json_dict({"dim": 1, "terms": [{"exp": [1.5], "coef": "1"}]})
 
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ({"dim": 2.5, "terms": []}, TypeError),
+            ({"dim": "2", "terms": []}, TypeError),
+            ({"dim": True, "terms": []}, TypeError),
+            ({"dim": 0, "terms": []}, ValueError),
+            ({"dim": 1}, TypeError),
+            ({"dim": 1, "terms": 5}, TypeError),
+            ({"dim": 1, "terms": [{"exp": [True], "coef": "1"}]}, TypeError),
+            ({"dim": 1, "terms": [{"exp": [-1], "coef": "1"}]}, ValueError),
+            ({"dim": 1, "terms": [{"exp": [1], "coef": "1/0"}]}, ValueError),
+            (7, TypeError),
+        ],
+    )
+    def test_json_wire_form_is_strict(self, data, error):
+        with pytest.raises(error):
+            Polynomial.from_json_dict(data)
+
 
 class TestCalculus:
     def test_laplacian_radial_n3(self):

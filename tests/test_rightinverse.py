@@ -17,15 +17,14 @@ from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import (
     DegreeOverflowError,
     KernelFunction,
+    OperatorMatrix,
     apply_right_inverse,
-    assemble,
     default_directions,
     enrich,
     harmonic_polynomial_basis,
     kernel_basis,
     operator_norm,
     solve_min_norm,
-    solve_scaled,
 )
 
 one_1d = Polynomial.constant(1, 1)
@@ -34,22 +33,22 @@ one_2d = Polynomial.constant(2, 1)
 
 class TestAssemble:
     def test_h2_column(self):
-        op = assemble(1, 0, 4)
+        op = OperatorMatrix.assemble(1, 0, 4)
         assert op.entries[((0,), (2,))] == 8
         assert ((2,), (2,)) not in op.entries
 
     def test_shift_diagonal(self):
-        op = assemble(1, 5, 3)
+        op = OperatorMatrix.assemble(1, 5, 3)
         for k in range(4):
             assert op.entries[((k,), (k,))] == 5
 
     def test_tensor_column(self):
-        op = assemble(2, 0, 4)
+        op = OperatorMatrix.assemble(2, 0, 4)
         assert op.entries[((0, 0), (2, 0))] == 8
 
     def test_action_matches_symbolic_laplacian(self):
         rng = random.Random(11)
-        op = assemble(2, Fraction(1, 2), 8)
+        op = OperatorMatrix.assemble(2, Fraction(1, 2), 8)
         w = WeightSpec.unit(2)
         for _ in range(10):
             p = random_polynomial(rng, 2, max_degree=6, max_terms=6)
@@ -58,7 +57,7 @@ class TestAssemble:
             assert lhs == rhs
 
     def test_degree_guard(self):
-        op = assemble(1, 0, 2)
+        op = OperatorMatrix.assemble(1, 0, 2)
         with pytest.raises(DegreeOverflowError):
             op.apply(monomial_to_hermite(Polynomial(1, {(4,): 1}), WeightSpec.unit(1)))
 
@@ -172,6 +171,10 @@ class TestKernelBasis:
         target = Polynomial(2, {(1, 1): 1})
         assert any(h == target or h == target.scale(-1) for h in span2) or len(span2) == 2
 
+    def test_zero_shift_has_no_plane_waves(self):
+        with pytest.raises(ValueError):
+            kernel_basis(0, 2)
+
     def test_directions_dedupe(self):
         assert default_directions(1) == [(1.0,)]
         dirs2 = default_directions(2)
@@ -195,13 +198,6 @@ class TestEnrichment:
     def test_empty_basis_is_identity(self):
         rep = solve_min_norm(one_1d, a=1)
         assert enrich(rep, []) is rep
-
-    def test_harmonic_enrichment_no_change(self):
-        """The minimal-norm solve is already orthogonal to the kernel."""
-        rep = solve_min_norm(Polynomial(1, {(2,): 1}))
-        enriched = enrich(rep, kernel_basis(0, 1, max_harmonic_degree=4))
-        assert enriched.solution.coeffs == rep.solution.coeffs
-        assert enriched.ratio == rep.ratio
 
     def test_projection_lowers_norm_generic(self):
         f = Polynomial(1, {(1,): 1, (0,): 2})
@@ -240,6 +236,13 @@ class TestOperatorNorm:
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-14
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("a", [Fraction(1, 2), 1, 3])
+    def test_unenriched_norm_even_in_shift(self, n, a):
+        """D = diag((-1)^floor(|alpha|/2)) has D lap D = -lap, so the
+        inverse at -a is -D (inverse at a) D: the same norm, bit for bit."""
+        assert operator_norm(n, a, 6, "none") == operator_norm(n, -a, 6, "none")
+
     def test_shifted_with_enrichment_below_unenriched(self):
         plain = operator_norm(1, 1, 4, enrichment="none")
         enriched = operator_norm(1, 1, 4, enrichment="auto")
@@ -249,7 +252,7 @@ class TestOperatorNorm:
 class TestScaledSolve:
     def test_lambda_two(self):
         w = WeightSpec(dim=1, lam=Fraction(2))
-        rep = solve_scaled(one_1d, 0, w)
+        rep = solve_min_norm(one_1d, 0, weight=w)
         assert rep.ratio == Fraction(1, 32)
         # u = H_2(sqrt(2) x)/16 = x^2/2 - 1/8
         assert rep.solution_polynomial() == Polynomial(
@@ -257,7 +260,7 @@ class TestScaledSolve:
         )
 
     def test_unit_is_bit_identical(self):
-        rep_scaled = solve_scaled(one_1d, 0, WeightSpec.unit(1))
+        rep_scaled = solve_min_norm(one_1d, 0, weight=WeightSpec.unit(1))
         rep_plain = solve_min_norm(one_1d)
         assert rep_scaled.solution.coeffs == rep_plain.solution.coeffs
         assert rep_scaled.ratio == rep_plain.ratio
@@ -265,7 +268,7 @@ class TestScaledSolve:
 
     def test_translation_equivariance(self):
         w = WeightSpec(dim=2, lam=Fraction(1), center=(Fraction(3), Fraction(0)))
-        rep = solve_scaled(one_2d, 0, w)
+        rep = solve_min_norm(one_2d, 0, weight=w)
         centered = solve_min_norm(one_2d)
         assert rep.ratio == centered.ratio == Fraction(1, 16)
         shifted = centered.solution_polynomial().shift([Fraction(-3), Fraction(0)])
@@ -275,7 +278,7 @@ class TestScaledSolve:
         from gauss_rinv.hermite import integrate_gaussian
 
         w = WeightSpec(dim=1, lam=Fraction(2))
-        rep = solve_scaled(one_1d, 0, w)
+        rep = solve_min_norm(one_1d, 0, weight=w)
         u = rep.solution_polynomial()
         quad = integrate_gaussian(lambda x: float(u.evaluate(x)) ** 2, w, order=20)
         assert quad == pytest.approx(rep.norm_u_sq.to_float(), rel=1e-12)
@@ -285,7 +288,7 @@ class TestScaledSolve:
         w = WeightSpec(dim=1, lam=Fraction(3, 2), center=(Fraction(1),))
         for _ in range(5):
             f = random_polynomial(rng, 1, max_degree=6, max_terms=5, nonzero=True)
-            rep = solve_scaled(f, 0, w)
+            rep = solve_min_norm(f, 0, weight=w)
             assert rep.residual_exact
             assert rep.ratio <= Fraction(1, 8) / w.lam**2
 
