@@ -36,13 +36,13 @@ from .rightinverse import (
     DegreeOverflowError,
     GramConditionError,
     KernelFunction,
-    OperatorMatrix,
     SolveReport,
     apply_right_inverse,
     enrich,
     harmonic_polynomial_basis,
     kernel_basis,
     operator_norm,
+    shifted_laplacian,
     solve_min_norm,
 )
 from .domains import (
@@ -50,6 +50,7 @@ from .domains import (
     BoundedSolveReport,
     EmbeddingReport,
     CounterexampleReport,
+    QuadratureError,
     SampledFunction,
     counterexample_report,
     embedding_check,

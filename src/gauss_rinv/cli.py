@@ -30,7 +30,6 @@ from .domains import (
     solve_bounded,
 )
 from .hermite import WeightSpec, gauss_hermite_rule
-from .linalg import SingularMatrixError
 from .polynomials import (
     Polynomial,
     format_rational,
@@ -40,7 +39,6 @@ from .polynomials import (
 from .reporting import dump_json
 from .rightinverse import (
     DegreeOverflowError,
-    GramConditionError,
     apply_right_inverse,
     operator_norm,
     solve_min_norm,
@@ -444,12 +442,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         spec, results, passed = _dispatch(args)
     except SpecValidationError as exc:
-        sys.stderr.write(f"spec error at {exc.location}: {exc}\n")
+        sys.stderr.write(f"spec error at {exc}\n")
         return EXIT_SPEC
     except DegreeOverflowError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return EXIT_SPEC
-    except (GramConditionError, SingularMatrixError, OverflowError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:  # Gram, singular block, quadrature, overflow, zero division
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
 

@@ -90,33 +90,6 @@ class WeightSpec:
         return out.scale(self.lam)
 
 
-def weight_spec_from_polynomial(weight: Polynomial) -> WeightSpec | None:
-    """Recognize lam*|x - x0|^2 symbolically; None when the weight is not
-    of that radial-quadratic form."""
-    n = weight.dim
-    lam = None
-    for j in range(n):
-        exps = [0] * n
-        exps[j] = 2
-        c = weight.coefficient(exps)
-        if lam is None:
-            lam = c
-        elif c != lam:
-            return None
-    if lam is None or lam <= 0:
-        return None
-    center = []
-    for j in range(n):
-        exps = [0] * n
-        exps[j] = 1
-        b = weight.coefficient(exps)
-        center.append(-b / (2 * lam))
-    candidate = WeightSpec(dim=n, lam=lam, center=tuple(center))
-    if candidate.polynomial() == weight:
-        return candidate
-    return None
-
-
 # ----------------------------------------------------------------------
 # exact weighted scalars
 # ----------------------------------------------------------------------
@@ -440,18 +413,20 @@ class QuadratureRule:
 _RULE_CACHE: dict[int, QuadratureRule] = {}
 
 
-def _hermite_normalized(m: int, t: float) -> tuple[float, float]:
-    """(h_m(t), h_{m-1}(t)) for orthonormal Hermite functions h_k = H_k/||H_k||.
+def normalized_hermite_values(max_k: int, t: float) -> list[float]:
+    """Orthonormal H_k(t)/sqrt(2^k k! sqrt(pi)) values, k = 0..max_k.
 
-    The normalized recurrence stays O(1) in magnitude near the nodes, so
-    Newton refinement is stable for high orders.
+    High-degree Hermite polynomials have astronomically large monomial
+    coefficients; the normalized three-term recurrence keeps every value
+    O(1) near the physical region, so pointwise evaluation stays precise
+    and Newton refinement of the quadrature nodes is stable at high order.
     """
-    h_prev = 0.0
-    h = math.pi ** -0.25
-    for k in range(m):
-        h_next = t * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * h_prev
-        h_prev, h = h, h_next
-    return h, h_prev
+    vals = [math.pi**-0.25]
+    prev = 0.0
+    for k in range(max_k):
+        vals.append(t * math.sqrt(2.0 / (k + 1)) * vals[k] - math.sqrt(k / (k + 1.0)) * prev)
+        prev = vals[k]
+    return vals
 
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:
@@ -478,13 +453,13 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     for guess in guesses:
         t = float(guess)
         for _ in range(60):
-            h_m, h_m1 = _hermite_normalized(order, t)
+            *_, h_m1, h_m = normalized_hermite_values(order, t)
             derivative = math.sqrt(2.0 * order) * h_m1
             step = h_m / derivative
             t -= step
             if abs(step) < 1e-14:
                 break
-        _, h_m1 = _hermite_normalized(order, t)
+        h_m1 = normalized_hermite_values(order, t)[-2]
         nodes.append(t)
         weights.append(1.0 / (order * h_m1 * h_m1))
     rule = QuadratureRule(order, tuple(nodes), tuple(weights))

@@ -5,6 +5,12 @@ the Laplacian lowers total degree by exactly two:
 
     (lap + a) G_gamma = a G_gamma + sum_j 4 gamma_j (gamma_j - 1) G_{gamma - 2 e_j}.
 
+``shifted_laplacian`` is this sparse action and the one form of lap + a in
+the package: the block solves read their entries from it, and every
+report's ``residual_exact`` is the exact check (lap + a) u == f on Hermite
+coefficients (a bijective change of basis, so it equals the check on
+monomials).
+
 For a = 0 the coefficient system (over solutions of degree <= deg f + 2)
 is underdetermined; the minimal-weighted-norm solution is obtained from
 the normal equations of the adjoint system, solved in exact rational
@@ -89,57 +95,31 @@ def _basis_norm(alpha: MultiIndex, lam: Fraction) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# truncated operator matrix
+# the operator lap + a on Hermite coefficients
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Sparse action of lap + a on scaled Hermite coefficients up to degree N.
+def _lowered(gamma: MultiIndex) -> list[tuple[MultiIndex, int]]:
+    """lap G_gamma as pairs (gamma - 2 e_j, 4 gamma_j (gamma_j - 1)), gamma_j >= 2.
 
-    Entry (row, col) is the coefficient of G_row in (lap + a) G_col; it is
-    nonzero only on the diagonal (from a) and where row = col - 2 e_j
-    (from the Laplacian).  The action agrees with the symbolic Laplacian
-    on every basis polynomial, for every weight scale.
+    This holds for every weight scale lam and center: the lam factors of
+    the scaled basis cancel against the chain rule.
     """
+    return [
+        (gamma[:j] + (g - 2,) + gamma[j + 1 :], 4 * g * (g - 1))
+        for j, g in enumerate(gamma)
+        if g >= 2
+    ]
 
-    dim: int
-    a: Fraction
-    degree: int
-    entries: dict[tuple[MultiIndex, MultiIndex], Fraction]
 
-    @classmethod
-    def assemble(cls, dim: int, a: RationalLike, degree: int) -> "OperatorMatrix":
-        if degree < 0:
-            raise ValueError("truncation degree must be >= 0")
-        a = Fraction(a)
-        entries: dict[tuple[MultiIndex, MultiIndex], Fraction] = {}
-        for gamma in multi_indices_up_to(dim, degree):
-            if a != 0:
-                entries[(gamma, gamma)] = a
-            for j, g in enumerate(gamma):
-                if g >= 2:
-                    row = tuple(g - 2 if i == j else e for i, e in enumerate(gamma))
-                    entries[(row, gamma)] = entries.get((row, gamma), Fraction(0)) + Fraction(
-                        4 * g * (g - 1)
-                    )
-        return cls(dim=dim, a=a, degree=degree, entries=entries)
-
-    def apply(self, expansion: HermiteExpansion) -> HermiteExpansion:
-        """Matrix action on an expansion of degree <= N (any weight scale)."""
-        if expansion.degree() > self.degree:
-            raise DegreeOverflowError(
-                f"expansion degree {expansion.degree()} exceeds truncation {self.degree}"
-            )
-        out: dict[MultiIndex, Fraction] = {}
-        for gamma, c in expansion.coeffs.items():
-            if self.a != 0:
-                out[gamma] = out.get(gamma, Fraction(0)) + self.a * c
-            for j, g in enumerate(gamma):
-                if g >= 2:
-                    row = tuple(g - 2 if i == j else e for i, e in enumerate(gamma))
-                    out[row] = out.get(row, Fraction(0)) + 4 * g * (g - 1) * c
-        return HermiteExpansion._trusted(expansion.weight, out)
+def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteExpansion:
+    """(lap + a) applied to an expansion, exactly, over the same weight."""
+    a = Fraction(a)
+    out = {gamma: a * c for gamma, c in expansion.coeffs.items()} if a else {}
+    for gamma, c in expansion.coeffs.items():
+        for beta, b in _lowered(gamma):
+            out[beta] = out.get(beta, Fraction(0)) + b * c
+    return HermiteExpansion._trusted(expansion.weight, out)
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +193,13 @@ def default_directions(dim: int) -> list[tuple[float, ...]]:
         if vec not in dirs:
             dirs.append(vec)
     return dirs
+
+
+def _directions(enrichment: str, dim: int) -> list[tuple[float, ...]]:
+    """Wave directions of an enrichment policy: 'axes' or the default set."""
+    if enrichment == "axes":
+        return [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
+    return default_directions(dim)
 
 
 def harmonic_polynomial_basis(dim: int, max_degree: int) -> list[Polynomial]:
@@ -365,7 +352,8 @@ def _min_norm_coeffs(
 
     Normal equations of the adjoint system, one exact solve per (degree,
     parity) block: solve M w = f with M = B R^{-1} B^T, then u = R^{-1} B^T w,
-    where B is the Laplacian block and R the diagonal of basis norms.
+    where B is the Laplacian block (columns: the degree + 2 members of the
+    same parity) and R the diagonal of basis norms.
     """
     blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, Fraction]] = {}
     for alpha, c in f_coeffs.items():
@@ -377,87 +365,45 @@ def _min_norm_coeffs(
         pos = {alpha: i for i, alpha in enumerate(rows)}
         m = len(rows)
         rhs = [rhs_map.get(alpha, Fraction(0)) for alpha in rows]
+        columns = [
+            (gamma, _basis_norm(gamma, lam), [(pos[beta], b) for beta, b in _lowered(gamma)])
+            for gamma in _class_members(dim, deg + 2, parity)
+        ]
         matrix = [[Fraction(0)] * m for _ in range(m)]
-        for ai, alpha in enumerate(rows):
-            for j in range(dim):
-                gamma = tuple(e + 2 if i == j else e for i, e in enumerate(alpha))
-                r_gamma = _basis_norm(gamma, lam)
-                b_aj = Fraction(4 * gamma[j] * (gamma[j] - 1))
-                for k in range(dim):
-                    if gamma[k] >= 2:
-                        beta = tuple(e - 2 if i == k else e for i, e in enumerate(gamma))
-                        bi = pos.get(beta)
-                        if bi is not None:
-                            b_bk = Fraction(4 * gamma[k] * (gamma[k] - 1))
-                            matrix[ai][bi] += b_aj * b_bk / r_gamma
+        for _, r_gamma, column in columns:
+            for ai, b_a in column:
+                for bi, b_b in column:
+                    matrix[ai][bi] += b_a * b_b / r_gamma
         try:
             w = solve_exact(matrix, rhs)
         except SingularMatrixError as exc:  # defensive: cannot occur for lap
             raise SingularMatrixError(
                 f"minimal-norm block ({deg}, {parity}) singular: {exc}"
             ) from exc
-        for ai, alpha in enumerate(rows):
-            if w[ai] == 0:
-                continue
-            for j in range(dim):
-                gamma = tuple(e + 2 if i == j else e for i, e in enumerate(alpha))
-                contrib = 4 * gamma[j] * (gamma[j] - 1) * w[ai] / _basis_norm(gamma, lam)
-                u[gamma] = u.get(gamma, Fraction(0)) + contrib
+        for gamma, r_gamma, column in columns:
+            u[gamma] = sum((b * w[ai] for ai, b in column), Fraction(0)) / r_gamma
     return {k: v for k, v in u.items() if v != 0}
 
 
 def _triangular_coeffs(
     f_coeffs: dict[MultiIndex, Fraction], dim: int, a: Fraction
 ) -> dict[MultiIndex, Fraction]:
-    """Unique polynomial solution of (lap + a) u = f for a != 0 (top-down)."""
+    """Unique polynomial solution of (lap + a) u = f for a != 0 (top-down).
+
+    u_alpha = (f_alpha - (lap u)_alpha) / a, where (lap u)_alpha only
+    involves the coefficients of degree |alpha| + 2, already solved.
+    """
     degree = max((sum(k) for k in f_coeffs), default=0)
     u: dict[MultiIndex, Fraction] = {}
+    lap_u: dict[MultiIndex, Fraction] = {}
     for d in range(degree, -1, -1):
         for alpha in _indices_of_degree(dim, d):
-            acc = f_coeffs.get(alpha, Fraction(0))
-            for j in range(dim):
-                gamma = tuple(e + 2 if i == j else e for i, e in enumerate(alpha))
-                ug = u.get(gamma)
-                if ug is not None:
-                    acc -= 4 * gamma[j] * (gamma[j] - 1) * ug
+            acc = f_coeffs.get(alpha, Fraction(0)) - lap_u.get(alpha, 0)
             if acc != 0:
                 u[alpha] = acc / a
+                for beta, b in _lowered(alpha):
+                    lap_u[beta] = lap_u.get(beta, Fraction(0)) + b * u[alpha]
     return u
-
-
-def _finalize_polynomial_report(
-    f: Polynomial,
-    u_exp: HermiteExpansion,
-    f_exp: HermiteExpansion,
-    a: Fraction,
-    weight: WeightSpec,
-    truncation: int,
-) -> SolveReport:
-    n = weight.dim
-    u_poly = u_exp.to_polynomial()
-    residual = u_poly.laplacian() + u_poly.scale(a) - f
-    norm_f = f_exp.norm_sq()
-    norm_u = u_exp.norm_sq()
-    if norm_f.is_zero():
-        ratio = Fraction(0)
-    else:
-        ratio = norm_u.ratio(norm_f)
-    bound = Fraction(1, 8 * n * weight.lam**2)
-    return SolveReport(
-        weight=weight,
-        a=a,
-        truncation=truncation,
-        solution=u_exp,
-        residual_exact=residual.is_zero(),
-        norm_f_sq=norm_f,
-        norm_u_sq=norm_u,
-        norm_u_sq_float=norm_u.to_float(),
-        ratio=ratio,
-        ratio_float=float(ratio),
-        bound=bound,
-        bound_satisfied=ratio <= bound,
-        enrichment="none",
-    )
 
 
 def solve_min_norm(
@@ -473,6 +419,8 @@ def solve_min_norm(
     bound ||u||^2/||f||^2 <= 1/(8 n lam^2) with equality exactly at
     nonzero constant f.  a != 0: the unique triangular polynomial
     solution, whose ratio generally exceeds the bound until enriched.
+    ``residual_exact`` is the exact check shifted_laplacian(u, a) == f on
+    Hermite coefficients.
     """
     a = Fraction(a)
     w = weight if weight is not None else WeightSpec.unit(f.dim)
@@ -492,7 +440,25 @@ def solve_min_norm(
         u_exp = HermiteExpansion._trusted(w, _min_norm_coeffs(f_exp.coeffs, w.dim, w.lam))
     else:
         u_exp = HermiteExpansion._trusted(w, _triangular_coeffs(f_exp.coeffs, w.dim, a))
-    return _finalize_polynomial_report(f, u_exp, f_exp, a, w, n_trunc)
+    norm_f = f_exp.norm_sq()
+    norm_u = u_exp.norm_sq()
+    ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)
+    bound = Fraction(1, 8 * w.dim * w.lam**2)
+    return SolveReport(
+        weight=w,
+        a=a,
+        truncation=n_trunc,
+        solution=u_exp,
+        residual_exact=shifted_laplacian(u_exp, a) == f_exp,
+        norm_f_sq=norm_f,
+        norm_u_sq=norm_u,
+        norm_u_sq_float=norm_u.to_float(),
+        ratio=ratio,
+        ratio_float=float(ratio),
+        bound=bound,
+        bound_satisfied=ratio <= bound,
+        enrichment="none",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +527,6 @@ def apply_right_inverse(
     a: RationalLike = 0,
     truncation: int | None = None,
     enrichment: str = "auto",
-    directions: Sequence[Sequence[float]] | None = None,
 ) -> SolveReport:
     """The full right-inverse application: minimal-norm solve, then enrich.
 
@@ -576,15 +541,10 @@ def apply_right_inverse(
         return report
     if enrichment not in ("auto", "axes"):
         raise ValueError(f"unknown enrichment policy {enrichment!r}")
-    dim = f.dim
     if a == 0:
         # already minimal over the kernel; nothing to project away
         return report
-    if enrichment == "axes":
-        dirs = [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
-    else:
-        dirs = directions or default_directions(dim)
-    return enrich(report, kernel_basis(a, dim, directions=dirs))
+    return enrich(report, kernel_basis(a, f.dim, directions=_directions(enrichment, f.dim)))
 
 
 # ----------------------------------------------------------------------
@@ -638,12 +598,7 @@ def operator_norm(
             solutions.append(HermiteExpansion._trusted(w, u).to_polynomial())
     form = t.T @ t
     if enrichment != "none":
-        dirs = (
-            [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
-            if enrichment == "axes"
-            else default_directions(dim)
-        )
-        basis = kernel_basis(a, dim, directions=dirs)
+        basis = kernel_basis(a, dim, directions=_directions(enrichment, dim))
         gram = np.array(
             [[gi.gram_entry(gj, dim) for gj in basis] for gi in basis], dtype=float
         )

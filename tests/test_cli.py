@@ -11,6 +11,7 @@ import pytest
 from gauss_rinv import cli
 from gauss_rinv.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SPEC,
     ProblemSpec,
@@ -227,7 +228,9 @@ class TestBadInputExits2:
     def test_solve_terms_not_a_list(self, tmp_path, capsys):
         path = self._write(tmp_path, "t.json", {"dim": 1, "terms": 5})
         assert main(["solve", "--dim", "1", "--f", path]) == EXIT_SPEC
-        assert "spec error at f:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("spec error at f: invalid polynomial")
+        assert err.count("f:") == 1
 
     def test_grid_size_mismatch(self, tmp_path, capsys):
         path = self._write(tmp_path, "g.json", {"shape": [3], "values": [1, 2, 3, 4, 5]})
@@ -263,6 +266,16 @@ class TestBadInputExits2:
     def test_solve_rejects_loose_wire_form(self, tmp_path, data):
         path = self._write(tmp_path, "p.json", data)
         assert main(["solve", "--dim", "1", "--f", path]) == EXIT_SPEC
+
+
+class TestNumericFailureExits3:
+    def test_bounded_nan_integrand(self, tmp_path, capsys):
+        """1e308 x^3 - 1e308 x^2 evaluates to inf - inf = NaN on [-2, 2]."""
+        path = tmp_path / "p.json"
+        big = 10**308
+        path.write_text(json.dumps(Polynomial(1, {(3,): big, (2,): -big}).to_json_dict()))
+        assert main(["bounded", "--box=-2,2", "--degree", "2", "--f", f"poly:{path}"]) == EXIT_NUMERIC
+        assert "numeric failure: non-finite" in capsys.readouterr().err
 
 
 class TestCountsBelowOne:

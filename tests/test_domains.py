@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from gauss_rinv import domains
+from gauss_rinv.adjoint import AdjointConfig, formal_adjoint
 from gauss_rinv.domains import (
     BoxDomain,
+    QuadratureError,
     SampledFunction,
     counterexample_report,
     embedding_check,
@@ -14,7 +17,7 @@ from gauss_rinv.domains import (
     integrate_box,
     solve_bounded,
 )
-from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
+from gauss_rinv.hermite import HermiteExpansion, WeightSpec, inner_product, monomial_to_hermite
 from gauss_rinv.polynomials import Polynomial
 
 
@@ -49,6 +52,19 @@ class TestQuadrature:
         box = BoxDomain(((0.0, 1.0),))
         val = integrate_box(lambda x: math.exp(-x[0] ** 2), box, tol=1e-13)
         assert val == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_raises_at_once(self, bad):
+        """NaN never passes the agreement test; it used to bisect to depth 24."""
+        evals = []
+
+        def fn(x):
+            evals.append(x)
+            return bad if x[0] > 0.5 else 1.0
+
+        with pytest.raises(QuadratureError):
+            integrate_box(fn, BoxDomain(((0.0, 1.0), (0.0, 1.0))))
+        assert len(evals) == 3 * 12 * 12  # the first coarse panel and its two halves
 
 
 class TestExpansionEvaluator:
@@ -108,6 +124,47 @@ class TestSolveBounded:
         f = SampledFunction.constant(box, 1.0)
         rep = solve_bounded(box, f, a=Fraction(1, 2), truncation=12)
         assert rep.residual_exact and rep.projection_adequate
+
+    def test_weak_residual_matches_adjoint_route(self):
+        """Reference: the Parseval weak residual equals the one computed with
+        the formal adjoint, <u, (lap+a)* psi>_w, bit for bit."""
+        box = BoxDomain(((0.25, 1.5),))
+        poly = Polynomial(1, {(3,): Fraction(2, 3), (1,): -1, (0,): Fraction(1, 5)})
+        f = SampledFunction.from_polynomial(poly, box)
+        for a in (Fraction(0), Fraction(-3, 2)):
+            rep = solve_bounded(box, f, a=a, truncation=6)
+            w = rep.solution.weight
+            cfg = AdjointConfig(weight=w.polynomial(), a=a)
+            u_poly = rep.solution.to_polynomial()
+            unit = math.pi**0.5
+            x0 = float(w.center[0])
+            norm_f = math.sqrt(
+                integrate_box(lambda x: f(x) ** 2 * math.exp(-(x[0] - x0) ** 2), box)
+            )
+            worst = 0.0
+            for k in range(7):
+                psi = HermiteExpansion(w, {(k,): 1}).to_polynomial()
+                lhs = inner_product(u_poly, formal_adjoint(psi, cfg, include_shift=True), w)
+                psi_norm = math.sqrt(float(HermiteExpansion.basis_norm_sq((k,), Fraction(1))) * unit)
+                h_k = domains.normalized_basis_evaluator(w, {(k,): 1.0})
+                rhs = integrate_box(lambda x: f(x) * h_k(x) * math.exp(-(x[0] - x0) ** 2), box)
+                worst = max(worst, abs(lhs.to_float() / psi_norm - rhs) / norm_f)
+            assert rep.weak_residual_rel == worst
+
+    def test_corrupted_solution_fails_residuals(self, monkeypatch):
+        """One wrong coefficient in u fails the exact and the weak residual."""
+        solver = domains._min_norm_coeffs
+
+        def corrupt(*args):
+            u = dict(solver(*args))
+            u[max(u)] += Fraction(1, 7)
+            return u
+
+        monkeypatch.setattr(domains, "_min_norm_coeffs", corrupt)
+        box = BoxDomain(((-1.0, 1.0),))
+        rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=8)
+        assert not rep.residual_exact
+        assert not rep.projection_adequate
 
     def test_box_mismatch(self):
         box = BoxDomain(((-1.0, 1.0),))

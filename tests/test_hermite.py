@@ -19,7 +19,6 @@ from gauss_rinv.hermite import (
     integrate_gaussian,
     monomial_to_hermite,
     norm_sq,
-    weight_spec_from_polynomial,
 )
 from gauss_rinv.polynomials import DimensionMismatchError, Polynomial
 
@@ -249,16 +248,3 @@ class TestGaussianMoment:
         with pytest.raises(ValueError):
             gaussian_moment(one, [1.0], "tan")
 
-
-class TestWeightRecognition:
-    def test_unit(self):
-        w = weight_spec_from_polynomial(Polynomial.norm_squared(3))
-        assert w == WeightSpec.unit(3)
-
-    def test_scaled_shifted(self):
-        spec = WeightSpec(dim=2, lam=Fraction(5, 3), center=(Fraction(1, 2), Fraction(-2)))
-        assert weight_spec_from_polynomial(spec.polynomial()) == spec
-
-    def test_rejects_non_radial(self):
-        p = Polynomial(2, {(2, 0): 1, (0, 2): 2})
-        assert weight_spec_from_polynomial(p) is None

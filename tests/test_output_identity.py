@@ -1,9 +1,12 @@
 """Pinned output digests: the exact core must keep its outputs byte-identical.
 
-The expected digests were computed before the fast-path constructors,
-the binomial ``shift`` and the cached Hermite rows were introduced.  A
-speed change that alters any coefficient, any ordering or any verdict
-of these small seeded corpora changes a digest and fails here.
+The battery and conversion digests were computed before the fast-path
+constructors, the binomial ``shift`` and the cached Hermite rows were
+introduced; the solve and bounded digests before the residual checks
+moved to the sparse Hermite action of ``lap + a``.  A change that alters
+any coefficient, any ordering or any verdict of these small seeded
+corpora changes a digest and fails here.  The bounded reports also hold
+quadrature floats, so their digest pins this platform's float results.
 """
 
 import hashlib
@@ -12,11 +15,15 @@ import random
 from fractions import Fraction
 
 from gauss_rinv.adjoint import run_identity_battery
+from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import random_polynomial
+from gauss_rinv.rightinverse import solve_min_norm
 
 BATTERY_SHA256 = "f2c4c791115d06d1035fb29031a36e21c5c1d2644165422eca440e50c7edb9d0"
 CONVERSION_SHA256 = "67467ea262849db33096a45c0462fec0ec679980100d74b3c2061c0358ac3125"
+SOLVE_SHA256 = "4e6b01e987e015f394d8554fbcc86b8eb59511d1e1c7d43181fe7854d167175b"
+BOUNDED_SHA256 = "75803616575d86186cdc1da83bfec84f66beca47e7baa403667126116a969d3c"
 
 # Unit, scaled, off-center and scaled off-center weights in n = 1, 2, 3.
 WEIGHTS = (
@@ -25,6 +32,24 @@ WEIGHTS = (
     WeightSpec(2, Fraction(1, 4), (Fraction(-1, 2), Fraction(2))),
     WeightSpec(3, Fraction(5), (Fraction(0), Fraction(1, 5), Fraction(-3, 7))),
     WeightSpec(2, Fraction(2), ()),
+)
+
+# Unit, scaled and off-center weights for the min-norm solves.
+SOLVE_WEIGHTS = (
+    WeightSpec.unit(1),
+    WeightSpec.unit(2),
+    WeightSpec(2, Fraction(3, 2), ()),
+    WeightSpec(1, Fraction(1), (Fraction(2, 3),)),
+    WeightSpec(3, Fraction(1, 2), (Fraction(1, 2), Fraction(0), Fraction(-1))),
+)
+SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(2))
+# (box, data, a, truncation): 1-D and 2-D, symmetric and off-center, a = 0 and a != 0.
+BOUNDED_CASES = (
+    (((-1.0, 1.0),), "const", Fraction(0), 8),
+    (((0.25, 1.5),), "poly", Fraction(0), 6),
+    (((-1.0, 1.0),), "poly", Fraction(1, 2), 6),
+    (((-1.0, 1.0), (-0.5, 0.5)), "const", Fraction(0), 3),
+    (((0.0, 1.0), (-0.25, 0.75)), "poly", Fraction(-2), 2),
 )
 
 
@@ -49,6 +74,36 @@ def conversion_documents() -> list[dict]:
     return docs
 
 
+def solve_documents() -> list[dict]:
+    """solve_min_norm reports over every shift and weight above."""
+    rng = random.Random(4042)
+    docs = []
+    for weight in SOLVE_WEIGHTS:
+        for a in SHIFTS:
+            for _ in range(2):
+                f = random_polynomial(rng, weight.dim, max_degree=5, max_terms=6)
+                docs.append(solve_min_norm(f, a, weight=weight).to_json_dict())
+    return docs
+
+
+def bounded_documents() -> list[dict]:
+    """solve_bounded reports, with the solution coefficients added."""
+    rng = random.Random(4043)
+    docs = []
+    for intervals, data, a, degree in BOUNDED_CASES:
+        box = BoxDomain(intervals)
+        if data == "const":
+            f = SampledFunction.constant(box, 1.5)
+        else:
+            poly = random_polynomial(rng, box.dim, max_degree=3, max_terms=3, nonzero=True)
+            f = SampledFunction.from_polynomial(poly, box)
+        report = solve_bounded(box, f, a=a, truncation=degree)
+        doc = report.to_json_dict()
+        doc["coeffs"] = report.solution.to_json_dict()["coeffs"]
+        docs.append(doc)
+    return docs
+
+
 def test_battery_digest_pinned():
     results = run_identity_battery(seed=42, cases_per_identity=3, weight_cases=2)
     assert _sha256(results) == BATTERY_SHA256
@@ -56,3 +111,11 @@ def test_battery_digest_pinned():
 
 def test_conversion_digest_pinned():
     assert _sha256(conversion_documents()) == CONVERSION_SHA256
+
+
+def test_solve_digest_pinned():
+    assert _sha256(solve_documents()) == SOLVE_SHA256
+
+
+def test_bounded_digest_pinned():
+    assert _sha256(bounded_documents()) == BOUNDED_SHA256

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from gauss_rinv import rightinverse
 from gauss_rinv.hermite import (
+    HermiteExpansion,
     WeightSpec,
     gaussian_moment,
     hermite_polynomial_1d,
@@ -17,13 +19,13 @@ from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import (
     DegreeOverflowError,
     KernelFunction,
-    OperatorMatrix,
     apply_right_inverse,
     default_directions,
     enrich,
     harmonic_polynomial_basis,
     kernel_basis,
     operator_norm,
+    shifted_laplacian,
     solve_min_norm,
 )
 
@@ -31,35 +33,90 @@ one_1d = Polynomial.constant(1, 1)
 one_2d = Polynomial.constant(2, 1)
 
 
+def basis_element(w: WeightSpec, alpha) -> HermiteExpansion:
+    return HermiteExpansion(w, {alpha: 1})
+
+
 class TestAssemble:
+    """Columns of shifted_laplacian: (lap + a) applied to one basis element."""
+
     def test_h2_column(self):
-        op = OperatorMatrix.assemble(1, 0, 4)
-        assert op.entries[((0,), (2,))] == 8
-        assert ((2,), (2,)) not in op.entries
+        w = WeightSpec.unit(1)
+        assert shifted_laplacian(basis_element(w, (2,)), 0) == basis_element(w, (0,)).scale(8)
 
     def test_shift_diagonal(self):
-        op = OperatorMatrix.assemble(1, 5, 3)
+        w = WeightSpec.unit(1)
         for k in range(4):
-            assert op.entries[((k,), (k,))] == 5
+            column = shifted_laplacian(basis_element(w, (k,)), 5)
+            assert column.coeffs[(k,)] == 5
 
     def test_tensor_column(self):
-        op = OperatorMatrix.assemble(2, 0, 4)
-        assert op.entries[((0, 0), (2, 0))] == 8
+        w = WeightSpec.unit(2)
+        column = shifted_laplacian(basis_element(w, (2, 0)), 0)
+        assert column == basis_element(w, (0, 0)).scale(8)
 
     def test_action_matches_symbolic_laplacian(self):
         rng = random.Random(11)
-        op = OperatorMatrix.assemble(2, Fraction(1, 2), 8)
         w = WeightSpec.unit(2)
         for _ in range(10):
             p = random_polynomial(rng, 2, max_degree=6, max_terms=6)
-            lhs = op.apply(monomial_to_hermite(p, w))
+            lhs = shifted_laplacian(monomial_to_hermite(p, w), Fraction(1, 2))
             rhs = monomial_to_hermite(p.laplacian() + p.scale(Fraction(1, 2)), w)
             assert lhs == rhs
 
-    def test_degree_guard(self):
-        op = OperatorMatrix.assemble(1, 0, 2)
-        with pytest.raises(DegreeOverflowError):
-            op.apply(monomial_to_hermite(Polynomial(1, {(4,): 1}), WeightSpec.unit(1)))
+
+def monomial_route_residual_zero(report, f: Polynomial) -> bool:
+    """Reference residual check on monomials: lap(u) + a u - f == 0."""
+    u = report.solution.to_polynomial()
+    return (u.laplacian() + u.scale(report.a) - f).is_zero()
+
+
+class TestResidualRoutes:
+    """residual_exact (sparse Hermite action) against the monomial route."""
+
+    WEIGHTS = (
+        WeightSpec.unit(2),
+        WeightSpec(1, Fraction(5, 2), (Fraction(-1, 3),)),
+        WeightSpec(3, Fraction(1, 3), (Fraction(1), Fraction(0), Fraction(2, 5))),
+    )
+
+    def test_routes_agree_on_random_inputs(self):
+        rng = random.Random(31)
+        for w in self.WEIGHTS:
+            for a in (0, Fraction(1, 2), -3):
+                for _ in range(4):
+                    f = random_polynomial(rng, w.dim, max_degree=5, max_terms=6)
+                    rep = solve_min_norm(f, a, weight=w)
+                    assert rep.residual_exact
+                    assert monomial_route_residual_zero(rep, f)
+                    u = rep.solution.to_polynomial()
+                    assert shifted_laplacian(rep.solution, a).to_polynomial() == (
+                        u.laplacian() + u.scale(a)
+                    )
+
+    @pytest.mark.parametrize("a", [0, Fraction(-1, 2), 2])
+    def test_corrupted_solution_fails_both_routes(self, a, monkeypatch):
+        """One wrong coefficient in u turns both residual verdicts False."""
+
+        def corrupt(solver):
+            def wrapped(*args):
+                u = dict(solver(*args))
+                alpha = max(u)
+                u[alpha] += Fraction(1, 7)
+                return u
+
+            return wrapped
+
+        monkeypatch.setattr(rightinverse, "_min_norm_coeffs", corrupt(rightinverse._min_norm_coeffs))
+        monkeypatch.setattr(
+            rightinverse, "_triangular_coeffs", corrupt(rightinverse._triangular_coeffs)
+        )
+        rng = random.Random(32)
+        for w in self.WEIGHTS:
+            f = random_polynomial(rng, w.dim, max_degree=4, max_terms=5, nonzero=True)
+            rep = solve_min_norm(f, a, weight=w)
+            assert not rep.residual_exact
+            assert not monomial_route_residual_zero(rep, f)
 
 
 class TestSolveMinNorm:
