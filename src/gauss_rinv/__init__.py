@@ -14,7 +14,6 @@ from .hermite import (
     UnitMismatchError,
     WeightSpec,
     gauss_hermite_rule,
-    gaussian_moment,
     inner_product,
     integrate_gaussian,
     monomial_to_hermite,

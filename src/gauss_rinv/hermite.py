@@ -17,7 +17,7 @@ basis norms are rational multiples of the global unit (pi/lam)^{n/2}:
 Exact weighted integrals of polynomials are GaussianScalar values: a
 rational part tagged with that symbolic unit.  Non-polynomial integrands
 go through Gauss-Hermite quadrature (nodes by Newton refinement on the
-recurrence) or through closed-form trigonometric/exponential moments.
+recurrence).
 """
 
 from __future__ import annotations
@@ -501,63 +501,3 @@ def integrate_gaussian(
         if j < 0:
             break
     return total * lam ** (-n / 2.0)
-
-
-# ----------------------------------------------------------------------
-# closed-form Gaussian moments against trig/exponential factors
-# ----------------------------------------------------------------------
-
-
-def _double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def _axis_moment(e: int) -> float:
-    """integral t^e e^{-t^2} dt: 0 for odd e, sqrt(pi)(e-1)!!/2^{e/2} even."""
-    if e % 2 == 1:
-        return 0.0
-    return math.sqrt(math.pi) * _double_factorial(e - 1) / 2.0 ** (e // 2)
-
-
-def _shifted_moments(p: Polynomial, offset: Sequence[complex]) -> complex:
-    """integral p(y + offset) e^{-|y|^2} dy with a complex offset vector."""
-    total = 0.0 + 0.0j
-    for exps, coef in p.sorted_terms():
-        acc = complex(coef)
-        for e, c in zip(exps, offset):
-            axis = 0.0 + 0.0j
-            # binomial expansion of (y + c)^e, odd powers of y vanish
-            binom = 1
-            for i in range(e + 1):
-                if (e - i) % 2 == 0:
-                    axis += binom * c**i * _axis_moment(e - i)
-                binom = binom * (e - i) // (i + 1)
-            acc *= axis
-        total += acc
-    return total
-
-
-def gaussian_moment(p: Polynomial, k: Sequence[float], kind: str) -> float:
-    """Closed-form integral of p(x)*{cos,sin,exp}(k.x)*e^{-|x|^2} over R^n.
-
-    Completing the square gives
-        exp:      e^{|k|^2/4}  * integral p(y + k/2)  e^{-|y|^2} dy
-        cos/sin:  e^{-|k|^2/4} * Re/Im integral p(y + ik/2) e^{-|y|^2} dy
-    Unit weight only; the result is an ordinary float.
-    """
-    if len(k) != p.dim:
-        raise DimensionMismatchError(f"wavevector length {len(k)} != dim {p.dim}")
-    kk = [float(v) for v in k]
-    k_sq = sum(v * v for v in kk)
-    if kind == "exp":
-        value = _shifted_moments(p, [v / 2.0 for v in kk])
-        return math.exp(k_sq / 4.0) * value.real
-    if kind in ("cos", "sin"):
-        value = _shifted_moments(p, [complex(0.0, v / 2.0) for v in kk])
-        value *= math.exp(-k_sq / 4.0)
-        return value.real if kind == "cos" else value.imag
-    raise ValueError(f"unknown moment kind {kind!r}")

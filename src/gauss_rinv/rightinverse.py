@@ -24,7 +24,9 @@ violates the 1/(8n) target: the kernel of lap + a contains no
 polynomials.  Kernel enrichment subtracts the weighted projection onto
 explicit kernel elements (plane waves cos/sin(k.x) with |k|^2 = a for
 a > 0, e^{k.x} with |k|^2 = -a for a < 0), driving the ratio toward the
-bound.
+bound.  Plane waves pair with Hermite coefficients in closed form, by the
+generating function e^{2st - s^2} = sum_m H_m(t) s^m / m!, so enrichment
+never leaves Hermite coordinates.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from .hermite import (
     GaussianScalar,
     HermiteExpansion,
     WeightSpec,
-    gaussian_moment,
     monomial_to_hermite,
 )
 from .linalg import SingularMatrixError, nullspace_exact, solve_exact
 from .polynomials import (
+    DimensionMismatchError,
     MultiIndex,
     Polynomial,
     RationalLike,
@@ -127,6 +129,10 @@ def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteEx
 # ----------------------------------------------------------------------
 
 
+# Real and imaginary parts of i^m, by m mod 4, for the pairing of each kind.
+_PHASES = {"exp": (1, 1, 1, 1), "cos": (1, 0, -1, 0), "sin": (0, 1, 0, -1)}
+
+
 @dataclass(frozen=True)
 class KernelFunction:
     """An explicit plane wave in ker(lap + a) living in the weighted space.
@@ -136,6 +142,10 @@ class KernelFunction:
 
     kind: str  # "cos" | "sin" | "exp"
     wavevector: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in _PHASES:
+            raise ValueError(f"unknown plane-wave kind {self.kind!r}")
 
     def describe(self) -> str:
         vec = ",".join(f"{v:.12g}" for v in self.wavevector)
@@ -156,28 +166,30 @@ class KernelFunction:
         target = float(a) if self.kind in ("cos", "sin") else -float(a)
         return abs(k_sq - target)
 
-    def pair_with_polynomial(self, p: Polynomial) -> float:
-        """<self, p> under the unit Gaussian weight."""
-        return gaussian_moment(p, self.wavevector, self.kind)
+    def pair(self, expansion: HermiteExpansion) -> float:
+        """<self, u> under the unit Gaussian weight, u in Hermite coefficients.
 
-    def gram_entry(self, other: "KernelFunction", dim: int) -> float:
-        """<self, other> under the unit Gaussian weight (product-to-sum rules)."""
-        one = Polynomial.constant(dim, 1)
+        The generating function e^{2st - s^2} = sum_m H_m(t) s^m / m! at
+        s = k/2 and s = ik/2 gives, per basis element,
+            <e^{k.x}, G_alpha>  = pi^{n/2} e^{|k|^2/4}  k^alpha
+            <e^{ik.x}, G_alpha> = pi^{n/2} e^{-|k|^2/4} (ik)^alpha,
+        whose real and imaginary parts pair cos(k.x) and sin(k.x).
+        """
         k = self.wavevector
-        l = other.wavevector
-        diff = [a - b for a, b in zip(k, l)]
-        summ = [a + b for a, b in zip(k, l)]
-        if self.kind == "exp" and other.kind == "exp":
-            return gaussian_moment(one, summ, "exp")
-        if self.kind == "cos" and other.kind == "cos":
-            return 0.5 * (gaussian_moment(one, diff, "cos") + gaussian_moment(one, summ, "cos"))
-        if self.kind == "sin" and other.kind == "sin":
-            return 0.5 * (gaussian_moment(one, diff, "cos") - gaussian_moment(one, summ, "cos"))
-        if self.kind == "cos" and other.kind == "sin":
-            return 0.5 * (gaussian_moment(one, summ, "sin") - gaussian_moment(one, diff, "sin"))
-        if self.kind == "sin" and other.kind == "cos":
-            return other.gram_entry(self, dim)
-        raise ValueError(f"unsupported kernel pair {self.kind}/{other.kind}")
+        if not expansion.weight.is_unit:
+            raise ValueError("plane-wave pairing requires the unit weight")
+        if len(k) != expansion.weight.dim:
+            raise DimensionMismatchError(
+                f"wavevector length {len(k)} != dim {expansion.weight.dim}"
+            )
+        phases = _PHASES[self.kind]
+        total = math.fsum(
+            phases[sum(alpha) % 4] * float(c) * math.prod(v**e for v, e in zip(k, alpha))
+            for alpha, c in expansion.coeffs.items()
+        )
+        k_sq = sum(v * v for v in k) / 4.0
+        damping = math.exp(k_sq if self.kind == "exp" else -k_sq)
+        return math.pi ** (len(k) / 2.0) * damping * total
 
 
 def default_directions(dim: int) -> list[tuple[float, ...]]:
@@ -193,13 +205,6 @@ def default_directions(dim: int) -> list[tuple[float, ...]]:
         if vec not in dirs:
             dirs.append(vec)
     return dirs
-
-
-def _directions(enrichment: str, dim: int) -> list[tuple[float, ...]]:
-    """Wave directions of an enrichment policy: 'axes' or the default set."""
-    if enrichment == "axes":
-        return [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
-    return default_directions(dim)
 
 
 def harmonic_polynomial_basis(dim: int, max_degree: int) -> list[Polynomial]:
@@ -231,18 +236,12 @@ def harmonic_polynomial_basis(dim: int, max_degree: int) -> list[Polynomial]:
     return basis
 
 
-def kernel_basis(
-    a: RationalLike,
-    dim: int,
-    directions: Sequence[Sequence[float]] | None = None,
-) -> list[KernelFunction]:
-    """Plane-wave kernel elements of lap + a (a != 0) in the weighted space."""
+def kernel_basis(a: RationalLike, dim: int) -> list[KernelFunction]:
+    """Plane-wave kernel elements of lap + a (a != 0) along the default directions."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("plane-wave kernel basis requires a != 0")
-    dirs = [tuple(float(v) for v in d) for d in (directions or default_directions(dim))]
-    if not dirs:
-        raise ValueError("plane-wave kernel basis requires at least one direction")
+    dirs = default_directions(dim)
     out: list[KernelFunction] = []
     if a > 0:
         speed = math.sqrt(float(a))
@@ -466,6 +465,43 @@ def solve_min_norm(
 # ----------------------------------------------------------------------
 
 GRAM_CONDITION_LIMIT = 1e12
+ENRICHMENT_POLICIES = ("auto", "none")
+
+
+def _check_policy(enrichment: str) -> None:
+    if enrichment not in ENRICHMENT_POLICIES:
+        raise ValueError(f"unknown enrichment policy {enrichment!r}")
+
+
+def _kernel_gram(basis: Sequence[KernelFunction]) -> tuple[np.ndarray, float]:
+    """Unit-weight Gram matrix of plane waves and its condition number.
+
+    Product-to-sum turns each entry into a pairing with G_0 = 1:
+    exp-exp is pi^{n/2} e^{|k+l|^2/4}; cos-cos and sin-sin are
+    pi^{n/2} (e^{-|k-l|^2/4} +- e^{-|k+l|^2/4}) / 2; cos-sin is 0 (odd).
+    Raises GramConditionError above GRAM_CONDITION_LIMIT.
+    """
+    unit = math.pi ** (len(basis[0].wavevector) / 2.0)
+
+    def entry(g: KernelFunction, h: KernelFunction) -> float:
+        plus = sum((x + y) ** 2 for x, y in zip(g.wavevector, h.wavevector)) / 4.0
+        if g.kind == h.kind == "exp":
+            return unit * math.exp(plus)
+        if "exp" in (g.kind, h.kind):
+            raise ValueError(f"unsupported kernel pair {g.kind}/{h.kind}")
+        if g.kind != h.kind:
+            return 0.0
+        minus = sum((x - y) ** 2 for x, y in zip(g.wavevector, h.wavevector)) / 4.0
+        sign = 1.0 if g.kind == "cos" else -1.0
+        return unit * 0.5 * (math.exp(-minus) + sign * math.exp(-plus))
+
+    gram = np.array([[entry(g, h) for h in basis] for g in basis], dtype=float)
+    condition = float(np.linalg.cond(gram))
+    if condition > GRAM_CONDITION_LIMIT:
+        raise GramConditionError(
+            f"kernel Gram condition {condition:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
+        )
+    return gram, condition
 
 
 def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
@@ -473,7 +509,8 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
 
     The residual is untouched ((lap + a) annihilates every basis element);
     the new squared norm is ||u_p||^2 - 2 b.v + b.G b from the normal
-    equations G b = v, v_i = <g_i, u_p>, from closed-form float Gram data.
+    equations G b = v, v_i = <g_i, u_p>, from closed-form float Gram data
+    and closed-form pairings with the Hermite coefficients of u_p.
     """
     if not basis:
         return report
@@ -481,20 +518,11 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
         raise ValueError("report already carries kernel enrichment")
     if not report.weight.is_unit:
         raise ValueError("kernel enrichment requires the unit weight")
-    dim = report.weight.dim
     defect = max(g.annihilation_defect(report.a) for g in basis)
     if not defect <= 1e-10:
         raise ValueError(f"basis element not annihilated by lap + a (defect {defect})")
-    u_poly = report.solution_polynomial()
-    gram = np.array(
-        [[gi.gram_entry(gj, dim) for gj in basis] for gi in basis], dtype=float
-    )
-    v = np.array([g.pair_with_polynomial(u_poly) for g in basis], dtype=float)
-    condition = float(np.linalg.cond(gram))
-    if condition > GRAM_CONDITION_LIMIT:
-        raise GramConditionError(
-            f"kernel Gram condition {condition:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
-        )
+    gram, condition = _kernel_gram(basis)
+    v = np.array([g.pair(report.solution) for g in basis], dtype=float)
     beta = np.linalg.solve(gram, v)
     old_norm = report.norm_u_sq.to_float()
     new_norm = old_norm - 2.0 * float(beta @ v) + float(beta @ gram @ beta)
@@ -530,21 +558,18 @@ def apply_right_inverse(
 ) -> SolveReport:
     """The full right-inverse application: minimal-norm solve, then enrich.
 
-    ``enrichment`` is 'auto' (default kernel basis for the given a),
-    'axes' (coordinate directions only), or 'none'.  The report records
-    the pre-enrichment ratio alongside the final one, and the verdict
-    ratio <= 1/(8n) at the end.
+    ``enrichment`` is 'auto' (the default plane-wave kernel basis for the
+    given a) or 'none'.  The report records the pre-enrichment ratio
+    alongside the final one, and the verdict ratio <= 1/(8n) at the end.
+    At a = 0 the min-norm solution is already orthogonal to the kernel,
+    so there is nothing to project away.
     """
+    _check_policy(enrichment)
     a = Fraction(a)
     report = solve_min_norm(f, a, truncation=truncation)
-    if enrichment == "none" or f.is_zero():
+    if enrichment == "none" or a == 0 or f.is_zero():
         return report
-    if enrichment not in ("auto", "axes"):
-        raise ValueError(f"unknown enrichment policy {enrichment!r}")
-    if a == 0:
-        # already minimal over the kernel; nothing to project away
-        return report
-    return enrich(report, kernel_basis(a, f.dim, directions=_directions(enrichment, f.dim)))
+    return enrich(report, kernel_basis(a, f.dim))
 
 
 # ----------------------------------------------------------------------
@@ -560,60 +585,40 @@ def operator_norm(
 ) -> float:
     """Largest singular value of the truncated right inverse.
 
-    a = 0 (primary path): exact per-column minimal-norm solves expressed in
-    orthonormal coordinates, then a dense SVD.  For a != 0 the map is the
-    triangular solve optionally followed by kernel projection; the norm
-    comes from the Gram-corrected quadratic form.  Un-enriched, the value is
-    the same at a and -a: D = diag((-1)^floor(|alpha|/2)) has D lap D = -lap,
-    so the inverse at -a is -D (inverse at a) D.
+    Column alpha of q is the exact solve for G_alpha (minimal-norm at
+    a = 0, triangular otherwise) in orthonormal coordinates; the norm is
+    the square root of the top eigenvalue of the form q^T q, from which an
+    enriched inverse (a != 0) subtracts the Gram-corrected kernel
+    projection.  Un-enriched, the value is the same at a and -a:
+    D = diag((-1)^floor(|alpha|/2)) has D lap D = -lap, so the inverse at
+    -a is -D (inverse at a) D.
     """
+    _check_policy(enrichment)
     a = Fraction(a)
-    cols = multi_indices_up_to(dim, degree)
-    col_pos = {alpha: i for i, alpha in enumerate(cols)}
     lam = Fraction(1)
-    if a == 0:
-        rows = multi_indices_up_to(dim, degree + 2)
-        row_pos = {g: i for i, g in enumerate(rows)}
-        q = np.zeros((len(rows), len(cols)))
-        for alpha in cols:
-            u = _min_norm_coeffs({alpha: Fraction(1)}, dim, lam)
-            scale_in = _basis_norm(alpha, lam)
-            for gamma, c in u.items():
-                q[row_pos[gamma], col_pos[alpha]] = float(c) * math.sqrt(
-                    float(_basis_norm(gamma, lam) / scale_in)
-                )
-        return float(np.linalg.svd(q, compute_uv=False)[0])
-
-    t = np.zeros((len(cols), len(cols)))
-    solutions: list[Polynomial] = []
     w = WeightSpec.unit(dim)
-    for alpha in cols:
-        u = _triangular_coeffs({alpha: Fraction(1)}, dim, a)
+    cols = multi_indices_up_to(dim, degree)
+    # the min-norm solve reaches degree + 2; the triangular one stays in cols
+    rows = multi_indices_up_to(dim, degree + 2) if a == 0 else cols
+    row_pos = {g: i for i, g in enumerate(rows)}
+    basis = kernel_basis(a, dim) if a != 0 and enrichment != "none" else []
+    gram = _kernel_gram(basis)[0] if basis else None
+    q = np.zeros((len(rows), len(cols)))
+    s = np.zeros((len(basis), len(cols)))
+    for ci, alpha in enumerate(cols):
+        f = {alpha: Fraction(1)}
+        u = _min_norm_coeffs(f, dim, lam) if a == 0 else _triangular_coeffs(f, dim, a)
         scale_in = _basis_norm(alpha, lam)
         for gamma, c in u.items():
-            t[col_pos[gamma], col_pos[alpha]] = float(c) * math.sqrt(
+            q[row_pos[gamma], ci] = float(c) * math.sqrt(
                 float(_basis_norm(gamma, lam) / scale_in)
             )
-        if enrichment != "none":
-            solutions.append(HermiteExpansion._trusted(w, u).to_polynomial())
-    form = t.T @ t
-    if enrichment != "none":
-        basis = kernel_basis(a, dim, directions=_directions(enrichment, dim))
-        gram = np.array(
-            [[gi.gram_entry(gj, dim) for gj in basis] for gi in basis], dtype=float
-        )
-        condition = float(np.linalg.cond(gram))
-        if condition > GRAM_CONDITION_LIMIT:
-            raise GramConditionError(
-                f"kernel Gram condition {condition:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
-            )
-        s = np.zeros((len(basis), len(cols)))
-        for ci, (alpha, u_poly) in enumerate(zip(cols, solutions)):
-            scale_in = math.sqrt(float(_basis_norm(alpha, lam)))
-            for bi, g in enumerate(basis):
-                s[bi, ci] = g.pair_with_polynomial(u_poly) / scale_in
-        # norms in the weighted space carry the pi^{n/2} unit; t is unitless
-        unit = math.pi ** (dim / 2.0)
-        form = form - (s.T @ np.linalg.solve(gram, s)) / unit
-    eigvals = np.linalg.eigvalsh(form)
-    return float(math.sqrt(max(eigvals[-1], 0.0)))
+        if basis:
+            u_exp = HermiteExpansion._trusted(w, u)
+            norm_in = math.sqrt(float(scale_in))
+            s[:, ci] = [g.pair(u_exp) / norm_in for g in basis]
+    form = q.T @ q
+    if basis:
+        # norms in the weighted space carry the pi^{n/2} unit; q is unitless
+        form = form - (s.T @ np.linalg.solve(gram, s)) / math.pi ** (dim / 2.0)
+    return float(math.sqrt(max(np.linalg.eigvalsh(form)[-1], 0.0)))

@@ -73,6 +73,30 @@ class TestSolveCommand:
         assert solve["pre_enrichment_ratio"] == "1"
         assert solve["ratio_float"] < 0.125
 
+    def test_shift_bound_violation_exits_1(self, tmp_path):
+        """At a != 0 the verdict includes the bound: -x y^3 at a = -2 is
+        enriched to ratio ~0.0652, above 1/16."""
+        poly_path = tmp_path / "f.json"
+        poly_path.write_text(json.dumps({"dim": 2, "terms": [{"exp": [1, 3], "coef": "-1"}]}))
+        code, report = run_cli("solve", "--dim", "2", "--a", "-2", "--f", str(poly_path), tmp_path=tmp_path)
+        assert code == EXIT_CHECK_FAILED
+        solve = report["results"]["solve"]
+        assert solve["residual_exact"] is True and solve["bound_satisfied"] is False
+        assert solve["ratio_float"] == pytest.approx(0.06515, abs=1e-5)
+
+    def test_unenriched_shift_exits_1(self, tmp_path):
+        """A scaled weight is not enriched, so u = 1 at a = 1 keeps ratio 1 > 1/32."""
+        code, report = run_cli(
+            "solve", "--dim", "1", "--lambda", "2", "--a", "1", "--f", "const:1", tmp_path=tmp_path
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert report["results"]["solve"]["ratio"] == "1"
+
+    def test_enriched_shift_within_bound_exits_0(self, tmp_path):
+        code, report = run_cli("solve", "--dim", "1", "--a", "1", "--f", "const:1", tmp_path=tmp_path)
+        assert code == EXIT_OK
+        assert report["results"]["solve"]["bound_satisfied"] is True
+
     def test_solve_accepts_weight_flags(self, tmp_path):
         code, report = run_cli(
             "solve", "--dim", "1", "--lambda", "2", "--f", "const:1", tmp_path=tmp_path
@@ -209,6 +233,17 @@ class TestRemovedSurface:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--f", "const:1"], ["opnorm"]], ids=["solve", "opnorm"]
+    )
+    def test_enrich_axes_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--dim", "1", "--a", "1", "--enrich", "axes"])
+        assert info.value.code == 2
+        assert "invalid choice: 'axes'" in capsys.readouterr().err
+        with pytest.raises(SpecValidationError):
+            ProblemSpec(dimension=1, enrichment="axes")
 
     def test_spec_echo_has_no_ignored_keys(self, tmp_path):
         _, report = run_cli("solve", "--dim", "1", "--f", "const:1", tmp_path=tmp_path)

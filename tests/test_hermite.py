@@ -13,7 +13,6 @@ from gauss_rinv.hermite import (
     UnitMismatchError,
     WeightSpec,
     gauss_hermite_rule,
-    gaussian_moment,
     hermite_polynomial_1d,
     inner_product,
     integrate_gaussian,
@@ -21,6 +20,7 @@ from gauss_rinv.hermite import (
     norm_sq,
 )
 from gauss_rinv.polynomials import DimensionMismatchError, Polynomial
+from gauss_rinv.rightinverse import KernelFunction
 
 from conftest import polynomials
 
@@ -213,19 +213,31 @@ class TestQuadrature:
             gauss_hermite_rule(0)
 
 
+def plane_wave_moment(p: Polynomial, k, kind: str) -> float:
+    """integral p(x) {cos,sin,exp}(k.x) e^{-|x|^2} dx by the closed-form
+    pairing of the plane wave with the Hermite coefficients of p."""
+    expansion = monomial_to_hermite(p, WeightSpec.unit(p.dim))
+    return KernelFunction(kind=kind, wavevector=tuple(k)).pair(expansion)
+
+
 class TestGaussianMoment:
+    """Gaussian moments of plane waves times polynomials, from Hermite coefficients."""
+
     def test_cos(self):
-        assert gaussian_moment(one, [1.0], "cos") == pytest.approx(
+        assert plane_wave_moment(one, [1.0], "cos") == pytest.approx(
             SQRT_PI * math.exp(-0.25), rel=1e-14
         )
 
     def test_exp(self):
-        assert gaussian_moment(one, [1.0], "exp") == pytest.approx(
+        assert plane_wave_moment(one, [1.0], "exp") == pytest.approx(
             SQRT_PI * math.exp(0.25), rel=1e-14
         )
 
     def test_sin_odd(self):
-        assert gaussian_moment(one, [0.7], "sin") == 0.0
+        """sin(k.x) is odd, so it pairs to exactly 0 with even data."""
+        assert plane_wave_moment(one, [0.7], "sin") == 0.0
+        even = Polynomial(2, {(2, 0): Fraction(1), (1, 1): Fraction(-1, 2), (0, 0): Fraction(1, 3)})
+        assert plane_wave_moment(even, [0.8, -0.5], "sin") == 0.0
 
     @pytest.mark.parametrize("kind", ["cos", "sin", "exp"])
     def test_against_quadrature(self, kind):
@@ -236,7 +248,7 @@ class TestGaussianMoment:
             "sin": lambda t: math.sin(t),
             "exp": lambda t: math.exp(t),
         }[kind]
-        closed = gaussian_moment(p, k, kind)
+        closed = plane_wave_moment(p, k, kind)
         quad = integrate_gaussian(
             lambda pt: float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]),
             WeightSpec.unit(2),
@@ -244,7 +256,23 @@ class TestGaussianMoment:
         )
         assert quad == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["cos", "sin", "exp"])
+    def test_every_degree_mod_4_against_quadrature(self, kind):
+        """Degrees 0..5 in both parities exercise every phase i^m."""
+        p = Polynomial(
+            2,
+            {(5, 0): Fraction(1, 7), (1, 3): Fraction(-2, 3), (0, 3): Fraction(1),
+             (2, 0): Fraction(-1, 2), (0, 1): Fraction(3, 4), (0, 0): Fraction(1, 5)},
+        )
+        k = [0.8, -0.5]
+        factor = {"cos": math.cos, "sin": math.sin, "exp": math.exp}[kind]
+        quad = integrate_gaussian(
+            lambda pt: float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]),
+            WeightSpec.unit(2),
+            order=40,
+        )
+        assert quad == pytest.approx(plane_wave_moment(p, k, kind), rel=1e-10, abs=1e-12)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            gaussian_moment(one, [1.0], "tan")
-
+            plane_wave_moment(one, [1.0], "tan")

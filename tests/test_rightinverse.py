@@ -10,9 +10,9 @@ from gauss_rinv import rightinverse
 from gauss_rinv.hermite import (
     HermiteExpansion,
     WeightSpec,
-    gaussian_moment,
     hermite_polynomial_1d,
     inner_product,
+    integrate_gaussian,
     monomial_to_hermite,
 )
 from gauss_rinv.polynomials import Polynomial, random_polynomial
@@ -252,6 +252,25 @@ class TestEnrichment:
         assert rep.ratio_float <= 1 / 8 + 1e-12
         assert rep.residual_exact
 
+    @pytest.mark.parametrize(
+        "a", [Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, -2, 3, -3]
+    )
+    def test_constant_data_closed_form_both_kinds(self, a):
+        """u = 1/a projected off cos(kx) (a > 0) or cosh(kx) (a < 0, the
+        span of e^{+-kx}) leaves ratio (1 - sech(a/2)) / a^2 either way."""
+        a_float = float(a)
+        closed = (1.0 - 1.0 / math.cosh(a_float / 2.0)) / a_float**2
+        rep = apply_right_inverse(one_1d, a=a)
+        assert {g.kind for g, _ in rep.kernel_part} == ({"exp"} if a < 0 else {"cos", "sin"})
+        assert rep.ratio_float == pytest.approx(closed, abs=1e-12)
+
+    def test_unknown_policy_rejected(self):
+        for policy in ("axes", "everything"):
+            with pytest.raises(ValueError):
+                apply_right_inverse(one_1d, a=1, enrichment=policy)
+            with pytest.raises(ValueError):
+                operator_norm(1, 1, 2, enrichment=policy)
+
     def test_empty_basis_is_identity(self):
         rep = solve_min_norm(one_1d, a=1)
         assert enrich(rep, []) is rep
@@ -268,14 +287,25 @@ class TestEnrichment:
             enrich(rep, kernel_basis(2, 1))
 
     def test_gram_pairings_match_quadrature(self):
-        from gauss_rinv.hermite import integrate_gaussian
-
         g1 = KernelFunction(kind="cos", wavevector=(1.0,))
         g2 = KernelFunction(kind="sin", wavevector=(1.0,))
         w = WeightSpec.unit(1)
         quad = integrate_gaussian(lambda x: math.cos(x[0]) ** 2, w, order=40)
-        assert g1.gram_entry(g1, 1) == pytest.approx(quad, rel=1e-12)
-        assert g1.gram_entry(g2, 1) == pytest.approx(0.0, abs=1e-15)
+        gram, _ = rightinverse._kernel_gram([g1, g2])
+        assert gram[0, 0] == pytest.approx(quad, rel=1e-12)
+        assert gram[0, 1] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [Fraction(3, 2), Fraction(-3, 2)])
+    def test_gram_matrix_matches_quadrature_2d(self, a):
+        """Every entry of the 2-D Gram matrix (axes and diagonals; cos-cos,
+        sin-sin, cos-sin or exp-exp) against tensor Gauss-Hermite quadrature."""
+        basis = kernel_basis(a, 2)
+        gram, _ = rightinverse._kernel_gram(basis)
+        w = WeightSpec.unit(2)
+        for i, g in enumerate(basis):
+            for j, h in enumerate(basis):
+                quad = integrate_gaussian(lambda x: g.evaluate(x) * h.evaluate(x), w, order=40)
+                assert gram[i, j] == pytest.approx(quad, rel=1e-10, abs=1e-12)
 
 
 class TestOperatorNorm:
@@ -332,8 +362,6 @@ class TestScaledSolve:
         assert rep.solution_polynomial() == shifted
 
     def test_scaled_norm_against_quadrature(self):
-        from gauss_rinv.hermite import integrate_gaussian
-
         w = WeightSpec(dim=1, lam=Fraction(2))
         rep = solve_min_norm(one_1d, 0, weight=w)
         u = rep.solution_polynomial()
@@ -351,9 +379,13 @@ class TestScaledSolve:
 
 
 def test_plane_wave_pairing_is_gaussian_moment():
+    """The closed-form pairing on Hermite coefficients is the Gaussian
+    moment integral x^2 e^{x/2} e^{-x^2} dx, here by quadrature."""
     g = KernelFunction(kind="exp", wavevector=(0.5,))
     p = Polynomial(1, {(2,): 1})
-    assert g.pair_with_polynomial(p) == gaussian_moment(p, (0.5,), "exp")
+    w = WeightSpec.unit(1)
+    quad = integrate_gaussian(lambda x: x[0] ** 2 * math.exp(0.5 * x[0]), w, order=40)
+    assert g.pair(monomial_to_hermite(p, w)) == pytest.approx(quad, rel=1e-12)
 
 
 def test_min_norm_against_dense_pseudoinverse():
