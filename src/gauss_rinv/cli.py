@@ -24,6 +24,7 @@ from . import __version__
 from .adjoint import run_identity_battery
 from .domains import (
     BoxDomain,
+    InputLimitError,
     SampledFunction,
     counterexample_report,
     embedding_check,
@@ -178,7 +179,7 @@ def _run_bounded(
     report = solve_bounded(
         box, f, a=spec.a, truncation=degree, quad_tol=quad_tol
     )
-    passed = report.bound_satisfied and report.projection_adequate and report.residual_exact
+    passed = report.bound_satisfied and report.bessel_holds and report.residual_exact
     return {"bounded": report.to_json_dict()}, passed
 
 
@@ -318,10 +319,10 @@ def run_suite(
     rep_b = solve_bounded(box, SampledFunction.constant(box, 1.0), a=0, truncation=30, quad_tol=1e-10)
     record(
         "bounded-domain",
-        rep_b.bound_satisfied and rep_b.projection_adequate and rep_b.residual_exact,
+        rep_b.bound_satisfied and rep_b.bessel_holds and rep_b.residual_exact,
         norm_u_l2=rep_b.norm_u_l2,
         bound_value=rep_b.bound_value,
-        weak_residual=rep_b.weak_residual_rel,
+        projection_defect_rel=rep_b.projection_defect_rel,
     )
 
     # counterexample
@@ -445,7 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SpecValidationError as exc:
         sys.stderr.write(f"spec error at {exc}\n")
         return EXIT_SPEC
-    except DegreeOverflowError as exc:
+    except (DegreeOverflowError, InputLimitError) as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return EXIT_SPEC
     except ArithmeticError as exc:  # Gram, singular block, quadrature, overflow, zero division

@@ -1,11 +1,14 @@
 """Bounded-domain solves, space embeddings, and the unweighted-L2 failure.
 
 The bounded-domain pipeline extends data f in L2(U) by zero, projects it
-onto the Hermite basis centered inside U by adaptive panel quadrature
-(the zero extension is discontinuous at the boundary of U, so a global
-Gauss-Hermite rule would converge poorly; composite Gauss-Legendre panels
-over U see only the smooth restriction), solves exactly in coefficient
-space, and restricts back.  The restricted solution obeys
+onto the orthonormal Hermite basis centered inside U by adaptive panel
+quadrature (the zero extension is discontinuous at the boundary of U, so a
+global Gauss-Hermite rule would converge poorly; composite Gauss-Legendre
+panels over U see only the smooth restriction), solves exactly in
+coefficient space, and restricts back.  Integrands map an (m, n) array of
+nodes to m values, or to an (m, k) array for k integrals at once, so one
+panel tree yields every pairing <f~, h_alpha>_w together with the data
+norms.  The restricted solution obeys
 
     ||u||_{L2(U)} <= sqrt(e^{|U|^2} / (8n)) ||f||_{L2(U)},
 
@@ -25,20 +28,30 @@ square-integrable against the Gaussian weight.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .hermite import HermiteExpansion, WeightSpec, normalized_hermite_values, norm_sq
 from .polynomials import MultiIndex, Polynomial, RationalLike, format_rational
-from .rightinverse import (
-    _min_norm_coeffs,
-    _triangular_coeffs,
-    multi_indices_up_to,
-    shifted_laplacian,
-)
+from .rightinverse import multi_indices_up_to, right_inverse_coeffs, shifted_laplacian
+
+# Gauss-Legendre nodes per axis of one quadrature panel.
+PANEL_ORDER = 12
+# Bisection depth cap of integrate_box.
+MAX_DEPTH = 24
+# Random points of the sup estimate of embedding_check.
+SUP_SAMPLES = 2048
+# Points of the closed-form and second-derivative checks of the counterexample.
+SAMPLE_POINTS = 50
+# One panel of a bounded solve holds C(N+n, n) * PANEL_ORDER^n orthonormal
+# Hermite values (8 bytes each); 2-D at N = 30 holds 71,424, 3-D at N = 30
+# would hold 9.4 million.
+MAX_TABLE_ENTRIES = 2_000_000
 
 
 # ----------------------------------------------------------------------
@@ -72,8 +85,11 @@ class BoxDomain:
     def center(self) -> tuple[float, ...]:
         return tuple((lo + hi) / 2.0 for lo, hi in self.intervals)
 
-    def contains(self, point: Sequence[float]) -> bool:
-        return all(lo <= x <= hi for (lo, hi), x in zip(self.intervals, point))
+    @property
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and upper corners as arrays."""
+        lo, hi = zip(*self.intervals)
+        return np.array(lo), np.array(hi)
 
     @classmethod
     def from_string(cls, text: str) -> "BoxDomain":
@@ -90,16 +106,21 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function given on a box, extended by zero outside it."""
+    """Function given on a box, extended by zero outside it.
+
+    ``fn`` maps an (m, n) array of points inside the box to m values.
+    """
 
     box: BoxDomain
-    fn: Callable[[Sequence[float]], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     label: str = "callable"
 
-    def __call__(self, point: Sequence[float]) -> float:
-        if not self.box.contains(point):
-            return 0.0
-        return float(self.fn(point))
+    def __call__(self, points) -> np.ndarray:
+        """Values at an (m, n) array of points, zero outside the box."""
+        x = np.asarray(points, dtype=float)
+        lo, hi = self.box.corners
+        inside = np.all((lo <= x) & (x <= hi), axis=1)
+        return np.where(inside, self.fn(x), 0.0)
 
     @classmethod
     def constant(cls, box: BoxDomain, value: float) -> "SampledFunction":
@@ -110,11 +131,7 @@ class SampledFunction:
     def from_polynomial(cls, poly: Polynomial, box: BoxDomain) -> "SampledFunction":
         if poly.dim != box.dim:
             raise ValueError(f"dimension mismatch: {poly.dim} vs {box.dim}")
-        return cls(
-            box=box,
-            fn=lambda x: float(poly.evaluate([float(v) for v in x])),
-            label="polynomial",
-        )
+        return cls(box=box, fn=lambda x: poly.evaluate(list(x.T)), label="polynomial")
 
     @classmethod
     def from_grid(
@@ -132,11 +149,11 @@ class SampledFunction:
             np.linspace(lo, hi, num) for (lo, hi), num in zip(box.intervals, shape)
         ]
 
-        def interp(x: Sequence[float]) -> float:
+        def interp(x: np.ndarray) -> np.ndarray:
             idx = []
             frac = []
-            for ax, v in zip(axes, x):
-                i = int(np.clip(np.searchsorted(ax, v) - 1, 0, len(ax) - 2))
+            for ax, v in zip(axes, x.T):
+                i = np.clip(np.searchsorted(ax, v) - 1, 0, len(ax) - 2)
                 idx.append(i)
                 frac.append((v - ax[i]) / (ax[i + 1] - ax[i]))
             total = 0.0
@@ -145,12 +162,12 @@ class SampledFunction:
                 pos = []
                 for j, (i, t) in enumerate(zip(idx, frac)):
                     if corner >> j & 1:
-                        w *= t
+                        w = w * t
                         pos.append(i + 1)
                     else:
-                        w *= 1.0 - t
+                        w = w * (1.0 - t)
                         pos.append(i)
-                total += w * float(arr[tuple(pos)])
+                total = total + w * arr[tuple(pos)]
             return total
 
         return cls(box=box, fn=interp, label="grid")
@@ -160,144 +177,91 @@ class SampledFunction:
 # adaptive panel quadrature over boxes
 # ----------------------------------------------------------------------
 
-_LEGENDRE_CACHE: dict[int, tuple[list[float], list[float]]] = {}
-
 
 class QuadratureError(ArithmeticError):
     """The integrand gave a panel estimate that is not finite (NaN or inf)."""
 
 
-def _legendre_rule(order: int) -> tuple[list[float], list[float]]:
-    rule = _LEGENDRE_CACHE.get(order)
-    if rule is None:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        rule = ([float(t) for t in nodes], [float(w) for w in weights])
-        _LEGENDRE_CACHE[order] = rule
-    return rule
-
-
-def _tensor_panel(fn, intervals: Sequence[tuple[float, float]], order: int) -> float:
-    nodes, weights = _legendre_rule(order)
-    dim = len(intervals)
-    idx = [0] * dim
-    total = 0.0
-    jac = 1.0
-    for lo, hi in intervals:
-        jac *= (hi - lo) / 2.0
-    while True:
-        w = 1.0
-        x = [0.0] * dim
-        for j, (lo, hi) in enumerate(intervals):
-            w *= weights[idx[j]]
-            x[j] = (hi + lo) / 2.0 + (hi - lo) / 2.0 * nodes[idx[j]]
-        total += w * fn(x)
-        j = dim - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < order:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
-    return total * jac
-
-
 def integrate_box(
-    fn: Callable[[Sequence[float]], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     box: BoxDomain,
     tol: float = 1e-10,
-    order: int = 12,
-    max_depth: int = 24,
-) -> float:
+) -> float | np.ndarray:
     """Adaptive composite Gauss-Legendre integral of fn over the box.
 
-    Panels are bisected along their longest axis until the coarse/refined
-    estimates agree within the (absolutely distributed) panel tolerance.
-    A non-finite estimate raises QuadratureError at once: NaN never
-    passes the agreement test, so it would bisect to ``max_depth``.
+    ``fn`` maps an (m, n) array of nodes to m values (the result is a
+    float) or to an (m, k) array (the result is k integrals).  Panels are
+    bisected along their longest axis until the coarse/refined estimates
+    of every component agree within the (absolutely distributed) panel
+    tolerance, so each component gets a panel set at least as fine as it
+    would alone; the half-panel estimates are the children's coarse ones.
+    A non-finite estimate raises QuadratureError at once: NaN never passes
+    the agreement test, so it would bisect to ``MAX_DEPTH``.
     """
+    nodes, weights = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    # tensor nodes on [-1, 1]^n, the last axis fastest, and their weights
+    n = box.dim
+    ref_nodes = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * n, indexing="ij")], axis=1)
+    ref_weights = np.prod(np.meshgrid(*[weights] * n, indexing="ij"), axis=0).ravel()
 
-    def recurse(intervals, budget, depth):
-        coarse = _tensor_panel(fn, intervals, order)
-        axis = max(range(len(intervals)), key=lambda j: intervals[j][1] - intervals[j][0])
-        lo, hi = intervals[axis]
-        mid = (lo + hi) / 2.0
-        left = list(intervals)
-        right = list(intervals)
-        left[axis] = (lo, mid)
-        right[axis] = (mid, hi)
-        fine = _tensor_panel(fn, left, order) + _tensor_panel(fn, right, order)
-        if not (math.isfinite(coarse) and math.isfinite(fine)):
-            raise QuadratureError(f"non-finite integrand estimate {fine!r} on panel {intervals}")
+    def panel(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        half = (hi - lo) / 2.0
+        values = np.asarray(fn((hi + lo) / 2.0 + half * ref_nodes), dtype=float)
+        return (ref_weights @ values) * np.prod(half)
+
+    def recurse(lo, hi, coarse, budget, depth):
+        axis = int(np.argmax(hi - lo))
+        mid = (lo[axis] + hi[axis]) / 2.0
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[axis] = right_lo[axis] = mid
+        left, right = panel(lo, left_hi), panel(right_lo, hi)
+        fine = left + right
+        if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+            raise QuadratureError(
+                f"non-finite integrand estimate {fine.tolist()!r} on panel "
+                f"{list(zip(lo.tolist(), hi.tolist()))}"
+            )
         # the relative floor stops refinement once float rounding dominates
-        noise = 4e-15 * max(abs(coarse), abs(fine))
-        if abs(fine - coarse) <= max(budget, noise) or depth >= max_depth:
+        noise = 4e-15 * np.maximum(abs(coarse), abs(fine))
+        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)) or depth >= MAX_DEPTH:
             return fine
-        return recurse(left, budget / 2.0, depth + 1) + recurse(
-            right, budget / 2.0, depth + 1
+        return recurse(lo, left_hi, left, budget / 2.0, depth + 1) + recurse(
+            right_lo, hi, right, budget / 2.0, depth + 1
         )
 
-    return recurse(list(box.intervals), tol, 0)
+    lo, hi = box.corners
+    # overflow and NaN surface as the QuadratureError above, not as warnings
+    with np.errstate(all="ignore"):
+        total = recurse(lo, hi, panel(lo, hi), tol, 0)
+    return float(total) if total.ndim == 0 else total
 
 
 # ----------------------------------------------------------------------
-# numerically stable evaluation of Hermite expansions
+# the orthonormal Hermite basis at quadrature nodes
 # ----------------------------------------------------------------------
 
 
-def _normalized_coefficient(alpha: MultiIndex, coef: float, weight: WeightSpec) -> float:
-    """Coefficient over the orthonormal basis given one over the G basis."""
-    r = HermiteExpansion.basis_norm_sq(alpha, weight.lam)
-    unit = (math.pi / float(weight.lam)) ** (weight.dim / 2.0)
-    return coef * math.sqrt(float(r) * unit)
+def orthonormal_table(
+    weight: WeightSpec, indices: Sequence[MultiIndex], points: np.ndarray
+) -> np.ndarray:
+    """(m, K) values h_alpha(x) of the orthonormal basis of L2(e^{-weight})
+    at the m points, alpha over the K indices.
 
-
-def normalized_basis_evaluator(
-    weight: WeightSpec, coeffs: dict[MultiIndex, float]
-) -> Callable[[Sequence[float]], float]:
-    """Evaluator for sum_alpha c_alpha h_alpha(x) over the orthonormal
-    basis h_alpha of L2(e^{-weight}) (unit weighted norm per element)."""
-    items = sorted(coeffs.items())
-    if not items:
-        return lambda _x: 0.0
-    dim = weight.dim
-    max_per_axis = [0] * dim
-    for alpha, _ in items:
-        for j, e in enumerate(alpha):
-            max_per_axis[j] = max(max_per_axis[j], e)
+    The normalized three-term recurrence keeps every value O(1) near the
+    physical region, where monomial coefficients of high-degree Hermite
+    polynomials are astronomically large.
+    """
+    n = weight.dim
     lam = float(weight.lam)
-    sqrt_lam = math.sqrt(lam)
+    idx = np.array(indices, dtype=int).reshape(-1, n)
+    t = math.sqrt(lam) * (points - np.array([float(c) for c in weight.center]))
+    top = int(idx.max(initial=0))
+    axis = np.stack([np.broadcast_to(v, t.shape) for v in normalized_hermite_values(top, t)])
     # per-axis normalization: integral h~_k(sqrt(lam) u)^2 e^{-lam u^2} du = lam^{-1/2}
-    axis_scale = lam**0.25
-    center = [float(c) for c in weight.center]
-
-    def evaluate(x: Sequence[float]) -> float:
-        tables = [
-            normalized_hermite_values(
-                max_per_axis[j], sqrt_lam * (float(x[j]) - center[j])
-            )
-            for j in range(dim)
-        ]
-        total = 0.0
-        for alpha, c in items:
-            term = c
-            for j, e in enumerate(alpha):
-                term *= tables[j][e] * axis_scale
-            total += term
-        return total
-
-    return evaluate
-
-
-def expansion_evaluator(expansion: HermiteExpansion) -> Callable[[Sequence[float]], float]:
-    """Stable pointwise evaluator for an exact expansion."""
-    w = expansion.weight
-    coeffs = {
-        alpha: _normalized_coefficient(alpha, float(c), w)
-        for alpha, c in expansion.coeffs.items()
-    }
-    return normalized_basis_evaluator(w, coeffs)
+    table = np.full((len(points), len(idx)), lam ** (n / 4.0))
+    for j in range(n):
+        table *= axis[idx[:, j], :, j].T
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -305,8 +269,37 @@ def expansion_evaluator(expansion: HermiteExpansion) -> Callable[[Sequence[float
 # ----------------------------------------------------------------------
 
 
-# A weak residual above this flags the truncation degree as too small.
-WEAK_RESIDUAL_TOL = 1e-6
+class InputLimitError(ValueError):
+    """A bounded solve is larger than the stated input limits."""
+
+
+@lru_cache(maxsize=None)
+def max_truncation(dim: int) -> int:
+    """Largest truncation N whose degree-(N+2) squared basis norm is a finite
+    float: the min-norm solution reaches degree N + 2, and ||G_alpha||^2_w
+    of that degree is largest at a pure power, 2^d d! pi^{n/2}."""
+    limit = sys.float_info.max / math.pi ** (dim / 2.0)
+    degree = 2
+    while HermiteExpansion.basis_norm_sq((degree + 1,), Fraction(1)) <= limit:
+        degree += 1
+    return degree - 2
+
+
+def check_input_limits(dim: int, truncation: int) -> None:
+    """Raise InputLimitError, naming the limit, for a bounded solve over
+    MAX_TABLE_ENTRIES per panel or above max_truncation(dim)."""
+    entries = math.comb(truncation + dim, dim) * PANEL_ORDER**dim
+    if entries > MAX_TABLE_ENTRIES:
+        raise InputLimitError(
+            f"truncation {truncation} in {dim}-D needs {entries} Hermite table entries "
+            f"per panel, above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+        )
+    limit = max_truncation(dim)
+    if truncation > limit:
+        raise InputLimitError(
+            f"truncation {truncation} in {dim}-D is above the degree limit {limit}: "
+            f"the degree-{truncation + 2} basis norm overflows a float"
+        )
 
 
 @dataclass
@@ -328,8 +321,9 @@ class BoundedSolveReport:
     weighted_ratio: Fraction
     weighted_bound: Fraction
     weighted_ratio_vs_data: float
-    weak_residual_rel: float
-    projection_adequate: bool
+    projection_defect_rel: float
+    bessel_holds: bool
+    bessel_tol: float
     quad_tol: float
 
     def to_json_dict(self) -> dict:
@@ -348,9 +342,9 @@ class BoundedSolveReport:
             "weighted_ratio": format_rational(self.weighted_ratio),
             "weighted_bound": format_rational(self.weighted_bound),
             "weighted_ratio_vs_data": self.weighted_ratio_vs_data,
-            "weak_residual_rel": self.weak_residual_rel,
-            "weak_residual_tol": WEAK_RESIDUAL_TOL,
-            "projection_adequate": self.projection_adequate,
+            "projection_defect_rel": self.projection_defect_rel,
+            "bessel_holds": self.bessel_holds,
+            "bessel_tol": self.bessel_tol,
             "quad_tol": self.quad_tol,
         }
 
@@ -365,57 +359,58 @@ def solve_bounded(
     """Solve (lap + a) u = f on a bounded box with the diameter constant.
 
     Pipeline: center the unit Gaussian weight at the box center x0,
-    project the zero extension of f onto the Hermite basis up to the
-    truncation degree by adaptive panel quadrature over the box, solve the
-    projected problem exactly in coefficient space, and restrict.  The
-    report checks ||u||_{L2(U)} <= sqrt(e^{|U|^2}/(8n)) ||f||_{L2(U)}.
+    project the zero extension f~ of f onto the orthonormal Hermite basis
+    h_alpha up to the truncation degree, solve the projected problem
+    exactly in coefficient space, and restrict.  Two quadrature passes do
+    the float work: the data side gives every pairing <f~, h_alpha>_w,
+    ||f~||^2_w and ||f||^2_{L2(U)} over one panel tree, the solution side
+    ||u||^2_{L2(U)}.  The report checks
+    ||u||_{L2(U)} <= sqrt(e^{|U|^2}/(8n)) ||f||_{L2(U)}.
     ``residual_exact`` is the exact check (lap + a) u == P_N f~ on Hermite
-    coefficients.  The weak residual  max_psi |<u, (lap+a)*psi>_w - <f~, psi>_w|
-    runs over unit-norm Hermite test polynomials psi of degree <= N; by
-    Parseval <u, (lap+a)* G_b>_w = ((lap+a) u)_b ||G_b||^2_w exactly, so only
-    the data side needs quadrature.  A residual above WEAK_RESIDUAL_TOL
-    flags the projection degree as too small rather than silently passing.
+    coefficients.  ``bessel_holds`` checks ||P_N f~||^2_w (Parseval on the
+    projected coefficients) <= ||f~||^2_w (quadrature) within
+    ``bessel_tol``, which follows from quad_tol and the number of
+    pairings; it fails when the quadrature or the basis is wrong.
+    ``projection_defect_rel`` = 1 - ||P_N f~||^2_w / ||f~||^2_w is the
+    share of the data the truncation drops (0 for zero data).
+    Inputs beyond ``check_input_limits`` raise InputLimitError first.
     """
     a = Fraction(a)
     n = box.dim
     if f.box.intervals != box.intervals:
         raise ValueError("sampled function must live on the target box")
+    check_input_limits(n, truncation)
     point0 = box.center
+    x0 = np.array(point0)
     weight = WeightSpec(
         dim=n, lam=Fraction(1), center=tuple(Fraction(v) for v in point0)
     )
 
     indices = multi_indices_up_to(n, truncation)
     unit = math.pi ** (n / 2.0)
-    norm_sq_rational = {alpha: HermiteExpansion.basis_norm_sq(alpha, Fraction(1)) for alpha in indices}
-    # ||G_alpha||_w, the scale between the G basis and the orthonormal one
-    basis_norm = {alpha: math.sqrt(float(r) * unit) for alpha, r in norm_sq_rational.items()}
+    # ||G_alpha||_w, the scale between the G basis and the orthonormal one;
+    # the min-norm solution reaches degree N + 2
+    basis_norm = {
+        alpha: math.sqrt(float(HermiteExpansion.basis_norm_sq(alpha, Fraction(1))) * unit)
+        for alpha in multi_indices_up_to(n, truncation + 2)
+    }
 
-    def normalized_pairing(alpha: MultiIndex) -> float:
-        """<f~, h_alpha>_w against the unit-norm basis function (stable)."""
-        ev = normalized_basis_evaluator(weight, {alpha: 1.0})
+    def data_side(x: np.ndarray) -> np.ndarray:
+        gauss = np.exp(-((x - x0) ** 2).sum(axis=1))
+        fx = f(x)
+        pairings = fx[:, None] * orthonormal_table(weight, indices, x) * gauss[:, None]
+        return np.column_stack([pairings, fx**2 * gauss, fx**2])
 
-        def integrand(x):
-            dx = sum((xi - ci) ** 2 for xi, ci in zip(x, point0))
-            return f(x) * ev(x) * math.exp(-dx)
-
-        return integrate_box(integrand, box, tol=quad_tol)
-
-    raw = {alpha: normalized_pairing(alpha) for alpha in indices}
+    *raw, norm_f_w_data, norm_f_l2_sq = integrate_box(data_side, box, tol=quad_tol).tolist()
     f_coeffs: dict[MultiIndex, Fraction] = {}
-    for alpha in indices:
-        c = raw[alpha] / basis_norm[alpha]
+    for alpha, p in zip(indices, raw):
+        c = p / basis_norm[alpha]
         if c != 0.0:
             f_coeffs[alpha] = Fraction(c)
     f_exp = HermiteExpansion(weight, f_coeffs)
 
-    if a == 0:
-        u_coeffs = _min_norm_coeffs(f_exp.coeffs, n, Fraction(1))
-    else:
-        u_coeffs = _triangular_coeffs(f_exp.coeffs, n, a)
-    u_exp = HermiteExpansion(weight, u_coeffs)
-    t_u = shifted_laplacian(u_exp, a)
-    residual_exact = t_u == f_exp
+    u_exp = HermiteExpansion(weight, right_inverse_coeffs(f_exp.coeffs, n, a))
+    residual_exact = shifted_laplacian(u_exp, a) == f_exp
 
     norm_u_w = u_exp.norm_sq()
     norm_f_w = f_exp.norm_sq()
@@ -423,34 +418,29 @@ def solve_bounded(
     weighted_ratio = (
         Fraction(0) if norm_f_w.is_zero() else norm_u_w.ratio(norm_f_w)
     )
-
-    # data-side weighted norm of the zero extension, by quadrature
-    def f_sq_weighted(x):
-        dx = sum((xi - ci) ** 2 for xi, ci in zip(x, point0))
-        return f(x) ** 2 * math.exp(-dx)
-
-    norm_f_w_data = integrate_box(f_sq_weighted, box, tol=quad_tol)
     weighted_ratio_vs_data = (
         norm_u_w.to_float() / norm_f_w_data if norm_f_w_data > 0 else 0.0
     )
 
-    # restriction norms
-    u_eval = expansion_evaluator(u_exp)
-    norm_u_l2 = math.sqrt(max(integrate_box(lambda x: u_eval(x) ** 2, box, tol=quad_tol), 0.0))
-    norm_f_l2 = math.sqrt(max(integrate_box(lambda x: f(x) ** 2, box, tol=quad_tol), 0.0))
+    # Bessel: exact pairings keep at most the data's weighted norm.  The K
+    # pairings and ||f~||^2_w are each within quad_tol of their integrals, so
+    # by Cauchy-Schwarz sum p^2 moves by 2 quad_tol sqrt(K ||f~||^2) + K quad_tol^2.
+    projected = norm_f_w.to_float()
+    k = len(indices)
+    bessel_tol = quad_tol * (1.0 + 2.0 * math.sqrt(k * max(norm_f_w_data, 0.0)) + k * quad_tol)
+    defect = 1.0 - projected / norm_f_w_data if norm_f_w_data > 0 else 0.0
+
+    # restriction norm of the solution, over its orthonormal coefficients
+    u_indices = sorted(u_exp.coeffs)
+    u_orth = np.array([float(u_exp.coeffs[alpha]) * basis_norm[alpha] for alpha in u_indices])
+    norm_u_l2_sq = integrate_box(
+        lambda x: (orthonormal_table(weight, u_indices, x) @ u_orth) ** 2, box, tol=quad_tol
+    )
+    norm_u_l2 = math.sqrt(max(norm_u_l2_sq, 0.0))
+    norm_f_l2 = math.sqrt(max(norm_f_l2_sq, 0.0))
     constant = math.sqrt(math.exp(box.diameter**2) / (8 * n))
     bound_value = constant * norm_f_l2
     margin = bound_value - norm_u_l2
-
-    # weak residual over unit-norm test polynomials, by Parseval
-    norm_f_w_float = math.sqrt(max(norm_f_w_data, 0.0))
-    scale = norm_f_w_float if norm_f_w_float > 0 else 1.0
-    weak_residual = 0.0
-    for beta in indices:
-        lhs = float(t_u.coeffs.get(beta, 0) * norm_sq_rational[beta]) * unit
-        weak_residual = max(
-            weak_residual, abs(lhs / basis_norm[beta] - raw[beta]) / scale
-        )
 
     return BoundedSolveReport(
         box=box,
@@ -468,8 +458,9 @@ def solve_bounded(
         weighted_ratio=weighted_ratio,
         weighted_bound=weighted_bound,
         weighted_ratio_vs_data=weighted_ratio_vs_data,
-        weak_residual_rel=weak_residual,
-        projection_adequate=weak_residual <= WEAK_RESIDUAL_TOL,
+        projection_defect_rel=defect,
+        bessel_holds=projected <= norm_f_w_data + bessel_tol,
+        bessel_tol=bessel_tol,
         quad_tol=quad_tol,
     )
 
@@ -513,15 +504,15 @@ def embedding_check(
     f: SampledFunction | Polynomial,
     tol: float = 1e-8,
     quad_tol: float = 1e-12,
-    sup_samples: int = 2048,
 ) -> EmbeddingReport:
     """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2.
 
-    Sampled data uses quadrature over its support box (the zero extension
-    contributes nothing outside); at least one of the two routes must be
-    available.  Polynomials get the exact weighted norm; their L2/sup
-    norms over R^n are infinite except in the constant case, so only the
-    applicable route is reported.
+    Sampled data uses one quadrature pass over its support box for both
+    squared norms (the zero extension contributes nothing outside) and
+    SUP_SAMPLES seeded random points for the sup; at least one of the two
+    routes must be available.  Polynomials get the exact weighted norm;
+    their L2/sup norms over R^n are infinite except in the constant case,
+    so only the applicable route is reported.
     """
     if isinstance(f, Polynomial):
         n = f.dim
@@ -539,18 +530,15 @@ def embedding_check(
             )
     else:
         n = f.box.dim
-        weighted = integrate_box(
-            lambda x: f(x) ** 2 * math.exp(-sum(v * v for v in x)),
-            f.box,
-            tol=quad_tol,
-        )
-        l2_sq = integrate_box(lambda x: f(x) ** 2, f.box, tol=quad_tol)
-        rng = np.random.default_rng(0)
-        lo = np.array([iv[0] for iv in f.box.intervals])
-        hi = np.array([iv[1] for iv in f.box.intervals])
-        points = rng.uniform(lo, hi, size=(sup_samples, n))
-        sup = max(abs(f(p)) for p in points)
-        sup_sq = sup * sup
+
+        def squares(x: np.ndarray) -> np.ndarray:
+            f_sq = f(x) ** 2
+            return np.column_stack([f_sq * np.exp(-(x * x).sum(axis=1)), f_sq])
+
+        weighted, l2_sq = integrate_box(squares, f.box, tol=quad_tol).tolist()
+        lo, hi = f.box.corners
+        points = np.random.default_rng(0).uniform(lo, hi, size=(SUP_SAMPLES, n))
+        sup_sq = float(np.max(np.abs(f(points)))) ** 2
 
     pi_mass = math.pi ** (n / 2.0)
     l2_holds = None if l2_sq is None else weighted <= l2_sq + tol
@@ -605,13 +593,13 @@ class CounterexampleReport:
         }
 
 
-def _closed_form(c1: Fraction, c2: Fraction) -> Callable[[float], float]:
-    """u(x) = -x/2 + x ln x + 2/3 + c1 x + c2 for x >= 1."""
+def _closed_form(c1: Fraction, c2: Fraction) -> Callable[[np.ndarray], np.ndarray]:
+    """u(x) = -x/2 + x ln x + 2/3 + c1 x + c2 for x >= 1, over arrays."""
     a_lin = float(Fraction(-1, 2) + c1)
     a_const = float(Fraction(2, 3) + c2)
 
-    def u(x: float) -> float:
-        return a_lin * x + x * math.log(x) + a_const
+    def u(x: np.ndarray) -> np.ndarray:
+        return a_lin * x + x * np.log(x) + a_const
 
     return u
 
@@ -619,11 +607,11 @@ def _closed_form(c1: Fraction, c2: Fraction) -> Callable[[float], float]:
 def _integral_form(c1: float, c2: float, order: int = 64) -> Callable[[float], float]:
     """u(x) = integral_0^x (x-t) f(t) dt + c1 x + c2 with the piecewise
     source f(t) = t on (0,1), 1/t on [1, inf); quadrature per smooth piece."""
-    nodes, weights = _legendre_rule(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
 
-    def piece(lo: float, hi: float, g: Callable[[float], float]) -> float:
+    def piece(lo: float, hi: float, g: Callable[[np.ndarray], np.ndarray]) -> float:
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-        return half * sum(w * g(mid + half * t) for t, w in zip(nodes, weights))
+        return half * float(weights @ g(mid + half * nodes))
 
     def u(x: float) -> float:
         total = piece(0.0, 1.0, lambda t: (x - t) * t)
@@ -638,12 +626,11 @@ def counterexample_report(
     r_max: float = 1000.0,
     c1: RationalLike = 0,
     c2: RationalLike = 0,
-    sample_points: int = 50,
 ) -> CounterexampleReport:
     """Reconstruct the counterexample and demonstrate its divergence.
 
     Checks: (i) the closed form agrees with the double-integral formula at
-    sample points (and exactly at x = 1, where both give 1/6 + c1 + c2);
+    SAMPLE_POINTS points (and exactly at x = 1, where both give 1/6 + c1 + c2);
     (ii) its second derivative reproduces the 1/x source identically;
     (iii) the unweighted square integral over [1, R] grows without bound
     while the Gaussian-weighted one converges.
@@ -659,20 +646,18 @@ def counterexample_report(
 
     u = _closed_form(c1, c2)
     u_int = _integral_form(float(c1), float(c2))
-    max_rel = 0.0
-    for i in range(sample_points):
-        x = 1.0 + (20.0 - 1.0) * i / (sample_points - 1)
-        a_val, b_val = u(x), u_int(x)
-        scale = max(abs(a_val), abs(b_val), 1.0)
-        max_rel = max(max_rel, abs(a_val - b_val) / scale)
+    steps = np.arange(SAMPLE_POINTS) / (SAMPLE_POINTS - 1)
+    xs = 1.0 + (20.0 - 1.0) * steps
+    a_val = u(xs)
+    b_val = np.array([u_int(x) for x in xs.tolist()])
+    scale = np.maximum(np.maximum(abs(a_val), abs(b_val)), 1.0)
+    max_rel = float(np.max(abs(a_val - b_val) / scale))
 
     # term-by-term second derivatives of A x + B x ln x + C:
     # x -> 0, x ln x -> 1/x, 1 -> 0, so u'' = B/x with B = 1
     b_coef = 1.0
-    second_max = 0.0
-    for i in range(sample_points):
-        x = 1.0 + (float(r_max) - 1.0) * i / (sample_points - 1)
-        second_max = max(second_max, abs(b_coef / x - 1.0 / x))
+    xs = 1.0 + (float(r_max) - 1.0) * steps
+    second_max = float(np.max(abs(b_coef / xs - 1.0 / xs)))
 
     radii = sorted({10.0, 100.0, 1000.0, float(r_max)})
     radii = [r for r in radii if r <= float(r_max)] or [float(r_max)]
@@ -682,13 +667,13 @@ def counterexample_report(
             growth.append((r, 0.0))
             continue
         box = BoxDomain(((1.0, r),))
-        growth.append((r, integrate_box(lambda x: u(x[0]) ** 2, box, tol=1e-8)))
+        growth.append((r, integrate_box(lambda x: u(x[:, 0]) ** 2, box, tol=1e-8)))
     strictly_increasing = all(b[1] > a[1] for a, b in zip(growth, growth[1:]))
 
     cutoff = 8.0
     box = BoxDomain(((1.0, cutoff),))
     weighted = integrate_box(
-        lambda x: u(x[0]) ** 2 * math.exp(-x[0] ** 2), box, tol=1e-12
+        lambda x: u(x[:, 0]) ** 2 * np.exp(-x[:, 0] ** 2), box, tol=1e-12
     )
     # |u| <= D x^2 for x >= cutoff, and
     # integral_X^inf x^4 e^{-x^2} dx <= e^{-X^2} (X^3/2 + 3X/4 + 3/(8X))

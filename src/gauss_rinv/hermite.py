@@ -413,9 +413,11 @@ class QuadratureRule:
 _RULE_CACHE: dict[int, QuadratureRule] = {}
 
 
-def normalized_hermite_values(max_k: int, t: float) -> list[float]:
+def normalized_hermite_values(max_k: int, t):
     """Orthonormal H_k(t)/sqrt(2^k k! sqrt(pi)) values, k = 0..max_k.
 
+    ``t`` is a float or a numpy array (then every entry from k = 1 on is
+    an array of t's shape; the k = 0 entry stays the scalar pi^{-1/4}).
     High-degree Hermite polynomials have astronomically large monomial
     coefficients; the normalized three-term recurrence keeps every value
     O(1) near the physical region, so pointwise evaluation stays precise

@@ -405,6 +405,16 @@ def _triangular_coeffs(
     return u
 
 
+def right_inverse_coeffs(
+    f_coeffs: dict[MultiIndex, Fraction], dim: int, a: Fraction, lam: Fraction = Fraction(1)
+) -> dict[MultiIndex, Fraction]:
+    """Hermite coefficients of the package's exact solution of (lap + a) u = f:
+    minimal-weighted-norm at a = 0, the unique triangular one otherwise."""
+    if a == 0:
+        return _min_norm_coeffs(f_coeffs, dim, lam)
+    return _triangular_coeffs(f_coeffs, dim, a)
+
+
 def solve_min_norm(
     f: Polynomial,
     a: RationalLike = 0,
@@ -433,12 +443,7 @@ def solve_min_norm(
         )
     n_trunc = max(n_trunc, 0)
     f_exp = monomial_to_hermite(f, w)
-    if f.is_zero():
-        u_exp = HermiteExpansion(w, {})
-    elif a == 0:
-        u_exp = HermiteExpansion._trusted(w, _min_norm_coeffs(f_exp.coeffs, w.dim, w.lam))
-    else:
-        u_exp = HermiteExpansion._trusted(w, _triangular_coeffs(f_exp.coeffs, w.dim, a))
+    u_exp = HermiteExpansion._trusted(w, right_inverse_coeffs(f_exp.coeffs, w.dim, a, w.lam))
     norm_f = f_exp.norm_sq()
     norm_u = u_exp.norm_sq()
     ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)
@@ -606,8 +611,7 @@ def operator_norm(
     q = np.zeros((len(rows), len(cols)))
     s = np.zeros((len(basis), len(cols)))
     for ci, alpha in enumerate(cols):
-        f = {alpha: Fraction(1)}
-        u = _min_norm_coeffs(f, dim, lam) if a == 0 else _triangular_coeffs(f, dim, a)
+        u = right_inverse_coeffs({alpha: Fraction(1)}, dim, a, lam)
         scale_in = _basis_norm(alpha, lam)
         for gamma, c in u.items():
             q[row_pos[gamma], ci] = float(c) * math.sqrt(

@@ -166,7 +166,35 @@ class TestBoundedCommand:
         )
         assert code == EXIT_OK
         entry = report["results"]["bounded"]
-        assert entry["bound_satisfied"] and entry["projection_adequate"]
+        assert entry["bound_satisfied"] and entry["bessel_holds"]
+        assert 0.0 < entry["projection_defect_rel"] < 1.0
+
+    def test_default_degree_defect(self, tmp_path):
+        code, report = run_cli("bounded", "--box=-1,1", "--f", "const:1", tmp_path=tmp_path)
+        assert code == EXIT_OK
+        entry = report["results"]["bounded"]
+        assert entry["bessel_holds"] is True
+        assert entry["projection_defect_rel"] == pytest.approx(0.0203, abs=5e-5)
+
+    def test_degree_limit_1d(self, tmp_path, capsys):
+        code, _ = run_cli("bounded", "--box=-1,1", "--f", "const:1", "--degree", "148", tmp_path=tmp_path)
+        assert code == EXIT_OK
+        assert main(["bounded", "--box=-1,1", "--f", "const:1", "--degree", "149"]) == EXIT_SPEC
+        assert "above the degree limit 148" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "box, degree, limit",
+        [
+            ("--box=-1,1;-1,1", "148", "degree limit 147"),
+            ("--box=-1,1", "1000000", "MAX_TABLE_ENTRIES"),
+            ("--box=-1,1;-1,1", "200", "MAX_TABLE_ENTRIES"),
+            ("--box=-1,1;-1,1;-1,1", "30", "MAX_TABLE_ENTRIES"),
+        ],
+    )
+    def test_over_limit_exits_2(self, capsys, box, degree, limit):
+        assert main(["bounded", box, "--f", "const:1", "--degree", degree]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("spec error:") and limit in err
 
     def test_grid_data(self, tmp_path):
         grid_path = tmp_path / "grid.json"

@@ -3,21 +3,23 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gauss_rinv import domains
-from gauss_rinv.adjoint import AdjointConfig, formal_adjoint
 from gauss_rinv.domains import (
     BoxDomain,
+    InputLimitError,
     QuadratureError,
     SampledFunction,
+    check_input_limits,
     counterexample_report,
     embedding_check,
-    expansion_evaluator,
     integrate_box,
+    orthonormal_table,
     solve_bounded,
 )
-from gauss_rinv.hermite import HermiteExpansion, WeightSpec, inner_product, monomial_to_hermite
+from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import Polynomial
 
 
@@ -41,30 +43,68 @@ class TestBoxDomain:
 class TestQuadrature:
     def test_polynomial_panel(self):
         box = BoxDomain(((0.0, 1.0),))
-        assert integrate_box(lambda x: x[0] ** 2, box) == pytest.approx(1 / 3, rel=1e-14)
+        assert integrate_box(lambda x: x[:, 0] ** 2, box) == pytest.approx(1 / 3, rel=1e-14)
 
     def test_2d(self):
         box = BoxDomain(((0.0, 1.0), (0.0, 2.0)))
-        val = integrate_box(lambda x: x[0] * x[1], box, tol=1e-12)
+        val = integrate_box(lambda x: x[:, 0] * x[:, 1], box, tol=1e-12)
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_gaussian_against_erf(self):
         box = BoxDomain(((0.0, 1.0),))
-        val = integrate_box(lambda x: math.exp(-x[0] ** 2), box, tol=1e-13)
+        val = integrate_box(lambda x: np.exp(-x[:, 0] ** 2), box, tol=1e-13)
         assert val == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(1.0), rel=1e-12)
+
+    def test_array_integrand_gives_every_component(self):
+        """An (m, k) integrand returns k integrals: x^j on [0, 1] is 1/(j+1)."""
+        tol = 1e-12
+        vals = integrate_box(lambda x: x[:, :1] ** np.arange(6), BoxDomain(((0.0, 1.0),)), tol=tol)
+        assert vals.shape == (6,)
+        for j, v in enumerate(vals):
+            assert abs(v - 1.0 / (j + 1)) <= tol
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_every_component_refined(self, order):
+        """sqrt(x) needs panels near 0 that the constant never asks for; the
+        shared tree refines for it whichever column it is."""
+        tol = 1e-10
+        columns = [lambda t: np.ones_like(t), np.sqrt]
+        vals = integrate_box(
+            lambda x: np.column_stack([columns[j](x[:, 0]) for j in order]),
+            BoxDomain(((0.0, 1.0),)),
+            tol=tol,
+        )
+        exact = [1.0, 2.0 / 3.0]
+        for j, v in zip(order, vals):
+            assert abs(v - exact[j]) <= tol
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_integrand_raises_at_once(self, bad):
         """NaN never passes the agreement test; it used to bisect to depth 24."""
-        evals = []
+        calls = []
 
         def fn(x):
-            evals.append(x)
-            return bad if x[0] > 0.5 else 1.0
+            calls.append(len(x))
+            return np.where(x[:, 0] > 0.5, bad, 1.0)
 
         with pytest.raises(QuadratureError):
             integrate_box(fn, BoxDomain(((0.0, 1.0), (0.0, 1.0))))
-        assert len(evals) == 3 * 12 * 12  # the first coarse panel and its two halves
+        # the first coarse panel and its two halves, 12 x 12 nodes each
+        assert calls == [12 * 12] * 3
+
+
+def _evaluate(expansion: HermiteExpansion, points) -> np.ndarray:
+    """An expansion at points, through the orthonormal table: the
+    coefficient over h_alpha is c_alpha ||G_alpha||_w."""
+    w = expansion.weight
+    unit = (math.pi / float(w.lam)) ** (w.dim / 2.0)
+    indices = sorted(expansion.coeffs)
+    orth = [
+        float(expansion.coeffs[alpha])
+        * math.sqrt(float(HermiteExpansion.basis_norm_sq(alpha, w.lam)) * unit)
+        for alpha in indices
+    ]
+    return orthonormal_table(w, indices, np.asarray(points, dtype=float)) @ np.array(orth)
 
 
 class TestExpansionEvaluator:
@@ -73,16 +113,30 @@ class TestExpansionEvaluator:
         w = WeightSpec.unit(1)
         exp = HermiteExpansion(w, {(24,): Fraction(1, 10**6), (3,): Fraction(2)})
         poly = exp.to_polynomial()
-        ev = expansion_evaluator(exp)
-        for t in (-1.5, -0.3, 0.0, 0.7, 2.0):
+        ts = (-1.5, -0.3, 0.0, 0.7, 2.0)
+        values = _evaluate(exp, [[t] for t in ts])
+        for t, value in zip(ts, values):
             exact = float(poly.evaluate([Fraction(t).limit_denominator(10**6)]))
-            assert ev([t]) == pytest.approx(exact, rel=1e-11, abs=1e-9)
+            assert value == pytest.approx(exact, rel=1e-11, abs=1e-9)
 
     def test_scaled_weight(self):
         w = WeightSpec(dim=1, lam=Fraction(2), center=(Fraction(1),))
         exp = monomial_to_hermite(Polynomial(1, {(3,): 1, (0,): -2}), w)
-        ev = expansion_evaluator(exp)
-        assert ev([1.5]) == pytest.approx(1.5**3 - 2, rel=1e-12)
+        assert _evaluate(exp, [[1.5]])[0] == pytest.approx(1.5**3 - 2, rel=1e-12)
+
+    def test_table_is_orthonormal_2d(self):
+        """Quadrature of h_alpha h_beta e^{-|x-x0|^2} over a wide box is the identity."""
+        w = WeightSpec(dim=2, lam=Fraction(1), center=(Fraction(1, 2), Fraction(-1)))
+        indices = [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3)]
+        box = BoxDomain(((-9.5, 10.5), (-11.0, 9.0)))
+
+        def gram(x):
+            h = orthonormal_table(w, indices, x)
+            gauss = np.exp(-((x - [0.5, -1.0]) ** 2).sum(axis=1))
+            return (h[:, :, None] * h[:, None, :] * gauss[:, None, None]).reshape(len(x), -1)
+
+        g = integrate_box(gram, box, tol=1e-11).reshape(len(indices), len(indices))
+        assert np.abs(g - np.eye(len(indices))).max() <= 1e-10
 
 
 class TestSolveBounded:
@@ -97,13 +151,14 @@ class TestSolveBounded:
         )
         assert rep.bound_satisfied and rep.margin > 3.0
         assert rep.residual_exact
-        assert rep.weak_residual_rel <= 1e-6
+        assert rep.bessel_holds and 0.0 < rep.projection_defect_rel < 1.0
         assert rep.weighted_ratio <= Fraction(1, 8)
 
     def test_zero_data(self):
         box = BoxDomain(((-1.0, 1.0),))
         rep = solve_bounded(box, SampledFunction.constant(box, 0.0), truncation=6)
         assert rep.solution.is_zero() and rep.norm_u_l2 == 0.0
+        assert rep.projection_defect_rel == 0.0 and rep.bessel_holds
 
     def test_polynomial_data_weighted_ratio(self):
         box = BoxDomain(((-1.0, 1.0),))
@@ -117,60 +172,96 @@ class TestSolveBounded:
         box = BoxDomain(((0.0, 1.0), (1.0, 2.0)))
         f = SampledFunction.constant(box, 2.0)
         rep = solve_bounded(box, f, a=0, truncation=8, quad_tol=1e-9)
-        assert rep.bound_satisfied and rep.projection_adequate
+        assert rep.bound_satisfied and rep.bessel_holds
 
     def test_nonzero_shift(self):
         box = BoxDomain(((-1.0, 1.0),))
         f = SampledFunction.constant(box, 1.0)
         rep = solve_bounded(box, f, a=Fraction(1, 2), truncation=12)
-        assert rep.residual_exact and rep.projection_adequate
+        assert rep.residual_exact and rep.bessel_holds
 
-    def test_weak_residual_matches_adjoint_route(self):
-        """Reference: the Parseval weak residual equals the one computed with
-        the formal adjoint, <u, (lap+a)* psi>_w, bit for bit."""
-        box = BoxDomain(((0.25, 1.5),))
-        poly = Polynomial(1, {(3,): Fraction(2, 3), (1,): -1, (0,): Fraction(1, 5)})
-        f = SampledFunction.from_polynomial(poly, box)
-        for a in (Fraction(0), Fraction(-3, 2)):
-            rep = solve_bounded(box, f, a=a, truncation=6)
-            w = rep.solution.weight
-            cfg = AdjointConfig(weight=w.polynomial(), a=a)
-            u_poly = rep.solution.to_polynomial()
-            unit = math.pi**0.5
-            x0 = float(w.center[0])
-            norm_f = math.sqrt(
-                integrate_box(lambda x: f(x) ** 2 * math.exp(-(x[0] - x0) ** 2), box)
-            )
-            worst = 0.0
-            for k in range(7):
-                psi = HermiteExpansion(w, {(k,): 1}).to_polynomial()
-                lhs = inner_product(u_poly, formal_adjoint(psi, cfg, include_shift=True), w)
-                psi_norm = math.sqrt(float(HermiteExpansion.basis_norm_sq((k,), Fraction(1))) * unit)
-                h_k = domains.normalized_basis_evaluator(w, {(k,): 1.0})
-                rhs = integrate_box(lambda x: f(x) * h_k(x) * math.exp(-(x[0] - x0) ** 2), box)
-                worst = max(worst, abs(lhs.to_float() / psi_norm - rhs) / norm_f)
-            assert rep.weak_residual_rel == worst
+    @pytest.mark.parametrize("degree, defect", [(10, 0.0357), (30, 0.0203), (60, 0.0143)])
+    def test_projection_defect_of_indicator(self, degree, defect):
+        """1 - ||P_N f~||^2_w / ||f~||^2_w for f = 1 on [-1, 1]: the truncation
+        keeps most, never all, of the indicator's weighted norm."""
+        box = BoxDomain(((-1.0, 1.0),))
+        rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=degree)
+        assert rep.bessel_holds
+        assert rep.projection_defect_rel == pytest.approx(defect, abs=5e-5)
+
+    def test_doubled_table_fails_bessel(self, monkeypatch):
+        """A basis that is not orthonormal (every h_alpha doubled) projects
+        more than the data holds, and the Bessel check says so."""
+        table = domains.orthonormal_table
+        monkeypatch.setattr(domains, "orthonormal_table", lambda *args: 2.0 * table(*args))
+        box = BoxDomain(((-1.0, 1.0),))
+        rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=10)
+        assert not rep.bessel_holds
+        assert rep.projection_defect_rel < 0.0
 
     def test_corrupted_solution_fails_residuals(self, monkeypatch):
-        """One wrong coefficient in u fails the exact and the weak residual."""
-        solver = domains._min_norm_coeffs
+        """One wrong coefficient in u fails the exact residual; the data-side
+        Bessel check does not read u and still holds."""
+        solver = domains.right_inverse_coeffs
 
         def corrupt(*args):
             u = dict(solver(*args))
             u[max(u)] += Fraction(1, 7)
             return u
 
-        monkeypatch.setattr(domains, "_min_norm_coeffs", corrupt)
+        monkeypatch.setattr(domains, "right_inverse_coeffs", corrupt)
         box = BoxDomain(((-1.0, 1.0),))
         rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=8)
         assert not rep.residual_exact
-        assert not rep.projection_adequate
+        assert rep.bessel_holds
 
     def test_box_mismatch(self):
         box = BoxDomain(((-1.0, 1.0),))
         other = BoxDomain(((0.0, 1.0),))
         with pytest.raises(ValueError):
             solve_bounded(box, SampledFunction.constant(other, 1.0))
+
+
+class TestInputLimits:
+    """A bounded solve states its limits: table entries per panel and the
+    degree whose basis norm stays a finite float."""
+
+    @pytest.mark.parametrize("dim, last_ok", [(1, 148), (2, 147)])
+    def test_degree_limit_both_sides(self, dim, last_ok):
+        assert domains.max_truncation(dim) == last_ok
+        check_input_limits(dim, last_ok)
+        with pytest.raises(InputLimitError, match=f"degree limit {last_ok}"):
+            check_input_limits(dim, last_ok + 1)
+
+    @pytest.mark.parametrize("dim, last_ok", [(1, 166665), (2, 165)])
+    def test_size_limit_both_sides(self, dim, last_ok):
+        """Just inside MAX_TABLE_ENTRIES the size passes (the degree limit then
+        names itself); one degree more names the size limit."""
+        per_panel = domains.PANEL_ORDER**dim
+        assert math.comb(last_ok + dim, dim) * per_panel <= domains.MAX_TABLE_ENTRIES
+        assert math.comb(last_ok + 1 + dim, dim) * per_panel > domains.MAX_TABLE_ENTRIES
+        with pytest.raises(InputLimitError, match="degree limit"):
+            check_input_limits(dim, last_ok)
+        with pytest.raises(InputLimitError, match="MAX_TABLE_ENTRIES"):
+            check_input_limits(dim, last_ok + 1)
+
+    def test_every_workload_size_admitted(self):
+        for dim, degree in [(1, 16), (2, 3), (2, 30), (1, 30)]:
+            check_input_limits(dim, degree)
+
+    @pytest.mark.parametrize(
+        "intervals, degree",
+        [(((-1.0, 1.0),), 149), (((-1.0, 1.0),) * 2, 148), (((-1.0, 1.0),) * 3, 30)],
+    )
+    def test_rejected_before_any_work(self, monkeypatch, intervals, degree):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started on an over-limit input")
+
+        monkeypatch.setattr(domains, "multi_indices_up_to", forbidden)
+        monkeypatch.setattr(domains, "integrate_box", forbidden)
+        box = BoxDomain(intervals)
+        with pytest.raises(InputLimitError):
+            solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=degree)
 
 
 class TestEmbeddings:
@@ -201,7 +292,8 @@ class TestEmbeddings:
     def test_grid_function(self):
         box = BoxDomain(((0.0, 1.0),))
         f = SampledFunction.from_grid(box, (5,), [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert f([0.5]) == pytest.approx(0.5)
+        assert f([[0.5]]) == pytest.approx([0.5])
+        assert f([[0.3], [1.5]]).tolist() == pytest.approx([0.3, 0.0])  # zero outside
         assert embedding_check(f).holds
 
     def test_nonconstant_polynomial_rejected(self):

@@ -5,14 +5,18 @@ constructors, the binomial ``shift`` and the cached Hermite rows were
 introduced; the solve and bounded digests before the residual checks
 moved to the sparse Hermite action of ``lap + a``.  A change that alters
 any coefficient, any ordering or any verdict of these small seeded
-corpora changes a digest and fails here.  The bounded reports also hold
-quadrature floats, so their digest pins this platform's float results.
+corpora changes a digest and fails here.  The bounded reports hold
+quadrature floats, which move in the last bits whenever the quadrature is
+reorganized, so they are compared with ``data/bounded_documents.json``
+(recorded before the one-pass quadrature) field by field instead: booleans
+and echoed inputs exactly, floats and coefficients within BOUNDED_FLOAT_REL.
 """
 
 import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
@@ -23,7 +27,15 @@ from gauss_rinv.rightinverse import solve_min_norm
 BATTERY_SHA256 = "f2c4c791115d06d1035fb29031a36e21c5c1d2644165422eca440e50c7edb9d0"
 CONVERSION_SHA256 = "67467ea262849db33096a45c0462fec0ec679980100d74b3c2061c0358ac3125"
 SOLVE_SHA256 = "4e6b01e987e015f394d8554fbcc86b8eb59511d1e1c7d43181fe7854d167175b"
-BOUNDED_SHA256 = "75803616575d86186cdc1da83bfec84f66beca47e7baa403667126116a969d3c"
+BOUNDED_DOCUMENTS = Path(__file__).parent / "data" / "bounded_documents.json"
+# Relative tolerance of the bounded floats.  A coefficient is measured
+# against the largest coefficient of its solution: symmetry-forced zeros
+# come out of quadrature as ~1e-20 noise with no relative accuracy of
+# their own.
+BOUNDED_FLOAT_REL = 1e-12
+# Keys of the recorded reports that the Bessel check replaced.
+BOUNDED_REMOVED_KEYS = {"weak_residual_rel", "weak_residual_tol", "projection_adequate"}
+BOUNDED_ADDED_KEYS = {"projection_defect_rel", "bessel_holds", "bessel_tol"}
 
 # Unit, scaled, off-center and scaled off-center weights in n = 1, 2, 3.
 WEIGHTS = (
@@ -117,5 +129,26 @@ def test_solve_digest_pinned():
     assert _sha256(solve_documents()) == SOLVE_SHA256
 
 
+def _close(x: float, y: float, scale: float) -> bool:
+    return abs(x - y) <= BOUNDED_FLOAT_REL * scale
+
+
 def test_bounded_digest_pinned():
-    assert _sha256(bounded_documents()) == BOUNDED_SHA256
+    recorded = json.loads(BOUNDED_DOCUMENTS.read_text())
+    current = bounded_documents()
+    assert len(current) == len(recorded)
+    for old, new in zip(recorded, current):
+        assert set(new) == set(old) - BOUNDED_REMOVED_KEYS | BOUNDED_ADDED_KEYS
+        for key in ("box", "a", "truncation", "x0", "weighted_bound", "quad_tol"):
+            assert new[key] == old[key], key
+        for key in ("residual_exact", "bound_satisfied"):
+            assert new[key] is old[key], key
+        for key in ("norm_u_l2", "norm_f_l2", "diameter_constant", "bound_value", "margin",
+                    "weighted_ratio_vs_data", "weighted_ratio"):
+            x, y = float(Fraction(old[key])), float(Fraction(new[key]))
+            assert _close(x, y, abs(x)), key
+        old_c = {tuple(t["index"]): float(Fraction(t["coef"])) for t in old["coeffs"]}
+        new_c = {tuple(t["index"]): float(Fraction(t["coef"])) for t in new["coeffs"]}
+        scale = max(abs(v) for v in old_c.values())
+        for alpha in old_c.keys() | new_c.keys():
+            assert _close(old_c.get(alpha, 0.0), new_c.get(alpha, 0.0), scale), alpha
