@@ -24,7 +24,6 @@ from . import __version__
 from .adjoint import run_identity_battery
 from .domains import (
     BoxDomain,
-    InputLimitError,
     SampledFunction,
     counterexample_report,
     embedding_check,
@@ -39,8 +38,8 @@ from .polynomials import (
 )
 from .reporting import dump_json
 from .rightinverse import (
-    ENRICHMENT_POLICIES,
     DegreeOverflowError,
+    InputLimitError,
     apply_right_inverse,
     operator_norm,
     solve_min_norm,
@@ -77,7 +76,6 @@ class ProblemSpec:
     center: tuple[Fraction, ...] = ()
     f_label: str = "const:1"
     truncation: int | None = None
-    enrichment: str = "auto"
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -90,8 +88,6 @@ class ProblemSpec:
             raise SpecValidationError(
                 "weight.center", f"length {len(self.center)} != dimension {self.dimension}"
             )
-        if self.enrichment not in ENRICHMENT_POLICIES:
-            raise SpecValidationError("enrichment", f"unknown policy {self.enrichment!r}")
         if self.truncation is not None and self.truncation < 0:
             raise SpecValidationError("truncation", "must be >= 0")
 
@@ -108,7 +104,6 @@ class ProblemSpec:
             },
             "f": self.f_label,
             "truncation": self.truncation,
-            "enrichment": self.enrichment,
         }
 
 
@@ -140,23 +135,16 @@ def _read_json(path: str):
 
 
 def _run_solve(spec: ProblemSpec, f: Polynomial) -> tuple[dict, bool]:
-    weight = spec.weight()
-    if weight.is_unit:
-        report = apply_right_inverse(
-            f, spec.a, truncation=spec.truncation, enrichment=spec.enrichment
-        )
-    else:
-        # plane-wave enrichment is a unit-weight construction
-        report = solve_min_norm(f, spec.a, truncation=spec.truncation, weight=weight)
+    report = apply_right_inverse(f, spec.a, truncation=spec.truncation, weight=spec.weight())
     passed = report.residual_exact and report.bound_satisfied
     return {"solve": report.to_json_dict()}, passed
 
 
 def _run_opnorm(spec: ProblemSpec) -> tuple[dict, bool]:
     degree = spec.truncation if spec.truncation is not None else 8
-    value = operator_norm(spec.dimension, spec.a, degree, enrichment=spec.enrichment)
+    value = operator_norm(spec.dimension, spec.a, degree)
     target = 1.0 / math.sqrt(8.0 * spec.dimension)
-    # The norm is a float eigenvalue of exact solves: allow 1e-12 relative.
+    # The norm is 1/sigma_min from a float SVD: allow 1e-12 relative.
     passed = value <= target * (1 + 1e-12)
     return {
         "opnorm": {
@@ -188,7 +176,7 @@ def _run_counterexample(r_max: float, c1: Fraction, c2: Fraction) -> tuple[dict,
     passed = (
         report.u1_closed == report.u1_integral
         and report.closed_vs_integral_max_rel <= 1e-12
-        and report.second_derivative_max_abs <= 1e-12
+        and report.second_derivative_max_rel <= report.second_derivative_tol
         and report.strictly_increasing
         and report.weighted_finite
     )
@@ -375,16 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--lambda", dest="lam", default="1", help="rational weight scale")
     p_solve.add_argument("--center", default="", help="comma-separated rational weight center")
     p_solve.add_argument("--degree", type=int, default=None, help="truncation degree N")
-    p_solve.add_argument("--enrich", choices=ENRICHMENT_POLICIES, default="auto")
     p_solve.add_argument("--f", required=True, help="const:<rational> or polynomial JSON path")
 
     sub.add_parser("verify", parents=[common, corpus], help="run the exact identity corpus")
 
-    p_opnorm = sub.add_parser("opnorm", parents=[common], help="operator norm of the truncated right inverse")
+    p_opnorm = sub.add_parser("opnorm", parents=[common], help="1/sigma_min of the truncated lap + a")
     p_opnorm.add_argument("--dim", type=int, required=True)
     p_opnorm.add_argument("--a", default="0")
     p_opnorm.add_argument("--degree", type=int, default=8)
-    p_opnorm.add_argument("--enrich", choices=ENRICHMENT_POLICIES, default="none")
 
     p_bounded = sub.add_parser("bounded", parents=[common], help="bounded-domain solve with the diameter constant")
     p_bounded.add_argument("--box", required=True, help="'lo1,hi1;lo2,hi2;...'")
@@ -449,7 +435,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DegreeOverflowError, InputLimitError) as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return EXIT_SPEC
-    except ArithmeticError as exc:  # Gram, singular block, quadrature, overflow, zero division
+    except ArithmeticError as exc:  # Gram, singular block or SVD, quadrature, overflow, zero division
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
 
@@ -485,7 +471,6 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
             center=center,
             f_label=args.f,
             truncation=args.degree,
-            enrichment=args.enrich,
         )
         f = load_polynomial(args.f, spec.dimension)
         if f.dim != spec.dimension:
@@ -506,12 +491,7 @@ def _dispatch(args) -> tuple[dict, dict | list, bool]:
         return spec_echo, results, all(c["pass"] for c in results)
 
     if args.command == "opnorm":
-        spec = ProblemSpec(
-            dimension=args.dim,
-            a=_rational_field(args.a, "a"),
-            truncation=args.degree,
-            enrichment=args.enrich,
-        )
+        spec = ProblemSpec(dimension=args.dim, a=_rational_field(args.a, "a"), truncation=args.degree)
         results, passed = _run_opnorm(spec)
         return spec.to_json_dict(), results, passed
 

@@ -92,10 +92,6 @@ def _class_members(dim: int, degree: int, parity: tuple[int, ...]) -> list[Multi
     )
 
 
-def _basis_norm(alpha: MultiIndex, lam: Fraction) -> Fraction:
-    return HermiteExpansion.basis_norm_sq(alpha, lam)
-
-
 # ----------------------------------------------------------------------
 # the operator lap + a on Hermite coefficients
 # ----------------------------------------------------------------------
@@ -365,7 +361,7 @@ def _min_norm_coeffs(
         m = len(rows)
         rhs = [rhs_map.get(alpha, Fraction(0)) for alpha in rows]
         columns = [
-            (gamma, _basis_norm(gamma, lam), [(pos[beta], b) for beta, b in _lowered(gamma)])
+            (gamma, HermiteExpansion.basis_norm_sq(gamma, lam), [(pos[beta], b) for beta, b in _lowered(gamma)])
             for gamma in _class_members(dim, deg + 2, parity)
         ]
         matrix = [[Fraction(0)] * m for _ in range(m)]
@@ -461,7 +457,6 @@ def solve_min_norm(
         ratio_float=float(ratio),
         bound=bound,
         bound_satisfied=ratio <= bound,
-        enrichment="none",
     )
 
 
@@ -470,12 +465,6 @@ def solve_min_norm(
 # ----------------------------------------------------------------------
 
 GRAM_CONDITION_LIMIT = 1e12
-ENRICHMENT_POLICIES = ("auto", "none")
-
-
-def _check_policy(enrichment: str) -> None:
-    if enrichment not in ENRICHMENT_POLICIES:
-        raise ValueError(f"unknown enrichment policy {enrichment!r}")
 
 
 def _kernel_gram(basis: Sequence[KernelFunction]) -> tuple[np.ndarray, float]:
@@ -559,20 +548,18 @@ def apply_right_inverse(
     f: Polynomial,
     a: RationalLike = 0,
     truncation: int | None = None,
-    enrichment: str = "auto",
+    weight: WeightSpec | None = None,
 ) -> SolveReport:
-    """The full right-inverse application: minimal-norm solve, then enrich.
+    """The full right-inverse application: exact solve, then enrich.
 
-    ``enrichment`` is 'auto' (the default plane-wave kernel basis for the
-    given a) or 'none'.  The report records the pre-enrichment ratio
-    alongside the final one, and the verdict ratio <= 1/(8n) at the end.
-    At a = 0 the min-norm solution is already orthogonal to the kernel,
-    so there is nothing to project away.
+    Only a != 0 on the unit weight is projected off the default plane-wave
+    kernel basis (plane waves pair in closed form under that weight alone);
+    at a = 0 the min-norm solution is already orthogonal to the kernel.
+    The report keeps the pre-enrichment ratio next to the final one.
     """
-    _check_policy(enrichment)
     a = Fraction(a)
-    report = solve_min_norm(f, a, truncation=truncation)
-    if enrichment == "none" or a == 0 or f.is_zero():
+    report = solve_min_norm(f, a, truncation=truncation, weight=weight)
+    if a == 0 or f.is_zero() or not report.weight.is_unit:
         return report
     return enrich(report, kernel_basis(a, f.dim))
 
@@ -581,48 +568,72 @@ def apply_right_inverse(
 # operator norm of the truncated right inverse
 # ----------------------------------------------------------------------
 
+# Largest block (rows x cols) operator_norm builds: 3-D at a != 0 and
+# degree 40 has a 1771 x 1771 parity block (25 MB of floats, about 8 s of
+# SVD on a 2-core machine).  1-D a != 0 is admitted up to degree 3999.
+MAX_BLOCK_ENTRIES = 4_000_000
 
-def operator_norm(
-    dim: int,
-    a: RationalLike = 0,
-    degree: int = 8,
-    enrichment: str = "none",
-) -> float:
-    """Largest singular value of the truncated right inverse.
 
-    Column alpha of q is the exact solve for G_alpha (minimal-norm at
-    a = 0, triangular otherwise) in orthonormal coordinates; the norm is
-    the square root of the top eigenvalue of the form q^T q, from which an
-    enriched inverse (a != 0) subtracts the Gram-corrected kernel
-    projection.  Un-enriched, the value is the same at a and -a:
-    D = diag((-1)^floor(|alpha|/2)) has D lap D = -lap, so the inverse at
-    -a is -D (inverse at a) D.
+class InputLimitError(ValueError):
+    """An input is larger than the stated limits."""
+
+
+def _blocks(dim: int, degree: int, shifted: bool):
+    """(parity, rows, cols) of each block of lap + a, as multi-indices."""
+    for parity in itertools.product((0, 1), repeat=dim):
+        degrees = range(sum(parity), degree + 1, 2)
+        if shifted:
+            members = [m for k in degrees for m in _class_members(dim, k, parity)]
+            if members:
+                yield parity, members, members
+        else:
+            for k in degrees:
+                yield parity, _class_members(dim, k, parity), _class_members(dim, k + 2, parity)
+
+
+def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
+    """Norm of the truncated right inverse: 1 / sigma_min of lap + a.
+
+    The package's exact inverse of the truncated lap + a (minimal-norm at
+    a = 0, triangular otherwise) has norm 1/sigma_min in orthonormal
+    Hermite coordinates (Golub & Van Loan, Matrix Computations, 5.5),
+    where the entry at (gamma - 2 e_j, gamma) is 2 sqrt(g (g - 1)), the
+    root of _lowered's coefficient, and the diagonal is a.  Blocks keep
+    per-axis parity: at a = 0 one per degree k <= degree, from degree k + 2
+    onto k; at a != 0 one square block per parity class.  D (lap + a) D =
+    -(lap - a) for D = diag((-1)^floor(|alpha|/2)), so the blocks use |a|.
+
+    At a != 0 the SVD gives sigma_min to about eps * sigma_max absolute:
+    the value is coarse only far above the bound 1/sqrt(8n), so the verdict
+    is never in doubt.  Raises InputLimitError for a block over
+    MAX_BLOCK_ENTRIES, SingularMatrixError if sigma_min is zero or its
+    reciprocal not a finite float.
     """
-    _check_policy(enrichment)
-    a = Fraction(a)
-    lam = Fraction(1)
-    w = WeightSpec.unit(dim)
-    cols = multi_indices_up_to(dim, degree)
-    # the min-norm solve reaches degree + 2; the triangular one stays in cols
-    rows = multi_indices_up_to(dim, degree + 2) if a == 0 else cols
-    row_pos = {g: i for i, g in enumerate(rows)}
-    basis = kernel_basis(a, dim) if a != 0 and enrichment != "none" else []
-    gram = _kernel_gram(basis)[0] if basis else None
-    q = np.zeros((len(rows), len(cols)))
-    s = np.zeros((len(basis), len(cols)))
-    for ci, alpha in enumerate(cols):
-        u = right_inverse_coeffs({alpha: Fraction(1)}, dim, a, lam)
-        scale_in = _basis_norm(alpha, lam)
-        for gamma, c in u.items():
-            q[row_pos[gamma], ci] = float(c) * math.sqrt(
-                float(_basis_norm(gamma, lam) / scale_in)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    shift = abs(float(Fraction(a)))
+    half = degree // 2  # the largest block: even parity at a != 0, the top degree at a = 0
+    m = math.comb(half + dim, dim) if shift else math.comb(half + dim - 1, dim - 1)
+    p = m if shift else math.comb(half + dim, dim - 1)
+    if m * p > MAX_BLOCK_ENTRIES:
+        raise InputLimitError(
+            f"opnorm in {dim}-D at degree {degree} needs a {m} x {p} block, "
+            f"above MAX_BLOCK_ENTRIES = {MAX_BLOCK_ENTRIES}"
+        )
+    sigma_min = math.inf
+    for parity, rows, cols in _blocks(dim, degree, shift != 0):
+        pos = {beta: i for i, beta in enumerate(rows)}
+        block = np.zeros((len(rows), len(cols)))
+        for ci, gamma in enumerate(cols):
+            for beta, b in _lowered(gamma):
+                block[pos[beta], ci] = math.sqrt(b)
+        if shift:
+            np.fill_diagonal(block, shift)
+        sigma = float(np.linalg.svd(block, compute_uv=False)[-1])
+        if not (sigma > 0.0 and math.isfinite(1.0 / sigma)):
+            raise SingularMatrixError(
+                f"operator_norm: the SVD of the {len(rows)} x {len(cols)} block of parity "
+                f"{parity} gives sigma_min = {sigma!r}, whose reciprocal is not a finite float"
             )
-        if basis:
-            u_exp = HermiteExpansion._trusted(w, u)
-            norm_in = math.sqrt(float(scale_in))
-            s[:, ci] = [g.pair(u_exp) / norm_in for g in basis]
-    form = q.T @ q
-    if basis:
-        # norms in the weighted space carry the pi^{n/2} unit; q is unitless
-        form = form - (s.T @ np.linalg.solve(gram, s)) / math.pi ** (dim / 2.0)
-    return float(math.sqrt(max(np.linalg.eigvalsh(form)[-1], 0.0)))
+        sigma_min = min(sigma_min, sigma)
+    return 1.0 / sigma_min

@@ -170,15 +170,16 @@ def test_criterion_07_bounded_domain():
 
 
 def test_criterion_08_counterexample():
-    """u(1) = 1/6 exactly from both routes; square integral past 10^6 by
-    R=1000 and strictly increasing; weighted integral finite."""
+    """u(1) = 1/6 exactly from both routes; the second difference of the
+    closed form within 1e-6 relative of the 1/x source; square integral
+    past 10^6 by R=1000 and strictly increasing; weighted integral finite."""
     rep = counterexample_report(1000.0)
     growth = dict(rep.growth)
     ok = (
         rep.u1_closed == Fraction(1, 6)
         and rep.u1_integral == Fraction(1, 6)
         and rep.closed_vs_integral_max_rel <= 1e-12
-        and rep.second_derivative_max_abs <= 1e-12
+        and rep.second_derivative_max_rel <= 1e-6
         and rep.strictly_increasing
         and growth[1000.0] > 1e6
         and rep.weighted_finite

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gauss_rinv import cli
+from gauss_rinv import cli, rightinverse
 from gauss_rinv.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERIC,
@@ -140,16 +140,35 @@ class TestOpnormCommand:
         assert entry["value"] == pytest.approx(entry["reference_bound"], abs=1e-10)
 
     def test_shift_value_is_unenriched_and_even_in_a(self, tmp_path):
-        """opnorm's --enrich defaults to none: at a = 1 it reports the
-        un-enriched inverse, whose norm is the same at a = -1."""
+        """At a = 1 opnorm reports the norm of the un-enriched (triangular)
+        inverse, which is the same at a = -1."""
         values = []
         for a in ("1", "-1"):
             code, report = run_cli("opnorm", "--dim", "1", f"--a={a}", "--degree", "8", tmp_path=tmp_path)
             assert code == EXIT_CHECK_FAILED
-            assert report["spec"]["enrichment"] == "none"
             values.append(report["results"]["opnorm"]["value"])
-        assert values[0] == values[1] == cli.operator_norm(1, 1, 8, "none")
+        assert values[0] == values[1] == cli.operator_norm(1, 1, 8)
         assert values[0] == pytest.approx(3419.31, rel=1e-6)
+
+    @pytest.mark.parametrize("degree", ["20", "40"])
+    def test_n3_reference_value(self, tmp_path, degree):
+        code, report = run_cli("opnorm", "--dim", "3", "--degree", degree, tmp_path=tmp_path)
+        assert code == EXIT_OK
+        assert report["results"]["opnorm"]["value"] == pytest.approx(1 / math.sqrt(24), rel=1e-12)
+
+    def test_block_over_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 36)
+        assert main(["opnorm", "--dim", "1", "--a", "1", "--degree", "11"]) == EXIT_CHECK_FAILED
+        capsys.readouterr()
+        assert main(["opnorm", "--dim", "1", "--a", "1", "--degree", "12"]) == EXIT_SPEC
+        assert "MAX_BLOCK_ENTRIES = 36" in capsys.readouterr().err
+
+    def test_zero_sigma_min_exits_3(self, capsys):
+        assert main(["opnorm", "--dim", "1", "--a", "1", "--degree", "200"]) == EXIT_CHECK_FAILED
+        capsys.readouterr()
+        assert main(["opnorm", "--dim", "1", "--a", "1", "--degree", "400"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "operator_norm" in err and "sigma_min = 0.0" in err
 
     def test_value_over_bound_fails(self, tmp_path, monkeypatch):
         over = 1.0 / math.sqrt(8.0) * (1 + 1e-9)
@@ -223,8 +242,6 @@ class TestSchema:
     def test_problem_spec_validation(self):
         with pytest.raises(SpecValidationError):
             ProblemSpec(dimension=0)
-        with pytest.raises(SpecValidationError):
-            ProblemSpec(dimension=1, enrichment="everything")
 
     def test_polynomial_from_json_rejects_bad_terms(self, tmp_path):
         for i, data in enumerate(
@@ -266,16 +283,18 @@ class TestRemovedSurface:
         "argv", [["solve", "--f", "const:1"], ["opnorm"]], ids=["solve", "opnorm"]
     )
     def test_enrich_axes_rejected(self, argv, capsys):
-        with pytest.raises(SystemExit) as info:
-            main([*argv, "--dim", "1", "--a", "1", "--enrich", "axes"])
-        assert info.value.code == 2
-        assert "invalid choice: 'axes'" in capsys.readouterr().err
-        with pytest.raises(SpecValidationError):
-            ProblemSpec(dimension=1, enrichment="axes")
+        """--enrich is gone: argparse rejects it whatever its value."""
+        for policy in ("axes", "auto", "none"):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--dim", "1", "--a", "1", "--enrich", policy])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --enrich" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            ProblemSpec(dimension=1, enrichment="auto")
 
     def test_spec_echo_has_no_ignored_keys(self, tmp_path):
         _, report = run_cli("solve", "--dim", "1", "--f", "const:1", tmp_path=tmp_path)
-        assert not {"seed", "quad_order", "threads"} & set(report["spec"])
+        assert not {"seed", "quad_order", "threads", "enrichment"} & set(report["spec"])
         _, report = run_cli("verify", "--cases", "1", "--weight-cases", "1", tmp_path=tmp_path)
         assert set(report["spec"]) == {"seed", "cases_per_identity", "weight_cases"}
 

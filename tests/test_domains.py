@@ -318,7 +318,21 @@ class TestCounterexample:
 
     def test_source_recovered(self):
         report = counterexample_report(50.0)
-        assert report.second_derivative_max_abs <= 1e-12
+        assert report.second_derivative_tol == 1e-6
+        assert report.second_derivative_max_rel <= report.second_derivative_tol
+
+    def test_wrong_coefficient_fails_source_check(self, monkeypatch):
+        """u with 0.999 x ln x in place of x ln x has u'' = 0.999/x."""
+        closed_form = domains._closed_form
+
+        def mutated(c1, c2):
+            u = closed_form(c1, c2)
+            return lambda x: u(x) - 1e-3 * x * np.log(x)
+
+        monkeypatch.setattr(domains, "_closed_form", mutated)
+        report = counterexample_report(50.0)
+        assert report.second_derivative_max_rel == pytest.approx(1e-3, rel=1e-2)
+        assert report.second_derivative_max_rel > report.second_derivative_tol
 
     def test_unbounded_growth(self):
         report = counterexample_report(1000.0)

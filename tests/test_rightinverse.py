@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gauss_rinv import rightinverse
@@ -15,16 +16,20 @@ from gauss_rinv.hermite import (
     integrate_gaussian,
     monomial_to_hermite,
 )
+from gauss_rinv.linalg import SingularMatrixError
 from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import (
     DegreeOverflowError,
+    InputLimitError,
     KernelFunction,
     apply_right_inverse,
     default_directions,
     enrich,
     harmonic_polynomial_basis,
     kernel_basis,
+    multi_indices_up_to,
     operator_norm,
+    right_inverse_coeffs,
     shifted_laplacian,
     solve_min_norm,
 )
@@ -35,6 +40,25 @@ one_2d = Polynomial.constant(2, 1)
 
 def basis_element(w: WeightSpec, alpha) -> HermiteExpansion:
     return HermiteExpansion(w, {alpha: 1})
+
+
+def column_solve_operator_norm(dim: int, a, degree: int) -> float:
+    """Reference norm of the truncated right inverse: one exact solve per
+    basis element G_alpha (degree <= degree) in orthonormal coordinates,
+    then the top float eigenvalue of q^T q."""
+    a = Fraction(a)
+    unit = Fraction(1)
+    cols = multi_indices_up_to(dim, degree)
+    # the min-norm solve reaches degree + 2; the triangular one stays in cols
+    rows = multi_indices_up_to(dim, degree + 2) if a == 0 else cols
+    row_pos = {g: i for i, g in enumerate(rows)}
+    q = np.zeros((len(rows), len(cols)))
+    for ci, alpha in enumerate(cols):
+        norm_in = HermiteExpansion.basis_norm_sq(alpha, unit)
+        for gamma, c in right_inverse_coeffs({alpha: unit}, dim, a).items():
+            norm_out = HermiteExpansion.basis_norm_sq(gamma, unit)
+            q[row_pos[gamma], ci] = float(c) * math.sqrt(float(norm_out / norm_in))
+    return math.sqrt(max(np.linalg.eigvalsh(q.T @ q)[-1], 0.0))
 
 
 class TestAssemble:
@@ -264,13 +288,6 @@ class TestEnrichment:
         assert {g.kind for g, _ in rep.kernel_part} == ({"exp"} if a < 0 else {"cos", "sin"})
         assert rep.ratio_float == pytest.approx(closed, abs=1e-12)
 
-    def test_unknown_policy_rejected(self):
-        for policy in ("axes", "everything"):
-            with pytest.raises(ValueError):
-                apply_right_inverse(one_1d, a=1, enrichment=policy)
-            with pytest.raises(ValueError):
-                operator_norm(1, 1, 2, enrichment=policy)
-
     def test_empty_basis_is_identity(self):
         rep = solve_min_norm(one_1d, a=1)
         assert enrich(rep, []) is rep
@@ -328,12 +345,48 @@ class TestOperatorNorm:
     def test_unenriched_norm_even_in_shift(self, n, a):
         """D = diag((-1)^floor(|alpha|/2)) has D lap D = -lap, so the
         inverse at -a is -D (inverse at a) D: the same norm, bit for bit."""
-        assert operator_norm(n, a, 6, "none") == operator_norm(n, -a, 6, "none")
+        assert operator_norm(n, a, 6) == operator_norm(n, -a, 6)
 
-    def test_shifted_with_enrichment_below_unenriched(self):
-        plain = operator_norm(1, 1, 4, enrichment="none")
-        enriched = operator_norm(1, 1, 4, enrichment="auto")
-        assert enriched <= plain + 1e-12
+    def test_n3_degree_20(self):
+        assert operator_norm(3, 0, 20) == pytest.approx(1 / math.sqrt(24), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, degree_max", [(1, 12), (2, 8), (3, 6)], ids=["n1", "n2", "n3"]
+    )
+    @pytest.mark.parametrize("a", [0, Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, 3])
+    def test_matches_column_solve_reference(self, n, degree_max, a):
+        """1/sigma_min of the blocks equals the largest singular value of
+        the solver's own inverse, column by column."""
+        for degree in range(degree_max + 1):
+            reference = column_solve_operator_norm(n, a, degree)
+            assert operator_norm(n, a, degree) == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_block_limit_both_sides(self, monkeypatch):
+        """A 1-D parity block at a != 0 and degree d has d // 2 + 1 rows."""
+        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 36)
+        assert operator_norm(1, 1, 11) > 0
+        with pytest.raises(InputLimitError, match="MAX_BLOCK_ENTRIES = 36"):
+            operator_norm(1, 1, 12)
+        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 231 * 253)
+        assert operator_norm(3, 0, 41) > 0  # top block 231 x 253
+        with pytest.raises(InputLimitError, match="253 x 276"):
+            operator_norm(3, 0, 42)
+
+    def test_block_limit_admits_3d_degree_40(self, monkeypatch):
+        """3-D a != 0 at degree 40 needs a 1771 x 1771 block, within the limit."""
+        assert 1771 * 1771 <= rightinverse.MAX_BLOCK_ENTRIES
+        with pytest.raises(InputLimitError, match="2001 x 2001"):
+            operator_norm(1, 1, 4000)
+        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 1771 * 1771 - 1)
+        with pytest.raises(InputLimitError, match="1771 x 1771"):
+            operator_norm(3, 1, 40)
+
+    def test_zero_sigma_min_both_sides(self):
+        """1-D blocks are bidiagonal, so the SVD keeps sigma_min to full
+        relative accuracy until it underflows to zero."""
+        assert math.isfinite(operator_norm(1, 1, 200))
+        with pytest.raises(SingularMatrixError, match="sigma_min = 0.0"):
+            operator_norm(1, 1, 400)
 
 
 class TestScaledSolve:
@@ -391,11 +444,6 @@ def test_plane_wave_pairing_is_gaussian_moment():
 def test_min_norm_against_dense_pseudoinverse():
     """Independent oracle: the exact block solver agrees with numpy's
     least-squares minimal-norm solution in orthonormal coordinates."""
-    import numpy as np
-
-    from gauss_rinv.hermite import HermiteExpansion
-    from gauss_rinv.rightinverse import multi_indices_up_to
-
     rng = random.Random(77)
     for n, degree in ((1, 6), (2, 5), (3, 4)):
         f = random_polynomial(rng, n, max_degree=degree, max_terms=6, nonzero=True)
@@ -422,13 +470,6 @@ def test_min_norm_against_dense_pseudoinverse():
         assert float(np.linalg.norm(a @ x - b)) <= 1e-9 * max(1.0, float(np.linalg.norm(b)))
         exact = solve_min_norm(f)
         assert float(exact.norm_u_sq.value) == pytest.approx(float(x @ x), rel=1e-9)
-
-
-def test_enriched_operator_norm_matches_enriched_solve():
-    """At truncation 0 the enriched norm is attained on constant data."""
-    rep = apply_right_inverse(one_1d, a=1)
-    sigma = operator_norm(1, 1, 0, enrichment="auto")
-    assert sigma**2 == pytest.approx(rep.ratio_float, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [1, -1, Fraction(1, 2)])
