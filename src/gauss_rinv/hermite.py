@@ -32,12 +32,14 @@ import numpy as np
 
 from .polynomials import (
     DimensionMismatchError,
+    IntRow,
     MultiIndex,
     Polynomial,
     RationalLike,
     _as_fraction,
     check_multi_index,
     format_rational,
+    over_common_denominator,
     tensor_expand,
 )
 
@@ -200,55 +202,41 @@ class GaussianScalar:
 # per-axis Hermite conversion tables (exact, cached)
 # ----------------------------------------------------------------------
 
-_MONOMIAL_TO_H: list[list[Fraction]] = [[Fraction(1)]]  # t^m over H_0..H_m
-_H_TO_MONOMIAL: list[list[Fraction]] = [[Fraction(1)], [Fraction(0), Fraction(2)]]
-
-
-def _monomial_in_hermite(m: int) -> list[Fraction]:
-    """Coefficients c with t^m = sum_k c[k] H_k(t), via t*H_k = H_{k+1}/2 + k*H_{k-1}."""
-    while len(_MONOMIAL_TO_H) <= m:
-        prev = _MONOMIAL_TO_H[-1]
-        nxt = [Fraction(0)] * (len(prev) + 1)
-        for k, c in enumerate(prev):
-            if c == 0:
-                continue
-            nxt[k + 1] += c / 2
-            if k >= 1:
-                nxt[k - 1] += c * k
-        _MONOMIAL_TO_H.append(nxt)
-    return _MONOMIAL_TO_H[m]
-
-
-def _hermite_monomial_coeffs(k: int) -> list[Fraction]:
-    """Monomial coefficients of H_k(t), via H_{k+1} = 2t H_k - 2k H_{k-1}."""
-    while len(_H_TO_MONOMIAL) <= k:
-        j = len(_H_TO_MONOMIAL) - 1
-        hj = _H_TO_MONOMIAL[j]
-        hjm1 = _H_TO_MONOMIAL[j - 1]
-        nxt = [Fraction(0)] * (j + 2)
-        for i, c in enumerate(hj):
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(hjm1):
-            nxt[i] -= 2 * j * c
-        _H_TO_MONOMIAL.append(nxt)
-    return _H_TO_MONOMIAL[k]
-
-
 @lru_cache(maxsize=4096)
-def _scaled_monomial_row(m: int, lam: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """u^m = sum_k c_k G_k(u) on one axis: pairs (k, h_m[k] * lam^((k-m)/2)).
+def _scaled_monomial_row(m: int, p: int, q: int) -> IntRow:
+    """u^m = sum_k c_k G_k(u) on one axis, lam = p/q, as ints over one denominator.
 
-    Only indices of the parity of m occur, so the lam power is an integer.
+    t^m = m!/2^m sum_s H_{m-2s}(t) / (s! (m-2s)!), and G_k scales by
+    lam^(-k/2), so c_{m-2s} = m! / (s! (m-2s)!) * q^s / (2^m p^s).  Pairs
+    run over k = m - 2s ascending.
     """
-    h = _monomial_in_hermite(m)
-    return tuple((k, h[k] * lam ** ((k - m) // 2)) for k in range(m % 2, m + 1, 2))
+    top = m // 2
+    return 2**m * p**top, tuple(
+        (m - 2 * s, math.factorial(m) // (math.factorial(s) * math.factorial(m - 2 * s))
+         * q**s * p ** (top - s))
+        for s in range(top, -1, -1)
+    )
 
 
 @lru_cache(maxsize=4096)
-def _scaled_hermite_row(k: int, lam: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """G_k(u) = sum_i c_i u^i on one axis: pairs (i, [H_k]_i * lam^((i-k)/2))."""
-    h = _hermite_monomial_coeffs(k)
-    return tuple((i, c * lam ** ((i - k) // 2)) for i, c in enumerate(h) if c != 0)
+def _hermite_coeffs(k: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (i, [H_k]_i) pairs, i ascending:
+    H_k(t) = k! sum_s (-1)^s (2t)^(k-2s) / (s! (k-2s)!)."""
+    return tuple(
+        (k - 2 * s, (-1) ** s * 2 ** (k - 2 * s) * math.factorial(k)
+         // (math.factorial(s) * math.factorial(k - 2 * s)))
+        for s in range(k // 2, -1, -1)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _scaled_hermite_row(k: int, p: int, q: int) -> IntRow:
+    """G_k(u) = sum_i [H_k]_i lam^((i-k)/2) u^i on one axis, lam = p/q, as
+    ints over the denominator p^(k // 2)."""
+    top = k // 2
+    return p**top, tuple(
+        (i, c * q ** ((k - i) // 2) * p ** (top - (k - i) // 2)) for i, c in _hermite_coeffs(k)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +245,25 @@ def _axis_norm_sq(a: int) -> int:
     return 2**a * math.factorial(a)
 
 
+def _parseval(products: list[tuple[MultiIndex, int]], den: int, lam: Fraction) -> Fraction:
+    """sum of num * ||G_alpha||^2 / den over (alpha, num), in units (pi/lam)^{n/2}.
+
+    With lam = p/q, ||G_alpha||^2 = prod_j 2^a_j a_j! * q^|alpha| / p^|alpha|;
+    the sum runs on ints over p^top, top the largest |alpha|, and is
+    reduced once.
+    """
+    p, q = lam.numerator, lam.denominator
+    top = max((sum(alpha) for alpha, _ in products), default=0)
+    total = 0
+    for alpha, num in products:
+        s = sum(alpha)
+        total += num * q**s * p ** (top - s) * math.prod(map(_axis_norm_sq, alpha))
+    return Fraction(total, den * p**top)
+
+
 def hermite_polynomial_1d(k: int) -> Polynomial:
     """H_k as an exact one-dimensional Polynomial (physicists' convention)."""
-    coeffs = _hermite_monomial_coeffs(k)
-    return Polynomial._trusted(1, {(i,): c for i, c in enumerate(coeffs)})
+    return Polynomial._trusted(1, {(i,): Fraction(c) for i, c in _hermite_coeffs(k)})
 
 
 # ----------------------------------------------------------------------
@@ -336,23 +339,28 @@ class HermiteExpansion:
         small, large = self.coeffs, other.coeffs
         if len(large) < len(small):
             small, large = large, small
-        total = Fraction(0)
-        for alpha, c in small.items():
+        den_s, nums_s = over_common_denominator(small)
+        den_l = 1
+        for d in large.values():
+            den_l = math.lcm(den_l, d.denominator)
+        products = []
+        for alpha, num in nums_s:
             d = large.get(alpha)
             if d is not None:
-                total += c * d * self.basis_norm_sq(alpha, self.weight.lam)
+                products.append((alpha, num * d.numerator * (den_l // d.denominator)))
+        total = _parseval(products, den_s * den_l, self.weight.lam)
         return GaussianScalar.for_weight(total, self.weight)
 
     def norm_sq(self) -> GaussianScalar:
-        total = Fraction(0)
-        for alpha, c in self.coeffs.items():
-            total += c * c * self.basis_norm_sq(alpha, self.weight.lam)
+        den, nums = over_common_denominator(self.coeffs)
+        total = _parseval([(alpha, n * n) for alpha, n in nums], den * den, self.weight.lam)
         return GaussianScalar.for_weight(total, self.weight)
 
     def to_polynomial(self) -> Polynomial:
         """Exact inverse of monomial_to_hermite."""
         w = self.weight
-        terms = tensor_expand(self.coeffs, lambda j, k: _scaled_hermite_row(k, w.lam))
+        p, q = w.lam.numerator, w.lam.denominator
+        terms = tensor_expand(self.coeffs, lambda j, k: _scaled_hermite_row(k, p, q))
         result = Polynomial._trusted(w.dim, terms)
         if any(c != 0 for c in w.center):
             result = result.shift([-c for c in w.center])
@@ -379,8 +387,8 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
             f"polynomial dimension {p.dim} != weight dimension {weight.dim}"
         )
     q = p.shift(weight.center) if any(c != 0 for c in weight.center) else p
-    lam = weight.lam
-    out = tensor_expand(q.terms, lambda j, m: _scaled_monomial_row(m, lam))
+    num, den = weight.lam.numerator, weight.lam.denominator
+    out = tensor_expand(q.terms, lambda j, m: _scaled_monomial_row(m, num, den))
     return HermiteExpansion._trusted(weight, out)
 
 

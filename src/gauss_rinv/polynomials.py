@@ -4,7 +4,9 @@ A polynomial in n variables is a finite map from exponent multi-indices
 (tuples of n non-negative ints) to rational coefficients (Fraction).  The
 zero polynomial stores no terms.  All operations are exact: no floating
 point enters at this layer, so polynomial identities can be tested by
-literal equality.
+literal equality.  Products and the tensor expansions (``shift`` and the
+Hermite conversions) multiply and sum int numerators over one common
+denominator and reduce each result coefficient once.
 
 Canonical term order is graded lexicographic (total degree first, then
 lexicographic on the exponent tuple), used for serialization and repr.
@@ -79,35 +81,69 @@ def check_multi_index(exps: Iterable, dim: int) -> MultiIndex:
     return key
 
 
+def over_common_denominator(
+    terms: Mapping[MultiIndex, Fraction],
+) -> tuple[int, list[tuple[MultiIndex, int]]]:
+    """(den, [(key, num), ...]) with ``terms[key] == num / den`` for every
+    key, ``den`` the lcm of the denominators (1 for no terms)."""
+    den = 1
+    for c in terms.values():
+        den = math.lcm(den, c.denominator)
+    return den, [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
+
+
+def reduce_over(nums: Mapping[MultiIndex, int], den: int) -> dict[MultiIndex, Fraction]:
+    """The nonzero ``num / den`` of an int numerator map, each reduced once."""
+    return {key: Fraction(num, den) for key, num in nums.items() if num}
+
+
+# A sparse 1-D image as ints over one denominator: (den, ((index, num), ...))
+# stands for sum num / den * basis_index.
+IntRow = tuple[int, tuple[tuple[int, int], ...]]
+
+
 def tensor_expand(
     terms: Mapping[MultiIndex, Fraction],
-    row: Callable[[int, int], Sequence[tuple[int, Fraction]]],
+    row: Callable[[int, int], IntRow],
 ) -> dict[MultiIndex, Fraction]:
     """Expand every term one axis at a time: sum of coef * prod_j row(j, e_j).
 
     ``row(j, e)`` is the sparse 1-D image of the e-th basis element on axis
-    j, as (index, coefficient) pairs.  Keys and values of the result meet
-    the Polynomial invariant except that zero sums are not yet dropped.
+    j, looked up once per (j, e) and call.  Each term's numerators are
+    multiplied as ints over the term's own denominator, rescaled to the
+    lcm of all of them and summed; each result coefficient is reduced
+    once.  The result meets the Polynomial invariant.
     """
-    out: dict[MultiIndex, Fraction] = {}
+    table: dict[tuple[int, int], IntRow] = {}
+    expanded = []
+    common = 1
     for exps, coef in terms.items():
-        partial: list[tuple[MultiIndex, Fraction]] = [((), coef)]
+        den = coef.denominator
+        axes = []
         for j, e in enumerate(exps):
-            partial = [
-                (prefix + (i,), pc * c) for prefix, pc in partial for i, c in row(j, e)
-            ]
+            r = table.get((j, e))
+            if r is None:
+                r = table[j, e] = row(j, e)
+            den *= r[0]
+            axes.append(r[1])
+        expanded.append((coef.numerator, den, axes))
+        common = math.lcm(common, den)
+    out: dict[MultiIndex, int] = {}
+    for num, den, axes in expanded:
+        partial: list[tuple[MultiIndex, int]] = [((), num * (common // den))]
+        for pairs in axes:
+            partial = [(prefix + (i,), pc * c) for prefix, pc in partial for i, c in pairs]
         for key, c in partial:
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return out
+            out[key] = out.get(key, 0) + c
+    return reduce_over(out, common)
 
 
 @lru_cache(maxsize=4096)
-def _binomial_row(e: int, offset: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """(x + offset)^e = sum_i C(e, i) offset^(e-i) x^i, as nonzero (i, coef) pairs."""
-    if offset == 0:
-        return ((e, Fraction(1)),)
-    return tuple((i, math.comb(e, i) * offset ** (e - i)) for i in range(e + 1))
+def _binomial_row(e: int, p: int, q: int) -> IntRow:
+    """(x + p/q)^e = sum_i C(e, i) p^(e-i) q^i / q^e x^i, nonzero terms only."""
+    if p == 0:
+        return 1, ((e, 1),)
+    return q**e, tuple((i, math.comb(e, i) * p ** (e - i) * q**i) for i in range(e + 1))
 
 
 class Polynomial:
@@ -244,12 +280,14 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        out: dict[MultiIndex, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial._trusted(self.dim, out)
+        den_a, nums_a = over_common_denominator(self.terms)
+        den_b, nums_b = over_common_denominator(other.terms)
+        out: dict[MultiIndex, int] = {}
+        for ea, na in nums_a:
+            for eb, nb in nums_b:
+                key = tuple(map(operator.add, ea, eb))
+                out[key] = out.get(key, 0) + na * nb
+        return Polynomial._trusted(self.dim, reduce_over(out, den_a * den_b))
 
     def scale(self, factor: RationalLike) -> "Polynomial":
         f = _as_fraction(factor)
@@ -333,7 +371,9 @@ class Polynomial:
                 f"offset length {len(offset)} != dimension {self.dim}"
             )
         off = [_as_fraction(v) for v in offset]
-        terms = tensor_expand(self.terms, lambda j, e: _binomial_row(e, off[j]))
+        terms = tensor_expand(
+            self.terms, lambda j, e: _binomial_row(e, off[j].numerator, off[j].denominator)
+        )
         return Polynomial._trusted(self.dim, terms)
 
     # ------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -572,6 +573,14 @@ def apply_right_inverse(
 # degree 40 has a 1771 x 1771 parity block (25 MB of floats, about 8 s of
 # SVD on a 2-core machine).  1-D a != 0 is admitted up to degree 3999.
 MAX_BLOCK_ENTRIES = 4_000_000
+# Entries of all blocks together, a block counting as at least
+# BLOCK_FLOOR_ENTRIES: building and decomposing even a 1 x 1 block costs
+# about 25 us, against about 0.5 us per entry of a large block.  3-D
+# a != 0 at degree 40 holds 19,134,941 entries (about 9 s).  a = 0 is
+# admitted up to degree 312,499 in 1-D (6 s), 490 in 2-D (3 s) and 66 in
+# 3-D (4 s).
+MAX_TOTAL_ENTRIES = 20_000_000
+BLOCK_FLOOR_ENTRIES = 64
 
 
 class InputLimitError(ValueError):
@@ -591,6 +600,59 @@ def _blocks(dim: int, degree: int, shifted: bool):
                 yield parity, _class_members(dim, k, parity), _class_members(dim, k + 2, parity)
 
 
+def _block_shapes(dim: int, degree: int, shifted: bool) -> list[tuple[int, int, int]]:
+    """(rows, cols, multiplicity) of the blocks of ``_blocks``, from binomial
+    counts: a parity class of weight s holds C(h + dim - 1, dim - 1)
+    indices of degree s + 2h, and there are C(dim, s) such classes."""
+    shapes = []
+    for s in range(min(dim, degree) + 1):
+        classes = math.comb(dim, s)
+        top = (degree - s) // 2
+        if shifted:
+            m = math.comb(top + dim, dim)
+            shapes.append((m, m, classes))
+        else:
+            shapes.extend(
+                (math.comb(h + dim - 1, dim - 1), math.comb(h + dim, dim - 1), classes)
+                for h in range(top + 1)
+            )
+    return shapes
+
+
+def check_operator_norm_limits(dim: int, degree: int, shifted: bool) -> None:
+    """Raise InputLimitError, naming the limit, before any block is built,
+    for a block over MAX_BLOCK_ENTRIES or blocks over MAX_TOTAL_ENTRIES."""
+    shapes = _block_shapes(dim, degree, shifted)
+    rows, cols, _ = max(shapes, key=lambda shape: shape[0] * shape[1])
+    if rows * cols > MAX_BLOCK_ENTRIES:
+        raise InputLimitError(
+            f"opnorm in {dim}-D at degree {degree} needs a {rows} x {cols} block, "
+            f"above MAX_BLOCK_ENTRIES = {MAX_BLOCK_ENTRIES}"
+        )
+    total = sum(max(r * c, BLOCK_FLOOR_ENTRIES) * k for r, c, k in shapes)
+    if total > MAX_TOTAL_ENTRIES:
+        raise InputLimitError(
+            f"opnorm in {dim}-D at degree {degree} needs {total} block entries "
+            f"(a block counting as at least {BLOCK_FLOOR_ENTRIES}), "
+            f"above MAX_TOTAL_ENTRIES = {MAX_TOTAL_ENTRIES}"
+        )
+
+
+def svd_resolution(dim: int, a: RationalLike, degree: int) -> float:
+    """size * eps * (a bound on sigma_max) over the blocks of operator_norm.
+
+    A backward-stable SVD finds each singular value to within about
+    size * eps * sigma_max of the block (Golub & Van Loan, 8.6).  Every
+    block has at most dim off-diagonal entries 2 sqrt(g (g - 1)) < 2 g per
+    row and per column, so sigma_max <= |a| + 2 (degree + 2 dim).  A
+    computed sigma_min at or below this resolution is not resolved, and
+    the true one is at most sigma_min + resolution.
+    """
+    shift = abs(float(Fraction(a)))
+    size = max(max(r, c) for r, c, _ in _block_shapes(dim, degree, shift != 0))
+    return size * sys.float_info.epsilon * (shift + 2.0 * (degree + 2 * dim))
+
+
 def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
     """Norm of the truncated right inverse: 1 / sigma_min of lap + a.
 
@@ -603,23 +665,16 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
     onto k; at a != 0 one square block per parity class.  D (lap + a) D =
     -(lap - a) for D = diag((-1)^floor(|alpha|/2)), so the blocks use |a|.
 
-    At a != 0 the SVD gives sigma_min to about eps * sigma_max absolute:
-    the value is coarse only far above the bound 1/sqrt(8n), so the verdict
-    is never in doubt.  Raises InputLimitError for a block over
-    MAX_BLOCK_ENTRIES, SingularMatrixError if sigma_min is zero or its
-    reciprocal not a finite float.
+    At a != 0 sigma_min can fall below the SVD's ``svd_resolution``; the
+    value is then not certified, and only 1 / (sigma_min + resolution) is
+    a stated bound (from below) on the norm.  Raises InputLimitError beyond
+    ``check_operator_norm_limits``, SingularMatrixError if sigma_min is
+    zero or its reciprocal not a finite float.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     shift = abs(float(Fraction(a)))
-    half = degree // 2  # the largest block: even parity at a != 0, the top degree at a = 0
-    m = math.comb(half + dim, dim) if shift else math.comb(half + dim - 1, dim - 1)
-    p = m if shift else math.comb(half + dim, dim - 1)
-    if m * p > MAX_BLOCK_ENTRIES:
-        raise InputLimitError(
-            f"opnorm in {dim}-D at degree {degree} needs a {m} x {p} block, "
-            f"above MAX_BLOCK_ENTRIES = {MAX_BLOCK_ENTRIES}"
-        )
+    check_operator_norm_limits(dim, degree, shift != 0)
     sigma_min = math.inf
     for parity, rows, cols in _blocks(dim, degree, shift != 0):
         pos = {beta: i for i, beta in enumerate(rows)}

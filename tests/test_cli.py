@@ -170,6 +170,35 @@ class TestOpnormCommand:
         err = capsys.readouterr().err
         assert "operator_norm" in err and "sigma_min = 0.0" in err
 
+    def test_total_over_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(rightinverse, "MAX_TOTAL_ENTRIES", 64 * 13)
+        assert main(["opnorm", "--dim", "1", "--degree", "12"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["opnorm", "--dim", "1", "--degree", "13"]) == EXIT_SPEC
+        assert "MAX_TOTAL_ENTRIES = 832" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(["opnorm", "--dim", "2", "--degree", "491"]) == EXIT_SPEC
+        assert "MAX_TOTAL_ENTRIES = 20000000" in capsys.readouterr().err
+
+    def test_unresolved_value_is_a_lower_bound(self, tmp_path):
+        """1-D a = 1: resolved at degree 20, the norm itself; at degree 40
+        sigma_min is below the SVD's resolution, so the value is the stated
+        lower bound 1 / (sigma_min + resolution), still far above the bound."""
+        code, report = run_cli("opnorm", "--dim", "1", "--a", "1", "--degree", "20", tmp_path=tmp_path)
+        entry = report["results"]["opnorm"]
+        assert code == EXIT_CHECK_FAILED
+        assert entry["value_is_lower_bound"] is False
+        assert entry["value"] == cli.operator_norm(1, 1, 20)
+        assert entry["svd_resolution"] == rightinverse.svd_resolution(1, 1, 20)
+
+        code, report = run_cli("opnorm", "--dim", "1", "--a", "1", "--degree", "40", tmp_path=tmp_path)
+        entry = report["results"]["opnorm"]
+        assert code == EXIT_CHECK_FAILED
+        assert entry["value_is_lower_bound"] is True
+        sigma_min = 1 / cli.operator_norm(1, 1, 40)
+        assert entry["value"] == 1 / (sigma_min + entry["svd_resolution"])
+        assert entry["value"] > 1e6 * entry["reference_bound"]
+
     def test_value_over_bound_fails(self, tmp_path, monkeypatch):
         over = 1.0 / math.sqrt(8.0) * (1 + 1e-9)
         monkeypatch.setattr(cli, "operator_norm", lambda *args, **kwargs: over)

@@ -3,15 +3,23 @@
 Results of ring, calculus and conversion operations are wrapped without
 re-validation, so every such result must already meet the invariant the
 trusted constructors rely on: int-tuple keys of length ``dim`` with no
-negative entry, and nonzero ``Fraction`` values.
+negative entry, and nonzero, reduced ``Fraction`` values.
+
+The conversion, product and Parseval kernels run on int numerators over
+one common denominator.  Their ``Fraction``-by-``Fraction`` forms, one
+``Fraction`` operation per step, are kept here as references; the
+kernels must match them exactly, key order included, since reports
+serialize term maps in the order they were built.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauss_rinv.hermite import (
+    HermiteExpansion,
     WeightSpec,
     hermite_polynomial_1d,
     monomial_to_hermite,
@@ -27,6 +35,8 @@ def assert_clean(terms: dict, dim: int) -> None:
         assert type(key) is tuple and len(key) == dim
         assert all(type(e) is int and e >= 0 for e in key)
         assert type(value) is Fraction and value != 0
+        assert value.denominator > 0
+        assert math.gcd(value.numerator, value.denominator) == 1
 
 
 def shift_by_products(p: Polynomial, offset) -> Polynomial:
@@ -132,3 +142,205 @@ def test_hermite_polynomial_1d_keeps_invariant():
         assert_clean(h.terms, 1)
         assert h.total_degree() == k
 
+
+
+# ----------------------------------------------------------------------
+# Fraction references of the int-numerator kernels
+# ----------------------------------------------------------------------
+
+
+def fraction_tensor_expand(terms, row) -> dict:
+    """sum of coef * prod_j row(j, e_j), one Fraction product and sum per step;
+    ``row(j, e)`` gives (index, Fraction) pairs."""
+    out: dict = {}
+    for exps, coef in terms.items():
+        partial = [((), coef)]
+        for j, e in enumerate(exps):
+            partial = [(prefix + (i,), pc * c) for prefix, pc in partial for i, c in row(j, e)]
+        for key, c in partial:
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    return {k: v for k, v in out.items() if v}
+
+
+def fraction_binomial_row(e: int, offset: Fraction):
+    if offset == 0:
+        return ((e, Fraction(1)),)
+    return tuple((i, math.comb(e, i) * offset ** (e - i)) for i in range(e + 1))
+
+
+def monomial_in_hermite(m: int) -> list[Fraction]:
+    """t^m over H_0..H_m by t H_k = H_{k+1}/2 + k H_{k-1}."""
+    row = [Fraction(1)]
+    for _ in range(m):
+        nxt = [Fraction(0)] * (len(row) + 1)
+        for k, c in enumerate(row):
+            nxt[k + 1] += c / 2
+            if k >= 1:
+                nxt[k - 1] += c * k
+        row = nxt
+    return row
+
+
+def hermite_in_monomials(k: int) -> list[Fraction]:
+    """Monomial coefficients of H_k by H_{j+1} = 2t H_j - 2j H_{j-1}."""
+    prev, cur = [Fraction(0)], [Fraction(1)]
+    for j in range(k):
+        nxt = [Fraction(0)] * (j + 2)
+        for i, c in enumerate(cur):
+            nxt[i + 1] += 2 * c
+        for i, c in enumerate(prev):
+            nxt[i] -= 2 * j * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def fraction_shift(p: Polynomial, offset) -> dict:
+    return fraction_tensor_expand(p.terms, lambda j, e: fraction_binomial_row(e, offset[j]))
+
+
+def fraction_monomial_to_hermite(p: Polynomial, w: WeightSpec) -> dict:
+    terms = fraction_shift(p, w.center)
+
+    def row(j, m):
+        h = monomial_in_hermite(m)
+        return [(k, h[k] * w.lam ** ((k - m) // 2)) for k in range(m % 2, m + 1, 2)]
+
+    return fraction_tensor_expand(terms, row)
+
+
+def fraction_to_polynomial(coeffs: dict, w: WeightSpec) -> dict:
+    def row(j, k):
+        h = hermite_in_monomials(k)
+        return [(i, c * w.lam ** ((i - k) // 2)) for i, c in enumerate(h) if c]
+
+    terms = fraction_tensor_expand(coeffs, row)
+    return fraction_tensor_expand(terms, lambda j, e: fraction_binomial_row(e, -w.center[j]))
+
+
+def fraction_mul(p: Polynomial, q: Polynomial) -> dict:
+    out: dict = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def fraction_inner(x: HermiteExpansion, y: HermiteExpansion) -> Fraction:
+    total = Fraction(0)
+    for alpha, c in x.coeffs.items():
+        d = y.coeffs.get(alpha)
+        if d is not None:
+            total += c * d * HermiteExpansion.basis_norm_sq(alpha, x.weight.lam)
+    return total
+
+
+LAMS = (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(7, 5), Fraction(2, 9))
+# Large numerators, and large denominators coprime to each other and to 2,
+# 3, 5 and 7, so that common denominators do not collapse.
+BIG = (10007, 65537, 2**61 - 1, 3**41, 7**23)
+
+
+def exact_coefficients() -> st.SearchStrategy[Fraction]:
+    return st.one_of(
+        st.builds(Fraction, st.integers(-16, 16).filter(bool), st.integers(1, 16)),
+        st.builds(Fraction, st.integers(-(10**30), 10**30).filter(bool), st.sampled_from(BIG)),
+        st.builds(Fraction, st.sampled_from(BIG), st.sampled_from(BIG)),
+    )
+
+
+@st.composite
+def exact_polynomials(draw, dim: int, max_degree: int = 8, max_terms: int = 6):
+    """Zero (no terms), single-term and multi-term polynomials of total
+    degree up to ``max_degree``."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps, budget = [], draw(st.integers(0, max_degree))
+        for _ in range(dim):
+            e = draw(st.integers(0, budget))
+            exps.append(e)
+            budget -= e
+        terms[tuple(exps)] = draw(exact_coefficients())
+    return Polynomial(dim, terms)
+
+
+@st.composite
+def exact_weights(draw, dim: int):
+    lam = draw(st.sampled_from(LAMS))
+    center = draw(st.one_of(
+        st.just((0,) * dim),
+        st.tuples(*[st.sampled_from((0, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 11)))] * dim),
+    ))
+    return WeightSpec(dim, lam, center)
+
+
+def assert_same_terms(got: dict, reference: dict, dim: int) -> None:
+    assert list(got.items()) == list(reference.items())
+    assert_clean(got, dim)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_shift_matches_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    p = data.draw(exact_polynomials(dim))
+    offset = [data.draw(st.one_of(st.just(Fraction(0)), exact_coefficients())) for _ in range(dim)]
+    assert_same_terms(p.shift(offset).terms, fraction_shift(p, offset), dim)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_mul_matches_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    p = data.draw(exact_polynomials(dim, max_degree=4))
+    q = data.draw(exact_polynomials(dim, max_degree=4))
+    assert_same_terms((p * q).terms, fraction_mul(p, q), dim)
+    assert_same_terms((p * p).terms, fraction_mul(p, p), dim)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_conversions_match_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    p = data.draw(exact_polynomials(dim))
+    w = data.draw(exact_weights(dim))
+    expansion = monomial_to_hermite(p, w)
+    assert_same_terms(expansion.coeffs, fraction_monomial_to_hermite(p, w), dim)
+    back = expansion.to_polynomial()
+    assert_same_terms(back.terms, fraction_to_polynomial(expansion.coeffs, w), dim)
+    assert back == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_parseval_matches_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    w = data.draw(exact_weights(dim))
+    x = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
+    y = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
+    for got, reference in (
+        (x.norm_sq().value, fraction_inner(x, x)),
+        (x.inner(y).value, fraction_inner(x, y)),
+        (y.inner(x).value, fraction_inner(x, y)),
+    ):
+        assert type(got) is Fraction and got == reference
+        assert math.gcd(got.numerator, got.denominator) == 1
+    assert x.norm_sq().value >= 0
+    assert (x.norm_sq().value == 0) == x.is_zero()
+
+
+def test_hermite_rows_match_recurrences():
+    """Each axis row equals the three-term recurrences it replaced, for
+    every lam of LAMS and degree up to 12."""
+    for lam in LAMS:
+        w = WeightSpec(1, lam)
+        for m in range(13):
+            monomial = Polynomial(1, {(m,): 1})
+            assert_same_terms(
+                monomial_to_hermite(monomial, w).coeffs,
+                fraction_monomial_to_hermite(monomial, w),
+                1,
+            )
+            basis = HermiteExpansion(w, {(m,): 1}).to_polynomial()
+            assert_same_terms(basis.terms, fraction_to_polynomial({(m,): Fraction(1)}, w), 1)

@@ -23,6 +23,7 @@ from gauss_rinv.rightinverse import (
     InputLimitError,
     KernelFunction,
     apply_right_inverse,
+    check_operator_norm_limits,
     default_directions,
     enrich,
     harmonic_polynomial_basis,
@@ -32,6 +33,7 @@ from gauss_rinv.rightinverse import (
     right_inverse_coeffs,
     shifted_laplacian,
     solve_min_norm,
+    svd_resolution,
 )
 
 one_1d = Polynomial.constant(1, 1)
@@ -387,6 +389,96 @@ class TestOperatorNorm:
         assert math.isfinite(operator_norm(1, 1, 200))
         with pytest.raises(SingularMatrixError, match="sigma_min = 0.0"):
             operator_norm(1, 1, 400)
+
+
+def built_blocks(dim: int, a, degree: int) -> list[np.ndarray]:
+    """The float blocks operator_norm decomposes, built the same way."""
+    blocks = []
+    for _, rows, cols in rightinverse._blocks(dim, degree, a != 0):
+        pos = {beta: i for i, beta in enumerate(rows)}
+        block = np.zeros((len(rows), len(cols)))
+        for ci, gamma in enumerate(cols):
+            for beta, b in rightinverse._lowered(gamma):
+                block[pos[beta], ci] = math.sqrt(b)
+        if a:
+            np.fill_diagonal(block, abs(float(a)))
+        blocks.append(block)
+    return blocks
+
+
+class TestOperatorNormWork:
+    """The limit on all blocks together, and the SVD's resolution."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_shapes_count_the_blocks(self, dim, shifted):
+        for degree in range(11):
+            built = sorted(
+                (len(rows), len(cols))
+                for _, rows, cols in rightinverse._blocks(dim, degree, shifted)
+            )
+            counted = sorted(
+                (r, c) for r, c, k in rightinverse._block_shapes(dim, degree, shifted) for _ in range(k)
+            )
+            assert counted == built
+
+    def test_total_limit_both_sides(self, monkeypatch):
+        """2-D a = 0 holds 19,910,802 entries at degree 490 and 20,032,326
+        at 491; the limit is checked before any block is built."""
+        check_operator_norm_limits(2, 490, False)
+        with pytest.raises(InputLimitError, match="20032326 block entries"):
+            check_operator_norm_limits(2, 491, False)
+
+        def no_blocks(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(rightinverse, "_blocks", no_blocks)
+        with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES = 20000000"):
+            operator_norm(2, 0, 491)
+        with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES"):
+            operator_norm(1, 0, 312_500)
+
+    def test_total_limit_counts_a_floor_per_block(self, monkeypatch):
+        """1-D a = 0 has degree + 1 blocks of 1 x 1, each counted as 64."""
+        monkeypatch.setattr(rightinverse, "MAX_TOTAL_ENTRIES", 64 * 13)
+        assert operator_norm(1, 0, 12) > 0
+        with pytest.raises(InputLimitError, match="896 block entries"):
+            operator_norm(1, 0, 13)
+
+    def test_total_limit_admits_every_caller(self):
+        """3-D a != 0 at degree 40 (19,134,941 entries, 41 is over), 1-D
+        a != 0 at degree 400, and the degrees of the suite, the scripts and
+        the tests."""
+        check_operator_norm_limits(3, 40, True)
+        with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES"):
+            check_operator_norm_limits(3, 41, True)
+        for dim, degree, shifted in [
+            (1, 400, True), (1, 4000 - 1, True), (2, 123, True), (3, 41, False), (3, 66, False),
+        ]:
+            check_operator_norm_limits(dim, degree, shifted)
+
+    @pytest.mark.parametrize("dim, degree_max", [(1, 16), (2, 10), (3, 6)])
+    @pytest.mark.parametrize("a", [0, Fraction(1, 2), 1, -3])
+    def test_sigma_max_bound(self, dim, degree_max, a):
+        """svd_resolution's sigma_max <= |a| + 2 (degree + 2 dim) holds on every block."""
+        for degree in range(degree_max + 1):
+            bound = abs(float(a)) + 2.0 * (degree + 2 * dim)
+            blocks = built_blocks(dim, a, degree)
+            for block in blocks:
+                assert np.linalg.norm(block, 2) <= bound
+            size = max(max(b.shape) for b in blocks)
+            assert svd_resolution(dim, a, degree) == size * np.finfo(float).eps * bound
+
+    def test_resolved_and_unresolved(self):
+        """1-D a = 1: sigma_min is 5.9e-13 at degree 20, above the resolution
+        1.1e-13, and 9.9e-31 at degree 40, below 4.0e-13."""
+        assert 1 / operator_norm(1, 1, 20) > svd_resolution(1, 1, 20)
+        assert 1 / operator_norm(1, 1, 40) <= svd_resolution(1, 1, 40)
+
+    @pytest.mark.parametrize("dim, degree", [(1, 12), (1, 20), (2, 6), (2, 8), (3, 4), (3, 40)])
+    def test_a_zero_is_resolved(self, dim, degree):
+        """At a = 0 sigma_min >= sqrt(8 dim), far above the resolution."""
+        assert 1 / operator_norm(dim, 0, degree) > 1e6 * svd_resolution(dim, 0, degree)
 
 
 class TestScaledSolve:
