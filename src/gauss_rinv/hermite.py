@@ -288,13 +288,13 @@ class HermiteExpansion:
 
     @classmethod
     def _trusted(
-        cls, weight: WeightSpec, coeffs: Mapping[MultiIndex, Fraction]
+        cls, weight: WeightSpec, coeffs: dict[MultiIndex, Fraction]
     ) -> "HermiteExpansion":
         """Wrap coefficients that already meet the Polynomial invariant for
-        ``weight.dim`` apart from zeros, which are dropped."""
+        ``weight.dim``, no zero included; the map is not copied."""
         self = object.__new__(cls)
         self.weight = weight
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        self.coeffs = coeffs
         return self
 
     @staticmethod
@@ -324,12 +324,12 @@ class HermiteExpansion:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return HermiteExpansion._trusted(self.weight, out)
+        return HermiteExpansion._trusted(self.weight, {k: v for k, v in out.items() if v})
 
     def scale(self, factor: RationalLike) -> "HermiteExpansion":
         f = _as_fraction(factor)
         return HermiteExpansion._trusted(
-            self.weight, {k: v * f for k, v in self.coeffs.items()}
+            self.weight, {k: v * f for k, v in self.coeffs.items()} if f else {}
         )
 
     def inner(self, other: "HermiteExpansion") -> GaussianScalar:

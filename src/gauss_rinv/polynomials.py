@@ -16,7 +16,9 @@ Invariant of every instance: ``terms`` has tuple-of-int keys of length
 input goes through the validating ``Polynomial.__init__``, which coerces
 and checks each entry.  Ring and calculus operations build their results
 from operands that already meet the invariant, so they use the trusted
-``Polynomial._trusted``, which only drops zero coefficients.
+``Polynomial._trusted``, which wraps the term map as it is.  Only sums
+(``+``, ``-``, ``laplacian``) and scaling by zero can produce zero
+coefficients; those operations drop them themselves.
 """
 
 from __future__ import annotations
@@ -169,12 +171,12 @@ class Polynomial:
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
 
     @classmethod
-    def _trusted(cls, dim: int, terms: Mapping[MultiIndex, Fraction]) -> "Polynomial":
+    def _trusted(cls, dim: int, terms: dict[MultiIndex, Fraction]) -> "Polynomial":
         """Wrap a term map that already meets the invariant (see module
-        docstring) apart from zero coefficients, which are dropped."""
+        docstring), no zero coefficient included; the map is not copied."""
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", {k: v for k, v in terms.items() if v})
+        object.__setattr__(self, "terms", terms)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -266,14 +268,14 @@ class Polynomial:
         out = dict(self.terms)
         for exps, coef in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + coef
-        return Polynomial._trusted(self.dim, out)
+        return Polynomial._trusted(self.dim, {e: c for e, c in out.items() if c})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
         out = dict(self.terms)
         for exps, coef in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) - coef
-        return Polynomial._trusted(self.dim, out)
+        return Polynomial._trusted(self.dim, {e: c for e, c in out.items() if c})
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
@@ -291,7 +293,7 @@ class Polynomial:
 
     def scale(self, factor: RationalLike) -> "Polynomial":
         f = _as_fraction(factor)
-        return Polynomial._trusted(self.dim, {e: c * f for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: c * f for e, c in self.terms.items()} if f else {})
 
     def __rmul__(self, factor: RationalLike) -> "Polynomial":
         return self.scale(factor)
@@ -341,7 +343,7 @@ class Polynomial:
                 c = coef * (k * (k - 1))
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
-        return Polynomial._trusted(self.dim, out)
+        return Polynomial._trusted(self.dim, {e: c for e, c in out.items() if c})
 
     # ------------------------------------------------------------------
     # evaluation and substitution

@@ -13,10 +13,11 @@ monomials).
 
 For a = 0 the coefficient system (over solutions of degree <= deg f + 2)
 is underdetermined; the minimal-weighted-norm solution is obtained from
-the normal equations of the adjoint system, solved in exact rational
-arithmetic.  The system decouples into small blocks indexed by (total
-degree, parity vector), because the Laplacian preserves per-axis parity
-and shifts degree by two, so each exact solve is tiny.
+the normal equations of the adjoint system, solved exactly.  The system
+decouples into small blocks indexed by (total degree, parity vector),
+because the Laplacian preserves per-axis parity and shifts degree by two;
+each block's normal matrix is, up to a factor that cancels, an integer
+matrix that does not depend on the weight, solved by Bareiss elimination.
 
 For a != 0 the truncated system is uniquely solvable (triangular with a
 on the diagonal) but the resulting ratio ||u||^2/||f||^2 generally
@@ -36,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ from .hermite import (
     GaussianScalar,
     HermiteExpansion,
     WeightSpec,
+    _axis_norm_sq,
     monomial_to_hermite,
 )
 from .linalg import SingularMatrixError, nullspace_exact, solve_exact
@@ -53,6 +56,8 @@ from .polynomials import (
     Polynomial,
     RationalLike,
     format_rational,
+    over_common_denominator,
+    reduce_over,
 )
 
 
@@ -112,13 +117,19 @@ def _lowered(gamma: MultiIndex) -> list[tuple[MultiIndex, int]]:
 
 
 def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteExpansion:
-    """(lap + a) applied to an expansion, exactly, over the same weight."""
+    """(lap + a) applied to an expansion, exactly, over the same weight.
+
+    With a = p/q and the coefficients as num / den over one denominator,
+    every result coefficient is an int sum over q * den, reduced once.
+    """
     a = Fraction(a)
-    out = {gamma: a * c for gamma, c in expansion.coeffs.items()} if a else {}
-    for gamma, c in expansion.coeffs.items():
+    p, q = a.numerator, a.denominator
+    den, nums = over_common_denominator(expansion.coeffs)
+    out = {gamma: p * num for gamma, num in nums} if p else {}
+    for gamma, num in nums:
         for beta, b in _lowered(gamma):
-            out[beta] = out.get(beta, Fraction(0)) + b * c
-    return HermiteExpansion._trusted(expansion.weight, out)
+            out[beta] = out.get(beta, 0) + q * b * num
+    return HermiteExpansion._trusted(expansion.weight, reduce_over(out, q * den))
 
 
 # ----------------------------------------------------------------------
@@ -341,15 +352,47 @@ class SolveReport:
 # ----------------------------------------------------------------------
 
 
-def _min_norm_coeffs(
-    f_coeffs: dict[MultiIndex, Fraction], dim: int, lam: Fraction
-) -> dict[MultiIndex, Fraction]:
+@lru_cache(maxsize=1024)
+def _min_norm_block(
+    dim: int, degree: int, parity: tuple[int, ...]
+) -> tuple[tuple[MultiIndex, ...], tuple[tuple[int, ...], ...], tuple]:
+    """(rows, K, columns) of the (degree, parity) block of the min-norm solve.
+
+    rows are the members of ``degree``; each column is (gamma, L // N_gamma,
+    ((row position, b), ...)) for a member gamma of degree + 2, with b the
+    entries of _lowered(gamma), N_gamma = prod_j 2^g_j g_j! and L the lcm of
+    the N_gamma; K = sum_gamma (L // N_gamma) b b^T is an integer matrix.
+    """
+    rows = tuple(_class_members(dim, degree, parity))
+    pos = {alpha: i for i, alpha in enumerate(rows)}
+    norms = [
+        (gamma, math.prod(map(_axis_norm_sq, gamma)))
+        for gamma in _class_members(dim, degree + 2, parity)
+    ]
+    common = math.lcm(*(n for _, n in norms))
+    columns = tuple(
+        (gamma, common // n, tuple((pos[beta], b) for beta, b in _lowered(gamma)))
+        for gamma, n in norms
+    )
+    matrix = [[0] * len(rows) for _ in rows]
+    for _, scale, column in columns:
+        for ai, b_a in column:
+            for bi, b_b in column:
+                matrix[ai][bi] += scale * b_a * b_b
+    return rows, tuple(map(tuple, matrix)), columns
+
+
+def _min_norm_coeffs(f_coeffs: dict[MultiIndex, Fraction], dim: int) -> dict[MultiIndex, Fraction]:
     """Minimal-weighted-norm coefficients solving lap(u) = f exactly.
 
-    Normal equations of the adjoint system, one exact solve per (degree,
+    Normal equations of the adjoint system, one exact solve per (degree d,
     parity) block: solve M w = f with M = B R^{-1} B^T, then u = R^{-1} B^T w,
-    where B is the Laplacian block (columns: the degree + 2 members of the
-    same parity) and R the diagonal of basis norms.
+    where B is the Laplacian block (columns: the degree d + 2 members gamma
+    of the same parity) and R the diagonal of basis norms.  Every column has
+    |gamma| = d + 2, so ||G_gamma||^2 = N_gamma lam^-(d+2) with the same
+    lam factor across the block: M = lam^(d+2) / L * K for the integer K of
+    ``_min_norm_block``, and u_gamma = (L / N_gamma) (B^T K^{-1} f)_gamma, in
+    which lam cancels.  The solution is the same for every weight.
     """
     blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, Fraction]] = {}
     for alpha, c in f_coeffs.items():
@@ -357,28 +400,23 @@ def _min_norm_coeffs(
         blocks.setdefault(key, {})[alpha] = c
     u: dict[MultiIndex, Fraction] = {}
     for (deg, parity), rhs_map in sorted(blocks.items()):
-        rows = _class_members(dim, deg, parity)
-        pos = {alpha: i for i, alpha in enumerate(rows)}
-        m = len(rows)
-        rhs = [rhs_map.get(alpha, Fraction(0)) for alpha in rows]
-        columns = [
-            (gamma, HermiteExpansion.basis_norm_sq(gamma, lam), [(pos[beta], b) for beta, b in _lowered(gamma)])
-            for gamma in _class_members(dim, deg + 2, parity)
-        ]
-        matrix = [[Fraction(0)] * m for _ in range(m)]
-        for _, r_gamma, column in columns:
-            for ai, b_a in column:
-                for bi, b_b in column:
-                    matrix[ai][bi] += b_a * b_b / r_gamma
+        rows, matrix, columns = _min_norm_block(dim, deg, parity)
+        den_f, nums = over_common_denominator(rhs_map)
+        rhs_nums = dict(nums)
         try:
-            w = solve_exact(matrix, rhs)
+            w = solve_exact(matrix, [rhs_nums.get(alpha, 0) for alpha in rows])
         except SingularMatrixError as exc:  # defensive: cannot occur for lap
             raise SingularMatrixError(
                 f"minimal-norm block ({deg}, {parity}) singular: {exc}"
             ) from exc
-        for gamma, r_gamma, column in columns:
-            u[gamma] = sum((b * w[ai] for ai, b in column), Fraction(0)) / r_gamma
-    return {k: v for k, v in u.items() if v != 0}
+        den_w = math.lcm(*(v.denominator for v in w))
+        w_nums = [v.numerator * (den_w // v.denominator) for v in w]
+        den = den_f * den_w
+        for gamma, scale, column in columns:
+            num = scale * sum(b * w_nums[ai] for ai, b in column)
+            if num:
+                u[gamma] = Fraction(num, den)
+    return u
 
 
 def _triangular_coeffs(
@@ -403,12 +441,13 @@ def _triangular_coeffs(
 
 
 def right_inverse_coeffs(
-    f_coeffs: dict[MultiIndex, Fraction], dim: int, a: Fraction, lam: Fraction = Fraction(1)
+    f_coeffs: dict[MultiIndex, Fraction], dim: int, a: Fraction
 ) -> dict[MultiIndex, Fraction]:
     """Hermite coefficients of the package's exact solution of (lap + a) u = f:
-    minimal-weighted-norm at a = 0, the unique triangular one otherwise."""
+    minimal-weighted-norm at a = 0, the unique triangular one otherwise.
+    Neither depends on the weight's lam or center (see _min_norm_coeffs)."""
     if a == 0:
-        return _min_norm_coeffs(f_coeffs, dim, lam)
+        return _min_norm_coeffs(f_coeffs, dim)
     return _triangular_coeffs(f_coeffs, dim, a)
 
 
@@ -440,7 +479,7 @@ def solve_min_norm(
         )
     n_trunc = max(n_trunc, 0)
     f_exp = monomial_to_hermite(f, w)
-    u_exp = HermiteExpansion._trusted(w, right_inverse_coeffs(f_exp.coeffs, w.dim, a, w.lam))
+    u_exp = HermiteExpansion._trusted(w, right_inverse_coeffs(f_exp.coeffs, w.dim, a))
     norm_f = f_exp.norm_sq()
     norm_u = u_exp.norm_sq()
     ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)

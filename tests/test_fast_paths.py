@@ -5,16 +5,19 @@ re-validation, so every such result must already meet the invariant the
 trusted constructors rely on: int-tuple keys of length ``dim`` with no
 negative entry, and nonzero, reduced ``Fraction`` values.
 
-The conversion, product and Parseval kernels run on int numerators over
-one common denominator.  Their ``Fraction``-by-``Fraction`` forms, one
-``Fraction`` operation per step, are kept here as references; the
-kernels must match them exactly, key order included, since reports
-serialize term maps in the order they were built.
+The conversion, product and Parseval kernels, the min-norm block solves
+and ``shifted_laplacian`` run on int numerators over one common
+denominator, and ``solve_exact`` is Bareiss elimination on ints.  Their
+``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per step,
+are kept here as references; the kernels must match them exactly, key
+order included, since reports serialize term maps in the order they were
+built.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +27,16 @@ from gauss_rinv.hermite import (
     hermite_polynomial_1d,
     monomial_to_hermite,
 )
+from gauss_rinv.linalg import SingularMatrixError, _eliminate, solve_exact
 from gauss_rinv.polynomials import Polynomial
-from gauss_rinv.rightinverse import shifted_laplacian
+from gauss_rinv.rightinverse import (
+    _class_members,
+    _lowered,
+    _min_norm_coeffs,
+    multi_indices_up_to,
+    shifted_laplacian,
+    solve_min_norm,
+)
 
 from conftest import polynomials, rationals
 
@@ -344,3 +355,219 @@ def test_hermite_rows_match_recurrences():
             )
             basis = HermiteExpansion(w, {(m,): 1}).to_polynomial()
             assert_same_terms(basis.terms, fraction_to_polynomial({(m,): Fraction(1)}, w), 1)
+
+
+# ----------------------------------------------------------------------
+# Fraction references of the exact solves and of lap + a
+# ----------------------------------------------------------------------
+
+
+def fraction_solve_exact(matrix, rhs) -> list[Fraction]:
+    """Dense Fraction Gaussian elimination, partial pivoting on magnitude."""
+    n = len(matrix)
+    if n == 0:
+        return []
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if aug[pivot_row][col] == 0:
+            raise SingularMatrixError(f"singular at column {col}")
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        for r in range(col + 1, n):
+            factor = aug[r][col] / pivot
+            if factor == 0:
+                continue
+            row_r, row_c = aug[r], aug[col]
+            for c in range(col, n + 1):
+                row_r[c] -= factor * row_c[c]
+    x = [Fraction(0)] * n
+    for row in range(n - 1, -1, -1):
+        acc = aug[row][n]
+        for c in range(row + 1, n):
+            acc -= aug[row][c] * x[c]
+        x[row] = acc / aug[row][row]
+    return x
+
+
+def fraction_det(matrix) -> Fraction:
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot_row = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return det
+
+
+def fraction_min_norm_coeffs(f_coeffs: dict, dim: int, lam: Fraction) -> dict:
+    """M w = f with M = B R^{-1} B^T assembled one Fraction at a time per
+    (degree, parity) block, R the basis norms at ``lam``; u = R^{-1} B^T w."""
+    blocks: dict = {}
+    for alpha, c in f_coeffs.items():
+        blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = c
+    u: dict = {}
+    for (deg, parity), rhs_map in sorted(blocks.items()):
+        rows = _class_members(dim, deg, parity)
+        pos = {alpha: i for i, alpha in enumerate(rows)}
+        rhs = [rhs_map.get(alpha, Fraction(0)) for alpha in rows]
+        columns = [
+            (gamma, HermiteExpansion.basis_norm_sq(gamma, lam),
+             [(pos[beta], b) for beta, b in _lowered(gamma)])
+            for gamma in _class_members(dim, deg + 2, parity)
+        ]
+        matrix = [[Fraction(0)] * len(rows) for _ in rows]
+        for _, r_gamma, column in columns:
+            for ai, b_a in column:
+                for bi, b_b in column:
+                    matrix[ai][bi] += b_a * b_b / r_gamma
+        w = fraction_solve_exact(matrix, rhs)
+        for gamma, r_gamma, column in columns:
+            u[gamma] = sum((b * w[ai] for ai, b in column), Fraction(0)) / r_gamma
+    return {k: v for k, v in u.items() if v != 0}
+
+
+def fraction_shifted_laplacian(expansion: HermiteExpansion, a: Fraction) -> dict:
+    out = {gamma: a * c for gamma, c in expansion.coeffs.items()} if a else {}
+    for gamma, c in expansion.coeffs.items():
+        for beta, b in _lowered(gamma):
+            out[beta] = out.get(beta, Fraction(0)) + b * c
+    return {k: v for k, v in out.items() if v}
+
+
+SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1), Fraction(3))
+
+
+@st.composite
+def solve_cases(draw):
+    """A polynomial of degree <= 12 (<= 10 in 3-D) with a weight of LAMS,
+    centered or off-center."""
+    dim = draw(st.integers(1, 3))
+    p = draw(exact_polynomials(dim, max_degree=10 if dim == 3 else 12, max_terms=4))
+    return p, draw(exact_weights(dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(solve_cases(), st.sampled_from(LAMS))
+def test_min_norm_matches_fraction_reference(case, other_lam):
+    p, w = case
+    f = monomial_to_hermite(p, w)
+    reference = fraction_min_norm_coeffs(f.coeffs, w.dim, w.lam)
+    assert_same_terms(_min_norm_coeffs(f.coeffs, w.dim), reference, w.dim)
+    report = solve_min_norm(p, 0, weight=w)
+    assert_same_terms(report.solution.coeffs, reference, w.dim)
+    assert report.residual_exact
+    # lam cancels from every block
+    assert fraction_min_norm_coeffs(f.coeffs, w.dim, other_lam) == reference
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 12), (2, 12), (3, 10)])
+def test_min_norm_matches_fraction_reference_at_top_degree(dim, degree):
+    """Every (degree, parity) block up to the largest one, full right-hand
+    sides over large coprime denominators."""
+    f_coeffs = {
+        alpha: Fraction((-1) ** i * (BIG[i % 5] + i), BIG[(i + 2) % 5])
+        for i, alpha in enumerate(multi_indices_up_to(dim, degree))
+    }
+    for lam in (Fraction(1), Fraction(2, 9)):
+        reference = fraction_min_norm_coeffs(f_coeffs, dim, lam)
+        assert_same_terms(_min_norm_coeffs(f_coeffs, dim), reference, dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solve_cases())
+def test_shifted_laplacian_matches_fraction_reference(case):
+    p, w = case
+    expansion = monomial_to_hermite(p, w)
+    for a in SHIFTS:
+        got = shifted_laplacian(expansion, a)
+        assert got.weight == w
+        assert_same_terms(got.coeffs, fraction_shifted_laplacian(expansion, a), w.dim)
+
+
+def assert_solves(matrix, rhs) -> None:
+    """solve_exact agrees with the Fraction reference and solves the system."""
+    got = solve_exact(matrix, rhs)
+    assert got == fraction_solve_exact(matrix, rhs)
+    assert all(type(v) is Fraction for v in got)
+    assert [sum(v * x for v, x in zip(row, got)) for row in matrix] == list(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_exact_matches_fraction_reference(data):
+    n = data.draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-3, 3), st.just(Fraction(0)), exact_coefficients())
+    matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    rhs = [data.draw(entry) for _ in range(n)]
+    if fraction_det(matrix) == 0:
+        with pytest.raises(SingularMatrixError):
+            solve_exact(matrix, rhs)
+    else:
+        assert_solves(matrix, rhs)
+
+
+ZERO_PIVOT_SYSTEMS = [
+    ([[0, 1], [1, 0]], [2, 3]),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [Fraction(1, 3), 5, Fraction(-7, 2)]),
+    # the pivot of column 1 becomes zero after the first step
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [1, 2, 3]),
+    ([[Fraction(0), Fraction(2, 3)], [Fraction(5, 7), Fraction(1, 2)]], [Fraction(1, 10007), 1]),
+    (
+        [[0, Fraction(1, 3**41), 2], [Fraction(-1, 2**61 - 1), 0, 1], [1, 1, 0]],
+        [1, 0, Fraction(3, 10007)],
+    ),
+]
+
+
+@pytest.mark.parametrize("matrix, rhs", ZERO_PIVOT_SYSTEMS)
+def test_solve_exact_swaps_rows_on_zero_pivot(matrix, rhs):
+    assert_solves(matrix, rhs)
+
+
+def test_solve_exact_empty_system():
+    assert solve_exact([], []) == []
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [[Fraction(1, 3), Fraction(1, 2)], [Fraction(2, 3), 1]],
+        [[1, 0, 1], [0, 0, 0], [2, 5, 1]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[0, 1, 1], [0, 2, 3], [0, 4, 5]],
+    ],
+)
+def test_solve_exact_raises_on_singular(matrix):
+    with pytest.raises(SingularMatrixError):
+        solve_exact(matrix, [1] * len(matrix))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_elimination_keeps_entries_minors(data):
+    """After Bareiss elimination the last pivot is +-det and every entry,
+    a minor of the input, is within Hadamard's bound (the product of the
+    row norms), so the exact divisions are what keeps the ints short."""
+    n = data.draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**20), 2**20))
+    aug = [[data.draw(entry) for _ in range(n + 1)] for _ in range(n)]
+    det = fraction_det([row[:n] for row in aug])
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            _eliminate(aug)
+        return
+    hadamard = math.prod(max(1, math.isqrt(sum(v * v for v in row)) + 1) for row in aug)
+    assert abs(_eliminate(aug)) == abs(det)
+    assert all(aug[r][c] == 0 for r in range(n) for c in range(r))
+    assert all(abs(v) <= hadamard for row in aug for v in row)
