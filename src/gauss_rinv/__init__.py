@@ -10,10 +10,8 @@ from .polynomials import DimensionMismatchError, MultiIndex, Polynomial
 from .hermite import (
     GaussianScalar,
     HermiteExpansion,
-    QuadratureRule,
     UnitMismatchError,
     WeightSpec,
-    gauss_hermite_rule,
     inner_product,
     integrate_gaussian,
     monomial_to_hermite,
@@ -32,7 +30,6 @@ from .adjoint import (
     run_identity_battery,
 )
 from .rightinverse import (
-    DegreeOverflowError,
     GramConditionError,
     KernelFunction,
     SolveReport,

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hermite import HermiteExpansion, WeightSpec, normalized_hermite_values, norm_sq
+from .hermite import HermiteExpansion, WeightSpec, normalized_hermite_values, norm_sq, tensor_rule
 from .polynomials import MultiIndex, Polynomial, RationalLike, format_rational
 from .rightinverse import InputLimitError, multi_indices_up_to, right_inverse_coeffs, shifted_laplacian
 
@@ -204,11 +204,8 @@ def integrate_box(
     A non-finite estimate raises QuadratureError at once: NaN never passes
     the agreement test, so it would bisect to ``MAX_DEPTH``.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    # tensor nodes on [-1, 1]^n, the last axis fastest, and their weights
-    n = box.dim
-    ref_nodes = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * n, indexing="ij")], axis=1)
-    ref_weights = np.prod(np.meshgrid(*[weights] * n, indexing="ij"), axis=0).ravel()
+    # tensor nodes on [-1, 1]^n and their weights
+    ref_nodes, ref_weights = tensor_rule(*np.polynomial.legendre.leggauss(PANEL_ORDER), box.dim)
 
     def panel(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         half = (hi - lo) / 2.0

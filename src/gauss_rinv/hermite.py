@@ -16,8 +16,7 @@ basis norms are rational multiples of the global unit (pi/lam)^{n/2}:
 
 Exact weighted integrals of polynomials are GaussianScalar values: a
 rational part tagged with that symbolic unit.  Non-polynomial integrands
-go through Gauss-Hermite quadrature (nodes by Newton refinement on the
-recurrence).
+go through tensor Gauss-Hermite quadrature (numpy's ``hermgauss`` rule).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -409,18 +408,6 @@ def norm_sq(p: Polynomial, weight: WeightSpec) -> GaussianScalar:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """One-dimensional Gauss-Hermite rule for the weight e^{-t^2}."""
-
-    order: int
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-
-
-_RULE_CACHE: dict[int, QuadratureRule] = {}
-
-
 def normalized_hermite_values(max_k: int, t):
     """Orthonormal H_k(t)/sqrt(2^k k! sqrt(pi)) values, k = 0..max_k.
 
@@ -428,8 +415,7 @@ def normalized_hermite_values(max_k: int, t):
     an array of t's shape; the k = 0 entry stays the scalar pi^{-1/4}).
     High-degree Hermite polynomials have astronomically large monomial
     coefficients; the normalized three-term recurrence keeps every value
-    O(1) near the physical region, so pointwise evaluation stays precise
-    and Newton refinement of the quadrature nodes is stable at high order.
+    O(1) near the physical region, so pointwise evaluation stays precise.
     """
     vals = [math.pi**-0.25]
     prev = 0.0
@@ -439,75 +425,31 @@ def normalized_hermite_values(max_k: int, t):
     return vals
 
 
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Nodes/weights integrating p(t)e^{-t^2} exactly for deg p <= 2*order-1.
-
-    Initial guesses come from the symmetric Jacobi (recurrence) matrix;
-    each node is then Newton-polished on the normalized recurrence until
-    the update falls below 1e-14.
-    """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    cached = _RULE_CACHE.get(order)
-    if cached is not None:
-        return cached
-    if order == 1:
-        rule = QuadratureRule(1, (0.0,), (math.sqrt(math.pi),))
-        _RULE_CACHE[order] = rule
-        return rule
-    sub = np.sqrt(np.arange(1, order) / 2.0)
-    jacobi = np.diag(sub, -1) + np.diag(sub, 1)
-    guesses = np.linalg.eigvalsh(jacobi)
-    nodes = []
-    weights = []
-    for guess in guesses:
-        t = float(guess)
-        for _ in range(60):
-            *_, h_m1, h_m = normalized_hermite_values(order, t)
-            derivative = math.sqrt(2.0 * order) * h_m1
-            step = h_m / derivative
-            t -= step
-            if abs(step) < 1e-14:
-                break
-        h_m1 = normalized_hermite_values(order, t)[-2]
-        nodes.append(t)
-        weights.append(1.0 / (order * h_m1 * h_m1))
-    rule = QuadratureRule(order, tuple(nodes), tuple(weights))
-    _RULE_CACHE[order] = rule
-    return rule
+def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-fold tensor product of a 1-D rule: (m, n) points, the last
+    axis fastest, and their (m,) weights, m = len(nodes)^n."""
+    grids = np.meshgrid(*[nodes] * n, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    return points, np.prod(np.meshgrid(*[weights] * n, indexing="ij"), axis=0).ravel()
 
 
 def integrate_gaussian(
-    fn: Callable[[Sequence[float]], float],
-    weight: WeightSpec,
-    order: int,
-) -> float:
+    fn: Callable[[np.ndarray], np.ndarray], weight: WeightSpec, order: int
+) -> float | np.ndarray:
     """Tensor Gauss-Hermite approximation of integral fn(x) e^{-weight} dx.
 
-    Change of variables x = y/sqrt(lam) + center maps the scaled weight to
-    the reference e^{-|y|^2} rule and contributes the lam^{-n/2} Jacobian.
+    ``fn`` maps an (m, n) array of nodes to m values (the result is a
+    float) or to an (m, k) array (the result is k integrals).  With
+    ``order`` points per axis the rule is exact for polynomials of degree
+    at most 2 * order - 1 in each variable.  Change of variables
+    x = y/sqrt(lam) + center maps the scaled weight to the reference
+    e^{-|y|^2} rule and contributes the lam^{-n/2} Jacobian.
+    ``numpy.polynomial`` is looked up at call time, so importing the
+    package does not load it.
     """
-    rule = gauss_hermite_rule(order)
     lam = float(weight.lam)
-    scale = lam**-0.5
-    center = [float(c) for c in weight.center]
-    n = weight.dim
-    total = 0.0
-    idx = [0] * n
-    while True:
-        w = 1.0
-        x = [0.0] * n
-        for j in range(n):
-            w *= rule.weights[idx[j]]
-            x[j] = rule.nodes[idx[j]] * scale + center[j]
-        total += w * fn(x)
-        j = n - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < rule.order:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
-    return total * lam ** (-n / 2.0)
+    points, weights = tensor_rule(*np.polynomial.hermite.hermgauss(order), weight.dim)
+    center = np.array([float(c) for c in weight.center])
+    values = np.asarray(fn(points * lam**-0.5 + center), dtype=float)
+    total = (weights @ values) * lam ** (-weight.dim / 2.0)
+    return float(total) if total.ndim == 0 else total

@@ -32,9 +32,9 @@ never leaves Hermite coordinates.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -59,10 +59,6 @@ from .polynomials import (
     over_common_denominator,
     reduce_over,
 )
-
-
-class DegreeOverflowError(ValueError):
-    """The data degree exceeds the configured truncation degree."""
 
 
 class GramConditionError(ArithmeticError):
@@ -452,10 +448,7 @@ def right_inverse_coeffs(
 
 
 def solve_min_norm(
-    f: Polynomial,
-    a: RationalLike = 0,
-    truncation: int | None = None,
-    weight: WeightSpec | None = None,
+    f: Polynomial, a: RationalLike = 0, weight: WeightSpec | None = None
 ) -> SolveReport:
     """Solve (lap + a) u = f over polynomials with exact zero residual.
 
@@ -465,19 +458,13 @@ def solve_min_norm(
     nonzero constant f.  a != 0: the unique triangular polynomial
     solution, whose ratio generally exceeds the bound until enriched.
     ``residual_exact`` is the exact check shifted_laplacian(u, a) == f on
-    Hermite coefficients.
+    Hermite coefficients.  Neither solution depends on a truncation degree;
+    the report's ``truncation`` is deg f (0 for zero data).
     """
     a = Fraction(a)
     w = weight if weight is not None else WeightSpec.unit(f.dim)
     if f.dim != w.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {w.dim}")
-    deg_f = f.total_degree()
-    n_trunc = deg_f if truncation is None else truncation
-    if deg_f > n_trunc:
-        raise DegreeOverflowError(
-            f"data degree {deg_f} exceeds truncation {n_trunc}"
-        )
-    n_trunc = max(n_trunc, 0)
     f_exp = monomial_to_hermite(f, w)
     u_exp = HermiteExpansion._trusted(w, right_inverse_coeffs(f_exp.coeffs, w.dim, a))
     norm_f = f_exp.norm_sq()
@@ -487,7 +474,7 @@ def solve_min_norm(
     return SolveReport(
         weight=w,
         a=a,
-        truncation=n_trunc,
+        truncation=max(f.total_degree(), 0),
         solution=u_exp,
         residual_exact=shifted_laplacian(u_exp, a) == f_exp,
         norm_f_sq=norm_f,
@@ -562,22 +549,15 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
     new_norm = old_norm - 2.0 * float(beta @ v) + float(beta @ gram @ beta)
     norm_f_float = report.norm_f_sq.to_float()
     ratio_float = new_norm / norm_f_float if norm_f_float else 0.0
-    return SolveReport(
-        weight=report.weight,
-        a=report.a,
-        truncation=report.truncation,
-        solution=report.solution,
+    return dataclasses.replace(
+        report,
         kernel_part=[(g, -float(b)) for g, b in zip(basis, beta)],
-        residual_exact=report.residual_exact,
         kernel_defect=defect,
-        norm_f_sq=report.norm_f_sq,
-        norm_u_sq=report.norm_u_sq,
         norm_u_sq_float=new_norm,
         ratio=None,
         ratio_float=ratio_float,
         pre_enrichment_ratio=report.ratio,
         pre_enrichment_ratio_float=report.ratio_float,
-        bound=report.bound,
         bound_satisfied=ratio_float <= float(report.bound) + 1e-12,
         enrichment=f"plane-waves[{len(basis)}]",
         gram_condition=condition,
@@ -585,10 +565,7 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
 
 
 def apply_right_inverse(
-    f: Polynomial,
-    a: RationalLike = 0,
-    truncation: int | None = None,
-    weight: WeightSpec | None = None,
+    f: Polynomial, a: RationalLike = 0, weight: WeightSpec | None = None
 ) -> SolveReport:
     """The full right-inverse application: exact solve, then enrich.
 
@@ -598,7 +575,7 @@ def apply_right_inverse(
     The report keeps the pre-enrichment ratio next to the final one.
     """
     a = Fraction(a)
-    report = solve_min_norm(f, a, truncation=truncation, weight=weight)
+    report = solve_min_norm(f, a, weight=weight)
     if a == 0 or f.is_zero() or not report.weight.is_unit:
         return report
     return enrich(report, kernel_basis(a, f.dim))
@@ -609,13 +586,14 @@ def apply_right_inverse(
 # ----------------------------------------------------------------------
 
 # Largest block (rows x cols) operator_norm builds: 3-D at a != 0 and
-# degree 40 has a 1771 x 1771 parity block (25 MB of floats, about 8 s of
-# SVD on a 2-core machine).  1-D a != 0 is admitted up to degree 3999.
+# degree 40 has a 1771 x 1771 parity block (25 MB of floats, about 11 s to
+# invert and decompose on a 2-core machine).  1-D a != 0 is admitted up to
+# degree 3999.
 MAX_BLOCK_ENTRIES = 4_000_000
 # Entries of all blocks together, a block counting as at least
 # BLOCK_FLOOR_ENTRIES: building and decomposing even a 1 x 1 block costs
 # about 25 us, against about 0.5 us per entry of a large block.  3-D
-# a != 0 at degree 40 holds 19,134,941 entries (about 9 s).  a = 0 is
+# a != 0 at degree 40 holds 19,134,941 entries (about 11 s).  a = 0 is
 # admitted up to degree 312,499 in 1-D (6 s), 490 in 2-D (3 s) and 66 in
 # 3-D (4 s).
 MAX_TOTAL_ENTRIES = 20_000_000
@@ -677,57 +655,62 @@ def check_operator_norm_limits(dim: int, degree: int, shifted: bool) -> None:
         )
 
 
-def svd_resolution(dim: int, a: RationalLike, degree: int) -> float:
-    """size * eps * (a bound on sigma_max) over the blocks of operator_norm.
-
-    A backward-stable SVD finds each singular value to within about
-    size * eps * sigma_max of the block (Golub & Van Loan, 8.6).  Every
-    block has at most dim off-diagonal entries 2 sqrt(g (g - 1)) < 2 g per
-    row and per column, so sigma_max <= |a| + 2 (degree + 2 dim).  A
-    computed sigma_min at or below this resolution is not resolved, and
-    the true one is at most sigma_min + resolution.
-    """
-    shift = abs(float(Fraction(a)))
-    size = max(max(r, c) for r, c, _ in _block_shapes(dim, degree, shift != 0))
-    return size * sys.float_info.epsilon * (shift + 2.0 * (degree + 2 * dim))
-
-
 def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
-    """Norm of the truncated right inverse: 1 / sigma_min of lap + a.
+    """Norm of the truncated right inverse of lap + a, in orthonormal
+    Hermite coordinates.
 
-    The package's exact inverse of the truncated lap + a (minimal-norm at
-    a = 0, triangular otherwise) has norm 1/sigma_min in orthonormal
-    Hermite coordinates (Golub & Van Loan, Matrix Computations, 5.5),
-    where the entry at (gamma - 2 e_j, gamma) is 2 sqrt(g (g - 1)), the
-    root of _lowered's coefficient, and the diagonal is a.  Blocks keep
-    per-axis parity: at a = 0 one per degree k <= degree, from degree k + 2
-    onto k; at a != 0 one square block per parity class.  D (lap + a) D =
-    -(lap - a) for D = diag((-1)^floor(|alpha|/2)), so the blocks use |a|.
+    In those coordinates the entry of lap + a at (gamma - 2 e_j, gamma) is
+    2 sqrt(g (g - 1)), the root of _lowered's coefficient, and the diagonal
+    is a.  Blocks keep per-axis parity.  D (lap + a) D = -(lap - a) for
+    D = diag((-1)^floor(|alpha|/2)), so the blocks use |a|, and the value
+    at -a is the value at a, bit for bit.
 
-    At a != 0 sigma_min can fall below the SVD's ``svd_resolution``; the
-    value is then not certified, and only 1 / (sigma_min + resolution) is
-    a stated bound (from below) on the norm.  Raises InputLimitError beyond
-    ``check_operator_norm_limits``, SingularMatrixError if sigma_min is
-    zero or its reciprocal not a finite float.
+    a = 0: one block per degree k <= degree, from degree k + 2 onto k; the
+    minimal-norm inverse has norm 1/sigma_min (Golub & Van Loan, Matrix
+    Computations, 5.5).  No resolution check is needed: the paper's bound
+    gives every block sigma_min >= sqrt(8 dim), far above the SVD's
+    absolute error of about size * eps * sigma_max.
+
+    a != 0: one square block B per parity class, members in ascending
+    degree, so upper triangular with |a| on the diagonal.  D B D is a
+    triangular M-matrix, so entry (beta, gamma) of B^-1 has sign
+    (-1)^((|gamma| - |beta|)/2) and every product in it the same sign: the
+    inverse (LU swaps no rows) and its largest singular value, the norm,
+    come out to relative accuracy (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 8), where 1/sigma_min of B would be resolved
+    only to an absolute size * eps * sigma_max.
+
+    Raises InputLimitError beyond ``check_operator_norm_limits``, and
+    SingularMatrixError, naming the block, if an inverse entry or the norm
+    is not a finite float (at once for an a != 0 whose float is 0).
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    shift = abs(float(Fraction(a)))
+    a = Fraction(a)
+    shift = abs(float(a))
+    if a and not shift:
+        raise SingularMatrixError(
+            f"operator_norm: a = {a} rounds to the float 0.0; the inverse's entries 1/|a| overflow"
+        )
     check_operator_norm_limits(dim, degree, shift != 0)
-    sigma_min = math.inf
+    norm = 0.0
     for parity, rows, cols in _blocks(dim, degree, shift != 0):
         pos = {beta: i for i, beta in enumerate(rows)}
         block = np.zeros((len(rows), len(cols)))
         for ci, gamma in enumerate(cols):
             for beta, b in _lowered(gamma):
                 block[pos[beta], ci] = math.sqrt(b)
-        if shift:
-            np.fill_diagonal(block, shift)
-        sigma = float(np.linalg.svd(block, compute_uv=False)[-1])
-        if not (sigma > 0.0 and math.isfinite(1.0 / sigma)):
+        if not shift:
+            norm = max(norm, 1.0 / float(np.linalg.svd(block, compute_uv=False)[-1]))
+            continue
+        np.fill_diagonal(block, shift)
+        inverse = np.linalg.solve(block, np.eye(len(rows)))
+        finite = np.isfinite(inverse).all()
+        value = float(np.linalg.svd(inverse, compute_uv=False)[0]) if finite else math.inf
+        if not math.isfinite(value):
             raise SingularMatrixError(
-                f"operator_norm: the SVD of the {len(rows)} x {len(cols)} block of parity "
-                f"{parity} gives sigma_min = {sigma!r}, whose reciprocal is not a finite float"
+                f"operator_norm: the inverse of the {len(rows)} x {len(cols)} block of "
+                f"parity {parity} at |a| = {shift!r} is not finite in floating point"
             )
-        sigma_min = min(sigma_min, sigma)
-    return 1.0 / sigma_min
+        norm = max(norm, value)
+    return norm

@@ -12,6 +12,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.domains import (
     BoxDomain,
@@ -20,7 +22,7 @@ from gauss_rinv.domains import (
     embedding_check,
     solve_bounded,
 )
-from gauss_rinv.hermite import WeightSpec, gauss_hermite_rule
+from gauss_rinv.hermite import WeightSpec, integrate_gaussian
 from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import (
     apply_right_inverse,
@@ -91,10 +93,11 @@ def test_criterion_04_kernel_enriched_bound():
     rep_pos = apply_right_inverse(Polynomial.constant(1, 1), a=1)
     closed = 1.0 - 2.0 * math.exp(-0.5) / (1.0 + math.exp(-1.0))
 
-    rule = gauss_hermite_rule(40)
-    pair = sum(w * math.cos(t) for t, w in zip(rule.nodes, rule.weights))
-    cos_sq = sum(w * math.cos(t) ** 2 for t, w in zip(rule.nodes, rule.weights))
-    mass = sum(rule.weights)
+    mass, pair, cos_sq = integrate_gaussian(
+        lambda x: np.stack([np.ones(len(x)), np.cos(x[:, 0]), np.cos(x[:, 0]) ** 2], axis=1),
+        WeightSpec.unit(1),
+        40,
+    )
     quad = 1.0 - pair * pair / (mass * cos_sq)
 
     rep_neg = apply_right_inverse(Polynomial.constant(1, 1), a=-1)

@@ -1,8 +1,11 @@
 """Weighted-space engine: conversions, exact integrals, quadrature, moments."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +15,12 @@ from gauss_rinv.hermite import (
     HermiteExpansion,
     UnitMismatchError,
     WeightSpec,
-    gauss_hermite_rule,
     hermite_polynomial_1d,
     inner_product,
     integrate_gaussian,
     monomial_to_hermite,
     norm_sq,
+    tensor_rule,
 )
 from gauss_rinv.polynomials import DimensionMismatchError, Polynomial
 from gauss_rinv.rightinverse import KernelFunction
@@ -130,7 +133,7 @@ def test_inner_product_matches_quadrature(p, q):
     w = WeightSpec.unit(p.dim)
     exact = inner_product(p, q, w).to_float()
     quad = integrate_gaussian(
-        lambda pt: float(p.evaluate(pt)) * float(q.evaluate(pt)), w, order=12
+        lambda x: np.array([float(p.evaluate(pt)) * float(q.evaluate(pt)) for pt in x]), w, order=12
     )
     assert quad == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
@@ -141,7 +144,7 @@ def test_inner_product_scaled_weight_matches_quadrature():
     q = Polynomial(2, {(1, 1): Fraction(2), (0, 2): Fraction(1, 5)})
     exact = inner_product(p, q, w).to_float()
     quad = integrate_gaussian(
-        lambda pt: float(p.evaluate(pt)) * float(q.evaluate(pt)), w, order=16
+        lambda x: np.array([float(p.evaluate(pt)) * float(q.evaluate(pt)) for pt in x]), w, order=16
     )
     assert quad == pytest.approx(exact, rel=1e-10)
 
@@ -171,46 +174,88 @@ class TestGaussianScalar:
         assert s.to_float() == pytest.approx(SQRT_PI / 2)
 
 
+UNIT = WeightSpec.unit(1)
+SCALED = WeightSpec(dim=1, lam=Fraction(2), center=(Fraction(1, 2),))
+
+
+def gauss_rule(order: int, w: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes integrate_gaussian evaluates at, and the weight each gets
+    (the integral of the indicator of that node)."""
+    seen = []
+    weights = integrate_gaussian(lambda x: seen.append(x[:, 0]) or np.eye(len(x)), w, order)
+    return seen[0], weights
+
+
 class TestQuadrature:
+    """Gauss-Hermite quadrature through integrate_gaussian, on the unit
+    weight and on e^{-2 (x - 1/2)^2}: nodes c + t / sqrt(lam), weights
+    scaled by lam^{-1/2}, for the reference nodes t and weights."""
+
     def test_order_one(self):
-        rule = gauss_hermite_rule(1)
-        assert rule.nodes == (0.0,)
-        assert rule.weights[0] == pytest.approx(SQRT_PI, rel=1e-15)
+        for w in (UNIT, SCALED):
+            nodes, weights = gauss_rule(1, w)
+            assert nodes.tolist() == [float(w.center[0])]
+            assert weights[0] == pytest.approx(math.sqrt(math.pi / w.lam), rel=1e-15)
 
     def test_order_two(self):
-        rule = gauss_hermite_rule(2)
-        assert sorted(rule.nodes) == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)])
-        for w in rule.weights:
-            assert w == pytest.approx(SQRT_PI / 2, rel=1e-14)
+        for w in (UNIT, SCALED):
+            nodes, weights = gauss_rule(2, w)
+            half = 1 / math.sqrt(2 * w.lam)
+            c = float(w.center[0])
+            assert sorted(nodes) == pytest.approx([c - half, c + half])
+            for v in weights:
+                assert v == pytest.approx(math.sqrt(math.pi / w.lam) / 2, rel=1e-14)
 
     def test_moment_by_order_three(self):
-        rule = gauss_hermite_rule(3)
-        val = sum(w * t**4 for t, w in zip(rule.nodes, rule.weights))
-        assert val == pytest.approx(3 * SQRT_PI / 4, rel=1e-12)
+        for w in (UNIT, SCALED):
+            c = float(w.center[0])
+            val = integrate_gaussian(lambda x: (x[:, 0] - c) ** 4, w, 3)
+            assert val == pytest.approx(3 * SQRT_PI / 4 * float(w.lam) ** -2.5, rel=1e-12)
 
     @pytest.mark.parametrize("order", [5, 13, 40])
     def test_degree_exactness(self, order):
-        """Exact for polynomial degree <= 2m-1 against e^{-t^2}."""
-        rule = gauss_hermite_rule(order)
-        for degree in range(0, 2 * order, 2):
-            if degree > 24:
-                break
-            exact = norm_sq(
-                Polynomial(1, {(degree // 2,): 1}), WeightSpec.unit(1)
-            ).to_float()
-            quad = sum(w * t**degree for t, w in zip(rule.nodes, rule.weights))
-            assert quad == pytest.approx(exact, rel=1e-12)
+        """Exact for polynomial degree <= 2m-1 against either weight."""
+        for w in (UNIT, SCALED):
+            for degree in range(0, 2 * order, 2):
+                if degree > 24:
+                    break
+                exact = norm_sq(Polynomial(1, {(degree // 2,): 1}), w).to_float()
+                quad = integrate_gaussian(lambda x: x[:, 0] ** degree, w, order)
+                assert quad == pytest.approx(exact, rel=1e-12)
 
     def test_nodes_are_roots(self):
-        rule = gauss_hermite_rule(12)
         h12 = hermite_polynomial_1d(12)
         scale = float(max(abs(c) for c in h12.terms.values()))
-        for t in rule.nodes:
-            assert abs(float(h12.evaluate([t]))) <= 1e-9 * scale
+        for w in (UNIT, SCALED):
+            nodes, _ = gauss_rule(12, w)
+            for x in nodes:
+                t = math.sqrt(w.lam) * (x - float(w.center[0]))
+                assert abs(float(h12.evaluate([t]))) <= 1e-9 * scale
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            gauss_hermite_rule(0)
+            integrate_gaussian(lambda x: x[:, 0], UNIT, 0)
+
+    def test_array_integrand_gives_every_component(self):
+        """An (m, k) integrand gives the k integrals of its columns."""
+        w = WeightSpec(dim=2, lam=Fraction(3, 2), center=(Fraction(1), Fraction(-1, 2)))
+        columns = [lambda x: np.ones(len(x)), lambda x: x[:, 0] * x[:, 1], lambda x: np.cos(x[:, 1])]
+        both = integrate_gaussian(lambda x: np.stack([c(x) for c in columns], axis=1), w, 16)
+        assert both.shape == (3,)
+        assert both.tolist() == [integrate_gaussian(c, w, 16) for c in columns]
+        assert both[0] == pytest.approx(math.pi / 1.5, rel=1e-14)
+
+    def test_tensor_rule_last_axis_fastest(self):
+        points, weights = tensor_rule(np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 2)
+        assert points.tolist() == [[-1.0, -1.0], [-1.0, 2.0], [2.0, -1.0], [2.0, 2.0]]
+        assert weights.tolist() == [9.0, 15.0, 15.0, 25.0]
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    """The quadrature rules are looked up at call time."""
+    code = "import sys, gauss_rinv; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def plane_wave_moment(p: Polynomial, k, kind: str) -> float:
@@ -250,7 +295,7 @@ class TestGaussianMoment:
         }[kind]
         closed = plane_wave_moment(p, k, kind)
         quad = integrate_gaussian(
-            lambda pt: float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]),
+            lambda x: np.array([float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]) for pt in x]),
             WeightSpec.unit(2),
             order=40,
         )
@@ -267,7 +312,7 @@ class TestGaussianMoment:
         k = [0.8, -0.5]
         factor = {"cos": math.cos, "sin": math.sin, "exp": math.exp}[kind]
         quad = integrate_gaussian(
-            lambda pt: float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]),
+            lambda x: np.array([float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]) for pt in x]),
             WeightSpec.unit(2),
             order=40,
         )
