@@ -137,18 +137,6 @@ class CheckReport:
     passed: bool
     parts: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "identity": self.identity,
-            "lhs": self.lhs.to_json_dict(),
-            "rhs": self.rhs.to_json_dict(),
-            "relation": self.relation,
-            "pass": self.passed,
-        }
-        if self.parts:
-            d["parts"] = {k: v.to_json_dict() for k, v in self.parts.items()}
-        return d
-
 
 def check_commutator_pairing(psi: Polynomial) -> CheckReport:
     """<psi, commutator(psi)>_w = 8n||psi||^2_w + 8||grad psi||^2_w,

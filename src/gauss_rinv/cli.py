@@ -1,6 +1,11 @@
-"""Batch front-end: argument validation, subcommand dispatch, JSON reporting.
+"""Batch front-end: one runner per subcommand, deterministic JSON reports.
 
 Subcommands: solve | verify | opnorm | bounded | counterexample | suite.
+Each subparser names its runner (``set_defaults(run=...)``).  A runner
+validates its own arguments, calls the library once and returns the spec
+echo (the arguments it read, as read), the results and the verdict.  The
+solve, bounded and counterexample verdicts are the ``passed`` properties
+of the reports they judge, which the suite's criteria read too.
 Reports are deterministic given the arguments (``--seed`` included, on
 ``verify`` and ``suite``): exact quantities serialize as rational strings,
 floats as Python's shortest round-trip repr, and timing goes to stderr so
@@ -16,7 +21,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,47 +66,6 @@ def _rational_field(value, location: str) -> Fraction:
         raise SpecValidationError(location, f"invalid rational {value!r} ({exc})")
 
 
-@dataclass
-class ProblemSpec:
-    """Validated problem description echoed into every report."""
-
-    dimension: int
-    a: Fraction = Fraction(0)
-    lam: Fraction = Fraction(1)
-    center: tuple[Fraction, ...] = ()
-    f_label: str = "const:1"
-    truncation: int | None = None
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise SpecValidationError("dimension", f"must be >= 1, got {self.dimension}")
-        if self.lam <= 0:
-            raise SpecValidationError("weight.lambda", f"must be positive, got {self.lam}")
-        if not self.center:
-            self.center = (Fraction(0),) * self.dimension
-        if len(self.center) != self.dimension:
-            raise SpecValidationError(
-                "weight.center", f"length {len(self.center)} != dimension {self.dimension}"
-            )
-        if self.truncation is not None and self.truncation < 0:
-            raise SpecValidationError("truncation", "must be >= 0")
-
-    def weight(self) -> WeightSpec:
-        return WeightSpec(dim=self.dimension, lam=self.lam, center=self.center)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "a": format_rational(self.a),
-            "weight": {
-                "lambda": format_rational(self.lam),
-                "center": [format_rational(c) for c in self.center],
-            },
-            "f": self.f_label,
-            "truncation": self.truncation,
-        }
-
-
 def load_polynomial(arg: str, dimension: int) -> Polynomial:
     """Resolve --f arguments: 'const:<rational>' or a polynomial JSON path."""
     if arg.startswith("const:"):
@@ -123,60 +86,6 @@ def _read_json(path: str):
         raise SpecValidationError("f", f"cannot read {path!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise SpecValidationError("f", f"malformed JSON in {path!r}: {exc}")
-
-
-# ----------------------------------------------------------------------
-# subcommand runners (each returns a results dict plus pass verdict)
-# ----------------------------------------------------------------------
-
-
-def _run_solve(spec: ProblemSpec, f: Polynomial) -> tuple[dict, bool]:
-    report = apply_right_inverse(f, spec.a, weight=spec.weight())
-    passed = report.residual_exact and report.bound_satisfied
-    return {"solve": report.to_json_dict()}, passed
-
-
-def _run_opnorm(spec: ProblemSpec) -> tuple[dict, bool]:
-    degree = spec.truncation if spec.truncation is not None else 8
-    value = operator_norm(spec.dimension, spec.a, degree)
-    target = 1.0 / math.sqrt(8.0 * spec.dimension)
-    # The norm is a float singular value: allow 1e-12 relative.
-    passed = value <= target * (1 + 1e-12)
-    return {
-        "opnorm": {
-            "dim": spec.dimension,
-            "a": format_rational(spec.a),
-            "degree": degree,
-            "value": value,
-            "reference_bound": target,
-        }
-    }, passed
-
-
-def _run_bounded(
-    spec: ProblemSpec,
-    box: BoxDomain,
-    f: SampledFunction,
-    quad_tol: float,
-) -> tuple[dict, bool]:
-    degree = spec.truncation if spec.truncation is not None else 30
-    report = solve_bounded(
-        box, f, a=spec.a, truncation=degree, quad_tol=quad_tol
-    )
-    passed = report.bound_satisfied and report.bessel_holds and report.residual_exact
-    return {"bounded": report.to_json_dict()}, passed
-
-
-def _run_counterexample(r_max: float, c1: Fraction, c2: Fraction) -> tuple[dict, bool]:
-    report = counterexample_report(r_max, c1, c2)
-    passed = (
-        report.u1_closed == report.u1_integral
-        and report.closed_vs_integral_max_rel <= 1e-12
-        and report.second_derivative_max_rel <= report.second_derivative_tol
-        and report.strictly_increasing
-        and report.weighted_finite
-    )
-    return {"counterexample": report.to_json_dict()}, passed
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +145,7 @@ def run_suite(
         n = 1 + i % 3
         f = random_polynomial(rng, n, max_degree=8, max_terms=10, nonzero=True)
         rep = solve_min_norm(f)
-        margin = rep.bound - rep.ratio
-        dominated = dominated and margin >= 0 and rep.residual_exact
+        dominated = dominated and rep.passed
         if rep.ratio == rep.bound and f.total_degree() > 0:
             equality_only_const = False
         worst = max(worst, rep.ratio * Fraction(8 * n))
@@ -308,15 +216,14 @@ def run_suite(
     rep_b = solve_bounded(box, SampledFunction.constant(box, 1.0), a=0, truncation=30, quad_tol=1e-10)
     record(
         "bounded-domain",
-        rep_b.bound_satisfied and rep_b.bessel_holds and rep_b.residual_exact,
+        rep_b.passed,
         norm_u_l2=rep_b.norm_u_l2,
         bound_value=rep_b.bound_value,
         projection_defect_rel=rep_b.projection_defect_rel,
     )
 
     # counterexample
-    _, passed_ce = _run_counterexample(1000.0, Fraction(0), Fraction(0))
-    record("counterexample", passed_ce)
+    record("counterexample", counterexample_report(1000.0, 0, 0).passed)
 
     # embeddings
     emb_const = embedding_check(Polynomial.constant(1, 1))
@@ -339,7 +246,126 @@ def run_suite(
 
 
 # ----------------------------------------------------------------------
-# argument parsing and dispatch
+# subcommand runners: each validates its arguments, calls the library once
+# and returns (spec echo, results, verdict)
+# ----------------------------------------------------------------------
+
+
+def _at_least(minimum: int, location: str, value: int) -> None:
+    if value < minimum:
+        raise SpecValidationError(location, f"must be >= {minimum}, got {value}")
+
+
+def _counts_at_least_one(args, *names: str) -> None:
+    for name in names:
+        _at_least(1, "--" + name.replace("_", "-"), getattr(args, name))
+
+
+def _solve(args) -> tuple[dict, dict, bool]:
+    _at_least(1, "dimension", args.dim)
+    a = _rational_field(args.a, "a")
+    lam = _rational_field(args.lam, "weight.lambda")
+    if lam <= 0:
+        raise SpecValidationError("weight.lambda", f"must be positive, got {lam}")
+    center = (
+        tuple(_rational_field(v, "weight.center") for v in args.center.split(","))
+        if args.center
+        else (Fraction(0),) * args.dim
+    )
+    if len(center) != args.dim:
+        raise SpecValidationError("weight.center", f"length {len(center)} != dimension {args.dim}")
+    f = load_polynomial(args.f, args.dim)
+    if f.dim != args.dim:
+        raise SpecValidationError("f", f"dimension {f.dim} != --dim {args.dim}")
+    report = apply_right_inverse(f, a, weight=WeightSpec(dim=args.dim, lam=lam, center=center))
+    spec = {"dimension": args.dim, "a": a, "weight": {"lambda": lam, "center": list(center)}, "f": args.f}
+    return spec, {"solve": report.to_json_dict()}, report.passed
+
+
+def _verify(args) -> tuple[dict, list, bool]:
+    _counts_at_least_one(args, "cases", "weight_cases")
+    spec = {"seed": args.seed, "cases_per_identity": args.cases, "weight_cases": args.weight_cases}
+    results = run_identity_battery(
+        seed=args.seed, cases_per_identity=args.cases, weight_cases=args.weight_cases
+    )
+    return spec, results, all(c["pass"] for c in results)
+
+
+def _opnorm(args) -> tuple[dict, dict, bool]:
+    _at_least(1, "dimension", args.dim)
+    a = _rational_field(args.a, "a")
+    _at_least(0, "--degree", args.degree)
+    value = operator_norm(args.dim, a, args.degree)
+    target = 1.0 / math.sqrt(8.0 * args.dim)
+    spec = {"dimension": args.dim, "a": a, "degree": args.degree}
+    results = {"dim": args.dim, "a": a, "degree": args.degree, "value": value, "reference_bound": target}
+    # The norm is a float singular value: allow 1e-12 relative.
+    return spec, {"opnorm": results}, value <= target * (1 + 1e-12)
+
+
+def _load_bounded_f(arg: str, box: BoxDomain) -> SampledFunction:
+    if arg.startswith("const:"):
+        value = _rational_field(arg[len("const:") :], "f.const")
+        return SampledFunction.constant(box, float(value))
+    if arg.startswith("poly:"):
+        poly = load_polynomial(arg[len("poly:") :], box.dim)
+        if poly.dim != box.dim:
+            raise SpecValidationError("f", f"polynomial dimension {poly.dim} != box dimension {box.dim}")
+        return SampledFunction.from_polynomial(poly, box)
+    if arg.startswith("expr-grid:"):
+        path = arg[len("expr-grid:") :]
+        data = _read_json(path)
+        if not isinstance(data, dict) or "shape" not in data or "values" not in data:
+            raise SpecValidationError("f", f"grid file {path!r} needs an object with 'shape' and 'values'")
+        try:
+            return SampledFunction.from_grid(box, data["shape"], data["values"])
+        except (TypeError, ValueError) as exc:
+            raise SpecValidationError("f", f"invalid grid in {path!r}: {exc}")
+    raise SpecValidationError("f", f"unrecognized data descriptor {arg!r}")
+
+
+def _bounded(args) -> tuple[dict, dict, bool]:
+    try:
+        box = BoxDomain.from_string(args.box)
+    except (ValueError, IndexError) as exc:
+        raise SpecValidationError("box", f"cannot parse {args.box!r}: {exc}")
+    a = _rational_field(args.a, "a")
+    _at_least(0, "--degree", args.degree)
+    f = _load_bounded_f(args.f, box)
+    report = solve_bounded(box, f, a=a, truncation=args.degree, quad_tol=args.quad_tol)
+    spec = {"box": args.box, "a": a, "f": args.f, "degree": args.degree}
+    return spec, {"bounded": report.to_json_dict()}, report.passed
+
+
+def _counterexample(args) -> tuple[dict, dict, bool]:
+    c1 = _rational_field(args.c1, "c1")
+    c2 = _rational_field(args.c2, "c2")
+    if args.R < 1.0:
+        raise SpecValidationError("R", f"must be >= 1, got {args.R}")
+    report = counterexample_report(args.R, c1, c2)
+    spec = {"R": args.R, "c1": c1, "c2": c2}
+    return spec, {"counterexample": report.to_json_dict()}, report.passed
+
+
+def _suite(args) -> tuple[dict, dict, bool]:
+    _counts_at_least_one(args, "cases", "weight_cases", "bound_cases")
+    spec = {
+        "seed": args.seed,
+        "cases_per_identity": args.cases,
+        "weight_cases": args.weight_cases,
+        "bound_cases": args.bound_cases,
+    }
+    results, passed = run_suite(
+        seed=args.seed,
+        cases_per_identity=args.cases,
+        weight_cases=args.weight_cases,
+        bound_cases=args.bound_cases,
+    )
+    return spec, {"criteria": results}, passed
+
+
+# ----------------------------------------------------------------------
+# argument parsing
 # ----------------------------------------------------------------------
 
 
@@ -364,13 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--lambda", dest="lam", default="1", help="rational weight scale")
     p_solve.add_argument("--center", default="", help="comma-separated rational weight center")
     p_solve.add_argument("--f", required=True, help="const:<rational> or polynomial JSON path")
+    p_solve.set_defaults(run=_solve)
 
-    sub.add_parser("verify", parents=[common, corpus], help="run the exact identity corpus")
+    p_verify = sub.add_parser("verify", parents=[common, corpus], help="run the exact identity corpus")
+    p_verify.set_defaults(run=_verify)
 
     p_opnorm = sub.add_parser("opnorm", parents=[common], help="1/sigma_min of the truncated lap + a")
     p_opnorm.add_argument("--dim", type=int, required=True)
     p_opnorm.add_argument("--a", default="0")
     p_opnorm.add_argument("--degree", type=int, default=8)
+    p_opnorm.set_defaults(run=_opnorm)
 
     p_bounded = sub.add_parser("bounded", parents=[common], help="bounded-domain solve with the diameter constant")
     p_bounded.add_argument("--box", required=True, help="'lo1,hi1;lo2,hi2;...'")
@@ -378,44 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounded.add_argument("--a", default="0")
     p_bounded.add_argument("--degree", type=int, default=30)
     p_bounded.add_argument("--quad-tol", type=float, default=1e-10)
+    p_bounded.set_defaults(run=_bounded)
 
     p_ce = sub.add_parser("counterexample", parents=[common], help="unweighted-L2 failure demonstration")
     p_ce.add_argument("--R", type=float, default=1000.0)
     p_ce.add_argument("--c1", default="0")
     p_ce.add_argument("--c2", default="0")
+    p_ce.set_defaults(run=_counterexample)
 
     p_suite = sub.add_parser("suite", parents=[common, corpus], help="full acceptance battery, one command")
     p_suite.add_argument("--bound-cases", type=int, default=100)
+    p_suite.set_defaults(run=_suite)
 
     return parser
-
-
-def _load_bounded_f(arg: str, box: BoxDomain) -> SampledFunction:
-    if arg.startswith("const:"):
-        value = _rational_field(arg[len("const:") :], "f.const")
-        return SampledFunction.constant(box, float(value))
-    if arg.startswith("poly:"):
-        poly = load_polynomial(arg[len("poly:") :], box.dim)
-        if poly.dim != box.dim:
-            raise SpecValidationError("f", f"polynomial dimension {poly.dim} != box dimension {box.dim}")
-        return SampledFunction.from_polynomial(poly, box)
-    if arg.startswith("expr-grid:"):
-        path = arg[len("expr-grid:") :]
-        data = _read_json(path)
-        if not isinstance(data, dict) or "shape" not in data or "values" not in data:
-            raise SpecValidationError("f", f"grid file {path!r} needs an object with 'shape' and 'values'")
-        try:
-            return SampledFunction.from_grid(box, data["shape"], data["values"])
-        except (TypeError, ValueError) as exc:
-            raise SpecValidationError("f", f"invalid grid in {path!r}: {exc}")
-    raise SpecValidationError("f", f"unrecognized data descriptor {arg!r}")
-
-
-def _at_least_one(args, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value < 1:
-            raise SpecValidationError("--" + name.replace("_", "-"), f"must be >= 1, got {value}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -427,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        spec, results, passed = _dispatch(args)
+        spec, results, passed = args.run(args)
     except SpecValidationError as exc:
         sys.stderr.write(f"spec error at {exc}\n")
         return EXIT_SPEC
@@ -454,86 +458,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     elapsed = time.perf_counter() - started
     sys.stderr.write(f"gauss-rinv {args.command}: {'pass' if passed else 'FAIL'} ({elapsed:.2f}s)\n")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _dispatch(args) -> tuple[dict, dict | list, bool]:
-    if args.command == "solve":
-        center = (
-            tuple(_rational_field(v, "weight.center") for v in args.center.split(","))
-            if args.center
-            else ()
-        )
-        spec = ProblemSpec(
-            dimension=args.dim,
-            a=_rational_field(args.a, "a"),
-            lam=_rational_field(args.lam, "weight.lambda"),
-            center=center,
-            f_label=args.f,
-        )
-        f = load_polynomial(args.f, spec.dimension)
-        if f.dim != spec.dimension:
-            raise SpecValidationError("f", f"dimension {f.dim} != --dim {spec.dimension}")
-        results, passed = _run_solve(spec, f)
-        return spec.to_json_dict(), results, passed
-
-    if args.command == "verify":
-        _at_least_one(args, "cases", "weight_cases")
-        spec_echo = {
-            "seed": args.seed,
-            "cases_per_identity": args.cases,
-            "weight_cases": args.weight_cases,
-        }
-        results = run_identity_battery(
-            seed=args.seed, cases_per_identity=args.cases, weight_cases=args.weight_cases
-        )
-        return spec_echo, results, all(c["pass"] for c in results)
-
-    if args.command == "opnorm":
-        spec = ProblemSpec(dimension=args.dim, a=_rational_field(args.a, "a"), truncation=args.degree)
-        results, passed = _run_opnorm(spec)
-        return spec.to_json_dict(), results, passed
-
-    if args.command == "bounded":
-        try:
-            box = BoxDomain.from_string(args.box)
-        except (ValueError, IndexError) as exc:
-            raise SpecValidationError("box", f"cannot parse {args.box!r}: {exc}")
-        spec = ProblemSpec(
-            dimension=box.dim,
-            a=_rational_field(args.a, "a"),
-            f_label=args.f,
-            truncation=args.degree,
-        )
-        f = _load_bounded_f(args.f, box)
-        results, passed = _run_bounded(spec, box, f, args.quad_tol)
-        return spec.to_json_dict(), results, passed
-
-    if args.command == "counterexample":
-        c1 = _rational_field(args.c1, "c1")
-        c2 = _rational_field(args.c2, "c2")
-        if args.R < 1.0:
-            raise SpecValidationError("R", f"must be >= 1, got {args.R}")
-        spec_echo = {"R": args.R, "c1": format_rational(c1), "c2": format_rational(c2)}
-        results, passed = _run_counterexample(args.R, c1, c2)
-        return spec_echo, results, passed
-
-    if args.command == "suite":
-        _at_least_one(args, "cases", "weight_cases", "bound_cases")
-        spec_echo = {
-            "seed": args.seed,
-            "cases_per_identity": args.cases,
-            "weight_cases": args.weight_cases,
-            "bound_cases": args.bound_cases,
-        }
-        results, passed = run_suite(
-            seed=args.seed,
-            cases_per_identity=args.cases,
-            weight_cases=args.weight_cases,
-            bound_cases=args.bound_cases,
-        )
-        return spec_echo, {"criteria": results}, passed
-
-    raise SpecValidationError("command", f"unknown subcommand {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -54,6 +54,10 @@ SAMPLE_POINTS = 50
 # relative, and a 0.1 % error in the x ln x coefficient reads 1e-3.
 SECOND_DIFFERENCE_STEP = 1e-3
 SECOND_DIFFERENCE_TOL = 1e-6
+# Relative distance allowed between the closed form and the 64-point
+# Gauss-Legendre double integral: on [1, 20] both are smooth, so they
+# agree to rounding.
+CLOSED_FORM_TOL = 1e-12
 # One panel of a bounded solve holds C(N+n, n) * PANEL_ORDER^n orthonormal
 # Hermite values (8 bytes each); 2-D at N = 30 holds 71,424, 3-D at N = 30
 # would hold 9.4 million.
@@ -325,6 +329,11 @@ class BoundedSolveReport:
     bessel_tol: float
     quad_tol: float
 
+    @property
+    def passed(self) -> bool:
+        """The bounded-solve verdict: the diameter bound, Bessel and the exact residual."""
+        return self.bound_satisfied and self.bessel_holds and self.residual_exact
+
     def to_json_dict(self) -> dict:
         return {
             "box": self.box.to_json_dict(),
@@ -575,6 +584,19 @@ class CounterexampleReport:
     weighted_integral: float
     weighted_tail_bound: float
     weighted_finite: bool
+
+    @property
+    def passed(self) -> bool:
+        """The counterexample verdict: both routes to u agree (exactly at x = 1,
+        within CLOSED_FORM_TOL elsewhere), u'' is the source, the unweighted
+        square integral grows and the weighted one is finite."""
+        return (
+            self.u1_closed == self.u1_integral
+            and self.closed_vs_integral_max_rel <= CLOSED_FORM_TOL
+            and self.second_derivative_max_rel <= self.second_derivative_tol
+            and self.strictly_increasing
+            and self.weighted_finite
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +64,22 @@ from .polynomials import (
 
 class GramConditionError(ArithmeticError):
     """Enrichment Gram system too ill-conditioned to trust."""
+
+
+class InputLimitError(ValueError):
+    """An input is larger than the stated limits."""
+
+
+def _shift_float(a: Fraction) -> float:
+    """float(a), or InputLimitError naming a when |a| is above the float range."""
+    try:
+        return float(a)
+    except OverflowError:
+        digits = math.log10(abs(a.numerator)) - math.log10(a.denominator)
+        raise InputLimitError(
+            f"a: |a| = 10^{digits:.2f} is above the float range "
+            f"(sys.float_info.max = {sys.float_info.max!r})"
+        ) from None
 
 
 def multi_indices_up_to(dim: int, degree: int) -> list[MultiIndex]:
@@ -241,20 +258,20 @@ def harmonic_polynomial_basis(dim: int, max_degree: int) -> list[Polynomial]:
 
 
 def kernel_basis(a: RationalLike, dim: int) -> list[KernelFunction]:
-    """Plane-wave kernel elements of lap + a (a != 0) along the default directions."""
+    """Plane-wave kernel elements of lap + a (a != 0) along the default
+    directions; InputLimitError for an |a| above the float range."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("plane-wave kernel basis requires a != 0")
+    speed = math.sqrt(abs(_shift_float(a)))
     dirs = default_directions(dim)
     out: list[KernelFunction] = []
     if a > 0:
-        speed = math.sqrt(float(a))
         for d in dirs:
             k = tuple(speed * v for v in d)
             out.append(KernelFunction(kind="cos", wavevector=k))
             out.append(KernelFunction(kind="sin", wavevector=k))
     else:
-        speed = math.sqrt(-float(a))
         for d in dirs:
             k = tuple(speed * v for v in d)
             out.append(KernelFunction(kind="exp", wavevector=k))
@@ -294,6 +311,11 @@ class SolveReport:
     bound_satisfied: bool = False
     enrichment: str = "none"
     gram_condition: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        """The solve verdict: exact residual and the ratio within the bound."""
+        return self.residual_exact and self.bound_satisfied
 
     def solution_polynomial(self) -> Polynomial:
         """Exact polynomial part of the solution."""
@@ -492,6 +514,11 @@ def solve_min_norm(
 # ----------------------------------------------------------------------
 
 GRAM_CONDITION_LIMIT = 1e12
+# Largest |k|^2 defect of a plane wave, relative to |a|.  Rounding of the
+# float wavevector (sqrt |a|, the direction, their product, the square and
+# the dim-term sum) keeps |k|^2 within about (dim + 6) eps |a| of |a|,
+# 2e-15 |a| for dim <= 3; a wrong wavevector misses by far more.
+ANNIHILATION_TOL = 1e-12
 
 
 def _kernel_gram(basis: Sequence[KernelFunction]) -> tuple[np.ndarray, float]:
@@ -500,14 +527,24 @@ def _kernel_gram(basis: Sequence[KernelFunction]) -> tuple[np.ndarray, float]:
     Product-to-sum turns each entry into a pairing with G_0 = 1:
     exp-exp is pi^{n/2} e^{|k+l|^2/4}; cos-cos and sin-sin are
     pi^{n/2} (e^{-|k-l|^2/4} +- e^{-|k+l|^2/4}) / 2; cos-sin is 0 (odd).
-    Raises GramConditionError above GRAM_CONDITION_LIMIT.
+    Raises GramConditionError above GRAM_CONDITION_LIMIT, or naming the
+    entry when an exp-exp entry overflows a float (|a| above about 709).
     """
     unit = math.pi ** (len(basis[0].wavevector) / 2.0)
 
     def entry(g: KernelFunction, h: KernelFunction) -> float:
         plus = sum((x + y) ** 2 for x, y in zip(g.wavevector, h.wavevector)) / 4.0
         if g.kind == h.kind == "exp":
-            return unit * math.exp(plus)
+            try:
+                value = unit * math.exp(plus)
+            except OverflowError:
+                value = math.inf
+            if math.isinf(value):
+                raise GramConditionError(
+                    f"kernel Gram entry <{g.describe()}, {h.describe()}> = "
+                    f"{unit:.6g} e^{plus:.6g} overflows a float"
+                )
+            return value
         if "exp" in (g.kind, h.kind):
             raise ValueError(f"unsupported kernel pair {g.kind}/{h.kind}")
         if g.kind != h.kind:
@@ -540,8 +577,11 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
     if not report.weight.is_unit:
         raise ValueError("kernel enrichment requires the unit weight")
     defect = max(g.annihilation_defect(report.a) for g in basis)
-    if not defect <= 1e-10:
-        raise ValueError(f"basis element not annihilated by lap + a (defect {defect})")
+    if not defect <= ANNIHILATION_TOL * abs(float(report.a)):
+        raise ValueError(
+            f"basis element not annihilated by lap + a (defect {defect}, "
+            f"above {ANNIHILATION_TOL} |a|)"
+        )
     gram, condition = _kernel_gram(basis)
     v = np.array([g.pair(report.solution) for g in basis], dtype=float)
     beta = np.linalg.solve(gram, v)
@@ -598,10 +638,6 @@ MAX_BLOCK_ENTRIES = 4_000_000
 # 3-D (4 s).
 MAX_TOTAL_ENTRIES = 20_000_000
 BLOCK_FLOOR_ENTRIES = 64
-
-
-class InputLimitError(ValueError):
-    """An input is larger than the stated limits."""
 
 
 def _blocks(dim: int, degree: int, shifted: bool):
@@ -680,14 +716,15 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
     Numerical Algorithms, ch. 8), where 1/sigma_min of B would be resolved
     only to an absolute size * eps * sigma_max.
 
-    Raises InputLimitError beyond ``check_operator_norm_limits``, and
+    Raises InputLimitError beyond ``check_operator_norm_limits`` or for
+    an |a| above the float range, and
     SingularMatrixError, naming the block, if an inverse entry or the norm
     is not a finite float (at once for an a != 0 whose float is 0).
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     a = Fraction(a)
-    shift = abs(float(a))
+    shift = abs(_shift_float(a))
     if a and not shift:
         raise SingularMatrixError(
             f"operator_norm: a = {a} rounds to the float 0.0; the inverse's entries 1/|a| overflow"

@@ -14,7 +14,6 @@ from gauss_rinv.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SPEC,
-    ProblemSpec,
     SpecValidationError,
     load_polynomial,
     main,
@@ -253,9 +252,10 @@ class TestCounterexampleCommand:
 
 
 class TestSchema:
-    def test_problem_spec_validation(self):
-        with pytest.raises(SpecValidationError):
-            ProblemSpec(dimension=0)
+    @pytest.mark.parametrize("argv", [["solve", "--f", "const:1"], ["opnorm"]], ids=["solve", "opnorm"])
+    def test_dimension_below_one_exits_2(self, argv, capsys):
+        assert main([*argv, "--dim", "0"]) == EXIT_SPEC
+        assert capsys.readouterr().err == "spec error at dimension: must be >= 1, got 0\n"
 
     def test_polynomial_from_json_rejects_bad_terms(self, tmp_path):
         for i, data in enumerate(
@@ -305,14 +305,37 @@ class TestRemovedSurface:
                 main([*argv, "--dim", "1", "--a", "1", "--enrich", policy])
             assert info.value.code == 2
             assert "unrecognized arguments: --enrich" in capsys.readouterr().err
-        with pytest.raises(TypeError):
-            ProblemSpec(dimension=1, enrichment="auto")
 
     def test_spec_echo_has_no_ignored_keys(self, tmp_path):
         _, report = run_cli("solve", "--dim", "1", "--f", "const:1", tmp_path=tmp_path)
         assert not {"seed", "quad_order", "threads", "enrichment"} & set(report["spec"])
         _, report = run_cli("verify", "--cases", "1", "--weight-cases", "1", tmp_path=tmp_path)
         assert set(report["spec"]) == {"seed", "cases_per_identity", "weight_cases"}
+
+
+class TestSpecEcho:
+    def test_each_subcommand_echoes_what_it_reads(self, tmp_path):
+        """The spec echo lists exactly the arguments each subcommand reads."""
+        cases = {
+            ("solve", "--dim", "1", "--f", "const:1"): {"dimension", "a", "weight", "f"},
+            ("verify", "--cases", "1", "--weight-cases", "1"): {"seed", "cases_per_identity", "weight_cases"},
+            ("opnorm", "--dim", "1"): {"dimension", "a", "degree"},
+            ("bounded", "--box=0,1", "--f", "const:1", "--degree", "4"): {"box", "a", "f", "degree"},
+            ("counterexample", "--R", "10"): {"R", "c1", "c2"},
+            ("suite", "--cases", "1", "--weight-cases", "1", "--bound-cases", "1"): {
+                "seed", "cases_per_identity", "weight_cases", "bound_cases",
+            },
+        }
+        for argv, keys in cases.items():
+            code, report = run_cli(*argv, tmp_path=tmp_path)
+            assert code == EXIT_OK, argv
+            assert set(report["spec"]) == keys, argv
+        _, report = run_cli(
+            "solve", "--dim", "2", "--lambda", "1/2", "--center", "1,2", "--f", "const:1", tmp_path=tmp_path
+        )
+        assert report["spec"]["weight"] == {"lambda": "1/2", "center": ["1", "2"]}
+        _, report = run_cli("bounded", "--box=0,1", "--f", "const:1", "--degree", "4", tmp_path=tmp_path)
+        assert report["spec"]["box"] == "0,1" and report["results"]["bounded"]["x0"] == [0.5]
 
 
 class TestBadInputExits2:
@@ -372,8 +395,36 @@ class TestNumericFailureExits3:
         assert "numeric failure: non-finite" in capsys.readouterr().err
 
 
+class TestLargeShifts:
+    """Shifts at the ends of the float range end with a report or a named stage."""
+
+    @pytest.mark.parametrize("dim", ["1", "2", "3"])
+    @pytest.mark.parametrize("a", ["1000000", "10000000"])
+    def test_large_shift_reports(self, tmp_path, dim, a):
+        code, report = run_cli("solve", "--dim", dim, "--a", a, "--f", "const:1", tmp_path=tmp_path)
+        assert code == EXIT_OK and report["results"]["solve"]["enrichment"].startswith("plane-waves")
+
+    def test_shift_above_float_range_exits_2(self, tmp_path, capsys):
+        top = str(int(sys.float_info.max))
+        code, report = run_cli("opnorm", "--dim", "1", "--a", top, tmp_path=tmp_path)
+        assert code == EXIT_OK and report["results"]["opnorm"]["value"] > 0
+        for argv in (["opnorm", "--dim", "1"], ["solve", "--dim", "1", "--f", "const:1"]):
+            capsys.readouterr()
+            assert main([*argv, "--a", str(10**400)]) == EXIT_SPEC
+            err = capsys.readouterr().err
+            assert err.startswith("spec error: a: |a| = 10^400.00 is above the float range")
+
+    def test_gram_overflow_exits_3_naming_the_entry(self, capsys):
+        assert main(["solve", "--dim", "1", "--a=-709", "--f", "const:1"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve", "--dim", "1", "--a=-800", "--f", "const:1"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: kernel Gram entry <exp(") and "overflows a float" in err
+
+
 class TestCountsBelowOne:
-    """A verdict over zero cases is no verdict: counts below 1 exit 2."""
+    """A verdict over zero cases is no verdict: counts below 1 exit 2, and
+    so does a degree below 0, at its flag."""
 
     @pytest.mark.parametrize(
         "argv, location",
@@ -382,6 +433,8 @@ class TestCountsBelowOne:
             (["verify", "--cases", "1", "--weight-cases", "0"], "--weight-cases"),
             (["suite", "--cases", "0", "--weight-cases", "0", "--bound-cases", "0"], "--cases"),
             (["suite", "--cases", "1", "--weight-cases", "1", "--bound-cases", "0"], "--bound-cases"),
+            (["opnorm", "--dim", "1", "--degree", "-1"], "--degree"),
+            (["bounded", "--box=-1,1", "--f", "const:1", "--degree", "-1"], "--degree"),
         ],
     )
     def test_rejected(self, argv, location, capsys):

@@ -1,5 +1,6 @@
 """Bounded-domain pipeline, embedding checks, and the counterexample."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -153,6 +154,13 @@ class TestSolveBounded:
         assert rep.residual_exact
         assert rep.bessel_holds and 0.0 < rep.projection_defect_rel < 1.0
         assert rep.weighted_ratio <= Fraction(1, 8)
+
+    @pytest.mark.parametrize("component", ["bound_satisfied", "bessel_holds", "residual_exact"])
+    def test_each_verdict_component_can_fail(self, component):
+        box = BoxDomain(((0.0, 1.0),))
+        rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=6)
+        assert rep.passed
+        assert not dataclasses.replace(rep, **{component: False}).passed
 
     def test_zero_data(self):
         box = BoxDomain(((-1.0, 1.0),))
@@ -354,3 +362,19 @@ class TestCounterexample:
     def test_r_below_one_rejected(self):
         with pytest.raises(ValueError):
             counterexample_report(0.5)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"u1_integral": Fraction(1, 6) + Fraction(1, 10**30)},
+            {"closed_vs_integral_max_rel": 2e-12},
+            {"second_derivative_max_rel": 2e-6},
+            {"strictly_increasing": False},
+            {"weighted_finite": False},
+        ],
+        ids=["u1", "closed-vs-integral", "second-derivative", "growth", "weighted"],
+    )
+    def test_each_verdict_part_can_fail(self, change):
+        report = counterexample_report(100.0)
+        assert report.passed
+        assert not dataclasses.replace(report, **change).passed

@@ -1,7 +1,9 @@
 """Minimal-norm solver, kernel enrichment, operator norm, scaled weights."""
 
+import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from gauss_rinv.hermite import (
 from gauss_rinv.linalg import SingularMatrixError
 from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import (
+    GramConditionError,
     InputLimitError,
     KernelFunction,
     apply_right_inverse,
@@ -180,6 +183,14 @@ class TestSolveMinNorm:
         assert (u.laplacian() - u.scale(2) - f).is_zero()
 
 
+class TestSolveVerdict:
+    @pytest.mark.parametrize("component", ["residual_exact", "bound_satisfied"])
+    def test_each_component_can_fail(self, component):
+        rep = solve_min_norm(one_2d)
+        assert rep.passed
+        assert not dataclasses.replace(rep, **{component: False}).passed
+
+
 class TestMinNormStructure:
     def test_kernel_orthogonality(self):
         """The a=0 solution is weighted-orthogonal to harmonic polynomials."""
@@ -294,6 +305,26 @@ class TestEnrichment:
         with pytest.raises(ValueError):
             enrich(rep, kernel_basis(2, 1))
 
+    @pytest.mark.parametrize("a", [1, 10**6])
+    def test_wavevector_off_by_relative_1e_6_raises(self, a):
+        """The tolerance is relative to |a| (rounding leaves 1.2e-10 absolute
+        at 2-D a = 10^6, see TestLargeShifts of test_cli), yet a wavevector
+        scaled by 1 + 1e-6 is still caught."""
+        scaled = [
+            dataclasses.replace(g, wavevector=tuple(v * (1 + 1e-6) for v in g.wavevector))
+            for g in kernel_basis(a, 2)
+        ]
+        with pytest.raises(ValueError, match="not annihilated by lap \\+ a"):
+            enrich(solve_min_norm(one_2d, a=a), scaled)
+
+    def test_gram_entry_overflow_both_sides(self):
+        """1-D a < 0: the exp-exp diagonal entry is pi^(1/2) e^|a|, a float up
+        to |a| = 709 and an overflow from 709.3 on."""
+        assert apply_right_inverse(one_1d, a=-709).passed
+        for a in (Fraction(-7093, 10), -710, -800):
+            with pytest.raises(GramConditionError, match=r"kernel Gram entry <exp\(.*\)> .* overflows a float"):
+                apply_right_inverse(one_1d, a=a)
+
     def test_gram_pairings_match_quadrature(self):
         g1 = KernelFunction(kind="cos", wavevector=(1.0,))
         g2 = KernelFunction(kind="sin", wavevector=(1.0,))
@@ -403,6 +434,16 @@ class TestOperatorNorm:
         assert math.isfinite(operator_norm(1, 1, 200))
         with pytest.raises(SingularMatrixError, match=r"operator_norm: the inverse of the 201 x 201 block"):
             operator_norm(1, 1, 400)
+
+    def test_shift_above_float_range(self):
+        """The largest float as an int is a shift; one beyond it is an input limit."""
+        top = int(sys.float_info.max)
+        assert 0 < operator_norm(1, top, 4) <= operator_norm(1, 0, 4)
+        for a in (top + 2**971, -(10**400)):
+            with pytest.raises(InputLimitError, match=r"a: \|a\| = 10\^.* is above the float range"):
+                operator_norm(1, a, 4)
+            with pytest.raises(InputLimitError, match="above the float range"):
+                kernel_basis(a, 1)
 
     def test_shift_below_float_range(self):
         """a = 10^-400 is not 0: its inverse has entries 1/a, no float."""
