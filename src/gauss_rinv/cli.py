@@ -256,6 +256,11 @@ def _at_least(minimum: int, location: str, value: int) -> None:
         raise SpecValidationError(location, f"must be >= {minimum}, got {value}")
 
 
+def _finite_at_least(minimum: float, location: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= minimum):
+        raise SpecValidationError(location, f"must be finite and >= {minimum:g}, got {value}")
+
+
 def _counts_at_least_one(args, *names: str) -> None:
     for name in names:
         _at_least(1, "--" + name.replace("_", "-"), getattr(args, name))
@@ -331,6 +336,7 @@ def _bounded(args) -> tuple[dict, dict, bool]:
         raise SpecValidationError("box", f"cannot parse {args.box!r}: {exc}")
     a = _rational_field(args.a, "a")
     _at_least(0, "--degree", args.degree)
+    _finite_at_least(0.0, "--quad-tol", args.quad_tol)
     f = _load_bounded_f(args.f, box)
     report = solve_bounded(box, f, a=a, truncation=args.degree, quad_tol=args.quad_tol)
     spec = {"box": args.box, "a": a, "f": args.f, "degree": args.degree}
@@ -340,8 +346,7 @@ def _bounded(args) -> tuple[dict, dict, bool]:
 def _counterexample(args) -> tuple[dict, dict, bool]:
     c1 = _rational_field(args.c1, "c1")
     c2 = _rational_field(args.c2, "c2")
-    if args.R < 1.0:
-        raise SpecValidationError("R", f"must be >= 1, got {args.R}")
+    _finite_at_least(1.0, "R", args.R)
     report = counterexample_report(args.R, c1, c2)
     spec = {"R": args.R, "c1": c1, "c2": c2}
     return spec, {"counterexample": report.to_json_dict()}, report.passed

@@ -417,7 +417,7 @@ def solve_bounded(
             f_coeffs[alpha] = Fraction(c)
     f_exp = HermiteExpansion(weight, f_coeffs)
 
-    u_exp = HermiteExpansion(weight, right_inverse_coeffs(f_exp.coeffs, n, a))
+    u_exp = right_inverse_coeffs(f_exp, a)
     residual_exact = shifted_laplacian(u_exp, a) == f_exp
 
     norm_u_w = u_exp.norm_sq()
@@ -439,8 +439,8 @@ def solve_bounded(
     defect = 1.0 - projected / norm_f_w_data if norm_f_w_data > 0 else 0.0
 
     # restriction norm of the solution, over its orthonormal coefficients
-    u_indices = sorted(u_exp.coeffs)
-    u_orth = np.array([float(u_exp.coeffs[alpha]) * basis_norm[alpha] for alpha in u_indices])
+    u_indices = sorted(u_exp.nums)
+    u_orth = np.array([u_exp.nums[alpha] / u_exp.den * basis_norm[alpha] for alpha in u_indices])
     norm_u_l2_sq = integrate_box(
         lambda x: (orthonormal_table(weight, u_indices, x) @ u_orth) ** 2, box, tol=quad_tol
     )

@@ -36,10 +36,12 @@ from .polynomials import (
     Polynomial,
     RationalLike,
     _as_fraction,
-    check_multi_index,
+    add_over,
     format_rational,
     over_common_denominator,
+    scale_over,
     tensor_expand,
+    validated_terms,
 )
 
 
@@ -262,7 +264,7 @@ def _parseval(products: list[tuple[MultiIndex, int]], den: int, lam: Fraction) -
 
 def hermite_polynomial_1d(k: int) -> Polynomial:
     """H_k as an exact one-dimensional Polynomial (physicists' convention)."""
-    return Polynomial._trusted(1, {(i,): Fraction(c) for i, c in _hermite_coeffs(k)})
+    return Polynomial._trusted(1, 1, {(i,): c for i, c in _hermite_coeffs(k)})
 
 
 # ----------------------------------------------------------------------
@@ -271,30 +273,43 @@ def hermite_polynomial_1d(k: int) -> Polynomial:
 
 
 class HermiteExpansion:
-    """Rational coefficients over the scaled tensor Hermite basis G_alpha."""
+    """Rational coefficients over the scaled tensor Hermite basis G_alpha.
 
-    __slots__ = ("weight", "coeffs")
+    Stored as Polynomial stores its terms (see the ``polynomials`` module
+    docstring): one positive int denominator ``den`` and the nonzero int
+    numerators ``nums``, with ``gcd(den, *nums.values()) == 1``.
+    ``coeffs``, the map of reduced Fractions in the key order of
+    ``nums``, is built on first read and cached.
+    """
+
+    __slots__ = ("weight", "den", "nums", "_coeffs")
 
     def __init__(self, weight: WeightSpec, coeffs: Mapping[MultiIndex, RationalLike]):
-        clean: dict[MultiIndex, Fraction] = {}
-        for key, val in coeffs.items():
-            k = check_multi_index(key, weight.dim)
-            c = _as_fraction(val)
-            if c != 0:
-                clean[k] = clean.get(k, Fraction(0)) + c
         self.weight = weight
-        self.coeffs = {k: v for k, v in clean.items() if v != 0}
+        self._coeffs = validated_terms(weight.dim, coeffs)
+        self.den, self.nums = over_common_denominator(self._coeffs)
 
     @classmethod
     def _trusted(
-        cls, weight: WeightSpec, coeffs: dict[MultiIndex, Fraction]
+        cls, weight: WeightSpec, den: int, nums: dict[MultiIndex, int]
     ) -> "HermiteExpansion":
-        """Wrap coefficients that already meet the Polynomial invariant for
-        ``weight.dim``, no zero included; the map is not copied."""
+        """Wrap a (den, nums) pair that already meets the Polynomial
+        invariant for ``weight.dim``; the map is not copied."""
         self = object.__new__(cls)
         self.weight = weight
-        self.coeffs = coeffs
+        self.den = den
+        self.nums = nums
+        self._coeffs = None
         return self
+
+    @property
+    def coeffs(self) -> dict[MultiIndex, Fraction]:
+        """Each multi-index and its reduced nonzero coefficient, in the key
+        order of ``nums``; built on first read."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = {key: Fraction(num, den) for key, num in self.nums.items()}
+        return self._coeffs
 
     @staticmethod
     def basis_norm_sq(alpha: MultiIndex, lam: Fraction) -> Fraction:
@@ -305,62 +320,54 @@ class HermiteExpansion:
         return r * lam ** (-sum(alpha))
 
     def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(a) for a in self.coeffs)
+        return max(map(sum, self.nums), default=-1)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermiteExpansion):
             return NotImplemented
-        return self.weight == other.weight and self.coeffs == other.coeffs
+        return self.weight == other.weight and self.den == other.den and self.nums == other.nums
 
     def __add__(self, other: "HermiteExpansion") -> "HermiteExpansion":
         if self.weight != other.weight:
             raise UnitMismatchError("expansions over different weights")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HermiteExpansion._trusted(self.weight, {k: v for k, v in out.items() if v})
+        return HermiteExpansion._trusted(
+            self.weight, *add_over((self.den, self.nums), (other.den, other.nums))
+        )
 
     def scale(self, factor: RationalLike) -> "HermiteExpansion":
-        f = _as_fraction(factor)
         return HermiteExpansion._trusted(
-            self.weight, {k: v * f for k, v in self.coeffs.items()} if f else {}
+            self.weight, *scale_over((self.den, self.nums), _as_fraction(factor))
         )
 
     def inner(self, other: "HermiteExpansion") -> GaussianScalar:
         """Exact weighted inner product via basis orthogonality (Parseval)."""
         if self.weight != other.weight:
             raise UnitMismatchError("expansions over different weights")
-        small, large = self.coeffs, other.coeffs
+        small, large = self.nums, other.nums
         if len(large) < len(small):
             small, large = large, small
-        den_s, nums_s = over_common_denominator(small)
-        den_l = 1
-        for d in large.values():
-            den_l = math.lcm(den_l, d.denominator)
         products = []
-        for alpha, num in nums_s:
+        for alpha, num in small.items():
             d = large.get(alpha)
             if d is not None:
-                products.append((alpha, num * d.numerator * (den_l // d.denominator)))
-        total = _parseval(products, den_s * den_l, self.weight.lam)
+                products.append((alpha, num * d))
+        total = _parseval(products, self.den * other.den, self.weight.lam)
         return GaussianScalar.for_weight(total, self.weight)
 
     def norm_sq(self) -> GaussianScalar:
-        den, nums = over_common_denominator(self.coeffs)
-        total = _parseval([(alpha, n * n) for alpha, n in nums], den * den, self.weight.lam)
+        products = [(alpha, n * n) for alpha, n in self.nums.items()]
+        total = _parseval(products, self.den * self.den, self.weight.lam)
         return GaussianScalar.for_weight(total, self.weight)
 
     def to_polynomial(self) -> Polynomial:
         """Exact inverse of monomial_to_hermite."""
         w = self.weight
         p, q = w.lam.numerator, w.lam.denominator
-        terms = tensor_expand(self.coeffs, lambda j, k: _scaled_hermite_row(k, p, q))
-        result = Polynomial._trusted(w.dim, terms)
+        den, nums = tensor_expand(self.den, self.nums, lambda j, k: _scaled_hermite_row(k, p, q))
+        result = Polynomial._trusted(w.dim, den, nums)
         if any(c != 0 for c in w.center):
             result = result.shift([-c for c in w.center])
         return result
@@ -387,8 +394,9 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
         )
     q = p.shift(weight.center) if any(c != 0 for c in weight.center) else p
     num, den = weight.lam.numerator, weight.lam.denominator
-    out = tensor_expand(q.terms, lambda j, m: _scaled_monomial_row(m, num, den))
-    return HermiteExpansion._trusted(weight, out)
+    return HermiteExpansion._trusted(
+        weight, *tensor_expand(q.den, q.nums, lambda j, m: _scaled_monomial_row(m, num, den))
+    )
 
 
 def inner_product(p: Polynomial, q: Polynomial, weight: WeightSpec) -> GaussianScalar:

@@ -1,24 +1,33 @@
 """Exact multivariate polynomial arithmetic and differential calculus.
 
 A polynomial in n variables is a finite map from exponent multi-indices
-(tuples of n non-negative ints) to rational coefficients (Fraction).  The
-zero polynomial stores no terms.  All operations are exact: no floating
-point enters at this layer, so polynomial identities can be tested by
-literal equality.  Products and the tensor expansions (``shift`` and the
-Hermite conversions) multiply and sum int numerators over one common
-denominator and reduce each result coefficient once.
+(tuples of n non-negative ints) to rational coefficients.  The zero
+polynomial stores no terms.  All operations are exact: no floating point
+enters at this layer, so polynomial identities can be tested by literal
+equality.
+
+Coefficients are stored on the layout of FLINT's ``fmpq_poly`` (Hart,
+ICMS 2010): one positive int denominator ``den`` and a dict ``nums`` of
+nonzero int numerators, the coefficient of ``key`` being
+``nums[key] / den``.  Sums, products, calculus and the tensor expansions
+(``shift`` and the Hermite conversions) run on these ints and divide out
+one ``gcd(den, *nums.values())`` at the end.  ``terms``, the map of
+reduced ``Fraction`` coefficients in the key order of ``nums``, is built
+on first read and cached.
 
 Canonical term order is graded lexicographic (total degree first, then
 lexicographic on the exponent tuple), used for serialization and repr.
 
-Invariant of every instance: ``terms`` has tuple-of-int keys of length
-``dim`` with no negative entry, and nonzero ``Fraction`` values.  Outside
-input goes through the validating ``Polynomial.__init__``, which coerces
-and checks each entry.  Ring and calculus operations build their results
-from operands that already meet the invariant, so they use the trusted
-``Polynomial._trusted``, which wraps the term map as it is.  Only sums
-(``+``, ``-``, ``laplacian``) and scaling by zero can produce zero
-coefficients; those operations drop them themselves.
+Invariant of every instance: ``den > 0``; ``nums`` has tuple-of-int keys
+of length ``dim`` with no negative entry and nonzero int values; and
+``gcd(den, *nums.values()) == 1``, so ``den`` is the lcm of the reduced
+coefficient denominators and equal polynomials have equal ``(den,
+nums)``.  Outside input goes through the validating
+``Polynomial.__init__``, which coerces and checks each entry and puts
+the coefficients over their lcm (``over_common_denominator``).  Ring and
+calculus operations build their results from operands that already meet
+the invariant: ``reduced`` drops their zero numerators and divides out
+the gcd, and the trusted ``Polynomial._trusted`` wraps the pair as it is.
 """
 
 from __future__ import annotations
@@ -33,6 +42,10 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 MultiIndex = tuple[int, ...]
 
 RationalLike = Union[int, Fraction, str]
+
+# Int numerators over one denominator: (den, {key: num}) stands for the
+# map key -> num / den.
+IntMap = tuple[int, dict]
 
 
 class DimensionMismatchError(ValueError):
@@ -83,20 +96,55 @@ def check_multi_index(exps: Iterable, dim: int) -> MultiIndex:
     return key
 
 
-def over_common_denominator(
-    terms: Mapping[MultiIndex, Fraction],
-) -> tuple[int, list[tuple[MultiIndex, int]]]:
-    """(den, [(key, num), ...]) with ``terms[key] == num / den`` for every
-    key, ``den`` the lcm of the denominators (1 for no terms)."""
-    den = 1
-    for c in terms.values():
-        den = math.lcm(den, c.denominator)
-    return den, [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
+def validated_terms(dim: int, terms: Mapping) -> dict[MultiIndex, Fraction]:
+    """An outside term map as nonzero Fractions: each key checked by
+    ``check_multi_index``, each value coerced, repeated keys summed."""
+    clean: dict[MultiIndex, Fraction] = {}
+    for exps, coef in terms.items():
+        key = check_multi_index(exps, dim)
+        c = _as_fraction(coef)
+        if c != 0:
+            clean[key] = clean.get(key, Fraction(0)) + c
+    return {k: v for k, v in clean.items() if v != 0}
 
 
-def reduce_over(nums: Mapping[MultiIndex, int], den: int) -> dict[MultiIndex, Fraction]:
-    """The nonzero ``num / den`` of an int numerator map, each reduced once."""
-    return {key: Fraction(num, den) for key, num in nums.items() if num}
+def over_common_denominator(terms: Mapping[MultiIndex, Fraction]) -> IntMap:
+    """(den, {key: num}) with ``terms[key] == num / den`` for every key,
+    ``den`` the lcm of the denominators (1 for no terms).  For reduced,
+    nonzero Fractions the pair meets the Polynomial invariant."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+
+
+def reduced(den: int, nums: dict) -> IntMap:
+    """(den, nums) with the zero numerators dropped and the gcd of den and
+    the numerators divided out."""
+    if 0 in nums.values():
+        nums = {key: num for key, num in nums.items() if num}
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {key: num // g for key, num in nums.items()}
+
+
+def add_over(a: IntMap, b: IntMap, sign: int = 1) -> IntMap:
+    """a + sign * b over the lcm of the two denominators, reduced."""
+    den_a, nums_a = a
+    den_b, nums_b = b
+    den = math.lcm(den_a, den_b)
+    scale_a, scale_b = den // den_a, sign * (den // den_b)
+    out = {key: num * scale_a for key, num in nums_a.items()}
+    for key, num in nums_b.items():
+        out[key] = out.get(key, 0) + num * scale_b
+    return reduced(den, out)
+
+
+def scale_over(a: IntMap, factor: Fraction) -> IntMap:
+    """factor * a: numerators times factor's numerator over den times its
+    denominator, reduced."""
+    p, q = factor.numerator, factor.denominator
+    den, nums = a
+    return reduced(den * q, {key: num * p for key, num in nums.items()})
 
 
 # A sparse 1-D image as ints over one denominator: (den, ((index, num), ...))
@@ -104,40 +152,38 @@ def reduce_over(nums: Mapping[MultiIndex, int], den: int) -> dict[MultiIndex, Fr
 IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def tensor_expand(
-    terms: Mapping[MultiIndex, Fraction],
-    row: Callable[[int, int], IntRow],
-) -> dict[MultiIndex, Fraction]:
-    """Expand every term one axis at a time: sum of coef * prod_j row(j, e_j).
+def tensor_expand(den: int, nums: Mapping[MultiIndex, int], row: Callable[[int, int], IntRow]) -> IntMap:
+    """Expand every term num / den * prod_j basis_{e_j} one axis at a time,
+    as the sum of num / den * prod_j row(j, e_j).
 
     ``row(j, e)`` is the sparse 1-D image of the e-th basis element on axis
     j, looked up once per (j, e) and call.  Each term's numerators are
-    multiplied as ints over the term's own denominator, rescaled to the
-    lcm of all of them and summed; each result coefficient is reduced
-    once.  The result meets the Polynomial invariant.
+    multiplied as ints over the product of its rows' denominators,
+    rescaled to the lcm of those products and summed; the result, over
+    den times that lcm, is reduced once.
     """
     table: dict[tuple[int, int], IntRow] = {}
     expanded = []
     common = 1
-    for exps, coef in terms.items():
-        den = coef.denominator
+    for exps, num in nums.items():
+        term_den = 1
         axes = []
         for j, e in enumerate(exps):
             r = table.get((j, e))
             if r is None:
                 r = table[j, e] = row(j, e)
-            den *= r[0]
+            term_den *= r[0]
             axes.append(r[1])
-        expanded.append((coef.numerator, den, axes))
-        common = math.lcm(common, den)
+        expanded.append((num, term_den, axes))
+        common = math.lcm(common, term_den)
     out: dict[MultiIndex, int] = {}
-    for num, den, axes in expanded:
-        partial: list[tuple[MultiIndex, int]] = [((), num * (common // den))]
+    for num, term_den, axes in expanded:
+        partial: list[tuple[MultiIndex, int]] = [((), num * (common // term_den))]
         for pairs in axes:
             partial = [(prefix + (i,), pc * c) for prefix, pc in partial for i, c in pairs]
         for key, c in partial:
             out[key] = out.get(key, 0) + c
-    return reduce_over(out, common)
+    return reduced(den * common, out)
 
 
 @lru_cache(maxsize=4096)
@@ -149,38 +195,42 @@ def _binomial_row(e: int, p: int, q: int) -> IntRow:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over the rationals.
+    """Sparse polynomial over the rationals, used as an immutable value.
 
-    ``terms`` maps each multi-index to its nonzero coefficient; every key
-    has length ``dim``.  Instances are treated as values: no method mutates
-    the term map after construction, so sharing across threads is safe.
+    ``nums`` maps each multi-index to its nonzero int numerator over the
+    shared ``den``; every key has length ``dim``.  ``terms`` gives the
+    same map as reduced Fractions.  No method changes ``dim``, ``den`` or
+    ``nums`` after construction, so sharing across threads is safe.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "den", "nums", "_terms")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, RationalLike]):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        clean: dict[MultiIndex, Fraction] = {}
-        for exps, coef in terms.items():
-            key = check_multi_index(exps, dim)
-            c = _as_fraction(coef)
-            if c != 0:
-                clean[key] = clean.get(key, Fraction(0)) + c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if v != 0})
+        self.dim = dim
+        self._terms = validated_terms(dim, terms)
+        self.den, self.nums = over_common_denominator(self._terms)
 
     @classmethod
-    def _trusted(cls, dim: int, terms: dict[MultiIndex, Fraction]) -> "Polynomial":
-        """Wrap a term map that already meets the invariant (see module
-        docstring), no zero coefficient included; the map is not copied."""
+    def _trusted(cls, dim: int, den: int, nums: dict[MultiIndex, int]) -> "Polynomial":
+        """Wrap a (den, nums) pair that already meets the invariant (see
+        module docstring); the map is not copied."""
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
+        self.dim = dim
+        self.den = den
+        self.nums = nums
+        self._terms = None
         return self
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Polynomial is immutable")
+    @property
+    def terms(self) -> dict[MultiIndex, Fraction]:
+        """Each multi-index and its reduced nonzero coefficient, in the key
+        order of ``nums``; built on first read."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {key: Fraction(num, den) for key, num in self.nums.items()}
+        return self._terms
 
     # ------------------------------------------------------------------
     # constructors
@@ -222,13 +272,11 @@ class Polynomial:
     # ------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(map(sum, self.nums), default=-1)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -240,13 +288,13 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.dim, tuple(self.sorted_terms())))
+        return hash((self.dim, self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return f"Polynomial({self.dim}, 0)"
         parts = [
             f"{format_rational(c)}*x^{list(e)}" for e, c in self.sorted_terms()
@@ -265,35 +313,29 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coef
-        return Polynomial._trusted(self.dim, {e: c for e, c in out.items() if c})
+        return Polynomial._trusted(self.dim, *add_over((self.den, self.nums), (other.den, other.nums)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - coef
-        return Polynomial._trusted(self.dim, {e: c for e, c in out.items() if c})
+        return Polynomial._trusted(
+            self.dim, *add_over((self.den, self.nums), (other.den, other.nums), -1)
+        )
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, self.den, {e: -n for e, n in self.nums.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        den_a, nums_a = over_common_denominator(self.terms)
-        den_b, nums_b = over_common_denominator(other.terms)
+        nums_b = list(other.nums.items())
         out: dict[MultiIndex, int] = {}
-        for ea, na in nums_a:
+        for ea, na in self.nums.items():
             for eb, nb in nums_b:
                 key = tuple(map(operator.add, ea, eb))
                 out[key] = out.get(key, 0) + na * nb
-        return Polynomial._trusted(self.dim, reduce_over(out, den_a * den_b))
+        return Polynomial._trusted(self.dim, *reduced(self.den * other.den, out))
 
     def scale(self, factor: RationalLike) -> "Polynomial":
-        f = _as_fraction(factor)
-        return Polynomial._trusted(self.dim, {e: c * f for e, c in self.terms.items()} if f else {})
+        return Polynomial._trusted(self.dim, *scale_over((self.den, self.nums), _as_fraction(factor)))
 
     def __rmul__(self, factor: RationalLike) -> "Polynomial":
         return self.scale(factor)
@@ -319,31 +361,25 @@ class Polynomial:
         """Exact partial derivative with respect to x_index (0-based)."""
         if not 0 <= index < self.dim:
             raise IndexError(f"variable index {index} out of range for dim {self.dim}")
-        out: dict[MultiIndex, Fraction] = {}
-        for exps, coef in self.terms.items():
+        out: dict[MultiIndex, int] = {}
+        for exps, num in self.nums.items():
             k = exps[index]
-            if k == 0:
-                continue
-            new = list(exps)
-            new[index] = k - 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coef * k
-        return Polynomial._trusted(self.dim, out)
+            if k:
+                out[exps[:index] + (k - 1,) + exps[index + 1:]] = num * k
+        return Polynomial._trusted(self.dim, *reduced(self.den, out))
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.partial(j) for j in range(self.dim))
 
     def laplacian(self) -> "Polynomial":
-        out: dict[MultiIndex, Fraction] = {}
-        for exps, coef in self.terms.items():
+        out: dict[MultiIndex, int] = {}
+        for exps, num in self.nums.items():
             for j, k in enumerate(exps):
                 if k < 2:
                     continue
                 key = exps[:j] + (k - 2,) + exps[j + 1:]
-                c = coef * (k * (k - 1))
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return Polynomial._trusted(self.dim, {e: c for e, c in out.items() if c})
+                out[key] = out.get(key, 0) + num * (k * (k - 1))
+        return Polynomial._trusted(self.dim, *reduced(self.den, out))
 
     # ------------------------------------------------------------------
     # evaluation and substitution
@@ -373,10 +409,9 @@ class Polynomial:
                 f"offset length {len(offset)} != dimension {self.dim}"
             )
         off = [_as_fraction(v) for v in offset]
-        terms = tensor_expand(
-            self.terms, lambda j, e: _binomial_row(e, off[j].numerator, off[j].denominator)
-        )
-        return Polynomial._trusted(self.dim, terms)
+        return Polynomial._trusted(self.dim, *tensor_expand(
+            self.den, self.nums, lambda j, e: _binomial_row(e, off[j].numerator, off[j].denominator)
+        ))
 
     # ------------------------------------------------------------------
     # JSON wire format
@@ -448,12 +483,16 @@ def random_polynomial(
     """Seeded random sparse polynomial for verification corpora.
 
     Coefficients are uniform rationals p/q with |p| <= coeff_bound and
-    1 <= q <= coeff_bound; exponents are uniform subject to the total
+    1 <= q <= coeff_bound, summed as int numerators over
+    lcm(1..coeff_bound); exponents are uniform subject to the total
     degree cap.  ``rng`` is a random.Random so corpora reproduce exactly
     from a recorded seed.
     """
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    common = math.lcm(*range(1, coeff_bound + 1))
     n_terms = rng.randint(1, max_terms)
-    terms: dict[MultiIndex, Fraction] = {}
+    nums: dict[MultiIndex, int] = {}
     for _ in range(n_terms):
         degree = rng.randint(0, max_degree)
         exps = [0] * dim
@@ -462,8 +501,8 @@ def random_polynomial(
         num = rng.randint(-coeff_bound, coeff_bound)
         den = rng.randint(1, coeff_bound)
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(num, den)
-    p = Polynomial(dim, terms)
+        nums[key] = nums.get(key, 0) + num * (common // den)
+    p = Polynomial._trusted(dim, *reduced(common, nums))
     if nonzero and p.is_zero():
         return Polynomial.constant(dim, Fraction(1, rng.randint(1, coeff_bound)))
     return p

@@ -57,8 +57,7 @@ from .polynomials import (
     Polynomial,
     RationalLike,
     format_rational,
-    over_common_denominator,
-    reduce_over,
+    reduced,
 )
 
 
@@ -132,17 +131,17 @@ def _lowered(gamma: MultiIndex) -> list[tuple[MultiIndex, int]]:
 def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteExpansion:
     """(lap + a) applied to an expansion, exactly, over the same weight.
 
-    With a = p/q and the coefficients as num / den over one denominator,
-    every result coefficient is an int sum over q * den, reduced once.
+    With a = p/q, every result coefficient is an int sum over q times the
+    expansion's denominator, and the result is reduced once.
     """
     a = Fraction(a)
     p, q = a.numerator, a.denominator
-    den, nums = over_common_denominator(expansion.coeffs)
-    out = {gamma: p * num for gamma, num in nums} if p else {}
-    for gamma, num in nums:
+    nums = expansion.nums
+    out = {gamma: p * num for gamma, num in nums.items()} if p else {}
+    for gamma, num in nums.items():
         for beta, b in _lowered(gamma):
             out[beta] = out.get(beta, 0) + q * b * num
-    return HermiteExpansion._trusted(expansion.weight, reduce_over(out, q * den))
+    return HermiteExpansion._trusted(expansion.weight, *reduced(q * expansion.den, out))
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +193,9 @@ class KernelFunction:
         s = k/2 and s = ik/2 gives, per basis element,
             <e^{k.x}, G_alpha>  = pi^{n/2} e^{|k|^2/4}  k^alpha
             <e^{ik.x}, G_alpha> = pi^{n/2} e^{-|k|^2/4} (ik)^alpha,
-        whose real and imaginary parts pair cos(k.x) and sin(k.x).
+        whose real and imaginary parts pair cos(k.x) and sin(k.x).  Raises
+        OverflowError, naming the pairing, |k| and the degree of u, when a
+        power k^alpha or the value is not a finite float.
         """
         k = self.wavevector
         if not expansion.weight.is_unit:
@@ -204,13 +205,23 @@ class KernelFunction:
                 f"wavevector length {len(k)} != dim {expansion.weight.dim}"
             )
         phases = _PHASES[self.kind]
-        total = math.fsum(
-            phases[sum(alpha) % 4] * float(c) * math.prod(v**e for v, e in zip(k, alpha))
-            for alpha, c in expansion.coeffs.items()
-        )
+        den = expansion.den
         k_sq = sum(v * v for v in k) / 4.0
-        damping = math.exp(k_sq if self.kind == "exp" else -k_sq)
-        return math.pi ** (len(k) / 2.0) * damping * total
+        try:
+            total = math.fsum(
+                phases[sum(alpha) % 4] * (num / den) * math.prod(v**e for v, e in zip(k, alpha))
+                for alpha, num in expansion.nums.items()
+            )
+            damping = math.exp(k_sq if self.kind == "exp" else -k_sq)
+            value = math.pi ** (len(k) / 2.0) * damping * total
+        except (OverflowError, ValueError):  # a power, a coefficient or inf - inf in fsum
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"plane-wave pairing <{self.describe()}, u> with |k| = {math.sqrt(4.0 * k_sq):.6g} "
+                f"and u of degree {expansion.degree()} is not finite in floating point"
+            )
+        return value
 
 
 def default_directions(dim: int) -> list[tuple[float, ...]]:
@@ -400,7 +411,7 @@ def _min_norm_block(
     return rows, tuple(map(tuple, matrix)), columns
 
 
-def _min_norm_coeffs(f_coeffs: dict[MultiIndex, Fraction], dim: int) -> dict[MultiIndex, Fraction]:
+def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
     """Minimal-weighted-norm coefficients solving lap(u) = f exactly.
 
     Normal equations of the adjoint system, one exact solve per (degree d,
@@ -410,17 +421,19 @@ def _min_norm_coeffs(f_coeffs: dict[MultiIndex, Fraction], dim: int) -> dict[Mul
     |gamma| = d + 2, so ||G_gamma||^2 = N_gamma lam^-(d+2) with the same
     lam factor across the block: M = lam^(d+2) / L * K for the integer K of
     ``_min_norm_block``, and u_gamma = (L / N_gamma) (B^T K^{-1} f)_gamma, in
-    which lam cancels.  The solution is the same for every weight.
+    which lam cancels.  The solution is the same for every weight.  The
+    right-hand sides are f's int numerators; each block's solution is put
+    over its own denominator, and u over f's denominator times their lcm.
     """
-    blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, Fraction]] = {}
-    for alpha, c in f_coeffs.items():
+    dim = f.weight.dim
+    blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, int]] = {}
+    for alpha, num in f.nums.items():
         key = (sum(alpha), tuple(e % 2 for e in alpha))
-        blocks.setdefault(key, {})[alpha] = c
-    u: dict[MultiIndex, Fraction] = {}
-    for (deg, parity), rhs_map in sorted(blocks.items()):
+        blocks.setdefault(key, {})[alpha] = num
+    parts: list[tuple[MultiIndex, int, int]] = []
+    common = 1
+    for (deg, parity), rhs_nums in sorted(blocks.items()):
         rows, matrix, columns = _min_norm_block(dim, deg, parity)
-        den_f, nums = over_common_denominator(rhs_map)
-        rhs_nums = dict(nums)
         try:
             w = solve_exact(matrix, [rhs_nums.get(alpha, 0) for alpha in rows])
         except SingularMatrixError as exc:  # defensive: cannot occur for lap
@@ -429,44 +442,49 @@ def _min_norm_coeffs(f_coeffs: dict[MultiIndex, Fraction], dim: int) -> dict[Mul
             ) from exc
         den_w = math.lcm(*(v.denominator for v in w))
         w_nums = [v.numerator * (den_w // v.denominator) for v in w]
-        den = den_f * den_w
-        for gamma, scale, column in columns:
-            num = scale * sum(b * w_nums[ai] for ai, b in column)
-            if num:
-                u[gamma] = Fraction(num, den)
-    return u
+        common = math.lcm(common, den_w)
+        parts.extend(
+            (gamma, scale * sum(b * w_nums[ai] for ai, b in column), den_w)
+            for gamma, scale, column in columns
+        )
+    u = {gamma: num * (common // den_w) for gamma, num, den_w in parts}
+    return HermiteExpansion._trusted(f.weight, *reduced(f.den * common, u))
 
 
-def _triangular_coeffs(
-    f_coeffs: dict[MultiIndex, Fraction], dim: int, a: Fraction
-) -> dict[MultiIndex, Fraction]:
+def _triangular_coeffs(f: HermiteExpansion, a: Fraction) -> HermiteExpansion:
     """Unique polynomial solution of (lap + a) u = f for a != 0 (top-down).
 
     u_alpha = (f_alpha - (lap u)_alpha) / a, where (lap u)_alpha only
-    involves the coefficients of degree |alpha| + 2, already solved.
+    involves the coefficients of degree |alpha| + 2, already solved.  With
+    a = p/q, a coefficient of degree d divides by p once per step of its
+    chain d, d + 2, ..., deg f, so over f's denominator times |p|^m, m the
+    longest chain, every step is an exact int division.
     """
-    degree = max((sum(k) for k in f_coeffs), default=0)
-    u: dict[MultiIndex, Fraction] = {}
-    lap_u: dict[MultiIndex, Fraction] = {}
+    dim = f.weight.dim
+    p, q = a.numerator, a.denominator
+    degree = f.degree()
+    m = max(degree, 0) // 2 + 1
+    lift = abs(p) ** m
+    u: dict[MultiIndex, int] = {}
+    lap_u: dict[MultiIndex, int] = {}
     for d in range(degree, -1, -1):
         for alpha in _indices_of_degree(dim, d):
-            acc = f_coeffs.get(alpha, Fraction(0)) - lap_u.get(alpha, 0)
-            if acc != 0:
-                u[alpha] = acc / a
+            acc = f.nums.get(alpha, 0) * lift - lap_u.get(alpha, 0)
+            if acc:
+                u[alpha] = num = q * acc // p
                 for beta, b in _lowered(alpha):
-                    lap_u[beta] = lap_u.get(beta, Fraction(0)) + b * u[alpha]
-    return u
+                    lap_u[beta] = lap_u.get(beta, 0) + b * num
+    return HermiteExpansion._trusted(f.weight, *reduced(f.den * lift, u))
 
 
-def right_inverse_coeffs(
-    f_coeffs: dict[MultiIndex, Fraction], dim: int, a: Fraction
-) -> dict[MultiIndex, Fraction]:
-    """Hermite coefficients of the package's exact solution of (lap + a) u = f:
-    minimal-weighted-norm at a = 0, the unique triangular one otherwise.
-    Neither depends on the weight's lam or center (see _min_norm_coeffs)."""
+def right_inverse_coeffs(f: HermiteExpansion, a: Fraction) -> HermiteExpansion:
+    """Hermite coefficients, over f's weight, of the package's exact
+    solution of (lap + a) u = f: minimal-weighted-norm at a = 0, the unique
+    triangular one otherwise.  Neither depends on the weight's lam or
+    center (see _min_norm_coeffs)."""
     if a == 0:
-        return _min_norm_coeffs(f_coeffs, dim)
-    return _triangular_coeffs(f_coeffs, dim, a)
+        return _min_norm_coeffs(f)
+    return _triangular_coeffs(f, a)
 
 
 def solve_min_norm(
@@ -488,7 +506,7 @@ def solve_min_norm(
     if f.dim != w.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {w.dim}")
     f_exp = monomial_to_hermite(f, w)
-    u_exp = HermiteExpansion._trusted(w, right_inverse_coeffs(f_exp.coeffs, w.dim, a))
+    u_exp = right_inverse_coeffs(f_exp, a)
     norm_f = f_exp.norm_sq()
     norm_u = u_exp.norm_sq()
     ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)

@@ -421,6 +421,42 @@ class TestLargeShifts:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: kernel Gram entry <exp(") and "overflows a float" in err
 
+    def test_pairing_overflow_exits_3_naming_the_pairing(self, tmp_path, capsys):
+        """At a = 10^7, |k| = 3162.3: k^50 is a float, k^100 overflows."""
+        for degree, code in ((50, EXIT_OK), (100, EXIT_NUMERIC)):
+            path = tmp_path / f"x{degree}.json"
+            path.write_text(json.dumps({"dim": 1, "terms": [{"exp": [degree], "coef": "1"}]}))
+            capsys.readouterr()
+            out = str(tmp_path / "r.json")
+            assert main(["solve", "--dim", "1", "--a", "10000000", "--f", str(path), "--out", out]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: plane-wave pairing <cos(3162.27766017), u>")
+        assert "with |k| = 3162.28" in err
+        assert "u of degree 100 is not finite" in err
+
+
+class TestFloatFlags:
+    """A float flag outside its finite range exits 2 at the flag, before any
+    quadrature: a NaN --quad-tol would bisect every panel to the depth
+    limit, and a NaN --R would fail inside the counterexample."""
+
+    BOUNDED = ["bounded", "--box=-1,1", "--f", "const:1", "--degree", "4"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-1e-300"])
+    def test_quad_tol_rejected(self, value, capsys):
+        assert main([*self.BOUNDED, f"--quad-tol={value}"]) == EXIT_SPEC
+        assert "spec error at --quad-tol: must be finite and >= 0, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.999"])
+    def test_r_rejected(self, value, capsys):
+        assert main(["counterexample", f"--R={value}"]) == EXIT_SPEC
+        assert "spec error at R: must be finite and >= 1, got" in capsys.readouterr().err
+
+    def test_limits_accepted(self, tmp_path):
+        out = ["--out", str(tmp_path / "r.json")]
+        assert main([*self.BOUNDED, "--quad-tol=0", *out]) == EXIT_OK
+        assert main(["counterexample", "--R=1", *out]) == EXIT_OK
+
 
 class TestCountsBelowOne:
     """A verdict over zero cases is no verdict: counts below 1 exit 2, and

@@ -2,19 +2,22 @@
 
 Results of ring, calculus and conversion operations are wrapped without
 re-validation, so every such result must already meet the invariant the
-trusted constructors rely on: int-tuple keys of length ``dim`` with no
-negative entry, and nonzero, reduced ``Fraction`` values.
+trusted constructors rely on: a positive int ``den``, int-tuple keys of
+length ``dim`` with no negative entry, nonzero int numerators, and no
+common factor of ``den`` and the numerators; the ``terms`` and
+``coeffs`` read from them are then nonzero, reduced ``Fraction`` values.
 
-The conversion, product and Parseval kernels, the min-norm block solves
-and ``shifted_laplacian`` run on int numerators over one common
-denominator, and ``solve_exact`` is Bareiss elimination on ints.  Their
-``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per step,
-are kept here as references; the kernels must match them exactly, key
-order included, since reports serialize term maps in the order they were
-built.
+Every ring, calculus, conversion and Parseval operation, the min-norm
+block solves and ``shifted_laplacian`` run on int numerators over one
+common denominator, and ``solve_exact`` is Bareiss elimination on ints.
+Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
+step, are kept here as references; the kernels must match them exactly,
+key order included, since reports serialize term maps in the order they
+were built.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +31,7 @@ from gauss_rinv.hermite import (
     monomial_to_hermite,
 )
 from gauss_rinv.linalg import SingularMatrixError, _eliminate, solve_exact
-from gauss_rinv.polynomials import Polynomial
+from gauss_rinv.polynomials import Polynomial, random_polynomial, reduced
 from gauss_rinv.rightinverse import (
     _class_members,
     _lowered,
@@ -48,6 +51,16 @@ def assert_clean(terms: dict, dim: int) -> None:
         assert type(value) is Fraction and value != 0
         assert value.denominator > 0
         assert math.gcd(value.numerator, value.denominator) == 1
+
+
+def assert_canonical(x, dim: int) -> None:
+    """The (den, nums) invariant of a Polynomial or a HermiteExpansion."""
+    assert type(x.den) is int and x.den > 0
+    for key, num in x.nums.items():
+        assert type(key) is tuple and len(key) == dim
+        assert all(type(e) is int and e >= 0 for e in key)
+        assert type(num) is int and num != 0
+    assert math.gcd(x.den, *x.nums.values()) == 1
 
 
 def shift_by_products(p: Polynomial, offset) -> Polynomial:
@@ -121,6 +134,7 @@ def test_polynomial_ops_keep_invariant(case, q, factor):
     ]
     for r in results:
         assert r.dim == p.dim
+        assert_canonical(r, p.dim)
         assert_clean(r.terms, p.dim)
 
 
@@ -141,8 +155,10 @@ def test_hermite_ops_keep_invariant(data):
     ]
     for r in results:
         assert r.weight == w
+        assert_canonical(r, p.dim)
         assert_clean(r.coeffs, p.dim)
     back = expansion.to_polynomial()
+    assert_canonical(back, p.dim)
     assert_clean(back.terms, p.dim)
     assert back == p
 
@@ -341,6 +357,142 @@ def test_parseval_matches_fraction_reference(data):
     assert (x.norm_sq().value == 0) == x.is_zero()
 
 
+def fraction_add(x: dict, y: dict, sign: int = 1) -> dict:
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, Fraction(0)) + sign * c
+    return {k: v for k, v in out.items() if v}
+
+
+def fraction_scale(x: dict, factor: Fraction) -> dict:
+    return {k: v * factor for k, v in x.items()} if factor else {}
+
+
+def fraction_partial(terms: dict, index: int) -> dict:
+    out: dict = {}
+    for exps, coef in terms.items():
+        k = exps[index]
+        if k:
+            key = exps[:index] + (k - 1,) + exps[index + 1:]
+            out[key] = out.get(key, Fraction(0)) + coef * k
+    return out
+
+
+def fraction_laplacian(terms: dict) -> dict:
+    out: dict = {}
+    for exps, coef in terms.items():
+        for j, k in enumerate(exps):
+            if k >= 2:
+                key = exps[:j] + (k - 2,) + exps[j + 1:]
+                out[key] = out.get(key, Fraction(0)) + coef * (k * (k - 1))
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ring_and_calculus_match_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    p = data.draw(exact_polynomials(dim))
+    q = data.draw(exact_polynomials(dim))
+    factor = data.draw(st.one_of(st.just(Fraction(0)), st.integers(-3, 3), exact_coefficients()))
+    cases = [
+        (p + q, fraction_add(p.terms, q.terms)),
+        (p - q, fraction_add(p.terms, q.terms, -1)),
+        (q - q, {}),
+        (-p, fraction_scale(p.terms, -1)),
+        (p.scale(factor), fraction_scale(p.terms, Fraction(factor))),
+        (p.laplacian(), fraction_laplacian(p.terms)),
+        *((p.partial(j), fraction_partial(p.terms, j)) for j in range(dim)),
+    ]
+    for got, reference in cases:
+        assert_canonical(got, dim)
+        assert_same_terms(got.terms, reference, dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hermite_sum_and_scale_match_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    w = data.draw(exact_weights(dim))
+    x = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
+    y = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
+    factor = data.draw(st.one_of(st.just(Fraction(0)), exact_coefficients()))
+    for got, reference in (
+        (x + y, fraction_add(x.coeffs, y.coeffs)),
+        (x + x.scale(-1), {}),
+        (x.scale(factor), fraction_scale(x.coeffs, factor)),
+    ):
+        assert got.weight == w
+        assert_canonical(got, dim)
+        assert_same_terms(got.coeffs, reference, dim)
+
+
+def test_equal_values_over_unreduced_denominators_compare_and_hash_alike():
+    """x/2 + 1/3 reached through sums over 12 and 10, products over 6 and
+    a pair over 36 reduces to one (den, nums) pair, with one hash."""
+    x = Polynomial.variable(2, 0)
+    one = Polynomial.constant(2, 1)
+    direct = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 3)})
+    routes = [
+        x.scale(Fraction(1, 2)) + one.scale(Fraction(1, 3)),
+        x.scale(Fraction(5, 12)) + x.scale(Fraction(1, 12)) + one.scale(Fraction(1, 3)),
+        x.scale(Fraction(7, 10)) - x.scale(Fraction(1, 5)) + one.scale(Fraction(1, 3)),
+        (x.scale(3) + one.scale(2)).scale(Fraction(1, 6)),
+        (x.scale(Fraction(3, 2)) + one) * one.scale(Fraction(1, 3)),
+        (x.scale(Fraction(1, 6)) * one.scale(6)).scale(Fraction(1, 2)) + one.scale(Fraction(1, 3)),
+        Polynomial._trusted(2, *reduced(36, {(1, 0): 18, (0, 0): 12})),
+        Polynomial(2, {(1, 0): Fraction(9, 18), (0, 0): "4/12"}),
+    ]
+    for p in routes:
+        assert (p.den, p.nums) == (6, {(1, 0): 3, (0, 0): 2})
+        assert p == direct and hash(p) == hash(direct)
+        assert_canonical(p, 2)
+    assert len(set(routes)) == 1
+    assert direct != direct.scale(Fraction(1, 2)) and direct != direct + one
+    w = WeightSpec(2, Fraction(1, 2))
+    h = monomial_to_hermite(direct, w)
+    assert h.scale(Fraction(1, 6)).scale(6) == h == h + h.scale(Fraction(-1, 3)) + h.scale(Fraction(1, 3))
+
+
+def fraction_random_polynomial(rng, dim, max_degree, max_terms=10, coeff_bound=16, nonzero=False):
+    """The same draws in the same order, summed one Fraction at a time."""
+    n_terms = rng.randint(1, max_terms)
+    terms: dict = {}
+    for _ in range(n_terms):
+        degree = rng.randint(0, max_degree)
+        exps = [0] * dim
+        for _ in range(degree):
+            exps[rng.randrange(dim)] += 1
+        num = rng.randint(-coeff_bound, coeff_bound)
+        den = rng.randint(1, coeff_bound)
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + Fraction(num, den)
+    p = Polynomial(dim, terms)
+    if nonzero and p.is_zero():
+        return Polynomial.constant(dim, Fraction(1, rng.randint(1, coeff_bound)))
+    return p
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_degree": 6, "max_terms": 8},
+        {"max_degree": 4, "max_terms": 6, "nonzero": True},
+        {"max_degree": 2, "max_terms": 12, "coeff_bound": 3},
+        {"max_degree": 0, "max_terms": 2, "coeff_bound": 1, "nonzero": True},
+    ],
+)
+def test_random_polynomial_matches_fraction_loop(kwargs):
+    for seed in range(200):
+        dim = 1 + seed % 3
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = random_polynomial(rng, dim, **kwargs)
+        reference = fraction_random_polynomial(ref_rng, dim, **kwargs)
+        assert_canonical(got, dim)
+        assert_same_terms(got.terms, reference.terms, dim)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def test_hermite_rows_match_recurrences():
     """Each axis row equals the three-term recurrences it replaced, for
     every lam of LAMS and degree up to 12."""
@@ -461,7 +613,7 @@ def test_min_norm_matches_fraction_reference(case, other_lam):
     p, w = case
     f = monomial_to_hermite(p, w)
     reference = fraction_min_norm_coeffs(f.coeffs, w.dim, w.lam)
-    assert_same_terms(_min_norm_coeffs(f.coeffs, w.dim), reference, w.dim)
+    assert_same_terms(_min_norm_coeffs(f).coeffs, reference, w.dim)
     report = solve_min_norm(p, 0, weight=w)
     assert_same_terms(report.solution.coeffs, reference, w.dim)
     assert report.residual_exact
@@ -479,7 +631,8 @@ def test_min_norm_matches_fraction_reference_at_top_degree(dim, degree):
     }
     for lam in (Fraction(1), Fraction(2, 9)):
         reference = fraction_min_norm_coeffs(f_coeffs, dim, lam)
-        assert_same_terms(_min_norm_coeffs(f_coeffs, dim), reference, dim)
+        got = _min_norm_coeffs(HermiteExpansion(WeightSpec(dim, lam), f_coeffs))
+        assert_same_terms(got.coeffs, reference, dim)
 
 
 @settings(max_examples=40, deadline=None)

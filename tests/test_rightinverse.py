@@ -58,7 +58,8 @@ def column_solve_operator_norm(dim: int, a, degree: int) -> float:
     q = np.zeros((len(rows), len(cols)))
     for ci, alpha in enumerate(cols):
         norm_in = HermiteExpansion.basis_norm_sq(alpha, unit)
-        for gamma, c in right_inverse_coeffs({alpha: unit}, dim, a).items():
+        column = right_inverse_coeffs(HermiteExpansion(WeightSpec.unit(dim), {alpha: unit}), a)
+        for gamma, c in column.coeffs.items():
             norm_out = HermiteExpansion.basis_norm_sq(gamma, unit)
             q[row_pos[gamma], ci] = float(c) * math.sqrt(float(norm_out / norm_in))
     return math.sqrt(max(np.linalg.eigvalsh(q.T @ q)[-1], 0.0))
@@ -127,10 +128,8 @@ class TestResidualRoutes:
 
         def corrupt(solver):
             def wrapped(*args):
-                u = dict(solver(*args))
-                alpha = max(u)
-                u[alpha] += Fraction(1, 7)
-                return u
+                u = solver(*args)
+                return u + HermiteExpansion(u.weight, {max(u.nums): Fraction(1, 7)})
 
             return wrapped
 
@@ -324,6 +323,15 @@ class TestEnrichment:
         for a in (Fraction(-7093, 10), -710, -800):
             with pytest.raises(GramConditionError, match=r"kernel Gram entry <exp\(.*\)> .* overflows a float"):
                 apply_right_inverse(one_1d, a=a)
+
+    def test_pairing_overflow_both_sides(self):
+        """At a = 10^7 the cos/sin wavevector has |k| = 3162.3: its pairing
+        with x^50 is a float (k^50 ~ 1e175), with x^100 an overflow."""
+        x = Polynomial.variable(1, 0)
+        assert apply_right_inverse(x**50, a=10**7).residual_exact
+        with pytest.raises(OverflowError, match=r"plane-wave pairing <cos\(.*\), u> with \|k\| = 3162.28 "
+                                                r"and u of degree 100 is not finite"):
+            apply_right_inverse(x**100, a=10**7)
 
     def test_gram_pairings_match_quadrature(self):
         g1 = KernelFunction(kind="cos", wavevector=(1.0,))
