@@ -18,7 +18,6 @@ from .hermite import (
     norm_sq,
 )
 from .adjoint import (
-    AdjointConfig,
     CheckReport,
     check_adjoint_norm_split,
     check_adjointness,
@@ -35,7 +34,6 @@ from .rightinverse import (
     SolveReport,
     apply_right_inverse,
     enrich,
-    harmonic_polynomial_basis,
     kernel_basis,
     operator_norm,
     shifted_laplacian,

@@ -31,35 +31,14 @@ from .polynomials import Polynomial, RationalLike, dot, coordinate_vector, rando
 COMMUTATOR_METHODS = ("direct", "expanded", "reduced")
 
 
-@dataclass(frozen=True)
-class AdjointConfig:
-    """Weight function (as an exact polynomial) and the constant shift a."""
+def formal_adjoint(psi: Polynomial, w: Polynomial, a: RationalLike = 0) -> Polynomial:
+    """Adjoint of lap + a under the weight polynomial w, applied to psi.
 
-    weight: Polynomial
-    a: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-
-    @classmethod
-    def radial(cls, dim: int, a: RationalLike = 0) -> "AdjointConfig":
-        """The primary configuration: weight |x|^2 in the given dimension."""
-        return cls(weight=Polynomial.norm_squared(dim), a=Fraction(a))
-
-    @property
-    def dim(self) -> int:
-        return self.weight.dim
-
-
-def formal_adjoint(psi: Polynomial, cfg: AdjointConfig, include_shift: bool = False) -> Polynomial:
-    """Adjoint of the Laplacian applied to psi; add a*psi when include_shift.
-
-    For the radial weight |x|^2 this reduces to
+    For the radial weight |x|^2 and a = 0 this reduces to
     lap(psi) + 4|x|^2 psi - 2n psi - 4 x.grad(psi).
     """
-    if psi.dim != cfg.dim:
-        raise ValueError(f"dimension mismatch: {psi.dim} vs {cfg.dim}")
-    w = cfg.weight
+    if psi.dim != w.dim:
+        raise ValueError(f"dimension mismatch: {psi.dim} vs {w.dim}")
     grad_w = w.gradient()
     grad_psi = psi.gradient()
     out = (
@@ -68,13 +47,15 @@ def formal_adjoint(psi: Polynomial, cfg: AdjointConfig, include_shift: bool = Fa
         - psi * w.laplacian()
         - dot(grad_psi, grad_w).scale(2)
     )
-    if include_shift:
-        out = out + psi.scale(cfg.a)
+    if a:
+        out = out + psi.scale(a)
     return out
 
 
-def commutator(psi: Polynomial, cfg: AdjointConfig, method: str = "direct") -> Polynomial:
-    """lap(adj(psi)) - adj(lap(psi)), by one of three independent routes.
+def commutator(psi: Polynomial, w: Polynomial, method: str = "direct") -> Polynomial:
+    """lap(adj(psi)) - adj(lap(psi)) under the weight polynomial w, by one of
+    three independent routes.  A shift a commutes with lap, so this is also
+    the commutator of lap + a with its adjoint.
 
     direct    apply the two operator compositions literally;
     expanded  the general-weight expansion
@@ -87,12 +68,11 @@ def commutator(psi: Polynomial, cfg: AdjointConfig, method: str = "direct") -> P
     """
     if method not in COMMUTATOR_METHODS:
         raise ValueError(f"unknown commutator method {method!r}")
-    if psi.dim != cfg.dim:
-        raise ValueError(f"dimension mismatch: {psi.dim} vs {cfg.dim}")
+    if psi.dim != w.dim:
+        raise ValueError(f"dimension mismatch: {psi.dim} vs {w.dim}")
     if method == "direct":
-        return formal_adjoint(psi, cfg).laplacian() - formal_adjoint(psi.laplacian(), cfg)
+        return formal_adjoint(psi, w).laplacian() - formal_adjoint(psi.laplacian(), w)
     if method == "expanded":
-        w = cfg.weight
         grad_w = w.gradient()
         grad_sq = dot(grad_w, grad_w)
         lap_w = w.laplacian()
@@ -106,8 +86,8 @@ def commutator(psi: Polynomial, cfg: AdjointConfig, method: str = "direct") -> P
             + dot(psi.laplacian().gradient(), grad_w).scale(2)
         )
     # reduced
-    n = cfg.dim
-    if cfg.weight != Polynomial.norm_squared(n):
+    n = w.dim
+    if w != Polynomial.norm_squared(n):
         raise ValueError("reduced commutator form requires the radial weight |x|^2")
     x = coordinate_vector(n)
     return (
@@ -126,14 +106,13 @@ def commutator(psi: Polynomial, cfg: AdjointConfig, method: str = "direct") -> P
 class CheckReport:
     """Outcome of one exact identity/inequality check.
 
-    ``relation`` is 'eq' (lhs must equal rhs), 'le' or 'ge'.  ``parts``
-    carries named intermediate scalars for reporting.
+    ``passed`` compares lhs with rhs by the relation the checker states.
+    ``parts`` carries named intermediate scalars for reporting.
     """
 
     identity: str
     lhs: GaussianScalar
     rhs: GaussianScalar
-    relation: str
     passed: bool
     parts: dict = field(default_factory=dict)
 
@@ -142,9 +121,8 @@ def check_commutator_pairing(psi: Polynomial) -> CheckReport:
     """<psi, commutator(psi)>_w = 8n||psi||^2_w + 8||grad psi||^2_w,
     radial weight |x|^2."""
     n = psi.dim
-    cfg = AdjointConfig.radial(n)
     w = WeightSpec.unit(n)
-    lhs = inner_product(psi, commutator(psi, cfg, "direct"), w)
+    lhs = inner_product(psi, commutator(psi, Polynomial.norm_squared(n), "direct"), w)
     rhs = norm_sq(psi, w).scale(8 * n)
     for j in range(n):
         rhs = rhs + norm_sq(psi.partial(j), w).scale(8)
@@ -152,7 +130,6 @@ def check_commutator_pairing(psi: Polynomial) -> CheckReport:
         identity="commutator-pairing",
         lhs=lhs,
         rhs=rhs,
-        relation="eq",
         passed=lhs == rhs,
     )
 
@@ -165,18 +142,17 @@ def check_adjoint_norm_split(
     Holds for any C^4 weight; evaluated exactly over weights lam*|x-x0|^2.
     """
     w = weight if weight is not None else WeightSpec.unit(psi.dim)
-    cfg = AdjointConfig(weight=w.polynomial(), a=Fraction(a))
-    adj = formal_adjoint(psi, cfg, include_shift=True)
-    forward = psi.laplacian() + psi.scale(cfg.a)
+    weight_poly = w.polynomial()
+    adj = formal_adjoint(psi, weight_poly, a)
+    forward = psi.laplacian() + psi.scale(a)
     lhs = norm_sq(adj, w)
     h_norm = norm_sq(forward, w)
-    pairing = inner_product(psi, commutator(psi, cfg, "direct"), w)
+    pairing = inner_product(psi, commutator(psi, weight_poly, "direct"), w)
     rhs = h_norm + pairing
     return CheckReport(
         identity="adjoint-norm-split",
         lhs=lhs,
         rhs=rhs,
-        relation="eq",
         passed=lhs == rhs,
         parts={"forward_norm_sq": h_norm, "commutator_pairing": pairing},
     )
@@ -187,15 +163,13 @@ def check_coercivity(psi: Polynomial, a: RationalLike = 0) -> CheckReport:
     uniformly in a."""
     n = psi.dim
     w = WeightSpec.unit(n)
-    cfg = AdjointConfig.radial(n, a)
-    adj = formal_adjoint(psi, cfg, include_shift=True)
+    adj = formal_adjoint(psi, Polynomial.norm_squared(n), a)
     lhs = norm_sq(adj, w)
     bound = norm_sq(psi, w).scale(8 * n)
     return CheckReport(
         identity="coercivity",
         lhs=lhs,
         rhs=bound,
-        relation="ge",
         passed=lhs >= bound,
     )
 
@@ -210,16 +184,14 @@ def check_duality(f: Polynomial, psi: Polynomial, a: RationalLike = 0) -> CheckR
         raise ValueError(f"dimension mismatch: {f.dim} vs {psi.dim}")
     n = f.dim
     w = WeightSpec.unit(n)
-    cfg = AdjointConfig.radial(n, a)
     ip = inner_product(f, psi, w)
     lhs = ip * ip
     c = norm_sq(f, w).scale(Fraction(1, 8 * n))
-    rhs = c * norm_sq(formal_adjoint(psi, cfg, include_shift=True), w)
+    rhs = c * norm_sq(formal_adjoint(psi, Polynomial.norm_squared(n), a), w)
     return CheckReport(
         identity="duality",
         lhs=lhs,
         rhs=rhs,
-        relation="le",
         passed=lhs <= rhs,
     )
 
@@ -229,14 +201,12 @@ def check_adjointness(psi: Polynomial, u: Polynomial, weight: WeightSpec | None 
     if psi.dim != u.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {u.dim}")
     w = weight if weight is not None else WeightSpec.unit(psi.dim)
-    cfg = AdjointConfig(weight=w.polynomial())
     lhs = inner_product(psi, u.laplacian(), w)
-    rhs = inner_product(formal_adjoint(psi, cfg), u, w)
+    rhs = inner_product(formal_adjoint(psi, w.polynomial()), u, w)
     return CheckReport(
         identity="adjointness",
         lhs=lhs,
         rhs=rhs,
-        relation="eq",
         passed=lhs == rhs,
     )
 
@@ -298,17 +268,16 @@ def run_identity_case(identity: str, seed: int) -> dict:
     a = SHIFT_CYCLE[seed % len(SHIFT_CYCLE)]
 
     if identity == "commutator-three-way":
-        cfg = AdjointConfig.radial(dim)
-        routes = {m: commutator(psi, cfg, m) for m in COMMUTATOR_METHODS}
+        radial = Polynomial.norm_squared(dim)
+        routes = {m: commutator(psi, radial, m) for m in COMMUTATOR_METHODS}
         passed = routes["direct"] == routes["expanded"] == routes["reduced"]
         lhs_s = _poly_signature(routes["direct"])
         rhs_s = _poly_signature(routes["expanded"])
     elif identity == "weight-expansion":
         # general polynomial weight: direct vs expanded route, pointwise
         weight = random_polynomial(rng, dim, max_degree=4, max_terms=6, nonzero=True)
-        cfg = AdjointConfig(weight=weight)
-        lhs_p = commutator(psi, cfg, "direct")
-        rhs_p = commutator(psi, cfg, "expanded")
+        lhs_p = commutator(psi, weight, "direct")
+        rhs_p = commutator(psi, weight, "expanded")
         passed = lhs_p == rhs_p
         lhs_s = _poly_signature(lhs_p)
         rhs_s = _poly_signature(rhs_p)

@@ -7,9 +7,10 @@ echo (the arguments it read, as read), the results and the verdict.  The
 solve, bounded and counterexample verdicts are the ``passed`` properties
 of the reports they judge, which the suite's criteria read too.
 Reports are deterministic given the arguments (``--seed`` included, on
-``verify`` and ``suite``): exact quantities serialize as rational strings,
-floats as Python's shortest round-trip repr, and timing goes to stderr so
-repeated runs emit byte-identical JSON.  Exit codes: 0 all checks pass,
+``verify``; ``suite`` runs at fixed values and reads only ``--out``):
+exact quantities serialize as rational strings, floats as Python's
+shortest round-trip repr, and timing goes to stderr so repeated runs emit
+byte-identical JSON.  Exit codes: 0 all checks pass,
 1 a check failed, 2 invalid input, 3 numeric failure.
 """
 
@@ -43,7 +44,13 @@ from .polynomials import (
     random_polynomial,
 )
 from .reporting import dump_json
-from .rightinverse import InputLimitError, apply_right_inverse, operator_norm, solve_min_norm
+from .rightinverse import (
+    InputLimitError,
+    apply_right_inverse,
+    input_float,
+    operator_norm,
+    solve_min_norm,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -97,6 +104,13 @@ def _read_json(path: str):
 # of this order, which must agree with the closed form within QUAD_TOL.
 QUAD_ORDER = 40
 QUAD_TOL = 1e-10
+# The suite's fixed corpus: the master seed of the identity battery and of
+# the random bound data, cases per identity, random polynomial weights, and
+# random data for the bound.  ``verify`` runs the battery at other values.
+SUITE_SEED = 42
+SUITE_CASES_PER_IDENTITY = 200
+SUITE_WEIGHT_CASES = 50
+SUITE_BOUND_CASES = 100
 
 
 def _enriched_ratio_quadrature() -> float:
@@ -112,12 +126,7 @@ def _enriched_ratio_quadrature() -> float:
     return float(1.0 - pair * pair / (mass * cos_sq))
 
 
-def run_suite(
-    seed: int = 42,
-    cases_per_identity: int = 200,
-    weight_cases: int = 50,
-    bound_cases: int = 100,
-) -> tuple[list[dict], bool]:
+def run_suite() -> tuple[list[dict], bool]:
     """One-command reproduction of the full acceptance battery."""
     results: list[dict] = []
 
@@ -137,11 +146,11 @@ def run_suite(
         )
 
     # bound dominance over seeded random data
-    rng = random.Random(seed)
+    rng = random.Random(SUITE_SEED)
     worst = Fraction(0)
     dominated = True
     equality_only_const = True
-    for i in range(bound_cases):
+    for i in range(SUITE_BOUND_CASES):
         n = 1 + i % 3
         f = random_polynomial(rng, n, max_degree=8, max_terms=10, nonzero=True)
         rep = solve_min_norm(f)
@@ -152,7 +161,7 @@ def run_suite(
     record(
         "bound-dominance",
         dominated and equality_only_const,
-        cases=bound_cases,
+        cases=SUITE_BOUND_CASES,
         worst_normalized_ratio=format_rational(worst),
     )
 
@@ -187,9 +196,9 @@ def run_suite(
 
     # exact identity battery
     cases = run_identity_battery(
-        seed=seed,
-        cases_per_identity=cases_per_identity,
-        weight_cases=weight_cases,
+        seed=SUITE_SEED,
+        cases_per_identity=SUITE_CASES_PER_IDENTITY,
+        weight_cases=SUITE_WEIGHT_CASES,
     )
     record(
         "identity-battery",
@@ -198,22 +207,13 @@ def run_suite(
         failures=[c["id"] for c in cases if not c["pass"]],
     )
 
-    # scaled weight
-    w2 = WeightSpec(dim=1, lam=Fraction(2))
-    rep_s = solve_min_norm(Polynomial.constant(1, 1), 0, weight=w2)
-    rep_u = solve_min_norm(Polynomial.constant(1, 1), 0, weight=WeightSpec.unit(1))
-    rep_base = solve_min_norm(Polynomial.constant(1, 1))
-    record(
-        "scaled-weight",
-        rep_s.ratio == Fraction(1, 32)
-        and rep_u.solution.coeffs == rep_base.solution.coeffs
-        and rep_u.ratio == rep_base.ratio,
-        ratio=format_rational(rep_s.ratio),
-    )
+    # scaled weight: 1/(8 n lam^2) at lam = 2
+    rep_s = solve_min_norm(Polynomial.constant(1, 1), 0, weight=WeightSpec(dim=1, lam=Fraction(2)))
+    record("scaled-weight", rep_s.ratio == Fraction(1, 32), ratio=format_rational(rep_s.ratio))
 
     # bounded domain
     box = BoxDomain(((-1.0, 1.0),))
-    rep_b = solve_bounded(box, SampledFunction.constant(box, 1.0), a=0, truncation=30, quad_tol=1e-10)
+    rep_b = solve_bounded(box, SampledFunction.constant(box, 1.0), a=0, truncation=30)
     record(
         "bounded-domain",
         rep_b.passed,
@@ -256,16 +256,6 @@ def _at_least(minimum: int, location: str, value: int) -> None:
         raise SpecValidationError(location, f"must be >= {minimum}, got {value}")
 
 
-def _finite_at_least(minimum: float, location: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= minimum):
-        raise SpecValidationError(location, f"must be finite and >= {minimum:g}, got {value}")
-
-
-def _counts_at_least_one(args, *names: str) -> None:
-    for name in names:
-        _at_least(1, "--" + name.replace("_", "-"), getattr(args, name))
-
-
 def _solve(args) -> tuple[dict, dict, bool]:
     _at_least(1, "dimension", args.dim)
     a = _rational_field(args.a, "a")
@@ -288,7 +278,8 @@ def _solve(args) -> tuple[dict, dict, bool]:
 
 
 def _verify(args) -> tuple[dict, list, bool]:
-    _counts_at_least_one(args, "cases", "weight_cases")
+    _at_least(1, "--cases", args.cases)
+    _at_least(1, "--weight-cases", args.weight_cases)
     spec = {"seed": args.seed, "cases_per_identity": args.cases, "weight_cases": args.weight_cases}
     results = run_identity_battery(
         seed=args.seed, cases_per_identity=args.cases, weight_cases=args.weight_cases
@@ -311,7 +302,7 @@ def _opnorm(args) -> tuple[dict, dict, bool]:
 def _load_bounded_f(arg: str, box: BoxDomain) -> SampledFunction:
     if arg.startswith("const:"):
         value = _rational_field(arg[len("const:") :], "f.const")
-        return SampledFunction.constant(box, float(value))
+        return SampledFunction.constant(box, input_float(value, "f.const"))
     if arg.startswith("poly:"):
         poly = load_polynomial(arg[len("poly:") :], box.dim)
         if poly.dim != box.dim:
@@ -336,9 +327,8 @@ def _bounded(args) -> tuple[dict, dict, bool]:
         raise SpecValidationError("box", f"cannot parse {args.box!r}: {exc}")
     a = _rational_field(args.a, "a")
     _at_least(0, "--degree", args.degree)
-    _finite_at_least(0.0, "--quad-tol", args.quad_tol)
     f = _load_bounded_f(args.f, box)
-    report = solve_bounded(box, f, a=a, truncation=args.degree, quad_tol=args.quad_tol)
+    report = solve_bounded(box, f, a=a, truncation=args.degree)
     spec = {"box": args.box, "a": a, "f": args.f, "degree": args.degree}
     return spec, {"bounded": report.to_json_dict()}, report.passed
 
@@ -346,26 +336,21 @@ def _bounded(args) -> tuple[dict, dict, bool]:
 def _counterexample(args) -> tuple[dict, dict, bool]:
     c1 = _rational_field(args.c1, "c1")
     c2 = _rational_field(args.c2, "c2")
-    _finite_at_least(1.0, "R", args.R)
+    if not (math.isfinite(args.R) and args.R >= 1.0):
+        raise SpecValidationError("R", f"must be finite and >= 1, got {args.R}")
     report = counterexample_report(args.R, c1, c2)
     spec = {"R": args.R, "c1": c1, "c2": c2}
     return spec, {"counterexample": report.to_json_dict()}, report.passed
 
 
 def _suite(args) -> tuple[dict, dict, bool]:
-    _counts_at_least_one(args, "cases", "weight_cases", "bound_cases")
     spec = {
-        "seed": args.seed,
-        "cases_per_identity": args.cases,
-        "weight_cases": args.weight_cases,
-        "bound_cases": args.bound_cases,
+        "seed": SUITE_SEED,
+        "cases_per_identity": SUITE_CASES_PER_IDENTITY,
+        "weight_cases": SUITE_WEIGHT_CASES,
+        "bound_cases": SUITE_BOUND_CASES,
     }
-    results, passed = run_suite(
-        seed=args.seed,
-        cases_per_identity=args.cases,
-        weight_cases=args.weight_cases,
-        bound_cases=args.bound_cases,
-    )
+    results, passed = run_suite()
     return spec, {"criteria": results}, passed
 
 
@@ -381,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to this path instead of stdout")
-    corpus = argparse.ArgumentParser(add_help=False)
-    corpus.add_argument("--seed", type=int, default=42, help="master seed for random corpora")
-    corpus.add_argument("--cases", type=int, default=200, help="cases per identity")
-    corpus.add_argument("--weight-cases", type=int, default=50)
     sub = parser.add_subparsers(dest="command")
 
     p_solve = sub.add_parser(
@@ -397,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--f", required=True, help="const:<rational> or polynomial JSON path")
     p_solve.set_defaults(run=_solve)
 
-    p_verify = sub.add_parser("verify", parents=[common, corpus], help="run the exact identity corpus")
+    p_verify = sub.add_parser("verify", parents=[common], help="run the exact identity corpus")
+    p_verify.add_argument("--seed", type=int, default=42, help="master seed of the corpus")
+    p_verify.add_argument("--cases", type=int, default=200, help="cases per identity")
+    p_verify.add_argument("--weight-cases", type=int, default=50)
     p_verify.set_defaults(run=_verify)
 
     p_opnorm = sub.add_parser("opnorm", parents=[common], help="1/sigma_min of the truncated lap + a")
@@ -411,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounded.add_argument("--f", required=True, help="const:<v> | poly:<path> | expr-grid:<path>")
     p_bounded.add_argument("--a", default="0")
     p_bounded.add_argument("--degree", type=int, default=30)
-    p_bounded.add_argument("--quad-tol", type=float, default=1e-10)
     p_bounded.set_defaults(run=_bounded)
 
     p_ce = sub.add_parser("counterexample", parents=[common], help="unweighted-L2 failure demonstration")
@@ -420,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--c2", default="0")
     p_ce.set_defaults(run=_counterexample)
 
-    p_suite = sub.add_parser("suite", parents=[common, corpus], help="full acceptance battery, one command")
-    p_suite.add_argument("--bound-cases", type=int, default=100)
+    p_suite = sub.add_parser(
+        "suite", parents=[common], help="full acceptance battery at its fixed seed and case counts, one command"
+    )
     p_suite.set_defaults(run=_suite)
 
     return parser

@@ -38,14 +38,28 @@ import numpy as np
 
 from .hermite import HermiteExpansion, WeightSpec, normalized_hermite_values, norm_sq, tensor_rule
 from .polynomials import MultiIndex, Polynomial, RationalLike, format_rational
-from .rightinverse import InputLimitError, multi_indices_up_to, right_inverse_coeffs, shifted_laplacian
+from .rightinverse import (
+    InputLimitError,
+    input_float,
+    multi_indices_up_to,
+    right_inverse_coeffs,
+    shifted_laplacian,
+)
 
 # Gauss-Legendre nodes per axis of one quadrature panel.
 PANEL_ORDER = 12
 # Bisection depth cap of integrate_box.
 MAX_DEPTH = 24
+# Absolute quadrature tolerance of the two passes of solve_bounded; the
+# Bessel tolerance is derived from it and printed as "quad_tol".
+QUAD_TOL = 1e-10
 # Random points of the sup estimate of embedding_check.
 SUP_SAMPLES = 2048
+# Slack of the two embedding inequalities, and the quadrature tolerance of
+# the norms they compare, four orders tighter so that quadrature error
+# cannot use up the slack.
+EMBEDDING_TOL = 1e-8
+EMBEDDING_QUAD_TOL = 1e-12
 # Points of the closed-form and second-derivative checks of the counterexample.
 SAMPLE_POINTS = 50
 # Step (relative to x) of the counterexample's central second difference,
@@ -54,10 +68,15 @@ SAMPLE_POINTS = 50
 # relative, and a 0.1 % error in the x ln x coefficient reads 1e-3.
 SECOND_DIFFERENCE_STEP = 1e-3
 SECOND_DIFFERENCE_TOL = 1e-6
-# Relative distance allowed between the closed form and the 64-point
-# Gauss-Legendre double integral: on [1, 20] both are smooth, so they
-# agree to rounding.
+# Relative distance allowed between the closed form and the
+# INTEGRAL_FORM_ORDER-point Gauss-Legendre double integral: on [1, 20] both
+# are smooth, so they agree to rounding.
 CLOSED_FORM_TOL = 1e-12
+INTEGRAL_FORM_ORDER = 64
+# Largest R of the counterexample: the square integral of u over [1, R]
+# grows like R^3 ln^2 R / 3, which passes the float maximum 1.8e308 near
+# R = 2.5e101 (at 1e102 the quadrature reads inf).
+MAX_R = 1e101
 # One panel of a bounded solve holds C(N+n, n) * PANEL_ORDER^n orthonormal
 # Hermite values (8 bytes each); 2-D at N = 30 holds 71,424, 3-D at N = 30
 # would hold 9.4 million.
@@ -123,7 +142,6 @@ class SampledFunction:
 
     box: BoxDomain
     fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "callable"
 
     def __call__(self, points) -> np.ndarray:
         """Values at an (m, n) array of points, zero outside the box."""
@@ -135,13 +153,13 @@ class SampledFunction:
     @classmethod
     def constant(cls, box: BoxDomain, value: float) -> "SampledFunction":
         v = float(value)
-        return cls(box=box, fn=lambda _x: v, label=f"const:{v:g}")
+        return cls(box=box, fn=lambda _x: v)
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, box: BoxDomain) -> "SampledFunction":
         if poly.dim != box.dim:
             raise ValueError(f"dimension mismatch: {poly.dim} vs {box.dim}")
-        return cls(box=box, fn=lambda x: poly.evaluate(list(x.T)), label="polynomial")
+        return cls(box=box, fn=lambda x: poly.evaluate(list(x.T)))
 
     @classmethod
     def from_grid(
@@ -180,7 +198,7 @@ class SampledFunction:
                 total = total + w * arr[tuple(pos)]
             return total
 
-        return cls(box=box, fn=interp, label="grid")
+        return cls(box=box, fn=interp)
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +345,6 @@ class BoundedSolveReport:
     projection_defect_rel: float
     bessel_holds: bool
     bessel_tol: float
-    quad_tol: float
 
     @property
     def passed(self) -> bool:
@@ -353,7 +370,7 @@ class BoundedSolveReport:
             "projection_defect_rel": self.projection_defect_rel,
             "bessel_holds": self.bessel_holds,
             "bessel_tol": self.bessel_tol,
-            "quad_tol": self.quad_tol,
+            "quad_tol": QUAD_TOL,
         }
 
 
@@ -362,7 +379,6 @@ def solve_bounded(
     f: SampledFunction,
     a: RationalLike = 0,
     truncation: int = 30,
-    quad_tol: float = 1e-10,
 ) -> BoundedSolveReport:
     """Solve (lap + a) u = f on a bounded box with the diameter constant.
 
@@ -377,7 +393,7 @@ def solve_bounded(
     ``residual_exact`` is the exact check (lap + a) u == P_N f~ on Hermite
     coefficients.  ``bessel_holds`` checks ||P_N f~||^2_w (Parseval on the
     projected coefficients) <= ||f~||^2_w (quadrature) within
-    ``bessel_tol``, which follows from quad_tol and the number of
+    ``bessel_tol``, which follows from QUAD_TOL and the number of
     pairings; it fails when the quadrature or the basis is wrong.
     ``projection_defect_rel`` = 1 - ||P_N f~||^2_w / ||f~||^2_w is the
     share of the data the truncation drops (0 for zero data).
@@ -409,7 +425,7 @@ def solve_bounded(
         pairings = fx[:, None] * orthonormal_table(weight, indices, x) * gauss[:, None]
         return np.column_stack([pairings, fx**2 * gauss, fx**2])
 
-    *raw, norm_f_w_data, norm_f_l2_sq = integrate_box(data_side, box, tol=quad_tol).tolist()
+    *raw, norm_f_w_data, norm_f_l2_sq = integrate_box(data_side, box, tol=QUAD_TOL).tolist()
     f_coeffs: dict[MultiIndex, Fraction] = {}
     for alpha, p in zip(indices, raw):
         c = p / basis_norm[alpha]
@@ -431,18 +447,18 @@ def solve_bounded(
     )
 
     # Bessel: exact pairings keep at most the data's weighted norm.  The K
-    # pairings and ||f~||^2_w are each within quad_tol of their integrals, so
-    # by Cauchy-Schwarz sum p^2 moves by 2 quad_tol sqrt(K ||f~||^2) + K quad_tol^2.
+    # pairings and ||f~||^2_w are each within QUAD_TOL of their integrals, so
+    # by Cauchy-Schwarz sum p^2 moves by 2 QUAD_TOL sqrt(K ||f~||^2) + K QUAD_TOL^2.
     projected = norm_f_w.to_float()
     k = len(indices)
-    bessel_tol = quad_tol * (1.0 + 2.0 * math.sqrt(k * max(norm_f_w_data, 0.0)) + k * quad_tol)
+    bessel_tol = QUAD_TOL * (1.0 + 2.0 * math.sqrt(k * max(norm_f_w_data, 0.0)) + k * QUAD_TOL)
     defect = 1.0 - projected / norm_f_w_data if norm_f_w_data > 0 else 0.0
 
     # restriction norm of the solution, over its orthonormal coefficients
     u_indices = sorted(u_exp.nums)
     u_orth = np.array([u_exp.nums[alpha] / u_exp.den * basis_norm[alpha] for alpha in u_indices])
     norm_u_l2_sq = integrate_box(
-        lambda x: (orthonormal_table(weight, u_indices, x) @ u_orth) ** 2, box, tol=quad_tol
+        lambda x: (orthonormal_table(weight, u_indices, x) @ u_orth) ** 2, box, tol=QUAD_TOL
     )
     norm_u_l2 = math.sqrt(max(norm_u_l2_sq, 0.0))
     norm_f_l2 = math.sqrt(max(norm_f_l2_sq, 0.0))
@@ -469,7 +485,6 @@ def solve_bounded(
         projection_defect_rel=defect,
         bessel_holds=projected <= norm_f_w_data + bessel_tol,
         bessel_tol=bessel_tol,
-        quad_tol=quad_tol,
     )
 
 
@@ -488,7 +503,6 @@ class EmbeddingReport:
     sup_sq: float | None
     l2_holds: bool | None
     sup_holds: bool | None
-    tol: float
 
     @property
     def holds(self) -> bool:
@@ -504,16 +518,13 @@ class EmbeddingReport:
             "l2_holds": self.l2_holds,
             "sup_holds": self.sup_holds,
             "pass": self.holds,
-            "tol": self.tol,
+            "tol": EMBEDDING_TOL,
         }
 
 
-def embedding_check(
-    f: SampledFunction | Polynomial,
-    tol: float = 1e-8,
-    quad_tol: float = 1e-12,
-) -> EmbeddingReport:
-    """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2.
+def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
+    """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2,
+    each within EMBEDDING_TOL.
 
     Sampled data uses one quadrature pass over its support box for both
     squared norms (the zero extension contributes nothing outside) and
@@ -543,14 +554,14 @@ def embedding_check(
             f_sq = f(x) ** 2
             return np.column_stack([f_sq * np.exp(-(x * x).sum(axis=1)), f_sq])
 
-        weighted, l2_sq = integrate_box(squares, f.box, tol=quad_tol).tolist()
+        weighted, l2_sq = integrate_box(squares, f.box, tol=EMBEDDING_QUAD_TOL).tolist()
         lo, hi = f.box.corners
         points = np.random.default_rng(0).uniform(lo, hi, size=(SUP_SAMPLES, n))
         sup_sq = float(np.max(np.abs(f(points)))) ** 2
 
     pi_mass = math.pi ** (n / 2.0)
-    l2_holds = None if l2_sq is None else weighted <= l2_sq + tol
-    sup_holds = None if sup_sq is None else weighted <= pi_mass * sup_sq + tol
+    l2_holds = None if l2_sq is None else weighted <= l2_sq + EMBEDDING_TOL
+    sup_holds = None if sup_sq is None else weighted <= pi_mass * sup_sq + EMBEDDING_TOL
     return EmbeddingReport(
         dim=n,
         weighted_sq=weighted,
@@ -558,7 +569,6 @@ def embedding_check(
         sup_sq=sup_sq,
         l2_holds=l2_holds,
         sup_holds=sup_holds,
-        tol=tol,
     )
 
 
@@ -616,21 +626,29 @@ class CounterexampleReport:
         }
 
 
-def _closed_form(c1: Fraction, c2: Fraction) -> Callable[[np.ndarray], np.ndarray]:
-    """u(x) = -x/2 + x ln x + 2/3 + c1 x + c2 for x >= 1, over arrays."""
-    a_lin = float(Fraction(-1, 2) + c1)
-    a_const = float(Fraction(2, 3) + c2)
+def _closed_form(
+    c1: Fraction, c2: Fraction
+) -> tuple[Fraction, Fraction, Callable[[np.ndarray], np.ndarray]]:
+    """u(x) = a_lin x + x ln x + a_const for x >= 1: the exact a_lin =
+    -1/2 + c1 and a_const = 2/3 + c2, and u over arrays.
+
+    -1/2 and 2/3 continue u = t^3/6 + c1 t + c2 of the source t on (0, 1)
+    with its value and slope at x = 1.
+    """
+    a_lin = Fraction(-1, 2) + c1
+    a_const = Fraction(2, 3) + c2
+    lin, const = float(a_lin), float(a_const)
 
     def u(x: np.ndarray) -> np.ndarray:
-        return a_lin * x + x * np.log(x) + a_const
+        return lin * x + x * np.log(x) + const
 
-    return u
+    return a_lin, a_const, u
 
 
-def _integral_form(c1: float, c2: float, order: int = 64) -> Callable[[float], float]:
+def _integral_form(c1: float, c2: float) -> Callable[[float], float]:
     """u(x) = integral_0^x (x-t) f(t) dt + c1 x + c2 with the piecewise
     source f(t) = t on (0,1), 1/t on [1, inf); quadrature per smooth piece."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(INTEGRAL_FORM_ORDER)
 
     def piece(lo: float, hi: float, g: Callable[[np.ndarray], np.ndarray]) -> float:
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
@@ -657,19 +675,26 @@ def counterexample_report(
     (ii) its central second difference reproduces the 1/x source at
     SAMPLE_POINTS points of [1, R] within SECOND_DIFFERENCE_TOL relative;
     (iii) the unweighted square integral over [1, R] grows without bound
-    while the Gaussian-weighted one converges.
+    while the Gaussian-weighted one converges.  An R above MAX_R, or a c1
+    or c2 above the float range, raises InputLimitError.
     """
     if r_max < 1.0:
         raise ValueError(f"R must be >= 1, got {r_max}")
+    if r_max > MAX_R:
+        raise InputLimitError(
+            f"R: R = {r_max!r} is above MAX_R = {MAX_R!r}: the square integral of u "
+            f"over [1, R] grows like R^3 ln^2 R / 3 and overflows a float near R = 2.5e101"
+        )
     c1 = Fraction(c1)
     c2 = Fraction(c2)
+    c1_float, c2_float = input_float(c1, "c1"), input_float(c2, "c2")
 
-    u1_closed = Fraction(-1, 2) + Fraction(2, 3) + c1 + c2
+    a_lin, a_const, u = _closed_form(c1, c2)
+    u1_closed = a_lin + a_const  # x ln x vanishes at x = 1
     # exact antiderivative of (1-t)*t over [0,1]: t^2/2 - t^3/3
     u1_integral = Fraction(1, 2) - Fraction(1, 3) + c1 + c2
 
-    u = _closed_form(c1, c2)
-    u_int = _integral_form(float(c1), float(c2))
+    u_int = _integral_form(c1_float, c2_float)
     steps = np.arange(SAMPLE_POINTS) / (SAMPLE_POINTS - 1)
     xs = 1.0 + (20.0 - 1.0) * steps
     a_val = u(xs)
@@ -700,7 +725,7 @@ def counterexample_report(
     )
     # |u| <= D x^2 for x >= cutoff, and
     # integral_X^inf x^4 e^{-x^2} dx <= e^{-X^2} (X^3/2 + 3X/4 + 3/(8X))
-    d_const = abs(float(Fraction(-1, 2) + c1)) + 1.0 + abs(float(Fraction(2, 3) + c2))
+    d_const = abs(float(a_lin)) + 1.0 + abs(float(a_const))
     tail = (
         d_const**2
         * math.exp(-(cutoff**2))

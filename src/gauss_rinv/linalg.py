@@ -5,8 +5,8 @@ Comp. 22, 1968) on Python ints: each row is scaled to integers once, every
 elimination step divides exactly by the previous pivot, and one Fraction
 per unknown is made at the end.  Intermediate entries are minors of the
 scaled matrix, so they stay as short as its determinant instead of
-growing the way Fraction denominators do.  ``nullspace_exact``, used only
-for the small harmonic bases, is Fraction row reduction.
+growing the way Fraction denominators do.  ``nullspace_exact``, which
+builds the small harmonic bases of the tests, is Fraction row reduction.
 """
 
 from __future__ import annotations

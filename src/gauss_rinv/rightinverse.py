@@ -50,7 +50,7 @@ from .hermite import (
     _axis_norm_sq,
     monomial_to_hermite,
 )
-from .linalg import SingularMatrixError, nullspace_exact, solve_exact
+from .linalg import SingularMatrixError, solve_exact
 from .polynomials import (
     DimensionMismatchError,
     MultiIndex,
@@ -69,16 +69,27 @@ class InputLimitError(ValueError):
     """An input is larger than the stated limits."""
 
 
-def _shift_float(a: Fraction) -> float:
-    """float(a), or InputLimitError naming a when |a| is above the float range."""
+def input_float(value: Fraction, name: str) -> float:
+    """float(value), or InputLimitError naming the input when |value| is
+    above the float range."""
     try:
-        return float(a)
+        return float(value)
     except OverflowError:
-        digits = math.log10(abs(a.numerator)) - math.log10(a.denominator)
+        digits = math.log10(abs(value.numerator)) - math.log10(value.denominator)
         raise InputLimitError(
-            f"a: |a| = 10^{digits:.2f} is above the float range "
+            f"{name}: |{name}| = 10^{digits:.2f} is above the float range "
             f"(sys.float_info.max = {sys.float_info.max!r})"
         ) from None
+
+
+def _report_float(quantity: str, exact: GaussianScalar | Fraction) -> float:
+    """The float of an exact solve-report quantity, or OverflowError naming
+    it: data near 1e154 and up, or a lam or 1/lam above the float range,
+    put ||u||^2_w or the ratio out of it."""
+    try:
+        return exact.to_float() if isinstance(exact, GaussianScalar) else float(exact)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise OverflowError(f"solve_min_norm: {quantity} is out of the float range ({exc})") from None
 
 
 def multi_indices_up_to(dim: int, degree: int) -> list[MultiIndex]:
@@ -239,42 +250,13 @@ def default_directions(dim: int) -> list[tuple[float, ...]]:
     return dirs
 
 
-def harmonic_polynomial_basis(dim: int, max_degree: int) -> list[Polynomial]:
-    """Exact basis of polynomials annihilated by the Laplacian, by degree."""
-    basis: list[Polynomial] = []
-    for d in range(max_degree + 1):
-        if d == 0:
-            basis.append(Polynomial.constant(dim, 1))
-            continue
-        if d == 1:
-            basis.extend(Polynomial.variable(dim, j) for j in range(dim))
-            continue
-        cols = _indices_of_degree(dim, d)
-        rows = _indices_of_degree(dim, d - 2)
-        row_pos = {r: i for i, r in enumerate(rows)}
-        matrix = [[Fraction(0)] * len(cols) for _ in rows]
-        for ci, exps in enumerate(cols):
-            mono = Polynomial.monomial(exps)
-            for r_exps, coef in mono.laplacian().terms.items():
-                matrix[row_pos[r_exps]][ci] = coef
-        for vec in nullspace_exact(matrix, len(cols)):
-            # clear denominators for tidy integer coefficients
-            den = 1
-            for v in vec:
-                den = den * v.denominator // math.gcd(den, v.denominator)
-            basis.append(
-                Polynomial(dim, {cols[i]: v * den for i, v in enumerate(vec) if v != 0})
-            )
-    return basis
-
-
 def kernel_basis(a: RationalLike, dim: int) -> list[KernelFunction]:
     """Plane-wave kernel elements of lap + a (a != 0) along the default
     directions; InputLimitError for an |a| above the float range."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("plane-wave kernel basis requires a != 0")
-    speed = math.sqrt(abs(_shift_float(a)))
+    speed = math.sqrt(abs(input_float(a, "a")))
     dirs = default_directions(dim)
     out: list[KernelFunction] = []
     if a > 0:
@@ -519,9 +501,9 @@ def solve_min_norm(
         residual_exact=shifted_laplacian(u_exp, a) == f_exp,
         norm_f_sq=norm_f,
         norm_u_sq=norm_u,
-        norm_u_sq_float=norm_u.to_float(),
+        norm_u_sq_float=_report_float("norm_u_sq_float, the float of ||u||^2_w,", norm_u),
         ratio=ratio,
-        ratio_float=float(ratio),
+        ratio_float=_report_float("ratio_float", ratio),
         bound=bound,
         bound_satisfied=ratio <= bound,
     )
@@ -742,7 +724,7 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     a = Fraction(a)
-    shift = abs(_shift_float(a))
+    shift = abs(input_float(a, "a"))
     if a and not shift:
         raise SingularMatrixError(
             f"operator_norm: a = {a} rounds to the float 0.0; the inverse's entries 1/|a| overflow"

@@ -16,6 +16,8 @@ import numpy as np
 
 from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.domains import (
+    EMBEDDING_TOL,
+    QUAD_TOL,
     BoxDomain,
     SampledFunction,
     counterexample_report,
@@ -151,10 +153,9 @@ def test_criterion_07_bounded_domain():
     """U=(-1,1), f=1, a=0, N=30: restricted norm under sqrt(e^4/8)*sqrt(2)
     with the margin reported; at quad tol 1e-10 the projection obeys Bessel's
     inequality and drops a share of the data strictly between 0 and 1."""
+    assert QUAD_TOL == 1e-10
     box = BoxDomain(((-1.0, 1.0),))
-    rep = solve_bounded(
-        box, SampledFunction.constant(box, 1.0), a=0, truncation=30, quad_tol=1e-10
-    )
+    rep = solve_bounded(box, SampledFunction.constant(box, 1.0), a=0, truncation=30)
     target = math.sqrt(math.exp(4.0) / 8.0) * math.sqrt(2.0)
     ok = (
         rep.norm_u_l2 <= target
@@ -201,37 +202,36 @@ def test_criterion_09_embeddings():
     """Weighted norm below both the L2 and the scaled sup norm, to 1e-8,
     over the sampled corpus; equality witnessed at f = 1 (sup route)."""
     tol = 1e-8
+    assert EMBEDDING_TOL == tol
     corpus_ok = True
     details = []
 
-    const = embedding_check(Polynomial.constant(1, 1), tol=tol)
+    const = embedding_check(Polynomial.constant(1, 1))
     equality = abs(const.weighted_sq - math.sqrt(math.pi) * const.sup_sq) <= tol
     corpus_ok = corpus_ok and const.holds and equality
 
     box = BoxDomain(((0.0, 1.0),))
-    chi = embedding_check(SampledFunction.constant(box, 1.0), tol=tol)
+    chi = embedding_check(SampledFunction.constant(box, 1.0))
     corpus_ok = corpus_ok and chi.holds
     details.append(f"chi weighted {chi.weighted_sq:.6f} <= {chi.l2_sq:.6f}")
 
     cut2 = BoxDomain(((-2.0, 2.0), (-1.0, 1.0)))
     poly2 = Polynomial(2, {(1, 0): 1, (0, 2): Fraction(1, 3)})
-    emb2 = embedding_check(SampledFunction.from_polynomial(poly2, cut2), tol=tol)
+    emb2 = embedding_check(SampledFunction.from_polynomial(poly2, cut2))
     corpus_ok = corpus_ok and emb2.holds
 
     rng = random.Random(SEED)
     for _ in range(5):
         p = random_polynomial(rng, 1, max_degree=4, max_terms=4, nonzero=True)
-        emb = embedding_check(
-            SampledFunction.from_polynomial(p, BoxDomain(((-1.5, 1.5),))), tol=tol
-        )
+        emb = embedding_check(SampledFunction.from_polynomial(p, BoxDomain(((-1.5, 1.5),))))
         corpus_ok = corpus_ok and emb.holds
 
     _criterion(9, "embeddings", corpus_ok, "; ".join(details))
 
 
 def test_criterion_10_suite_determinism():
-    """`suite --seed 42` emits byte-identical reports on repeated runs."""
-    cmd = [sys.executable, "-m", "gauss_rinv", "suite", "--seed", "42"]
+    """`suite` (seed 42, fixed) emits byte-identical reports on repeated runs."""
+    cmd = [sys.executable, "-m", "gauss_rinv", "suite"]
     first = subprocess.run(cmd, capture_output=True, check=True)
     second = subprocess.run(cmd, capture_output=True, check=True)
     ok = first.stdout == second.stdout and len(first.stdout) > 0

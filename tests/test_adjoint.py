@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 
 from gauss_rinv.adjoint import (
-    AdjointConfig,
     SHIFT_CYCLE,
     check_adjoint_norm_split,
     check_adjointness,
@@ -32,27 +31,24 @@ from conftest import polynomials
 
 x = Polynomial.variable(1, 0)
 one = Polynomial.constant(1, 1)
+radial_1d = Polynomial.norm_squared(1)
 
 
 class TestFormalAdjoint:
     def test_x_squared(self):
         # lap(psi) + 4x^2 psi - 2 psi - 4x psi' with psi = x^2
-        cfg = AdjointConfig.radial(1)
-        assert formal_adjoint(x * x, cfg) == Polynomial(
+        assert formal_adjoint(x * x, radial_1d) == Polynomial(
             1, {(4,): 4, (2,): -10, (0,): 2}
         )
 
     def test_constant(self):
-        cfg = AdjointConfig.radial(1)
-        assert formal_adjoint(one, cfg) == Polynomial(1, {(2,): 4, (0,): -2})
+        assert formal_adjoint(one, radial_1d) == Polynomial(1, {(2,): 4, (0,): -2})
 
     def test_zero(self):
-        cfg = AdjointConfig.radial(2)
-        assert formal_adjoint(Polynomial.zero(2), cfg).is_zero()
+        assert formal_adjoint(Polynomial.zero(2), Polynomial.norm_squared(2)).is_zero()
 
     def test_shift_included(self):
-        cfg = AdjointConfig.radial(1, a=Fraction(3))
-        assert formal_adjoint(one, cfg, include_shift=True) == Polynomial(
+        assert formal_adjoint(one, radial_1d, Fraction(3)) == Polynomial(
             1, {(2,): 4, (0,): 1}
         )
 
@@ -60,34 +56,30 @@ class TestFormalAdjoint:
 class TestCommutator:
     @pytest.mark.parametrize("method", ["direct", "expanded", "reduced"])
     def test_x_squared_all_routes(self, method):
-        cfg = AdjointConfig.radial(1)
-        assert commutator(x * x, cfg, method) == Polynomial(1, {(2,): 40, (0,): -16})
+        assert commutator(x * x, radial_1d, method) == Polynomial(1, {(2,): 40, (0,): -16})
 
     def test_constant_reduced(self):
-        cfg = AdjointConfig.radial(1)
-        assert commutator(one, cfg, "reduced") == Polynomial.constant(1, 8)
+        assert commutator(one, radial_1d, "reduced") == Polynomial.constant(1, 8)
 
     def test_zero(self):
-        cfg = AdjointConfig.radial(3)
-        assert commutator(Polynomial.zero(3), cfg, "direct").is_zero()
+        assert commutator(Polynomial.zero(3), Polynomial.norm_squared(3), "direct").is_zero()
 
     def test_reduced_requires_radial_weight(self):
-        cfg = AdjointConfig(weight=Polynomial(1, {(4,): 1}))
         with pytest.raises(ValueError):
-            commutator(one, cfg, "reduced")
+            commutator(one, Polynomial(1, {(4,): 1}), "reduced")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            commutator(one, AdjointConfig.radial(1), "sideways")
+            commutator(one, radial_1d, "sideways")
 
 
 @settings(max_examples=40, deadline=None)
 @given(polynomials(max_degree=6, max_terms=5))
 def test_commutator_three_way_agreement(psi):
-    cfg = AdjointConfig.radial(psi.dim)
-    direct = commutator(psi, cfg, "direct")
-    assert direct == commutator(psi, cfg, "expanded")
-    assert direct == commutator(psi, cfg, "reduced")
+    radial = Polynomial.norm_squared(psi.dim)
+    direct = commutator(psi, radial, "direct")
+    assert direct == commutator(psi, radial, "expanded")
+    assert direct == commutator(psi, radial, "reduced")
 
 
 @settings(max_examples=30, deadline=None)
@@ -97,8 +89,7 @@ def test_expanded_route_for_general_weights(weight, psi):
     beyond the radial case (pointwise polynomial identity)."""
     if weight.dim != psi.dim:
         psi = Polynomial(weight.dim, {(0,) * weight.dim: Fraction(1, 2)})
-    cfg = AdjointConfig(weight=weight)
-    assert commutator(psi, cfg, "direct") == commutator(psi, cfg, "expanded")
+    assert commutator(psi, weight, "direct") == commutator(psi, weight, "expanded")
 
 
 class TestPairingIdentity:

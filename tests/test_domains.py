@@ -144,7 +144,7 @@ class TestSolveBounded:
     def test_unit_interval_constant(self):
         box = BoxDomain(((-1.0, 1.0),))
         f = SampledFunction.constant(box, 1.0)
-        rep = solve_bounded(box, f, a=0, truncation=16, quad_tol=1e-10)
+        rep = solve_bounded(box, f, a=0, truncation=16)
         # diameter 2: constant sqrt(e^4/8), data norm sqrt(2)
         assert rep.diameter_constant == pytest.approx(math.sqrt(math.exp(4.0) / 8.0))
         assert rep.bound_value == pytest.approx(
@@ -171,7 +171,7 @@ class TestSolveBounded:
     def test_polynomial_data_weighted_ratio(self):
         box = BoxDomain(((-1.0, 1.0),))
         f = SampledFunction.from_polynomial(Polynomial.variable(1, 0), box)
-        rep = solve_bounded(box, f, a=0, truncation=16, quad_tol=1e-10)
+        rep = solve_bounded(box, f, a=0, truncation=16)
         assert rep.weighted_ratio <= Fraction(1, 8)
         assert rep.weighted_ratio_vs_data <= 1 / 8 + 1e-12
         assert rep.bound_satisfied
@@ -179,7 +179,7 @@ class TestSolveBounded:
     def test_shifted_box_2d(self):
         box = BoxDomain(((0.0, 1.0), (1.0, 2.0)))
         f = SampledFunction.constant(box, 2.0)
-        rep = solve_bounded(box, f, a=0, truncation=8, quad_tol=1e-9)
+        rep = solve_bounded(box, f, a=0, truncation=8)
         assert rep.bound_satisfied and rep.bessel_holds
 
     def test_nonzero_shift(self):
@@ -333,13 +333,27 @@ class TestCounterexample:
         closed_form = domains._closed_form
 
         def mutated(c1, c2):
-            u = closed_form(c1, c2)
-            return lambda x: u(x) - 1e-3 * x * np.log(x)
+            a_lin, a_const, u = closed_form(c1, c2)
+            return a_lin, a_const, lambda x: u(x) - 1e-3 * x * np.log(x)
 
         monkeypatch.setattr(domains, "_closed_form", mutated)
         report = counterexample_report(50.0)
         assert report.second_derivative_max_rel == pytest.approx(1e-3, rel=1e-2)
         assert report.second_derivative_max_rel > report.second_derivative_tol
+
+    def test_wrong_constant_fails_value_check(self, monkeypatch):
+        """A constant term off by 10^-30 is below float rounding, so only the
+        exact u(1) check, read from the closed form's own coefficients, sees it."""
+        closed_form = domains._closed_form
+
+        def mutated(c1, c2):
+            return closed_form(c1, c2 + Fraction(1, 10**30))
+
+        monkeypatch.setattr(domains, "_closed_form", mutated)
+        report = counterexample_report(50.0)
+        assert report.u1_closed - report.u1_integral == Fraction(1, 10**30)
+        assert report.closed_vs_integral_max_rel <= domains.CLOSED_FORM_TOL
+        assert not report.passed
 
     def test_unbounded_growth(self):
         report = counterexample_report(1000.0)
@@ -361,6 +375,13 @@ class TestCounterexample:
     def test_r_below_one_rejected(self):
         with pytest.raises(ValueError):
             counterexample_report(0.5)
+
+    def test_r_limit(self):
+        """At MAX_R the square integral is still a float; just above it the
+        input is refused before any quadrature."""
+        assert counterexample_report(domains.MAX_R).passed
+        with pytest.raises(InputLimitError, match="above MAX_R = 1e\\+101"):
+            counterexample_report(math.nextafter(domains.MAX_R, math.inf))
 
     @pytest.mark.parametrize(
         "change",

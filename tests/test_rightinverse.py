@@ -28,7 +28,6 @@ from gauss_rinv.rightinverse import (
     check_operator_norm_limits,
     default_directions,
     enrich,
-    harmonic_polynomial_basis,
     kernel_basis,
     multi_indices_up_to,
     operator_norm,
@@ -36,6 +35,7 @@ from gauss_rinv.rightinverse import (
     shifted_laplacian,
     solve_min_norm,
 )
+from harmonic_basis import harmonic_polynomial_basis
 
 one_1d = Polynomial.constant(1, 1)
 one_2d = Polynomial.constant(2, 1)
