@@ -2,6 +2,7 @@
 
 import json
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -528,3 +529,13 @@ class TestReporting:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             dump_json({"x": object()})
+
+
+class TestSuiteDeterminism:
+    def test_reduced_suite_byte_identical(self):
+        """Repeated runs of the fixed-parameter suite emit byte-identical, passing reports."""
+        cmd = [sys.executable, "-m", "gauss_rinv", "suite"]
+        first = subprocess.run(cmd, capture_output=True, check=True)
+        second = subprocess.run(cmd, capture_output=True, check=True)
+        assert first.stdout == second.stdout
+        assert json.loads(first.stdout)["pass"] is True
