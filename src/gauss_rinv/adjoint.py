@@ -22,7 +22,7 @@ identities exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .hermite import GaussianScalar, WeightSpec, inner_product, norm_sq
@@ -107,14 +107,23 @@ class CheckReport:
     """Outcome of one exact identity/inequality check.
 
     ``passed`` compares lhs with rhs by the relation the checker states.
-    ``parts`` carries named intermediate scalars for reporting.
+    The corpus also reports its pointwise commutator routes this way, with
+    polynomial sides.
     """
 
-    identity: str
-    lhs: GaussianScalar
-    rhs: GaussianScalar
+    lhs: GaussianScalar | Polynomial
+    rhs: GaussianScalar | Polynomial
     passed: bool
-    parts: dict = field(default_factory=dict)
+
+
+def _adjoint_norm_sq(psi: Polynomial, a: RationalLike, w: WeightSpec, w_poly: Polynomial) -> GaussianScalar:
+    """||(lap+a)* psi||^2_w, with w_poly the weight as a polynomial."""
+    return norm_sq(formal_adjoint(psi, w_poly, a), w)
+
+
+def _commutator_pairing(psi: Polynomial, w: WeightSpec, w_poly: Polynomial) -> GaussianScalar:
+    """<psi, commutator(psi)>_w, with w_poly the weight as a polynomial."""
+    return inner_product(psi, commutator(psi, w_poly, "direct"), w)
 
 
 def check_commutator_pairing(psi: Polynomial) -> CheckReport:
@@ -122,16 +131,11 @@ def check_commutator_pairing(psi: Polynomial) -> CheckReport:
     radial weight |x|^2."""
     n = psi.dim
     w = WeightSpec.unit(n)
-    lhs = inner_product(psi, commutator(psi, Polynomial.norm_squared(n), "direct"), w)
+    lhs = _commutator_pairing(psi, w, Polynomial.norm_squared(n))
     rhs = norm_sq(psi, w).scale(8 * n)
     for j in range(n):
         rhs = rhs + norm_sq(psi.partial(j), w).scale(8)
-    return CheckReport(
-        identity="commutator-pairing",
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
-    )
+    return CheckReport(lhs, rhs, lhs == rhs)
 
 
 def check_adjoint_norm_split(
@@ -142,20 +146,10 @@ def check_adjoint_norm_split(
     Holds for any C^4 weight; evaluated exactly over weights lam*|x-x0|^2.
     """
     w = weight if weight is not None else WeightSpec.unit(psi.dim)
-    weight_poly = w.polynomial()
-    adj = formal_adjoint(psi, weight_poly, a)
-    forward = psi.laplacian() + psi.scale(a)
-    lhs = norm_sq(adj, w)
-    h_norm = norm_sq(forward, w)
-    pairing = inner_product(psi, commutator(psi, weight_poly, "direct"), w)
-    rhs = h_norm + pairing
-    return CheckReport(
-        identity="adjoint-norm-split",
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
-        parts={"forward_norm_sq": h_norm, "commutator_pairing": pairing},
-    )
+    w_poly = w.polynomial()
+    lhs = _adjoint_norm_sq(psi, a, w, w_poly)
+    rhs = norm_sq(psi.laplacian() + psi.scale(a), w) + _commutator_pairing(psi, w, w_poly)
+    return CheckReport(lhs, rhs, lhs == rhs)
 
 
 def check_coercivity(psi: Polynomial, a: RationalLike = 0) -> CheckReport:
@@ -163,15 +157,9 @@ def check_coercivity(psi: Polynomial, a: RationalLike = 0) -> CheckReport:
     uniformly in a."""
     n = psi.dim
     w = WeightSpec.unit(n)
-    adj = formal_adjoint(psi, Polynomial.norm_squared(n), a)
-    lhs = norm_sq(adj, w)
+    lhs = _adjoint_norm_sq(psi, a, w, Polynomial.norm_squared(n))
     bound = norm_sq(psi, w).scale(8 * n)
-    return CheckReport(
-        identity="coercivity",
-        lhs=lhs,
-        rhs=bound,
-        passed=lhs >= bound,
-    )
+    return CheckReport(lhs, bound, lhs >= bound)
 
 
 def check_duality(f: Polynomial, psi: Polynomial, a: RationalLike = 0) -> CheckReport:
@@ -186,14 +174,8 @@ def check_duality(f: Polynomial, psi: Polynomial, a: RationalLike = 0) -> CheckR
     w = WeightSpec.unit(n)
     ip = inner_product(f, psi, w)
     lhs = ip * ip
-    c = norm_sq(f, w).scale(Fraction(1, 8 * n))
-    rhs = c * norm_sq(formal_adjoint(psi, Polynomial.norm_squared(n), a), w)
-    return CheckReport(
-        identity="duality",
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs <= rhs,
-    )
+    rhs = norm_sq(f, w).scale(Fraction(1, 8 * n)) * _adjoint_norm_sq(psi, a, w, Polynomial.norm_squared(n))
+    return CheckReport(lhs, rhs, lhs <= rhs)
 
 
 def check_adjointness(psi: Polynomial, u: Polynomial, weight: WeightSpec | None = None) -> CheckReport:
@@ -203,12 +185,7 @@ def check_adjointness(psi: Polynomial, u: Polynomial, weight: WeightSpec | None 
     w = weight if weight is not None else WeightSpec.unit(psi.dim)
     lhs = inner_product(psi, u.laplacian(), w)
     rhs = inner_product(formal_adjoint(psi, w.polynomial()), u, w)
-    return CheckReport(
-        identity="adjointness",
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
-    )
+    return CheckReport(lhs, rhs, lhs == rhs)
 
 
 # ----------------------------------------------------------------------
@@ -234,22 +211,6 @@ CORPUS_IDENTITIES = (
 )
 
 
-def _poly_signature(p: Polynomial) -> str:
-    from .polynomials import format_rational
-
-    if p.is_zero():
-        return "0"
-    return " + ".join(
-        f"{format_rational(c)}*x^{list(e)}" for e, c in p.sorted_terms()
-    )
-
-
-def _scalar_signature(s: GaussianScalar) -> str:
-    from .polynomials import format_rational
-
-    return f"{format_rational(s.value)}*(pi/{format_rational(s.lam)})^{float(s.pi_pow)}"
-
-
 def _corpus_weights(rng: random.Random) -> WeightSpec:
     lam = rng.choice([Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])
     dim = rng.choice([1, 2, 3])
@@ -260,58 +221,54 @@ def _corpus_weights(rng: random.Random) -> WeightSpec:
     return WeightSpec(dim=dim, lam=lam, center=center)
 
 
+def _draw(rng: random.Random, dim: int) -> Polynomial:
+    """One corpus polynomial: degree <= 6, at most 8 terms."""
+    return random_polynomial(rng, dim, max_degree=6, max_terms=8)
+
+
+def _check_case(identity: str, rng: random.Random, psi: Polynomial, a: Fraction) -> CheckReport:
+    """One case's check; every further draw from rng comes after psi's."""
+    if identity == "commutator-three-way":
+        radial = Polynomial.norm_squared(psi.dim)
+        direct, expanded, reduced = (commutator(psi, radial, m) for m in COMMUTATOR_METHODS)
+        return CheckReport(direct, expanded, direct == expanded == reduced)
+    if identity == "weight-expansion":
+        # general polynomial weight: direct vs expanded route, pointwise
+        weight = random_polynomial(rng, psi.dim, max_degree=4, max_terms=6, nonzero=True)
+        direct, expanded = commutator(psi, weight, "direct"), commutator(psi, weight, "expanded")
+        return CheckReport(direct, expanded, direct == expanded)
+    if identity == "commutator-pairing":
+        return check_commutator_pairing(psi)
+    if identity == "adjoint-norm-split":
+        w = _corpus_weights(rng)
+        return check_adjoint_norm_split(_draw(rng, w.dim), a, w)
+    if identity == "coercivity":
+        return check_coercivity(psi, a)
+    if identity == "duality":
+        return check_duality(_draw(rng, psi.dim), psi, a)
+    if identity == "adjointness":
+        w = _corpus_weights(rng)
+        return check_adjointness(_draw(rng, w.dim), _draw(rng, w.dim), w)
+    raise ValueError(f"unknown identity {identity!r}")
+
+
 def run_identity_case(identity: str, seed: int) -> dict:
-    """Run one seeded corpus case; the seed fully determines the inputs."""
+    """Run one seeded corpus case; the seed fully determines the inputs.
+
+    ``lhs`` and ``rhs`` are the str() of the two sides: polynomials for the
+    commutator routes, exact scalars otherwise.
+    """
     rng = random.Random(seed)
     dim = rng.choice([1, 2, 3])
-    psi = random_polynomial(rng, dim, max_degree=6, max_terms=8)
-    a = SHIFT_CYCLE[seed % len(SHIFT_CYCLE)]
-
-    if identity == "commutator-three-way":
-        radial = Polynomial.norm_squared(dim)
-        routes = {m: commutator(psi, radial, m) for m in COMMUTATOR_METHODS}
-        passed = routes["direct"] == routes["expanded"] == routes["reduced"]
-        lhs_s = _poly_signature(routes["direct"])
-        rhs_s = _poly_signature(routes["expanded"])
-    elif identity == "weight-expansion":
-        # general polynomial weight: direct vs expanded route, pointwise
-        weight = random_polynomial(rng, dim, max_degree=4, max_terms=6, nonzero=True)
-        lhs_p = commutator(psi, weight, "direct")
-        rhs_p = commutator(psi, weight, "expanded")
-        passed = lhs_p == rhs_p
-        lhs_s = _poly_signature(lhs_p)
-        rhs_s = _poly_signature(rhs_p)
-    elif identity == "commutator-pairing":
-        report = check_commutator_pairing(psi)
-        passed, lhs_s, rhs_s = report.passed, _scalar_signature(report.lhs), _scalar_signature(report.rhs)
-    elif identity == "adjoint-norm-split":
-        weight = _corpus_weights(rng)
-        psi_w = random_polynomial(rng, weight.dim, max_degree=6, max_terms=8)
-        report = check_adjoint_norm_split(psi_w, a, weight)
-        passed, lhs_s, rhs_s = report.passed, _scalar_signature(report.lhs), _scalar_signature(report.rhs)
-    elif identity == "coercivity":
-        report = check_coercivity(psi, a)
-        passed, lhs_s, rhs_s = report.passed, _scalar_signature(report.lhs), _scalar_signature(report.rhs)
-    elif identity == "duality":
-        f = random_polynomial(rng, dim, max_degree=6, max_terms=8)
-        report = check_duality(f, psi, a)
-        passed, lhs_s, rhs_s = report.passed, _scalar_signature(report.lhs), _scalar_signature(report.rhs)
-    elif identity == "adjointness":
-        weight = _corpus_weights(rng)
-        psi_w = random_polynomial(rng, weight.dim, max_degree=6, max_terms=8)
-        u = random_polynomial(rng, weight.dim, max_degree=6, max_terms=8)
-        report = check_adjointness(psi_w, u, weight)
-        passed, lhs_s, rhs_s = report.passed, _scalar_signature(report.lhs), _scalar_signature(report.rhs)
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
-
+    psi = _draw(rng, dim)
+    report = _check_case(identity, rng, psi, SHIFT_CYCLE[seed % len(SHIFT_CYCLE)])
     return {
         "id": f"{identity}-{seed}",
         "seed": seed,
         "identity": identity,
-        "lhs": lhs_s,
-        "rhs": rhs_s,
-        "pass": bool(passed),
+        "lhs": str(report.lhs),
+        "rhs": str(report.rhs),
+        "pass": bool(report.passed),
     }
 
 

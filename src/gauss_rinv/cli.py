@@ -101,9 +101,9 @@ def _read_json(path: str):
 
 
 # The suite's quadrature oracle for the enriched ratio: a Gauss-Hermite rule
-# of this order, which must agree with the closed form within QUAD_TOL.
+# of this order, whose gap from the closed form is at most ORACLE_GAP_TOL.
 QUAD_ORDER = 40
-QUAD_TOL = 1e-10
+ORACLE_GAP_TOL = 1e-10
 # The suite's fixed corpus: the master seed of the identity battery and of
 # the random bound data, cases per identity, random polynomial weights, and
 # random data for the bound.  ``verify`` runs the battery at other values.
@@ -183,7 +183,7 @@ def run_suite() -> tuple[list[dict], bool]:
     record(
         "kernel-enrichment",
         abs(rep_pos.ratio_float - closed) <= 1e-10
-        and abs(closed - quad) <= QUAD_TOL
+        and abs(closed - quad) <= ORACLE_GAP_TOL
         and rep_pos.bound_satisfied
         and rep_pos.pre_enrichment_ratio == 1
         and rep_neg.bound_satisfied,

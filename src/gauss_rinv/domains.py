@@ -38,13 +38,7 @@ import numpy as np
 
 from .hermite import HermiteExpansion, WeightSpec, normalized_hermite_values, norm_sq, tensor_rule
 from .polynomials import MultiIndex, Polynomial, RationalLike, format_rational
-from .rightinverse import (
-    InputLimitError,
-    input_float,
-    multi_indices_up_to,
-    right_inverse_coeffs,
-    shifted_laplacian,
-)
+from .rightinverse import InputLimitError, exact_solve, input_float, multi_indices_up_to
 
 # Gauss-Legendre nodes per axis of one quadrature panel.
 PANEL_ORDER = 12
@@ -433,15 +427,7 @@ def solve_bounded(
             f_coeffs[alpha] = Fraction(c)
     f_exp = HermiteExpansion(weight, f_coeffs)
 
-    u_exp = right_inverse_coeffs(f_exp, a)
-    residual_exact = shifted_laplacian(u_exp, a) == f_exp
-
-    norm_u_w = u_exp.norm_sq()
-    norm_f_w = f_exp.norm_sq()
-    weighted_bound = Fraction(1, 8 * n)
-    weighted_ratio = (
-        Fraction(0) if norm_f_w.is_zero() else norm_u_w.ratio(norm_f_w)
-    )
+    u_exp, residual_exact, norm_f_w, norm_u_w, weighted_ratio = exact_solve(f_exp, a)
     weighted_ratio_vs_data = (
         norm_u_w.to_float() / norm_f_w_data if norm_f_w_data > 0 else 0.0
     )
@@ -480,7 +466,7 @@ def solve_bounded(
         bound_satisfied=norm_u_l2 <= bound_value + 1e-12,
         margin=margin,
         weighted_ratio=weighted_ratio,
-        weighted_bound=weighted_bound,
+        weighted_bound=Fraction(1, 8 * n),
         weighted_ratio_vs_data=weighted_ratio_vs_data,
         projection_defect_rel=defect,
         bessel_holds=projected <= norm_f_w_data + bessel_tol,
@@ -645,9 +631,9 @@ def _closed_form(
     return a_lin, a_const, u
 
 
-def _integral_form(c1: float, c2: float) -> Callable[[float], float]:
-    """u(x) = integral_0^x (x-t) f(t) dt + c1 x + c2 with the piecewise
-    source f(t) = t on (0,1), 1/t on [1, inf); quadrature per smooth piece."""
+def _integral_form() -> Callable[[float], float]:
+    """u(x) = integral_0^x (x-t) f(t) dt with the piecewise source f(t) = t
+    on (0,1), 1/t on [1, inf); quadrature per smooth piece."""
     nodes, weights = np.polynomial.legendre.leggauss(INTEGRAL_FORM_ORDER)
 
     def piece(lo: float, hi: float, g: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -658,7 +644,7 @@ def _integral_form(c1: float, c2: float) -> Callable[[float], float]:
         total = piece(0.0, 1.0, lambda t: (x - t) * t)
         if x > 1.0:
             total += piece(1.0, x, lambda t: (x - t) / t)
-        return total + c1 * x + c2
+        return total
 
     return u
 
@@ -675,8 +661,13 @@ def counterexample_report(
     (ii) its central second difference reproduces the 1/x source at
     SAMPLE_POINTS points of [1, R] within SECOND_DIFFERENCE_TOL relative;
     (iii) the unweighted square integral over [1, R] grows without bound
-    while the Gaussian-weighted one converges.  An R above MAX_R, or a c1
-    or c2 above the float range, raises InputLimitError.
+    while the Gaussian-weighted one converges.  The affine part c1 x + c2
+    is exact on both routes of (i) and has u'' = 0, and the exact u(1)
+    check covers it, so (i) and (ii) run at c1 = c2 = 0: in float, a large
+    affine part would round away the x ln x term they check.  An R above
+    MAX_R, or a c1 or c2 above the float range, raises InputLimitError; a
+    square integral of u (QuadratureError) or the tail bound
+    (OverflowError) that leaves the float range raises naming it, c1 and c2.
     """
     if r_max < 1.0:
         raise ValueError(f"R must be >= 1, got {r_max}")
@@ -694,18 +685,28 @@ def counterexample_report(
     # exact antiderivative of (1-t)*t over [0,1]: t^2/2 - t^3/3
     u1_integral = Fraction(1, 2) - Fraction(1, 3) + c1 + c2
 
-    u_int = _integral_form(c1_float, c2_float)
+    _, _, u0 = _closed_form(Fraction(0), Fraction(0))
+    u_int = _integral_form()
     steps = np.arange(SAMPLE_POINTS) / (SAMPLE_POINTS - 1)
     xs = 1.0 + (20.0 - 1.0) * steps
-    a_val = u(xs)
+    a_val = u0(xs)
     b_val = np.array([u_int(x) for x in xs.tolist()])
     scale = np.maximum(np.maximum(abs(a_val), abs(b_val)), 1.0)
     max_rel = float(np.max(abs(a_val - b_val) / scale))
 
     xs = 1.0 + (float(r_max) - 1.0) * steps
     h = SECOND_DIFFERENCE_STEP * xs
-    second = (u(xs + h) - 2.0 * u(xs) + u(xs - h)) / h**2
+    second = (u0(xs + h) - 2.0 * u0(xs) + u0(xs - h)) / h**2
     second_max = float(np.max(abs(second * xs - 1.0)))
+
+    def square_integral(name: str, fn: Callable[[np.ndarray], np.ndarray], r: float, tol: float) -> float:
+        try:
+            return integrate_box(fn, BoxDomain(((1.0, r),)), tol=tol)
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"counterexample: the {name} over [1, {r!r}] at c1 = {c1_float:.6g}, "
+                f"c2 = {c2_float:.6g} leaves the float range ({exc})"
+            ) from None
 
     radii = sorted({10.0, 100.0, 1000.0, float(r_max)})
     radii = [r for r in radii if r <= float(r_max)] or [float(r_max)]
@@ -714,23 +715,23 @@ def counterexample_report(
         if r <= 1.0:
             growth.append((r, 0.0))
             continue
-        box = BoxDomain(((1.0, r),))
-        growth.append((r, integrate_box(lambda x: u(x[:, 0]) ** 2, box, tol=1e-8)))
+        growth.append((r, square_integral("growth integral of u^2", lambda x: u(x[:, 0]) ** 2, r, 1e-8)))
     strictly_increasing = all(b[1] > a[1] for a, b in zip(growth, growth[1:]))
 
     cutoff = 8.0
-    box = BoxDomain(((1.0, cutoff),))
-    weighted = integrate_box(
-        lambda x: u(x[:, 0]) ** 2 * np.exp(-x[:, 0] ** 2), box, tol=1e-12
+    weighted = square_integral(
+        "weighted integral of u^2", lambda x: u(x[:, 0]) ** 2 * np.exp(-x[:, 0] ** 2), cutoff, 1e-12
     )
     # |u| <= D x^2 for x >= cutoff, and
     # integral_X^inf x^4 e^{-x^2} dx <= e^{-X^2} (X^3/2 + 3X/4 + 3/(8X))
     d_const = abs(float(a_lin)) + 1.0 + abs(float(a_const))
-    tail = (
-        d_const**2
-        * math.exp(-(cutoff**2))
-        * (cutoff**3 / 2.0 + 0.75 * cutoff + 3.0 / (8.0 * cutoff))
-    )
+    try:
+        tail = d_const**2 * math.exp(-(cutoff**2)) * (cutoff**3 / 2.0 + 0.75 * cutoff + 3.0 / (8.0 * cutoff))
+    except OverflowError:
+        raise OverflowError(
+            f"counterexample: the weighted tail bound past x = {cutoff:g}, where |u| <= {d_const:.6g} x^2, "
+            f"leaves the float range at c1 = {c1_float:.6g}, c2 = {c2_float:.6g}"
+        ) from None
 
     return CounterexampleReport(
         c1=c1,

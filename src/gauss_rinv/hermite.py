@@ -36,10 +36,8 @@ from .polynomials import (
     Polynomial,
     RationalLike,
     _as_fraction,
-    add_over,
     format_rational,
     over_common_denominator,
-    scale_over,
     tensor_expand,
     validated_terms,
 )
@@ -92,6 +90,13 @@ class WeightSpec:
             out = out + shifted * shifted
         return out.scale(self.lam)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "dim": self.dim,
+            "lambda": format_rational(self.lam),
+            "center": [format_rational(c) for c in self.center],
+        }
+
 
 # ----------------------------------------------------------------------
 # exact weighted scalars
@@ -129,23 +134,12 @@ class GaussianScalar:
         self._check_unit(other)
         return GaussianScalar(self.value + other.value, self.pi_pow, self.lam)
 
-    def __sub__(self, other: "GaussianScalar") -> "GaussianScalar":
-        self._check_unit(other)
-        return GaussianScalar(self.value - other.value, self.pi_pow, self.lam)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianScalar):
-            if self.lam != other.lam:
-                raise UnitMismatchError(
-                    f"cannot multiply scalars with lambda {self.lam} and {other.lam}"
-                )
-            return GaussianScalar(
-                self.value * other.value, self.pi_pow + other.pi_pow, self.lam
+    def __mul__(self, other: "GaussianScalar") -> "GaussianScalar":
+        if self.lam != other.lam:
+            raise UnitMismatchError(
+                f"cannot multiply scalars with lambda {self.lam} and {other.lam}"
             )
-        return GaussianScalar(self.value * _as_fraction(other), self.pi_pow, self.lam)
-
-    def __rmul__(self, other) -> "GaussianScalar":
-        return self.__mul__(other)
+        return GaussianScalar(self.value * other.value, self.pi_pow + other.pi_pow, self.lam)
 
     def scale(self, factor: RationalLike) -> "GaussianScalar":
         return GaussianScalar(self.value * _as_fraction(factor), self.pi_pow, self.lam)
@@ -169,15 +163,8 @@ class GaussianScalar:
         self._check_unit(other)
         return self.value <= other.value
 
-    def __lt__(self, other: "GaussianScalar") -> bool:
-        self._check_unit(other)
-        return self.value < other.value
-
     def __ge__(self, other: "GaussianScalar") -> bool:
         return other.__le__(self)
-
-    def __gt__(self, other: "GaussianScalar") -> bool:
-        return other.__lt__(self)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -192,11 +179,12 @@ class GaussianScalar:
             "lambda": format_rational(self.lam),
         }
 
+    def __str__(self) -> str:
+        """The identity corpus signature: value*(pi/lam)^pi_pow, the power as a float."""
+        return f"{format_rational(self.value)}*(pi/{format_rational(self.lam)})^{float(self.pi_pow)}"
+
     def __repr__(self) -> str:
-        return (
-            f"GaussianScalar({format_rational(self.value)}"
-            f" * (pi/{format_rational(self.lam)})^{self.pi_pow})"
-        )
+        return f"GaussianScalar({self})"
 
 
 # ----------------------------------------------------------------------
@@ -330,18 +318,6 @@ class HermiteExpansion:
             return NotImplemented
         return self.weight == other.weight and self.den == other.den and self.nums == other.nums
 
-    def __add__(self, other: "HermiteExpansion") -> "HermiteExpansion":
-        if self.weight != other.weight:
-            raise UnitMismatchError("expansions over different weights")
-        return HermiteExpansion._trusted(
-            self.weight, *add_over((self.den, self.nums), (other.den, other.nums))
-        )
-
-    def scale(self, factor: RationalLike) -> "HermiteExpansion":
-        return HermiteExpansion._trusted(
-            self.weight, *scale_over((self.den, self.nums), _as_fraction(factor))
-        )
-
     def inner(self, other: "HermiteExpansion") -> GaussianScalar:
         """Exact weighted inner product via basis orthogonality (Parseval)."""
         if self.weight != other.weight:
@@ -374,11 +350,7 @@ class HermiteExpansion:
 
     def to_json_dict(self) -> dict:
         return {
-            "weight": {
-                "dim": self.weight.dim,
-                "lambda": format_rational(self.weight.lam),
-                "center": [format_rational(c) for c in self.weight.center],
-            },
+            "weight": self.weight.to_json_dict(),
             "coeffs": [
                 {"index": list(k), "coef": format_rational(v)}
                 for k, v in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))

@@ -293,13 +293,14 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.dim, self.den, frozenset(self.nums.items())))
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """The identity corpus signature: graded-lex terms c*x^[e], or 0."""
         if not self.nums:
-            return f"Polynomial({self.dim}, 0)"
-        parts = [
-            f"{format_rational(c)}*x^{list(e)}" for e, c in self.sorted_terms()
-        ]
-        return f"Polynomial({self.dim}, {' + '.join(parts)})"
+            return "0"
+        return " + ".join(f"{format_rational(c)}*x^{list(e)}" for e, c in self.sorted_terms())
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self.dim}, {self})"
 
     # ------------------------------------------------------------------
     # ring operations

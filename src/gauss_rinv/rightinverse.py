@@ -323,11 +323,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "weight": {
-                "dim": self.weight.dim,
-                "lambda": format_rational(self.weight.lam),
-                "center": [format_rational(c) for c in self.weight.center],
-            },
+            "weight": self.weight.to_json_dict(),
             "a": format_rational(self.a),
             "truncation": self.truncation,
             "solution": {
@@ -469,6 +465,18 @@ def right_inverse_coeffs(f: HermiteExpansion, a: Fraction) -> HermiteExpansion:
     return _triangular_coeffs(f, a)
 
 
+def exact_solve(
+    f: HermiteExpansion, a: Fraction
+) -> tuple[HermiteExpansion, bool, GaussianScalar, GaussianScalar, Fraction]:
+    """The exact core of every solve: u = right_inverse_coeffs(f, a), the
+    exact residual check shifted_laplacian(u, a) == f, ||f||^2_w,
+    ||u||^2_w and their ratio ||u||^2_w / ||f||^2_w (0 for zero data)."""
+    u = right_inverse_coeffs(f, a)
+    norm_f, norm_u = f.norm_sq(), u.norm_sq()
+    ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)
+    return u, shifted_laplacian(u, a) == f, norm_f, norm_u, ratio
+
+
 def solve_min_norm(
     f: Polynomial, a: RationalLike = 0, weight: WeightSpec | None = None
 ) -> SolveReport:
@@ -487,18 +495,14 @@ def solve_min_norm(
     w = weight if weight is not None else WeightSpec.unit(f.dim)
     if f.dim != w.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {w.dim}")
-    f_exp = monomial_to_hermite(f, w)
-    u_exp = right_inverse_coeffs(f_exp, a)
-    norm_f = f_exp.norm_sq()
-    norm_u = u_exp.norm_sq()
-    ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)
+    u_exp, residual_exact, norm_f, norm_u, ratio = exact_solve(monomial_to_hermite(f, w), a)
     bound = Fraction(1, 8 * w.dim * w.lam**2)
     return SolveReport(
         weight=w,
         a=a,
         truncation=max(f.total_degree(), 0),
         solution=u_exp,
-        residual_exact=shifted_laplacian(u_exp, a) == f_exp,
+        residual_exact=residual_exact,
         norm_f_sq=norm_f,
         norm_u_sq=norm_u,
         norm_u_sq_float=_report_float("norm_u_sq_float, the float of ||u||^2_w,", norm_u),

@@ -494,6 +494,19 @@ class TestExactInputsOutOfFloatRange:
         assert capsys.readouterr().err.startswith(message)
 
 
+def test_counterexample_large_affine_constants(tmp_path, capsys):
+    """Large affine constants pass without a warning; at c1 = 10^200 the
+    growth integral of u^2 leaves the float range, and exit 3 names it."""
+    out = ["--out", str(tmp_path / "r.json")]
+    for argv in (["--c2", "100000"], ["--c1", "-1000000", "--c2", "7"], ["--c2", str(10**100)]):
+        assert main(["counterexample", *argv, *out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["counterexample", "--c1", str(10**200)]) == EXIT_NUMERIC
+    assert "numeric failure: counterexample: the growth integral of u^2 over [1, 10.0] at c1 = 1e+200" in (
+        capsys.readouterr().err
+    )
+
+
 class TestCountsBelowOne:
     """A verdict over zero cases is no verdict: counts below 1 exit 2, and
     so does a degree below 0, at its flag."""

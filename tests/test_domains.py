@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gauss_rinv import domains
+from gauss_rinv import domains, rightinverse
 from gauss_rinv.domains import (
     BoxDomain,
     InputLimitError,
@@ -210,13 +210,14 @@ class TestSolveBounded:
     def test_corrupted_solution_fails_residuals(self, monkeypatch):
         """One wrong coefficient in u fails the exact residual; the data-side
         Bessel check does not read u and still holds."""
-        solver = domains.right_inverse_coeffs
+        solver = rightinverse.right_inverse_coeffs
 
         def corrupt(*args):
             u = solver(*args)
-            return u + HermiteExpansion(u.weight, {max(u.nums): Fraction(1, 7)})
+            top = max(u.nums)
+            return HermiteExpansion(u.weight, {**u.coeffs, top: u.coeffs[top] + Fraction(1, 7)})
 
-        monkeypatch.setattr(domains, "right_inverse_coeffs", corrupt)
+        monkeypatch.setattr(rightinverse, "right_inverse_coeffs", corrupt)
         box = BoxDomain(((-1.0, 1.0),))
         rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=8)
         assert not rep.residual_exact
@@ -354,6 +355,25 @@ class TestCounterexample:
         assert report.u1_closed - report.u1_integral == Fraction(1, 10**30)
         assert report.closed_vs_integral_max_rel <= domains.CLOSED_FORM_TOL
         assert not report.passed
+
+    @pytest.mark.parametrize("c1, c2", [(0, 100_000), (-(10**6), 7), (0, 10**100), (10**100, 0)])
+    def test_large_affine_constants_pass(self, c1, c2):
+        """The float checks run on u at c1 = c2 = 0, so a large affine part
+        neither rounds away the x ln x term they check nor warns; the exact
+        u(1) check carries c1 and c2."""
+        report = counterexample_report(1000.0, c1, c2)
+        assert report.u1_closed == report.u1_integral == Fraction(1, 6) + c1 + c2
+        assert report.passed
+
+    def test_square_integral_overflow_named(self):
+        with pytest.raises(QuadratureError, match=r"growth integral of u\^2 over \[1, 10.0\] at c1 = 1e\+200"):
+            counterexample_report(1000.0, 10**200)
+
+    def test_tail_bound_overflow_named(self):
+        """With c2 = -4.5 c1, |u| <= 3.5 |c1| on [1, 8], so at R = 1 the
+        weighted integral is a float while D = 5.5 |c1| squared is not."""
+        with pytest.raises(OverflowError, match="weighted tail bound past x = 8, where [|]u[|] <= 1.65e[+]154"):
+            counterexample_report(1.0, 3 * 10**153, -27 * 10**153 // 2)
 
     def test_unbounded_growth(self):
         report = counterexample_report(1000.0)

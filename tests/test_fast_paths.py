@@ -147,9 +147,6 @@ def test_hermite_ops_keep_invariant(data):
     factor = data.draw(rationals())
     results = [
         expansion,
-        expansion + expansion.scale(-1),
-        expansion + monomial_to_hermite(Polynomial.constant(p.dim, 1), w),
-        expansion.scale(factor),
         shifted_laplacian(expansion, factor),
         shifted_laplacian(expansion, 0),
     ]
@@ -409,24 +406,6 @@ def test_ring_and_calculus_match_fraction_reference(data):
         assert_same_terms(got.terms, reference, dim)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_hermite_sum_and_scale_match_fraction_reference(data):
-    dim = data.draw(st.integers(1, 3))
-    w = data.draw(exact_weights(dim))
-    x = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
-    y = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
-    factor = data.draw(st.one_of(st.just(Fraction(0)), exact_coefficients()))
-    for got, reference in (
-        (x + y, fraction_add(x.coeffs, y.coeffs)),
-        (x + x.scale(-1), {}),
-        (x.scale(factor), fraction_scale(x.coeffs, factor)),
-    ):
-        assert got.weight == w
-        assert_canonical(got, dim)
-        assert_same_terms(got.coeffs, reference, dim)
-
-
 def test_equal_values_over_unreduced_denominators_compare_and_hash_alike():
     """x/2 + 1/3 reached through sums over 12 and 10, products over 6 and
     a pair over 36 reduces to one (den, nums) pair, with one hash."""
@@ -450,8 +429,7 @@ def test_equal_values_over_unreduced_denominators_compare_and_hash_alike():
     assert len(set(routes)) == 1
     assert direct != direct.scale(Fraction(1, 2)) and direct != direct + one
     w = WeightSpec(2, Fraction(1, 2))
-    h = monomial_to_hermite(direct, w)
-    assert h.scale(Fraction(1, 6)).scale(6) == h == h + h.scale(Fraction(-1, 3)) + h.scale(Fraction(1, 3))
+    assert all(monomial_to_hermite(p, w) == monomial_to_hermite(direct, w) for p in routes)
 
 
 def fraction_random_polynomial(rng, dim, max_degree, max_terms=10, coeff_bound=16, nonzero=False):
