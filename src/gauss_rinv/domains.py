@@ -36,12 +36,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hermite import HermiteExpansion, WeightSpec, normalized_hermite_values, norm_sq, tensor_rule
+from .hermite import (
+    HermiteExpansion,
+    WeightSpec,
+    _axis_norm_sq,
+    normalized_hermite_values,
+    norm_sq,
+    tensor_rule,
+)
 from .polynomials import MultiIndex, Polynomial, RationalLike, format_rational
 from .rightinverse import InputLimitError, exact_solve, input_float, multi_indices_up_to
 
 # Gauss-Legendre nodes per axis of one quadrature panel.
 PANEL_ORDER = 12
+# Most nodes integrate_box hands the integrand in one call: 48 1-D panels,
+# 4 2-D panels; a 3-D panel (1,728 nodes) goes alone.
+MAX_BATCH_NODES = 576
 # Bisection depth cap of integrate_box.
 MAX_DEPTH = 24
 # Absolute quadrature tolerance of the two passes of solve_bounded; the
@@ -73,7 +83,7 @@ INTEGRAL_FORM_ORDER = 64
 MAX_R = 1e101
 # One panel of a bounded solve holds C(N+n, n) * PANEL_ORDER^n orthonormal
 # Hermite values (8 bytes each); 2-D at N = 30 holds 71,424, 3-D at N = 30
-# would hold 9.4 million.
+# would hold 9.4 million.  A 2-D integrand call holds up to 4 panels' tables.
 MAX_TABLE_ENTRIES = 2_000_000
 
 
@@ -204,6 +214,16 @@ class QuadratureError(ArithmeticError):
     """The integrand gave a panel estimate that is not finite (NaN or inf)."""
 
 
+@lru_cache(maxsize=None)
+def _panel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The PANEL_ORDER^dim tensor Gauss-Legendre nodes on [-1, 1]^dim and
+    their weights, built once per dimension and read-only."""
+    rule = tensor_rule(*np.polynomial.legendre.leggauss(PANEL_ORDER), dim)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def integrate_box(
     fn: Callable[[np.ndarray], np.ndarray],
     box: BoxDomain,
@@ -217,41 +237,76 @@ def integrate_box(
     of every component agree within the (absolutely distributed) panel
     tolerance, so each component gets a panel set at least as fine as it
     would alone; the half-panel estimates are the children's coarse ones.
+    The tree is built level by level: the nodes of every child panel of a
+    level go to ``fn`` together, at most MAX_BATCH_NODES per call (and
+    whole panels, so at least one per call).  Each panel is reduced by its
+    own ``ref_weights @ values`` product, and the accepted estimates are
+    summed in tree order (left + right at every node), so the result is
+    the depth-first recursion's to the last bit, whatever the batching.
     A non-finite estimate raises QuadratureError at once: NaN never passes
     the agreement test, so it would bisect to ``MAX_DEPTH``.
     """
-    # tensor nodes on [-1, 1]^n and their weights
-    ref_nodes, ref_weights = tensor_rule(*np.polynomial.legendre.leggauss(PANEL_ORDER), box.dim)
+    ref_nodes, ref_weights = _panel_rule(box.dim)
+    size = len(ref_weights)
+    per_call = max(1, MAX_BATCH_NODES // size)
 
-    def panel(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        half = (hi - lo) / 2.0
-        values = np.asarray(fn((hi + lo) / 2.0 + half * ref_nodes), dtype=float)
-        return (ref_weights @ values) * np.prod(half)
-
-    def recurse(lo, hi, coarse, budget, depth):
-        axis = int(np.argmax(hi - lo))
-        mid = (lo[axis] + hi[axis]) / 2.0
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[axis] = right_lo[axis] = mid
-        left, right = panel(lo, left_hi), panel(right_lo, hi)
-        fine = left + right
-        if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
-            raise QuadratureError(
-                f"non-finite integrand estimate {fine.tolist()!r} on panel "
-                f"{list(zip(lo.tolist(), hi.tolist()))}"
-            )
-        # the relative floor stops refinement once float rounding dominates
-        noise = 4e-15 * np.maximum(abs(coarse), abs(fine))
-        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)) or depth >= MAX_DEPTH:
-            return fine
-        return recurse(lo, left_hi, left, budget / 2.0, depth + 1) + recurse(
-            right_lo, hi, right, budget / 2.0, depth + 1
-        )
+    def panels(los: np.ndarray, his: np.ndarray) -> list:
+        """The estimates of the panels [los[i], his[i]]."""
+        out = []
+        for first in range(0, len(los), per_call):
+            lo, hi = los[first:first + per_call], his[first:first + per_call]
+            halves = (hi - lo) / 2.0
+            nodes = ((hi + lo) / 2.0)[:, None, :] + halves[:, None, :] * ref_nodes
+            values = np.asarray(fn(nodes.reshape(-1, box.dim)), dtype=float)
+            blocks = values.reshape(-1, size, *values.shape[1:])
+            out.extend((ref_weights @ b) * np.prod(h) for b, h in zip(blocks, halves))
+        return out
 
     lo, hi = box.corners
-    # overflow and NaN surface as the QuadratureError above, not as warnings
+    los, his = lo[None, :], hi[None, :]
+    levels = []  # per level, the fine estimate of each accepted panel, None where bisected
+    budget = tol
+    # overflow and NaN surface as the QuadratureError below, not as warnings
     with np.errstate(all="ignore"):
-        total = recurse(lo, hi, panel(lo, hi), tol, 0)
+        coarse = panels(los, his)
+        for depth in range(MAX_DEPTH + 1):
+            rows = np.arange(len(los))
+            axes = np.argmax(his - los, axis=1)
+            mids = (los[rows, axes] + his[rows, axes]) / 2.0
+            left_his, right_los = his.copy(), los.copy()
+            left_his[rows, axes] = right_los[rows, axes] = mids
+            # children in tree order: left, right of each panel
+            child_los = np.stack([los, right_los], axis=1).reshape(-1, box.dim)
+            child_his = np.stack([left_his, his], axis=1).reshape(-1, box.dim)
+            estimates = panels(child_los, child_his)
+            level, split = [], []
+            for i, estimate in enumerate(coarse):
+                left, right = estimates[2 * i], estimates[2 * i + 1]
+                fine = left + right
+                if not (np.isfinite(estimate).all() and np.isfinite(fine).all()):
+                    raise QuadratureError(
+                        f"non-finite integrand estimate {fine.tolist()!r} on panel "
+                        f"{list(zip(los[i].tolist(), his[i].tolist()))}"
+                    )
+                # the relative floor stops refinement once float rounding dominates
+                noise = 4e-15 * np.maximum(abs(estimate), abs(fine))
+                if np.all(abs(fine - estimate) <= np.maximum(budget, noise)) or depth >= MAX_DEPTH:
+                    level.append(fine)
+                else:
+                    level.append(None)
+                    split += [2 * i, 2 * i + 1]
+            levels.append(level)
+            if not split:
+                break
+            los, his = child_los[split], child_his[split]
+            coarse = [estimates[j] for j in split]
+            budget = budget / 2.0
+        # a bisected panel's integral is its left child's plus its right child's
+        below: list = []
+        for level in reversed(levels):
+            children = iter(below)
+            below = [fine if fine is not None else next(children) + next(children) for fine in level]
+        (total,) = below
     return float(total) if total.ndim == 0 else total
 
 
@@ -406,10 +461,11 @@ def solve_bounded(
 
     indices = multi_indices_up_to(n, truncation)
     unit = math.pi ** (n / 2.0)
-    # ||G_alpha||_w, the scale between the G basis and the orthonormal one;
+    # ||G_alpha||_w, the scale between the G basis and the orthonormal one:
+    # at lam = 1, ||G_alpha||^2_w is the int prod_j 2^a_j a_j! times pi^{n/2};
     # the min-norm solution reaches degree N + 2
     basis_norm = {
-        alpha: math.sqrt(float(HermiteExpansion.basis_norm_sq(alpha, Fraction(1))) * unit)
+        alpha: math.sqrt(math.prod(map(_axis_norm_sq, alpha)) * unit)
         for alpha in multi_indices_up_to(n, truncation + 2)
     }
 

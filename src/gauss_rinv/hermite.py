@@ -38,6 +38,7 @@ from .polynomials import (
     _as_fraction,
     format_rational,
     over_common_denominator,
+    reduced,
     tensor_expand,
     validated_terms,
 )
@@ -82,13 +83,28 @@ class WeightSpec:
         return self.lam == 1 and all(c == 0 for c in self.center)
 
     def polynomial(self) -> Polynomial:
-        """The weight as an exact polynomial lam*|x - center|^2."""
-        x = [Polynomial.variable(self.dim, j) for j in range(self.dim)]
-        out = Polynomial.zero(self.dim)
-        for j in range(self.dim):
-            shifted = x[j] - Polynomial.constant(self.dim, self.center[j])
-            out = out + shifted * shifted
-        return out.scale(self.lam)
+        """The weight as an exact polynomial lam*|x - center|^2.
+
+        With lam = p/q and L the lcm of the center's denominators, the
+        numerators over q L^2 are p L^2 at x_j^2, -2 p (c_j L) L at x_j
+        and p sum_j (c_j L)^2 at 1, in the key order of the sum of the
+        squares (x_j - c_j)^2.
+        """
+        n, p = self.dim, self.lam.numerator
+        scale = math.lcm(*(c.denominator for c in self.center))
+        zero = (0,) * n
+        nums: dict[MultiIndex, int] = {}
+        constant = 0
+        for j, c in enumerate(self.center):
+            nums[zero[:j] + (2,) + zero[j + 1:]] = p * scale * scale
+            if c:
+                cl = c.numerator * (scale // c.denominator)
+                nums[zero[:j] + (1,) + zero[j + 1:]] = -2 * p * cl * scale
+                nums.setdefault(zero, 0)  # the constant's key follows the first x_j
+                constant += cl * cl
+        if constant:
+            nums[zero] = p * constant
+        return Polynomial._trusted(n, *reduced(self.lam.denominator * scale * scale, nums))
 
     def to_json_dict(self) -> dict:
         return {

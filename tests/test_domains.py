@@ -9,6 +9,9 @@ import pytest
 
 from gauss_rinv import domains, rightinverse
 from gauss_rinv.domains import (
+    MAX_BATCH_NODES,
+    MAX_DEPTH,
+    PANEL_ORDER,
     BoxDomain,
     InputLimitError,
     QuadratureError,
@@ -20,7 +23,7 @@ from gauss_rinv.domains import (
     orthonormal_table,
     solve_bounded,
 )
-from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
+from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite, tensor_rule
 from gauss_rinv.polynomials import Polynomial
 
 
@@ -90,8 +93,150 @@ class TestQuadrature:
 
         with pytest.raises(QuadratureError):
             integrate_box(fn, BoxDomain(((0.0, 1.0), (0.0, 1.0))))
-        # the first coarse panel and its two halves, 12 x 12 nodes each
-        assert calls == [12 * 12] * 3
+        # the first coarse panel, then its two halves in one call, 12 x 12
+        # nodes each, and nothing deeper
+        assert calls == [12 * 12, 2 * 12 * 12]
+
+
+def recursive_integrate_box(fn, box, tol=1e-10, depths=None):
+    """Reference integrate_box: the depth-first recursion, one integrand
+    call per panel.  ``depths`` collects the tree depth of each panel."""
+    ref_nodes, ref_weights = tensor_rule(*np.polynomial.legendre.leggauss(PANEL_ORDER), box.dim)
+
+    def panel(lo, hi, depth):
+        if depths is not None:
+            depths.append(depth)
+        half = (hi - lo) / 2.0
+        values = np.asarray(fn((hi + lo) / 2.0 + half * ref_nodes), dtype=float)
+        return (ref_weights @ values) * np.prod(half)
+
+    def recurse(lo, hi, coarse, budget, depth):
+        axis = int(np.argmax(hi - lo))
+        mid = (lo[axis] + hi[axis]) / 2.0
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[axis] = right_lo[axis] = mid
+        left, right = panel(lo, left_hi, depth + 1), panel(right_lo, hi, depth + 1)
+        fine = left + right
+        if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+            raise QuadratureError(f"non-finite integrand estimate {fine.tolist()!r}")
+        noise = 4e-15 * np.maximum(abs(coarse), abs(fine))
+        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)) or depth >= MAX_DEPTH:
+            return fine
+        return recurse(lo, left_hi, left, budget / 2.0, depth + 1) + recurse(
+            right_lo, hi, right, budget / 2.0, depth + 1
+        )
+
+    lo, hi = box.corners
+    with np.errstate(all="ignore"):
+        total = recurse(lo, hi, panel(lo, hi, 0), tol, 0)
+    return float(total) if total.ndim == 0 else total
+
+
+def assert_same_bits(got, reference) -> None:
+    assert type(got) is type(reference)
+    assert np.shape(got) == np.shape(reference)
+    assert np.all(got == reference)
+
+
+def recorded(fn, calls):
+    """fn, appending the nodes of every call to ``calls``."""
+
+    def wrapped(x):
+        calls.append(x.copy())
+        return fn(x)
+
+    return wrapped
+
+
+UNIT, SQUARE = BoxDomain(((0.0, 1.0),)), BoxDomain(((0.0, 1.0), (0.0, 2.0)))
+REFERENCE_CASES = {
+    "1d-scalar": (lambda x: x[:, 0] ** 2, UNIT, 1e-10),
+    "2d-scalar": (lambda x: x[:, 0] * x[:, 1], SQUARE, 1e-12),
+    "gaussian-erf": (lambda x: np.exp(-x[:, 0] ** 2), UNIT, 1e-13),
+    "1d-array": (lambda x: x[:, :1] ** np.arange(6), UNIT, 1e-12),
+    "sqrt-refined": (lambda x: np.column_stack([np.ones(len(x)), np.sqrt(x[:, 0])]), UNIT, 1e-10),
+    "2d-array": (lambda x: np.column_stack([np.sqrt(x[:, 0] * x[:, 1]), x[:, 1]]), SQUARE, 1e-8),
+    # levels wider than MAX_BATCH_NODES: 64 1-D panels, 16 2-D panels
+    "1d-oscillation": (lambda x: np.cos(300.0 * x[:, 0]), UNIT, 1e-12),
+    "2d-kink": (lambda x: abs(x[:, 0] + x[:, 1] - 2.0 / 3.0), BoxDomain(((0.0, 1.0),) * 2), 1e-5),
+}
+
+
+class TestLevelBatching:
+    """integrate_box against the recursive reference: the same panel tree
+    and bit-identical integrals, in fewer calls of at most MAX_BATCH_NODES
+    nodes."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_matches_recursive_reference(self, name):
+        fn, box, tol = REFERENCE_CASES[name]
+        calls, reference_calls = [], []
+        got = integrate_box(recorded(fn, calls), box, tol=tol)
+        reference = recursive_integrate_box(recorded(fn, reference_calls), box, tol=tol)
+        assert_same_bits(got, reference)
+        # the same panels: the same nodes, visited level by level
+        nodes, reference_nodes = np.concatenate(calls), np.concatenate(reference_calls)
+        assert np.array_equal(nodes[np.lexsort(nodes.T)], reference_nodes[np.lexsort(reference_nodes.T)])
+        assert max(map(len, calls)) <= MAX_BATCH_NODES
+        assert len(calls) <= len(reference_calls)
+
+    @pytest.mark.parametrize("name", ["1d-oscillation", "2d-kink"])
+    def test_wide_level_is_split(self, name):
+        fn, box, tol = REFERENCE_CASES[name]
+        depths = []
+        recursive_integrate_box(fn, box, tol=tol, depths=depths)
+        widest = max(depths.count(d) for d in set(depths))
+        assert widest * PANEL_ORDER**box.dim > MAX_BATCH_NODES
+        calls = []
+        integrate_box(recorded(fn, calls), box, tol=tol)
+        assert max(map(len, calls)) == MAX_BATCH_NODES
+
+    @pytest.mark.parametrize(
+        "box, data",
+        [
+            (BoxDomain(((-1.0, 1.0),)), lambda box: SampledFunction.constant(box, 1.0)),
+            (BoxDomain(((0.0, 1.0),)), lambda box: SampledFunction(box, lambda x: np.sqrt(x[:, 0]))),
+            (
+                BoxDomain(((0.5, 1.5), (-1.0, 0.0))),
+                lambda box: SampledFunction.from_polynomial(
+                    Polynomial(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)}), box
+                ),
+            ),
+        ],
+        ids=["1d-constant", "1d-sqrt", "2d-polynomial"],
+    )
+    def test_solve_bounded_integrands_match(self, monkeypatch, box, data):
+        """The data-side and solution-side integrands of solve_bounded and
+        the squares of embedding_check."""
+        seen = []
+        batched = domains.integrate_box
+
+        def record(fn, box, tol=1e-10):
+            seen.append((fn, box, tol))
+            return batched(fn, box, tol=tol)
+
+        monkeypatch.setattr(domains, "integrate_box", record)
+        solve_bounded(box, data(box), truncation=6)
+        embedding_check(data(box))
+        assert len(seen) == 3
+        for fn, box, tol in seen:
+            assert_same_bits(batched(fn, box, tol=tol), recursive_integrate_box(fn, box, tol=tol))
+
+    def test_panel_rule_built_once_and_read_only(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda k: built.append(k) or leggauss(k))
+        domains._panel_rule.cache_clear()
+        for _ in range(3):
+            for box in (UNIT, SQUARE):
+                integrate_box(lambda x: x[:, 0] ** 2, box)
+        assert built == [PANEL_ORDER, PANEL_ORDER]
+        for dim in (1, 2):
+            nodes, weights = domains._panel_rule(dim)
+            with pytest.raises(ValueError):
+                nodes[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
 
 
 def _evaluate(expansion: HermiteExpansion, points) -> np.ndarray:

@@ -299,6 +299,30 @@ def exact_weights(draw, dim: int):
     return WeightSpec(dim, lam, center)
 
 
+def weight_by_composition(w: WeightSpec) -> Polynomial:
+    """Reference lam*|x - c|^2: validated constructors and one ring
+    operation per step."""
+    x = [Polynomial.variable(w.dim, j) for j in range(w.dim)]
+    out = Polynomial.zero(w.dim)
+    for j in range(w.dim):
+        shifted = x[j] - Polynomial.constant(w.dim, w.center[j])
+        out = out + shifted * shifted
+    return out.scale(w.lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_weight_polynomial_matches_composition(data):
+    dim = data.draw(st.integers(1, 4))
+    lam = abs(data.draw(exact_coefficients()))
+    center = tuple(data.draw(st.one_of(st.just(0), exact_coefficients())) for _ in range(dim))
+    w = WeightSpec(dim, lam, center)
+    got, reference = w.polynomial(), weight_by_composition(w)
+    assert got == reference and str(got) == str(reference)
+    assert list(got.nums.items()) == list(reference.nums.items())
+    assert_canonical(got, dim)
+
+
 def assert_same_terms(got: dict, reference: dict, dim: int) -> None:
     assert list(got.items()) == list(reference.items())
     assert_clean(got, dim)
