@@ -5,11 +5,12 @@ the Laplacian lowers total degree by exactly two:
 
     (lap + a) G_gamma = a G_gamma + sum_j 4 gamma_j (gamma_j - 1) G_{gamma - 2 e_j}.
 
-``shifted_laplacian`` is this sparse action and the one form of lap + a in
-the package: the block solves read their entries from it, and every
-report's ``residual_exact`` is the exact check (lap + a) u == f on Hermite
+``shifted_laplacian`` is this sparse action, and every report's
+``residual_exact`` is the exact check (lap + a) u == f on Hermite
 coefficients (a bijective change of basis, so it equals the check on
-monomials).
+monomials).  Every block of lap + a is built from the cached
+``_level(dim, degree, parity)``: one level of a parity class, its members
+and their _lowered entries.
 
 For a = 0 the coefficient system (over solutions of degree <= deg f + 2)
 is underdetermined; the minimal-weighted-norm solution is obtained from
@@ -33,6 +34,7 @@ never leaves Hermite coordinates.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
 import sys
@@ -94,31 +96,16 @@ def _report_float(quantity: str, exact: GaussianScalar | Fraction) -> float:
 
 def multi_indices_up_to(dim: int, degree: int) -> list[MultiIndex]:
     """All multi-indices with total degree <= degree, graded lex order."""
-    out: list[MultiIndex] = []
-    for d in range(degree + 1):
-        out.extend(_indices_of_degree(dim, d))
-    return out
+    return [alpha for d in range(degree + 1) for alpha in _indices_of_degree(dim, d)]
 
 
-def _indices_of_degree(dim: int, degree: int) -> list[MultiIndex]:
-    if dim == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        out.extend((first,) + rest for rest in _indices_of_degree(dim - 1, degree - first))
-    return sorted(out)
-
-
-def _class_members(dim: int, degree: int, parity: tuple[int, ...]) -> list[MultiIndex]:
-    """Multi-indices of the given total degree and per-axis parity."""
-    residual = degree - sum(parity)
-    if residual < 0 or residual % 2:
-        return []
-    half = residual // 2
-    return sorted(
-        tuple(p + 2 * q for p, q in zip(parity, quot))
-        for quot in _indices_of_degree(dim, half)
-    )
+@lru_cache(maxsize=1024)
+def _indices_of_degree(dim: int, degree: int) -> tuple[MultiIndex, ...]:
+    """Multi-indices of total degree ``degree`` (none below 0), in lex
+    order: the gaps between 0, cuts 0 <= c_1 <= ... <= c_(dim-1) <= degree
+    and degree, the cuts in lex order."""
+    cuts = itertools.combinations_with_replacement(range(degree + 1), dim - 1) if degree >= 0 else ()
+    return tuple(tuple(b - a for a, b in zip((0,) + c, c + (degree,))) for c in cuts)
 
 
 # ----------------------------------------------------------------------
@@ -137,6 +124,23 @@ def _lowered(gamma: MultiIndex) -> list[tuple[MultiIndex, int]]:
         for j, g in enumerate(gamma)
         if g >= 2
     ]
+
+
+@lru_cache(maxsize=4096)
+def _level(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[tuple[MultiIndex, ...], tuple]:
+    """(members, entries) of one level of a parity class: the multi-indices
+    parity + 2 q of total degree ``degree``, q in lex order, and each one's
+    _lowered entries as (position in the level of degree - 2, int).
+    Neither depends on a, lam or the center."""
+    half, odd = divmod(degree - sum(parity), 2)
+    if half < 0 or odd:
+        return (), ()
+    below, level = (
+        tuple(tuple(p + 2 * e for p, e in zip(parity, q)) for q in _indices_of_degree(dim, h))
+        for h in (half - 1, half)
+    )
+    pos = {beta: i for i, beta in enumerate(below)}
+    return level, tuple(tuple((pos[beta], b) for beta, b in _lowered(gamma)) for gamma in level)
 
 
 def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteExpansion:
@@ -250,12 +254,25 @@ def default_directions(dim: int) -> list[tuple[float, ...]]:
     return dirs
 
 
+# Most plane waves kernel_basis builds: two per default direction, 2 (dim +
+# 2^(dim - 1)) from 2-D on, so 1044 in 10-D and 2070 in 11-D.  Enrichment's
+# Gram matrix over them is a Python loop of count^2 entries: a 10-D solve
+# takes 5.5 s and an 11-D one 25 s on a 2-core machine.
+MAX_PLANE_WAVES = 1044
+
+
 def kernel_basis(a: RationalLike, dim: int) -> list[KernelFunction]:
     """Plane-wave kernel elements of lap + a (a != 0) along the default
-    directions; InputLimitError for an |a| above the float range."""
+    directions; InputLimitError, before any wave is built, for an |a|
+    above the float range or more than MAX_PLANE_WAVES waves."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("plane-wave kernel basis requires a != 0")
+    count = 2 * (dim + 2 ** (dim - 1)) if dim > 1 else 2
+    if count > MAX_PLANE_WAVES:
+        raise InputLimitError(
+            f"kernel_basis in {dim}-D needs {count} plane waves, above MAX_PLANE_WAVES = {MAX_PLANE_WAVES}"
+        )
     speed = math.sqrt(abs(input_float(a, "a")))
     dirs = default_directions(dim)
     out: list[KernelFunction] = []
@@ -360,33 +377,23 @@ class SolveReport:
 
 
 @lru_cache(maxsize=1024)
-def _min_norm_block(
-    dim: int, degree: int, parity: tuple[int, ...]
-) -> tuple[tuple[MultiIndex, ...], tuple[tuple[int, ...], ...], tuple]:
-    """(rows, K, columns) of the (degree, parity) block of the min-norm solve.
-
-    rows are the members of ``degree``; each column is (gamma, L // N_gamma,
-    ((row position, b), ...)) for a member gamma of degree + 2, with b the
-    entries of _lowered(gamma), N_gamma = prod_j 2^g_j g_j! and L the lcm of
-    the N_gamma; K = sum_gamma (L // N_gamma) b b^T is an integer matrix.
-    """
-    rows = tuple(_class_members(dim, degree, parity))
-    pos = {alpha: i for i, alpha in enumerate(rows)}
-    norms = [
-        (gamma, math.prod(map(_axis_norm_sq, gamma)))
-        for gamma in _class_members(dim, degree + 2, parity)
-    ]
-    common = math.lcm(*(n for _, n in norms))
-    columns = tuple(
-        (gamma, common // n, tuple((pos[beta], b) for beta, b in _lowered(gamma)))
-        for gamma, n in norms
-    )
-    matrix = [[0] * len(rows) for _ in rows]
-    for _, scale, column in columns:
+def _min_norm_block(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """(K, scales) of the (degree, parity) block of the min-norm solve: rows
+    the members of _level(dim, degree, parity), columns those of degree + 2
+    with entries b, scales[c] = L // N_gamma for column gamma, N_gamma =
+    prod_j 2^g_j g_j! and L their lcm; K = sum_gamma (L // N_gamma) b b^T, an
+    int matrix."""
+    size = len(_level(dim, degree, parity)[0])
+    columns, entries = _level(dim, degree + 2, parity)
+    norms = [math.prod(map(_axis_norm_sq, gamma)) for gamma in columns]
+    common = math.lcm(*norms)
+    scales = tuple(common // n for n in norms)
+    matrix = [[0] * size for _ in range(size)]
+    for scale, column in zip(scales, entries):
         for ai, b_a in column:
             for bi, b_b in column:
                 matrix[ai][bi] += scale * b_a * b_b
-    return rows, tuple(map(tuple, matrix)), columns
+    return tuple(map(tuple, matrix)), scales
 
 
 def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
@@ -411,19 +418,18 @@ def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
     parts: list[tuple[MultiIndex, int, int]] = []
     common = 1
     for (deg, parity), rhs_nums in sorted(blocks.items()):
-        rows, matrix, columns = _min_norm_block(dim, deg, parity)
+        matrix, scales = _min_norm_block(dim, deg, parity)
+        columns, entries = _level(dim, deg + 2, parity)
         try:
-            w = solve_exact(matrix, [rhs_nums.get(alpha, 0) for alpha in rows])
+            w = solve_exact(matrix, [rhs_nums.get(alpha, 0) for alpha in _level(dim, deg, parity)[0]])
         except SingularMatrixError as exc:  # defensive: cannot occur for lap
-            raise SingularMatrixError(
-                f"minimal-norm block ({deg}, {parity}) singular: {exc}"
-            ) from exc
+            raise SingularMatrixError(f"minimal-norm block ({deg}, {parity}) singular: {exc}") from exc
         den_w = math.lcm(*(v.denominator for v in w))
         w_nums = [v.numerator * (den_w // v.denominator) for v in w]
         common = math.lcm(common, den_w)
         parts.extend(
             (gamma, scale * sum(b * w_nums[ai] for ai, b in column), den_w)
-            for gamma, scale, column in columns
+            for gamma, scale, column in zip(columns, scales, entries)
         )
     u = {gamma: num * (common // den_w) for gamma, num, den_w in parts}
     return HermiteExpansion._trusted(f.weight, *reduced(f.den * common, u))
@@ -436,17 +442,19 @@ def _triangular_coeffs(f: HermiteExpansion, a: Fraction) -> HermiteExpansion:
     involves the coefficients of degree |alpha| + 2, already solved.  With
     a = p/q, a coefficient of degree d divides by p once per step of its
     chain d, d + 2, ..., deg f, so over f's denominator times |p|^m, m the
-    longest chain, every step is an exact int division.
+    longest chain, every step is an exact int division.  lap + a keeps
+    per-axis parity, so only the members of f's parity classes are walked.
     """
     dim = f.weight.dim
     p, q = a.numerator, a.denominator
     degree = f.degree()
     m = max(degree, 0) // 2 + 1
     lift = abs(p) ** m
+    classes = sorted({tuple(e % 2 for e in alpha) for alpha in f.nums})
     u: dict[MultiIndex, int] = {}
     lap_u: dict[MultiIndex, int] = {}
     for d in range(degree, -1, -1):
-        for alpha in _indices_of_degree(dim, d):
+        for alpha in heapq.merge(*(_level(dim, d, parity)[0] for parity in classes)):
             acc = f.nums.get(alpha, 0) * lift - lap_u.get(alpha, 0)
             if acc:
                 u[alpha] = num = q * acc // p
@@ -636,7 +644,11 @@ def apply_right_inverse(
 MAX_BLOCK_ENTRIES = 4_000_000
 # Entries of all blocks together, a block counting as at least
 # BLOCK_FLOOR_ENTRIES: building and decomposing even a 1 x 1 block costs
-# about 25 us, against about 0.5 us per entry of a large block.  3-D
+# about 25 us, against about 0.5 us per entry of a large block.  A block
+# also counts as at least the dim entries of each of its rows' and
+# columns' multi-indices, which its levels hold: in 1000-D at degree 1
+# the 1 x 1000 blocks are small, their levels a billion ints.  That count
+# never decides in 1-D to 3-D.  3-D
 # a != 0 at degree 40 holds 19,134,941 entries (about 11 s).  a = 0 is
 # admitted up to degree 312,499 in 1-D (6 s), 490 in 2-D (3 s) and 66 in
 # 3-D (4 s).
@@ -644,21 +656,42 @@ MAX_TOTAL_ENTRIES = 20_000_000
 BLOCK_FLOOR_ENTRIES = 64
 
 
-def _blocks(dim: int, degree: int, shifted: bool):
-    """(parity, rows, cols) of each block of lap + a, as multi-indices."""
-    for parity in itertools.product((0, 1), repeat=dim):
+def _parities(dim: int, degree: int) -> list[tuple[int, ...]]:
+    """The parity vectors with at most ``degree`` odd axes, in lex order:
+    C(dim, s) of them for each s <= degree, the classes _block_shapes counts."""
+    return sorted(
+        tuple(int(j in odd) for j in range(dim))
+        for s in range(min(dim, degree) + 1)
+        for odd in itertools.combinations(range(dim), s)
+    )
+
+
+def _float_blocks(dim: int, degree: int, shift: float):
+    """(parity, block) for each float block of lap + a in orthonormal Hermite
+    coordinates, over consecutive levels of a class: sqrt of each entry from
+    a column level k into the row level k - 2, ``shift`` on the diagonal.  At
+    shift 0 a block maps level k + 2 onto level k; else it spans the levels."""
+    for parity in _parities(dim, degree):
         degrees = range(sum(parity), degree + 1, 2)
-        if shifted:
-            members = [m for k in degrees for m in _class_members(dim, k, parity)]
-            if members:
-                yield parity, members, members
-        else:
-            for k in degrees:
-                yield parity, _class_members(dim, k, parity), _class_members(dim, k + 2, parity)
+        for rows, cols in [(degrees, degrees)] if shift else [((k,), (k + 2,)) for k in degrees]:
+            sizes = {k: len(_level(dim, k, parity)[0]) for k in (*rows, *cols)}
+            row_at, col_at = (
+                dict(zip(span, itertools.accumulate((sizes[k] for k in span), initial=0)))
+                for span in (rows, cols)
+            )
+            block = np.zeros((sum(sizes[k] for k in rows), sum(sizes[k] for k in cols)))
+            for k in cols:
+                if k - 2 in row_at:
+                    for ci, column in enumerate(_level(dim, k, parity)[1], col_at[k]):
+                        for ri, b in column:
+                            block[row_at[k - 2] + ri, ci] = math.sqrt(b)
+            if shift:
+                np.fill_diagonal(block, shift)
+            yield parity, block
 
 
 def _block_shapes(dim: int, degree: int, shifted: bool) -> list[tuple[int, int, int]]:
-    """(rows, cols, multiplicity) of the blocks of ``_blocks``, from binomial
+    """(rows, cols, multiplicity) of the blocks of ``_float_blocks``, from binomial
     counts: a parity class of weight s holds C(h + dim - 1, dim - 1)
     indices of degree s + 2h, and there are C(dim, s) such classes."""
     shapes = []
@@ -686,11 +719,11 @@ def check_operator_norm_limits(dim: int, degree: int, shifted: bool) -> None:
             f"opnorm in {dim}-D at degree {degree} needs a {rows} x {cols} block, "
             f"above MAX_BLOCK_ENTRIES = {MAX_BLOCK_ENTRIES}"
         )
-    total = sum(max(r * c, BLOCK_FLOOR_ENTRIES) * k for r, c, k in shapes)
+    total = sum(max(r * c, BLOCK_FLOOR_ENTRIES, (r + c) * dim) * k for r, c, k in shapes)
     if total > MAX_TOTAL_ENTRIES:
         raise InputLimitError(
             f"opnorm in {dim}-D at degree {degree} needs {total} block entries "
-            f"(a block counting as at least {BLOCK_FLOOR_ENTRIES}), "
+            f"(a block counting as at least {BLOCK_FLOOR_ENTRIES} and its {dim}-entry multi-indices), "
             f"above MAX_TOTAL_ENTRIES = {MAX_TOTAL_ENTRIES}"
         )
 
@@ -735,22 +768,16 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
         )
     check_operator_norm_limits(dim, degree, shift != 0)
     norm = 0.0
-    for parity, rows, cols in _blocks(dim, degree, shift != 0):
-        pos = {beta: i for i, beta in enumerate(rows)}
-        block = np.zeros((len(rows), len(cols)))
-        for ci, gamma in enumerate(cols):
-            for beta, b in _lowered(gamma):
-                block[pos[beta], ci] = math.sqrt(b)
+    for parity, block in _float_blocks(dim, degree, shift):
         if not shift:
             norm = max(norm, 1.0 / float(np.linalg.svd(block, compute_uv=False)[-1]))
             continue
-        np.fill_diagonal(block, shift)
-        inverse = np.linalg.solve(block, np.eye(len(rows)))
+        inverse = np.linalg.solve(block, np.eye(len(block)))
         finite = np.isfinite(inverse).all()
         value = float(np.linalg.svd(inverse, compute_uv=False)[0]) if finite else math.inf
         if not math.isfinite(value):
             raise SingularMatrixError(
-                f"operator_norm: the inverse of the {len(rows)} x {len(cols)} block of "
+                f"operator_norm: the inverse of the {len(block)} x {len(block)} block of "
                 f"parity {parity} at |a| = {shift!r} is not finite in floating point"
             )
         norm = max(norm, value)

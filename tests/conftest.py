@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,3 +37,11 @@ def unit_1d():
     from gauss_rinv.hermite import WeightSpec
 
     return WeightSpec.unit(1)
+
+
+@pytest.fixture(scope="session")
+def suite_runs():
+    """Two runs of `gauss-rinv suite` in fresh interpreters, shared by the
+    determinism tests of the CLI and of the acceptance criteria."""
+    cmd = [sys.executable, "-m", "gauss_rinv", "suite"]
+    return tuple(subprocess.run(cmd, capture_output=True, check=True) for _ in range(2))

@@ -7,8 +7,6 @@ tolerance; float claims use the tolerance pinned next to the assertion.
 
 import math
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -229,10 +227,8 @@ def test_criterion_09_embeddings():
     _criterion(9, "embeddings", corpus_ok, "; ".join(details))
 
 
-def test_criterion_10_suite_determinism():
+def test_criterion_10_suite_determinism(suite_runs):
     """`suite` (seed 42, fixed) emits byte-identical reports on repeated runs."""
-    cmd = [sys.executable, "-m", "gauss_rinv", "suite"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first, second = suite_runs
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     _criterion(10, "suite determinism", ok, f"{len(first.stdout)} bytes")

@@ -2,7 +2,6 @@
 
 import json
 import math
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -96,6 +95,11 @@ class TestSolveCommand:
         )
         assert code == EXIT_OK
         assert report["results"]["solve"]["ratio"] == "1/32"
+
+    def test_plane_waves_over_limit_exit_2(self, capsys):
+        """12-D a != 0 would enrich with 4120 plane waves, above MAX_PLANE_WAVES."""
+        assert main(["solve", "--dim", "12", "--a", "1", "--f", "const:1"]) == EXIT_SPEC
+        assert "4120 plane waves, above MAX_PLANE_WAVES = 1044" in capsys.readouterr().err
 
 
 class TestScaledSolve:
@@ -545,10 +549,8 @@ class TestReporting:
 
 
 class TestSuiteDeterminism:
-    def test_reduced_suite_byte_identical(self):
+    def test_reduced_suite_byte_identical(self, suite_runs):
         """Repeated runs of the fixed-parameter suite emit byte-identical, passing reports."""
-        cmd = [sys.executable, "-m", "gauss_rinv", "suite"]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first, second = suite_runs
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["pass"] is True

@@ -13,13 +13,18 @@ common denominator, and ``solve_exact`` is Bareiss elimination on ints.
 Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
 step, are kept here as references; the kernels must match them exactly,
 key order included, since reports serialize term maps in the order they
-were built.
+were built.  So are the per-call assemblers the cached levels of
+``lap + a`` replaced (class members by sorting, the min-norm block, the
+float blocks over every parity vector, the triangular walk over every
+index): members, integer blocks and float blocks must be equal.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +38,13 @@ from gauss_rinv.hermite import (
 from gauss_rinv.linalg import SingularMatrixError, _eliminate, solve_exact
 from gauss_rinv.polynomials import Polynomial, random_polynomial, reduced
 from gauss_rinv.rightinverse import (
-    _class_members,
+    _axis_norm_sq,
+    _float_blocks,
+    _level,
     _lowered,
+    _min_norm_block,
     _min_norm_coeffs,
+    _triangular_coeffs,
     multi_indices_up_to,
     shifted_laplacian,
     solve_min_norm,
@@ -562,6 +571,118 @@ def fraction_det(matrix) -> Fraction:
     return det
 
 
+def reference_class_members(dim: int, degree: int, parity: tuple[int, ...]) -> list:
+    """Multi-indices of the given total degree and per-axis parity, sorted."""
+    residual = degree - sum(parity)
+    if residual < 0 or residual % 2:
+        return []
+    half = residual // 2
+    return sorted(
+        tuple(p + 2 * q for p, q in zip(parity, quot))
+        for quot in itertools.product(range(half + 1), repeat=dim)
+        if sum(quot) == half
+    )
+
+
+def reference_min_norm_block(dim: int, degree: int, parity: tuple[int, ...]):
+    """(rows, K, columns): columns (gamma, L // N_gamma, ((row, b), ...))."""
+    rows = tuple(reference_class_members(dim, degree, parity))
+    pos = {alpha: i for i, alpha in enumerate(rows)}
+    norms = [
+        (gamma, math.prod(map(_axis_norm_sq, gamma)))
+        for gamma in reference_class_members(dim, degree + 2, parity)
+    ]
+    common = math.lcm(*(n for _, n in norms))
+    columns = tuple(
+        (gamma, common // n, tuple((pos[beta], b) for beta, b in _lowered(gamma)))
+        for gamma, n in norms
+    )
+    matrix = [[0] * len(rows) for _ in rows]
+    for _, scale, column in columns:
+        for ai, b_a in column:
+            for bi, b_b in column:
+                matrix[ai][bi] += scale * b_a * b_b
+    return rows, tuple(map(tuple, matrix)), columns
+
+
+def reference_float_blocks(dim: int, degree: int, shift: float) -> list:
+    """(parity, block) over every parity vector: at shift 0 one block per
+    degree k, from k + 2 onto k; otherwise one square block per class."""
+    out = []
+    for parity in itertools.product((0, 1), repeat=dim):
+        degrees = range(sum(parity), degree + 1, 2)
+        if shift:
+            members = [m for k in degrees for m in reference_class_members(dim, k, parity)]
+            spans = [(members, members)] if members else []
+        else:
+            spans = [
+                (reference_class_members(dim, k, parity), reference_class_members(dim, k + 2, parity))
+                for k in degrees
+            ]
+        for rows, cols in spans:
+            pos = {beta: i for i, beta in enumerate(rows)}
+            block = np.zeros((len(rows), len(cols)))
+            for ci, gamma in enumerate(cols):
+                for beta, b in _lowered(gamma):
+                    block[pos[beta], ci] = math.sqrt(b)
+            if shift:
+                np.fill_diagonal(block, shift)
+            out.append((parity, block))
+    return out
+
+
+def reference_triangular_nums(f: HermiteExpansion, a: Fraction) -> dict:
+    """_triangular_coeffs' unreduced numerators, walking every index of
+    every degree top-down in lex order."""
+    p, q = a.numerator, a.denominator
+    lift = abs(p) ** (max(f.degree(), 0) // 2 + 1)
+    u: dict = {}
+    lap_u: dict = {}
+    for d in range(f.degree(), -1, -1):
+        indices = itertools.product(range(d + 1), repeat=f.weight.dim)
+        for alpha in sorted(x for x in indices if sum(x) == d):
+            acc = f.nums.get(alpha, 0) * lift - lap_u.get(alpha, 0)
+            if acc:
+                u[alpha] = num = q * acc // p
+                for beta, b in _lowered(alpha):
+                    lap_u[beta] = lap_u.get(beta, 0) + b * num
+    return reduced(f.den * lift, u)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_levels_match_class_members(dim):
+    for degree in range(15):
+        for parity in itertools.product((0, 1), repeat=dim):
+            members, entries = _level(dim, degree, parity)
+            assert list(members) == reference_class_members(dim, degree, parity)
+            below = reference_class_members(dim, degree - 2, parity)
+            assert [[(below[i], b) for i, b in column] for column in entries] == [
+                list(_lowered(gamma)) for gamma in members
+            ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_min_norm_block_matches_reference(dim):
+    for degree in range(13):
+        for parity in itertools.product((0, 1), repeat=dim):
+            rows, matrix, columns = reference_min_norm_block(dim, degree, parity)
+            assert _level(dim, degree, parity)[0] == rows
+            assert _min_norm_block(dim, degree, parity) == (matrix, tuple(s for _, s, _ in columns))
+            gammas, entries = _level(dim, degree + 2, parity)
+            assert [(g, e) for g, _, e in columns] == list(zip(gammas, entries))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("shift", [0.0, 0.5, 3.0])
+def test_float_blocks_match_reference(dim, shift):
+    for degree in range(13):
+        got = list(_float_blocks(dim, degree, shift))
+        expected = reference_float_blocks(dim, degree, shift)
+        assert [parity for parity, _ in got] == [parity for parity, _ in expected]
+        for (_, block), (_, reference) in zip(got, expected):
+            assert np.array_equal(block, reference)
+
+
 def fraction_min_norm_coeffs(f_coeffs: dict, dim: int, lam: Fraction) -> dict:
     """M w = f with M = B R^{-1} B^T assembled one Fraction at a time per
     (degree, parity) block, R the basis norms at ``lam``; u = R^{-1} B^T w."""
@@ -570,13 +691,13 @@ def fraction_min_norm_coeffs(f_coeffs: dict, dim: int, lam: Fraction) -> dict:
         blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = c
     u: dict = {}
     for (deg, parity), rhs_map in sorted(blocks.items()):
-        rows = _class_members(dim, deg, parity)
+        rows = reference_class_members(dim, deg, parity)
         pos = {alpha: i for i, alpha in enumerate(rows)}
         rhs = [rhs_map.get(alpha, Fraction(0)) for alpha in rows]
         columns = [
             (gamma, HermiteExpansion.basis_norm_sq(gamma, lam),
              [(pos[beta], b) for beta, b in _lowered(gamma)])
-            for gamma in _class_members(dim, deg + 2, parity)
+            for gamma in reference_class_members(dim, deg + 2, parity)
         ]
         matrix = [[Fraction(0)] * len(rows) for _ in rows]
         for _, r_gamma, column in columns:
@@ -646,6 +767,18 @@ def test_shifted_laplacian_matches_fraction_reference(case):
         got = shifted_laplacian(expansion, a)
         assert got.weight == w
         assert_same_terms(got.coeffs, fraction_shifted_laplacian(expansion, a), w.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solve_cases(), st.sampled_from(SHIFTS[1:]))
+def test_triangular_matches_every_index_walk(case, a):
+    """Same numerators in the same key order as the walk over every index."""
+    p, w = case
+    f = monomial_to_hermite(p, w)
+    den, nums = reference_triangular_nums(f, a)
+    u = _triangular_coeffs(f, a)
+    assert u.den == den
+    assert list(u.nums.items()) == list(nums.items())
 
 
 def assert_solves(matrix, rhs) -> None:

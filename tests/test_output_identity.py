@@ -22,11 +22,16 @@ from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import random_polynomial
-from gauss_rinv.rightinverse import solve_min_norm
+from gauss_rinv.rightinverse import operator_norm, solve_min_norm
 
 BATTERY_SHA256 = "f2c4c791115d06d1035fb29031a36e21c5c1d2644165422eca440e50c7edb9d0"
 CONVERSION_SHA256 = "67467ea262849db33096a45c0462fec0ec679980100d74b3c2061c0358ac3125"
 SOLVE_SHA256 = "4e6b01e987e015f394d8554fbcc86b8eb59511d1e1c7d43181fe7854d167175b"
+# repr of every operator_norm value over OPNORM_CASES and OPNORM_SHIFTS,
+# recorded before the blocks were built from the cached levels.
+OPNORM_SHA256 = "a02c105837f8d367e588f63cf409832ed2f6edd9b808d36dd2b34d3bb6af0753"
+OPNORM_CASES = ((1, 40), (2, 16), (3, 10))  # (dim, top degree)
+OPNORM_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(3))
 BOUNDED_DOCUMENTS = Path(__file__).parent / "data" / "bounded_documents.json"
 # Relative tolerance of the bounded floats.  A coefficient is measured
 # against the largest coefficient of its solution: symmetry-forced zeros
@@ -127,6 +132,18 @@ def test_conversion_digest_pinned():
 
 def test_solve_digest_pinned():
     assert _sha256(solve_documents()) == SOLVE_SHA256
+
+
+def test_opnorm_values_pinned():
+    """276 operator norms, bit for bit."""
+    values = [
+        repr(operator_norm(dim, a, degree))
+        for dim, top in OPNORM_CASES
+        for a in OPNORM_SHIFTS
+        for degree in range(top + 1)
+    ]
+    assert len(values) == 276
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == OPNORM_SHA256
 
 
 def _close(x: float, y: float, scale: float) -> bool:

@@ -93,6 +93,38 @@ class TestAssemble:
             assert lhs == rhs
 
 
+class TestLevels:
+    """The cached levels every assembly of lap + a reads."""
+
+    def test_cold_cache_high_degree(self):
+        """A level is built without its lower levels: on a cold cache the
+        1-D degree-3999 level is one call, and a 1-D a = 1 solve from
+        degree 2500 walks its 1251 levels exactly."""
+        rightinverse._level.cache_clear()
+        rightinverse._min_norm_block.cache_clear()
+        assert rightinverse._level(1, 3999, (1,)) == (((3999,),), (((0, 4 * 3999 * 3998),),))
+        rightinverse._level.cache_clear()
+        f = basis_element(WeightSpec.unit(1), (2500,))
+        u = rightinverse._triangular_coeffs(f, Fraction(1))
+        assert len(u.nums) == 1251
+        assert shifted_laplacian(u, 1) == f
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_triangular_walks_only_the_classes_of_f(self, dim, monkeypatch):
+        """An even f asks for no odd level."""
+        asked = set()
+        level = rightinverse._level
+
+        def spy(d, degree, parity):
+            asked.add(parity)
+            return level(d, degree, parity)
+
+        monkeypatch.setattr(rightinverse, "_level", spy)
+        f = basis_element(WeightSpec.unit(dim), (6,) + (0,) * (dim - 1))
+        assert shifted_laplacian(rightinverse._triangular_coeffs(f, Fraction(2)), 2) == f
+        assert asked == {(0,) * dim}
+
+
 def monomial_route_residual_zero(report, f: Polynomial) -> bool:
     """Reference residual check on monomials: lap(u) + a u - f == 0."""
     u = report.solution.to_polynomial()
@@ -258,6 +290,13 @@ class TestKernelBasis:
         with pytest.raises(ValueError):
             kernel_basis(0, 2)
 
+    def test_plane_wave_limit_both_sides(self):
+        """10-D builds its 1044 waves; 11-D (2070) and 40-D raise before any is built."""
+        assert len(kernel_basis(1, 10)) == rightinverse.MAX_PLANE_WAVES == 1044
+        for dim, count in ((11, 2070), (40, 2 * (40 + 2**39))):
+            with pytest.raises(InputLimitError, match=f"needs {count} plane waves, above MAX_PLANE_WAVES"):
+                kernel_basis(1, dim)
+
     def test_directions_dedupe(self):
         assert default_directions(1) == [(1.0,)]
         dirs2 = default_directions(2)
@@ -408,10 +447,11 @@ class TestOperatorNorm:
         """Each a != 0 parity block is upper triangular, and entry (beta,
         gamma) of its inverse has sign (-1)^((|gamma| - |beta|)/2): no
         product in an entry cancels another."""
-        for (_, rows, _), block in zip(rightinverse._blocks(n, degree, True), built_blocks(n, a, degree)):
+        for parity, block in rightinverse._float_blocks(n, degree, abs(float(a))):
             assert not np.tril(block, -1).any()
-            inverse = np.linalg.solve(block, np.eye(len(rows)))
-            size = np.array([sum(beta) for beta in rows])
+            inverse = np.linalg.solve(block, np.eye(len(block)))
+            levels = range(sum(parity), degree + 1, 2)
+            size = np.array([k for k in levels for _ in rightinverse._level(n, k, parity)[0]])
             sign = (-1.0) ** ((size[None, :] - size[:, None]) // 2)
             nonzero = inverse != 0
             assert not np.tril(nonzero, -1).any()
@@ -460,21 +500,6 @@ class TestOperatorNorm:
             operator_norm(1, Fraction(1, 10**400), 4)
 
 
-def built_blocks(dim: int, a, degree: int) -> list[np.ndarray]:
-    """The float blocks of operator_norm, built the same way."""
-    blocks = []
-    for _, rows, cols in rightinverse._blocks(dim, degree, a != 0):
-        pos = {beta: i for i, beta in enumerate(rows)}
-        block = np.zeros((len(rows), len(cols)))
-        for ci, gamma in enumerate(cols):
-            for beta, b in rightinverse._lowered(gamma):
-                block[pos[beta], ci] = math.sqrt(b)
-        if a:
-            np.fill_diagonal(block, abs(float(a)))
-        blocks.append(block)
-    return blocks
-
-
 class TestOperatorNormWork:
     """The limit on all blocks together, and the spectral gap at a = 0."""
 
@@ -482,14 +507,32 @@ class TestOperatorNormWork:
     @pytest.mark.parametrize("shifted", [False, True])
     def test_shapes_count_the_blocks(self, dim, shifted):
         for degree in range(11):
-            built = sorted(
-                (len(rows), len(cols))
-                for _, rows, cols in rightinverse._blocks(dim, degree, shifted)
-            )
+            built = sorted(block.shape for _, block in rightinverse._float_blocks(dim, degree, float(shifted)))
             counted = sorted(
                 (r, c) for r, c, k in rightinverse._block_shapes(dim, degree, shifted) for _ in range(k)
             )
             assert counted == built
+
+    @pytest.mark.parametrize("dim, degree", [(40, 0), (25, 2), (8, 3)])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_walk_is_the_counted_classes(self, dim, degree, shifted):
+        """Only the C(dim, s) parity classes with s <= degree odd axes are walked."""
+        blocks = list(rightinverse._float_blocks(dim, degree, float(shifted)))
+        assert all(sum(parity) <= degree for parity, _ in blocks)
+        counted = sorted(
+            (r, c) for r, c, k in rightinverse._block_shapes(dim, degree, shifted) for _ in range(k)
+        )
+        assert sorted(block.shape for _, block in blocks) == counted
+
+    def test_high_dimension_at_low_degree(self):
+        """40-D and 1000-D at degree 0 are one 1 x dim block each, its
+        indices enumerated without recursion; in 1000-D at degree 1 the
+        blocks are 1 x 1000, but their levels would hold a billion ints."""
+        for dim in (40, 1000):
+            assert operator_norm(dim, 0, 0) == pytest.approx(1 / math.sqrt(8 * dim), rel=1e-12)
+        check_operator_norm_limits(25, 3, False)
+        with pytest.raises(InputLimitError, match="and its 1000-entry multi-indices"):
+            check_operator_norm_limits(1000, 1, False)
 
     def test_total_limit_both_sides(self, monkeypatch):
         """2-D a = 0 holds 19,910,802 entries at degree 490 and 20,032,326
@@ -501,7 +544,7 @@ class TestOperatorNormWork:
         def no_blocks(*args):
             raise AssertionError("a block was built")
 
-        monkeypatch.setattr(rightinverse, "_blocks", no_blocks)
+        monkeypatch.setattr(rightinverse, "_float_blocks", no_blocks)
         with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES = 20000000"):
             operator_norm(2, 0, 491)
         with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES"):
@@ -530,7 +573,7 @@ class TestOperatorNormWork:
     def test_a_zero_is_resolved(self, dim, degree):
         """At a = 0 every block has sigma_min >= sqrt(8 dim), so 1/sigma_min
         needs no resolution check: the SVD's absolute error is far smaller."""
-        for block in built_blocks(dim, 0, degree):
+        for _, block in rightinverse._float_blocks(dim, degree, 0.0):
             sigma_min = np.linalg.svd(block, compute_uv=False)[-1]
             assert sigma_min >= math.sqrt(8 * dim) * (1 - 1e-12)
 
