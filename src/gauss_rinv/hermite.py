@@ -35,11 +35,13 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     RationalLike,
+    TermImage,
     _as_fraction,
     format_rational,
     over_common_denominator,
     reduced,
     tensor_expand,
+    term_image,
     validated_terms,
 )
 
@@ -204,7 +206,8 @@ class GaussianScalar:
 
 
 # ----------------------------------------------------------------------
-# per-axis Hermite conversion tables (exact, cached)
+# Hermite conversion tables (exact, cached): per-axis rows and the
+# whole-term images tensor_expand reads
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
@@ -242,6 +245,24 @@ def _scaled_hermite_row(k: int, p: int, q: int) -> IntRow:
     return p**top, tuple(
         (i, c * q ** ((k - i) // 2) * p ** (top - (k - i) // 2)) for i, c in _hermite_coeffs(k)
     )
+
+
+# Distinct (exponents, p, q) of the whole-term images kept per direction.
+# A seed's identity battery meets about 800 monomials, and a degree-12
+# solve in 3-D reads 455 Hermite indices.
+IMAGE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _monomial_image(exps: MultiIndex, p: int, q: int) -> TermImage:
+    """prod_j u_j^(e_j) over the scaled basis G_alpha, lam = p/q."""
+    return term_image(_scaled_monomial_row(m, p, q) for m in exps)
+
+
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _hermite_image(alpha: MultiIndex, p: int, q: int) -> TermImage:
+    """G_alpha(u) over the monomials of u, lam = p/q."""
+    return term_image(_scaled_hermite_row(k, p, q) for k in alpha)
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +379,7 @@ class HermiteExpansion:
         """Exact inverse of monomial_to_hermite."""
         w = self.weight
         p, q = w.lam.numerator, w.lam.denominator
-        den, nums = tensor_expand(self.den, self.nums, lambda j, k: _scaled_hermite_row(k, p, q))
+        den, nums = tensor_expand(self.den, self.nums, lambda alpha: _hermite_image(alpha, p, q))
         result = Polynomial._trusted(w.dim, den, nums)
         if any(c != 0 for c in w.center):
             result = result.shift([-c for c in w.center])
@@ -383,7 +404,7 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
     q = p.shift(weight.center) if any(c != 0 for c in weight.center) else p
     num, den = weight.lam.numerator, weight.lam.denominator
     return HermiteExpansion._trusted(
-        weight, *tensor_expand(q.den, q.nums, lambda j, m: _scaled_monomial_row(m, num, den))
+        weight, *tensor_expand(q.den, q.nums, lambda exps: _monomial_image(exps, num, den))
     )
 
 

@@ -15,6 +15,13 @@ one ``gcd(den, *nums.values())`` at the end.  ``terms``, the map of
 reduced ``Fraction`` coefficients in the key order of ``nums``, is built
 on first read and cached.
 
+A tensor expansion maps each term through its whole-term image, the
+tensor product of one sparse 1-D row per axis as (key, int) pairs over
+one denominator (``term_image``).  The Hermite conversions keep their
+images in caches keyed by the exponents and the weight's scale;
+``shift`` builds its images per call, since its offsets change from
+call to call.
+
 Canonical term order is graded lexicographic (total degree first, then
 lexicographic on the exponent tuple), used for serialization and repr.
 
@@ -151,38 +158,41 @@ def scale_over(a: IntMap, factor: Fraction) -> IntMap:
 # stands for sum num / den * basis_index.
 IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
+# A whole-term image as ints over one denominator: (den, ((key, num), ...))
+# stands for sum num / den * basis_key, key a multi-index.
+TermImage = tuple[int, tuple[tuple[MultiIndex, int], ...]]
 
-def tensor_expand(den: int, nums: Mapping[MultiIndex, int], row: Callable[[int, int], IntRow]) -> IntMap:
-    """Expand every term num / den * prod_j basis_{e_j} one axis at a time,
-    as the sum of num / den * prod_j row(j, e_j).
 
-    ``row(j, e)`` is the sparse 1-D image of the e-th basis element on axis
-    j, looked up once per (j, e) and call.  Each term's numerators are
-    multiplied as ints over the product of its rows' denominators,
-    rescaled to the lcm of those products and summed; the result, over
-    den times that lcm, is reduced once.
+def term_image(rows: Iterable[IntRow]) -> TermImage:
+    """The tensor product of one sparse 1-D row per axis: keys in the
+    order of the nested loop over the rows, axis 0 outermost, numerators
+    multiplied as ints over the product of the rows' denominators."""
+    den = 1
+    partial: list[tuple[MultiIndex, int]] = [((), 1)]
+    for row_den, pairs in rows:
+        den *= row_den
+        partial = [(prefix + (i,), pc * c) for prefix, pc in partial for i, c in pairs]
+    return den, tuple(partial)
+
+
+def tensor_expand(den: int, nums: Mapping[MultiIndex, int], image: Callable[[MultiIndex], TermImage]) -> IntMap:
+    """Expand every term num / den * prod_j basis_{e_j} through its whole-term
+    image: the sum of num / den * image(exps).
+
+    ``image(exps)`` is the tensor product (``term_image``) of the term's
+    per-axis rows; a caller that meets the same exponents again reads it
+    from a cache.  Each term's numerators are rescaled from its image's
+    denominator to the lcm of those denominators and summed; the result,
+    over den times that lcm, is reduced once.
     """
-    table: dict[tuple[int, int], IntRow] = {}
-    expanded = []
-    common = 1
-    for exps, num in nums.items():
-        term_den = 1
-        axes = []
-        for j, e in enumerate(exps):
-            r = table.get((j, e))
-            if r is None:
-                r = table[j, e] = row(j, e)
-            term_den *= r[0]
-            axes.append(r[1])
-        expanded.append((num, term_den, axes))
-        common = math.lcm(common, term_den)
+    images = [(num, image(exps)) for exps, num in nums.items()]
+    common = math.lcm(*(term_den for _, (term_den, _) in images))
     out: dict[MultiIndex, int] = {}
-    for num, term_den, axes in expanded:
-        partial: list[tuple[MultiIndex, int]] = [((), num * (common // term_den))]
-        for pairs in axes:
-            partial = [(prefix + (i,), pc * c) for prefix, pc in partial for i, c in pairs]
-        for key, c in partial:
-            out[key] = out.get(key, 0) + c
+    get = out.get
+    for num, (term_den, pairs) in images:
+        c = num * (common // term_den)
+        for key, v in pairs:
+            out[key] = get(key, 0) + c * v
     return reduced(den * common, out)
 
 
@@ -409,9 +419,10 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"offset length {len(offset)} != dimension {self.dim}"
             )
-        off = [_as_fraction(v) for v in offset]
+        off = [(v.numerator, v.denominator) for v in map(_as_fraction, offset)]
         return Polynomial._trusted(self.dim, *tensor_expand(
-            self.den, self.nums, lambda j, e: _binomial_row(e, off[j].numerator, off[j].denominator)
+            self.den, self.nums,
+            lambda exps: term_image(_binomial_row(e, p, q) for e, (p, q) in zip(exps, off)),
         ))
 
     # ------------------------------------------------------------------

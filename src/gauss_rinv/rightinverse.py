@@ -376,6 +376,12 @@ class SolveReport:
 # ----------------------------------------------------------------------
 
 
+# Most rows of a min-norm block.  Bareiss time grows about as rows^4.5:
+# 70 rows take 0.21 s, 105 rows 1.0 s and 126 rows 3.1 s on a 2-core x86
+# machine, and the 1,365-row block of x1^8 in 12-D did not finish in 60 s.
+MAX_MIN_NORM_ROWS = 100
+
+
 @lru_cache(maxsize=1024)
 def _min_norm_block(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
     """(K, scales) of the (degree, parity) block of the min-norm solve: rows
@@ -409,12 +415,23 @@ def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
     which lam cancels.  The solution is the same for every weight.  The
     right-hand sides are f's int numerators; each block's solution is put
     over its own denominator, and u over f's denominator times their lcm.
+    A block over MAX_MIN_NORM_ROWS rows raises InputLimitError before any
+    block is built.
     """
     dim = f.weight.dim
     blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, int]] = {}
     for alpha, num in f.nums.items():
         key = (sum(alpha), tuple(e % 2 for e in alpha))
         blocks.setdefault(key, {})[alpha] = num
+    rows, deg, parity = max(
+        ((math.comb((deg - sum(parity)) // 2 + dim - 1, dim - 1), deg, parity) for deg, parity in blocks),
+        default=(0, 0, ()),
+    )
+    if rows > MAX_MIN_NORM_ROWS:
+        raise InputLimitError(
+            f"the min-norm block of degree {deg} and parity {parity} in {dim}-D has "
+            f"{rows} rows, above MAX_MIN_NORM_ROWS = {MAX_MIN_NORM_ROWS}"
+        )
     parts: list[tuple[MultiIndex, int, int]] = []
     common = 1
     for (deg, parity), rhs_nums in sorted(blocks.items()):

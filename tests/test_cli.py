@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,28 @@ class TestSolveCommand:
         """12-D a != 0 would enrich with 4120 plane waves, above MAX_PLANE_WAVES."""
         assert main(["solve", "--dim", "12", "--a", "1", "--f", "const:1"]) == EXIT_SPEC
         assert "4120 plane waves, above MAX_PLANE_WAVES = 1044" in capsys.readouterr().err
+
+    def test_min_norm_block_over_limit_exits_2(self, tmp_path, capsys):
+        """x1^8 in 12-D has a 1,365-row all-even block of degree 8: the solve
+        stops before it builds any block."""
+        poly_path = tmp_path / "f.json"
+        poly_path.write_text(json.dumps(Polynomial.monomial((8,) + (0,) * 11).to_json_dict()))
+        started = time.perf_counter()
+        assert main(["solve", "--dim", "12", "--f", str(poly_path)]) == EXIT_SPEC
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert f"degree 8 and parity {(0,) * 12} in 12-D has 1365 rows" in err
+        assert "MAX_MIN_NORM_ROWS = 100" in err
+
+    def test_min_norm_rows_at_limit_accepted(self, tmp_path, capsys, monkeypatch):
+        """x^2 y^2 in 3-D: its largest block, degree 4 all-even, has 6 rows."""
+        poly_path = tmp_path / "f.json"
+        poly_path.write_text(json.dumps(Polynomial.monomial((2, 2, 0)).to_json_dict()))
+        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_ROWS", 6)
+        assert run_cli("solve", "--dim", "3", "--f", str(poly_path), tmp_path=tmp_path)[0] == EXIT_OK
+        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_ROWS", 5)
+        assert main(["solve", "--dim", "3", "--f", str(poly_path)]) == EXIT_SPEC
+        assert "degree 4 and parity (0, 0, 0) in 3-D has 6 rows" in capsys.readouterr().err
 
 
 class TestScaledSolve:

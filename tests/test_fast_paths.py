@@ -13,7 +13,10 @@ common denominator, and ``solve_exact`` is Bareiss elimination on ints.
 Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
 step, are kept here as references; the kernels must match them exactly,
 key order included, since reports serialize term maps in the order they
-were built.  So are the per-call assemblers the cached levels of
+were built.  The composed formal adjoint, one reduced ring operation per
+step, is the reference of its one-pass stencil; since the adjoint feeds
+only exact sums and sorted serializations, its key order is not compared.
+So are the per-call assemblers the cached levels of
 ``lap + a`` replaced (class members by sorting, the min-norm block, the
 float blocks over every parity vector, the triangular walk over every
 index): members, integer blocks and float blocks must be equal.
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauss_rinv.adjoint import formal_adjoint
 from gauss_rinv.hermite import (
     HermiteExpansion,
     WeightSpec,
@@ -36,7 +40,7 @@ from gauss_rinv.hermite import (
     monomial_to_hermite,
 )
 from gauss_rinv.linalg import SingularMatrixError, _eliminate, solve_exact
-from gauss_rinv.polynomials import Polynomial, random_polynomial, reduced
+from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced
 from gauss_rinv.rightinverse import (
     _axis_norm_sq,
     _float_blocks,
@@ -518,6 +522,49 @@ def test_hermite_rows_match_recurrences():
             )
             basis = HermiteExpansion(w, {(m,): 1}).to_polynomial()
             assert_same_terms(basis.terms, fraction_to_polynomial({(m,): Fraction(1)}, w), 1)
+
+
+def composed_adjoint(psi: Polynomial, w: Polynomial, a=0) -> Polynomial:
+    """Reference adjoint of lap + a: lap psi + psi |grad w|^2 - psi lap w
+    - 2 grad psi . grad w + a psi, one reduced ring operation per step."""
+    grad_w = w.gradient()
+    out = (
+        psi.laplacian()
+        + psi * dot(grad_w, grad_w)
+        - psi * w.laplacian()
+        - dot(psi.gradient(), grad_w).scale(2)
+    )
+    if a:
+        out = out + psi.scale(a)
+    return out
+
+
+ADJOINT_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(10**20))
+
+
+@st.composite
+def adjoint_weights(draw, dim: int) -> Polynomial:
+    """The radial weight, a scaled or off-center lam |x - c|^2, or a general
+    polynomial weight drawn as the corpus's weight-expansion cases draw it."""
+    kind = draw(st.sampled_from(("radial", "spec", "general")))
+    if kind == "radial":
+        return Polynomial.norm_squared(dim)
+    if kind == "spec":
+        return draw(exact_weights(dim)).polynomial()
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_polynomial(rng, dim, max_degree=4, max_terms=6, nonzero=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_adjoint_stencil_matches_composed_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    psi = data.draw(exact_polynomials(dim))
+    w = data.draw(adjoint_weights(dim))
+    a = data.draw(st.sampled_from(ADJOINT_SHIFTS))
+    got, reference = formal_adjoint(psi, w, a), composed_adjoint(psi, w, a)
+    assert (got.den, got.nums) == (reference.den, reference.nums)
+    assert_canonical(got, dim)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from gauss_rinv import adjoint, hermite
 from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
@@ -124,6 +125,27 @@ def bounded_documents() -> list[dict]:
 def test_battery_digest_pinned():
     results = run_identity_battery(seed=42, cases_per_identity=3, weight_cases=2)
     assert _sha256(results) == BATTERY_SHA256
+
+
+# The caches of weight stencils and whole-term Hermite images.
+KERNEL_CACHES = (adjoint._weight_stencil, hermite._monomial_image, hermite._hermite_image)
+
+
+def test_cold_caches_give_warm_bytes():
+    """A battery slice and the conversions over WEIGHTS from emptied kernel
+    caches equal, byte for byte, their run from the caches that filled."""
+
+    def text() -> str:
+        docs = [run_identity_battery(seed=42, cases_per_identity=3, weight_cases=2), conversion_documents()]
+        return json.dumps(docs, sort_keys=True)
+
+    for cache in KERNEL_CACHES:
+        cache.cache_clear()
+    cold = text()
+    assert all(cache.cache_info().currsize for cache in KERNEL_CACHES)
+    assert text() == cold
+    for cache in KERNEL_CACHES:
+        assert cache.cache_info().maxsize is not None
 
 
 def test_conversion_digest_pinned():
