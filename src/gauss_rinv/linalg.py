@@ -1,19 +1,19 @@
 """Exact linear algebra over the rationals.
 
-``solve_exact`` is Bareiss fraction-free elimination (Bareiss, Math.
-Comp. 22, 1968) on Python ints: each row is scaled to integers once, every
-elimination step divides exactly by the previous pivot, and one Fraction
-per unknown is made at the end.  Intermediate entries are minors of the
-scaled matrix, so they stay as short as its determinant instead of
-growing the way Fraction denominators do.  ``nullspace_exact``, which
-builds the small harmonic bases of the tests, is Fraction row reduction.
+``factor_exact`` is Bareiss elimination (Math. Comp. 22, 1968) of an int
+matrix, kept as a fraction-free LU (Nakos, Turner & Williams, SIGSAM Bull.
+31(3), 1997): its entries are minors, as short as the determinant.  It runs
+once per matrix, O(rows^3); ``solve_factored`` replays it on each int
+right-hand side, O(rows^2).  ``solve_exact`` scales a Fraction system to
+ints and does both.  ``nullspace_exact`` is Fraction row reduction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from operator import mul
+from typing import NamedTuple, Sequence, Union
 
 Rational = Union[Fraction, int]
 
@@ -22,60 +22,83 @@ class SingularMatrixError(ArithmeticError):
     """The exact system has no unique solution."""
 
 
+class Factor(NamedTuple):
+    """A fraction-free LU: swaps[k], the row swapped into row k at step k;
+    lu, the eliminated rows of the swapped A, with row r's multiplier at
+    step c in place of its entry (r, c < r); the last pivot is det."""
+
+    swaps: tuple[int, ...]
+    lu: tuple[tuple[int, ...], ...]
+
+    @property
+    def det(self) -> int:
+        return self.lu[-1][-1] if self.lu else 1
+
+
+def factor_exact(matrix: Sequence[Sequence[int]]) -> Factor:
+    """Bareiss elimination of a square int matrix: step k sets each entry
+    right of column k in a lower row to (pivot * entry - multiplier *
+    pivot-row entry) // the previous pivot, an exact division, so every
+    entry is a minor of the swapped input.  Whole rows are swapped only on
+    a zero pivot.  Raises SingularMatrixError when the matrix is singular."""
+    n = len(matrix)
+    rows = [list(row) for row in matrix]
+    swaps = []
+    prev = 1
+    for col in range(n):
+        swap = col
+        if not rows[col][col]:
+            swap = next((r for r in range(col + 1, n) if rows[r][col]), None)
+            if swap is None:
+                raise SingularMatrixError(f"singular at column {col}")
+            rows[col], rows[swap] = rows[swap], rows[col]
+        swaps.append(swap)
+        pivot, tail_c = rows[col][col], rows[col][col + 1 :]
+        for row_r in rows[col + 1 :]:
+            m = row_r[col]
+            row_r[col + 1 :] = [(pivot * v - m * w) // prev for v, w in zip(row_r[col + 1 :], tail_c)]
+        prev = pivot
+    return Factor(tuple(swaps), tuple(map(tuple, rows)))
+
+
+def replay(factor: Factor, rhs: Sequence[int]) -> list[int]:
+    """rhs eliminated as the columns of A were (a swap commutes with the
+    earlier steps): entry k is a minor of the swapped [A | rhs]."""
+    b = list(rhs)
+    for col, swap in enumerate(factor.swaps):
+        b[col], b[swap] = b[swap], b[col]
+    prev = 1
+    for col, row_c in enumerate(factor.lu):
+        pivot, b_c, lower = row_c[col], b[col], factor.lu[col + 1 :]
+        b[col + 1 :] = [(pivot * v - row_r[col] * b_c) // prev for v, row_r in zip(b[col + 1 :], lower)]
+        prev = pivot
+    return b
+
+
+def solve_factored(factor: Factor, rhs: Sequence[int]) -> tuple[int, list[int]]:
+    """(D, y) with A y / D = rhs for the int matrix A of ``factor``,
+    D = factor.det: since D x is an int vector (Cramer's rule),
+    back-substitution on the replayed rhs finds y = D x with exact ``//``."""
+    b = replay(factor, rhs)
+    det, y = factor.det, [0] * len(b)
+    for row, u in reversed(list(enumerate(factor.lu))):
+        y[row] = (det * b[row] - sum(map(mul, u[row + 1 :], y[row + 1 :]))) // u[row]
+    return det, y
+
+
 def solve_exact(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> list[Fraction]:
     """Solve A x = b exactly for square A with Fraction or int entries.
 
-    Each row of [A | b] is scaled to ints and eliminated by ``_eliminate``.
-    Its last pivot D is +-det of the scaled A, so D x is an integer vector
-    (Cramer's rule): back-substitution runs on it with exact ``//``, and
-    x_i = Fraction(D x_i, D).  Raises SingularMatrixError when A is singular.
+    Each row of [A | b] is scaled to ints, then factored and solved:
+    x_i = Fraction(D x_i, D).  Raises SingularMatrixError when A is
+    singular.
     """
-    n = len(matrix)
     aug = []
-    for row, b in zip(matrix, rhs):
-        entries = [*row, b]
-        den = math.lcm(*(v.denominator for v in entries))
-        aug.append([v.numerator * (den // v.denominator) for v in entries])
-    det = _eliminate(aug)
-    y = [0] * n
-    for row in range(n - 1, -1, -1):
-        acc = det * aug[row][n]
-        for c in range(row + 1, n):
-            acc -= aug[row][c] * y[c]
-        y[row] = acc // aug[row][row]
+    for row, v in zip(matrix, rhs):
+        den = math.lcm(*(e.denominator for e in (*row, v)))
+        aug.append([e.numerator * (den // e.denominator) for e in (*row, v)])
+    det, y = solve_factored(factor_exact([r[:-1] for r in aug]), [r[-1] for r in aug])
     return [Fraction(v, det) for v in y]
-
-
-def _eliminate(aug: list[list[int]]) -> int:
-    """Bareiss elimination of an n x (n + 1) int matrix to upper
-    triangular form, in place.
-
-    Step k sets each entry right of column k in a lower row to
-    (pivot * entry - factor * pivot-row entry) // the previous pivot, an
-    exact division: every entry is then a minor of the row-permuted input,
-    no longer than Hadamard's bound.  Rows are swapped only on a zero
-    pivot.  Returns the last pivot, +-det of the left n x n part; raises
-    SingularMatrixError when that part is singular.
-    """
-    n = len(aug)
-    prev = 1
-    for col in range(n):
-        if not aug[col][col]:
-            swap = next((r for r in range(col + 1, n) if aug[r][col]), None)
-            if swap is None:
-                raise SingularMatrixError(f"singular at column {col}")
-            aug[col], aug[swap] = aug[swap], aug[col]
-        row_c = aug[col]
-        pivot = row_c[col]
-        tail_c = row_c[col + 1 :]
-        for r in range(col + 1, n):
-            row_r = aug[r]
-            factor = row_r[col]
-            row_r[col:] = [0] + [
-                (pivot * v - factor * w) // prev for v, w in zip(row_r[col + 1 :], tail_c)
-            ]
-        prev = pivot
-    return prev
 
 
 def nullspace_exact(matrix: Sequence[Sequence[Fraction]], n_cols: int) -> list[list[Fraction]]:

@@ -18,7 +18,8 @@ the normal equations of the adjoint system, solved exactly.  The system
 decouples into small blocks indexed by (total degree, parity vector),
 because the Laplacian preserves per-axis parity and shifts degree by two;
 each block's normal matrix is, up to a factor that cancels, an integer
-matrix that does not depend on the weight, solved by Bareiss elimination.
+matrix that does not depend on the weight.  It is factored once by Bareiss
+elimination and cached, and each right-hand side replays the factor.
 
 For a != 0 the truncated system is uniquely solvable (triangular with a
 on the diagonal) but the resulting ratio ||u||^2/||f||^2 generally
@@ -52,7 +53,7 @@ from .hermite import (
     _axis_norm_sq,
     monomial_to_hermite,
 )
-from .linalg import SingularMatrixError, solve_exact
+from .linalg import Factor, SingularMatrixError, factor_exact, solve_factored
 from .polynomials import (
     DimensionMismatchError,
     MultiIndex,
@@ -376,19 +377,21 @@ class SolveReport:
 # ----------------------------------------------------------------------
 
 
-# Most rows of a min-norm block.  Bareiss time grows about as rows^4.5:
+# Most rows of a min-norm block.  Its one elimination grows about as rows^4.5:
 # 70 rows take 0.21 s, 105 rows 1.0 s and 126 rows 3.1 s on a 2-core x86
-# machine, and the 1,365-row block of x1^8 in 12-D did not finish in 60 s.
+# machine; the 1,365-row block of x1^8 in 12-D did not finish in 60 s.  A warm
+# solve replays the cached factor, O(rows^2).
 MAX_MIN_NORM_ROWS = 100
 
 
+# The largest factor the row limit admits (91 rows: 3-D, degree 24) holds
+# 0.5 MB of ints, 0.6 MB at the peak of its elimination.
 @lru_cache(maxsize=1024)
-def _min_norm_block(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
-    """(K, scales) of the (degree, parity) block of the min-norm solve: rows
-    the members of _level(dim, degree, parity), columns those of degree + 2
-    with entries b, scales[c] = L // N_gamma for column gamma, N_gamma =
-    prod_j 2^g_j g_j! and L their lcm; K = sum_gamma (L // N_gamma) b b^T, an
-    int matrix."""
+def _min_norm_block(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[Factor, tuple[int, ...]]:
+    """(factor_exact(K), scales) of the (degree, parity) min-norm block: K,
+    over the members of _level(dim, degree, parity), is sum_gamma scales[gamma]
+    b b^T over the columns gamma of degree + 2 with entries b, scales[gamma]
+    = L // N_gamma, N_gamma = prod_j 2^g_j g_j! and L their lcm."""
     size = len(_level(dim, degree, parity)[0])
     columns, entries = _level(dim, degree + 2, parity)
     norms = [math.prod(map(_axis_norm_sq, gamma)) for gamma in columns]
@@ -399,7 +402,10 @@ def _min_norm_block(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[tup
         for ai, b_a in column:
             for bi, b_b in column:
                 matrix[ai][bi] += scale * b_a * b_b
-    return tuple(map(tuple, matrix)), scales
+    try:
+        return factor_exact(matrix), scales
+    except SingularMatrixError as exc:  # defensive: cannot occur for lap
+        raise SingularMatrixError(f"minimal-norm block ({degree}, {parity}) singular: {exc}") from exc
 
 
 def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
@@ -412,11 +418,12 @@ def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
     |gamma| = d + 2, so ||G_gamma||^2 = N_gamma lam^-(d+2) with the same
     lam factor across the block: M = lam^(d+2) / L * K for the integer K of
     ``_min_norm_block``, and u_gamma = (L / N_gamma) (B^T K^{-1} f)_gamma, in
-    which lam cancels.  The solution is the same for every weight.  The
-    right-hand sides are f's int numerators; each block's solution is put
-    over its own denominator, and u over f's denominator times their lcm.
-    A block over MAX_MIN_NORM_ROWS rows raises InputLimitError before any
-    block is built.
+    which lam cancels.  The solution is the same for every weight.  Each
+    block replays its cached factor of K on f's int numerators, giving
+    K^{-1} f = y / D with D > 0, so u_gamma = (L / N_gamma) (B^T y)_gamma / D
+    over f's denominator: one gcd per block shortens D, and u is put over
+    the lcm of the blocks' denominators.  A block over MAX_MIN_NORM_ROWS
+    rows raises InputLimitError before any block is built.
     """
     dim = f.weight.dim
     blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, int]] = {}
@@ -435,20 +442,20 @@ def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
     parts: list[tuple[MultiIndex, int, int]] = []
     common = 1
     for (deg, parity), rhs_nums in sorted(blocks.items()):
-        matrix, scales = _min_norm_block(dim, deg, parity)
+        factor, scales = _min_norm_block(dim, deg, parity)
+        det, y = solve_factored(factor, [rhs_nums.get(alpha, 0) for alpha in _level(dim, deg, parity)[0]])
         columns, entries = _level(dim, deg + 2, parity)
-        try:
-            w = solve_exact(matrix, [rhs_nums.get(alpha, 0) for alpha in _level(dim, deg, parity)[0]])
-        except SingularMatrixError as exc:  # defensive: cannot occur for lap
-            raise SingularMatrixError(f"minimal-norm block ({deg}, {parity}) singular: {exc}") from exc
-        den_w = math.lcm(*(v.denominator for v in w))
-        w_nums = [v.numerator * (den_w // v.denominator) for v in w]
-        common = math.lcm(common, den_w)
-        parts.extend(
-            (gamma, scale * sum(b * w_nums[ai] for ai, b in column), den_w)
-            for gamma, scale, column in zip(columns, scales, entries)
-        )
-    u = {gamma: num * (common // den_w) for gamma, num, den_w in parts}
+        nums = []
+        for scale, column in zip(scales, entries):
+            acc = 0
+            for ai, b in column:
+                acc += b * y[ai]
+            nums.append(scale * acc)
+        g = math.gcd(det, *nums) * (1 if det > 0 else -1)
+        den = det // g
+        common = math.lcm(common, den)
+        parts.extend((gamma, num // g, den) for gamma, num in zip(columns, nums))
+    u = {gamma: num * (common // den) for gamma, num, den in parts}
     return HermiteExpansion._trusted(f.weight, *reduced(f.den * common, u))
 
 

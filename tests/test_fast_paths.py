@@ -9,7 +9,9 @@ common factor of ``den`` and the numerators; the ``terms`` and
 
 Every ring, calculus, conversion and Parseval operation, the min-norm
 block solves and ``shifted_laplacian`` run on int numerators over one
-common denominator, and ``solve_exact`` is Bareiss elimination on ints.
+common denominator, and ``solve_exact`` is a Bareiss factor on ints
+replayed on the right-hand side; one factor replayed on several
+right-hand sides must solve each as the Fraction reference does.
 Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
 step, are kept here as references; the kernels must match them exactly,
 key order included, since reports serialize term maps in the order they
@@ -39,7 +41,8 @@ from gauss_rinv.hermite import (
     hermite_polynomial_1d,
     monomial_to_hermite,
 )
-from gauss_rinv.linalg import SingularMatrixError, _eliminate, solve_exact
+from gauss_rinv import rightinverse
+from gauss_rinv.linalg import SingularMatrixError, factor_exact, replay, solve_exact, solve_factored
 from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced
 from gauss_rinv.rightinverse import (
     _axis_norm_sq,
@@ -709,12 +712,22 @@ def test_levels_match_class_members(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_min_norm_block_matches_reference(dim):
+def test_min_norm_block_matches_reference(dim, monkeypatch):
+    """Each block factors the reference K, keeps the reference scales, and
+    its cached factor's det is +-det K."""
+    assembled = []
+    monkeypatch.setattr(rightinverse, "factor_exact", lambda k: assembled.append(k) or factor_exact(k))
     for degree in range(13):
         for parity in itertools.product((0, 1), repeat=dim):
             rows, matrix, columns = reference_min_norm_block(dim, degree, parity)
             assert _level(dim, degree, parity)[0] == rows
-            assert _min_norm_block(dim, degree, parity) == (matrix, tuple(s for _, s, _ in columns))
+            scales = tuple(s for _, s, _ in columns)
+            cached = _min_norm_block(dim, degree, parity)
+            assert cached == (factor_exact(matrix), scales)
+            assert cached[0].det in (fraction_det(matrix), -fraction_det(matrix))
+            assembled.clear()
+            assert _min_norm_block.__wrapped__(dim, degree, parity)[1] == scales
+            assert [tuple(row) for row in assembled.pop()] == list(matrix)
             gammas, entries = _level(dim, degree + 2, parity)
             assert [(g, e) for g, _, e in columns] == list(zip(gammas, entries))
 
@@ -891,18 +904,63 @@ def test_solve_exact_raises_on_singular(matrix):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_elimination_keeps_entries_minors(data):
-    """After Bareiss elimination the last pivot is +-det and every entry,
-    a minor of the input, is within Hadamard's bound (the product of the
-    row norms), so the exact divisions are what keeps the ints short."""
+    """The last pivot of the Bareiss factor of A is +-det A; replaying the
+    factor on column j of A gives column j of its upper triangle, zero
+    below the diagonal; and every entry of the factor (upper triangle and
+    multipliers), of the replayed right-hand side and of D x, each a minor
+    of [A | b], is within Hadamard's bound (the product of the row norms
+    of [A | b]), so the exact divisions are what keeps the ints short."""
     n = data.draw(st.integers(1, 8))
     entry = st.one_of(st.integers(-2, 2), st.integers(-(2**20), 2**20))
     aug = [[data.draw(entry) for _ in range(n + 1)] for _ in range(n)]
-    det = fraction_det([row[:n] for row in aug])
+    matrix, rhs = [row[:n] for row in aug], [row[n] for row in aug]
+    det = fraction_det(matrix)
     if det == 0:
         with pytest.raises(SingularMatrixError):
-            _eliminate(aug)
+            factor_exact(matrix)
         return
     hadamard = math.prod(max(1, math.isqrt(sum(v * v for v in row)) + 1) for row in aug)
-    assert abs(_eliminate(aug)) == abs(det)
-    assert all(aug[r][c] == 0 for r in range(n) for c in range(r))
-    assert all(abs(v) <= hadamard for row in aug for v in row)
+    factor = factor_exact(matrix)
+    assert abs(factor.det) == abs(det)
+    for j in range(n):
+        column = [factor.lu[r][j] for r in range(j + 1)] + [0] * (n - j - 1)
+        assert replay(factor, [row[j] for row in matrix]) == column
+    b = replay(factor, rhs)
+    d, y = solve_factored(factor, rhs)
+    assert d == factor.det
+    assert all(abs(v) <= hadamard for v in [*itertools.chain(*factor.lu), *b, *y])
+
+
+def int_rows(matrix) -> list[list[int]]:
+    """Each row of a Fraction matrix times the lcm of its denominators."""
+    out = []
+    for row in matrix:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        out.append([int(v * den) for v in row])
+    return out
+
+
+@pytest.mark.parametrize("system", [None, *range(len(ZERO_PIVOT_SYSTEMS))])
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_factor_replays_on_each_right_hand_side(system, data):
+    """One factor solves four right-hand sides, each as the Fraction
+    reference does: the replay of the row swaps (every ZERO_PIVOT_SYSTEMS
+    matrix, scaled to ints) and of zero multipliers included."""
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
+    if system is None:
+        n = data.draw(st.integers(1, 7))
+        matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    else:
+        matrix = int_rows(ZERO_PIVOT_SYSTEMS[system][0])
+        n = len(matrix)
+    if fraction_det(matrix) == 0:
+        with pytest.raises(SingularMatrixError):
+            factor_exact(matrix)
+        return
+    factor = factor_exact(matrix)
+    for _ in range(4):
+        rhs = [data.draw(entry) for _ in range(n)]
+        det, y = solve_factored(factor, rhs)
+        assert det == factor.det
+        assert [Fraction(v, det) for v in y] == fraction_solve_exact(matrix, rhs)

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from gauss_rinv import adjoint, hermite
+from gauss_rinv import adjoint, hermite, rightinverse
 from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
@@ -154,6 +154,24 @@ def test_conversion_digest_pinned():
 
 def test_solve_digest_pinned():
     assert _sha256(solve_documents()) == SOLVE_SHA256
+
+
+# The caches of the min-norm block factors and of the levels of lap + a.
+SOLVE_CACHES = (rightinverse._min_norm_block, rightinverse._level)
+
+
+def test_cold_block_factors_give_warm_bytes():
+    """The solve corpus from emptied block-factor and level caches, and
+    again from the caches that filled, gives the same, pinned, bytes."""
+    for cache in SOLVE_CACHES:
+        cache.cache_clear()
+    cold = solve_documents()
+    assert all(cache.cache_info().currsize for cache in SOLVE_CACHES)
+    warm = solve_documents()
+    assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
+    assert _sha256(cold) == SOLVE_SHA256
+    for cache in SOLVE_CACHES:
+        assert cache.cache_info().maxsize is not None
 
 
 def test_opnorm_values_pinned():

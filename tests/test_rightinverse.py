@@ -1,6 +1,7 @@
 """Minimal-norm solver, kernel enrichment, operator norm, scaled weights."""
 
 import dataclasses
+import json
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from gauss_rinv import rightinverse
+from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from gauss_rinv.hermite import (
     HermiteExpansion,
     WeightSpec,
@@ -129,6 +131,36 @@ def monomial_route_residual_zero(report, f: Polynomial) -> bool:
     """Reference residual check on monomials: lap(u) + a u - f == 0."""
     u = report.solution.to_polynomial()
     return (u.laplacian() + u.scale(report.a) - f).is_zero()
+
+
+class TestBlockFactorCache:
+    """The exact residual check guards the cached min-norm block factors:
+    the 2-D degree-4 even block served with one multiplier off by one."""
+
+    F = Polynomial(2, {(4, 0): 1, (2, 2): 1, (0, 4): 1})
+
+    @staticmethod
+    def corrupt(monkeypatch):
+        key = (2, 4, (0, 0))
+        factor, scales = rightinverse._min_norm_block(*key)
+        first, (m, *row), *rest = factor.lu
+        bad = factor._replace(lu=(first, (m + 1, *row), *rest)), scales
+        block = rightinverse._min_norm_block
+        monkeypatch.setattr(rightinverse, "_min_norm_block", lambda *k: bad if k == key else block(*k))
+
+    def test_corrupt_multiplier_fails_residual(self, monkeypatch):
+        assert solve_min_norm(self.F).residual_exact
+        self.corrupt(monkeypatch)
+        assert not solve_min_norm(self.F).residual_exact
+
+    def test_corrupt_multiplier_exits_1(self, tmp_path, monkeypatch):
+        f_path, out = tmp_path / "f.json", tmp_path / "report.json"
+        f_path.write_text(json.dumps(self.F.to_json_dict()))
+        argv = ["solve", "--out", str(out), "--dim", "2", "--f", str(f_path)]
+        assert main(argv) == EXIT_OK
+        self.corrupt(monkeypatch)
+        assert main(argv) == EXIT_CHECK_FAILED
+        assert json.loads(out.read_text())["results"]["solve"]["residual_exact"] is False
 
 
 class TestResidualRoutes:
