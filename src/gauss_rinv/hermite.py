@@ -37,6 +37,7 @@ from .polynomials import (
     RationalLike,
     TermImage,
     _as_fraction,
+    _binomial_row,
     format_rational,
     over_common_denominator,
     reduced,
@@ -247,9 +248,30 @@ def _scaled_hermite_row(k: int, p: int, q: int) -> IntRow:
     )
 
 
+def _composed_row(outer: IntRow, inner: Callable[[int], IntRow]) -> IntRow:
+    """sum_i c_i inner(i) over the pairs (i, c_i) of ``outer``: a tensor_expand
+    over int indices, reduced, its nonzero pairs sorted by ascending index."""
+    den, nums = tensor_expand(outer[0], dict(outer[1]), inner)
+    return den, tuple(sorted(nums.items()))
+
+
+@lru_cache(maxsize=4096)
+def _centered_monomial_row(m: int, p: int, q: int, cn: int, cd: int) -> IntRow:
+    """x^m over G_k(u), u = x - c, c = cn/cd, lam = p/q: the binomial row of
+    (u + c)^m composed with the rows of u^i; the scaled row at c = 0."""
+    return _composed_row(_binomial_row(m, cn, cd), lambda i: _scaled_monomial_row(i, p, q))
+
+
+@lru_cache(maxsize=4096)
+def _centered_hermite_row(k: int, p: int, q: int, cn: int, cd: int) -> IntRow:
+    """G_k(u) over x^i, u = x - c, c = cn/cd, lam = p/q: the row of G_k(u)
+    composed with the binomial rows of (x - c)^i; the scaled row at c = 0."""
+    return _composed_row(_scaled_hermite_row(k, p, q), lambda i: _binomial_row(i, -cn, cd))
+
+
 # Distinct (exponents, p, q) of the whole-term images kept per direction.
-# A seed's identity battery meets about 800 monomials, and a degree-12
-# solve in 3-D reads 455 Hermite indices.
+# A seed's identity battery meets about 280 monomials at zero center (and
+# 370 centered rows off center); a degree-12 3-D solve reads 455 indices.
 IMAGE_CACHE_SIZE = 4096
 
 
@@ -263,6 +285,16 @@ def _monomial_image(exps: MultiIndex, p: int, q: int) -> TermImage:
 def _hermite_image(alpha: MultiIndex, p: int, q: int) -> TermImage:
     """G_alpha(u) over the monomials of u, lam = p/q."""
     return term_image(_scaled_hermite_row(k, p, q) for k in alpha)
+
+
+def _term_images(weight: WeightSpec, cached, row) -> Callable[[MultiIndex], TermImage]:
+    """One direction's whole-term images over ``weight``: the ``cached`` ones at
+    zero center, else the product of centered ``row``s, built per call."""
+    p, q = weight.lam.numerator, weight.lam.denominator
+    if not any(weight.center):
+        return lambda key: cached(key, p, q)
+    center = [(c.numerator, c.denominator) for c in weight.center]
+    return lambda key: term_image([row(e, p, q, cn, cd) for e, (cn, cd) in zip(key, center)])
 
 
 @lru_cache(maxsize=None)
@@ -376,14 +408,10 @@ class HermiteExpansion:
         return GaussianScalar.for_weight(total, self.weight)
 
     def to_polynomial(self) -> Polynomial:
-        """Exact inverse of monomial_to_hermite."""
-        w = self.weight
-        p, q = w.lam.numerator, w.lam.denominator
-        den, nums = tensor_expand(self.den, self.nums, lambda alpha: _hermite_image(alpha, p, q))
-        result = Polynomial._trusted(w.dim, den, nums)
-        if any(c != 0 for c in w.center):
-            result = result.shift([-c for c in w.center])
-        return result
+        """Exact inverse of monomial_to_hermite: one tensor_expand through
+        the images of G_alpha(x - center) over the monomials of x."""
+        images = _term_images(self.weight, _hermite_image, _centered_hermite_row)
+        return Polynomial._trusted(self.weight.dim, *tensor_expand(self.den, self.nums, images))
 
     def to_json_dict(self) -> dict:
         return {
@@ -396,16 +424,14 @@ class HermiteExpansion:
 
 
 def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
-    """Exact change of basis from monomials to the scaled Hermite basis."""
+    """Exact change of basis from monomials to the scaled Hermite basis:
+    one tensor_expand through the images of x^e over G_alpha(x - center)."""
     if p.dim != weight.dim:
         raise DimensionMismatchError(
             f"polynomial dimension {p.dim} != weight dimension {weight.dim}"
         )
-    q = p.shift(weight.center) if any(c != 0 for c in weight.center) else p
-    num, den = weight.lam.numerator, weight.lam.denominator
-    return HermiteExpansion._trusted(
-        weight, *tensor_expand(q.den, q.nums, lambda exps: _monomial_image(exps, num, den))
-    )
+    images = _term_images(weight, _monomial_image, _centered_monomial_row)
+    return HermiteExpansion._trusted(weight, *tensor_expand(p.den, p.nums, images))
 
 
 def inner_product(p: Polynomial, q: Polynomial, weight: WeightSpec) -> GaussianScalar:

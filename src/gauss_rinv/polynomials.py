@@ -17,10 +17,12 @@ on first read and cached.
 
 A tensor expansion maps each term through its whole-term image, the
 tensor product of one sparse 1-D row per axis as (key, int) pairs over
-one denominator (``term_image``).  The Hermite conversions keep their
-images in caches keyed by the exponents and the weight's scale;
-``shift`` builds its images per call, since its offsets change from
-call to call.
+one denominator (``term_image``).  At zero center the Hermite
+conversions keep their images in caches keyed by the exponents and the
+weight's scale.  Off center, like ``shift``, they build them per call,
+since centers and offsets change from call to call, but from cached
+per-axis rows with the center folded in (``shift``'s binomial row
+composed with the Hermite row), so one expansion converts each term.
 
 Canonical term order is graded lexicographic (total degree first, then
 lexicographic on the exponent tuple), used for serialization and repr.
@@ -183,7 +185,8 @@ def tensor_expand(den: int, nums: Mapping[MultiIndex, int], image: Callable[[Mul
     per-axis rows; a caller that meets the same exponents again reads it
     from a cache.  Each term's numerators are rescaled from its image's
     denominator to the lcm of those denominators and summed; the result,
-    over den times that lcm, is reduced once.
+    over den times that lcm, is reduced once.  Keys need only be hashable:
+    over the int indices of 1-D rows it composes a row through others.
     """
     images = [(num, image(exps)) for exps, num in nums.items()]
     common = math.lcm(*(term_den for _, (term_den, _) in images))
@@ -268,14 +271,12 @@ class Polynomial:
         return cls(len(exps), {tuple(exps): _as_fraction(coef)})
 
     @classmethod
+    @lru_cache(maxsize=64)
     def norm_squared(cls, dim: int) -> "Polynomial":
-        """The radial polynomial x_1^2 + ... + x_n^2."""
-        terms = {}
-        for j in range(dim):
-            exps = [0] * dim
-            exps[j] = 2
-            terms[tuple(exps)] = Fraction(1)
-        return cls(dim, terms)
+        """The radial polynomial x_1^2 + ... + x_n^2, one shared instance per dim."""
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        return cls._trusted(dim, 1, {(0,) * j + (2,) + (0,) * (dim - j - 1): 1 for j in range(dim)})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -479,9 +480,10 @@ def dot(a: Iterable[Polynomial], b: Iterable[Polynomial]) -> Polynomial:
     return out
 
 
+@lru_cache(maxsize=64)
 def coordinate_vector(dim: int) -> tuple[Polynomial, ...]:
-    """The vector (x_1, ..., x_n) as polynomials."""
-    return tuple(Polynomial.variable(dim, j) for j in range(dim))
+    """The vector (x_1, ..., x_n) as polynomials, one shared tuple per dim."""
+    return tuple(Polynomial._trusted(dim, 1, {(0,) * j + (1,) + (0,) * (dim - j - 1): 1}) for j in range(dim))
 
 
 def random_polynomial(
@@ -498,23 +500,35 @@ def random_polynomial(
     1 <= q <= coeff_bound, summed as int numerators over
     lcm(1..coeff_bound); exponents are uniform subject to the total
     degree cap.  ``rng`` is a random.Random so corpora reproduce exactly
-    from a recorded seed.
+    from a recorded seed.  Each draw is read from ``rng.getrandbits`` by
+    the rule of CPython's ``randrange``, so ``randint`` and ``randrange``
+    would give the same polynomials and leave ``rng`` in the same state.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
+
+    def below(n: int) -> int:
+        """rng.randrange(n): n.bit_length() bits, redrawn while >= n."""
+        if n < 1:
+            raise ValueError(f"empty range for randrange({n})")
+        r = rng.getrandbits(k := n.bit_length())
+        while r >= n:
+            r = rng.getrandbits(k)
+        return r
+
     common = math.lcm(*range(1, coeff_bound + 1))
-    n_terms = rng.randint(1, max_terms)
+    n_terms = 1 + below(max_terms)
     nums: dict[MultiIndex, int] = {}
     for _ in range(n_terms):
-        degree = rng.randint(0, max_degree)
+        degree = below(max_degree + 1)
         exps = [0] * dim
         for _ in range(degree):
-            exps[rng.randrange(dim)] += 1
-        num = rng.randint(-coeff_bound, coeff_bound)
-        den = rng.randint(1, coeff_bound)
+            exps[below(dim)] += 1
+        num = below(2 * coeff_bound + 1) - coeff_bound
+        den = 1 + below(coeff_bound)
         key = tuple(exps)
         nums[key] = nums.get(key, 0) + num * (common // den)
     p = Polynomial._trusted(dim, *reduced(common, nums))
     if nonzero and p.is_zero():
-        return Polynomial.constant(dim, Fraction(1, rng.randint(1, coeff_bound)))
+        return Polynomial.constant(dim, Fraction(1, 1 + below(coeff_bound)))
     return p

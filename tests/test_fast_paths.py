@@ -14,8 +14,13 @@ replayed on the right-hand side; one factor replayed on several
 right-hand sides must solve each as the Fraction reference does.
 Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
 step, are kept here as references; the kernels must match them exactly,
-key order included, since reports serialize term maps in the order they
-were built.  The composed formal adjoint, one reduced ring operation per
+key order included.  Reports sort term maps before they serialize them,
+so the order pin guards the kernels' own determinism, not report bytes:
+off center, the one-pass conversions order their keys as a Fraction form
+of the one-pass route and equal the two-pass route (shift, then the
+Hermite rows) as maps, and a test below rebuilds inputs in reversed key
+order and asks every serialized or summed result to stay the same.
+The composed formal adjoint, one reduced ring operation per
 step, is the reference of its one-pass stencil; since the adjoint feeds
 only exact sums and sorted serializations, its key order is not compared.
 So are the per-call assemblers the cached levels of
@@ -45,6 +50,7 @@ from gauss_rinv import rightinverse
 from gauss_rinv.linalg import SingularMatrixError, factor_exact, replay, solve_exact, solve_factored
 from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced
 from gauss_rinv.rightinverse import (
+    KernelFunction,
     _axis_norm_sq,
     _float_blocks,
     _level,
@@ -239,23 +245,53 @@ def fraction_shift(p: Polynomial, offset) -> dict:
     return fraction_tensor_expand(p.terms, lambda j, e: fraction_binomial_row(e, offset[j]))
 
 
+def fraction_monomial_row(m: int, lam: Fraction):
+    """u^m over G_k(u), k ascending, by the recurrence of monomial_in_hermite."""
+    h = monomial_in_hermite(m)
+    return [(k, h[k] * lam ** ((k - m) // 2)) for k in range(m % 2, m + 1, 2)]
+
+
+def fraction_hermite_row(k: int, lam: Fraction):
+    """G_k(u) over u^i, i ascending, by the recurrence of hermite_in_monomials."""
+    h = hermite_in_monomials(k)
+    return [(i, c * lam ** ((i - k) // 2)) for i, c in enumerate(h) if c]
+
+
 def fraction_monomial_to_hermite(p: Polynomial, w: WeightSpec) -> dict:
+    """The two-pass route: shift to the center, then the Hermite rows."""
     terms = fraction_shift(p, w.center)
-
-    def row(j, m):
-        h = monomial_in_hermite(m)
-        return [(k, h[k] * w.lam ** ((k - m) // 2)) for k in range(m % 2, m + 1, 2)]
-
-    return fraction_tensor_expand(terms, row)
+    return fraction_tensor_expand(terms, lambda j, m: fraction_monomial_row(m, w.lam))
 
 
 def fraction_to_polynomial(coeffs: dict, w: WeightSpec) -> dict:
-    def row(j, k):
-        h = hermite_in_monomials(k)
-        return [(i, c * w.lam ** ((i - k) // 2)) for i, c in enumerate(h) if c]
-
-    terms = fraction_tensor_expand(coeffs, row)
+    """The two-pass route: the Hermite rows, then shift back from the center."""
+    terms = fraction_tensor_expand(coeffs, lambda j, k: fraction_hermite_row(k, w.lam))
     return fraction_tensor_expand(terms, lambda j, e: fraction_binomial_row(e, -w.center[j]))
+
+
+def fraction_composed_row(outer, inner) -> list:
+    """sum_i c_i inner(i) over the pairs (i, c_i) of ``outer``, one Fraction
+    product and sum per step; nonzero pairs, index ascending."""
+    out: dict = {}
+    for i, c in outer:
+        for k, v in inner(i):
+            out[k] = out.get(k, Fraction(0)) + c * v
+    return sorted((k, v) for k, v in out.items() if v)
+
+
+def one_pass_monomial_to_hermite(p: Polynomial, w: WeightSpec) -> dict:
+    """The one-pass route: terms in ``nums`` order, each through the nested
+    loop over its per-axis rows, each row x^m = (u + c)^m composed with the
+    rows of u^i."""
+    return fraction_tensor_expand(p.terms, lambda j, m: fraction_composed_row(
+        fraction_binomial_row(m, w.center[j]), lambda i: fraction_monomial_row(i, w.lam)))
+
+
+def one_pass_to_polynomial(coeffs: dict, w: WeightSpec) -> dict:
+    """The one-pass route back: each row G_k(u) composed with the binomial
+    rows of u^i = (x - c)^i."""
+    return fraction_tensor_expand(coeffs, lambda j, k: fraction_composed_row(
+        fraction_hermite_row(k, w.lam), lambda i: fraction_binomial_row(i, -w.center[j])))
 
 
 def fraction_mul(p: Polynomial, q: Polynomial) -> dict:
@@ -366,13 +402,20 @@ def test_mul_matches_fraction_reference(data):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_conversions_match_fraction_reference(data):
+    """Equal to the two-pass route as maps; in its key order at zero center,
+    and in the one-pass route's key order off center."""
     dim = data.draw(st.integers(1, 3))
     p = data.draw(exact_polynomials(dim))
     w = data.draw(exact_weights(dim))
     expansion = monomial_to_hermite(p, w)
-    assert_same_terms(expansion.coeffs, fraction_monomial_to_hermite(p, w), dim)
     back = expansion.to_polynomial()
-    assert_same_terms(back.terms, fraction_to_polynomial(expansion.coeffs, w), dim)
+    cases = [
+        (expansion.coeffs, fraction_monomial_to_hermite(p, w), one_pass_monomial_to_hermite(p, w)),
+        (back.terms, fraction_to_polynomial(expansion.coeffs, w), one_pass_to_polynomial(expansion.coeffs, w)),
+    ]
+    for got, two_pass, one_pass in cases:
+        assert got == two_pass
+        assert_same_terms(got, one_pass if any(w.center) else two_pass, dim)
     assert back == p
 
 
@@ -511,20 +554,69 @@ def test_random_polynomial_matches_fraction_loop(kwargs):
         assert rng.getstate() == ref_rng.getstate()
 
 
+# Zero and nonzero centers; Fraction(0.2) has a 2^54 denominator, like the
+# bounded solver's float box centers.
+ROW_CENTERS = (Fraction(0), Fraction(-5, 2), Fraction(1, 3), Fraction(7, 11), Fraction(0.2))
+
+
 def test_hermite_rows_match_recurrences():
-    """Each axis row equals the three-term recurrences it replaced, for
-    every lam of LAMS and degree up to 12."""
+    """Each axis row, centered or not, equals the three-term recurrences it
+    replaced (after the shift, off center), for every lam of LAMS and degree
+    up to 12, and each round trip gives back its input."""
     for lam in LAMS:
-        w = WeightSpec(1, lam)
-        for m in range(13):
-            monomial = Polynomial(1, {(m,): 1})
-            assert_same_terms(
-                monomial_to_hermite(monomial, w).coeffs,
-                fraction_monomial_to_hermite(monomial, w),
-                1,
-            )
-            basis = HermiteExpansion(w, {(m,): 1}).to_polynomial()
-            assert_same_terms(basis.terms, fraction_to_polynomial({(m,): Fraction(1)}, w), 1)
+        for c in ROW_CENTERS:
+            w = WeightSpec(1, lam, (c,))
+            for m in range(13):
+                monomial = Polynomial(1, {(m,): 1})
+                expansion = monomial_to_hermite(monomial, w)
+                basis = HermiteExpansion(w, {(m,): 1})
+                back = basis.to_polynomial()
+                cases = [
+                    (expansion.coeffs, fraction_monomial_to_hermite(monomial, w)),
+                    (back.terms, fraction_to_polynomial({(m,): Fraction(1)}, w)),
+                ]
+                for got, reference in cases:
+                    assert got == reference
+                    if c == 0:
+                        assert_same_terms(got, reference, 1)
+                    assert_clean(got, 1)
+                assert expansion.to_polynomial() == monomial
+                assert monomial_to_hermite(back, w) == basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_results_do_not_depend_on_input_key_order(data):
+    """Inputs rebuilt with their keys in reverse order give the same
+    strings, JSON, exact norms and products, lap + a, min-norm reports on
+    off-center weights, and plane-wave pairings."""
+    dim = data.draw(st.integers(1, 3))
+    p = data.draw(exact_polynomials(dim, max_degree=5))
+    q = data.draw(exact_polynomials(dim, max_degree=5))
+    w = data.draw(exact_weights(dim))
+    unit = WeightSpec.unit(dim)
+    a = data.draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-3))))
+
+    def reversed_poly(x: Polynomial) -> Polynomial:
+        return Polynomial._trusted(x.dim, x.den, dict(reversed(x.nums.items())))
+
+    def reversed_exp(x: HermiteExpansion) -> HermiteExpansion:
+        return HermiteExpansion._trusted(x.weight, x.den, dict(reversed(x.nums.items())))
+
+    def results(p: Polynomial, q: Polynomial, expand) -> list:
+        x, y, u = expand(p, w), expand(q, w), expand(p, unit)
+        wave = KernelFunction(kind="cos", wavevector=(1.0,) * dim)
+        return [
+            str(p), p.to_json_dict(), str(x.to_polynomial()), x.to_json_dict(),
+            x.norm_sq(), x.inner(y), y.inner(x),
+            shifted_laplacian(x, a).to_json_dict(),
+            solve_min_norm(p, weight=w).to_json_dict(),
+            wave.pair(u),
+        ]
+
+    expected = results(p, q, monomial_to_hermite)
+    assert results(reversed_poly(p), reversed_poly(q), monomial_to_hermite) == expected
+    assert results(p, q, lambda x, v: reversed_exp(monomial_to_hermite(x, v))) == expected
 
 
 def composed_adjoint(psi: Polynomial, w: Polynomial, a=0) -> Polynomial:

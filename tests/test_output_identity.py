@@ -18,14 +18,18 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from gauss_rinv import adjoint, hermite, rightinverse
+from gauss_rinv import adjoint, hermite, polynomials, rightinverse
 from gauss_rinv.adjoint import run_identity_battery
+from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import random_polynomial
 from gauss_rinv.rightinverse import operator_norm, solve_min_norm
 
 BATTERY_SHA256 = "f2c4c791115d06d1035fb29031a36e21c5c1d2644165422eca440e50c7edb9d0"
+# The stdout of VERIFY_ARGS, also pinned in the CI workflow.
+VERIFY_ARGS = ["verify", "--seed", "7", "--cases", "24", "--weight-cases", "6"]
+VERIFY_SHA256 = "5f12d25d53336bfbfb9db8d9a964bef18f7ad2de1e6865c0af016a1c3a191bb0"
 CONVERSION_SHA256 = "67467ea262849db33096a45c0462fec0ec679980100d74b3c2061c0358ac3125"
 SOLVE_SHA256 = "4e6b01e987e015f394d8554fbcc86b8eb59511d1e1c7d43181fe7854d167175b"
 # repr of every operator_norm value over OPNORM_CASES and OPNORM_SHIFTS,
@@ -146,6 +150,58 @@ def test_cold_caches_give_warm_bytes():
     assert text() == cold
     for cache in KERNEL_CACHES:
         assert cache.cache_info().maxsize is not None
+
+
+# The caches of the centered rows, the whole-term images and the shared
+# constants |x|^2 and (x_1, ..., x_n).
+CONVERSION_CACHES = (
+    hermite._centered_monomial_row,
+    hermite._centered_hermite_row,
+    hermite._monomial_image,
+    hermite._hermite_image,
+    polynomials.Polynomial.norm_squared,
+    polynomials.coordinate_vector,
+)
+
+
+def test_cold_conversion_caches_give_pinned_verify_bytes(capsys):
+    """The seed-7 verify report from emptied conversion and constant caches,
+    and again from the caches that filled, gives the CI-pinned bytes; so do
+    the conversions over WEIGHTS, which also fill the Hermite->monomial
+    caches that the corpus does not read."""
+
+    def verify_text() -> str:
+        assert main(VERIFY_ARGS) == EXIT_OK
+        return capsys.readouterr().out
+
+    for cache in CONVERSION_CACHES:
+        cache.cache_clear()
+    cold = verify_text()
+    assert _sha256(conversion_documents()) == CONVERSION_SHA256
+    assert all(cache.cache_info().currsize for cache in CONVERSION_CACHES)
+    assert verify_text() == cold
+    assert hashlib.sha256(cold.encode()).hexdigest() == VERIFY_SHA256
+    for cache in CONVERSION_CACHES:
+        assert cache.cache_info().maxsize is not None
+
+
+def test_corrupted_centered_row_fails_verify(monkeypatch, capsys):
+    """One numerator off in every m = 2 monomial->Hermite centered row fails
+    off-center cases of the seed-7 verify report, and the command exits 1."""
+    row = hermite._centered_monomial_row
+
+    def corrupted(m: int, p: int, q: int, cn: int, cd: int):
+        den, pairs = row(m, p, q, cn, cd)
+        if m == 2:
+            (k, num), *rest = pairs
+            pairs = ((k, num + 1), *rest)
+        return den, pairs
+
+    monkeypatch.setattr(hermite, "_centered_monomial_row", corrupted)
+    assert main(VERIFY_ARGS) == EXIT_CHECK_FAILED
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert any(not case["pass"] for case in report["results"])
 
 
 def test_conversion_digest_pinned():

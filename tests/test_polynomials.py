@@ -104,6 +104,31 @@ class TestCalculus:
             x.partial(1)
 
 
+class TestCachedConstants:
+    """|x|^2 and (x_1, ..., x_n): one shared instance per dim, equal to the
+    validating construction, key order included."""
+
+    def test_equal_to_validating_construction_and_shared(self):
+        for n in range(1, 7):
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            radial = Polynomial(n, {tuple(2 * e for e in key): Fraction(1) for key in units})
+            coords = tuple(Polynomial(n, {key: Fraction(1)}) for key in units)
+            for got, reference in ((Polynomial.norm_squared(n), radial), *zip(coordinate_vector(n), coords)):
+                assert got == reference
+                assert list(got.nums.items()) == list(reference.nums.items())
+            assert Polynomial.norm_squared(n) is Polynomial.norm_squared(n)
+            assert coordinate_vector(n) is coordinate_vector(n)
+
+    def test_norm_squared_rejects_dimension_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                Polynomial.norm_squared(n)
+
+    def test_caches_are_bounded(self):
+        for cache in (Polynomial.norm_squared, coordinate_vector):
+            assert cache.cache_info().maxsize is not None
+
+
 class TestEvaluate:
     def test_exact_point(self):
         assert (x * x - one).evaluate([2]) == 3
