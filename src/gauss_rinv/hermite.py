@@ -37,7 +37,6 @@ from .polynomials import (
     RationalLike,
     TermImage,
     _as_fraction,
-    _binomial_row,
     format_rational,
     over_common_denominator,
     reduced,
@@ -211,62 +210,58 @@ class GaussianScalar:
 # whole-term images tensor_expand reads
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _scaled_monomial_row(m: int, p: int, q: int) -> IntRow:
-    """u^m = sum_k c_k G_k(u) on one axis, lam = p/q, as ints over one denominator.
-
-    t^m = m!/2^m sum_s H_{m-2s}(t) / (s! (m-2s)!), and G_k scales by
-    lam^(-k/2), so c_{m-2s} = m! / (s! (m-2s)!) * q^s / (2^m p^s).  Pairs
-    run over k = m - 2s ascending.
-    """
-    top = m // 2
-    return 2**m * p**top, tuple(
-        (m - 2 * s, math.factorial(m) // (math.factorial(s) * math.factorial(m - 2 * s))
-         * q**s * p ** (top - s))
-        for s in range(top, -1, -1)
-    )
+# A cold row is built from the rows below it; each ROW_STRIDE-th row first
+# builds the one ROW_STRIDE below it, so a cold row of degree m recurses
+# about m / ROW_STRIDE + 2 ROW_STRIDE calls deep, not m.
+ROW_STRIDE = 64
 
 
-@lru_cache(maxsize=4096)
-def _hermite_coeffs(k: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (i, [H_k]_i) pairs, i ascending:
-    H_k(t) = k! sum_s (-1)^s (2t)^(k-2s) / (s! (k-2s)!)."""
-    return tuple(
-        (k - 2 * s, (-1) ** s * 2 ** (k - 2 * s) * math.factorial(k)
-         // (math.factorial(s) * math.factorial(k - 2 * s)))
-        for s in range(k // 2, -1, -1)
-    )
-
-
-@lru_cache(maxsize=4096)
-def _scaled_hermite_row(k: int, p: int, q: int) -> IntRow:
-    """G_k(u) = sum_i [H_k]_i lam^((i-k)/2) u^i on one axis, lam = p/q, as
-    ints over the denominator p^(k // 2)."""
-    top = k // 2
-    return p**top, tuple(
-        (i, c * q ** ((k - i) // 2) * p ** (top - (k - i) // 2)) for i, c in _hermite_coeffs(k)
-    )
-
-
-def _composed_row(outer: IntRow, inner: Callable[[int], IntRow]) -> IntRow:
-    """sum_i c_i inner(i) over the pairs (i, c_i) of ``outer``: a tensor_expand
-    over int indices, reduced, its nonzero pairs sorted by ascending index."""
-    den, nums = tensor_expand(outer[0], dict(outer[1]), inner)
-    return den, tuple(sorted(nums.items()))
+def _reduced_row(den: int, nums: list[int]) -> IntRow:
+    """den and the numerator nums[i] of each index i, reduced, as the
+    nonzero pairs by ascending index."""
+    g = math.gcd(den, *nums)
+    return den // g, tuple((i, v // g) for i, v in enumerate(nums) if v)
 
 
 @lru_cache(maxsize=4096)
 def _centered_monomial_row(m: int, p: int, q: int, cn: int, cd: int) -> IntRow:
-    """x^m over G_k(u), u = x - c, c = cn/cd, lam = p/q: the binomial row of
-    (u + c)^m composed with the rows of u^i; the scaled row at c = 0."""
-    return _composed_row(_binomial_row(m, cn, cd), lambda i: _scaled_monomial_row(i, p, q))
+    """x^m over G_k(u), u = x - c, c = cn/cd, lam = p/q: row m - 1 times
+    x G_k = G_(k+1) / 2 + c G_k + (k / lam) G_(k-1), over 2 cd p."""
+    if m == 0:
+        return 1, ((0, 1),)
+    if m % ROW_STRIDE == 0:
+        _centered_monomial_row(m - ROW_STRIDE, p, q, cn, cd)
+    den, pairs = _centered_monomial_row(m - 1, p, q, cn, cd)
+    out = [0] * (m + 1)
+    for k, num in pairs:
+        out[k + 1] += cd * p * num
+        out[k] += 2 * cn * p * num
+        if k:
+            out[k - 1] += 2 * k * q * cd * num
+    return _reduced_row(2 * cd * p * den, out)
 
 
 @lru_cache(maxsize=4096)
 def _centered_hermite_row(k: int, p: int, q: int, cn: int, cd: int) -> IntRow:
-    """G_k(u) over x^i, u = x - c, c = cn/cd, lam = p/q: the row of G_k(u)
-    composed with the binomial rows of (x - c)^i; the scaled row at c = 0."""
-    return _composed_row(_scaled_hermite_row(k, p, q), lambda i: _binomial_row(i, -cn, cd))
+    """G_k(u) over x^i, u = x - c, c = cn/cd, lam = p/q, from rows k - 1
+    and k - 2 by G_k = 2 u G_(k-1) - (2 (k - 1) / lam) G_(k-2)."""
+    if k == 0:
+        return 1, ((0, 1),)
+    if k % ROW_STRIDE == 0:
+        _centered_hermite_row(k - ROW_STRIDE, p, q, cn, cd)
+    den_1, pairs = _centered_hermite_row(k - 1, p, q, cn, cd)
+    den, out = cd * den_1, [0] * (k + 1)
+    for i, num in pairs:
+        out[i + 1] += 2 * cd * num
+        out[i] -= 2 * cn * num
+    if k > 1:
+        den_2, pairs = _centered_hermite_row(k - 2, p, q, cn, cd)
+        den = math.lcm(cd * den_1, p * den_2)
+        out = [v * (den // (cd * den_1)) for v in out]
+        scale = 2 * (k - 1) * q * (den // (p * den_2))
+        for i, num in pairs:
+            out[i] -= scale * num
+    return _reduced_row(den, out)
 
 
 # Distinct (exponents, p, q) of the whole-term images kept per direction.
@@ -278,13 +273,13 @@ IMAGE_CACHE_SIZE = 4096
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _monomial_image(exps: MultiIndex, p: int, q: int) -> TermImage:
     """prod_j u_j^(e_j) over the scaled basis G_alpha, lam = p/q."""
-    return term_image(_scaled_monomial_row(m, p, q) for m in exps)
+    return term_image(_centered_monomial_row(m, p, q, 0, 1) for m in exps)
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def _hermite_image(alpha: MultiIndex, p: int, q: int) -> TermImage:
     """G_alpha(u) over the monomials of u, lam = p/q."""
-    return term_image(_scaled_hermite_row(k, p, q) for k in alpha)
+    return term_image(_centered_hermite_row(k, p, q, 0, 1) for k in alpha)
 
 
 def _term_images(weight: WeightSpec, cached, row) -> Callable[[MultiIndex], TermImage]:
@@ -321,7 +316,8 @@ def _parseval(products: list[tuple[MultiIndex, int]], den: int, lam: Fraction) -
 
 def hermite_polynomial_1d(k: int) -> Polynomial:
     """H_k as an exact one-dimensional Polynomial (physicists' convention)."""
-    return Polynomial._trusted(1, 1, {(i,): c for i, c in _hermite_coeffs(k)})
+    den, pairs = _centered_hermite_row(k, 1, 1, 0, 1)
+    return Polynomial._trusted(1, den, {(i,): c for i, c in pairs})
 
 
 # ----------------------------------------------------------------------

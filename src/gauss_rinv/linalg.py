@@ -2,10 +2,10 @@
 
 ``factor_exact`` is Bareiss elimination (Math. Comp. 22, 1968) of an int
 matrix, kept as a fraction-free LU (Nakos, Turner & Williams, SIGSAM Bull.
-31(3), 1997): its entries are minors, as short as the determinant.  It runs
-once per matrix, O(rows^3); ``solve_factored`` replays it on each int
-right-hand side, O(rows^2).  ``solve_exact`` scales a Fraction system to
-ints and does both.  ``nullspace_exact`` is Fraction row reduction.
+31(3), 1997) whose entries are minors, O(rows^3); ``solve_factored`` replays
+it on an int right-hand side, O(rows^2), and ``solve_exact`` on a Fraction
+system scaled to ints.  No other module calls them since the min-norm solve
+went matrix-free.  ``nullspace_exact`` is Fraction row reduction.
 """
 
 from __future__ import annotations

@@ -185,8 +185,7 @@ def tensor_expand(den: int, nums: Mapping[MultiIndex, int], image: Callable[[Mul
     per-axis rows; a caller that meets the same exponents again reads it
     from a cache.  Each term's numerators are rescaled from its image's
     denominator to the lcm of those denominators and summed; the result,
-    over den times that lcm, is reduced once.  Keys need only be hashable:
-    over the int indices of 1-D rows it composes a row through others.
+    over den times that lcm, is reduced once.  Keys need only be hashable.
     """
     images = [(num, image(exps)) for exps, num in nums.items()]
     common = math.lcm(*(term_den for _, (term_den, _) in images))

@@ -13,13 +13,11 @@ monomials).  Every block of lap + a is built from the cached
 and their _lowered entries.
 
 For a = 0 the coefficient system (over solutions of degree <= deg f + 2)
-is underdetermined; the minimal-weighted-norm solution is obtained from
-the normal equations of the adjoint system, solved exactly.  The system
-decouples into small blocks indexed by (total degree, parity vector),
-because the Laplacian preserves per-axis parity and shifts degree by two;
-each block's normal matrix is, up to a factor that cancels, an integer
-matrix that does not depend on the weight.  It is factored once by Bareiss
-elimination and cached, and each right-hand side replays the factor.
+is underdetermined; the minimal-weighted-norm solution is u = P (L P)^-1 f
+for L = lap and P the raising map (L* = lam^2 P).  L P keeps the blocks of
+(total degree, parity vector) and has a known integer spectrum on each,
+one eigenvalue per tower of the Fischer decomposition, so (L P)^-1 is an
+integer polynomial in L P, applied by Horner: no matrix is formed.
 
 For a != 0 the truncated system is uniquely solvable (triangular with a
 on the diagonal) but the resulting ratio ||u||^2/||f||^2 generally
@@ -50,10 +48,9 @@ from .hermite import (
     GaussianScalar,
     HermiteExpansion,
     WeightSpec,
-    _axis_norm_sq,
     monomial_to_hermite,
 )
-from .linalg import Factor, SingularMatrixError, factor_exact, solve_factored
+from .linalg import SingularMatrixError
 from .polynomials import (
     DimensionMismatchError,
     MultiIndex,
@@ -377,82 +374,84 @@ class SolveReport:
 # ----------------------------------------------------------------------
 
 
-# Most rows of a min-norm block.  Its one elimination grows about as rows^4.5:
-# 70 rows take 0.21 s, 105 rows 1.0 s and 126 rows 3.1 s on a 2-core x86
-# machine; the 1,365-row block of x1^8 in 12-D did not finish in 60 s.  A warm
-# solve replays the cached factor, O(rows^2).
-MAX_MIN_NORM_ROWS = 100
+# Most work a min-norm solve may take, counted from binomials before any
+# level is built: per (degree d, parity) block, the lap entries of level
+# d + 2 (dim times the members of level d) times the towers, plus the dim
+# ints of each member's multi-index on levels d and d + 2.  A unit takes about
+# 0.4 us to solve and 4.5 us in a whole cold `gauss-rinv solve` (2-core x86):
+# x1^8 in 12-D counts 198,564 (0.9 s in all), x1^10 in 12-D 713,988 (3.2 s);
+# x1^12 in 12-D (2,283,972) and x1^2 in 1000-D (504,502,000) are refused.
+MAX_MIN_NORM_WORK = 1_000_000
 
 
-# The largest factor the row limit admits (91 rows: 3-D, degree 24) holds
-# 0.5 MB of ints, 0.6 MB at the peak of its elimination.
 @lru_cache(maxsize=1024)
-def _min_norm_block(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[Factor, tuple[int, ...]]:
-    """(factor_exact(K), scales) of the (degree, parity) min-norm block: K,
-    over the members of _level(dim, degree, parity), is sum_gamma scales[gamma]
-    b b^T over the columns gamma of degree + 2 with entries b, scales[gamma]
-    = L // N_gamma, N_gamma = prod_j 2^g_j g_j! and L their lcm."""
-    size = len(_level(dim, degree, parity)[0])
-    columns, entries = _level(dim, degree + 2, parity)
-    norms = [math.prod(map(_axis_norm_sq, gamma)) for gamma in columns]
-    common = math.lcm(*norms)
-    scales = tuple(common // n for n in norms)
-    matrix = [[0] * size for _ in range(size)]
-    for scale, column in zip(scales, entries):
-        for ai, b_a in column:
-            for bi, b_b in column:
-                matrix[ai][bi] += scale * b_a * b_b
-    try:
-        return factor_exact(matrix), scales
-    except SingularMatrixError as exc:  # defensive: cannot occur for lap
-        raise SingularMatrixError(f"minimal-norm block ({degree}, {parity}) singular: {exc}") from exc
+def _tower_polynomial(dim: int, degree: int, odd: int) -> tuple[int, ...]:
+    """(c_0, c_1, ...) of c(x) = prod_k (mu_k - x), mu_k = 8 (k + 1) (2 degree
+    - 2k + dim), over the towers P^k H_(degree - 2k) present on the degree
+    level of a parity class with ``odd`` odd axes: k = 0..(degree - odd) / 2,
+    and in 1-D, where H_m = 0 for m >= 2, only k = (degree - odd) / 2."""
+    top = (degree - odd) // 2
+    coeffs = [1]
+    for k in range(top + 1) if dim > 1 else (top,):
+        mu = 8 * (k + 1) * (2 * degree - 2 * k + dim)
+        coeffs = [mu * c - below for c, below in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
 
 
 def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
     """Minimal-weighted-norm coefficients solving lap(u) = f exactly.
 
-    Normal equations of the adjoint system, one exact solve per (degree d,
-    parity) block: solve M w = f with M = B R^{-1} B^T, then u = R^{-1} B^T w,
-    where B is the Laplacian block (columns: the degree d + 2 members gamma
-    of the same parity) and R the diagonal of basis norms.  Every column has
-    |gamma| = d + 2, so ||G_gamma||^2 = N_gamma lam^-(d+2) with the same
-    lam factor across the block: M = lam^(d+2) / L * K for the integer K of
-    ``_min_norm_block``, and u_gamma = (L / N_gamma) (B^T K^{-1} f)_gamma, in
-    which lam cancels.  The solution is the same for every weight.  Each
-    block replays its cached factor of K on f's int numerators, giving
-    K^{-1} f = y / D with D > 0, so u_gamma = (L / N_gamma) (B^T y)_gamma / D
-    over f's denominator: one gcd per block shortens D, and u is put over
-    the lcm of the blocks' denominators.  A block over MAX_MIN_NORM_ROWS
-    rows raises InputLimitError before any block is built.
+    The weighted adjoint of L = lap is lam^2 P, P G_beta = sum_j
+    G_(beta + 2 e_j), so u = P (L P)^-1 f, the same for every weight.  On
+    the degree d level of a parity class L P is the int mu_k on each tower
+    P^k H_(d - 2k) (R. Howe, Trans. AMS 313, 1989; Stein & Weiss 1971, ch.
+    IV), so c(L P) = 0 for the ``_tower_polynomial`` c of the towers there,
+    and (L P)^-1 = -(sum_(i >= 1) c_i (L P)^(i - 1)) / c_0: Horner on f's
+    int numerators, one gather (P) and one scatter (L) over the entries of
+    ``_level(dim, d + 2, parity)`` per step, then u = P of the result over
+    -c_0, one gcd per block, over the lcm of the blocks' denominators.
+    Work over MAX_MIN_NORM_WORK raises InputLimitError first.
     """
     dim = f.weight.dim
     blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, int]] = {}
     for alpha, num in f.nums.items():
         key = (sum(alpha), tuple(e % 2 for e in alpha))
         blocks.setdefault(key, {})[alpha] = num
-    rows, deg, parity = max(
-        ((math.comb((deg - sum(parity)) // 2 + dim - 1, dim - 1), deg, parity) for deg, parity in blocks),
-        default=(0, 0, ()),
-    )
-    if rows > MAX_MIN_NORM_ROWS:
+    work = 0
+    for deg, parity in blocks:
+        half = (deg - sum(parity)) // 2
+        rows, cols = math.comb(half + dim - 1, dim - 1), math.comb(half + dim, dim - 1)
+        work += dim * (rows * (half + 1 if dim > 1 else 1) + rows + cols)
+    if work > MAX_MIN_NORM_WORK:
         raise InputLimitError(
-            f"the min-norm block of degree {deg} and parity {parity} in {dim}-D has "
-            f"{rows} rows, above MAX_MIN_NORM_ROWS = {MAX_MIN_NORM_ROWS}"
+            f"the min-norm solve in {dim}-D needs {work} units of work (lap entries times towers, "
+            f"plus the {dim}-entry multi-indices), above MAX_MIN_NORM_WORK = {MAX_MIN_NORM_WORK}"
         )
     parts: list[tuple[MultiIndex, int, int]] = []
     common = 1
     for (deg, parity), rhs_nums in sorted(blocks.items()):
-        factor, scales = _min_norm_block(dim, deg, parity)
-        det, y = solve_factored(factor, [rhs_nums.get(alpha, 0) for alpha in _level(dim, deg, parity)[0]])
+        c0, *tail = _tower_polynomial(dim, deg, sum(parity))
+        rhs = [rhs_nums.get(alpha, 0) for alpha in _level(dim, deg, parity)[0]]
         columns, entries = _level(dim, deg + 2, parity)
+        acc = [tail[-1] * v for v in rhs]
+        for c in reversed(tail[:-1]):
+            nxt = [c * v for v in rhs]
+            for column in entries:
+                y = 0
+                for i, _ in column:
+                    y += acc[i]
+                if y:
+                    for i, b in column:
+                        nxt[i] += b * y
+            acc = nxt
         nums = []
-        for scale, column in zip(scales, entries):
-            acc = 0
-            for ai, b in column:
-                acc += b * y[ai]
-            nums.append(scale * acc)
-        g = math.gcd(det, *nums) * (1 if det > 0 else -1)
-        den = det // g
+        for column in entries:
+            y = 0
+            for i, _ in column:
+                y -= acc[i]
+            nums.append(y)
+        g = math.gcd(c0, *nums)
+        den = c0 // g
         common = math.lcm(common, den)
         parts.extend((gamma, num // g, den) for gamma, num in zip(columns, nums))
     u = {gamma: num * (common // den) for gamma, num, den in parts}

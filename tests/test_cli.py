@@ -103,26 +103,34 @@ class TestSolveCommand:
         assert "4120 plane waves, above MAX_PLANE_WAVES = 1044" in capsys.readouterr().err
 
     def test_min_norm_block_over_limit_exits_2(self, tmp_path, capsys):
-        """x1^8 in 12-D has a 1,365-row all-even block of degree 8: the solve
-        stops before it builds any block."""
+        """x1^2 in 1000-D: its degree-2 all-even block reaches a level of
+        500,500 members of 1000 ints each; the solve stops before it builds
+        any level and names the limit."""
         poly_path = tmp_path / "f.json"
-        poly_path.write_text(json.dumps(Polynomial.monomial((8,) + (0,) * 11).to_json_dict()))
+        poly_path.write_text(json.dumps(Polynomial.monomial((2,) + (0,) * 999).to_json_dict()))
         started = time.perf_counter()
-        assert main(["solve", "--dim", "12", "--f", str(poly_path)]) == EXIT_SPEC
+        assert main(["solve", "--dim", "1000", "--f", str(poly_path)]) == EXIT_SPEC
         assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
-        assert f"degree 8 and parity {(0,) * 12} in 12-D has 1365 rows" in err
-        assert "MAX_MIN_NORM_ROWS = 100" in err
+        assert "the min-norm solve in 1000-D needs 504502000 units of work" in err
+        assert "MAX_MIN_NORM_WORK = 1000000" in err
 
-    def test_min_norm_rows_at_limit_accepted(self, tmp_path, capsys, monkeypatch):
-        """x^2 y^2 in 3-D: its largest block, degree 4 all-even, has 6 rows."""
+    def test_min_norm_work_at_limit_accepted(self, tmp_path, capsys, monkeypatch):
+        """x1^8 in 12-D, whose 1,365-row degree-8 block a row limit refused,
+        solves with an exact residual; x^2 y^2 in 3-D counts 3 (18 + 6 +
+        10) + 3 (6 + 3 + 6) + 3 (1 + 1 + 3) = 162 units over its three
+        blocks, and a limit of 162 admits it where 161 does not."""
         poly_path = tmp_path / "f.json"
+        poly_path.write_text(json.dumps(Polynomial.monomial((8,) + (0,) * 11).to_json_dict()))
+        code, report = run_cli("solve", "--dim", "12", "--f", str(poly_path), tmp_path=tmp_path)
+        assert code == EXIT_OK
+        assert report["results"]["solve"]["residual_exact"] is True
         poly_path.write_text(json.dumps(Polynomial.monomial((2, 2, 0)).to_json_dict()))
-        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_ROWS", 6)
+        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_WORK", 162)
         assert run_cli("solve", "--dim", "3", "--f", str(poly_path), tmp_path=tmp_path)[0] == EXIT_OK
-        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_ROWS", 5)
+        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_WORK", 161)
         assert main(["solve", "--dim", "3", "--f", str(poly_path)]) == EXIT_SPEC
-        assert "degree 4 and parity (0, 0, 0) in 3-D has 6 rows" in capsys.readouterr().err
+        assert "needs 162 units of work" in capsys.readouterr().err
 
 
 class TestScaledSolve:

@@ -11,7 +11,10 @@ Every ring, calculus, conversion and Parseval operation, the min-norm
 block solves and ``shifted_laplacian`` run on int numerators over one
 common denominator, and ``solve_exact`` is a Bareiss factor on ints
 replayed on the right-hand side; one factor replayed on several
-right-hand sides must solve each as the Fraction reference does.
+right-hand sides must solve each as the Fraction reference does.  The
+min-norm solve applies (L P)^-1 by Horner from the tower spectrum; the
+Bareiss class-block solve it replaced is kept here as its oracle, and the
+towers it counts must annihilate every level.
 Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
 step, are kept here as references; the kernels must match them exactly,
 key order included.  Reports sort term maps before they serialize them,
@@ -24,14 +27,16 @@ The composed formal adjoint, one reduced ring operation per
 step, is the reference of its one-pass stencil; since the adjoint feeds
 only exact sums and sorted serializations, its key order is not compared.
 So are the per-call assemblers the cached levels of
-``lap + a`` replaced (class members by sorting, the min-norm block, the
-float blocks over every parity vector, the triangular walk over every
-index): members, integer blocks and float blocks must be equal.
+``lap + a`` replaced (class members by sorting, the float blocks over
+every parity vector, the triangular walk over every index): members and
+float blocks must be equal.
 """
 
+import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -43,20 +48,20 @@ from gauss_rinv.adjoint import formal_adjoint
 from gauss_rinv.hermite import (
     HermiteExpansion,
     WeightSpec,
+    _axis_norm_sq,
     hermite_polynomial_1d,
     monomial_to_hermite,
 )
-from gauss_rinv import rightinverse
+from gauss_rinv import hermite, rightinverse
 from gauss_rinv.linalg import SingularMatrixError, factor_exact, replay, solve_exact, solve_factored
-from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced
+from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced, tensor_expand
 from gauss_rinv.rightinverse import (
     KernelFunction,
-    _axis_norm_sq,
     _float_blocks,
     _level,
     _lowered,
-    _min_norm_block,
     _min_norm_coeffs,
+    _tower_polynomial,
     _triangular_coeffs,
     multi_indices_up_to,
     shifted_laplacian,
@@ -584,6 +589,24 @@ def test_hermite_rows_match_recurrences():
                 assert monomial_to_hermite(back, w) == basis
 
 
+def test_cold_high_degree_rows_stay_shallow():
+    """Cold centered rows of degree 400, each built from the rows below it,
+    need no frame per degree: both build with 300 frames to spare above the
+    caller's, and composing the one with the others gives back x^400."""
+    key = (3, 2, -5, 7)
+    for row in (hermite._centered_monomial_row, hermite._centered_hermite_row):
+        row.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 300)
+    try:
+        den, pairs = hermite._centered_monomial_row(400, *key)
+        hermite._centered_hermite_row(400, *key)
+    finally:
+        sys.setrecursionlimit(limit)
+    back = tensor_expand(den, dict(pairs), lambda k: hermite._centered_hermite_row(k, *key))
+    assert back == (1, {400: 1})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_results_do_not_depend_on_input_key_order(data):
@@ -803,25 +826,116 @@ def test_levels_match_class_members(dim):
             ]
 
 
+def bareiss_min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
+    """The Bareiss class-block solve the tower solve replaced, as an oracle:
+    per (degree, parity) block, the int K of ``reference_min_norm_block``
+    factored and replayed on f's numerators, K y / D = f, then u_gamma =
+    (L / N_gamma) (B^T y)_gamma / D, one gcd per block, over the lcm of the
+    blocks' denominators."""
+    dim = f.weight.dim
+    blocks: dict = {}
+    for alpha, num in f.nums.items():
+        blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = num
+    parts, common = [], 1
+    for (deg, parity), rhs in sorted(blocks.items()):
+        rows, matrix, columns = reference_min_norm_block(dim, deg, parity)
+        det, y = solve_factored(factor_exact(matrix), [rhs.get(alpha, 0) for alpha in rows])
+        nums = [scale * sum(b * y[i] for i, b in column) for _, scale, column in columns]
+        g = math.gcd(det, *nums) * (1 if det > 0 else -1)
+        common = math.lcm(common, det // g)
+        parts.extend((gamma, num // g, det // g) for (gamma, _, _), num in zip(columns, nums))
+    u = {gamma: num * (common // den) for gamma, num, den in parts}
+    return HermiteExpansion._trusted(f.weight, *reduced(f.den * common, u))
+
+
+def assert_same_solution(got: HermiteExpansion, expected: HermiteExpansion) -> None:
+    assert got.den == expected.den
+    assert list(got.nums.items()) == list(expected.nums.items())
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_min_norm_block_matches_reference(dim, monkeypatch):
-    """Each block factors the reference K, keeps the reference scales, and
-    its cached factor's det is +-det K."""
-    assembled = []
-    monkeypatch.setattr(rightinverse, "factor_exact", lambda k: assembled.append(k) or factor_exact(k))
+def test_min_norm_block_matches_reference(dim):
+    """Each (degree, parity) block, on a full right-hand side, solves as the
+    Bareiss oracle does, in value and key order, over the reference members."""
+    rng = random.Random(dim)
     for degree in range(13):
         for parity in itertools.product((0, 1), repeat=dim):
-            rows, matrix, columns = reference_min_norm_block(dim, degree, parity)
+            rows = tuple(reference_class_members(dim, degree, parity))
             assert _level(dim, degree, parity)[0] == rows
-            scales = tuple(s for _, s, _ in columns)
-            cached = _min_norm_block(dim, degree, parity)
-            assert cached == (factor_exact(matrix), scales)
-            assert cached[0].det in (fraction_det(matrix), -fraction_det(matrix))
-            assembled.clear()
-            assert _min_norm_block.__wrapped__(dim, degree, parity)[1] == scales
-            assert [tuple(row) for row in assembled.pop()] == list(matrix)
-            gammas, entries = _level(dim, degree + 2, parity)
-            assert [(g, e) for g, _, e in columns] == list(zip(gammas, entries))
+            if rows:
+                nums = {alpha: rng.choice((-1, 1)) * rng.getrandbits(64) for alpha in rows}
+                f = HermiteExpansion._trusted(WeightSpec.unit(dim), *reduced(rng.choice(BIG), nums))
+                assert_same_solution(_min_norm_coeffs(f), bareiss_min_norm_coeffs(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_min_norm_matches_bareiss_oracle(data):
+    """The tower solve equals the Bareiss class-block solve, in value and key
+    order, in 1-D to 4-D on unit, scaled and off-center weights."""
+    dim = data.draw(st.integers(1, 4))
+    p = data.draw(exact_polynomials(dim, max_degree=(12, 12, 10, 8)[dim - 1]))
+    f = monomial_to_hermite(p, data.draw(exact_weights(dim)))
+    assert_same_solution(_min_norm_coeffs(f), bareiss_min_norm_coeffs(f))
+
+
+def reference_lap_raise(v: dict) -> dict:
+    """L P v over multi-indices: P G_beta = sum_j G_(beta + 2 e_j), then lap
+    by _lowered, one term at a time."""
+    raised: dict = {}
+    for beta, x in v.items():
+        for j in range(len(beta)):
+            gamma = beta[:j] + (beta[j] + 2,) + beta[j + 1 :]
+            raised[gamma] = raised.get(gamma, 0) + x
+    out: dict = {}
+    for gamma, y in raised.items():
+        for beta, b in _lowered(gamma):
+            out[beta] = out.get(beta, 0) + b * y
+    return {k: x for k, x in out.items() if x}
+
+
+def apply_polynomial(coeffs, v: dict) -> dict:
+    """sum_i coeffs[i] (L P)^i v."""
+    out: dict = {}
+    power = v
+    for c in coeffs:
+        for key, x in power.items():
+            out[key] = out.get(key, 0) + c * x
+        power = reference_lap_raise(power)
+    return {k: x for k, x in out.items() if x}
+
+
+def without_root(coeffs, mu: int) -> list[int]:
+    """c(x) / (mu - x) by synthetic division; the remainder must be 0."""
+    quotient, carry = [], 0
+    for c in reversed(coeffs[1:]):
+        carry = c + carry * mu if quotient else c
+        quotient.append(carry)
+    quotient = [-q for q in reversed(quotient)]
+    assert coeffs[0] == mu * quotient[0]
+    return quotient
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_tower_polynomial_annihilates_its_level(dim):
+    """c(L P) v == 0 for a random v on every (degree, parity) level up to
+    degree 9, and with any one of c's roots mu_k taken out it is not: the
+    towers counted are exactly the towers present, fewer in 1-D."""
+    rng = random.Random(100 + dim)
+    for degree in range(10):
+        for parity in itertools.product((0, 1), repeat=dim):
+            rows = reference_class_members(dim, degree, parity)
+            if not rows:
+                continue
+            v = {alpha: rng.randint(-(10**6), 10**6) or 1 for alpha in rows}
+            coeffs = _tower_polynomial(dim, degree, sum(parity))
+            top = (degree - sum(parity)) // 2
+            towers = range(top + 1) if dim > 1 else (top,)
+            assert len(coeffs) == len(towers) + 1
+            assert apply_polynomial(coeffs, v) == {}
+            for k in towers:
+                mu = 8 * (k + 1) * (2 * degree - 2 * k + dim)
+                assert apply_polynomial(without_root(list(coeffs), mu), v) != {}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -186,8 +186,9 @@ def test_cold_conversion_caches_give_pinned_verify_bytes(capsys):
 
 
 def test_corrupted_centered_row_fails_verify(monkeypatch, capsys):
-    """One numerator off in every m = 2 monomial->Hermite centered row fails
-    off-center cases of the seed-7 verify report, and the command exits 1."""
+    """One numerator off in every m = 2 monomial->Hermite row, at zero
+    center or off it, fails cases of the seed-7 verify report, and the
+    command exits 1."""
     row = hermite._centered_monomial_row
 
     def corrupted(m: int, p: int, q: int, cn: int, cd: int):
@@ -198,10 +199,16 @@ def test_corrupted_centered_row_fails_verify(monkeypatch, capsys):
         return den, pairs
 
     monkeypatch.setattr(hermite, "_centered_monomial_row", corrupted)
-    assert main(VERIFY_ARGS) == EXIT_CHECK_FAILED
-    report = json.loads(capsys.readouterr().out)
-    assert report["pass"] is False
-    assert any(not case["pass"] for case in report["results"])
+    try:
+        assert main(VERIFY_ARGS) == EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert any(not case["pass"] for case in report["results"])
+    finally:
+        # each row is built from the one below it, and the zero-center
+        # images from the rows, so what was cached meanwhile carries the error
+        row.cache_clear()
+        hermite._monomial_image.cache_clear()
 
 
 def test_conversion_digest_pinned():
@@ -212,12 +219,12 @@ def test_solve_digest_pinned():
     assert _sha256(solve_documents()) == SOLVE_SHA256
 
 
-# The caches of the min-norm block factors and of the levels of lap + a.
-SOLVE_CACHES = (rightinverse._min_norm_block, rightinverse._level)
+# The caches of the tower polynomials and of the levels of lap + a.
+SOLVE_CACHES = (rightinverse._tower_polynomial, rightinverse._level)
 
 
-def test_cold_block_factors_give_warm_bytes():
-    """The solve corpus from emptied block-factor and level caches, and
+def test_cold_tower_caches_give_warm_bytes():
+    """The solve corpus from emptied tower-polynomial and level caches, and
     again from the caches that filled, gives the same, pinned, bytes."""
     for cache in SOLVE_CACHES:
         cache.cache_clear()

@@ -103,7 +103,7 @@ class TestLevels:
         1-D degree-3999 level is one call, and a 1-D a = 1 solve from
         degree 2500 walks its 1251 levels exactly."""
         rightinverse._level.cache_clear()
-        rightinverse._min_norm_block.cache_clear()
+        rightinverse._tower_polynomial.cache_clear()
         assert rightinverse._level(1, 3999, (1,)) == (((3999,),), (((0, 4 * 3999 * 3998),),))
         rightinverse._level.cache_clear()
         f = basis_element(WeightSpec.unit(1), (2500,))
@@ -133,27 +133,36 @@ def monomial_route_residual_zero(report, f: Polynomial) -> bool:
     return (u.laplacian() + u.scale(report.a) - f).is_zero()
 
 
-class TestBlockFactorCache:
-    """The exact residual check guards the cached min-norm block factors:
-    the 2-D degree-4 even block served with one multiplier off by one."""
+class TestTowerSpectrum:
+    """The exact residual check guards the tower spectrum the min-norm solve
+    inverts L P by: the 2-D degree-4 even level served with its harmonic
+    tower's mu_0 off by one."""
 
     F = Polynomial(2, {(4, 0): 1, (2, 2): 1, (0, 4): 1})
+    KEY = (2, 4, 0)  # (dim, degree, odd axes)
 
     @staticmethod
-    def corrupt(monkeypatch):
-        key = (2, 4, (0, 0))
-        factor, scales = rightinverse._min_norm_block(*key)
-        first, (m, *row), *rest = factor.lu
-        bad = factor._replace(lu=(first, (m + 1, *row), *rest)), scales
-        block = rightinverse._min_norm_block
-        monkeypatch.setattr(rightinverse, "_min_norm_block", lambda *k: bad if k == key else block(*k))
+    def tower_polynomial(mus) -> tuple[int, ...]:
+        coeffs = [1]
+        for mu in mus:
+            coeffs = [mu * c - below for c, below in zip(coeffs + [0], [0] + coeffs)]
+        return tuple(coeffs)
 
-    def test_corrupt_multiplier_fails_residual(self, monkeypatch):
+    def corrupt(self, monkeypatch):
+        mus = [8 * (k + 1) * (2 * 4 - 2 * k + 2) for k in range(3)]
+        tower = rightinverse._tower_polynomial
+        assert tower(*self.KEY) == self.tower_polynomial(mus)
+        bad = self.tower_polynomial([mus[0] + 1, *mus[1:]])
+        monkeypatch.setattr(
+            rightinverse, "_tower_polynomial", lambda *k: bad if k == self.KEY else tower(*k)
+        )
+
+    def test_wrong_mu_fails_residual(self, monkeypatch):
         assert solve_min_norm(self.F).residual_exact
         self.corrupt(monkeypatch)
         assert not solve_min_norm(self.F).residual_exact
 
-    def test_corrupt_multiplier_exits_1(self, tmp_path, monkeypatch):
+    def test_wrong_mu_exits_1(self, tmp_path, monkeypatch):
         f_path, out = tmp_path / "f.json", tmp_path / "report.json"
         f_path.write_text(json.dumps(self.F.to_json_dict()))
         argv = ["solve", "--out", str(out), "--dim", "2", "--f", str(f_path)]
