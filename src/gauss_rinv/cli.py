@@ -3,9 +3,9 @@
 Subcommands: solve | verify | opnorm | bounded | counterexample | suite.
 Each subparser names its runner (``set_defaults(run=...)``).  A runner
 validates its own arguments, calls the library once and returns the spec
-echo (the arguments it read, as read), the results and the verdict.  The
-solve, bounded and counterexample verdicts are the ``passed`` properties
-of the reports they judge, which the suite's criteria read too.
+echo (the arguments it read, as read; ``solve``'s data as parsed), the
+results and the verdict.  The solve, bounded and counterexample verdicts
+are their reports' ``passed`` properties, read by the suite's criteria too.
 Reports are deterministic given the arguments (``--seed`` included, on
 ``verify``; ``suite`` runs at fixed values and reads only ``--out``):
 exact quantities serialize as rational strings, floats as Python's
@@ -273,7 +273,7 @@ def _solve(args) -> tuple[dict, dict, bool]:
     if f.dim != args.dim:
         raise SpecValidationError("f", f"dimension {f.dim} != --dim {args.dim}")
     report = apply_right_inverse(f, a, weight=WeightSpec(dim=args.dim, lam=lam, center=center))
-    spec = {"dimension": args.dim, "a": a, "weight": {"lambda": lam, "center": list(center)}, "f": args.f}
+    spec = {"dimension": args.dim, "a": a, "weight": {"lambda": lam, "center": [*center]}, "f": f.to_json_dict()}
     return spec, {"solve": report.to_json_dict()}, report.passed
 
 

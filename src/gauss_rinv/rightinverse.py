@@ -8,9 +8,9 @@ the Laplacian lowers total degree by exactly two:
 ``shifted_laplacian`` is this sparse action, and every report's
 ``residual_exact`` is the exact check (lap + a) u == f on Hermite
 coefficients (a bijective change of basis, so it equals the check on
-monomials).  Every block of lap + a is built from the cached
-``_level(dim, degree, parity)``: one level of a parity class, its members
-and their _lowered entries.
+monomials).  The solves walk the cached ``_level(dim, degree, parity)``:
+one level of a parity class, its members and their _lowered entries;
+``operator_norm`` walks the towers of the Fischer decomposition instead.
 
 For a = 0 the coefficient system (over solutions of degree <= deg f + 2)
 is underdetermined; the minimal-weighted-norm solution is u = P (L P)^-1 f
@@ -384,16 +384,22 @@ class SolveReport:
 MAX_MIN_NORM_WORK = 1_000_000
 
 
+def _nu(dim: int, m, k):
+    """The tower spectrum, for ints or float arrays: L P^k g = nu(m, k) P^(k - 1) g
+    for g in H_m = ker L of degree m (R. Howe, Trans. AMS 313, 1989; Stein & Weiss 1971, ch. IV)."""
+    return 8 * k * (2 * m + 2 * k - 2 + dim)
+
+
 @lru_cache(maxsize=1024)
 def _tower_polynomial(dim: int, degree: int, odd: int) -> tuple[int, ...]:
-    """(c_0, c_1, ...) of c(x) = prod_k (mu_k - x), mu_k = 8 (k + 1) (2 degree
-    - 2k + dim), over the towers P^k H_(degree - 2k) present on the degree
+    """(c_0, c_1, ...) of c(x) = prod_k (mu_k - x), mu_k = nu(degree - 2k,
+    k + 1), over the towers P^k H_(degree - 2k) present on the degree
     level of a parity class with ``odd`` odd axes: k = 0..(degree - odd) / 2,
     and in 1-D, where H_m = 0 for m >= 2, only k = (degree - odd) / 2."""
     top = (degree - odd) // 2
     coeffs = [1]
     for k in range(top + 1) if dim > 1 else (top,):
-        mu = 8 * (k + 1) * (2 * degree - 2 * k + dim)
+        mu = _nu(dim, degree - 2 * k, k + 1)
         coeffs = [mu * c - below for c, below in zip(coeffs + [0], [0] + coeffs)]
     return tuple(coeffs)
 
@@ -403,14 +409,14 @@ def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
 
     The weighted adjoint of L = lap is lam^2 P, P G_beta = sum_j
     G_(beta + 2 e_j), so u = P (L P)^-1 f, the same for every weight.  On
-    the degree d level of a parity class L P is the int mu_k on each tower
-    P^k H_(d - 2k) (R. Howe, Trans. AMS 313, 1989; Stein & Weiss 1971, ch.
-    IV), so c(L P) = 0 for the ``_tower_polynomial`` c of the towers there,
-    and (L P)^-1 = -(sum_(i >= 1) c_i (L P)^(i - 1)) / c_0: Horner on f's
-    int numerators, one gather (P) and one scatter (L) over the entries of
-    ``_level(dim, d + 2, parity)`` per step, then u = P of the result over
-    -c_0, one gcd per block, over the lcm of the blocks' denominators.
-    Work over MAX_MIN_NORM_WORK raises InputLimitError first.
+    the degree d level of a parity class L P is the int mu_k = nu(d - 2k,
+    k + 1) on each tower P^k H_(d - 2k), so c(L P) = 0 for the
+    ``_tower_polynomial`` c of the towers there, and (L P)^-1 = -(sum_(i >=
+    1) c_i (L P)^(i - 1)) / c_0: Horner on f's int numerators, one gather
+    (P) and one scatter (L) over the entries of ``_level(dim, d + 2,
+    parity)`` per step, then u = P of the result over -c_0, one gcd per
+    block, over the lcm of the blocks' denominators.  Work over
+    MAX_MIN_NORM_WORK raises InputLimitError first.
     """
     dim = f.weight.dim
     blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, int]] = {}
@@ -657,129 +663,49 @@ def apply_right_inverse(
 
 
 # ----------------------------------------------------------------------
-# operator norm of the truncated right inverse
+# operator norm of the truncated right inverse, tower by tower
 # ----------------------------------------------------------------------
 
-# Largest block (rows x cols) operator_norm builds: 3-D at a != 0 and
-# degree 40 has a 1771 x 1771 parity block (25 MB of floats, about 11 s to
-# invert and decompose on a 2-core machine).  1-D a != 0 is admitted up to
-# degree 3999.
-MAX_BLOCK_ENTRIES = 4_000_000
-# Entries of all blocks together, a block counting as at least
-# BLOCK_FLOOR_ENTRIES: building and decomposing even a 1 x 1 block costs
-# about 25 us, against about 0.5 us per entry of a large block.  A block
-# also counts as at least the dim entries of each of its rows' and
-# columns' multi-indices, which its levels hold: in 1000-D at degree 1
-# the 1 x 1000 blocks are small, their levels a billion ints.  That count
-# never decides in 1-D to 3-D.  3-D
-# a != 0 at degree 40 holds 19,134,941 entries (about 11 s).  a = 0 is
-# admitted up to degree 312,499 in 1-D (6 s), 490 in 2-D (3 s) and 66 in
-# 3-D (4 s).
-MAX_TOTAL_ENTRIES = 20_000_000
-BLOCK_FLOOR_ENTRIES = 64
+# Most tower entries operator_norm forms: (K + 1)^2 per tower at a != 0, K + 1
+# at a = 0.  1-D a != 0 stops at degree 3999, two 2000 x 2000 towers (5 s on
+# a 2-core machine), 2-D on at 455; a = 0 at 7,999,999 in 1-D, 5,654 from 2-D.
+MAX_TOWER_ENTRIES = 8_000_000
 
 
-def _parities(dim: int, degree: int) -> list[tuple[int, ...]]:
-    """The parity vectors with at most ``degree`` odd axes, in lex order:
-    C(dim, s) of them for each s <= degree, the classes _block_shapes counts."""
-    return sorted(
-        tuple(int(j in odd) for j in range(dim))
-        for s in range(min(dim, degree) + 1)
-        for odd in itertools.combinations(range(dim), s)
-    )
+def _tower_entries(dim: int, degree: int, shifted: bool) -> int:
+    """Towers have K + 1 = 1..t steps, t = degree // 2 + 1 or (degree + 1) // 2 by m's parity; 1-D only t."""
+    tops = (degree // 2 + 1, (degree + 1) // 2)
+    if dim == 1:
+        return sum(t * t if shifted else t for t in tops)
+    return sum(t * (t + 1) * (2 * t + 1) // 6 if shifted else t * (t + 1) // 2 for t in tops)
 
 
-def _float_blocks(dim: int, degree: int, shift: float):
-    """(parity, block) for each float block of lap + a in orthonormal Hermite
-    coordinates, over consecutive levels of a class: sqrt of each entry from
-    a column level k into the row level k - 2, ``shift`` on the diagonal.  At
-    shift 0 a block maps level k + 2 onto level k; else it spans the levels."""
-    for parity in _parities(dim, degree):
-        degrees = range(sum(parity), degree + 1, 2)
-        for rows, cols in [(degrees, degrees)] if shift else [((k,), (k + 2,)) for k in degrees]:
-            sizes = {k: len(_level(dim, k, parity)[0]) for k in (*rows, *cols)}
-            row_at, col_at = (
-                dict(zip(span, itertools.accumulate((sizes[k] for k in span), initial=0)))
-                for span in (rows, cols)
-            )
-            block = np.zeros((sum(sizes[k] for k in rows), sum(sizes[k] for k in cols)))
-            for k in cols:
-                if k - 2 in row_at:
-                    for ci, column in enumerate(_level(dim, k, parity)[1], col_at[k]):
-                        for ri, b in column:
-                            block[row_at[k - 2] + ri, ci] = math.sqrt(b)
-            if shift:
-                np.fill_diagonal(block, shift)
-            yield parity, block
-
-
-def _block_shapes(dim: int, degree: int, shifted: bool) -> list[tuple[int, int, int]]:
-    """(rows, cols, multiplicity) of the blocks of ``_float_blocks``, from binomial
-    counts: a parity class of weight s holds C(h + dim - 1, dim - 1)
-    indices of degree s + 2h, and there are C(dim, s) such classes."""
-    shapes = []
-    for s in range(min(dim, degree) + 1):
-        classes = math.comb(dim, s)
-        top = (degree - s) // 2
-        if shifted:
-            m = math.comb(top + dim, dim)
-            shapes.append((m, m, classes))
-        else:
-            shapes.extend(
-                (math.comb(h + dim - 1, dim - 1), math.comb(h + dim, dim - 1), classes)
-                for h in range(top + 1)
-            )
-    return shapes
-
-
-def check_operator_norm_limits(dim: int, degree: int, shifted: bool) -> None:
-    """Raise InputLimitError, naming the limit, before any block is built,
-    for a block over MAX_BLOCK_ENTRIES or blocks over MAX_TOTAL_ENTRIES."""
-    shapes = _block_shapes(dim, degree, shifted)
-    rows, cols, _ = max(shapes, key=lambda shape: shape[0] * shape[1])
-    if rows * cols > MAX_BLOCK_ENTRIES:
-        raise InputLimitError(
-            f"opnorm in {dim}-D at degree {degree} needs a {rows} x {cols} block, "
-            f"above MAX_BLOCK_ENTRIES = {MAX_BLOCK_ENTRIES}"
-        )
-    total = sum(max(r * c, BLOCK_FLOOR_ENTRIES, (r + c) * dim) * k for r, c, k in shapes)
-    if total > MAX_TOTAL_ENTRIES:
-        raise InputLimitError(
-            f"opnorm in {dim}-D at degree {degree} needs {total} block entries "
-            f"(a block counting as at least {BLOCK_FLOOR_ENTRIES} and its {dim}-entry multi-indices), "
-            f"above MAX_TOTAL_ENTRIES = {MAX_TOTAL_ENTRIES}"
-        )
+def _tower_block(dim: int, m: int, top: int, shift: float) -> np.ndarray:
+    """B_m, lap + a on the tower P^k H_m, k <= top: ``shift`` on the diagonal, sqrt(nu(m, k)) at (k - 1, k)."""
+    return np.diag(np.sqrt(_nu(dim, m, np.arange(1.0, top + 1))), 1) + shift * np.eye(top + 1)
 
 
 def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
-    """Norm of the truncated right inverse of lap + a, in orthonormal
-    Hermite coordinates.
+    """Norm of the truncated right inverse of lap + a in orthonormal
+    Hermite coordinates: the largest over the towers P^k H_m, k <= K =
+    (degree - m) // 2, of V_degree (m <= degree; m <= 1 in 1-D), where lap
+    maps step k to sqrt(nu(m, k)) times step k - 1.  The towers take |a|,
+    as D (lap + a) D = -(lap - a) for D = diag((-1)^k): a and -a agree.
 
-    In those coordinates the entry of lap + a at (gamma - 2 e_j, gamma) is
-    2 sqrt(g (g - 1)), the root of _lowered's coefficient, and the diagonal
-    is a.  Blocks keep per-axis parity.  D (lap + a) D = -(lap - a) for
-    D = diag((-1)^floor(|alpha|/2)), so the blocks use |a|, and the value
-    at -a is the value at a, bit for bit.
+    a = 0: 1/sigma_min of lap from V_(degree + 2) onto V_degree (Golub &
+    Van Loan, Matrix Computations, 5.5), its singular values sqrt(nu(m, k)),
+    k = 1..K + 1, read off; the least is sqrt(nu(0, 1)) = sqrt(8 dim).
 
-    a = 0: one block per degree k <= degree, from degree k + 2 onto k; the
-    minimal-norm inverse has norm 1/sigma_min (Golub & Van Loan, Matrix
-    Computations, 5.5).  No resolution check is needed: the paper's bound
-    gives every block sigma_min >= sqrt(8 dim), far above the SVD's
-    absolute error of about size * eps * sigma_max.
+    a != 0: the largest singular value of each B_m^-1 (``_tower_block``).
+    D B_m D is a triangular M-matrix, so entry (i, j) of B_m^-1 is one
+    product of entries of B_m, of sign (-1)^(j - i): the inverse (LU swaps
+    no rows) and its norm come out to relative accuracy (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 8), where 1/sigma_min of B_m
+    would be resolved only to an absolute (K + 1) eps sigma_max.
 
-    a != 0: one square block B per parity class, members in ascending
-    degree, so upper triangular with |a| on the diagonal.  D B D is a
-    triangular M-matrix, so entry (beta, gamma) of B^-1 has sign
-    (-1)^((|gamma| - |beta|)/2) and every product in it the same sign: the
-    inverse (LU swaps no rows) and its largest singular value, the norm,
-    come out to relative accuracy (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 8), where 1/sigma_min of B would be resolved
-    only to an absolute size * eps * sigma_max.
-
-    Raises InputLimitError beyond ``check_operator_norm_limits`` or for
-    an |a| above the float range, and
-    SingularMatrixError, naming the block, if an inverse entry or the norm
-    is not a finite float (at once for an a != 0 whose float is 0).
+    Raises InputLimitError over MAX_TOWER_ENTRIES or for an |a| above the
+    float range, and SingularMatrixError, naming the tower, for an inverse
+    or norm that is not finite (at once for an a != 0 whose float is 0).
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
@@ -789,19 +715,23 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
         raise SingularMatrixError(
             f"operator_norm: a = {a} rounds to the float 0.0; the inverse's entries 1/|a| overflow"
         )
-    check_operator_norm_limits(dim, degree, shift != 0)
+    entries = _tower_entries(dim, degree, shift != 0)
+    if entries > MAX_TOWER_ENTRIES:
+        raise InputLimitError(
+            f"opnorm: degree {degree} needs {entries} tower entries, above MAX_TOWER_ENTRIES = {MAX_TOWER_ENTRIES}"
+        )
+    input_float(Fraction(_nu(dim, degree, degree + 1)), "nu(degree, degree + 1)")  # the largest nu read
+    towers = [(m, (degree - m) // 2) for m in range(min(degree, 1 if dim == 1 else degree) + 1)]
+    if not shift:
+        return 1.0 / math.sqrt(min(_nu(dim, m, np.arange(1.0, top + 2)).min() for m, top in towers))
     norm = 0.0
-    for parity, block in _float_blocks(dim, degree, shift):
-        if not shift:
-            norm = max(norm, 1.0 / float(np.linalg.svd(block, compute_uv=False)[-1]))
-            continue
-        inverse = np.linalg.solve(block, np.eye(len(block)))
-        finite = np.isfinite(inverse).all()
-        value = float(np.linalg.svd(inverse, compute_uv=False)[0]) if finite else math.inf
+    for m, top in towers:
+        inverse = np.linalg.solve(_tower_block(dim, m, top, shift), np.eye(top + 1))
+        value = float(np.linalg.svd(inverse, compute_uv=False)[0]) if np.isfinite(inverse).all() else math.inf
         if not math.isfinite(value):
             raise SingularMatrixError(
-                f"operator_norm: the inverse of the {len(block)} x {len(block)} block of "
-                f"parity {parity} at |a| = {shift!r} is not finite in floating point"
+                f"operator_norm: the inverse of the {top + 1} x {top + 1} block of tower "
+                f"m = {m} at |a| = {shift!r} is not finite in floating point"
             )
         norm = max(norm, value)
     return norm

@@ -16,6 +16,13 @@ def _indices_of_degree(dim: int, degree: int) -> list[tuple[int, ...]]:
     return [alpha for alpha in multi_indices_up_to(dim, degree) if sum(alpha) == degree]
 
 
+def harmonic_dimension(dim: int, m: int) -> int:
+    """dim H_m, the harmonic polynomials of degree m: C(m + dim - 1, dim - 1)
+    - C(m + dim - 3, dim - 1), lap being onto degree m - 2 (0 in 1-D from
+    m = 2 on)."""
+    return math.comb(m + dim - 1, dim - 1) - (math.comb(m + dim - 3, dim - 1) if m >= 2 else 0)
+
+
 def harmonic_polynomial_basis(dim: int, max_degree: int) -> list[Polynomial]:
     """Exact basis of polynomials annihilated by the Laplacian, by degree."""
     basis: list[Polynomial] = []

@@ -55,6 +55,19 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert report["results"]["solve"]["ratio"] == "1/18"
 
+    def test_echo_is_the_parsed_f(self, tmp_path, capsys, monkeypatch):
+        """One file read through a relative and an absolute path gives one
+        report, its echo the polynomial's canonical JSON."""
+        poly = Polynomial(2, {(3, 1): Fraction(2, 3), (0, 2): Fraction(-5)})
+        (tmp_path / "f.json").write_text(json.dumps(poly.to_json_dict()))
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for path in ("f.json", str(tmp_path / "f.json")):
+            assert main(["solve", "--dim", "2", "--f", path]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["spec"]["f"] == poly.to_json_dict()
+
     def test_malformed_rational_exits_2(self, capsys):
         assert main(["solve", "--dim", "1", "--a", "1/0", "--f", "const:1"]) == EXIT_SPEC
         assert "a" in capsys.readouterr().err
@@ -185,11 +198,12 @@ class TestOpnormCommand:
         assert report["results"]["opnorm"]["value"] == pytest.approx(1 / math.sqrt(24), rel=1e-12)
 
     def test_block_over_limit_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 36)
+        """1-D a != 0 holds 72 tower entries at degree 11 and 85 at 12."""
+        monkeypatch.setattr(rightinverse, "MAX_TOWER_ENTRIES", 72)
         assert main(["opnorm", "--dim", "1", "--a", "1", "--degree", "11"]) == EXIT_CHECK_FAILED
         capsys.readouterr()
         assert main(["opnorm", "--dim", "1", "--a", "1", "--degree", "12"]) == EXIT_SPEC
-        assert "MAX_BLOCK_ENTRIES = 36" in capsys.readouterr().err
+        assert "MAX_TOWER_ENTRIES = 72" in capsys.readouterr().err
 
     def test_zero_sigma_min_exits_3(self, capsys):
         assert main(["opnorm", "--dim", "1", "--a", "1", "--degree", "200"]) == EXIT_CHECK_FAILED
@@ -198,15 +212,14 @@ class TestOpnormCommand:
         err = capsys.readouterr().err
         assert "operator_norm: the inverse of the 201 x 201 block" in err
 
-    def test_total_over_limit_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(rightinverse, "MAX_TOTAL_ENTRIES", 64 * 13)
-        assert main(["opnorm", "--dim", "1", "--degree", "12"]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["opnorm", "--dim", "1", "--degree", "13"]) == EXIT_SPEC
-        assert "MAX_TOTAL_ENTRIES = 832" in capsys.readouterr().err
-        monkeypatch.undo()
-        assert main(["opnorm", "--dim", "2", "--degree", "491"]) == EXIT_SPEC
-        assert "MAX_TOTAL_ENTRIES = 20000000" in capsys.readouterr().err
+    def test_total_over_limit_exits_2(self, capsys):
+        """A huge --degree is refused from the closed-form count, at once."""
+        for dim in ("1", "3", "1000"):
+            for a in ("0", "1"):
+                started = time.perf_counter()
+                assert main(["opnorm", "--dim", dim, f"--a={a}", "--degree", str(10**30)]) == EXIT_SPEC
+                assert time.perf_counter() - started < 1.0
+                assert "above MAX_TOWER_ENTRIES = 8000000" in capsys.readouterr().err
 
     def test_tiny_sigma_min_value_is_resolved(self, tmp_path):
         """1-D a = 1 at degree 40: sigma_min of the block is 1e-30, below

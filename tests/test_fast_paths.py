@@ -57,10 +57,10 @@ from gauss_rinv.linalg import SingularMatrixError, factor_exact, replay, solve_e
 from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced, tensor_expand
 from gauss_rinv.rightinverse import (
     KernelFunction,
-    _float_blocks,
     _level,
     _lowered,
     _min_norm_coeffs,
+    _tower_block,
     _tower_polynomial,
     _triangular_coeffs,
     multi_indices_up_to,
@@ -69,6 +69,7 @@ from gauss_rinv.rightinverse import (
 )
 
 from conftest import polynomials, rationals
+from harmonic_basis import harmonic_dimension
 
 
 def assert_clean(terms: dict, dim: int) -> None:
@@ -941,12 +942,22 @@ def test_tower_polynomial_annihilates_its_level(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("shift", [0.0, 0.5, 3.0])
 def test_float_blocks_match_reference(dim, shift):
-    for degree in range(13):
-        got = list(_float_blocks(dim, degree, shift))
-        expected = reference_float_blocks(dim, degree, shift)
-        assert [parity for parity, _ in got] == [parity for parity, _ in expected]
-        for (_, block), (_, reference) in zip(got, expected):
-            assert np.array_equal(block, reference)
+    """The towers operator_norm reads, from ``_nu``, have the singular
+    values of the parity-class blocks of ``reference_float_blocks``, built
+    from _lowered alone, each tower's repeated dim H_m times: at shift 0
+    lap from V_(degree + 2) onto V_degree (steps 0..K + 1 onto 0..K), else
+    B_m over steps 0..K."""
+    for degree in range(11):
+        blocks = [block for _, block in reference_float_blocks(dim, degree, shift)]
+        expected = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
+        towers = []
+        for m in range(degree + 1):
+            top = (degree - m) // 2
+            block = _tower_block(dim, m, top, shift) if shift else _tower_block(dim, m, top + 1, 0.0)[:-1]
+            towers.extend(list(np.linalg.svd(block, compute_uv=False)) * harmonic_dimension(dim, m))
+        got = np.sort(towers)
+        assert len(got) == len(expected) == len(multi_indices_up_to(dim, degree))
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-13 * expected[-1])
 
 
 def fraction_min_norm_coeffs(f_coeffs: dict, dim: int, lam: Fraction) -> dict:

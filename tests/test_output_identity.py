@@ -33,8 +33,11 @@ VERIFY_SHA256 = "5f12d25d53336bfbfb9db8d9a964bef18f7ad2de1e6865c0af016a1c3a191bb
 CONVERSION_SHA256 = "67467ea262849db33096a45c0462fec0ec679980100d74b3c2061c0358ac3125"
 SOLVE_SHA256 = "4e6b01e987e015f394d8554fbcc86b8eb59511d1e1c7d43181fe7854d167175b"
 # repr of every operator_norm value over OPNORM_CASES and OPNORM_SHIFTS,
-# recorded before the blocks were built from the cached levels.
-OPNORM_SHA256 = "a02c105837f8d367e588f63cf409832ed2f6edd9b808d36dd2b34d3bb6af0753"
+# recorded when the norm was first taken tower by tower.  In 1-D the towers
+# are the old parity-class blocks, and those values kept their bits; 63 of
+# the 2-D and 3-D values moved, by at most 6.3e-16 relative, from the
+# parity-class blocks' SVDs (at a = 0 they are now 1/sqrt(8n) exactly).
+OPNORM_SHA256 = "6c924609fb4d128539c19264885ed519d8f32eab9a67dc3cbd2fef1900260fe2"
 OPNORM_CASES = ((1, 40), (2, 16), (3, 10))  # (dim, top degree)
 OPNORM_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(3))
 BOUNDED_DOCUMENTS = Path(__file__).parent / "data" / "bounded_documents.json"

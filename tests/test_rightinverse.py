@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gauss_rinv import rightinverse
+from gauss_rinv import cli, rightinverse
 from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from gauss_rinv.hermite import (
     HermiteExpansion,
@@ -27,7 +27,6 @@ from gauss_rinv.rightinverse import (
     InputLimitError,
     KernelFunction,
     apply_right_inverse,
-    check_operator_norm_limits,
     default_directions,
     enrich,
     kernel_basis,
@@ -37,7 +36,7 @@ from gauss_rinv.rightinverse import (
     shifted_laplacian,
     solve_min_norm,
 )
-from harmonic_basis import harmonic_polynomial_basis
+from harmonic_basis import harmonic_dimension, harmonic_polynomial_basis
 
 one_1d = Polynomial.constant(1, 1)
 one_2d = Polynomial.constant(2, 1)
@@ -485,38 +484,59 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("n, degree", [(1, 30), (2, 16), (3, 10)])
     @pytest.mark.parametrize("a", [Fraction(1, 2), 1, 3])
     def test_block_inverse_sign_pattern(self, n, a, degree):
-        """Each a != 0 parity block is upper triangular, and entry (beta,
-        gamma) of its inverse has sign (-1)^((|gamma| - |beta|)/2): no
-        product in an entry cancels another."""
-        for parity, block in rightinverse._float_blocks(n, degree, abs(float(a))):
-            assert not np.tril(block, -1).any()
-            inverse = np.linalg.solve(block, np.eye(len(block)))
-            levels = range(sum(parity), degree + 1, 2)
-            size = np.array([k for k in levels for _ in rightinverse._level(n, k, parity)[0]])
-            sign = (-1.0) ** ((size[None, :] - size[:, None]) // 2)
+        """Each a != 0 tower block B_m is upper bidiagonal, and entry (i, j)
+        of its inverse has sign (-1)^(j - i): one product, nothing to cancel."""
+        for m, top in walked_towers(n, degree):
+            block = rightinverse._tower_block(n, m, top, abs(float(a)))
+            assert block.shape == (top + 1, top + 1)
+            assert not np.tril(block, -1).any() and not np.triu(block, 2).any()
+            inverse = np.linalg.solve(block, np.eye(top + 1))
+            steps = np.arange(top + 1)
+            sign = (-1.0) ** (steps[None, :] - steps[:, None])
             nonzero = inverse != 0
-            assert not np.tril(nonzero, -1).any()
+            assert np.array_equal(nonzero, np.triu(np.ones_like(nonzero)))
             assert np.all(np.sign(inverse[nonzero]) == sign[nonzero])
 
     def test_block_limit_both_sides(self, monkeypatch):
-        """A 1-D parity block at a != 0 and degree d has d // 2 + 1 rows."""
-        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 36)
+        """1-D a != 0 at degree d has towers of d // 2 + 1 and (d + 1) // 2
+        steps: 72 entries at degree 11 and 85 at 12."""
+        monkeypatch.setattr(rightinverse, "MAX_TOWER_ENTRIES", 72)
         assert operator_norm(1, 1, 11) > 0
-        with pytest.raises(InputLimitError, match="MAX_BLOCK_ENTRIES = 36"):
+        with pytest.raises(InputLimitError, match="needs 85 tower entries, above MAX_TOWER_ENTRIES = 72"):
             operator_norm(1, 1, 12)
-        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 231 * 253)
-        assert operator_norm(3, 0, 41) > 0  # top block 231 x 253
-        with pytest.raises(InputLimitError, match="253 x 276"):
-            operator_norm(3, 0, 42)
 
-    def test_block_limit_admits_3d_degree_40(self, monkeypatch):
-        """3-D a != 0 at degree 40 needs a 1771 x 1771 block, within the limit."""
-        assert 1771 * 1771 <= rightinverse.MAX_BLOCK_ENTRIES
-        with pytest.raises(InputLimitError, match="2001 x 2001"):
+    def test_block_limit_admits_3d_degree_40(self):
+        """3-D a != 0 at degree 40 is 41 towers of at most 21 steps, 6181
+        entries; 1-D a != 0 at degree 4000 is over the limit."""
+        assert rightinverse._tower_entries(3, 40, True) == 6181
+        assert operator_norm(3, 1, 40) == pytest.approx(6.191859007838196e30, rel=1e-13)
+        with pytest.raises(InputLimitError, match="8004001 tower entries"):
             operator_norm(1, 1, 4000)
-        monkeypatch.setattr(rightinverse, "MAX_BLOCK_ENTRIES", 1771 * 1771 - 1)
-        with pytest.raises(InputLimitError, match="1771 x 1771"):
-            operator_norm(3, 1, 40)
+
+    @pytest.mark.parametrize("n, a, degree", [(1, 1, 6), (2, Fraction(1, 2), 5), (3, -3, 4)])
+    def test_wrong_spectrum_misses_the_reference(self, n, a, degree, monkeypatch):
+        """With nu off by one in the dimension the norm misses the triangular
+        column-solve reference, which reads no nu."""
+        reference = column_solve_operator_norm(n, a, degree)
+        assert operator_norm(n, a, degree) == pytest.approx(reference, rel=1e-12, abs=0)
+        nu = rightinverse._nu
+        monkeypatch.setattr(rightinverse, "_nu", lambda dim, m, k: nu(dim + 1, m, k))
+        assert operator_norm(n, a, degree) != pytest.approx(reference, rel=1e-3, abs=0)
+
+    def test_wrong_spectrum_fails_the_suite(self, monkeypatch, capsys):
+        """With nu off by one in the dimension the suite's operator-norm
+        criterion fails (the identity battery is left out, for time)."""
+        nu = rightinverse._nu
+        monkeypatch.setattr(cli, "run_identity_battery", lambda **kwargs: [])
+        monkeypatch.setattr(rightinverse, "_nu", lambda dim, m, k: nu(dim + 1, m, k))
+        rightinverse._tower_polynomial.cache_clear()
+        try:
+            assert main(["suite"]) == EXIT_CHECK_FAILED
+        finally:
+            rightinverse._tower_polynomial.cache_clear()
+        criteria = {c["criterion"]: c for c in json.loads(capsys.readouterr().out)["results"]["criteria"]}
+        assert criteria["operator-norm"]["pass"] is False
+        assert criteria["operator-norm"]["n2_value"] == 1 / math.sqrt(24)
 
     def test_zero_sigma_min_both_sides(self):
         """1-D a = 1: the norm is 3.78e217 at degree 200; at degree 400 the
@@ -535,88 +555,125 @@ class TestOperatorNorm:
             with pytest.raises(InputLimitError, match="above the float range"):
                 kernel_basis(a, 1)
 
+    def test_dimension_above_float_range(self):
+        """nu is read in floats, so a dimension that puts the largest nu,
+        nu(degree, degree + 1) = 8 (degree + 1) (4 degree + dim), above the
+        float range is an input limit, at a = 0 and a != 0 alike."""
+        dim = int(sys.float_info.max) // 16
+        assert operator_norm(dim, 0, 0) == 1 / math.sqrt(8 * dim) > 0
+        for a, degree in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2000)]:
+            with pytest.raises(InputLimitError, match=r"nu\(degree, degree \+ 1\): .* above the float range"):
+                operator_norm(4 * dim, a, degree)
+
     def test_shift_below_float_range(self):
         """a = 10^-400 is not 0: its inverse has entries 1/a, no float."""
         with pytest.raises(SingularMatrixError, match=r"operator_norm: a = 1/10+ rounds to the float 0\.0"):
             operator_norm(1, Fraction(1, 10**400), 4)
 
 
+def walked_towers(dim: int, degree: int) -> list[tuple[int, int]]:
+    """(m, K) of the towers P^k H_m, k <= K, of V_degree: those with H_m != 0."""
+    return [(m, (degree - m) // 2) for m in range(degree + 1) if harmonic_dimension(dim, m)]
+
+
+def spy_towers(monkeypatch, dim: int, a, degree: int) -> list[tuple[int, int]]:
+    """(m, length of the step array) of each tower spectrum operator_norm
+    reads: K + 1 steps at a = 0, K (the block's off-diagonal) at a != 0.
+    The one int call is the float-range check."""
+    read = []
+    nu = rightinverse._nu
+
+    def spy(d, m, k):
+        if not isinstance(k, int):
+            read.append((m, len(k)))
+        return nu(d, m, k)
+
+    monkeypatch.setattr(rightinverse, "_nu", spy)
+    operator_norm(dim, a, degree)
+    monkeypatch.undo()
+    return read
+
+
 class TestOperatorNormWork:
-    """The limit on all blocks together, and the spectral gap at a = 0."""
+    """MAX_TOWER_ENTRIES, counted before any tower is built, and the towers
+    walked."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("shifted", [False, True])
-    def test_shapes_count_the_blocks(self, dim, shifted):
+    def test_shapes_count_the_blocks(self, dim, shifted, monkeypatch):
+        """The closed-form count is the entries of the towers read: K + 1 per
+        tower at a = 0, (K + 1)^2 per block at a != 0."""
         for degree in range(11):
-            built = sorted(block.shape for _, block in rightinverse._float_blocks(dim, degree, float(shifted)))
-            counted = sorted(
-                (r, c) for r, c, k in rightinverse._block_shapes(dim, degree, shifted) for _ in range(k)
-            )
-            assert counted == built
+            read = spy_towers(monkeypatch, dim, int(shifted), degree)
+            counted = sum((length + 1) ** 2 if shifted else length for _, length in read)
+            assert counted == rightinverse._tower_entries(dim, degree, shifted)
 
     @pytest.mark.parametrize("dim, degree", [(40, 0), (25, 2), (8, 3)])
     @pytest.mark.parametrize("shifted", [False, True])
-    def test_walk_is_the_counted_classes(self, dim, degree, shifted):
-        """Only the C(dim, s) parity classes with s <= degree odd axes are walked."""
-        blocks = list(rightinverse._float_blocks(dim, degree, float(shifted)))
-        assert all(sum(parity) <= degree for parity, _ in blocks)
-        counted = sorted(
-            (r, c) for r, c, k in rightinverse._block_shapes(dim, degree, shifted) for _ in range(k)
-        )
-        assert sorted(block.shape for _, block in blocks) == counted
+    def test_walk_is_the_counted_towers(self, dim, degree, shifted, monkeypatch):
+        """Only the towers m <= degree are walked, each once, whatever the
+        dimension."""
+        read = spy_towers(monkeypatch, dim, int(shifted), degree)
+        assert read == [(m, top + (not shifted)) for m, top in walked_towers(dim, degree)]
 
     def test_high_dimension_at_low_degree(self):
-        """40-D and 1000-D at degree 0 are one 1 x dim block each, its
-        indices enumerated without recursion; in 1000-D at degree 1 the
-        blocks are 1 x 1000, but their levels would hold a billion ints."""
+        """The dimension enters only through nu: 40-D and 1000-D at degrees
+        0 and 1 are towers of one step, 1/sqrt(8 dim) at nu(0, 1) and 1/|a|
+        at a != 0."""
         for dim in (40, 1000):
-            assert operator_norm(dim, 0, 0) == pytest.approx(1 / math.sqrt(8 * dim), rel=1e-12)
-        check_operator_norm_limits(25, 3, False)
-        with pytest.raises(InputLimitError, match="and its 1000-entry multi-indices"):
-            check_operator_norm_limits(1000, 1, False)
+            for degree in (0, 1):
+                assert operator_norm(dim, 0, degree) == 1 / math.sqrt(8 * dim)
+                assert operator_norm(dim, -2, degree) == 0.5
 
     def test_total_limit_both_sides(self, monkeypatch):
-        """2-D a = 0 holds 19,910,802 entries at degree 490 and 20,032,326
-        at 491; the limit is checked before any block is built."""
-        check_operator_norm_limits(2, 490, False)
-        with pytest.raises(InputLimitError, match="20032326 block entries"):
-            check_operator_norm_limits(2, 491, False)
+        """1-D a != 0 counts 8,000,000 entries at degree 3999 and 8,004,001
+        at 4000, 1-D a = 0 degree + 1; the count comes before any tower, so
+        a huge degree is refused at once."""
+        limit = rightinverse.MAX_TOWER_ENTRIES
+        assert rightinverse._tower_entries(1, 3999, True) == limit == 8_000_000
+        assert rightinverse._tower_entries(1, 4000, True) == 8_004_001
+        assert rightinverse._tower_entries(1, 7_999_999, False) == limit
 
-        def no_blocks(*args):
-            raise AssertionError("a block was built")
+        def no_towers(*args):
+            raise AssertionError("a tower was built")
 
-        monkeypatch.setattr(rightinverse, "_float_blocks", no_blocks)
-        with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES = 20000000"):
-            operator_norm(2, 0, 491)
-        with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES"):
-            operator_norm(1, 0, 312_500)
+        monkeypatch.setattr(rightinverse, "_nu", no_towers)
+        with pytest.raises(InputLimitError, match="needs 8004001 tower entries"):
+            operator_norm(1, 1, 4000)
+        with pytest.raises(InputLimitError, match="needs 8000001 tower entries"):
+            operator_norm(1, 0, 8_000_000)
+        for dim in (1, 3, 1000):
+            with pytest.raises(InputLimitError, match="MAX_TOWER_ENTRIES = 8000000"):
+                operator_norm(dim, 0, 10**100)
 
-    def test_total_limit_counts_a_floor_per_block(self, monkeypatch):
-        """1-D a = 0 has degree + 1 blocks of 1 x 1, each counted as 64."""
-        monkeypatch.setattr(rightinverse, "MAX_TOTAL_ENTRIES", 64 * 13)
-        assert operator_norm(1, 0, 12) > 0
-        with pytest.raises(InputLimitError, match="896 block entries"):
-            operator_norm(1, 0, 13)
+    def test_total_limit_counts_each_tower(self, monkeypatch):
+        """2-D a = 0 at degree 4 has towers m = 0..4 of 3, 2, 2, 1, 1 steps,
+        9 entries; degree 5 has 12."""
+        monkeypatch.setattr(rightinverse, "MAX_TOWER_ENTRIES", 9)
+        assert operator_norm(2, 0, 4) == 0.25
+        with pytest.raises(InputLimitError, match="needs 12 tower entries"):
+            operator_norm(2, 0, 5)
 
     def test_total_limit_admits_every_caller(self):
-        """3-D a != 0 at degree 40 (19,134,941 entries, 41 is over), 1-D
-        a != 0 at degree 400, and the degrees of the suite, the scripts and
-        the tests."""
-        check_operator_norm_limits(3, 40, True)
-        with pytest.raises(InputLimitError, match="MAX_TOTAL_ENTRIES"):
-            check_operator_norm_limits(3, 41, True)
+        """The degrees callers ask for in 1-D to 3-D are admitted: a != 0 up
+        to 3999, 123 and 40, and a = 0 up to 312,499, 490 and 66."""
         for dim, degree, shifted in [
-            (1, 400, True), (1, 4000 - 1, True), (2, 123, True), (3, 41, False), (3, 66, False),
+            (1, 3999, True), (2, 123, True), (3, 40, True), (1, 312_499, False), (2, 490, False), (3, 66, False),
         ]:
-            check_operator_norm_limits(dim, degree, shifted)
+            assert rightinverse._tower_entries(dim, degree, shifted) <= rightinverse.MAX_TOWER_ENTRIES
+        for dim, degree in [(1, 312_499), (2, 490), (3, 66)]:
+            assert operator_norm(dim, 0, degree) == 1 / math.sqrt(8 * dim)
+        with pytest.raises(SingularMatrixError, match="2000 x 2000 block of tower m = 0"):
+            operator_norm(1, 1, 3999)
 
     @pytest.mark.parametrize("dim, degree", [(1, 12), (1, 20), (2, 6), (2, 8), (3, 4), (3, 40)])
     def test_a_zero_is_resolved(self, dim, degree):
-        """At a = 0 every block has sigma_min >= sqrt(8 dim), so 1/sigma_min
-        needs no resolution check: the SVD's absolute error is far smaller."""
-        for _, block in rightinverse._float_blocks(dim, degree, 0.0):
-            sigma_min = np.linalg.svd(block, compute_uv=False)[-1]
-            assert sigma_min >= math.sqrt(8 * dim) * (1 - 1e-12)
+        """At a = 0 every tower singular value sqrt(nu(m, k)), k >= 1, is at
+        least sqrt(8 dim), reached at nu(0, 1): the norm is 1/sqrt(8 dim) to
+        the last bit, with no SVD to resolve."""
+        for m, top in walked_towers(dim, degree):
+            assert rightinverse._nu(dim, m, np.arange(1.0, top + 2)).min() >= 8 * dim
+        assert operator_norm(dim, 0, degree) == 1 / math.sqrt(8 * dim)
 
 
 class TestScaledSolve:

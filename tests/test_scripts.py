@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 SCRIPTS = {
-    "opnorm_convergence.py": ["--max-degree", "4"],
     "bound_margins.py": ["--cases", "3"],
     "counterexample_growth.py": ["--R", "100"],
 }
