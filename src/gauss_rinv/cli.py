@@ -3,9 +3,10 @@
 Subcommands: solve | verify | opnorm | bounded | counterexample | suite.
 Each subparser names its runner (``set_defaults(run=...)``).  A runner
 validates its own arguments, calls the library once and returns the spec
-echo (the arguments it read, as read; ``solve``'s data as parsed), the
-results and the verdict.  The solve, bounded and counterexample verdicts
-are their reports' ``passed`` properties, read by the suite's criteria too.
+echo (the arguments it read, as read; the data of ``solve`` and
+``bounded`` as parsed), the results and the verdict.  The solve, bounded
+and counterexample verdicts are their reports' ``passed`` properties, read
+by the suite's criteria too.
 Reports are deterministic given the arguments (``--seed`` included, on
 ``verify``; ``suite`` runs at fixed values and reads only ``--out``):
 exact quantities serialize as rational strings, floats as Python's
@@ -299,24 +300,28 @@ def _opnorm(args) -> tuple[dict, dict, bool]:
     return spec, {"opnorm": results}, value <= target * (1 + 1e-12)
 
 
-def _load_bounded_f(arg: str, box: BoxDomain) -> SampledFunction:
+def _load_bounded_f(arg: str, box: BoxDomain) -> tuple[SampledFunction, object]:
+    """The data of a --f descriptor and its echo as parsed: a constant's
+    rational, a polynomial's canonical JSON, a grid's shape and values."""
     if arg.startswith("const:"):
         value = _rational_field(arg[len("const:") :], "f.const")
-        return SampledFunction.constant(box, input_float(value, "f.const"))
+        return SampledFunction.constant(box, input_float(value, "f.const")), value
     if arg.startswith("poly:"):
         poly = load_polynomial(arg[len("poly:") :], box.dim)
         if poly.dim != box.dim:
             raise SpecValidationError("f", f"polynomial dimension {poly.dim} != box dimension {box.dim}")
-        return SampledFunction.from_polynomial(poly, box)
+        return SampledFunction.from_polynomial(poly, box), poly.to_json_dict()
     if arg.startswith("expr-grid:"):
         path = arg[len("expr-grid:") :]
         data = _read_json(path)
         if not isinstance(data, dict) or "shape" not in data or "values" not in data:
             raise SpecValidationError("f", f"grid file {path!r} needs an object with 'shape' and 'values'")
         try:
-            return SampledFunction.from_grid(box, data["shape"], data["values"])
+            f = SampledFunction.from_grid(box, data["shape"], data["values"])
+            shape = [int(num) for num in data["shape"]]
         except (TypeError, ValueError) as exc:
             raise SpecValidationError("f", f"invalid grid in {path!r}: {exc}")
+        return f, {"shape": shape, "values": np.asarray(data["values"], dtype=float).ravel().tolist()}
     raise SpecValidationError("f", f"unrecognized data descriptor {arg!r}")
 
 
@@ -327,9 +332,9 @@ def _bounded(args) -> tuple[dict, dict, bool]:
         raise SpecValidationError("box", f"cannot parse {args.box!r}: {exc}")
     a = _rational_field(args.a, "a")
     _at_least(0, "--degree", args.degree)
-    f = _load_bounded_f(args.f, box)
+    f, echo = _load_bounded_f(args.f, box)
     report = solve_bounded(box, f, a=a, truncation=args.degree)
-    spec = {"box": args.box, "a": a, "f": args.f, "degree": args.degree}
+    spec = {"box": args.box, "a": a, "f": echo, "degree": args.degree}
     return spec, {"bounded": report.to_json_dict()}, report.passed
 
 

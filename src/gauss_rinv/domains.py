@@ -1,14 +1,15 @@
 """Bounded-domain solves, space embeddings, and the unweighted-L2 failure.
 
 The bounded-domain pipeline extends data f in L2(U) by zero, projects it
-onto the orthonormal Hermite basis centered inside U by adaptive panel
-quadrature (the zero extension is discontinuous at the boundary of U, so a
-global Gauss-Hermite rule would converge poorly; composite Gauss-Legendre
-panels over U see only the smooth restriction), solves exactly in
-coefficient space, and restricts back.  Integrands map an (m, n) array of
-nodes to m values, or to an (m, k) array for k integrals at once, so one
-panel tree yields every pairing <f~, h_alpha>_w together with the data
-norms.  The restricted solution obeys
+onto the orthonormal Hermite basis centered inside U, solves exactly in
+coefficient space, and restricts back.  Every integral on the way has a
+closed form: f is a tensor-product piecewise polynomial (a constant, a
+polynomial, or a grid's multilinear interpolant), so each pairing
+<f~, h_alpha>_w and norm is its coefficient tensor contracted with 1-D
+tables per axis, the Gaussian moments from erf and Rodrigues' formula
+(Szego, *Orthogonal Polynomials*, 5.5), and ||u||_{L2(U)} uses the Gram
+matrices of the basis over the sides of U from Gauss-Legendre rules exact
+to their degree (Davis & Rabinowitz, 1984, ch. 2).  The solution obeys
 
     ||u||_{L2(U)} <= sqrt(e^{|U|^2} / (8n)) ||f||_{L2(U)},
 
@@ -22,7 +23,8 @@ transport unweighted data into the weighted theory.
 The counterexample is the classical 1/x-sourced second antiderivative:
 u'' = f with f = 1/x on [1, inf) has u = -x/2 + x ln x + 2/3 (+ affine),
 which leaves L2(R) (its square integral grows like R^3 ln^2 R) yet stays
-square-integrable against the Gaussian weight.
+square-integrable against the Gaussian weight, by the adaptive panel
+quadrature ``integrate_box``.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ from .hermite import (
     HermiteExpansion,
     WeightSpec,
     _axis_norm_sq,
-    normalized_hermite_values,
+    gaussian_moments,
+    hermite_gram,
     norm_sq,
     tensor_rule,
 )
-from .polynomials import MultiIndex, Polynomial, RationalLike, format_rational
+from .polynomials import Polynomial, RationalLike, format_rational, reduced
 from .rightinverse import InputLimitError, exact_solve, input_float, multi_indices_up_to
 
 # Gauss-Legendre nodes per axis of one quadrature panel.
@@ -52,18 +55,18 @@ PANEL_ORDER = 12
 # Most nodes integrate_box hands the integrand in one call: 48 1-D panels,
 # 4 2-D panels; a 3-D panel (1,728 nodes) goes alone.
 MAX_BATCH_NODES = 576
-# Bisection depth cap of integrate_box.
+# Bisection depth of integrate_box; a panel unconverged there raises.
 MAX_DEPTH = 24
-# Absolute quadrature tolerance of the two passes of solve_bounded; the
-# Bessel tolerance is derived from it and printed as "quad_tol".
+# Error budget of each float integral of solve_bounded; the Bessel
+# tolerance is derived from it, and it is printed as "quad_tol".  The
+# closed forms meet it to rounding, except that a grid's weighted norm
+# loses about (nodes per axis / 2)^2 ulps (see gaussian_moments): 1e-10
+# relative at 2,000 nodes.
 QUAD_TOL = 1e-10
 # Random points of the sup estimate of embedding_check.
 SUP_SAMPLES = 2048
-# Slack of the two embedding inequalities, and the quadrature tolerance of
-# the norms they compare, four orders tighter so that quadrature error
-# cannot use up the slack.
+# Slack of the two embedding inequalities.
 EMBEDDING_TOL = 1e-8
-EMBEDDING_QUAD_TOL = 1e-12
 # Points of the closed-form and second-derivative checks of the counterexample.
 SAMPLE_POINTS = 50
 # Step (relative to x) of the counterexample's central second difference,
@@ -79,12 +82,16 @@ CLOSED_FORM_TOL = 1e-12
 INTEGRAL_FORM_ORDER = 64
 # Largest R of the counterexample: the square integral of u over [1, R]
 # grows like R^3 ln^2 R / 3, which passes the float maximum 1.8e308 near
-# R = 2.5e101 (at 1e102 the quadrature reads inf).
+# R = 2.5e101.
 MAX_R = 1e101
-# One panel of a bounded solve holds C(N+n, n) * PANEL_ORDER^n orthonormal
-# Hermite values (8 bytes each); 2-D at N = 30 holds 71,424, 3-D at N = 30
-# would hold 9.4 million.  A 2-D integrand call holds up to 4 panels' tables.
-MAX_TABLE_ENTRIES = 2_000_000
+# Entries of the dense (N+3)^n array of a bounded solution's orthonormal
+# coefficients, the largest table its truncation N sets; its Gram
+# contraction costs n (N+3)^(n+1) multiply-adds.  2-D reaches its degree
+# limit 147 (22,500 entries), 3-D stops at N = 29, 4-D at N = 10.
+MAX_TENSOR_ENTRIES = 32_768
+# Grid cells whose Gaussian moments are tabulated at once, so that a long
+# axis holds at most 1024 x 3 x (N+1) floats (3.6 MB at N = 147).
+CELL_CHUNK = 1024
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +109,8 @@ class BoxDomain:
         ivals = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", ivals)
         for lo, hi in ivals:
-            if not lo < hi:
-                raise ValueError(f"degenerate interval [{lo}, {hi}]")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"degenerate or unbounded interval [{lo}, {hi}]")
 
     @property
     def dim(self) -> int:
@@ -137,33 +144,58 @@ class BoxDomain:
         return {"intervals": [list(iv) for iv in self.intervals], "diameter": self.diameter}
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Function given on a box, extended by zero outside it.
+class QuadratureError(ArithmeticError):
+    """An integral is not a finite float, or integrate_box reached
+    MAX_DEPTH before its tolerance."""
 
-    ``fn`` maps an (m, n) array of points inside the box to m values.
+
+@dataclass(frozen=True, eq=False)
+class SampledFunction:
+    """Data on a box, extended by zero outside it: a tensor-product
+    piecewise polynomial.  Axis j is a triple (edges, origins, powers):
+    cells [edges[c], edges[c+1]] and on cell c the basis (x_j -
+    origins[c])^p, p in powers; ``coeffs`` has one axis of length
+    cells * len(powers) per box axis, cell-major.  A constant is one term;
+    a polynomial is its monomial terms (one cell, origin 0); a grid is its
+    multilinear interpolant, v_c + (v_(c+1) - v_c) (x - x_c) / h_c per cell.
     """
 
     box: BoxDomain
-    fn: Callable[[np.ndarray], np.ndarray]
+    axes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    coeffs: np.ndarray
 
     def __call__(self, points) -> np.ndarray:
         """Values at an (m, n) array of points, zero outside the box."""
         x = np.asarray(points, dtype=float)
         lo, hi = self.box.corners
         inside = np.all((lo <= x) & (x <= hi), axis=1)
-        return np.where(inside, self.fn(x), 0.0)
+        cells, rows = [], []
+        for (edges, origins, powers), v in zip(self.axes, np.clip(x, lo, hi).T):
+            c = np.clip(np.searchsorted(edges, v) - 1, 0, len(origins) - 1)
+            cells += [c, slice(None)]
+            rows.append(np.vander(v - origins[c], powers[-1] + 1, increasing=True)[:, powers])
+        # each point's (D_1, ..., D_n) block, contracted with its power rows
+        values = self.coeffs.reshape([s for e, o, p in self.axes for s in (len(o), len(p))])[tuple(cells)]
+        for row in reversed(rows):
+            values = np.einsum("m...d,md->m...", values, row)
+        return np.where(inside, values, 0.0)
 
     @classmethod
     def constant(cls, box: BoxDomain, value: float) -> "SampledFunction":
-        v = float(value)
-        return cls(box=box, fn=lambda _x: v)
+        axes = tuple((np.array(ends), np.zeros(1), np.zeros(1, dtype=int)) for ends in box.intervals)
+        return cls(box, axes, np.full((1,) * box.dim, float(value)))
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, box: BoxDomain) -> "SampledFunction":
         if poly.dim != box.dim:
             raise ValueError(f"dimension mismatch: {poly.dim} vs {box.dim}")
-        return cls(box=box, fn=lambda x: poly.evaluate(list(x.T)))
+        terms = poly.sorted_terms()
+        powers = [sorted({exps[j] for exps, _ in terms} or {0}) for j in range(box.dim)]
+        coeffs = np.zeros([len(p) for p in powers])
+        for exps, coef in terms:
+            coeffs[tuple(p.index(e) for p, e in zip(powers, exps))] = float(coef)
+        axes = tuple((np.array(ends), np.zeros(1), np.array(p)) for ends, p in zip(box.intervals, powers))
+        return cls(box, axes, coeffs)
 
     @classmethod
     def from_grid(
@@ -177,41 +209,80 @@ class SampledFunction:
             raise ValueError(f"grid shape {arr.shape} needs at least 2 points per axis")
         if not np.isfinite(arr).all():
             raise ValueError("grid values must be finite")
-        axes = [
-            np.linspace(lo, hi, num) for (lo, hi), num in zip(box.intervals, shape)
-        ]
+        axes, coeffs = [], arr
+        for j, ((lo, hi), num) in enumerate(zip(box.intervals, arr.shape)):
+            nodes = np.linspace(lo, hi, num)
+            v = np.swapaxes(coeffs, j, -1)
+            local = np.stack([v[..., :-1], np.diff(v, axis=-1) / np.diff(nodes)], axis=-1)
+            coeffs = np.swapaxes(local.reshape(local.shape[:-2] + (-1,)), j, -1)
+            axes.append((nodes, nodes[:-1], np.array([0, 1])))
+        return cls(box, tuple(axes), coeffs)
 
-        def interp(x: np.ndarray) -> np.ndarray:
-            idx = []
-            frac = []
-            for ax, v in zip(axes, x.T):
-                i = np.clip(np.searchsorted(ax, v) - 1, 0, len(ax) - 2)
-                idx.append(i)
-                frac.append((v - ax[i]) / (ax[i + 1] - ax[i]))
-            total = 0.0
-            for corner in range(1 << len(idx)):
-                w = 1.0
-                pos = []
-                for j, (i, t) in enumerate(zip(idx, frac)):
-                    if corner >> j & 1:
-                        w = w * t
-                        pos.append(i + 1)
-                    else:
-                        w = w * (1.0 - t)
-                        pos.append(i)
-                total = total + w * arr[tuple(pos)]
-            return total
+    def integrals(self, x0: Sequence[float], top: int) -> tuple[np.ndarray, float, float]:
+        """Against e^{-|x-x0|^2}, the (top+1)^n pairings <f~, h_alpha(x - x0)>,
+        alpha_j <= top, h_alpha the orthonormal Hermite basis, and
+        ||f~||^2_w; then ||f||^2_{L2} over the box.  One table of Gaussian
+        moments per axis serves both weighted integrals."""
+        pairs, weighted, plain = self.coeffs, [], []
+        # the longest axes first, so no intermediate outgrows the data or the result
+        for j in sorted(range(self.box.dim), key=lambda j: -self.coeffs.shape[j]):
+            edges, origins, powers = self.axes[j]
+            rows, square = 2 * int(powers[-1]) + 1, powers[:, None] + powers
+            total, mass = 0.0, []
+            for first in range(0, len(origins), CELL_CHUNK):
+                part = slice(first, first + CELL_CHUNK)
+                ends = edges[:-1][part], edges[1:][part]
+                table = gaussian_moments(*ends, origins[part], x0[j], rows, max(top + 1, 2))
+                total = total + _contract(pairs, j, table[:, powers, : top + 1], first, keep=False)
+                mass.append(table[:, :, 0])
+            pairs = total
+            # h_0 = pi^{-1/4}, so pi^{1/4} times the k = 0 column integrates s^p e^{-t^2}
+            weighted.append((j, math.pi**0.25 * np.concatenate(mass)[:, square]))
+            p = np.arange(1, rows + 1)
+            moments = ((edges[1:] - origins)[:, None] ** p - (edges[:-1] - origins)[:, None] ** p) / p
+            plain.append((j, moments[:, square]))
+        return (
+            _finite("pairings <f~, h_alpha>_w", pairs),
+            _finite("||f~||^2_w", _quadratic(self.coeffs, weighted)),
+            _finite("||f||^2_L2", _quadratic(self.coeffs, plain)),
+        )
 
-        return cls(box=box, fn=interp)
+
+# ----------------------------------------------------------------------
+# contractions with the 1-D tables
+# ----------------------------------------------------------------------
+
+
+def _finite(name: str, value):
+    if not np.isfinite(value).all():
+        raise QuadratureError(f"non-finite {name}: it leaves the float range")
+    return value
+
+
+def _contract(t: np.ndarray, j: int, table: np.ndarray, first: int = 0, keep: bool = True) -> np.ndarray:
+    """t's axis j, read as (cells, D) from cell ``first`` on, against
+    table[c, d, e]: out[.., c, e, ..] (keep) or summed over c (not keep)."""
+    cells, depth, _ = table.shape
+    moved = np.swapaxes(t, j, -1)[..., first * depth : (first + cells) * depth]
+    moved = moved.reshape(moved.shape[:-1] + (cells, depth))
+    if not keep:
+        return np.swapaxes(np.einsum("...cd,cde->...e", moved, table), j, -1)
+    out = np.einsum("...cd,cde->...ce", moved, table)
+    return np.swapaxes(out.reshape(out.shape[:-2] + (-1,)), j, -1)
+
+
+def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> float:
+    """coeffs . (B_1 x ... x B_n) coeffs, each (j, B_j) block diagonal over
+    the cells of axis j."""
+    out = coeffs
+    for j, block in blocks:
+        out = _contract(out, j, block)
+    return float(np.sum(coeffs * out))
 
 
 # ----------------------------------------------------------------------
 # adaptive panel quadrature over boxes
 # ----------------------------------------------------------------------
-
-
-class QuadratureError(ArithmeticError):
-    """The integrand gave a panel estimate that is not finite (NaN or inf)."""
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +315,9 @@ def integrate_box(
     summed in tree order (left + right at every node), so the result is
     the depth-first recursion's to the last bit, whatever the batching.
     A non-finite estimate raises QuadratureError at once: NaN never passes
-    the agreement test, so it would bisect to ``MAX_DEPTH``.
+    the agreement test, so it would bisect to ``MAX_DEPTH``.  A panel that
+    has not converged at ``MAX_DEPTH`` raises QuadratureError too, naming
+    the depth and the unmet tolerance.
     """
     ref_nodes, ref_weights = _panel_rule(box.dim)
     size = len(ref_weights)
@@ -290,8 +363,14 @@ def integrate_box(
                     )
                 # the relative floor stops refinement once float rounding dominates
                 noise = 4e-15 * np.maximum(abs(estimate), abs(fine))
-                if np.all(abs(fine - estimate) <= np.maximum(budget, noise)) or depth >= MAX_DEPTH:
+                if np.all(abs(fine - estimate) <= np.maximum(budget, noise)):
                     level.append(fine)
+                elif depth >= MAX_DEPTH:
+                    raise QuadratureError(
+                        f"integrate_box reached MAX_DEPTH = {MAX_DEPTH} on panel "
+                        f"{list(zip(los[i].tolist(), his[i].tolist()))} with |fine - coarse| = "
+                        f"{float(np.max(abs(fine - estimate)))!r} above its share {budget!r} of tol = {tol!r}"
+                    )
                 else:
                     level.append(None)
                     split += [2 * i, 2 * i + 1]
@@ -308,34 +387,6 @@ def integrate_box(
             below = [fine if fine is not None else next(children) + next(children) for fine in level]
         (total,) = below
     return float(total) if total.ndim == 0 else total
-
-
-# ----------------------------------------------------------------------
-# the orthonormal Hermite basis at quadrature nodes
-# ----------------------------------------------------------------------
-
-
-def orthonormal_table(
-    weight: WeightSpec, indices: Sequence[MultiIndex], points: np.ndarray
-) -> np.ndarray:
-    """(m, K) values h_alpha(x) of the orthonormal basis of L2(e^{-weight})
-    at the m points, alpha over the K indices.
-
-    The normalized three-term recurrence keeps every value O(1) near the
-    physical region, where monomial coefficients of high-degree Hermite
-    polynomials are astronomically large.
-    """
-    n = weight.dim
-    lam = float(weight.lam)
-    idx = np.array(indices, dtype=int).reshape(-1, n)
-    t = math.sqrt(lam) * (points - np.array([float(c) for c in weight.center]))
-    top = int(idx.max(initial=0))
-    axis = np.stack([np.broadcast_to(v, t.shape) for v in normalized_hermite_values(top, t)])
-    # per-axis normalization: integral h~_k(sqrt(lam) u)^2 e^{-lam u^2} du = lam^{-1/2}
-    table = np.full((len(points), len(idx)), lam ** (n / 4.0))
-    for j in range(n):
-        table *= axis[idx[:, j], :, j].T
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -356,13 +407,14 @@ def max_truncation(dim: int) -> int:
 
 
 def check_input_limits(dim: int, truncation: int) -> None:
-    """Raise InputLimitError, naming the limit, for a bounded solve over
-    MAX_TABLE_ENTRIES per panel or above max_truncation(dim)."""
-    entries = math.comb(truncation + dim, dim) * PANEL_ORDER**dim
-    if entries > MAX_TABLE_ENTRIES:
+    """Raise InputLimitError, naming the limit, for a bounded solve whose
+    (N+3)^n coefficient array is over MAX_TENSOR_ENTRIES or whose N is
+    above max_truncation(dim)."""
+    entries = (truncation + 3) ** dim
+    if entries > MAX_TENSOR_ENTRIES:
         raise InputLimitError(
-            f"truncation {truncation} in {dim}-D needs {entries} Hermite table entries "
-            f"per panel, above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+            f"truncation {truncation} in {dim}-D needs {entries} solution coefficient entries "
+            f"(N + 3)^n, above MAX_TENSOR_ENTRIES = {MAX_TENSOR_ENTRIES}"
         )
     limit = max_truncation(dim)
     if truncation > limit:
@@ -434,19 +486,18 @@ def solve_bounded(
     Pipeline: center the unit Gaussian weight at the box center x0,
     project the zero extension f~ of f onto the orthonormal Hermite basis
     h_alpha up to the truncation degree, solve the projected problem
-    exactly in coefficient space, and restrict.  Two quadrature passes do
-    the float work: the data side gives every pairing <f~, h_alpha>_w,
-    ||f~||^2_w and ||f||^2_{L2(U)} over one panel tree, the solution side
-    ||u||^2_{L2(U)}.  The report checks
+    exactly in coefficient space, and restrict.  The float integrals are
+    closed forms: SampledFunction.integrals for the data, per-axis Gram
+    matrices of the basis for ||u||^2_{L2(U)}.  The report checks
     ||u||_{L2(U)} <= sqrt(e^{|U|^2}/(8n)) ||f||_{L2(U)}.
     ``residual_exact`` is the exact check (lap + a) u == P_N f~ on Hermite
     coefficients.  ``bessel_holds`` checks ||P_N f~||^2_w (Parseval on the
-    projected coefficients) <= ||f~||^2_w (quadrature) within
-    ``bessel_tol``, which follows from QUAD_TOL and the number of
-    pairings; it fails when the quadrature or the basis is wrong.
-    ``projection_defect_rel`` = 1 - ||P_N f~||^2_w / ||f~||^2_w is the
-    share of the data the truncation drops (0 for zero data).
-    Inputs beyond ``check_input_limits`` raise InputLimitError first.
+    projected coefficients) <= ||f~||^2_w within ``bessel_tol``, which
+    follows from QUAD_TOL and the number of pairings; it fails when a
+    pairing or the basis is wrong.  ``projection_defect_rel`` = 1 -
+    ||P_N f~||^2_w / ||f~||^2_w is the share of the data the truncation
+    drops (0 for zero data).  Inputs beyond ``check_input_limits`` raise
+    InputLimitError first.
     """
     a = Fraction(a)
     n = box.dim
@@ -454,7 +505,6 @@ def solve_bounded(
         raise ValueError("sampled function must live on the target box")
     check_input_limits(n, truncation)
     point0 = box.center
-    x0 = np.array(point0)
     weight = WeightSpec(
         dim=n, lam=Fraction(1), center=tuple(Fraction(v) for v in point0)
     )
@@ -469,19 +519,13 @@ def solve_bounded(
         for alpha in multi_indices_up_to(n, truncation + 2)
     }
 
-    def data_side(x: np.ndarray) -> np.ndarray:
-        gauss = np.exp(-((x - x0) ** 2).sum(axis=1))
-        fx = f(x)
-        pairings = fx[:, None] * orthonormal_table(weight, indices, x) * gauss[:, None]
-        return np.column_stack([pairings, fx**2 * gauss, fx**2])
-
-    *raw, norm_f_w_data, norm_f_l2_sq = integrate_box(data_side, box, tol=QUAD_TOL).tolist()
-    f_coeffs: dict[MultiIndex, Fraction] = {}
-    for alpha, p in zip(indices, raw):
-        c = p / basis_norm[alpha]
-        if c != 0.0:
-            f_coeffs[alpha] = Fraction(c)
-    f_exp = HermiteExpansion(weight, f_coeffs)
+    with np.errstate(all="ignore"):
+        raw, norm_f_w_data, norm_f_l2_sq = f.integrals(point0, truncation)
+    # each float coefficient is an int over a power of two: over the largest, exactly
+    ratios = {alpha: (float(raw[alpha]) / basis_norm[alpha]).as_integer_ratio() for alpha in indices}
+    den = max(d for _, d in ratios.values())
+    nums = {alpha: num * (den // d) for alpha, (num, d) in ratios.items()}
+    f_exp = HermiteExpansion._trusted(weight, *reduced(den, nums))
 
     u_exp, residual_exact, norm_f_w, norm_u_w, weighted_ratio = exact_solve(f_exp, a)
     weighted_ratio_vs_data = (
@@ -496,13 +540,15 @@ def solve_bounded(
     bessel_tol = QUAD_TOL * (1.0 + 2.0 * math.sqrt(k * max(norm_f_w_data, 0.0)) + k * QUAD_TOL)
     defect = 1.0 - projected / norm_f_w_data if norm_f_w_data > 0 else 0.0
 
-    # restriction norm of the solution, over its orthonormal coefficients
-    u_indices = sorted(u_exp.nums)
-    u_orth = np.array([u_exp.nums[alpha] / u_exp.den * basis_norm[alpha] for alpha in u_indices])
-    norm_u_l2_sq = integrate_box(
-        lambda x: (orthonormal_table(weight, u_indices, x) @ u_orth) ** 2, box, tol=QUAD_TOL
-    )
-    norm_u_l2 = math.sqrt(max(norm_u_l2_sq, 0.0))
+    # restriction norm of the solution: its dense orthonormal coefficients
+    # against the per-axis Gram matrices of h_0..h_(N+2) over the box
+    size = truncation + 3
+    u_orth = np.zeros((size,) * n)
+    for alpha, num in u_exp.nums.items():
+        u_orth[alpha] = num / u_exp.den * basis_norm[alpha]
+    with np.errstate(all="ignore"):
+        grams = [(j, hermite_gram(*box.intervals[j], point0[j], size)[None]) for j in range(n)]
+        norm_u_l2 = math.sqrt(max(_finite("||u||^2_L2", _quadratic(u_orth, grams)), 0.0))
     norm_f_l2 = math.sqrt(max(norm_f_l2_sq, 0.0))
     constant = math.sqrt(math.exp(box.diameter**2) / (8 * n))
     bound_value = constant * norm_f_l2
@@ -568,10 +614,10 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
     """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2,
     each within EMBEDDING_TOL.
 
-    Sampled data uses one quadrature pass over its support box for both
-    squared norms (the zero extension contributes nothing outside) and
-    SUP_SAMPLES seeded random points for the sup; at least one of the two
-    routes must be available.  Polynomials get the exact weighted norm;
+    Sampled data gets both squared norms in closed form over its support
+    box (the zero extension contributes nothing outside) and SUP_SAMPLES
+    seeded random points for the sup; at least one of the two routes must
+    be available.  Polynomials get the exact weighted norm;
     their L2/sup norms over R^n are infinite except in the constant case,
     so only the applicable route is reported.
     """
@@ -591,12 +637,8 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
             )
     else:
         n = f.box.dim
-
-        def squares(x: np.ndarray) -> np.ndarray:
-            f_sq = f(x) ** 2
-            return np.column_stack([f_sq * np.exp(-(x * x).sum(axis=1)), f_sq])
-
-        weighted, l2_sq = integrate_box(squares, f.box, tol=EMBEDDING_QUAD_TOL).tolist()
+        with np.errstate(all="ignore"):
+            _, weighted, l2_sq = f.integrals((0.0,) * n, 0)
         lo, hi = f.box.corners
         points = np.random.default_rng(0).uniform(lo, hi, size=(SUP_SAMPLES, n))
         sup_sq = float(np.max(np.abs(f(points)))) ** 2
@@ -705,6 +747,18 @@ def _integral_form() -> Callable[[float], float]:
     return u
 
 
+def _square_integral(lin: float, const: float, r: float) -> float:
+    """integral_1^r (lin x + x ln x + const)^2 dx, by the elementary
+    antiderivatives of x^2 ln^i x (i <= 2), x ln^i x (i <= 1) and 1."""
+
+    def antiderivative(x: float) -> float:
+        ln = math.log(x)
+        cubic = lin * lin / 3.0 + ln * ln / 3.0 - 2.0 * ln / 9.0 + 2.0 / 27.0 + 2.0 * lin * (ln / 3.0 - 1.0 / 9.0)
+        return x * x * x * cubic + x * x * const * (lin + ln - 0.5) + const * const * x
+
+    return antiderivative(r) - antiderivative(1.0)
+
+
 def counterexample_report(
     r_max: float = 1000.0,
     c1: RationalLike = 0,
@@ -720,10 +774,12 @@ def counterexample_report(
     while the Gaussian-weighted one converges.  The affine part c1 x + c2
     is exact on both routes of (i) and has u'' = 0, and the exact u(1)
     check covers it, so (i) and (ii) run at c1 = c2 = 0: in float, a large
-    affine part would round away the x ln x term they check.  An R above
-    MAX_R, or a c1 or c2 above the float range, raises InputLimitError; a
-    square integral of u (QuadratureError) or the tail bound
-    (OverflowError) that leaves the float range raises naming it, c1 and c2.
+    affine part would round away the x ln x term they check.  The growth
+    integrals are elementary (_square_integral); the weighted one goes
+    through integrate_box.  An R above MAX_R, or a c1 or c2 above the float
+    range, raises InputLimitError; a square integral of u (QuadratureError)
+    or the tail bound (OverflowError) that leaves the float range raises
+    naming it, c1 and c2.
     """
     if r_max < 1.0:
         raise ValueError(f"R must be >= 1, got {r_max}")
@@ -755,29 +811,29 @@ def counterexample_report(
     second = (u0(xs + h) - 2.0 * u0(xs) + u0(xs - h)) / h**2
     second_max = float(np.max(abs(second * xs - 1.0)))
 
-    def square_integral(name: str, fn: Callable[[np.ndarray], np.ndarray], r: float, tol: float) -> float:
-        try:
-            return integrate_box(fn, BoxDomain(((1.0, r),)), tol=tol)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"counterexample: the {name} over [1, {r!r}] at c1 = {c1_float:.6g}, "
-                f"c2 = {c2_float:.6g} leaves the float range ({exc})"
-            ) from None
-
     radii = sorted({10.0, 100.0, 1000.0, float(r_max)})
     radii = [r for r in radii if r <= float(r_max)] or [float(r_max)]
     growth = []
     for r in radii:
-        if r <= 1.0:
-            growth.append((r, 0.0))
-            continue
-        growth.append((r, square_integral("growth integral of u^2", lambda x: u(x[:, 0]) ** 2, r, 1e-8)))
+        value = _square_integral(float(a_lin), float(a_const), r) if r > 1.0 else 0.0
+        if not math.isfinite(value):
+            raise QuadratureError(
+                f"counterexample: the growth integral of u^2 over [1, {r!r}] at c1 = {c1_float:.6g}, "
+                f"c2 = {c2_float:.6g} leaves the float range ({value!r})"
+            )
+        growth.append((r, value))
     strictly_increasing = all(b[1] > a[1] for a, b in zip(growth, growth[1:]))
 
     cutoff = 8.0
-    weighted = square_integral(
-        "weighted integral of u^2", lambda x: u(x[:, 0]) ** 2 * np.exp(-x[:, 0] ** 2), cutoff, 1e-12
-    )
+    try:
+        weighted = integrate_box(
+            lambda x: u(x[:, 0]) ** 2 * np.exp(-x[:, 0] ** 2), BoxDomain(((1.0, cutoff),)), tol=1e-12
+        )
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"counterexample: the weighted integral of u^2 over [1, {cutoff!r}] at c1 = {c1_float:.6g}, "
+            f"c2 = {c2_float:.6g} failed ({exc})"
+        ) from None
     # |u| <= D x^2 for x >= cutoff, and
     # integral_X^inf x^4 e^{-x^2} dx <= e^{-X^2} (X^3/2 + 3X/4 + 3/(8X))
     d_const = abs(float(a_lin)) + 1.0 + abs(float(a_const))

@@ -17,6 +17,9 @@ basis norms are rational multiples of the global unit (pi/lam)^{n/2}:
 Exact weighted integrals of polynomials are GaussianScalar values: a
 rational part tagged with that symbolic unit.  Non-polynomial integrands
 go through tensor Gauss-Hermite quadrature (numpy's ``hermgauss`` rule).
+Over an interval, the orthonormal basis has closed-form float integrals:
+its Gaussian moments (``gaussian_moments``, from erf and Rodrigues'
+formula) and its Gram matrix (``hermite_gram``).
 """
 
 from __future__ import annotations
@@ -447,16 +450,19 @@ def norm_sq(p: Polynomial, weight: WeightSpec) -> GaussianScalar:
 # ----------------------------------------------------------------------
 
 
-def normalized_hermite_values(max_k: int, t):
+def normalized_hermite_values(max_k: int, t, first=math.pi**-0.25):
     """Orthonormal H_k(t)/sqrt(2^k k! sqrt(pi)) values, k = 0..max_k.
 
     ``t`` is a float or a numpy array (then every entry from k = 1 on is
-    an array of t's shape; the k = 0 entry stays the scalar pi^{-1/4}).
-    High-degree Hermite polynomials have astronomically large monomial
-    coefficients; the normalized three-term recurrence keeps every value
-    O(1) near the physical region, so pointwise evaluation stays precise.
+    an array of t's shape; the k = 0 entry is ``first``, by default the
+    scalar pi^{-1/4}).  High-degree Hermite polynomials have astronomically
+    large monomial coefficients; the normalized three-term recurrence keeps
+    every value O(1) near the physical region, so pointwise evaluation
+    stays precise.  The recurrence is linear, so ``first`` =
+    pi^{-1/4} e^{-t^2/2} gives the Hermite functions h_k(t) e^{-t^2/2},
+    which stay below 1 where h_k(t) itself would overflow.
     """
-    vals = [math.pi**-0.25]
+    vals = [first]
     prev = 0.0
     for k in range(max_k):
         vals.append(t * math.sqrt(2.0 / (k + 1)) * vals[k] - math.sqrt(k / (k + 1.0)) * prev)
@@ -492,3 +498,76 @@ def integrate_gaussian(
     values = np.asarray(fn(points * lam**-0.5 + center), dtype=float)
     total = (weights @ values) * lam ** (-weight.dim / 2.0)
     return float(total) if total.ndim == 0 else total
+
+
+# ----------------------------------------------------------------------
+# closed-form 1-D integrals of the orthonormal basis
+# ----------------------------------------------------------------------
+
+
+def _gauss_mass(a: float, b: float) -> float:
+    """integral_a^b e^{-t^2} dt, by erfc when both ends lie on one side of
+    0, where the difference of erfs would cancel."""
+    if a >= 0.0 or b <= 0.0:
+        near, far = sorted((abs(a), abs(b)))
+        return math.sqrt(math.pi) / 2.0 * (math.erfc(near) - math.erfc(far))
+    return math.sqrt(math.pi) / 2.0 * (math.erf(b) - math.erf(a))
+
+
+@lru_cache(maxsize=None)
+def _rodrigues_factors(cols: int) -> np.ndarray:
+    """1/sqrt(2k), k = 1..cols-1, read-only: d/dt [h_(k-1)(t) e^{-t^2}] = -sqrt(2k) h_k(t) e^{-t^2}."""
+    factors = 1.0 / np.sqrt(2.0 * np.arange(1, cols))
+    factors.setflags(write=False)
+    return factors
+
+
+def gaussian_moments(
+    lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, rows: int, cols: int
+) -> np.ndarray:
+    """The (C, rows, cols) table M[c, m, k] of the integrals over [lo_c, hi_c]
+    of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2.
+
+    M[0, 0] is erf.  For k >= 1, Rodrigues' formula integrated by parts
+    gives M[m, k] = (m M[m-1, k-1] - [s^m h_(k-1) e^{-t^2}]) / sqrt(2k);
+    for m >= 1, s = t + x0 - origin and t h_0 = h_1 / sqrt(2) give M[m, 0].
+    That last step loses about |x0 - origin| / (hi - lo) per row when the
+    origin is far from x0 next to the cell width; domains.SampledFunction
+    asks for m <= 2 on grid cells and puts a polynomial's origin at 0.
+    h_(k-1) e^{-t^2} is the Hermite function h_(k-1) e^{-t^2/2} times
+    e^{-t^2/2}: a far end underflows to 0, not inf * 0.
+    """
+    cells = len(lo)
+    t = np.concatenate([lo, hi]) - x0
+    half = np.exp(-t * t / 2.0)
+    ends = (np.array(normalized_hermite_values(cols - 2, t, math.pi**-0.25 * half)) * half).T
+    factors = _rodrigues_factors(cols)
+    table = np.empty((cells, rows, cols))
+    table[:, 0, 0] = [math.pi**-0.25 * _gauss_mass(a, b) for a, b in zip(t[:cells], t[cells:])]
+    table[:, 0, 1:] = (ends[:cells] - ends[cells:]) * factors
+    s_lo, s_hi = (lo - origins)[:, None], (hi - origins)[:, None]
+    for m in range(1, rows):
+        edge = s_hi**m * ends[cells:] - s_lo**m * ends[:cells]
+        table[:, m, 1:] = (m * table[:, m - 1, :-1] - edge) * factors
+        table[:, m, 0] = table[:, m - 1, 1] * math.sqrt(0.5) + (x0 - origins) * table[:, m - 1, 0]
+    return table
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule on [-1, 1], exact to degree
+    2 order - 1, read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
+    """G[a, b] = integral_lo^hi h_a(x - x0) h_b(x - x0) dx, a, b < size: a
+    polynomial of degree 2 size - 2, which the size-point rule integrates
+    exactly."""
+    nodes, weights = _legendre_rule(size)
+    t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
+    values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
+    return (values * (weights * (hi - lo) / 2.0)) @ values.T

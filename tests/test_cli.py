@@ -266,9 +266,9 @@ class TestBoundedCommand:
         "box, degree, limit",
         [
             ("--box=-1,1;-1,1", "148", "degree limit 147"),
-            ("--box=-1,1", "1000000", "MAX_TABLE_ENTRIES"),
-            ("--box=-1,1;-1,1", "200", "MAX_TABLE_ENTRIES"),
-            ("--box=-1,1;-1,1;-1,1", "30", "MAX_TABLE_ENTRIES"),
+            ("--box=-1,1", "1000000", "MAX_TENSOR_ENTRIES"),
+            ("--box=-1,1;-1,1", "200", "MAX_TENSOR_ENTRIES"),
+            ("--box=-1,1;-1,1;-1,1", "30", "MAX_TENSOR_ENTRIES"),
         ],
     )
     def test_over_limit_exits_2(self, capsys, box, degree, limit):
@@ -286,6 +286,27 @@ class TestBoundedCommand:
 
     def test_bad_box(self, capsys):
         assert main(["bounded", "--box=oops", "--f", "const:1"]) == EXIT_SPEC
+
+    def test_poly_echo_does_not_depend_on_the_path(self, tmp_path, monkeypatch, capsys):
+        """One file read through a relative and an absolute path gives the
+        same bytes: the echo is the parsed polynomial, not the path."""
+        poly = Polynomial(1, {(2,): Fraction(1, 3), (0,): -2})
+        (tmp_path / "p.json").write_text(json.dumps(poly.to_json_dict()))
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for path in ("p.json", str(tmp_path / "p.json")):
+            assert main(["bounded", "--box=-1,1", "--f", f"poly:{path}", "--degree", "6"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["spec"]["f"] == poly.to_json_dict()
+
+    def test_const_and_grid_echo_as_parsed(self, tmp_path):
+        _, report = run_cli("bounded", "--box=0,1", "--f", "const:2/4", "--degree", "4", tmp_path=tmp_path)
+        assert report["spec"]["f"] == "1/2"
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"shape": [3], "values": [1, 0.5, 2]}))
+        _, report = run_cli("bounded", "--box=0,1", "--f", f"expr-grid:{grid_path}", "--degree", "4", tmp_path=tmp_path)
+        assert report["spec"]["f"] == {"shape": [3], "values": [1.0, 0.5, 2.0]}
 
 
 class TestCounterexampleCommand:
@@ -441,6 +462,13 @@ class TestNumericFailureExits3:
         path.write_text(json.dumps(Polynomial(1, {(3,): big, (2,): -big}).to_json_dict()))
         assert main(["bounded", "--box=-2,2", "--degree", "2", "--f", f"poly:{path}"]) == EXIT_NUMERIC
         assert "numeric failure: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_bounded_huge_box(self, capsys):
+        """On [-1e200, 1e200] the Hermite values of the Gram rule overflow:
+        exit 3 naming the integral, and no numpy warning."""
+        assert main(["bounded", "--box=-1e200,1e200", "--degree", "4", "--f", "const:1"]) == EXIT_NUMERIC
+        assert "numeric failure: non-finite ||u||^2_L2" in capsys.readouterr().err
 
 
 class TestLargeShifts:

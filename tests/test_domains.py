@@ -20,11 +20,39 @@ from gauss_rinv.domains import (
     counterexample_report,
     embedding_check,
     integrate_box,
-    orthonormal_table,
     solve_bounded,
 )
-from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite, tensor_rule
+from gauss_rinv.hermite import (
+    HermiteExpansion,
+    WeightSpec,
+    gaussian_moments,
+    monomial_to_hermite,
+    normalized_hermite_values,
+    tensor_rule,
+)
 from gauss_rinv.polynomials import Polynomial
+
+
+def orthonormal_table(weight: WeightSpec, indices, points: np.ndarray) -> np.ndarray:
+    """(m, K) values h_alpha(x) of the orthonormal basis of L2(e^{-weight})
+    at the m points, alpha over the K indices, by the normalized three-term
+    recurrence: the pointwise reference of the closed-form tables."""
+    n = weight.dim
+    lam = float(weight.lam)
+    idx = np.array(indices, dtype=int).reshape(-1, n)
+    t = math.sqrt(lam) * (points - np.array([float(c) for c in weight.center]))
+    top = int(idx.max(initial=0))
+    axis = np.stack([np.broadcast_to(v, t.shape) for v in normalized_hermite_values(top, t)])
+    # per-axis normalization: integral h~_k(sqrt(lam) u)^2 e^{-lam u^2} du = lam^{-1/2}
+    table = np.full((len(points), len(idx)), lam ** (n / 4.0))
+    for j in range(n):
+        table *= axis[idx[:, j], :, j].T
+    return table
+
+
+# sqrt(x + SQRT_SHIFT) is steep enough near 0 to refine 43 1-D panels
+# there at tol 1e-10, and smooth enough to converge above MAX_DEPTH.
+SQRT_SHIFT = 1e-4
 
 
 class TestBoxDomain:
@@ -69,16 +97,17 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_every_component_refined(self, order):
-        """sqrt(x) needs panels near 0 that the constant never asks for; the
-        shared tree refines for it whichever column it is."""
+        """sqrt(x + c) needs panels near 0 that the constant never asks for;
+        the shared tree refines for it whichever column it is.  (sqrt(x)
+        itself never meets 1e-10 above MAX_DEPTH: see test_max_depth_raises.)"""
         tol = 1e-10
-        columns = [lambda t: np.ones_like(t), np.sqrt]
+        columns = [lambda t: np.ones_like(t), lambda t: np.sqrt(t + SQRT_SHIFT)]
         vals = integrate_box(
             lambda x: np.column_stack([columns[j](x[:, 0]) for j in order]),
             BoxDomain(((0.0, 1.0),)),
             tol=tol,
         )
-        exact = [1.0, 2.0 / 3.0]
+        exact = [1.0, 2.0 / 3.0 * ((1.0 + SQRT_SHIFT) ** 1.5 - SQRT_SHIFT**1.5)]
         for j, v in zip(order, vals):
             assert abs(v - exact[j]) <= tol
 
@@ -96,6 +125,18 @@ class TestQuadrature:
         # the first coarse panel, then its two halves in one call, 12 x 12
         # nodes each, and nothing deeper
         assert calls == [12 * 12, 2 * 12 * 12]
+
+    @pytest.mark.parametrize(
+        "fn, tol",
+        [(lambda x: abs(x[:, 0] - 1.0 / 3.0), 1e-13), (lambda x: np.sqrt(x[:, 0]), 1e-10)],
+        ids=["kink-at-third", "sqrt"],
+    )
+    def test_max_depth_raises(self, fn, tol):
+        """1/3 is never a panel edge, and the error of sqrt(x) on [0, h]
+        shrinks like h^1.5 while the panel's share of tol shrinks like h, so
+        both bisect to MAX_DEPTH unconverged, and say so instead of returning."""
+        with pytest.raises(QuadratureError, match=rf"reached MAX_DEPTH = 24 on panel .* above its share .* of tol = {tol!r}"):
+            integrate_box(fn, BoxDomain(((0.0, 1.0),)), tol=tol)
 
 
 def recursive_integrate_box(fn, box, tol=1e-10, depths=None):
@@ -120,8 +161,10 @@ def recursive_integrate_box(fn, box, tol=1e-10, depths=None):
         if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
             raise QuadratureError(f"non-finite integrand estimate {fine.tolist()!r}")
         noise = 4e-15 * np.maximum(abs(coarse), abs(fine))
-        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)) or depth >= MAX_DEPTH:
+        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)):
             return fine
+        if depth >= MAX_DEPTH:
+            raise QuadratureError("unconverged at MAX_DEPTH")
         return recurse(lo, left_hi, left, budget / 2.0, depth + 1) + recurse(
             right_lo, hi, right, budget / 2.0, depth + 1
         )
@@ -149,13 +192,31 @@ def recorded(fn, calls):
 
 
 UNIT, SQUARE = BoxDomain(((0.0, 1.0),)), BoxDomain(((0.0, 1.0), (0.0, 2.0)))
+_LINE, _PLANE = BoxDomain(((0.25, 1.5),)), BoxDomain(((0.5, 1.5), (-1.0, 0.0)))
+# One of each data kind, on symmetric and off-center boxes.
+DATA_CASES = {
+    "1d-constant": (BoxDomain(((-1.0, 1.0),)), SampledFunction.constant(BoxDomain(((-1.0, 1.0),)), 1.0)),
+    "1d-grid": (_LINE, SampledFunction.from_grid(_LINE, (5,), [0.3, -1.0, 0.5, 2.0, 0.0])),
+    # sqrt(x) sampled on 9 nodes: its interpolant's kinks fall on panel edges
+    "1d-sqrt": (UNIT, SampledFunction.from_grid(UNIT, (9,), np.sqrt(np.linspace(0.0, 1.0, 9)))),
+    "2d-polynomial": (
+        _PLANE,
+        SampledFunction.from_polynomial(Polynomial(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)}), _PLANE),
+    ),
+    "2d-grid": (_PLANE, SampledFunction.from_grid(_PLANE, (3, 4), np.linspace(-1.0, 2.0, 12))),
+}
+
+
+def _weight(box: BoxDomain) -> WeightSpec:
+    """The unit weight centered at the box center, as solve_bounded takes it."""
+    return WeightSpec(dim=box.dim, lam=Fraction(1), center=tuple(Fraction(c) for c in box.center))
 REFERENCE_CASES = {
     "1d-scalar": (lambda x: x[:, 0] ** 2, UNIT, 1e-10),
     "2d-scalar": (lambda x: x[:, 0] * x[:, 1], SQUARE, 1e-12),
     "gaussian-erf": (lambda x: np.exp(-x[:, 0] ** 2), UNIT, 1e-13),
     "1d-array": (lambda x: x[:, :1] ** np.arange(6), UNIT, 1e-12),
-    "sqrt-refined": (lambda x: np.column_stack([np.ones(len(x)), np.sqrt(x[:, 0])]), UNIT, 1e-10),
-    "2d-array": (lambda x: np.column_stack([np.sqrt(x[:, 0] * x[:, 1]), x[:, 1]]), SQUARE, 1e-8),
+    "sqrt-refined": (lambda x: np.column_stack([np.ones(len(x)), np.sqrt(x[:, 0] + SQRT_SHIFT)]), UNIT, 1e-10),
+    "2d-array": (lambda x: np.column_stack([np.sqrt(x[:, 0] * x[:, 1] + SQRT_SHIFT), x[:, 1]]), SQUARE, 1e-8),
     # levels wider than MAX_BATCH_NODES: 64 1-D panels, 16 2-D panels
     "1d-oscillation": (lambda x: np.cos(300.0 * x[:, 0]), UNIT, 1e-12),
     "2d-kink": (lambda x: abs(x[:, 0] + x[:, 1] - 2.0 / 3.0), BoxDomain(((0.0, 1.0),) * 2), 1e-5),
@@ -191,36 +252,26 @@ class TestLevelBatching:
         integrate_box(recorded(fn, calls), box, tol=tol)
         assert max(map(len, calls)) == MAX_BATCH_NODES
 
-    @pytest.mark.parametrize(
-        "box, data",
-        [
-            (BoxDomain(((-1.0, 1.0),)), lambda box: SampledFunction.constant(box, 1.0)),
-            (BoxDomain(((0.0, 1.0),)), lambda box: SampledFunction(box, lambda x: np.sqrt(x[:, 0]))),
-            (
-                BoxDomain(((0.5, 1.5), (-1.0, 0.0))),
-                lambda box: SampledFunction.from_polynomial(
-                    Polynomial(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)}), box
-                ),
-            ),
-        ],
-        ids=["1d-constant", "1d-sqrt", "2d-polynomial"],
-    )
-    def test_solve_bounded_integrands_match(self, monkeypatch, box, data):
-        """The data-side and solution-side integrands of solve_bounded and
-        the squares of embedding_check."""
-        seen = []
-        batched = domains.integrate_box
+    @pytest.mark.parametrize("name", sorted(DATA_CASES))
+    def test_solve_bounded_integrands_match(self, name):
+        """The integrands the bounded pipeline handed integrate_box before its
+        closed forms: the batched tree gives the recursion's bits on them, and
+        both agree with the closed forms within QUAD_TOL."""
+        box, f = DATA_CASES[name]
+        w = _weight(box)
+        indices = rightinverse.multi_indices_up_to(box.dim, 6)
+        x0 = np.array(box.center)
 
-        def record(fn, box, tol=1e-10):
-            seen.append((fn, box, tol))
-            return batched(fn, box, tol=tol)
+        def data_side(x):
+            gauss = np.exp(-((x - x0) ** 2).sum(axis=1))
+            fx = f(x)
+            return np.column_stack([fx[:, None] * orthonormal_table(w, indices, x) * gauss[:, None], fx**2 * gauss, fx**2])
 
-        monkeypatch.setattr(domains, "integrate_box", record)
-        solve_bounded(box, data(box), truncation=6)
-        embedding_check(data(box))
-        assert len(seen) == 3
-        for fn, box, tol in seen:
-            assert_same_bits(batched(fn, box, tol=tol), recursive_integrate_box(fn, box, tol=tol))
+        batched = integrate_box(data_side, box, tol=domains.QUAD_TOL)
+        assert_same_bits(batched, recursive_integrate_box(data_side, box, tol=domains.QUAD_TOL))
+        pairs, weighted, l2_sq = f.integrals(box.center, 6)
+        closed = [pairs[alpha] for alpha in indices] + [weighted, l2_sq]
+        assert np.abs(batched - closed).max() <= domains.QUAD_TOL
 
     def test_panel_rule_built_once_and_read_only(self, monkeypatch):
         built = []
@@ -343,10 +394,16 @@ class TestSolveBounded:
         assert rep.projection_defect_rel == pytest.approx(defect, abs=5e-5)
 
     def test_doubled_table_fails_bessel(self, monkeypatch):
-        """A basis that is not orthonormal (every h_alpha doubled) projects
-        more than the data holds, and the Bessel check says so."""
-        table = domains.orthonormal_table
-        monkeypatch.setattr(domains, "orthonormal_table", lambda *args: 2.0 * table(*args))
+        """A basis that is not orthonormal (every h_alpha doubled, so every
+        pairing doubled) projects more than the data holds, and the Bessel
+        check says so."""
+        integrals = SampledFunction.integrals
+
+        def doubled(self, x0, top):
+            pairs, weighted, l2_sq = integrals(self, x0, top)
+            return 2.0 * pairs, weighted, l2_sq
+
+        monkeypatch.setattr(SampledFunction, "integrals", doubled)
         box = BoxDomain(((-1.0, 1.0),))
         rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=10)
         assert not rep.bessel_holds
@@ -376,8 +433,8 @@ class TestSolveBounded:
 
 
 class TestInputLimits:
-    """A bounded solve states its limits: table entries per panel and the
-    degree whose basis norm stays a finite float."""
+    """A bounded solve states its limits: the entries of its dense (N+3)^n
+    solution array and the degree whose basis norm stays a finite float."""
 
     @pytest.mark.parametrize("dim, last_ok", [(1, 148), (2, 147)])
     def test_degree_limit_both_sides(self, dim, last_ok):
@@ -386,17 +443,30 @@ class TestInputLimits:
         with pytest.raises(InputLimitError, match=f"degree limit {last_ok}"):
             check_input_limits(dim, last_ok + 1)
 
-    @pytest.mark.parametrize("dim, last_ok", [(1, 166665), (2, 165)])
+    @pytest.mark.parametrize("dim, last_ok", [(1, 32765), (2, 178), (3, 29), (4, 10)])
     def test_size_limit_both_sides(self, dim, last_ok):
-        """Just inside MAX_TABLE_ENTRIES the size passes (the degree limit then
-        names itself); one degree more names the size limit."""
-        per_panel = domains.PANEL_ORDER**dim
-        assert math.comb(last_ok + dim, dim) * per_panel <= domains.MAX_TABLE_ENTRIES
-        assert math.comb(last_ok + 1 + dim, dim) * per_panel > domains.MAX_TABLE_ENTRIES
-        with pytest.raises(InputLimitError, match="degree limit"):
+        """Just inside MAX_TENSOR_ENTRIES the size passes (in 1-D and 2-D the
+        degree limit then names itself); one degree more names the size limit."""
+        assert (last_ok + 3) ** dim <= domains.MAX_TENSOR_ENTRIES < (last_ok + 4) ** dim
+        if last_ok > domains.max_truncation(dim):
+            with pytest.raises(InputLimitError, match="degree limit"):
+                check_input_limits(dim, last_ok)
+        else:
             check_input_limits(dim, last_ok)
-        with pytest.raises(InputLimitError, match="MAX_TABLE_ENTRIES"):
+        with pytest.raises(InputLimitError, match="MAX_TENSOR_ENTRIES"):
             check_input_limits(dim, last_ok + 1)
+
+    def test_every_input_the_panel_limit_admitted_is_admitted(self):
+        """The per-panel limit this one replaced, C(N+n, n) 12^n <= 2,000,000
+        Hermite values, admitted with the degree limit N <= 148, 147, 17, 4
+        and 1 in 1- to 5-D and nothing from 6-D on; each is still admitted."""
+        admitted = 0
+        for dim in range(1, 8):
+            for degree in range(domains.max_truncation(dim) + 1):
+                if math.comb(degree + dim, dim) * 12**dim <= 2_000_000:
+                    check_input_limits(dim, degree)
+                    admitted += 1
+        assert admitted == 149 + 148 + 18 + 5 + 2
 
     def test_every_workload_size_admitted(self):
         for dim, degree in [(1, 16), (2, 3), (2, 30), (1, 30)]:
@@ -410,11 +480,170 @@ class TestInputLimits:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started on an over-limit input")
 
-        monkeypatch.setattr(domains, "multi_indices_up_to", forbidden)
-        monkeypatch.setattr(domains, "integrate_box", forbidden)
+        for name in ("multi_indices_up_to", "gaussian_moments", "hermite_gram", "integrate_box"):
+            monkeypatch.setattr(domains, name, forbidden)
         box = BoxDomain(intervals)
         with pytest.raises(InputLimitError):
             solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=degree)
+
+
+def _mp_hermite_values(mpmath, top: int, t):
+    """h_0(t)..h_top(t) in mpmath, by the normalized recurrence."""
+    values, prev = [mpmath.pi ** mpmath.mpf(-0.25)], mpmath.mpf(0)
+    for k in range(top):
+        values.append(t * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * values[k] - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev)
+        prev = values[k]
+    return values
+
+
+def _magnitude(lo, hi, origin, x0, rows, top) -> np.ndarray:
+    """(rows, top+1) float integrals of |s^m h_k(t)| e^{-t^2} over [lo, hi]:
+    the scale each closed-form entry is measured against."""
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    x = (hi + lo) / 2.0 + (hi - lo) / 2.0 * nodes
+    t = x - x0
+    h = np.array(normalized_hermite_values(top, t, np.full_like(t, math.pi**-0.25)))
+    powers = (x - origin)[None, :] ** np.arange(rows)[:, None]
+    integrand = abs(powers[:, None, :] * h[None, :, :]) * np.exp(-t * t)
+    return integrand @ weights * (hi - lo) / 2.0
+
+
+class TestClosedForms:
+    """The 1-D Gaussian moment tables, the non-dyadic grid of the silent
+    quadrature error, and the exact hand-off to the solver."""
+
+    ORACLE_KS = (0, 1, 2, 3, 10, 40, 80, 120, 147, 148)
+
+    @pytest.mark.parametrize(
+        "lo, hi, origin, x0, rows",
+        [
+            (-1.0, 1.0, 0.0, 0.0, 7),  # centered, polynomial data
+            (0.25, 1.5, 0.0, 0.875, 7),  # off-center box, weight at its center
+            (0.25, 0.5625, 0.25, 0.875, 3),  # one grid cell of that box
+            (4.0, 5.0, 0.0, 0.0, 7),  # far on the right of the weight: erfc
+            (-6.0, -5.25, -6.0, 0.0, 3),  # far on the left, a grid cell
+        ],
+        ids=["centered", "off-center", "grid-cell", "far-right", "far-left-cell"],
+    )
+    def test_moments_match_mpmath(self, lo, hi, origin, x0, rows):
+        """integral s^m h_k(t) e^{-t^2}, k up to max_truncation(1), against
+        30-digit mpmath.quad; each entry within 1e-13 of the integral of
+        its absolute value."""
+        mpmath = pytest.importorskip("mpmath")
+        top = domains.max_truncation(1)
+        assert top == self.ORACLE_KS[-1]
+        table = gaussian_moments(np.array([lo]), np.array([hi]), np.array([origin]), x0, rows, top + 1)[0]
+        scale = _magnitude(lo, hi, origin, x0, rows, top)
+        with mpmath.workdps(30):
+            cache = {}
+
+            def entry(x, m, k):
+                if x not in cache:
+                    t = x - x0
+                    cache[x] = (_mp_hermite_values(mpmath, top, t), mpmath.exp(-t * t))
+                h, gauss = cache[x]
+                return (x - origin) ** m * h[k] * gauss
+
+            pieces = mpmath.linspace(lo, hi, 5)
+            for m in range(rows):
+                for k in self.ORACLE_KS:
+                    exact = mpmath.quad(lambda x: entry(x, m, k), pieces, method="gauss-legendre")
+                    assert abs(table[m, k] - exact) <= 1e-13 * scale[m, k], (m, k)
+
+    def test_far_end_underflows_to_zero(self):
+        """At |t| = 40, e^{-t^2/2} is 0 in floats: the far end adds 0, not inf * 0."""
+        table = gaussian_moments(np.array([0.0, 38.0]), np.array([40.0, 40.0]), np.zeros(2), 0.0, 3, 149)
+        assert np.isfinite(table).all()
+        assert table[0, 0, 0] == pytest.approx(math.pi**-0.25 * math.sqrt(math.pi) / 2, rel=1e-15)
+        assert np.abs(table[1]).max() < 1e-300
+
+    def test_non_dyadic_grid(self):
+        """The 7 x 6 grid whose weighted norm the panel tree missed by 3.2e-4
+        at QUAD_TOL: the closed form is within 1e-12 of a 40-point rule per
+        cell, and its unweighted norm is the exact multilinear one."""
+        box = BoxDomain(((-1.0, 1.0), (-0.5, 0.5)))
+        values = np.random.default_rng(5).uniform(-1, 1, 42)
+        report = embedding_check(SampledFunction.from_grid(box, (7, 6), values.tolist()))
+        grid = values.reshape(7, 6)
+        axes = [np.linspace(-1.0, 1.0, 7), np.linspace(-0.5, 0.5, 6)]
+        rule, weights = np.polynomial.legendre.leggauss(40)
+        reference = 0.0
+        for i in range(6):
+            for j in range(5):
+                (x0, x1), (y0, y1) = axes[0][i : i + 2], axes[1][j : j + 2]
+                x = (x0 + x1) / 2 + (x1 - x0) / 2 * rule
+                y = (y0 + y1) / 2 + (y1 - y0) / 2 * rule
+                # hat functions by np.interp over each axis's unit vectors
+                hx = np.stack([np.interp(x, axes[0], row) for row in np.eye(7)], axis=1)
+                hy = np.stack([np.interp(y, axes[1], row) for row in np.eye(6)], axis=1)
+                f = hx @ grid @ hy.T
+                cell = (f * f * np.exp(-x[:, None] ** 2 - y[None, :] ** 2)) @ weights @ weights
+                reference += cell * (x1 - x0) * (y1 - y0) / 4
+        assert report.weighted_sq == pytest.approx(reference, rel=1e-12)
+        assert abs(report.weighted_sq - 0.197887) < 1e-6
+
+        def mass(points: int, width: Fraction) -> list[list[Fraction]]:
+            """Hat mass matrix: h/3 at the ends, 2h/3 inside, h/6 beside the diagonal."""
+            m = [[Fraction(0)] * points for _ in range(points)]
+            for c in range(points - 1):
+                m[c][c] += width / 3
+                m[c + 1][c + 1] += width / 3
+                m[c][c + 1] = m[c + 1][c] = width / 6
+            return m
+
+        mx, my = mass(7, Fraction(2, 6)), mass(6, Fraction(1, 5))
+        v = [[Fraction(float(e)) for e in row] for row in grid]
+        exact = sum(
+            v[i][j] * mx[i][k] * my[j][l] * v[k][l]
+            for i in range(7) for k in range(7) if mx[i][k]
+            for j in range(6) for l in range(6) if my[j][l]
+        )
+        assert report.l2_sq == pytest.approx(float(exact), rel=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(DATA_CASES))
+    def test_no_panel_quadrature(self, monkeypatch, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_box called")
+
+        monkeypatch.setattr(domains, "integrate_box", forbidden)
+        box, f = DATA_CASES[name]
+        assert solve_bounded(box, f, a=Fraction(1, 2), truncation=5).residual_exact
+        assert embedding_check(f).holds
+
+    @pytest.mark.parametrize("name", sorted(DATA_CASES))
+    def test_exact_handoff_equals_fraction_construction(self, monkeypatch, name):
+        """f_exp from each coefficient's integer ratio over one power of two
+        is the HermiteExpansion of Fraction(c), exactly."""
+        box, f = DATA_CASES[name]
+        truncation = 6
+        seen = []
+        solve = domains.exact_solve
+        monkeypatch.setattr(domains, "exact_solve", lambda f_exp, a: seen.append(f_exp) or solve(f_exp, a))
+        solve_bounded(box, f, truncation=truncation)
+        pairs, _, _ = f.integrals(box.center, truncation)
+        unit = math.pi ** (box.dim / 2.0)
+        coeffs = {}
+        for alpha in rightinverse.multi_indices_up_to(box.dim, truncation):
+            norm = math.sqrt(float(HermiteExpansion.basis_norm_sq(alpha, Fraction(1))) * unit)
+            c = float(pairs[alpha]) / norm
+            if c != 0.0:
+                coeffs[alpha] = Fraction(c)
+        (f_exp,) = seen
+        assert f_exp == HermiteExpansion(_weight(box), coeffs)
+        assert len(f_exp.nums) == len(coeffs) > 1
+
+    def test_evaluation_matches_data(self):
+        """__call__ on the coefficient tensor: the polynomial itself, and the
+        grid's interpolant (np.interp in 1-D)."""
+        rng = np.random.default_rng(3)
+        box, f = DATA_CASES["2d-polynomial"]
+        points = rng.uniform(*zip(*box.intervals), size=(50, 2))
+        poly = Polynomial(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)})
+        assert f(points) == pytest.approx([float(poly.evaluate(list(p))) for p in points], abs=1e-15)
+        box, f = DATA_CASES["1d-grid"]
+        x = rng.uniform(0.25, 1.5, size=50)
+        nodes = np.linspace(0.25, 1.5, 5)
+        assert f(x[:, None]) == pytest.approx(np.interp(x, nodes, [0.3, -1.0, 0.5, 2.0, 0.0]), abs=1e-15)
 
 
 class TestEmbeddings:
