@@ -52,9 +52,6 @@ from .rightinverse import InputLimitError, exact_solve, input_float, multi_indic
 
 # Gauss-Legendre nodes per axis of one quadrature panel.
 PANEL_ORDER = 12
-# Most nodes integrate_box hands the integrand in one call: 48 1-D panels,
-# 4 2-D panels; a 3-D panel (1,728 nodes) goes alone.
-MAX_BATCH_NODES = 576
 # Bisection depth of integrate_box; a panel unconverged there raises.
 MAX_DEPTH = 24
 # Error budget of each float integral of solve_bounded; the Bessel
@@ -303,89 +300,53 @@ def integrate_box(
     """Adaptive composite Gauss-Legendre integral of fn over the box.
 
     ``fn`` maps an (m, n) array of nodes to m values (the result is a
-    float) or to an (m, k) array (the result is k integrals).  Panels are
-    bisected along their longest axis until the coarse/refined estimates
-    of every component agree within the (absolutely distributed) panel
-    tolerance, so each component gets a panel set at least as fine as it
-    would alone; the half-panel estimates are the children's coarse ones.
-    The tree is built level by level: the nodes of every child panel of a
-    level go to ``fn`` together, at most MAX_BATCH_NODES per call (and
-    whole panels, so at least one per call).  Each panel is reduced by its
-    own ``ref_weights @ values`` product, and the accepted estimates are
-    summed in tree order (left + right at every node), so the result is
-    the depth-first recursion's to the last bit, whatever the batching.
+    float) or to an (m, k) array (the result is k integrals); it is called
+    once per panel, with that panel's nodes.  Depth first, each panel is
+    bisected along its longest axis, and the sum of its halves is accepted
+    when it agrees with the panel's own estimate in every component within
+    the panel's share of tol (halved at each bisection), so each component
+    gets a panel set at least as fine as it would alone; the half-panel
+    estimates are the children's coarse ones.
     A non-finite estimate raises QuadratureError at once: NaN never passes
     the agreement test, so it would bisect to ``MAX_DEPTH``.  A panel that
     has not converged at ``MAX_DEPTH`` raises QuadratureError too, naming
     the depth and the unmet tolerance.
     """
     ref_nodes, ref_weights = _panel_rule(box.dim)
-    size = len(ref_weights)
-    per_call = max(1, MAX_BATCH_NODES // size)
 
-    def panels(los: np.ndarray, his: np.ndarray) -> list:
-        """The estimates of the panels [los[i], his[i]]."""
-        out = []
-        for first in range(0, len(los), per_call):
-            lo, hi = los[first:first + per_call], his[first:first + per_call]
-            halves = (hi - lo) / 2.0
-            nodes = ((hi + lo) / 2.0)[:, None, :] + halves[:, None, :] * ref_nodes
-            values = np.asarray(fn(nodes.reshape(-1, box.dim)), dtype=float)
-            blocks = values.reshape(-1, size, *values.shape[1:])
-            out.extend((ref_weights @ b) * np.prod(h) for b, h in zip(blocks, halves))
-        return out
+    def panel(lo: np.ndarray, hi: np.ndarray):
+        half = (hi - lo) / 2.0
+        values = np.asarray(fn((hi + lo) / 2.0 + half * ref_nodes), dtype=float)
+        return (ref_weights @ values) * np.prod(half)
+
+    def refine(lo: np.ndarray, hi: np.ndarray, coarse, budget: float, depth: int):
+        axis = int(np.argmax(hi - lo))
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[axis] = right_lo[axis] = (lo[axis] + hi[axis]) / 2.0
+        left, right = panel(lo, left_hi), panel(right_lo, hi)
+        fine = left + right
+        if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+            raise QuadratureError(
+                f"non-finite integrand estimate {fine.tolist()!r} on panel "
+                f"{list(zip(lo.tolist(), hi.tolist()))}"
+            )
+        # the relative floor stops refinement once float rounding dominates
+        noise = 4e-15 * np.maximum(abs(coarse), abs(fine))
+        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)):
+            return fine
+        if depth >= MAX_DEPTH:
+            raise QuadratureError(
+                f"integrate_box reached MAX_DEPTH = {MAX_DEPTH} on panel "
+                f"{list(zip(lo.tolist(), hi.tolist()))} with |fine - coarse| = "
+                f"{float(np.max(abs(fine - coarse)))!r} above its share {budget!r} of tol = {tol!r}"
+            )
+        share = budget / 2.0
+        return refine(lo, left_hi, left, share, depth + 1) + refine(right_lo, hi, right, share, depth + 1)
 
     lo, hi = box.corners
-    los, his = lo[None, :], hi[None, :]
-    levels = []  # per level, the fine estimate of each accepted panel, None where bisected
-    budget = tol
-    # overflow and NaN surface as the QuadratureError below, not as warnings
+    # overflow and NaN surface as the QuadratureError above, not as warnings
     with np.errstate(all="ignore"):
-        coarse = panels(los, his)
-        for depth in range(MAX_DEPTH + 1):
-            rows = np.arange(len(los))
-            axes = np.argmax(his - los, axis=1)
-            mids = (los[rows, axes] + his[rows, axes]) / 2.0
-            left_his, right_los = his.copy(), los.copy()
-            left_his[rows, axes] = right_los[rows, axes] = mids
-            # children in tree order: left, right of each panel
-            child_los = np.stack([los, right_los], axis=1).reshape(-1, box.dim)
-            child_his = np.stack([left_his, his], axis=1).reshape(-1, box.dim)
-            estimates = panels(child_los, child_his)
-            level, split = [], []
-            for i, estimate in enumerate(coarse):
-                left, right = estimates[2 * i], estimates[2 * i + 1]
-                fine = left + right
-                if not (np.isfinite(estimate).all() and np.isfinite(fine).all()):
-                    raise QuadratureError(
-                        f"non-finite integrand estimate {fine.tolist()!r} on panel "
-                        f"{list(zip(los[i].tolist(), his[i].tolist()))}"
-                    )
-                # the relative floor stops refinement once float rounding dominates
-                noise = 4e-15 * np.maximum(abs(estimate), abs(fine))
-                if np.all(abs(fine - estimate) <= np.maximum(budget, noise)):
-                    level.append(fine)
-                elif depth >= MAX_DEPTH:
-                    raise QuadratureError(
-                        f"integrate_box reached MAX_DEPTH = {MAX_DEPTH} on panel "
-                        f"{list(zip(los[i].tolist(), his[i].tolist()))} with |fine - coarse| = "
-                        f"{float(np.max(abs(fine - estimate)))!r} above its share {budget!r} of tol = {tol!r}"
-                    )
-                else:
-                    level.append(None)
-                    split += [2 * i, 2 * i + 1]
-            levels.append(level)
-            if not split:
-                break
-            los, his = child_los[split], child_his[split]
-            coarse = [estimates[j] for j in split]
-            budget = budget / 2.0
-        # a bisected panel's integral is its left child's plus its right child's
-        below: list = []
-        for level in reversed(levels):
-            children = iter(below)
-            below = [fine if fine is not None else next(children) + next(children) for fine in level]
-        (total,) = below
+        total = refine(lo, hi, panel(lo, hi), tol, 0)
     return float(total) if total.ndim == 0 else total
 
 

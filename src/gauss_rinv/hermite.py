@@ -209,8 +209,8 @@ class GaussianScalar:
 
 
 # ----------------------------------------------------------------------
-# Hermite conversion tables (exact, cached): per-axis rows and the
-# whole-term images tensor_expand reads
+# Hermite conversion tables (exact, cached): per-axis rows, and the
+# zero-center monomial images tensor_expand reads
 # ----------------------------------------------------------------------
 
 # A cold row is built from the rows below it; each ROW_STRIDE-th row first
@@ -267,9 +267,9 @@ def _centered_hermite_row(k: int, p: int, q: int, cn: int, cd: int) -> IntRow:
     return _reduced_row(den, out)
 
 
-# Distinct (exponents, p, q) of the whole-term images kept per direction.
-# A seed's identity battery meets about 280 monomials at zero center (and
-# 370 centered rows off center); a degree-12 3-D solve reads 455 indices.
+# Distinct (exponents, p, q) of the zero-center monomial images kept.  A
+# seed's identity battery meets about 280 monomials; a degree-12 3-D solve
+# reads 455 indices.
 IMAGE_CACHE_SIZE = 4096
 
 
@@ -279,18 +279,10 @@ def _monomial_image(exps: MultiIndex, p: int, q: int) -> TermImage:
     return term_image(_centered_monomial_row(m, p, q, 0, 1) for m in exps)
 
 
-@lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _hermite_image(alpha: MultiIndex, p: int, q: int) -> TermImage:
-    """G_alpha(u) over the monomials of u, lam = p/q."""
-    return term_image(_centered_hermite_row(k, p, q, 0, 1) for k in alpha)
-
-
-def _term_images(weight: WeightSpec, cached, row) -> Callable[[MultiIndex], TermImage]:
-    """One direction's whole-term images over ``weight``: the ``cached`` ones at
-    zero center, else the product of centered ``row``s, built per call."""
+def _term_images(weight: WeightSpec, row) -> Callable[[MultiIndex], TermImage]:
+    """The whole-term images over ``weight`` of one direction: the product of
+    the centered ``row``s of the axes, built per call."""
     p, q = weight.lam.numerator, weight.lam.denominator
-    if not any(weight.center):
-        return lambda key: cached(key, p, q)
     center = [(c.numerator, c.denominator) for c in weight.center]
     return lambda key: term_image([row(e, p, q, cn, cd) for e, (cn, cd) in zip(key, center)])
 
@@ -409,7 +401,7 @@ class HermiteExpansion:
     def to_polynomial(self) -> Polynomial:
         """Exact inverse of monomial_to_hermite: one tensor_expand through
         the images of G_alpha(x - center) over the monomials of x."""
-        images = _term_images(self.weight, _hermite_image, _centered_hermite_row)
+        images = _term_images(self.weight, _centered_hermite_row)
         return Polynomial._trusted(self.weight.dim, *tensor_expand(self.den, self.nums, images))
 
     def to_json_dict(self) -> dict:
@@ -429,7 +421,11 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
         raise DimensionMismatchError(
             f"polynomial dimension {p.dim} != weight dimension {weight.dim}"
         )
-    images = _term_images(weight, _monomial_image, _centered_monomial_row)
+    if any(weight.center):
+        images = _term_images(weight, _centered_monomial_row)
+    else:
+        lam_p, lam_q = weight.lam.numerator, weight.lam.denominator
+        images = lambda key: _monomial_image(key, lam_p, lam_q)
     return HermiteExpansion._trusted(weight, *tensor_expand(p.den, p.nums, images))
 
 

@@ -17,12 +17,13 @@ on first read and cached.
 
 A tensor expansion maps each term through its whole-term image, the
 tensor product of one sparse 1-D row per axis as (key, int) pairs over
-one denominator (``term_image``).  At zero center the Hermite
-conversions keep their images in caches keyed by the exponents and the
-weight's scale.  Off center, like ``shift``, they build them per call,
-since centers and offsets change from call to call, but from cached
-per-axis rows with the center folded in (``shift``'s binomial row
-composed with the Hermite row), so one expansion converts each term.
+one denominator (``term_image``).  At zero center the monomial->Hermite
+conversion keeps its images in a cache keyed by the exponents and the
+weight's scale.  The other conversions, like ``shift``, build them per
+call, since centers and offsets change from call to call and a solution
+has more terms than a cache could keep, but from cached per-axis rows
+with the center folded in (``shift``'s binomial row composed with the
+Hermite row), so one expansion converts each term.
 
 Canonical term order is graded lexicographic (total degree first, then
 lexicographic on the exponent tuple), used for serialization and repr.

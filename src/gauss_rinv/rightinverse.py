@@ -329,13 +329,6 @@ class SolveReport:
         """Exact polynomial part of the solution."""
         return self.solution.to_polynomial()
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Pointwise value of the full solution, kernel part included."""
-        total = float(self.solution_polynomial().evaluate([float(v) for v in point]))
-        for g, c in self.kernel_part:
-            total += c * g.evaluate(point)
-        return total
-
     def to_json_dict(self) -> dict:
         return {
             "weight": self.weight.to_json_dict(),

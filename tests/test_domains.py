@@ -9,7 +9,6 @@ import pytest
 
 from gauss_rinv import domains, rightinverse
 from gauss_rinv.domains import (
-    MAX_BATCH_NODES,
     MAX_DEPTH,
     PANEL_ORDER,
     BoxDomain,
@@ -122,9 +121,9 @@ class TestQuadrature:
 
         with pytest.raises(QuadratureError):
             integrate_box(fn, BoxDomain(((0.0, 1.0), (0.0, 1.0))))
-        # the first coarse panel, then its two halves in one call, 12 x 12
-        # nodes each, and nothing deeper
-        assert calls == [12 * 12, 2 * 12 * 12]
+        # the first coarse panel, then its two halves, 12 x 12 nodes each,
+        # and nothing deeper
+        assert calls == [12 * 12, 12 * 12, 12 * 12]
 
     @pytest.mark.parametrize(
         "fn, tol",
@@ -139,14 +138,12 @@ class TestQuadrature:
             integrate_box(fn, BoxDomain(((0.0, 1.0),)), tol=tol)
 
 
-def recursive_integrate_box(fn, box, tol=1e-10, depths=None):
+def recursive_integrate_box(fn, box, tol=1e-10):
     """Reference integrate_box: the depth-first recursion, one integrand
-    call per panel.  ``depths`` collects the tree depth of each panel."""
+    call per panel, over a rule built per call."""
     ref_nodes, ref_weights = tensor_rule(*np.polynomial.legendre.leggauss(PANEL_ORDER), box.dim)
 
-    def panel(lo, hi, depth):
-        if depths is not None:
-            depths.append(depth)
+    def panel(lo, hi):
         half = (hi - lo) / 2.0
         values = np.asarray(fn((hi + lo) / 2.0 + half * ref_nodes), dtype=float)
         return (ref_weights @ values) * np.prod(half)
@@ -156,7 +153,7 @@ def recursive_integrate_box(fn, box, tol=1e-10, depths=None):
         mid = (lo[axis] + hi[axis]) / 2.0
         left_hi, right_lo = hi.copy(), lo.copy()
         left_hi[axis] = right_lo[axis] = mid
-        left, right = panel(lo, left_hi, depth + 1), panel(right_lo, hi, depth + 1)
+        left, right = panel(lo, left_hi), panel(right_lo, hi)
         fine = left + right
         if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
             raise QuadratureError(f"non-finite integrand estimate {fine.tolist()!r}")
@@ -171,7 +168,7 @@ def recursive_integrate_box(fn, box, tol=1e-10, depths=None):
 
     lo, hi = box.corners
     with np.errstate(all="ignore"):
-        total = recurse(lo, hi, panel(lo, hi, 0), tol, 0)
+        total = recurse(lo, hi, panel(lo, hi), tol, 0)
     return float(total) if total.ndim == 0 else total
 
 
@@ -217,7 +214,7 @@ REFERENCE_CASES = {
     "1d-array": (lambda x: x[:, :1] ** np.arange(6), UNIT, 1e-12),
     "sqrt-refined": (lambda x: np.column_stack([np.ones(len(x)), np.sqrt(x[:, 0] + SQRT_SHIFT)]), UNIT, 1e-10),
     "2d-array": (lambda x: np.column_stack([np.sqrt(x[:, 0] * x[:, 1] + SQRT_SHIFT), x[:, 1]]), SQUARE, 1e-8),
-    # levels wider than MAX_BATCH_NODES: 64 1-D panels, 16 2-D panels
+    # wide trees: 64 1-D panels, 16 2-D panels on one level
     "1d-oscillation": (lambda x: np.cos(300.0 * x[:, 0]), UNIT, 1e-12),
     "2d-kink": (lambda x: abs(x[:, 0] + x[:, 1] - 2.0 / 3.0), BoxDomain(((0.0, 1.0),) * 2), 1e-5),
 }
@@ -225,8 +222,7 @@ REFERENCE_CASES = {
 
 class TestLevelBatching:
     """integrate_box against the recursive reference: the same panel tree
-    and bit-identical integrals, in fewer calls of at most MAX_BATCH_NODES
-    nodes."""
+    and bit-identical integrals."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
     def test_matches_recursive_reference(self, name):
@@ -235,27 +231,14 @@ class TestLevelBatching:
         got = integrate_box(recorded(fn, calls), box, tol=tol)
         reference = recursive_integrate_box(recorded(fn, reference_calls), box, tol=tol)
         assert_same_bits(got, reference)
-        # the same panels: the same nodes, visited level by level
+        # the same panels: the same nodes
         nodes, reference_nodes = np.concatenate(calls), np.concatenate(reference_calls)
         assert np.array_equal(nodes[np.lexsort(nodes.T)], reference_nodes[np.lexsort(reference_nodes.T)])
-        assert max(map(len, calls)) <= MAX_BATCH_NODES
-        assert len(calls) <= len(reference_calls)
-
-    @pytest.mark.parametrize("name", ["1d-oscillation", "2d-kink"])
-    def test_wide_level_is_split(self, name):
-        fn, box, tol = REFERENCE_CASES[name]
-        depths = []
-        recursive_integrate_box(fn, box, tol=tol, depths=depths)
-        widest = max(depths.count(d) for d in set(depths))
-        assert widest * PANEL_ORDER**box.dim > MAX_BATCH_NODES
-        calls = []
-        integrate_box(recorded(fn, calls), box, tol=tol)
-        assert max(map(len, calls)) == MAX_BATCH_NODES
 
     @pytest.mark.parametrize("name", sorted(DATA_CASES))
     def test_solve_bounded_integrands_match(self, name):
         """The integrands the bounded pipeline handed integrate_box before its
-        closed forms: the batched tree gives the recursion's bits on them, and
+        closed forms: integrate_box gives the recursion's bits on them, and
         both agree with the closed forms within QUAD_TOL."""
         box, f = DATA_CASES[name]
         w = _weight(box)
@@ -267,11 +250,11 @@ class TestLevelBatching:
             fx = f(x)
             return np.column_stack([fx[:, None] * orthonormal_table(w, indices, x) * gauss[:, None], fx**2 * gauss, fx**2])
 
-        batched = integrate_box(data_side, box, tol=domains.QUAD_TOL)
-        assert_same_bits(batched, recursive_integrate_box(data_side, box, tol=domains.QUAD_TOL))
+        got = integrate_box(data_side, box, tol=domains.QUAD_TOL)
+        assert_same_bits(got, recursive_integrate_box(data_side, box, tol=domains.QUAD_TOL))
         pairs, weighted, l2_sq = f.integrals(box.center, 6)
         closed = [pairs[alpha] for alpha in indices] + [weighted, l2_sq]
-        assert np.abs(batched - closed).max() <= domains.QUAD_TOL
+        assert np.abs(got - closed).max() <= domains.QUAD_TOL
 
     def test_panel_rule_built_once_and_read_only(self, monkeypatch):
         built = []

@@ -9,12 +9,12 @@ common factor of ``den`` and the numerators; the ``terms`` and
 
 Every ring, calculus, conversion and Parseval operation, the min-norm
 block solves and ``shifted_laplacian`` run on int numerators over one
-common denominator, and ``solve_exact`` is a Bareiss factor on ints
-replayed on the right-hand side; one factor replayed on several
-right-hand sides must solve each as the Fraction reference does.  The
-min-norm solve applies (L P)^-1 by Horner from the tower spectrum; the
-Bareiss class-block solve it replaced is kept here as its oracle, and the
-towers it counts must annihilate every level.
+common denominator; ``solve_exact`` must solve as the partial-pivoting
+Fraction reference does, and ``nullspace_exact`` must span the kernel.
+The min-norm solve applies (L P)^-1 by Horner from the tower spectrum;
+the class-block normal equations it replaced, solved by ``solve_exact``,
+are kept here as its oracle, and the towers it counts must annihilate
+every level.
 Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
 step, are kept here as references; the kernels must match them exactly,
 key order included.  Reports sort term maps before they serialize them,
@@ -53,7 +53,7 @@ from gauss_rinv.hermite import (
     monomial_to_hermite,
 )
 from gauss_rinv import hermite, rightinverse
-from gauss_rinv.linalg import SingularMatrixError, factor_exact, replay, solve_exact, solve_factored
+from gauss_rinv.linalg import SingularMatrixError, nullspace_exact, solve_exact
 from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced, tensor_expand
 from gauss_rinv.rightinverse import (
     KernelFunction,
@@ -827,26 +827,22 @@ def test_levels_match_class_members(dim):
             ]
 
 
-def bareiss_min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
-    """The Bareiss class-block solve the tower solve replaced, as an oracle:
-    per (degree, parity) block, the int K of ``reference_min_norm_block``
-    factored and replayed on f's numerators, K y / D = f, then u_gamma =
-    (L / N_gamma) (B^T y)_gamma / D, one gcd per block, over the lcm of the
-    blocks' denominators."""
+def class_block_min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
+    """The class-block normal equations the tower solve replaced, as an
+    oracle: per (degree, parity) block, ``solve_exact`` of K y = f's
+    numerators with the int K of ``reference_min_norm_block``, then
+    u_gamma = (L / N_gamma) (B^T y)_gamma over f's denominator."""
     dim = f.weight.dim
     blocks: dict = {}
     for alpha, num in f.nums.items():
         blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = num
-    parts, common = [], 1
+    u = {}
     for (deg, parity), rhs in sorted(blocks.items()):
         rows, matrix, columns = reference_min_norm_block(dim, deg, parity)
-        det, y = solve_factored(factor_exact(matrix), [rhs.get(alpha, 0) for alpha in rows])
-        nums = [scale * sum(b * y[i] for i, b in column) for _, scale, column in columns]
-        g = math.gcd(det, *nums) * (1 if det > 0 else -1)
-        common = math.lcm(common, det // g)
-        parts.extend((gamma, num // g, det // g) for (gamma, _, _), num in zip(columns, nums))
-    u = {gamma: num * (common // den) for gamma, num, den in parts}
-    return HermiteExpansion._trusted(f.weight, *reduced(f.den * common, u))
+        y = solve_exact(matrix, [rhs.get(alpha, 0) for alpha in rows])
+        for gamma, scale, column in columns:
+            u[gamma] = scale * sum(b * y[i] for i, b in column) / f.den
+    return HermiteExpansion(f.weight, u)
 
 
 def assert_same_solution(got: HermiteExpansion, expected: HermiteExpansion) -> None:
@@ -857,7 +853,8 @@ def assert_same_solution(got: HermiteExpansion, expected: HermiteExpansion) -> N
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_min_norm_block_matches_reference(dim):
     """Each (degree, parity) block, on a full right-hand side, solves as the
-    Bareiss oracle does, in value and key order, over the reference members."""
+    class-block oracle does, in value and key order, over the reference
+    members."""
     rng = random.Random(dim)
     for degree in range(13):
         for parity in itertools.product((0, 1), repeat=dim):
@@ -866,18 +863,18 @@ def test_min_norm_block_matches_reference(dim):
             if rows:
                 nums = {alpha: rng.choice((-1, 1)) * rng.getrandbits(64) for alpha in rows}
                 f = HermiteExpansion._trusted(WeightSpec.unit(dim), *reduced(rng.choice(BIG), nums))
-                assert_same_solution(_min_norm_coeffs(f), bareiss_min_norm_coeffs(f))
+                assert_same_solution(_min_norm_coeffs(f), class_block_min_norm_coeffs(f))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_min_norm_matches_bareiss_oracle(data):
-    """The tower solve equals the Bareiss class-block solve, in value and key
-    order, in 1-D to 4-D on unit, scaled and off-center weights."""
+    """The tower solve equals the class-block solve, in value and key order,
+    in 1-D to 4-D on unit, scaled and off-center weights."""
     dim = data.draw(st.integers(1, 4))
     p = data.draw(exact_polynomials(dim, max_degree=(12, 12, 10, 8)[dim - 1]))
     f = monomial_to_hermite(p, data.draw(exact_weights(dim)))
-    assert_same_solution(_min_norm_coeffs(f), bareiss_min_norm_coeffs(f))
+    assert_same_solution(_min_norm_coeffs(f), class_block_min_norm_coeffs(f))
 
 
 def reference_lap_raise(v: dict) -> dict:
@@ -1118,66 +1115,21 @@ def test_solve_exact_raises_on_singular(matrix):
         solve_exact(matrix, [1] * len(matrix))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_elimination_keeps_entries_minors(data):
-    """The last pivot of the Bareiss factor of A is +-det A; replaying the
-    factor on column j of A gives column j of its upper triangle, zero
-    below the diagonal; and every entry of the factor (upper triangle and
-    multipliers), of the replayed right-hand side and of D x, each a minor
-    of [A | b], is within Hadamard's bound (the product of the row norms
-    of [A | b]), so the exact divisions are what keeps the ints short."""
-    n = data.draw(st.integers(1, 8))
-    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**20), 2**20))
-    aug = [[data.draw(entry) for _ in range(n + 1)] for _ in range(n)]
-    matrix, rhs = [row[:n] for row in aug], [row[n] for row in aug]
-    det = fraction_det(matrix)
-    if det == 0:
-        with pytest.raises(SingularMatrixError):
-            factor_exact(matrix)
-        return
-    hadamard = math.prod(max(1, math.isqrt(sum(v * v for v in row)) + 1) for row in aug)
-    factor = factor_exact(matrix)
-    assert abs(factor.det) == abs(det)
-    for j in range(n):
-        column = [factor.lu[r][j] for r in range(j + 1)] + [0] * (n - j - 1)
-        assert replay(factor, [row[j] for row in matrix]) == column
-    b = replay(factor, rhs)
-    d, y = solve_factored(factor, rhs)
-    assert d == factor.det
-    assert all(abs(v) <= hadamard for v in [*itertools.chain(*factor.lu), *b, *y])
-
-
-def int_rows(matrix) -> list[list[int]]:
-    """Each row of a Fraction matrix times the lcm of its denominators."""
-    out = []
-    for row in matrix:
-        den = math.lcm(*(Fraction(v).denominator for v in row))
-        out.append([int(v * den) for v in row])
-    return out
-
-
-@pytest.mark.parametrize("system", [None, *range(len(ZERO_PIVOT_SYSTEMS))])
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_factor_replays_on_each_right_hand_side(system, data):
-    """One factor solves four right-hand sides, each as the Fraction
-    reference does: the replay of the row swaps (every ZERO_PIVOT_SYSTEMS
-    matrix, scaled to ints) and of zero multipliers included."""
-    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
-    if system is None:
-        n = data.draw(st.integers(1, 7))
-        matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-    else:
-        matrix = int_rows(ZERO_PIVOT_SYSTEMS[system][0])
-        n = len(matrix)
-    if fraction_det(matrix) == 0:
-        with pytest.raises(SingularMatrixError):
-            factor_exact(matrix)
-        return
-    factor = factor_exact(matrix)
-    for _ in range(4):
-        rhs = [data.draw(entry) for _ in range(n)]
-        det, y = solve_factored(factor, rhs)
-        assert det == factor.det
-        assert [Fraction(v, det) for v in y] == fraction_solve_exact(matrix, rhs)
+def test_nullspace_exact_spans_the_kernel(data):
+    """On small-int rectangular matrices: every vector lies in the kernel
+    with exact zero residuals, there are n_cols - rank of them, and each has
+    1 in its own free column (one that depends on the columns before it)
+    and 0 in the others, so they are independent."""
+    n_rows, n_cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    matrix = [[data.draw(st.integers(-2, 2)) for _ in range(n_cols)] for _ in range(n_rows)]
+    a = np.array(matrix, dtype=float)
+    ranks = [0] + [int(np.linalg.matrix_rank(a[:, : c + 1])) for c in range(n_cols)]
+    free = [c for c in range(n_cols) if ranks[c + 1] == ranks[c]]
+    basis = nullspace_exact(matrix, n_cols)
+    assert len(basis) == n_cols - ranks[-1] == len(free)
+    for i, vec in enumerate(basis):
+        assert all(type(v) is Fraction for v in vec)
+        assert [sum(x * v for x, v in zip(row, vec)) for row in matrix] == [0] * n_rows
+        assert [vec[c] for c in free] == [int(j == i) for j in range(len(free))]

@@ -25,7 +25,7 @@ from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
-from gauss_rinv.polynomials import random_polynomial
+from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import operator_norm, solve_min_norm
 
 BATTERY_SHA256 = "f2c4c791115d06d1035fb29031a36e21c5c1d2644165422eca440e50c7edb9d0"
@@ -136,8 +136,8 @@ def test_battery_digest_pinned():
     assert _sha256(results) == BATTERY_SHA256
 
 
-# The caches of weight stencils and whole-term Hermite images.
-KERNEL_CACHES = (adjoint._weight_stencil, hermite._monomial_image, hermite._hermite_image)
+# The caches of weight stencils and zero-center monomial images.
+KERNEL_CACHES = (adjoint._weight_stencil, hermite._monomial_image)
 
 
 def test_cold_caches_give_warm_bytes():
@@ -157,13 +157,12 @@ def test_cold_caches_give_warm_bytes():
         assert cache.cache_info().maxsize is not None
 
 
-# The caches of the centered rows, the whole-term images and the shared
+# The caches of the centered rows, the monomial images and the shared
 # constants |x|^2 and (x_1, ..., x_n).
 CONVERSION_CACHES = (
     hermite._centered_monomial_row,
     hermite._centered_hermite_row,
     hermite._monomial_image,
-    hermite._hermite_image,
     polynomials.Polynomial.norm_squared,
     polynomials.coordinate_vector,
 )
@@ -173,7 +172,7 @@ def test_cold_conversion_caches_give_pinned_verify_bytes(capsys):
     """The seed-7 verify report from emptied conversion and constant caches,
     and again from the caches that filled, gives the CI-pinned bytes; so do
     the conversions over WEIGHTS, which also fill the Hermite->monomial
-    caches that the corpus does not read."""
+    rows that the corpus does not read."""
 
     def verify_text() -> str:
         assert main(VERIFY_ARGS) == EXIT_OK
@@ -188,6 +187,20 @@ def test_cold_conversion_caches_give_pinned_verify_bytes(capsys):
     assert hashlib.sha256(cold.encode()).hexdigest() == VERIFY_SHA256
     for cache in CONVERSION_CACHES:
         assert cache.cache_info().maxsize is not None
+
+
+def test_large_solution_round_trips_from_cold_and_warm_rows():
+    """The min-norm solution of x1^8 in 12-D has more terms than
+    IMAGE_CACHE_SIZE; it converts to monomials and back to the same
+    (den, nums), from emptied conversion caches and again from the rows
+    that filled."""
+    u = solve_min_norm(Polynomial.monomial((8,) + (0,) * 11)).solution
+    assert len(u.nums) == 6187 > hermite.IMAGE_CACHE_SIZE
+    for cache in CONVERSION_CACHES:
+        cache.cache_clear()
+    for _ in range(2):
+        back = monomial_to_hermite(u.to_polynomial(), u.weight)
+        assert (back.den, back.nums) == (u.den, u.nums)
 
 
 def test_corrupted_centered_row_fails_verify(monkeypatch, capsys):
