@@ -37,7 +37,7 @@ from .domains import (
     embedding_check,
     solve_bounded,
 )
-from .hermite import WeightSpec, integrate_gaussian
+from .hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
 from .polynomials import (
     Polynomial,
     format_rational,
@@ -47,7 +47,7 @@ from .polynomials import (
 from .reporting import dump_json
 from .rightinverse import (
     InputLimitError,
-    apply_right_inverse,
+    exact_solve,
     input_float,
     operator_norm,
     solve_min_norm,
@@ -101,10 +101,6 @@ def _read_json(path: str):
 # ----------------------------------------------------------------------
 
 
-# The suite's quadrature oracle for the enriched ratio: a Gauss-Hermite rule
-# of this order, whose gap from the closed form is at most ORACLE_GAP_TOL.
-QUAD_ORDER = 40
-ORACLE_GAP_TOL = 1e-10
 # The suite's fixed corpus: the master seed of the identity battery and of
 # the random bound data, cases per identity, random polynomial weights, and
 # random data for the bound.  ``verify`` runs the battery at other values.
@@ -114,17 +110,27 @@ SUITE_WEIGHT_CASES = 50
 SUITE_BOUND_CASES = 100
 
 
-def _enriched_ratio_quadrature() -> float:
-    """Oracle for the a=1 constant-data enriched ratio, by quadrature.
+# The shifted-solve criterion: the truncations N = 0, 2, ..., SHIFT_TOP of
+# the 1-D a = +-1 solve at f = 1, whose N = SHIFT_TOP ratio is within
+# SHIFT_CLOSED_TOL of the closed form of the weak solution (4.0e-13 off at
+# N = 8), and the exact symmetry ratio(a, f) = ratio(-a, D f) on seeded data
+# over these scaled, off-center weights, each at its shift.
+SHIFT_TOP = 8
+SHIFT_CLOSED_TOL = 1e-10
+SHIFT_SYMMETRY_CASES = (
+    (WeightSpec(1, Fraction(3, 2), (Fraction(1, 3),)), Fraction(1, 2)),
+    (WeightSpec(2, Fraction(1, 2), (Fraction(1), Fraction(-1, 2))), Fraction(-2)),
+    (WeightSpec(3, Fraction(2), (Fraction(0), Fraction(1, 3), Fraction(-1))), Fraction(3)),
+)
 
-    ratio = 1 - <1, cos>^2 / (||1||^2 ||cos||^2) with all three integrals
-    against e^{-x^2} from one Gauss-Hermite call.
-    """
-    # columns 1, cos x and cos^2 x at the (m, 1) nodes
-    mass, pair, cos_sq = integrate_gaussian(
-        lambda x: np.cos(x) ** np.arange(3), WeightSpec.unit(1), QUAD_ORDER
+
+def _reflected(f: HermiteExpansion) -> HermiteExpansion:
+    """D f for D = diag((-1)^floor(|alpha| / 2)) on Hermite coefficients: D L D
+    = -L and D P D = -P, so D (lap + a) D = -(lap - a) and the minimal-norm
+    solves at a of f and at -a of D f have the same exact ratio."""
+    return HermiteExpansion._trusted(
+        f.weight, f.den, {alpha: -num if sum(alpha) % 4 >= 2 else num for alpha, num in f.nums.items()}
     )
-    return float(1.0 - pair * pair / (mass * cos_sq))
 
 
 def run_suite() -> tuple[list[dict], bool]:
@@ -176,23 +182,32 @@ def run_suite() -> tuple[list[dict], bool]:
         n2_value=op2,
     )
 
-    # kernel-enriched solves for nonzero shift
-    rep_pos = apply_right_inverse(Polynomial.constant(1, 1), a=1)
+    # shifted solves: the weak solution on V_N at a = +-1, f = 1, against the
+    # N -> oo closed form 1 - 2 e^(-1/2) / (1 + e^(-1)); monotone in N
     closed = 1.0 - 2.0 * math.exp(-0.5) / (1.0 + math.exp(-1.0))
-    quad = _enriched_ratio_quadrature()
-    rep_neg = apply_right_inverse(Polynomial.constant(1, 1), a=-1)
+    ladders = {
+        a: [solve_min_norm(Polynomial.constant(1, 1), a, truncation=top) for top in range(0, SHIFT_TOP + 1, 2)]
+        for a in (1, -1)
+    }
+    reports = [rep for ladder in ladders.values() for rep in ladder]
+    ratios = {a: [rep.ratio for rep in ladder] for a, ladder in ladders.items()}
+    mismatches = 0
+    sym_rng = random.Random(SUITE_SEED)
+    for weight, a in SHIFT_SYMMETRY_CASES:
+        f = monomial_to_hermite(random_polynomial(sym_rng, weight.dim, max_degree=4, max_terms=4, nonzero=True), weight)
+        mismatches += exact_solve(f, a)[4] != exact_solve(_reflected(f), -a)[4]
     record(
-        "kernel-enrichment",
-        abs(rep_pos.ratio_float - closed) <= 1e-10
-        and abs(closed - quad) <= ORACLE_GAP_TOL
-        and rep_pos.bound_satisfied
-        and rep_pos.pre_enrichment_ratio == 1
-        and rep_neg.bound_satisfied,
-        ratio_pos=rep_pos.ratio_float,
+        "shifted-solve",
+        all(rep.passed for rep in reports)
+        and all(abs(float(r[-1]) - closed) <= SHIFT_CLOSED_TOL for r in ratios.values())
+        and all(lo <= hi for r in ratios.values() for lo, hi in zip(r, r[1:]))
+        and mismatches == 0,
+        truncation=SHIFT_TOP,
+        ratio_pos=float(ratios[1][-1]),
+        ratio_neg=float(ratios[-1][-1]),
         closed_form=closed,
-        quadrature=quad,
-        unenriched_ratio=format_rational(rep_pos.pre_enrichment_ratio),
-        ratio_neg=rep_neg.ratio_float,
+        ratios=[format_rational(r) for r in ratios[1]],
+        symmetry_mismatches=mismatches,
     )
 
     # exact identity battery
@@ -273,7 +288,7 @@ def _solve(args) -> tuple[dict, dict, bool]:
     f = load_polynomial(args.f, args.dim)
     if f.dim != args.dim:
         raise SpecValidationError("f", f"dimension {f.dim} != --dim {args.dim}")
-    report = apply_right_inverse(f, a, weight=WeightSpec(dim=args.dim, lam=lam, center=center))
+    report = solve_min_norm(f, a, weight=WeightSpec(dim=args.dim, lam=lam, center=center))
     spec = {"dimension": args.dim, "a": a, "weight": {"lambda": lam, "center": [*center]}, "f": f.to_json_dict()}
     return spec, {"solve": report.to_json_dict()}, report.passed
 

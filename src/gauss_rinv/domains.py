@@ -451,8 +451,11 @@ def solve_bounded(
     closed forms: SampledFunction.integrals for the data, per-axis Gram
     matrices of the basis for ||u||^2_{L2(U)}.  The report checks
     ||u||_{L2(U)} <= sqrt(e^{|U|^2}/(8n)) ||f||_{L2(U)}.
-    ``residual_exact`` is the exact check (lap + a) u == P_N f~ on Hermite
-    coefficients.  ``bessel_holds`` checks ||P_N f~||^2_w (Parseval on the
+    The solution is the minimal-norm weak one on V_N (see
+    ``rightinverse.solve_min_norm``), so the weighted ratio is at most
+    1/(8n) for every a.  ``residual_exact`` is the exact check P_N (lap +
+    a) u == P_N f~ on Hermite coefficients, which at a = 0 is lap u == P_N
+    f~.  ``bessel_holds`` checks ||P_N f~||^2_w (Parseval on the
     projected coefficients) <= ||f~||^2_w within ``bessel_tol``, which
     follows from QUAD_TOL and the number of pairings; it fails when a
     pairing or the basis is wrong.  ``projection_defect_rel`` = 1 -
@@ -488,7 +491,7 @@ def solve_bounded(
     nums = {alpha: num * (den // d) for alpha, (num, d) in ratios.items()}
     f_exp = HermiteExpansion._trusted(weight, *reduced(den, nums))
 
-    u_exp, residual_exact, norm_f_w, norm_u_w, weighted_ratio = exact_solve(f_exp, a)
+    u_exp, residual_exact, norm_f_w, norm_u_w, weighted_ratio = exact_solve(f_exp, a, truncation)
     weighted_ratio_vs_data = (
         norm_u_w.to_float() / norm_f_w_data if norm_f_w_data > 0 else 0.0
     )

@@ -19,21 +19,26 @@ for L = lap and P the raising map (L* = lam^2 P).  L P keeps the blocks of
 one eigenvalue per tower of the Fischer decomposition, so (L P)^-1 is an
 integer polynomial in L P, applied by Horner: no matrix is formed.
 
-For a != 0 the truncated system is uniquely solvable (triangular with a
-on the diagonal) but the resulting ratio ||u||^2/||f||^2 generally
-violates the 1/(8n) target: the kernel of lap + a contains no
-polynomials.  Kernel enrichment subtracts the weighted projection onto
-explicit kernel elements (plane waves cos/sin(k.x) with |k|^2 = a for
-a > 0, e^{k.x} with |k|^2 = -a for a < 0), driving the ratio toward the
-bound.  Plane waves pair with Hermite coefficients in closed form, by the
-generating function e^{2st - s^2} = sum_m H_m(t) s^m / m!, so enrichment
-never leaves Hermite coordinates.
+For a != 0 the package's solution is the weak (Galerkin) one on V_N, the
+polynomials of degree <= N (N = deg f by default): the minimal-weighted-norm
+u in V_(N+2) with P_N (lap + a) u = f, P_N the weighted projection onto
+V_N.  It is u = T* w for T = lap + a, T* = lam^2 P + a, and the w in V_N
+with P_N T T* w = f (Hormander's duality argument on a finite test space),
+so ||u||^2 = <w, f> exactly, and the coercivity ||T* w||^2 >= 8 n lam^2
+||w||^2 gives ||u||^2 <= ||f||^2 / (8 n lam^2) for every a, N, lam and
+center.  Within a parity class P_N T T* is block tridiagonal over the
+levels; its block Thomas sweep runs from the bottom level up, where each
+pivot acts on the tower P^k H_m of a level as one rational, independent of
+N, and its inverse is a polynomial in L P applied by Horner like the
+a = 0 one.  No matrix is formed and no kernel element is needed.  The
+plane-wave kernel elements (cos/sin(k.x) with |k|^2 = a, e^(k.x) with
+|k|^2 = -a) and ``enrich``, which projected a particular solution off
+them in floats, stay as library functions that no report path calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import math
 import sys
@@ -111,17 +116,23 @@ def _indices_of_degree(dim: int, degree: int) -> tuple[MultiIndex, ...]:
 # ----------------------------------------------------------------------
 
 
-def _lowered(gamma: MultiIndex) -> list[tuple[MultiIndex, int]]:
+# Multi-indices whose lap entries _lowered keeps: the weak solution fills
+# every level up to N + 2, and the 12-D solve of x1^8 has 6,187 terms.
+LOWERED_CACHE_SIZE = 16384
+
+
+@lru_cache(maxsize=LOWERED_CACHE_SIZE)
+def _lowered(gamma: MultiIndex) -> tuple[tuple[MultiIndex, int], ...]:
     """lap G_gamma as pairs (gamma - 2 e_j, 4 gamma_j (gamma_j - 1)), gamma_j >= 2.
 
     This holds for every weight scale lam and center: the lam factors of
     the scaled basis cancel against the chain rule.
     """
-    return [
+    return tuple(
         (gamma[:j] + (g - 2,) + gamma[j + 1 :], 4 * g * (g - 1))
         for j, g in enumerate(gamma)
         if g >= 2
-    ]
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -294,11 +305,16 @@ def kernel_basis(a: RationalLike, dim: int) -> list[KernelFunction]:
 
 @dataclass
 class SolveReport:
-    """Solution of (lap + a) u = f with norms, ratio, and bound verdict.
+    """The minimal-norm weak solution of (lap + a) u = f on V_N (N =
+    ``truncation``) with norms, ratio, and bound verdict.
 
-    The polynomial part of the solution is exact; plane-wave enrichment
-    contributes float kernel coefficients, after which the achieved ratio
-    is a float and ``ratio`` (the exact rational) is None.
+    Every field of a ``solve_min_norm`` report is exact or the float of an
+    exact value: ``residual_exact`` is the exact weak residual check P_N
+    (lap + a) u == f on V_N (the strong one at a = 0), ``ratio`` the exact
+    ||u||^2_w / ||f||^2_w, and ``bound_satisfied`` ratio <= bound with zero
+    tolerance.  The kernel and pre-enrichment fields are filled only by
+    ``enrich``, which no report path calls: there ``ratio`` is None and the
+    float ratio is the verdict's.
     """
 
     weight: WeightSpec
@@ -368,12 +384,19 @@ class SolveReport:
 
 
 # Most work a min-norm solve may take, counted from binomials before any
-# level is built: per (degree d, parity) block, the lap entries of level
-# d + 2 (dim times the members of level d) times the towers, plus the dim
-# ints of each member's multi-index on levels d and d + 2.  A unit takes about
-# 0.4 us to solve and 4.5 us in a whole cold `gauss-rinv solve` (2-core x86):
-# x1^8 in 12-D counts 198,564 (0.9 s in all), x1^10 in 12-D 713,988 (3.2 s);
-# x1^12 in 12-D (2,283,972) and x1^2 in 1000-D (504,502,000) are refused.
+# level is built.  A level's units are the lap entries of the level above
+# it (dim times its members) times the towers, plus the dim ints of each
+# member's multi-index on the level and the one above.  At a = 0 the levels
+# are the data's (degree, parity) blocks, one Horner each.  At a != 0 they
+# are every level of each of the data's parity classes from its bottom to
+# N, twice (the forward and the back pass), and a level counts j + 1 times,
+# j the levels below it in its class: the sweep's ints grow by about one
+# pivot per level.  A unit takes about 0.4 us at a = 0 and 0.1-1.2 us at
+# a != 0 (2-core x86): x1^8 in 12-D counts 198,564 at a = 0 (0.9 s in a
+# whole cold `gauss-rinv solve`) and 1,867,200 at a != 0; x^1000 in 1-D
+# counts 754,506 at a = 1 (0.9 s), and x^80 in 2-D 3,159,296 (2.8 s);
+# x1^12 in 12-D (2,283,972) and x1^2 in 1000-D (504,502,000) are refused
+# at a = 0.
 MAX_MIN_NORM_WORK = 1_000_000
 
 
@@ -383,154 +406,281 @@ def _nu(dim: int, m, k):
     return 8 * k * (2 * m + 2 * k - 2 + dim)
 
 
+def _towers(dim: int, degree: int, odd: int) -> range:
+    """The k of the towers P^k H_(degree - 2k) on the degree level of a
+    parity class with ``odd`` odd axes: k = 0..(degree - odd) / 2, and in
+    1-D, where H_m = 0 for m >= 2, only the last."""
+    top = (degree - odd) // 2
+    return range(top + 1) if dim > 1 else range(top, top + 1)
+
+
 @lru_cache(maxsize=1024)
 def _tower_polynomial(dim: int, degree: int, odd: int) -> tuple[int, ...]:
     """(c_0, c_1, ...) of c(x) = prod_k (mu_k - x), mu_k = nu(degree - 2k,
-    k + 1), over the towers P^k H_(degree - 2k) present on the degree
-    level of a parity class with ``odd`` odd axes: k = 0..(degree - odd) / 2,
-    and in 1-D, where H_m = 0 for m >= 2, only k = (degree - odd) / 2."""
-    top = (degree - odd) // 2
+    k + 1), over the ``_towers`` on the degree level of a parity class."""
     coeffs = [1]
-    for k in range(top + 1) if dim > 1 else (top,):
+    for k in _towers(dim, degree, odd):
         mu = _nu(dim, degree - 2 * k, k + 1)
         coeffs = [mu * c - below for c, below in zip(coeffs + [0], [0] + coeffs)]
     return tuple(coeffs)
 
 
-def _min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
-    """Minimal-weighted-norm coefficients solving lap(u) = f exactly.
+@lru_cache(maxsize=1024)
+def _lagrange_bases(dim: int, degree: int, odd: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per tower of the level, in ``_towers`` order: (B_k, B_k(mu_k)) for
+    B_k(x) = prod_(j != k) (x - mu_j), its int coefficients from x^0 up.
+    They do not depend on a or lam."""
+    mus = [_nu(dim, degree - 2 * k, k + 1) for k in _towers(dim, degree, odd)]
+    out = []
+    for k, mu in enumerate(mus):
+        coeffs, at_mu = [1], 1
+        for j, other in enumerate(mus):
+            if j != k:
+                coeffs = [below - other * c for c, below in zip(coeffs + [0], [0] + coeffs)]
+                at_mu *= mu - other
+        out.append((tuple(coeffs), at_mu))
+    return tuple(out)
 
-    The weighted adjoint of L = lap is lam^2 P, P G_beta = sum_j
-    G_(beta + 2 e_j), so u = P (L P)^-1 f, the same for every weight.  On
-    the degree d level of a parity class L P is the int mu_k = nu(d - 2k,
-    k + 1) on each tower P^k H_(d - 2k), so c(L P) = 0 for the
-    ``_tower_polynomial`` c of the towers there, and (L P)^-1 = -(sum_(i >=
-    1) c_i (L P)^(i - 1)) / c_0: Horner on f's int numerators, one gather
-    (P) and one scatter (L) over the entries of ``_level(dim, d + 2,
-    parity)`` per step, then u = P of the result over -c_0, one gcd per
-    block, over the lcm of the blocks' denominators.  Work over
-    MAX_MIN_NORM_WORK raises InputLimitError first.
+
+@lru_cache(maxsize=4096)
+def _shifted_pivots(dim: int, c_num: int, c_den: int, degree: int, odd: int) -> tuple[Fraction, ...]:
+    """The bottom-up pivots of the sweep on the degree level of a parity
+    class at c = c_num / c_den = a^2 / lam^2, one per ``_towers`` k.
+
+    On the tower P^k H_m, m = degree - 2k, the pivot is the rational
+    s_k = nu(m, k + 1) + c - [k >= 1] c nu(m, k) / s'_(k - 1), s' the
+    pivots of the level below: the Thomas pivots of the tower's normal
+    operator, taken from its bottom, so they do not depend on N.  Called
+    for the levels of a class from the bottom up, the recursion finds the
+    level below cached.
+    """
+    c = Fraction(c_num, c_den)
+    below = _shifted_pivots(dim, c_num, c_den, degree - 2, odd) if degree - 2 >= odd else ()
+    first = _towers(dim, degree - 2, odd).start  # the k of below[0]
+    return tuple(
+        _nu(dim, degree - 2 * k, k + 1) + c - (c * _nu(dim, degree - 2 * k, k) / below[k - 1 - first] if k else 0)
+        for k in _towers(dim, degree, odd)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _shifted_inverse(dim: int, c_num: int, c_den: int, degree: int, odd: int) -> tuple[tuple[int, ...], int]:
+    """(Q, D) with q = Q / D, q(mu_k) = 1 / s_k for the ``_shifted_pivots``
+    s_k: Q is the int sum of the ``_lagrange_bases`` B_k times 1 / (s_k
+    B_k(mu_k)) over their lcm D, so the pivot's inverse is Q(L P) / D."""
+    bases = _lagrange_bases(dim, degree, odd)
+    weights = [1 / (s * at_mu) for s, (_, at_mu) in zip(_shifted_pivots(dim, c_num, c_den, degree, odd), bases)]
+    den = math.lcm(*(w.denominator for w in weights))
+    q = [0] * len(bases)
+    for w, (basis, _) in zip(weights, bases):
+        scale = w.numerator * (den // w.denominator)
+        for i, b in enumerate(basis):
+            q[i] += scale * b
+    g = math.gcd(den, *q)
+    return tuple(v // g for v in q), den // g
+
+
+def _horner(coeffs: tuple[int, ...], rhs: list[int], entries: tuple) -> list[int]:
+    """Q(L P) rhs on one level of a parity class, on int numerators: per
+    Horner step one gather (P) and one scatter (L) over the ``entries`` of
+    the level above."""
+    acc = [coeffs[-1] * v for v in rhs]
+    for c in reversed(coeffs[:-1]):
+        nxt = [c * v for v in rhs]
+        for column in entries:
+            y = 0
+            for i, _ in column:
+                y += acc[i]
+            if y:
+                for i, b in column:
+                    nxt[i] += b * y
+        acc = nxt
+    return acc
+
+
+def _raised(v: list[int], entries: tuple) -> list[int]:
+    """P v on the level whose ``_level`` entries are given: (P v)_gamma is
+    the sum of v over gamma's lowered positions."""
+    out = []
+    for column in entries:
+        y = 0
+        for i, _ in column:
+            y += v[i]
+        out.append(y)
+    return out
+
+
+def _over_gcd(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den, den > 0, with their gcd divided out."""
+    g = math.gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
+
+
+def _level_work(dim: int, degree: int, odd: int) -> int:
+    """MAX_MIN_NORM_WORK units of one Horner on a level (see there)."""
+    half = (degree - odd) // 2
+    rows, cols = math.comb(half + dim - 1, dim - 1), math.comb(half + dim, dim - 1)
+    return dim * (rows * (half + 1 if dim > 1 else 1) + rows + cols)
+
+
+def _shifted_sweep(
+    dim: int, parity: tuple[int, ...], top: int, blocks: dict, a: Fraction, shift: Fraction
+) -> list[tuple[tuple[MultiIndex, ...], list[int], int]]:
+    """u on the levels of one parity class at a != 0, as (members, nums,
+    den) per level: the block Thomas sweep of ``_min_norm_coeffs`` over
+    the levels d = odd, odd + 2, ..., top, on int numerators, one gcd per
+    level and pass."""
+    odd = sum(parity)
+    p, q, sp, sq = a.numerator, a.denominator, shift.numerator, shift.denominator
+    c = a * shift
+    cp, cq = c.numerator, c.denominator
+    # per level d: its members and their entries into the level below, the
+    # level above and its entries, and the pivot inverse Q(L P) / D
+    steps = [
+        (d, *_level(dim, d, parity), *_level(dim, d + 2, parity), *_shifted_inverse(dim, cp, cq, d, odd))
+        for d in range(odd, top + 1, 2)
+    ]
+    vs: list[tuple[list[int], int]] = []
+    for d, members, below, _, entries, coeffs, den in steps:  # forward: y_d = S_d^-1 (f_d - a P y_(d - 2))
+        block = blocks.get((d, parity), {})
+        rhs = [block.get(gamma, 0) for gamma in members]
+        if vs:
+            y, e = vs[-1]
+            rhs = [q * e * r - p * x for r, x in zip(rhs, _raised(y, below))]
+            den *= q * e
+        vs.append(_over_gcd(_horner(coeffs, rhs, entries), den))
+    for j in range(len(steps) - 2, -1, -1):  # back: v_d = y_d - alpha S_d^-1 L v_(d + 2)
+        (y, e), (v, g) = vs[j], vs[j + 1]
+        *_, entries, coeffs, den = steps[j]
+        lowered = [0] * len(y)
+        for column, x in zip(entries, v):
+            if x:
+                for i, b in column:
+                    lowered[i] += b * x
+        x = _horner(coeffs, lowered, entries)
+        vs[j] = _over_gcd([sq * den * g * yi - sp * e * xi for yi, xi in zip(y, x)], sq * den * g * e)
+    # u = P v + alpha v: alpha v_odd on the bottom level, P v_d + alpha v_(d + 2) above
+    v, g = vs[0]
+    parts = [(steps[0][1], *_over_gcd([sp * x for x in v], sq * g))]
+    for j, (v, g) in enumerate(vs):
+        above, entries = steps[j][3:5]
+        nums = _raised(v, entries)
+        if j + 1 < len(vs):
+            v_up, g_up = vs[j + 1]
+            nums, g = [sq * g_up * x + sp * g * y for x, y in zip(nums, v_up)], sq * g * g_up
+        parts.append((above, *_over_gcd(nums, g)))
+    return parts
+
+
+def _min_norm_coeffs(f: HermiteExpansion, a: Fraction = Fraction(0), top: int | None = None) -> HermiteExpansion:
+    """Coefficients of the minimal-weighted-norm u in V_(top + 2) with
+    P_top (lap + a) u = f, for top >= deg f (deg f by default).
+
+    With v = lam^2 w, u = T* w = (P + alpha) v for alpha = a / lam^2, and
+    P_top (L + a)(P + alpha) v = f.  Within a parity class this is block
+    tridiagonal over the levels d: L P + c on the diagonal (c = a alpha),
+    alpha L above and a P below.  One block Thomas sweep from the bottom
+    level up (``_shifted_sweep``) solves it: forward y_d = S_d^-1 (f_d -
+    a P y_(d - 2)), back v_d = y_d - alpha S_d^-1 L v_(d + 2), then u = P v
+    + alpha v; the pivot inverses S_d^-1 = Q_d(L P) / D_d of
+    ``_shifted_inverse`` are applied by ``_horner``.  At a = 0 the levels
+    decouple and S_d = L P: one Horner per (degree, parity) block of f,
+    with the ``_tower_polynomial`` c of the level, (L P)^-1 = -(c_1 + c_2
+    (L P) + ...) / c_0 as c(L P) = 0 there, and u = P (L P)^-1 f, the same
+    for every weight and every top.  Each level of u is put over one
+    denominator, and u over the lcm of those.  Work over MAX_MIN_NORM_WORK
+    raises InputLimitError before any level is built.
     """
     dim = f.weight.dim
+    top = f.degree() if top is None else top
     blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, int]] = {}
     for alpha, num in f.nums.items():
-        key = (sum(alpha), tuple(e % 2 for e in alpha))
-        blocks.setdefault(key, {})[alpha] = num
-    work = 0
-    for deg, parity in blocks:
-        half = (deg - sum(parity)) // 2
-        rows, cols = math.comb(half + dim - 1, dim - 1), math.comb(half + dim, dim - 1)
-        work += dim * (rows * (half + 1 if dim > 1 else 1) + rows + cols)
+        blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = num
+    if a:
+        classes = sorted({parity for _, parity in blocks})
+        work = 2 * sum(
+            (j + 1) * _level_work(dim, d, sum(parity))
+            for parity in classes
+            for j, d in enumerate(range(sum(parity), top + 1, 2))
+        )
+    else:
+        work = 0
+        for d, parity in blocks:
+            work += _level_work(dim, d, sum(parity))
     if work > MAX_MIN_NORM_WORK:
         raise InputLimitError(
             f"the min-norm solve in {dim}-D needs {work} units of work (lap entries times towers, "
             f"plus the {dim}-entry multi-indices), above MAX_MIN_NORM_WORK = {MAX_MIN_NORM_WORK}"
         )
-    parts: list[tuple[MultiIndex, int, int]] = []
-    common = 1
-    for (deg, parity), rhs_nums in sorted(blocks.items()):
-        c0, *tail = _tower_polynomial(dim, deg, sum(parity))
-        rhs = [rhs_nums.get(alpha, 0) for alpha in _level(dim, deg, parity)[0]]
-        columns, entries = _level(dim, deg + 2, parity)
-        acc = [tail[-1] * v for v in rhs]
-        for c in reversed(tail[:-1]):
-            nxt = [c * v for v in rhs]
-            for column in entries:
-                y = 0
-                for i, _ in column:
-                    y += acc[i]
-                if y:
-                    for i, b in column:
-                        nxt[i] += b * y
-            acc = nxt
-        nums = []
-        for column in entries:
-            y = 0
-            for i, _ in column:
-                y -= acc[i]
-            nums.append(y)
-        g = math.gcd(c0, *nums)
-        den = c0 // g
-        common = math.lcm(common, den)
-        parts.extend((gamma, num // g, den) for gamma, num in zip(columns, nums))
-    u = {gamma: num * (common // den) for gamma, num, den in parts}
+    parts: list[tuple[tuple[MultiIndex, ...], list[int], int]] = []
+    if a:
+        shift = a / f.weight.lam**2
+        for parity in classes:
+            parts.extend(_shifted_sweep(dim, parity, top, blocks, a, shift))
+    else:
+        for (d, parity), block in sorted(blocks.items()):
+            c0, *tail = _tower_polynomial(dim, d, sum(parity))
+            above, entries = _level(dim, d + 2, parity)
+            acc = _horner(tail, [block.get(gamma, 0) for gamma in _level(dim, d, parity)[0]], entries)
+            nums = _raised(acc, entries)
+            g = math.gcd(c0, *nums)
+            parts.append((above, [-v // g for v in nums], c0 // g))
+    common = math.lcm(*(den for _, _, den in parts))
+    u = {gamma: num * (common // den) for members, nums, den in parts for gamma, num in zip(members, nums)}
     return HermiteExpansion._trusted(f.weight, *reduced(f.den * common, u))
 
 
-def _triangular_coeffs(f: HermiteExpansion, a: Fraction) -> HermiteExpansion:
-    """Unique polynomial solution of (lap + a) u = f for a != 0 (top-down).
-
-    u_alpha = (f_alpha - (lap u)_alpha) / a, where (lap u)_alpha only
-    involves the coefficients of degree |alpha| + 2, already solved.  With
-    a = p/q, a coefficient of degree d divides by p once per step of its
-    chain d, d + 2, ..., deg f, so over f's denominator times |p|^m, m the
-    longest chain, every step is an exact int division.  lap + a keeps
-    per-axis parity, so only the members of f's parity classes are walked.
-    """
-    dim = f.weight.dim
-    p, q = a.numerator, a.denominator
-    degree = f.degree()
-    m = max(degree, 0) // 2 + 1
-    lift = abs(p) ** m
-    classes = sorted({tuple(e % 2 for e in alpha) for alpha in f.nums})
-    u: dict[MultiIndex, int] = {}
-    lap_u: dict[MultiIndex, int] = {}
-    for d in range(degree, -1, -1):
-        for alpha in heapq.merge(*(_level(dim, d, parity)[0] for parity in classes)):
-            acc = f.nums.get(alpha, 0) * lift - lap_u.get(alpha, 0)
-            if acc:
-                u[alpha] = num = q * acc // p
-                for beta, b in _lowered(alpha):
-                    lap_u[beta] = lap_u.get(beta, 0) + b * num
-    return HermiteExpansion._trusted(f.weight, *reduced(f.den * lift, u))
-
-
-def right_inverse_coeffs(f: HermiteExpansion, a: Fraction) -> HermiteExpansion:
-    """Hermite coefficients, over f's weight, of the package's exact
-    solution of (lap + a) u = f: minimal-weighted-norm at a = 0, the unique
-    triangular one otherwise.  Neither depends on the weight's lam or
-    center (see _min_norm_coeffs)."""
-    if a == 0:
-        return _min_norm_coeffs(f)
-    return _triangular_coeffs(f, a)
-
-
 def exact_solve(
-    f: HermiteExpansion, a: Fraction
+    f: HermiteExpansion, a: Fraction, truncation: int | None = None
 ) -> tuple[HermiteExpansion, bool, GaussianScalar, GaussianScalar, Fraction]:
-    """The exact core of every solve: u = right_inverse_coeffs(f, a), the
-    exact residual check shifted_laplacian(u, a) == f, ||f||^2_w,
-    ||u||^2_w and their ratio ||u||^2_w / ||f||^2_w (0 for zero data)."""
-    u = right_inverse_coeffs(f, a)
+    """The exact core of every solve at truncation N (deg f, 0 for zero
+    data, by default; ValueError below deg f): u = _min_norm_coeffs(f,
+    a, N), the exact weak residual check P_N shifted_laplacian(u, a) == f
+    on V_N, ||f||^2_w, ||u||^2_w and their ratio ||u||^2_w / ||f||^2_w (0
+    for zero data).  At a = 0, (lap) u has degree deg f, so the weak
+    residual is the strong one."""
+    degree = f.degree()
+    top = max(degree, 0) if truncation is None else truncation
+    if top < degree:
+        raise ValueError(f"truncation {top} is below the degree {degree} of the data")
+    u = _min_norm_coeffs(f, a, top)
+    image = shifted_laplacian(u, a)
+    if a:  # P_N; at a = 0 the image has degree deg f
+        kept = {gamma: num for gamma, num in image.nums.items() if sum(gamma) <= top}
+        image = HermiteExpansion._trusted(image.weight, *reduced(image.den, kept))
     norm_f, norm_u = f.norm_sq(), u.norm_sq()
     ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)
-    return u, shifted_laplacian(u, a) == f, norm_f, norm_u, ratio
+    return u, image == f, norm_f, norm_u, ratio
 
 
 def solve_min_norm(
-    f: Polynomial, a: RationalLike = 0, weight: WeightSpec | None = None
+    f: Polynomial,
+    a: RationalLike = 0,
+    weight: WeightSpec | None = None,
+    truncation: int | None = None,
 ) -> SolveReport:
-    """Solve (lap + a) u = f over polynomials with exact zero residual.
-
-    a = 0: minimal-weighted-norm solution over degree <= deg f + 2; it is
-    orthogonal to every polynomial in ker(lap) and satisfies the ratio
-    bound ||u||^2/||f||^2 <= 1/(8 n lam^2) with equality exactly at
-    nonzero constant f.  a != 0: the unique triangular polynomial
-    solution, whose ratio generally exceeds the bound until enriched.
-    ``residual_exact`` is the exact check shifted_laplacian(u, a) == f on
-    Hermite coefficients.  Neither solution depends on a truncation degree;
-    the report's ``truncation`` is deg f (0 for zero data).
+    """The minimal-weighted-norm weak solution of (lap + a) u = f on V_N,
+    N = ``truncation`` (deg f by default, 0 for zero data; ValueError
+    below deg f): the u of least ||u||_w in V_(N+2) with P_N (lap + a) u
+    = f.  Its ratio ||u||^2/||f||^2 is at most 1/(8 n lam^2) for every a
+    and N, with equality exactly at nonzero constant f and a = 0; at a != 0
+    it does not decrease as N grows.  At a = 0 the solution is the same for
+    every N >= deg f and solves lap u = f exactly.  ``residual_exact`` is
+    the exact weak residual check P_N shifted_laplacian(u, a) == f on
+    Hermite coefficients, ``ratio`` the exact ratio and ``bound_satisfied``
+    ratio <= bound with zero tolerance.
     """
     a = Fraction(a)
     w = weight if weight is not None else WeightSpec.unit(f.dim)
     if f.dim != w.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {w.dim}")
-    u_exp, residual_exact, norm_f, norm_u, ratio = exact_solve(monomial_to_hermite(f, w), a)
+    top = max(f.total_degree(), 0) if truncation is None else truncation
+    u_exp, residual_exact, norm_f, norm_u, ratio = exact_solve(monomial_to_hermite(f, w), a, top)
     bound = Fraction(1, 8 * w.dim * w.lam**2)
     return SolveReport(
         weight=w,
         a=a,
-        truncation=max(f.total_degree(), 0),
+        truncation=top,
         solution=u_exp,
         residual_exact=residual_exact,
         norm_f_sq=norm_f,
@@ -541,6 +691,10 @@ def solve_min_norm(
         bound=bound,
         bound_satisfied=ratio <= bound,
     )
+
+
+# The name perfbench's solve workload calls for a != 0; the same solve.
+apply_right_inverse = solve_min_norm
 
 
 # ----------------------------------------------------------------------
@@ -636,23 +790,6 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
         enrichment=f"plane-waves[{len(basis)}]",
         gram_condition=condition,
     )
-
-
-def apply_right_inverse(
-    f: Polynomial, a: RationalLike = 0, weight: WeightSpec | None = None
-) -> SolveReport:
-    """The full right-inverse application: exact solve, then enrich.
-
-    Only a != 0 on the unit weight is projected off the default plane-wave
-    kernel basis (plane waves pair in closed form under that weight alone);
-    at a = 0 the min-norm solution is already orthogonal to the kernel.
-    The report keeps the pre-enrichment ratio next to the final one.
-    """
-    a = Fraction(a)
-    report = solve_min_norm(f, a, weight=weight)
-    if a == 0 or f.is_zero() or not report.weight.is_unit:
-        return report
-    return enrich(report, kernel_basis(a, f.dim))
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from gauss_rinv.cli import (
     load_polynomial,
     main,
 )
+from gauss_rinv.hermite import HermiteExpansion
 from gauss_rinv.polynomials import Polynomial
 from gauss_rinv.reporting import dump_json
 
@@ -73,30 +74,49 @@ class TestSolveCommand:
         assert "a" in capsys.readouterr().err
 
     def test_enriched_shift(self, tmp_path):
+        """a = 1 is no longer enriched: the weak solution on V_0 has the
+        exact ratio 1/9 < 1/8, and the enrichment keys read their a = 0
+        values."""
         code, report = run_cli("solve", "--dim", "1", "--a", "1", "--f", "const:1", tmp_path=tmp_path)
         assert code == EXIT_OK
         solve = report["results"]["solve"]
-        assert solve["pre_enrichment_ratio"] == "1"
-        assert solve["ratio_float"] < 0.125
+        assert solve["ratio"] == "1/9" and solve["bound_satisfied"] is True
+        assert solve["pre_enrichment_ratio"] is None and solve["enrichment"] == "none"
+        assert solve["solution"]["kernel"] == [] and solve["gram_condition"] is None
 
-    def test_shift_bound_violation_exits_1(self, tmp_path):
-        """At a != 0 the verdict includes the bound: -x y^3 at a = -2 is
-        enriched to ratio ~0.0652, above 1/16."""
+    def test_shift_bound_violation_exits_1(self, tmp_path, monkeypatch):
+        """At a != 0 the verdict includes the bound: -x y^3 at a = -2 meets
+        it (ratio 0.01725 <= 1/16), and with 3 G_(1,5) - 10 G_(3,3) + 3
+        G_(5,1) (lap of it is 0, so P_4 (lap - 2) of it is 0) added to the
+        solution the weak residual stays exact, the ratio goes above 1/16
+        and the solve exits 1."""
         poly_path = tmp_path / "f.json"
         poly_path.write_text(json.dumps({"dim": 2, "terms": [{"exp": [1, 3], "coef": "-1"}]}))
-        code, report = run_cli("solve", "--dim", "2", "--a", "-2", "--f", str(poly_path), tmp_path=tmp_path)
+        argv = ("solve", "--dim", "2", "--a", "-2", "--f", str(poly_path))
+        code, report = run_cli(*argv, tmp_path=tmp_path)
+        assert code == EXIT_OK
+        assert report["results"]["solve"]["ratio_float"] == pytest.approx(0.01725, abs=5e-6)
+        solver = rightinverse._min_norm_coeffs
+        harmonic = {(1, 5): 3, (3, 3): -10, (5, 1): 3}
+
+        def planted(f, a, top):
+            u = solver(f, a, top)
+            return HermiteExpansion(u.weight, {k: u.coeffs.get(k, 0) + harmonic.get(k, 0) for k in {*u.coeffs, *harmonic}})
+
+        monkeypatch.setattr(rightinverse, "_min_norm_coeffs", planted)
+        code, report = run_cli(*argv, tmp_path=tmp_path)
         assert code == EXIT_CHECK_FAILED
         solve = report["results"]["solve"]
         assert solve["residual_exact"] is True and solve["bound_satisfied"] is False
-        assert solve["ratio_float"] == pytest.approx(0.06515, abs=1e-5)
 
-    def test_unenriched_shift_exits_1(self, tmp_path):
-        """A scaled weight is not enriched, so u = 1 at a = 1 keeps ratio 1 > 1/32."""
+    def test_scaled_shift_within_bound_exits_0(self, tmp_path):
+        """At lambda = 2 and a = 1 the weak solution of f = 1 on V_0 has the
+        exact ratio 1 / (8 lambda^2 + a^2) = 1/33 <= 1/32."""
         code, report = run_cli(
             "solve", "--dim", "1", "--lambda", "2", "--a", "1", "--f", "const:1", tmp_path=tmp_path
         )
-        assert code == EXIT_CHECK_FAILED
-        assert report["results"]["solve"]["ratio"] == "1"
+        assert code == EXIT_OK
+        assert report["results"]["solve"]["ratio"] == "1/33"
 
     def test_enriched_shift_within_bound_exits_0(self, tmp_path):
         code, report = run_cli("solve", "--dim", "1", "--a", "1", "--f", "const:1", tmp_path=tmp_path)
@@ -110,10 +130,22 @@ class TestSolveCommand:
         assert code == EXIT_OK
         assert report["results"]["solve"]["ratio"] == "1/32"
 
-    def test_plane_waves_over_limit_exit_2(self, capsys):
-        """12-D a != 0 would enrich with 4120 plane waves, above MAX_PLANE_WAVES."""
-        assert main(["solve", "--dim", "12", "--a", "1", "--f", "const:1"]) == EXIT_SPEC
-        assert "4120 plane waves, above MAX_PLANE_WAVES = 1044" in capsys.readouterr().err
+    def test_shifted_solve_over_work_limit_exits_2(self, tmp_path, capsys):
+        """At a != 0 the work limit counts the sweep: every level of the
+        class from the bottom to N, both passes, each level j + 1 times.
+        x1^8 in 12-D, which a = 0 admits at 198,564 units, counts 1,867,200
+        at a = 1 and exits 2 before any level is built; the 10-D solve of a
+        constant at a = 1, which the plane waves failed after 5.5 s, counts
+        240 and meets the bound."""
+        poly_path = tmp_path / "f.json"
+        poly_path.write_text(json.dumps(Polynomial.monomial((8,) + (0,) * 11).to_json_dict()))
+        started = time.perf_counter()
+        assert main(["solve", "--dim", "12", "--a", "1", "--f", str(poly_path)]) == EXIT_SPEC
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "the min-norm solve in 12-D needs 1867200 units of work" in err and "MAX_MIN_NORM_WORK" in err
+        code, report = run_cli("solve", "--dim", "10", "--a", "1", "--f", "const:1", tmp_path=tmp_path)
+        assert code == EXIT_OK and report["results"]["solve"]["ratio"] == "1/81"
 
     def test_min_norm_block_over_limit_exits_2(self, tmp_path, capsys):
         """x1^2 in 1000-D: its degree-2 all-even block reaches a level of
@@ -477,38 +509,72 @@ class TestLargeShifts:
     @pytest.mark.parametrize("dim", ["1", "2", "3"])
     @pytest.mark.parametrize("a", ["1000000", "10000000"])
     def test_large_shift_reports(self, tmp_path, dim, a):
+        """The exact ratio 1 / (8 n + a^2) of a constant, with no enrichment."""
         code, report = run_cli("solve", "--dim", dim, "--a", a, "--f", "const:1", tmp_path=tmp_path)
-        assert code == EXIT_OK and report["results"]["solve"]["enrichment"].startswith("plane-waves")
+        solve = report["results"]["solve"]
+        assert code == EXIT_OK and solve["enrichment"] == "none"
+        assert solve["ratio"] == f"1/{8 * int(dim) + int(a) ** 2}"
 
     def test_shift_above_float_range_exits_2(self, tmp_path, capsys):
+        """opnorm reads a as a float and refuses one above the float range;
+        the exact sweep of solve takes it."""
         top = str(int(sys.float_info.max))
         code, report = run_cli("opnorm", "--dim", "1", "--a", top, tmp_path=tmp_path)
         assert code == EXIT_OK and report["results"]["opnorm"]["value"] > 0
-        for argv in (["opnorm", "--dim", "1"], ["solve", "--dim", "1", "--f", "const:1"]):
-            capsys.readouterr()
-            assert main([*argv, "--a", str(10**400)]) == EXIT_SPEC
-            err = capsys.readouterr().err
-            assert err.startswith("spec error: a: |a| = 10^400.00 is above the float range")
+        capsys.readouterr()
+        assert main(["opnorm", "--dim", "1", "--a", str(10**400)]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: a: |a| = 10^400.00 is above the float range")
+        code, report = run_cli("solve", "--dim", "1", "--a", str(10**400), "--f", "const:1", tmp_path=tmp_path)
+        assert code == EXIT_OK and report["results"]["solve"]["ratio"] == f"1/{8 + 10**800}"
 
-    def test_gram_overflow_exits_3_naming_the_entry(self, capsys):
-        assert main(["solve", "--dim", "1", "--a=-709", "--f", "const:1"]) == EXIT_OK
+    @staticmethod
+    def _enriched_solve(monkeypatch):
+        """Route the CLI's solve through the plane-wave enrichment kept in
+        rightinverse, so its float overflows reach main."""
+        solver = cli.solve_min_norm
+
+        def enriched(f, a=0, weight=None, truncation=None):
+            report = solver(f, a, weight=weight, truncation=truncation)
+            return rightinverse.enrich(report, rightinverse.kernel_basis(a, f.dim))
+
+        monkeypatch.setattr(cli, "solve_min_norm", enriched)
+
+    def test_gram_overflow_exits_3_naming_the_entry(self, tmp_path, capsys, monkeypatch):
+        """The sweep solves a = -800 exactly; the e^|a| Gram entry of the
+        plane waves overflows a float from |a| = 709.3 on, and when that
+        reaches main it exits 3 naming the entry."""
+        code, report = run_cli("solve", "--dim", "1", "--a=-800", "--f", "const:1", tmp_path=tmp_path)
+        solve = report["results"]["solve"]
+        assert code == EXIT_OK and solve["residual_exact"] is True and solve["bound_satisfied"] is True
+        assert solve["ratio"] == f"1/{8 + 800**2}"
+        self._enriched_solve(monkeypatch)
+        assert main(["solve", "--dim", "1", "--a=-709", "--f", "const:1", "--out", str(tmp_path / "r.json")]) == EXIT_OK
         capsys.readouterr()
         assert main(["solve", "--dim", "1", "--a=-800", "--f", "const:1"]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: kernel Gram entry <exp(") and "overflows a float" in err
 
-    def test_pairing_overflow_exits_3_naming_the_pairing(self, tmp_path, capsys):
-        """At a = 10^7, |k| = 3162.3: k^50 is a float, k^100 overflows."""
+    def test_pairing_overflow_exits_3_naming_the_pairing(self, tmp_path, capsys, monkeypatch):
+        """The sweep solves x^100 at a = 10^7 exactly; the plane waves there
+        have |k| = 3162.3, so the pairing of u with cos(k x) is a float at
+        degree 50 and overflows at degree 100, and main exits 3 naming it."""
+        paths = {}
+        for degree in (50, 100):
+            paths[degree] = tmp_path / f"x{degree}.json"
+            paths[degree].write_text(json.dumps({"dim": 1, "terms": [{"exp": [degree], "coef": "1"}]}))
+        code, report = run_cli("solve", "--dim", "1", "--a", "10000000", "--f", str(paths[100]), tmp_path=tmp_path)
+        solve = report["results"]["solve"]
+        assert code == EXIT_OK and solve["residual_exact"] is True and solve["bound_satisfied"] is True
+        self._enriched_solve(monkeypatch)
+        out = str(tmp_path / "r.json")
         for degree, code in ((50, EXIT_OK), (100, EXIT_NUMERIC)):
-            path = tmp_path / f"x{degree}.json"
-            path.write_text(json.dumps({"dim": 1, "terms": [{"exp": [degree], "coef": "1"}]}))
             capsys.readouterr()
-            out = str(tmp_path / "r.json")
-            assert main(["solve", "--dim", "1", "--a", "10000000", "--f", str(path), "--out", out]) == code
+            assert main(["solve", "--dim", "1", "--a", "10000000", "--f", str(paths[degree]), "--out", out]) == code
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: plane-wave pairing <cos(3162.27766017), u>")
         assert "with |k| = 3162.28" in err
-        assert "u of degree 100 is not finite" in err
+        assert "u of degree 102 is not finite" in err
 
 
 class TestFloatFlags:

@@ -395,14 +395,14 @@ class TestSolveBounded:
     def test_corrupted_solution_fails_residuals(self, monkeypatch):
         """One wrong coefficient in u fails the exact residual; the data-side
         Bessel check does not read u and still holds."""
-        solver = rightinverse.right_inverse_coeffs
+        solver = rightinverse._min_norm_coeffs
 
         def corrupt(*args):
             u = solver(*args)
             top = max(u.nums)
             return HermiteExpansion(u.weight, {**u.coeffs, top: u.coeffs[top] + Fraction(1, 7)})
 
-        monkeypatch.setattr(rightinverse, "right_inverse_coeffs", corrupt)
+        monkeypatch.setattr(rightinverse, "_min_norm_coeffs", corrupt)
         box = BoxDomain(((-1.0, 1.0),))
         rep = solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=8)
         assert not rep.residual_exact
@@ -601,7 +601,7 @@ class TestClosedForms:
         truncation = 6
         seen = []
         solve = domains.exact_solve
-        monkeypatch.setattr(domains, "exact_solve", lambda f_exp, a: seen.append(f_exp) or solve(f_exp, a))
+        monkeypatch.setattr(domains, "exact_solve", lambda f_exp, *rest: seen.append(f_exp) or solve(f_exp, *rest))
         solve_bounded(box, f, truncation=truncation)
         pairs, _, _ = f.integrals(box.center, truncation)
         unit = math.pi ** (box.dim / 2.0)

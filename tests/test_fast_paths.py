@@ -28,8 +28,7 @@ step, is the reference of its one-pass stencil; since the adjoint feeds
 only exact sums and sorted serializations, its key order is not compared.
 So are the per-call assemblers the cached levels of
 ``lap + a`` replaced (class members by sorting, the float blocks over
-every parity vector, the triangular walk over every index): members and
-float blocks must be equal.
+every parity vector): members and float blocks must be equal.
 """
 
 import inspect
@@ -62,7 +61,6 @@ from gauss_rinv.rightinverse import (
     _min_norm_coeffs,
     _tower_block,
     _tower_polynomial,
-    _triangular_coeffs,
     multi_indices_up_to,
     shifted_laplacian,
     solve_min_norm,
@@ -797,24 +795,6 @@ def reference_float_blocks(dim: int, degree: int, shift: float) -> list:
     return out
 
 
-def reference_triangular_nums(f: HermiteExpansion, a: Fraction) -> dict:
-    """_triangular_coeffs' unreduced numerators, walking every index of
-    every degree top-down in lex order."""
-    p, q = a.numerator, a.denominator
-    lift = abs(p) ** (max(f.degree(), 0) // 2 + 1)
-    u: dict = {}
-    lap_u: dict = {}
-    for d in range(f.degree(), -1, -1):
-        indices = itertools.product(range(d + 1), repeat=f.weight.dim)
-        for alpha in sorted(x for x in indices if sum(x) == d):
-            acc = f.nums.get(alpha, 0) * lift - lap_u.get(alpha, 0)
-            if acc:
-                u[alpha] = num = q * acc // p
-                for beta, b in _lowered(alpha):
-                    lap_u[beta] = lap_u.get(beta, 0) + b * num
-    return reduced(f.den * lift, u)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_levels_match_class_members(dim):
     for degree in range(15):
@@ -1041,18 +1021,6 @@ def test_shifted_laplacian_matches_fraction_reference(case):
         got = shifted_laplacian(expansion, a)
         assert got.weight == w
         assert_same_terms(got.coeffs, fraction_shifted_laplacian(expansion, a), w.dim)
-
-
-@settings(max_examples=40, deadline=None)
-@given(solve_cases(), st.sampled_from(SHIFTS[1:]))
-def test_triangular_matches_every_index_walk(case, a):
-    """Same numerators in the same key order as the walk over every index."""
-    p, w = case
-    f = monomial_to_hermite(p, w)
-    den, nums = reference_triangular_nums(f, a)
-    u = _triangular_coeffs(f, a)
-    assert u.den == den
-    assert list(u.nums.items()) == list(nums.items())
 
 
 def assert_solves(matrix, rhs) -> None:

@@ -33,7 +33,11 @@ BATTERY_SHA256 = "f2c4c791115d06d1035fb29031a36e21c5c1d2644165422eca440e50c7edb9
 VERIFY_ARGS = ["verify", "--seed", "7", "--cases", "24", "--weight-cases", "6"]
 VERIFY_SHA256 = "5f12d25d53336bfbfb9db8d9a964bef18f7ad2de1e6865c0af016a1c3a191bb0"
 CONVERSION_SHA256 = "67467ea262849db33096a45c0462fec0ec679980100d74b3c2061c0358ac3125"
-SOLVE_SHA256 = "4e6b01e987e015f394d8554fbcc86b8eb59511d1e1c7d43181fe7854d167175b"
+# The solve corpus, re-pinned when the a != 0 solves became the weak
+# solution on V_N (the bottom-up sweep in place of the triangular solve);
+# its a = 0 reports kept their bytes, pinned on their own.
+SOLVE_SHA256 = "cff2c2230d6883b81ed4f2a8ce5495a111cc5466da96009303b2f9a9a4d38627"
+SOLVE_A0_SHA256 = "17c2e3d397fcd9aee149287287c5e18c5422f4b271ef92b45d3109db63547f13"
 # repr of every operator_norm value over OPNORM_CASES and OPNORM_SHIFTS,
 # recorded when the norm was first taken tower by tower.  In 1-D the towers
 # are the old parity-class blocks, and those values kept their bits; 63 of
@@ -42,6 +46,9 @@ SOLVE_SHA256 = "4e6b01e987e015f394d8554fbcc86b8eb59511d1e1c7d43181fe7854d167175b
 OPNORM_SHA256 = "6c924609fb4d128539c19264885ed519d8f32eab9a67dc3cbd2fef1900260fe2"
 OPNORM_CASES = ((1, 40), (2, 16), (3, 10))  # (dim, top degree)
 OPNORM_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(3))
+# The recorded bounded reports; the solve-side fields of the two a != 0
+# cases (solution coefficients, norm_u_l2, margin, the weighted ratios,
+# bound_satisfied) were re-recorded from the weak solution on V_N.
 BOUNDED_DOCUMENTS = Path(__file__).parent / "data" / "bounded_documents.json"
 # Relative tolerance of the bounded floats.  A coefficient is measured
 # against the largest coefficient of its solution: symmetry-forced zeros
@@ -234,16 +241,28 @@ def test_conversion_digest_pinned():
 
 
 def test_solve_digest_pinned():
-    assert _sha256(solve_documents()) == SOLVE_SHA256
+    docs = solve_documents()
+    assert _sha256(docs) == SOLVE_SHA256
+    assert _sha256([doc for doc in docs if doc["a"] == "0"]) == SOLVE_A0_SHA256
 
 
-# The caches of the tower polynomials and of the levels of lap + a.
-SOLVE_CACHES = (rightinverse._tower_polynomial, rightinverse._level)
+# The caches of the tower polynomials, of lap + a (its entries per
+# multi-index and its levels) and of the shifted sweep (its Lagrange bases,
+# pivots and pivot inverses).
+SOLVE_CACHES = (
+    rightinverse._tower_polynomial,
+    rightinverse._lowered,
+    rightinverse._level,
+    rightinverse._lagrange_bases,
+    rightinverse._shifted_pivots,
+    rightinverse._shifted_inverse,
+)
 
 
 def test_cold_tower_caches_give_warm_bytes():
-    """The solve corpus from emptied tower-polynomial and level caches, and
-    again from the caches that filled, gives the same, pinned, bytes."""
+    """The solve corpus from emptied tower-polynomial, level and sweep
+    caches, and again from the caches that filled, gives the same, pinned,
+    bytes."""
     for cache in SOLVE_CACHES:
         cache.cache_clear()
     cold = solve_documents()

@@ -1,4 +1,4 @@
-"""Minimal-norm solver, kernel enrichment, operator norm, scaled weights."""
+"""Minimal-norm solver, the shifted sweep, kernel enrichment, operator norm, scaled weights."""
 
 import dataclasses
 import json
@@ -10,6 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gauss_rinv import cli, rightinverse
 from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from gauss_rinv.hermite import (
@@ -20,36 +23,71 @@ from gauss_rinv.hermite import (
     integrate_gaussian,
     monomial_to_hermite,
 )
-from gauss_rinv.linalg import SingularMatrixError
+from gauss_rinv.linalg import SingularMatrixError, solve_exact
 from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import (
     GramConditionError,
     InputLimitError,
     KernelFunction,
-    apply_right_inverse,
     default_directions,
     enrich,
     kernel_basis,
     multi_indices_up_to,
     operator_norm,
-    right_inverse_coeffs,
     shifted_laplacian,
     solve_min_norm,
 )
+from conftest import polynomials, rationals
 from harmonic_basis import harmonic_dimension, harmonic_polynomial_basis
 
 one_1d = Polynomial.constant(1, 1)
 one_2d = Polynomial.constant(2, 1)
+# The caches of the shifted sweep: its a-free Lagrange bases, its pivots and
+# their inverses.
+SWEEP_CACHES = (rightinverse._lagrange_bases, rightinverse._shifted_pivots, rightinverse._shifted_inverse)
 
 
 def basis_element(w: WeightSpec, alpha, coef=1) -> HermiteExpansion:
     return HermiteExpansion(w, {alpha: coef})
 
 
+def triangular_coeffs(f: HermiteExpansion, a) -> HermiteExpansion:
+    """The unique u of degree <= deg f with (lap + a) u = f at a != 0, top
+    down: u_alpha = (f_alpha - (lap u)_alpha) / a, where (lap u)_alpha reads
+    only the degree |alpha| + 2 already solved.  It is the inverse whose
+    norm operator_norm reports at a != 0, and a particular solution for
+    the plane-wave enrichment."""
+    a = Fraction(a)
+    rest = dict(f.coeffs)  # f - lap u on the degrees not yet solved
+    u = {}
+    for d in range(f.degree(), -1, -1):
+        for alpha in [key for key in rest if sum(key) == d]:
+            c = rest.pop(alpha) / a
+            if c:
+                u[alpha] = c
+                for beta, b in rightinverse._lowered(alpha):
+                    rest[beta] = rest.get(beta, 0) - b * c
+    return HermiteExpansion(f.weight, u)
+
+
+def triangular_report(f: Polynomial, a) -> rightinverse.SolveReport:
+    """solve_min_norm's unit-weight report with the triangular solution in
+    place of the weak one: the input the plane-wave enrichment was built for."""
+    rep = solve_min_norm(f, a)
+    u = triangular_coeffs(monomial_to_hermite(f, rep.weight), a)
+    norm_u = u.norm_sq()
+    ratio = norm_u.ratio(rep.norm_f_sq)
+    return dataclasses.replace(
+        rep, solution=u, norm_u_sq=norm_u, norm_u_sq_float=norm_u.to_float(), ratio=ratio,
+        ratio_float=float(ratio), bound_satisfied=ratio <= rep.bound,
+    )
+
+
 def column_solve_operator_norm(dim: int, a, degree: int) -> float:
-    """Reference norm of the truncated right inverse: one exact solve per
-    basis element G_alpha (degree <= degree) in orthonormal coordinates,
-    then the top float eigenvalue of q^T q."""
+    """Reference norm of the truncated right inverse operator_norm reports:
+    one exact solve per basis element G_alpha (degree <= degree) in
+    orthonormal coordinates, then the top float eigenvalue of q^T q; the
+    min-norm solve at a = 0, the triangular one otherwise."""
     a = Fraction(a)
     unit = Fraction(1)
     cols = multi_indices_up_to(dim, degree)
@@ -59,7 +97,8 @@ def column_solve_operator_norm(dim: int, a, degree: int) -> float:
     q = np.zeros((len(rows), len(cols)))
     for ci, alpha in enumerate(cols):
         norm_in = HermiteExpansion.basis_norm_sq(alpha, unit)
-        column = right_inverse_coeffs(HermiteExpansion(WeightSpec.unit(dim), {alpha: unit}), a)
+        basis = HermiteExpansion(WeightSpec.unit(dim), {alpha: unit})
+        column = rightinverse._min_norm_coeffs(basis) if a == 0 else triangular_coeffs(basis, a)
         for gamma, c in column.coeffs.items():
             norm_out = HermiteExpansion.basis_norm_sq(gamma, unit)
             q[row_pos[gamma], ci] = float(c) * math.sqrt(float(norm_out / norm_in))
@@ -99,20 +138,23 @@ class TestLevels:
 
     def test_cold_cache_high_degree(self):
         """A level is built without its lower levels: on a cold cache the
-        1-D degree-3999 level is one call, and a 1-D a = 1 solve from
-        degree 2500 walks its 1251 levels exactly."""
-        rightinverse._level.cache_clear()
-        rightinverse._tower_polynomial.cache_clear()
+        1-D degree-3999 level is one call, and a 1-D a = 1 sweep from degree
+        800 walks its 401 levels and their pivots from the bottom up, with
+        an exact weak residual."""
+        for cache in (rightinverse._level, rightinverse._tower_polynomial, *SWEEP_CACHES):
+            cache.cache_clear()
         assert rightinverse._level(1, 3999, (1,)) == (((3999,),), (((0, 4 * 3999 * 3998),),))
         rightinverse._level.cache_clear()
-        f = basis_element(WeightSpec.unit(1), (2500,))
-        u = rightinverse._triangular_coeffs(f, Fraction(1))
-        assert len(u.nums) == 1251
-        assert shifted_laplacian(u, 1) == f
+        f = basis_element(WeightSpec.unit(1), (800,))
+        u, residual_exact, *_ = rightinverse.exact_solve(f, Fraction(1))
+        assert len(u.nums) == 402 and u.degree() == 802
+        assert residual_exact
+        assert rightinverse._shifted_pivots.cache_info().currsize == 401
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_triangular_walks_only_the_classes_of_f(self, dim, monkeypatch):
-        """An even f asks for no odd level."""
+        """The sweep that replaced the triangular solve walks only f's parity
+        classes: an even f asks for no odd level."""
         asked = set()
         level = rightinverse._level
 
@@ -122,14 +164,17 @@ class TestLevels:
 
         monkeypatch.setattr(rightinverse, "_level", spy)
         f = basis_element(WeightSpec.unit(dim), (6,) + (0,) * (dim - 1))
-        assert shifted_laplacian(rightinverse._triangular_coeffs(f, Fraction(2)), 2) == f
+        assert rightinverse.exact_solve(f, Fraction(2))[1]
         assert asked == {(0,) * dim}
 
 
 def monomial_route_residual_zero(report, f: Polynomial) -> bool:
-    """Reference residual check on monomials: lap(u) + a u - f == 0."""
+    """Reference weak residual check on monomials: r = lap(u) + a u - f has
+    no Hermite term of degree <= N, the report's truncation (so r = 0 at
+    a = 0, where r has degree deg f = N)."""
     u = report.solution.to_polynomial()
-    return (u.laplacian() + u.scale(report.a) - f).is_zero()
+    r = u.laplacian() + u.scale(report.a) - f
+    return all(sum(alpha) > report.truncation for alpha in monomial_to_hermite(r, report.weight).nums)
 
 
 class TestTowerSpectrum:
@@ -207,9 +252,6 @@ class TestResidualRoutes:
             return wrapped
 
         monkeypatch.setattr(rightinverse, "_min_norm_coeffs", corrupt(rightinverse._min_norm_coeffs))
-        monkeypatch.setattr(
-            rightinverse, "_triangular_coeffs", corrupt(rightinverse._triangular_coeffs)
-        )
         rng = random.Random(32)
         for w in self.WEIGHTS:
             f = random_polynomial(rng, w.dim, max_degree=4, max_terms=5, nonzero=True)
@@ -240,19 +282,27 @@ class TestSolveMinNorm:
         assert rep.residual_exact
 
     def test_shift_without_enrichment(self):
+        """At a = 1 the weak solution of f = 1 on V_0 is (G_2 + G_0) / 9,
+        ratio 1 / (8 + a^2) = 1/9 < 1/8: no kernel enrichment is needed."""
         rep = solve_min_norm(one_1d, a=1)
-        assert rep.solution.coeffs == {(0,): Fraction(1)}
-        assert rep.ratio == 1 and not rep.bound_satisfied
+        assert rep.solution.coeffs == {(2,): Fraction(1, 9), (0,): Fraction(1, 9)}
+        assert rep.ratio == Fraction(1, 9) and rep.bound_satisfied and rep.enrichment == "none"
 
     def test_zero_data(self):
         rep = solve_min_norm(Polynomial.zero(2))
         assert rep.solution.is_zero() and rep.ratio == 0 and rep.residual_exact
 
     def test_negative_shift_triangular(self):
+        """The triangular solution of (lap - 2) u = x^2 - 1 solves it
+        strongly, so it meets the weak equation on V_2 too; the weak
+        solution has the smaller norm."""
         f = Polynomial(1, {(2,): 1, (0,): -1})
         rep = solve_min_norm(f, a=Fraction(-2))
-        u = rep.solution_polynomial()
-        assert (u.laplacian() - u.scale(2) - f).is_zero()
+        u_tri = triangular_coeffs(monomial_to_hermite(f, rep.weight), -2)
+        tri = u_tri.to_polynomial()
+        assert (tri.laplacian() - tri.scale(2) - f).is_zero()
+        assert rep.residual_exact and monomial_route_residual_zero(rep, f)
+        assert rep.ratio < u_tri.norm_sq().ratio(rep.norm_f_sq)
 
 
 class TestSolveVerdict:
@@ -301,6 +351,161 @@ class TestMinNormStructure:
         assert u_combo == u_split
 
 
+def normal_equations_coeffs(f: HermiteExpansion, a, top: int) -> HermiteExpansion:
+    """The class-block normal equations the sweep solves, as an oracle: per
+    parity class of f, P_top T T* w = f on the class's part of V_top, for T
+    = lap + a and T* = lam^2 P + a, assembled one basis element at a time
+    and solved by ``solve_exact``; u = T* w."""
+    a, dim, lam_sq = Fraction(a), f.weight.dim, f.weight.lam**2
+
+    def t_star(coeffs: dict) -> dict:
+        out: dict = {}
+        for beta, c in coeffs.items():
+            out[beta] = out.get(beta, 0) + a * c
+            for j in range(dim):
+                gamma = beta[:j] + (beta[j] + 2,) + beta[j + 1 :]
+                out[gamma] = out.get(gamma, 0) + lam_sq * c
+        return out
+
+    def t(coeffs: dict) -> dict:
+        out: dict = {}
+        for gamma, c in coeffs.items():
+            out[gamma] = out.get(gamma, 0) + a * c
+            for beta, b in rightinverse._lowered(gamma):
+                out[beta] = out.get(beta, 0) + b * c
+        return out
+
+    u: dict = {}
+    for parity in {tuple(e % 2 for e in alpha) for alpha in f.coeffs}:
+        rows = [alpha for alpha in multi_indices_up_to(dim, top) if tuple(e % 2 for e in alpha) == parity]
+        columns = [t(t_star({alpha: Fraction(1)})) for alpha in rows]
+        matrix = [[column.get(beta, Fraction(0)) for column in columns] for beta in rows]
+        w = solve_exact(matrix, [f.coeffs.get(beta, Fraction(0)) for beta in rows])
+        for gamma, c in t_star(dict(zip(rows, w))).items():
+            u[gamma] = u.get(gamma, 0) + c
+    return HermiteExpansion(f.weight, {key: c for key, c in u.items() if c})
+
+
+LAMS = (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(5, 3))
+BIG_SHIFTS = (Fraction(10**30), Fraction(-1, 10**30), Fraction(7, 10**30), Fraction(-(10**30), 3))
+
+
+def scaled_weight(dim: int, lam: Fraction, offset: Fraction) -> WeightSpec:
+    return WeightSpec(dim, lam, tuple(offset * (j + 1) for j in range(dim)))
+
+
+class TestShiftedSweep:
+    """The weak solution at a != 0: the bottom-up block Thomas sweep of the
+    normal equations P_N T T* w = f, u = T* w."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_class_block_normal_equations(self, dim):
+        """The sweep equals the normal equations solved by solve_exact, for
+        every N up to 6 (5 in 3-D), on unit and scaled off-center weights."""
+        rng = random.Random(60 + dim)
+        for w in (WeightSpec.unit(dim), scaled_weight(dim, Fraction(3, 2), Fraction(-2, 3))):
+            for a in (Fraction(1), Fraction(-5, 2), Fraction(1, 3)):
+                f = monomial_to_hermite(random_polynomial(rng, dim, max_degree=4, max_terms=4, nonzero=True), w)
+                for top in range(f.degree(), (6, 6, 5)[dim - 1] + 1):
+                    assert rightinverse._min_norm_coeffs(f, a, top) == normal_equations_coeffs(f, a, top)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        polynomials(max_degree=4),
+        st.one_of(rationals().filter(bool), st.sampled_from(BIG_SHIFTS)),
+        st.sampled_from(LAMS),
+        st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(-2))),
+    )
+    def test_weak_residual_bound_and_monotone(self, f, a, lam, offset):
+        """The weak residual is exact, the exact ratio is at most 1/(8 n
+        lam^2), and it does not decrease from N to N + 2."""
+        f_exp = monomial_to_hermite(f, scaled_weight(f.dim, lam, offset))
+        top = max(f_exp.degree(), 0)
+        ratios = []
+        for truncation in (top, top + 2):
+            _, residual_exact, _, _, ratio = rightinverse.exact_solve(f_exp, a, truncation)
+            assert residual_exact
+            assert ratio <= Fraction(1, 8 * f.dim) / lam**2
+            ratios.append(ratio)
+        assert ratios[0] <= ratios[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(polynomials(max_degree=5), st.sampled_from(LAMS), st.sampled_from((Fraction(0), Fraction(2, 5))))
+    def test_a_zero_is_the_min_norm_solve(self, f, lam, offset):
+        """At a = 0 the sweep is one Horner per block of f: the same u for
+        every N >= deg f, the class-block normal equations' u at N = deg f."""
+        f_exp = monomial_to_hermite(f, scaled_weight(f.dim, lam, offset))
+        u = rightinverse._min_norm_coeffs(f_exp)
+        top = max(f_exp.degree(), 0)
+        assert u == normal_equations_coeffs(f_exp, 0, top)
+        for extra in (2, 4):
+            assert rightinverse._min_norm_coeffs(f_exp, Fraction(0), top + extra) == u
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10])
+    @pytest.mark.parametrize("a", [1, Fraction(-7, 2)])
+    def test_constant_data_at_degree_zero(self, dim, a):
+        """On V_0, u = (lam^2 P + a) w for the constant w = 1 / (8 n lam^2 +
+        a^2): the ratio is 1 / (8 n lam^2 + a^2), 1/81 for n = 10, a = 1."""
+        for lam in (Fraction(1), Fraction(2, 3)):
+            w = scaled_weight(dim, lam, Fraction(1, 2))
+            rep = solve_min_norm(Polynomial.constant(dim, 5), a, weight=w)
+            assert rep.residual_exact and rep.ratio == 1 / (8 * dim * lam**2 + Fraction(a) ** 2)
+
+    @pytest.mark.parametrize("a", [1, -1])
+    def test_constant_data_closed_form(self, a):
+        """f = 1 in 1-D at a = +-1: the exact ratio rises with N = 0, 2, ...,
+        8 from 1/9 to within 1e-10 of the N -> oo closed form 1 - 2 e^(-1/2)
+        / (1 + e^(-1)) of the minimal-norm weak solution."""
+        closed = 1.0 - 2.0 * math.exp(-0.5) / (1.0 + math.exp(-1.0))
+        ratios = [solve_min_norm(one_1d, a, truncation=top).ratio for top in range(0, 9, 2)]
+        assert ratios[0] == Fraction(1, 9)
+        assert all(lo < hi for lo, hi in zip(ratios, ratios[1:]))
+        assert abs(float(ratios[-1]) - closed) <= 1e-10
+
+    def test_reflection_symmetry(self):
+        """D = diag((-1)^floor(|alpha| / 2)) has D (lap + a) D = -(lap - a),
+        so ratio(a, f) = ratio(-a, D f), exactly, on scaled off-center
+        weights."""
+        rng = random.Random(71)
+        for i in range(24):
+            dim = 1 + i % 3
+            w = scaled_weight(dim, rng.choice(LAMS), Fraction(rng.randint(-3, 3), 4))
+            a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            f = monomial_to_hermite(random_polynomial(rng, dim, max_degree=5, max_terms=5, nonzero=True), w)
+            assert rightinverse.exact_solve(f, a)[4] == rightinverse.exact_solve(cli._reflected(f), -a)[4]
+
+    def test_truncation_below_degree_raises(self):
+        f = Polynomial(2, {(2, 1): 1})
+        assert solve_min_norm(f, 1, truncation=5).truncation == 5
+        with pytest.raises(ValueError, match="truncation 2 is below the degree 3 of the data"):
+            solve_min_norm(f, 1, truncation=2)
+
+    def test_dropped_coupling_fails_residual_and_exits_1(self, tmp_path, monkeypatch):
+        """With the a^2 coupling term dropped from the pivot recursion
+        (s_k = nu(m, k + 1) + c on every tower) the weak residual is false
+        and `gauss-rinv solve` exits 1."""
+        f = Polynomial(2, {(2, 0): 1, (1, 1): -2, (0, 2): Fraction(1, 3), (0, 0): 4})
+        f_path, out = tmp_path / "f.json", tmp_path / "report.json"
+        f_path.write_text(json.dumps(f.to_json_dict()))
+        argv = ["solve", "--out", str(out), "--dim", "2", "--a", "1", "--f", str(f_path)]
+        assert main(argv) == EXIT_OK
+
+        def dropped(dim, c_num, c_den, degree, odd):
+            c = Fraction(c_num, c_den)
+            return tuple(rightinverse._nu(dim, degree - 2 * k, k + 1) + c for k in rightinverse._towers(dim, degree, odd))
+
+        for cache in SWEEP_CACHES:
+            cache.cache_clear()
+        monkeypatch.setattr(rightinverse, "_shifted_pivots", dropped)
+        try:
+            assert not solve_min_norm(f, 1).residual_exact
+            assert main(argv) == EXIT_CHECK_FAILED
+            assert json.loads(out.read_text())["results"]["solve"]["residual_exact"] is False
+        finally:
+            for cache in SWEEP_CACHES:
+                cache.cache_clear()
+
+
 class TestKernelBasis:
     def test_positive_shift_trig(self):
         basis = kernel_basis(1, 1)
@@ -344,8 +549,11 @@ class TestKernelBasis:
 
 
 class TestEnrichment:
+    """``enrich`` on the triangular solution, which it projects off the
+    plane waves in ker(lap + a); no report path calls it."""
+
     def test_positive_shift_closed_form(self):
-        rep = apply_right_inverse(one_1d, a=1)
+        rep = enrich(triangular_report(one_1d, 1), kernel_basis(1, 1))
         closed = 1.0 - 2.0 * math.exp(-0.5) / (1.0 + math.exp(-1.0))
         assert rep.ratio_float == pytest.approx(closed, abs=1e-12)
         assert rep.pre_enrichment_ratio == 1
@@ -353,7 +561,7 @@ class TestEnrichment:
         assert rep.ratio is None  # float after plane-wave enrichment
 
     def test_negative_shift_bound(self):
-        rep = apply_right_inverse(one_1d, a=-1)
+        rep = enrich(triangular_report(one_1d, -1), kernel_basis(-1, 1))
         assert rep.ratio_float <= 1 / 8 + 1e-12
         assert rep.residual_exact
 
@@ -365,7 +573,7 @@ class TestEnrichment:
         span of e^{+-kx}) leaves ratio (1 - sech(a/2)) / a^2 either way."""
         a_float = float(a)
         closed = (1.0 - 1.0 / math.cosh(a_float / 2.0)) / a_float**2
-        rep = apply_right_inverse(one_1d, a=a)
+        rep = enrich(triangular_report(one_1d, a), kernel_basis(a, 1))
         assert {g.kind for g, _ in rep.kernel_part} == ({"exp"} if a < 0 else {"cos", "sin"})
         assert rep.ratio_float == pytest.approx(closed, abs=1e-12)
 
@@ -399,19 +607,19 @@ class TestEnrichment:
     def test_gram_entry_overflow_both_sides(self):
         """1-D a < 0: the exp-exp diagonal entry is pi^(1/2) e^|a|, a float up
         to |a| = 709 and an overflow from 709.3 on."""
-        assert apply_right_inverse(one_1d, a=-709).passed
+        assert enrich(triangular_report(one_1d, -709), kernel_basis(-709, 1)).passed
         for a in (Fraction(-7093, 10), -710, -800):
             with pytest.raises(GramConditionError, match=r"kernel Gram entry <exp\(.*\)> .* overflows a float"):
-                apply_right_inverse(one_1d, a=a)
+                enrich(triangular_report(one_1d, a), kernel_basis(a, 1))
 
     def test_pairing_overflow_both_sides(self):
         """At a = 10^7 the cos/sin wavevector has |k| = 3162.3: its pairing
         with x^50 is a float (k^50 ~ 1e175), with x^100 an overflow."""
         x = Polynomial.variable(1, 0)
-        assert apply_right_inverse(x**50, a=10**7).residual_exact
+        assert enrich(triangular_report(x**50, 10**7), kernel_basis(10**7, 1)).residual_exact
         with pytest.raises(OverflowError, match=r"plane-wave pairing <cos\(.*\), u> with \|k\| = 3162.28 "
                                                 r"and u of degree 100 is not finite"):
-            apply_right_inverse(x**100, a=10**7)
+            enrich(triangular_report(x**100, 10**7), kernel_basis(10**7, 1))
 
     def test_gram_pairings_match_quadrature(self):
         g1 = KernelFunction(kind="cos", wavevector=(1.0,))
@@ -529,11 +737,13 @@ class TestOperatorNorm:
         nu = rightinverse._nu
         monkeypatch.setattr(cli, "run_identity_battery", lambda **kwargs: [])
         monkeypatch.setattr(rightinverse, "_nu", lambda dim, m, k: nu(dim + 1, m, k))
-        rightinverse._tower_polynomial.cache_clear()
+        for cache in (rightinverse._tower_polynomial, *SWEEP_CACHES):
+            cache.cache_clear()
         try:
             assert main(["suite"]) == EXIT_CHECK_FAILED
         finally:
-            rightinverse._tower_polynomial.cache_clear()
+            for cache in (rightinverse._tower_polynomial, *SWEEP_CACHES):
+                cache.cache_clear()
         criteria = {c["criterion"]: c for c in json.loads(capsys.readouterr().out)["results"]["criteria"]}
         assert criteria["operator-norm"]["pass"] is False
         assert criteria["operator-norm"]["n2_value"] == 1 / math.sqrt(24)
@@ -771,10 +981,11 @@ def solution_at(rep, point) -> float:
 
 @pytest.mark.parametrize("a", [1, -1, Fraction(1, 2)])
 def test_enriched_solution_satisfies_equation_pointwise(a):
-    """Finite-difference oracle: the full enriched solution (polynomial
-    plus plane waves) still satisfies lap(u) + a*u = f analytically."""
+    """Finite-difference oracle: the full enriched triangular solution
+    (polynomial plus plane waves) still satisfies lap(u) + a*u = f
+    analytically."""
     f = Polynomial(1, {(1,): 1, (0,): 2})
-    rep = apply_right_inverse(f, a=a)
+    rep = enrich(triangular_report(f, a), kernel_basis(a, 1))
     h = 1e-4
     for x in (-1.3, -0.25, 0.0, 0.6, 1.7):
         second = (solution_at(rep, [x + h]) - 2 * solution_at(rep, [x]) + solution_at(rep, [x - h])) / h**2
@@ -785,7 +996,7 @@ def test_enriched_solution_satisfies_equation_pointwise(a):
 def test_enriched_solution_pointwise_2d():
     """Same oracle in two dimensions (axes + diagonal wave directions)."""
     f = Polynomial(2, {(1, 0): 1, (0, 0): -3})
-    rep = apply_right_inverse(f, a=2)
+    rep = enrich(triangular_report(f, 2), kernel_basis(2, 2))
     h = 1e-4
     for x, y in ((-0.8, 0.4), (0.0, 0.0), (1.1, -0.6)):
         lap = (
