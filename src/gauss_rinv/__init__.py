@@ -3,7 +3,9 @@
 Exact polynomial calculus, scaled Hermite bases, the formal-adjoint
 commutator identities behind the coercivity bound, a minimal-norm solver
 realizing the 1/(8n) estimate, and the bounded-domain / embedding /
-counterexample pipelines built on top of it.
+counterexample pipelines built on top of it.  The exact core imports
+without numpy; the float layer, ``domains``, loads when one of its names is
+first read from the package.
 """
 
 from .polynomials import DimensionMismatchError, MultiIndex, Polynomial
@@ -39,16 +41,26 @@ from .rightinverse import (
     shifted_laplacian,
     solve_min_norm,
 )
-from .domains import (
-    BoxDomain,
-    BoundedSolveReport,
-    EmbeddingReport,
-    CounterexampleReport,
-    QuadratureError,
-    SampledFunction,
-    counterexample_report,
-    embedding_check,
-    solve_bounded,
-)
 
 __version__ = "0.1.0"
+
+# The float layer and numpy load on first use of one of its names (PEP 562).
+_DOMAINS_EXPORTS = frozenset({
+    "BoxDomain",
+    "BoundedSolveReport",
+    "EmbeddingReport",
+    "CounterexampleReport",
+    "QuadratureError",
+    "SampledFunction",
+    "counterexample_report",
+    "embedding_check",
+    "solve_bounded",
+})
+
+
+def __getattr__(name: str):
+    if name in _DOMAINS_EXPORTS:
+        from . import domains
+
+        return getattr(domains, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,9 @@ exact quantities serialize as rational strings, floats as Python's
 shortest round-trip repr, and timing goes to stderr so repeated runs emit
 byte-identical JSON.  Exit codes: 0 all checks pass,
 1 a check failed, 2 invalid input, 3 numeric failure.
+The float layer, ``domains`` and numpy, is imported inside the runners
+that use it (``bounded``, ``counterexample``, ``suite``; ``opnorm`` loads
+numpy from ``operator_norm``), so ``solve`` and ``verify`` run without it.
 """
 
 from __future__ import annotations
@@ -24,19 +27,10 @@ import random
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .adjoint import run_identity_battery
-from .domains import (
-    BoxDomain,
-    SampledFunction,
-    counterexample_report,
-    embedding_check,
-    solve_bounded,
-)
 from .hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
 from .polynomials import (
     Polynomial,
@@ -52,6 +46,9 @@ from .rightinverse import (
     operator_norm,
     solve_min_norm,
 )
+
+if TYPE_CHECKING:
+    from .domains import BoxDomain, SampledFunction
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,6 +132,8 @@ def _reflected(f: HermiteExpansion) -> HermiteExpansion:
 
 def run_suite() -> tuple[list[dict], bool]:
     """One-command reproduction of the full acceptance battery."""
+    from .domains import BoxDomain, SampledFunction, counterexample_report, embedding_check, solve_bounded
+
     results: list[dict] = []
 
     def record(criterion: str, passed: bool, **details):
@@ -318,6 +317,10 @@ def _opnorm(args) -> tuple[dict, dict, bool]:
 def _load_bounded_f(arg: str, box: BoxDomain) -> tuple[SampledFunction, object]:
     """The data of a --f descriptor and its echo as parsed: a constant's
     rational, a polynomial's canonical JSON, a grid's shape and values."""
+    import numpy as np
+
+    from .domains import SampledFunction
+
     if arg.startswith("const:"):
         value = _rational_field(arg[len("const:") :], "f.const")
         return SampledFunction.constant(box, input_float(value, "f.const")), value
@@ -341,6 +344,8 @@ def _load_bounded_f(arg: str, box: BoxDomain) -> tuple[SampledFunction, object]:
 
 
 def _bounded(args) -> tuple[dict, dict, bool]:
+    from .domains import BoxDomain, solve_bounded
+
     try:
         box = BoxDomain.from_string(args.box)
     except (ValueError, IndexError) as exc:
@@ -354,6 +359,8 @@ def _bounded(args) -> tuple[dict, dict, bool]:
 
 
 def _counterexample(args) -> tuple[dict, dict, bool]:
+    from .domains import counterexample_report
+
     c1 = _rational_field(args.c1, "c1")
     c2 = _rational_field(args.c2, "c2")
     if not (math.isfinite(args.R) and args.R >= 1.0):

@@ -19,7 +19,8 @@ rational part tagged with that symbolic unit.  Non-polynomial integrands
 go through tensor Gauss-Hermite quadrature (numpy's ``hermgauss`` rule).
 Over an interval, the orthonormal basis has closed-form float integrals:
 its Gaussian moments (``gaussian_moments``, from erf and Rodrigues'
-formula) and its Gram matrix (``hermite_gram``).
+formula) and its Gram matrix (``hermite_gram``).  These float functions
+import numpy when called, so the exact calculus loads and runs without it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
-
-import numpy as np
 
 from .polynomials import (
     DimensionMismatchError,
@@ -293,19 +292,37 @@ def _axis_norm_sq(a: int) -> int:
     return 2**a * math.factorial(a)
 
 
+# 2^a a! at index a.  _parseval replaces it by a longer copy when an axis
+# degree is past its end, so a reader never sees a partly extended table.
+_AXIS_NORMS = [1]
+
+
 def _parseval(products: list[tuple[MultiIndex, int]], den: int, lam: Fraction) -> Fraction:
     """sum of num * ||G_alpha||^2 / den over (alpha, num), in units (pi/lam)^{n/2}.
 
-    With lam = p/q, ||G_alpha||^2 = prod_j 2^a_j a_j! * q^|alpha| / p^|alpha|;
-    the sum runs on ints over p^top, top the largest |alpha|, and is
-    reduced once.
+    With lam = p/q, ||G_alpha||^2 = prod_j 2^a_j a_j! * q^|alpha| / p^|alpha|.
+    At lam = 1 the sum is one int sum; otherwise the terms are summed per
+    degree s = |alpha|, each degree's sum times q^s p^(top - s), top the
+    largest |alpha|, over p^top.  Either is reduced once.
     """
+    global _AXIS_NORMS
+    norm = _AXIS_NORMS.__getitem__
+    try:
+        if lam == 1:
+            return Fraction(sum([num * math.prod(map(norm, alpha)) for alpha, num in products]), den)
+        by_degree: dict[int, int] = {}
+        for alpha, num in products:
+            s = sum(alpha)
+            by_degree[s] = by_degree.get(s, 0) + num * math.prod(map(norm, alpha))
+    except IndexError:
+        norms = _AXIS_NORMS[:]
+        for a in range(len(norms), max(max(alpha) for alpha, _ in products) + 1):
+            norms.append(norms[-1] * 2 * a)
+        _AXIS_NORMS = norms
+        return _parseval(products, den, lam)
     p, q = lam.numerator, lam.denominator
-    top = max((sum(alpha) for alpha, _ in products), default=0)
-    total = 0
-    for alpha, num in products:
-        s = sum(alpha)
-        total += num * q**s * p ** (top - s) * math.prod(map(_axis_norm_sq, alpha))
+    top = max(by_degree, default=0)
+    total = sum(w * q**s * p ** (top - s) for s, w in by_degree.items())
     return Fraction(total, den * p**top)
 
 
@@ -469,6 +486,8 @@ def normalized_hermite_values(max_k: int, t, first=math.pi**-0.25):
 def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-fold tensor product of a 1-D rule: (m, n) points, the last
     axis fastest, and their (m,) weights, m = len(nodes)^n."""
+    import numpy as np
+
     grids = np.meshgrid(*[nodes] * n, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     return points, np.prod(np.meshgrid(*[weights] * n, indexing="ij"), axis=0).ravel()
@@ -485,9 +504,9 @@ def integrate_gaussian(
     at most 2 * order - 1 in each variable.  Change of variables
     x = y/sqrt(lam) + center maps the scaled weight to the reference
     e^{-|y|^2} rule and contributes the lam^{-n/2} Jacobian.
-    ``numpy.polynomial`` is looked up at call time, so importing the
-    package does not load it.
     """
+    import numpy as np
+
     lam = float(weight.lam)
     points, weights = tensor_rule(*np.polynomial.hermite.hermgauss(order), weight.dim)
     center = np.array([float(c) for c in weight.center])
@@ -513,6 +532,8 @@ def _gauss_mass(a: float, b: float) -> float:
 @lru_cache(maxsize=None)
 def _rodrigues_factors(cols: int) -> np.ndarray:
     """1/sqrt(2k), k = 1..cols-1, read-only: d/dt [h_(k-1)(t) e^{-t^2}] = -sqrt(2k) h_k(t) e^{-t^2}."""
+    import numpy as np
+
     factors = 1.0 / np.sqrt(2.0 * np.arange(1, cols))
     factors.setflags(write=False)
     return factors
@@ -533,6 +554,8 @@ def gaussian_moments(
     h_(k-1) e^{-t^2} is the Hermite function h_(k-1) e^{-t^2/2} times
     e^{-t^2/2}: a far end underflows to 0, not inf * 0.
     """
+    import numpy as np
+
     cells = len(lo)
     t = np.concatenate([lo, hi]) - x0
     half = np.exp(-t * t / 2.0)
@@ -553,6 +576,8 @@ def gaussian_moments(
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-point Gauss-Legendre rule on [-1, 1], exact to degree
     2 order - 1, read-only."""
+    import numpy as np
+
     rule = np.polynomial.legendre.leggauss(order)
     for arr in rule:
         arr.setflags(write=False)
@@ -563,6 +588,8 @@ def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     """G[a, b] = integral_lo^hi h_a(x - x0) h_b(x - x0) dx, a, b < size: a
     polynomial of degree 2 size - 2, which the size-point rule integrates
     exactly."""
+    import numpy as np
+
     nodes, weights = _legendre_rule(size)
     t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
     values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))

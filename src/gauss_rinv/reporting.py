@@ -9,9 +9,8 @@ and a non-finite float raises ValueError.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 
 def _default(obj):
@@ -19,10 +18,12 @@ def _default(obj):
         from .polynomials import format_rational
 
         return format_rational(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None:
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} in report")
 
 

@@ -47,8 +47,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .hermite import (
     GaussianScalar,
     HermiteExpansion,
@@ -718,6 +716,8 @@ def _kernel_gram(basis: Sequence[KernelFunction]) -> tuple[np.ndarray, float]:
     Raises GramConditionError above GRAM_CONDITION_LIMIT, or naming the
     entry when an exp-exp entry overflows a float (|a| above about 709).
     """
+    import numpy as np
+
     unit = math.pi ** (len(basis[0].wavevector) / 2.0)
 
     def entry(g: KernelFunction, h: KernelFunction) -> float:
@@ -758,6 +758,8 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
     equations G b = v, v_i = <g_i, u_p>, from closed-form float Gram data
     and closed-form pairings with the Hermite coefficients of u_p.
     """
+    import numpy as np
+
     if not basis:
         return report
     if report.kernel_part:
@@ -812,6 +814,8 @@ def _tower_entries(dim: int, degree: int, shifted: bool) -> int:
 
 def _tower_block(dim: int, m: int, top: int, shift: float) -> np.ndarray:
     """B_m, lap + a on the tower P^k H_m, k <= top: ``shift`` on the diagonal, sqrt(nu(m, k)) at (k - 1, k)."""
+    import numpy as np
+
     return np.diag(np.sqrt(_nu(dim, m, np.arange(1.0, top + 1))), 1) + shift * np.eye(top + 1)
 
 
@@ -837,6 +841,8 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
     float range, and SingularMatrixError, naming the tower, for an inverse
     or norm that is not finite (at once for an a != 0 whose float is 0).
     """
+    import numpy as np
+
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     a = Fraction(a)

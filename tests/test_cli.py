@@ -2,6 +2,7 @@
 
 import json
 import math
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -684,6 +685,45 @@ class TestReporting:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             dump_json({"x": object()})
+
+
+# One fresh interpreter: the exact subcommands must not load numpy, and the
+# float layer must still load on demand through the package afterwards.
+NUMPY_FREE_PROGRAM = """
+import contextlib, io, json, sys
+import gauss_rinv, gauss_rinv.cli as cli
+runs = (
+    ["solve", "--dim", "2", "--f", "const:1"],
+    ["solve", "--dim", "2", "--lambda", "3", "--center", "1/2,-2/3", "--f", "const:1"],
+    ["solve", "--dim", "1", "--a", "1", "--f", "const:1"],
+    ["verify", "--cases", "3", "--weight-cases", "1"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+assert codes == [0, 0, 0, 0], codes
+assert "numpy" not in sys.modules, "an exact subcommand loaded numpy"
+from gauss_rinv import BoxDomain
+assert gauss_rinv.solve_bounded is gauss_rinv.domains.solve_bounded
+assert BoxDomain is gauss_rinv.domains.BoxDomain
+try:
+    gauss_rinv.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("gauss_rinv.no_such_name resolved")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["opnorm", "--dim", "1", "--a", "1"])
+print(json.dumps([code, json.loads(out.getvalue())["results"]["opnorm"]["value"]]))
+"""
+
+
+def test_exact_subcommands_run_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_PROGRAM], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, value = json.loads(proc.stdout)
+    assert code == EXIT_CHECK_FAILED  # the a = 1 norm is far above 1/sqrt(8)
+    assert value == rightinverse.operator_norm(1, 1, 8)
 
 
 class TestSuiteDeterminism:

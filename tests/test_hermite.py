@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gauss_rinv import hermite
 from gauss_rinv.hermite import (
     GaussianScalar,
     HermiteExpansion,
@@ -249,6 +250,16 @@ class TestQuadrature:
         points, weights = tensor_rule(np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 2)
         assert points.tolist() == [[-1.0, -1.0], [-1.0, 2.0], [2.0, -1.0], [2.0, 2.0]]
         assert weights.tolist() == [9.0, 15.0, 15.0, 25.0]
+
+
+def test_parseval_extends_the_axis_norm_table(monkeypatch):
+    """An axis degree past the end of the 2^a a! table extends it, at lam != 1."""
+    monkeypatch.setattr(hermite, "_AXIS_NORMS", [1])
+    lam = Fraction(3, 2)
+    g = HermiteExpansion(WeightSpec(dim=1, lam=lam), {(200,): 1, (3,): Fraction(-2, 5)})
+    expected = HermiteExpansion.basis_norm_sq((200,), lam) + Fraction(4, 25) * HermiteExpansion.basis_norm_sq((3,), lam)
+    assert g.norm_sq().value == expected
+    assert hermite._AXIS_NORMS == [hermite._axis_norm_sq(a) for a in range(201)]
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
