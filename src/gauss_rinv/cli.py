@@ -15,7 +15,9 @@ byte-identical JSON.  Exit codes: 0 all checks pass,
 1 a check failed, 2 invalid input, 3 numeric failure.
 The float layer, ``domains`` and numpy, is imported inside the runners
 that use it (``bounded``, ``counterexample``, ``suite``; ``opnorm`` loads
-numpy from ``operator_norm``), so ``solve`` and ``verify`` run without it.
+numpy from ``operator_norm`` at a != 0 only), so ``solve``, ``verify`` and
+``opnorm`` at a = 0 run without it.  Of numpy, a float run loads the core
+and ``numpy.linalg`` only: its Gauss rules are the package's own.
 """
 
 from __future__ import annotations

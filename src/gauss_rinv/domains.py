@@ -42,6 +42,7 @@ from .hermite import (
     HermiteExpansion,
     WeightSpec,
     _axis_norm_sq,
+    gauss_rule,
     gaussian_moments,
     hermite_gram,
     norm_sq,
@@ -60,7 +61,7 @@ MAX_DEPTH = 24
 # loses about (nodes per axis / 2)^2 ulps (see gaussian_moments): 1e-10
 # relative at 2,000 nodes.
 QUAD_TOL = 1e-10
-# Random points of the sup estimate of embedding_check.
+# Points of the sup estimate of embedding_check, a Kronecker lattice in the box.
 SUP_SAMPLES = 2048
 # Slack of the two embedding inequalities.
 EMBEDDING_TOL = 1e-8
@@ -286,7 +287,7 @@ def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> 
 def _panel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The PANEL_ORDER^dim tensor Gauss-Legendre nodes on [-1, 1]^dim and
     their weights, built once per dimension and read-only."""
-    rule = tensor_rule(*np.polynomial.legendre.leggauss(PANEL_ORDER), dim)
+    rule = tensor_rule(*gauss_rule("legendre", PANEL_ORDER), dim)
     for arr in rule:
         arr.setflags(write=False)
     return rule
@@ -574,16 +575,34 @@ class EmbeddingReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _sup_lattice(n: int) -> np.ndarray:
+    """SUP_SAMPLES points of [0, 1)^n, read-only: the Kronecker lattice
+    u_k = frac(1/2 + k alpha), k < SUP_SAMPLES, alpha_j = phi^-j (j = 1..n),
+    phi the positive root of x^(n+1) = x + 1, whose powers keep the points
+    evenly spread in every dimension (M. Roberts, 2018).  u_0 is the
+    center."""
+    phi = 2.0
+    for _ in range(64):  # x -> (1 + x)^(1/(n+1)) contracts by 1/2 or more
+        phi = (1.0 + phi) ** (1.0 / (n + 1))
+    alpha = phi ** -np.arange(1.0, n + 1)
+    points = (0.5 + np.arange(SUP_SAMPLES)[:, None] * alpha) % 1.0
+    points.setflags(write=False)
+    return points
+
+
 def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
     """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2,
     each within EMBEDDING_TOL.
 
     Sampled data gets both squared norms in closed form over its support
-    box (the zero extension contributes nothing outside) and SUP_SAMPLES
-    seeded random points for the sup; at least one of the two routes must
-    be available.  Polynomials get the exact weighted norm;
-    their L2/sup norms over R^n are infinite except in the constant case,
-    so only the applicable route is reported.
+    box (the zero extension contributes nothing outside) and, for the sup,
+    the largest |f| over the SUP_SAMPLES points of ``_sup_lattice`` mapped
+    onto the box: a lower bound of sup|f|, so a passing sup route stays a
+    certificate.  At least one of the two routes must be available.
+    Polynomials get the exact weighted norm; their L2/sup norms over R^n
+    are infinite except in the constant case, so only the applicable route
+    is reported.
     """
     if isinstance(f, Polynomial):
         n = f.dim
@@ -604,8 +623,7 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
         with np.errstate(all="ignore"):
             _, weighted, l2_sq = f.integrals((0.0,) * n, 0)
         lo, hi = f.box.corners
-        points = np.random.default_rng(0).uniform(lo, hi, size=(SUP_SAMPLES, n))
-        sup_sq = float(np.max(np.abs(f(points)))) ** 2
+        sup_sq = float(np.max(np.abs(f(lo + _sup_lattice(n) * (hi - lo))))) ** 2
 
     pi_mass = math.pi ** (n / 2.0)
     l2_holds = None if l2_sq is None else weighted <= l2_sq + EMBEDDING_TOL
@@ -696,7 +714,7 @@ def _closed_form(
 def _integral_form() -> Callable[[float], float]:
     """u(x) = integral_0^x (x-t) f(t) dt with the piecewise source f(t) = t
     on (0,1), 1/t on [1, inf); quadrature per smooth piece."""
-    nodes, weights = np.polynomial.legendre.leggauss(INTEGRAL_FORM_ORDER)
+    nodes, weights = gauss_rule("legendre", INTEGRAL_FORM_ORDER)
 
     def piece(lo: float, hi: float, g: Callable[[np.ndarray], np.ndarray]) -> float:
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0

@@ -16,11 +16,14 @@ basis norms are rational multiples of the global unit (pi/lam)^{n/2}:
 
 Exact weighted integrals of polynomials are GaussianScalar values: a
 rational part tagged with that symbolic unit.  Non-polynomial integrands
-go through tensor Gauss-Hermite quadrature (numpy's ``hermgauss`` rule).
-Over an interval, the orthonormal basis has closed-form float integrals:
-its Gaussian moments (``gaussian_moments``, from erf and Rodrigues'
-formula) and its Gram matrix (``hermite_gram``).  These float functions
-import numpy when called, so the exact calculus loads and runs without it.
+go through tensor Gauss-Hermite quadrature.  Over an interval, the
+orthonormal basis has closed-form float integrals: its Gaussian moments
+(``gaussian_moments``, from erf and Rodrigues' formula) and its Gram
+matrix (``hermite_gram``, by a Gauss-Legendre rule exact to its degree).
+Both Gauss rules come from ``gauss_rule``: Jacobi-matrix eigenvalues from
+numpy.linalg, each polished by one fixed-point Newton step.  These float
+functions import numpy when called, so the exact calculus loads and runs
+without it.
 """
 
 from __future__ import annotations
@@ -483,6 +486,88 @@ def normalized_hermite_values(max_k: int, t, first=math.pi**-0.25):
     return vals
 
 
+# sqrt(pi) to 40 digits, so that a Hermite weight is rounded once.
+_SQRT_PI = Fraction("1.772453850905516027298167483341145182798")
+# Fraction bits of the fixed-point Newton step of gauss_rule.
+NEWTON_BITS = 128
+
+
+def _legendre_newton(x: float, n: int) -> tuple[float, float]:
+    """The root of P_n next to x and its weight 2 / ((1 - t^2) P_n'(t)^2).
+
+    With p = P_n(x), q = P_(n-1)(x), e = 1 - x^2 and g = n (q - x p) =
+    e P_n'(x), one Newton step gives the root x - p e / g, and the weight
+    formula, 2 e / g^2 at x, moves by the factor 1 + 2 x p / g over the
+    step (P_n'' / P_n' = 2 t / (1 - t^2) at a root).  Both are carried in
+    fixed point with NEWTON_BITS fraction bits and rounded once.
+    """
+    f = NEWTON_BITS
+    a, d = x.as_integer_ratio()
+    t = (a << f) // d
+    q, p = 0, 1 << f
+    for k in range(n):
+        q, p = p, (((2 * k + 1) * t * p >> f) - k * q) // (k + 1)
+    e = (1 << 2 * f) - t * t
+    g = n * ((q << f) - t * p)
+    return (t * g - p * e) / (g << f), (e * (g + 2 * t * p) << 2 * f + 1) / g**3
+
+
+def _hermite_newton(x: float, n: int) -> tuple[float, float]:
+    """The root of H_n next to x and its weight 2^(n-1) n! sqrt(pi) / (n H_(n-1)(t))^2.
+
+    With h = H_n(x), q = H_(n-1)(x), r = H_(n-2)(x) and H_n' = 2n H_(n-1),
+    one Newton step gives the root x - h / (2n q), and the weight formula
+    at x moves by the factor 1 + 2 (n-1) r h / (n q^2) over the step.
+    Both are carried in fixed point with NEWTON_BITS fraction bits and
+    rounded once.
+    """
+    f = NEWTON_BITS
+    a, d = x.as_integer_ratio()
+    t = (a << f) // d
+    r, q, h = 0, 0, 1 << f
+    for k in range(n):
+        r, q, h = q, h, (2 * t * h >> f) - 2 * k * q
+    scale = math.factorial(n) * _SQRT_PI.numerator << n - 1 + 2 * f
+    weight = scale * (n * q * q + 2 * (n - 1) * r * h) / (_SQRT_PI.denominator * n**3 * q**4)
+    return (2 * n * t * q - (h << f)) / (2 * n * q << f), weight
+
+
+@lru_cache(maxsize=None)
+def gauss_rule(family: str, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss rule, exact to degree 2 order - 1, of the
+    weight 1 on [-1, 1] (``"legendre"``) or e^{-t^2} on R (``"hermite"``):
+    ascending nodes and their weights, built once per order, read-only.
+
+    The nodes start as the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix, off-diagonal k / sqrt(4k^2 - 1) or sqrt(k / 2), k < order
+    (Golub & Welsch, Math. Comp. 23, 1969).  One Newton step on the
+    three-term recurrence, in fixed point, takes each to the nearest float
+    of its root, and the weight is the derivative formula at the root.  The
+    rule is symmetric, so only the roots >= 0 take the step.
+    """
+    import numpy as np
+
+    if order < 1:
+        raise ValueError(f"a Gauss rule needs order >= 1, got {order}")
+    k = np.arange(1.0, order)
+    if family == "legendre":
+        newton, off = _legendre_newton, k / np.sqrt(4.0 * k * k - 1.0)
+    elif family == "hermite":
+        newton, off = _hermite_newton, np.sqrt(k / 2.0)
+    else:
+        raise ValueError(f"unknown Gauss rule family {family!r}")
+    start = np.linalg.eigvalsh(np.diag(off, -1))[order // 2:]
+    if order % 2:
+        start[0] = 0.0  # the middle root of an odd order
+    half = np.array([newton(x, order) for x in start.tolist()]).T
+    half[0] = abs(half[0])  # the root 0 comes out as -0.0 where g < 0
+    mirror = half[:, order % 2:][:, ::-1]
+    nodes, weights = np.concatenate([-mirror[0], half[0]]), np.concatenate([mirror[1], half[1]])
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
+
+
 def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-fold tensor product of a 1-D rule: (m, n) points, the last
     axis fastest, and their (m,) weights, m = len(nodes)^n."""
@@ -508,11 +593,14 @@ def integrate_gaussian(
     import numpy as np
 
     lam = float(weight.lam)
-    points, weights = tensor_rule(*np.polynomial.hermite.hermgauss(order), weight.dim)
+    points, weights = tensor_rule(*gauss_rule("hermite", order), weight.dim)
     center = np.array([float(c) for c in weight.center])
     values = np.asarray(fn(points * lam**-0.5 + center), dtype=float)
-    total = (weights @ values) * lam ** (-weight.dim / 2.0)
-    return float(total) if total.ndim == 0 else total
+    # one contiguous row per component, each summed pairwise on its own, so
+    # a component's bits do not depend on how many others come with it
+    rows = np.ascontiguousarray(values.reshape(len(weights), -1).T)
+    total = (rows * weights).sum(axis=1) * lam ** (-weight.dim / 2.0)
+    return float(total[0]) if values.ndim == 1 else total
 
 
 # ----------------------------------------------------------------------
@@ -572,25 +660,13 @@ def gaussian_moments(
     return table
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order-point Gauss-Legendre rule on [-1, 1], exact to degree
-    2 order - 1, read-only."""
-    import numpy as np
-
-    rule = np.polynomial.legendre.leggauss(order)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
-
-
 def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     """G[a, b] = integral_lo^hi h_a(x - x0) h_b(x - x0) dx, a, b < size: a
     polynomial of degree 2 size - 2, which the size-point rule integrates
     exactly."""
     import numpy as np
 
-    nodes, weights = _legendre_rule(size)
+    nodes, weights = gauss_rule("legendre", size)
     t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
     values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
     return (values * (weights * (hi - lo) / 2.0)) @ values.T

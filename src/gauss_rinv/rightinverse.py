@@ -841,8 +841,6 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
     float range, and SingularMatrixError, naming the tower, for an inverse
     or norm that is not finite (at once for an a != 0 whose float is 0).
     """
-    import numpy as np
-
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     a = Fraction(a)
@@ -858,8 +856,10 @@ def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
         )
     input_float(Fraction(_nu(dim, degree, degree + 1)), "nu(degree, degree + 1)")  # the largest nu read
     towers = [(m, (degree - m) // 2) for m in range(min(degree, 1 if dim == 1 else degree) + 1)]
-    if not shift:
-        return 1.0 / math.sqrt(min(_nu(dim, m, np.arange(1.0, top + 2)).min() for m, top in towers))
+    if not shift:  # nu(m, k) grows with k, so each tower's least is at k = 1
+        return 1.0 / math.sqrt(min(_nu(dim, m, 1) for m, _ in towers))
+    import numpy as np
+
     norm = 0.0
     for m, top in towers:
         inverse = np.linalg.solve(_tower_block(dim, m, top, shift), np.eye(top + 1))

@@ -687,20 +687,24 @@ class TestReporting:
             dump_json({"x": object()})
 
 
-# One fresh interpreter: the exact subcommands must not load numpy, and the
-# float layer must still load on demand through the package afterwards.
+# One fresh interpreter: the exact subcommands, opnorm at a = 0 among them,
+# must not load numpy, and the float layer must still load on demand through
+# the package afterwards.  The float runs then load numpy's core and linalg
+# only: the Gauss rules are the package's own and the sup estimate of
+# embedding_check is a lattice, so numpy.random and numpy.polynomial stay out.
 NUMPY_FREE_PROGRAM = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 import gauss_rinv, gauss_rinv.cli as cli
 runs = (
     ["solve", "--dim", "2", "--f", "const:1"],
     ["solve", "--dim", "2", "--lambda", "3", "--center", "1/2,-2/3", "--f", "const:1"],
     ["solve", "--dim", "1", "--a", "1", "--f", "const:1"],
     ["verify", "--cases", "3", "--weight-cases", "1"],
+    ["opnorm", "--dim", "3", "--degree", "12"],
 )
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
-assert codes == [0, 0, 0, 0], codes
+assert codes == [0, 0, 0, 0, 0], codes
 assert "numpy" not in sys.modules, "an exact subcommand loaded numpy"
 from gauss_rinv import BoxDomain
 assert gauss_rinv.solve_bounded is gauss_rinv.domains.solve_bounded
@@ -711,9 +715,30 @@ except AttributeError:
     pass
 else:
     raise AssertionError("gauss_rinv.no_such_name resolved")
+tmp = tempfile.mkdtemp()
+poly, grid = os.path.join(tmp, "poly.json"), os.path.join(tmp, "grid.json")
+with open(poly, "w") as fh:
+    json.dump({"dim": 2, "terms": [{"exp": [2, 1], "coef": "3/2"}, {"exp": [0, 0], "coef": "-1"}]}, fh)
+with open(grid, "w") as fh:
+    json.dump({"shape": [3, 4], "values": [0.5, -1, 2, 0, 1, 1.5, -0.25, 3, 2, 0, 1, -2]}, fh)
+box = "--box=-1,1;-0.5,0.5"
+floats = (
+    ["bounded", box, "--f", "const:1", "--degree", "4"],
+    ["bounded", box, "--f", "poly:" + poly, "--degree", "4"],
+    ["bounded", box, "--f", "expr-grid:" + grid, "--degree", "4"],
+    ["counterexample"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in floats]
+assert codes == [0, 0, 0, 0], codes
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["opnorm", "--dim", "1", "--a", "1"])
+domains = gauss_rinv.domains
+f = domains.SampledFunction.from_grid(domains.BoxDomain(((0.0, 1.0), (-1.0, 2.0))), (2, 3), [1, -2, 0.5, 3, 0, -1])
+assert domains.embedding_check(f).holds
+loaded = sorted(name for name in ("numpy.random", "numpy.polynomial") if name in sys.modules)
+assert not loaded, loaded
 print(json.dumps([code, json.loads(out.getvalue())["results"]["opnorm"]["value"]]))
 """
 

@@ -787,20 +787,28 @@ def walked_towers(dim: int, degree: int) -> list[tuple[int, int]]:
 
 
 def spy_towers(monkeypatch, dim: int, a, degree: int) -> list[tuple[int, int]]:
-    """(m, length of the step array) of each tower spectrum operator_norm
-    reads: K + 1 steps at a = 0, K (the block's off-diagonal) at a != 0.
-    The one int call is the float-range check."""
-    read = []
+    """(m, steps) of each tower spectrum operator_norm reads after its
+    first call, the float-range check nu(degree, degree + 1): at a != 0 the
+    K steps of the block's off-diagonal, read as one array; at a = 0 the
+    tower's least value, the int nu(m, 1), which stands for its K + 1 steps."""
+    calls = []
     nu = rightinverse._nu
 
     def spy(d, m, k):
-        if not isinstance(k, int):
-            read.append((m, len(k)))
+        calls.append((m, k))
         return nu(d, m, k)
 
     monkeypatch.setattr(rightinverse, "_nu", spy)
     operator_norm(dim, a, degree)
     monkeypatch.undo()
+    assert calls[0] == (degree, degree + 1)
+    read = []
+    for m, k in calls[1:]:
+        if isinstance(k, int):
+            assert not a and k == 1
+            read.append((m, (degree - m) // 2 + 1))
+        else:
+            read.append((m, len(k)))
     return read
 
 
