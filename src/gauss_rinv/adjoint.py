@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .hermite import GaussianScalar, WeightSpec, inner_product, norm_sq
 from .polynomials import (
@@ -188,9 +188,8 @@ def commutator(psi: Polynomial, w: Polynomial, method: str = "direct") -> Polyno
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one exact identity/inequality check.
+class CheckReport(NamedTuple):
+    """Outcome of one exact identity/inequality check, an immutable record.
 
     ``passed`` compares lhs with rhs by the relation the checker states.
     The corpus also reports its pointwise commutator routes this way, with

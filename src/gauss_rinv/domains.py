@@ -61,7 +61,8 @@ MAX_DEPTH = 24
 # loses about (nodes per axis / 2)^2 ulps (see gaussian_moments): 1e-10
 # relative at 2,000 nodes.
 QUAD_TOL = 1e-10
-# Points of the sup estimate of embedding_check, a Kronecker lattice in the box.
+# Points of the sup estimate of embedding_check, a Kronecker lattice in the
+# box, for data of power above 1 on some axis: its sup may lie inside a cell.
 SUP_SAMPLES = 2048
 # Slack of the two embedding inequalities.
 EMBEDDING_TOL = 1e-8
@@ -362,9 +363,10 @@ def max_truncation(dim: int) -> int:
     float: the min-norm solution reaches degree N + 2, and ||G_alpha||^2_w
     of that degree is largest at a pure power, 2^d d! pi^{n/2}."""
     limit = sys.float_info.max / math.pi ** (dim / 2.0)
-    degree = 2
-    while HermiteExpansion.basis_norm_sq((degree + 1,), Fraction(1)) <= limit:
+    degree, norm = 2, 2**3 * 6  # the int 2^(d+1) (d+1)!, compared exactly
+    while norm <= limit:
         degree += 1
+        norm *= 2 * (degree + 1)
     return degree - 2
 
 
@@ -597,9 +599,11 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
 
     Sampled data gets both squared norms in closed form over its support
     box (the zero extension contributes nothing outside) and, for the sup,
-    the largest |f| over the SUP_SAMPLES points of ``_sup_lattice`` mapped
-    onto the box: a lower bound of sup|f|, so a passing sup route stays a
-    certificate.  At least one of the two routes must be available.
+    the largest |f| at its cell vertices: sup|f| itself for data multilinear
+    on each cell (constants, grids), and for other data the larger of that
+    and the SUP_SAMPLES points of ``_sup_lattice`` mapped onto the box.
+    These values are attained, so a passing sup route stays a certificate.
+    At least one of the two routes must be available.
     Polynomials get the exact weighted norm; their L2/sup norms over R^n
     are infinite except in the constant case, so only the applicable route
     is reported.
@@ -622,8 +626,15 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
         n = f.box.dim
         with np.errstate(all="ignore"):
             _, weighted, l2_sq = f.integrals((0.0,) * n, 0)
-        lo, hi = f.box.corners
-        sup_sq = float(np.max(np.abs(f(lo + _sup_lattice(n) * (hi - lo))))) ** 2
+        vertices = f.coeffs
+        for j, (edges, origins, powers) in enumerate(f.axes):
+            ends = np.stack([edges[:-1], edges[1:]], axis=-1) - origins[:, None]
+            vertices = _contract(vertices, j, ends[:, None, :] ** powers[:, None])
+        sup = float(np.max(np.abs(vertices)))
+        if any(powers[-1] > 1 for _, _, powers in f.axes):
+            lo, hi = f.box.corners
+            sup = max(sup, float(np.max(np.abs(f(lo + _sup_lattice(n) * (hi - lo))))))
+        sup_sq = sup**2
 
     pi_mass = math.pi ** (n / 2.0)
     l2_holds = None if l2_sq is None else weighted <= l2_sq + EMBEDDING_TOL

@@ -29,10 +29,9 @@ without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .polynomials import (
     DimensionMismatchError,
@@ -60,26 +59,29 @@ class UnitMismatchError(ValueError):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """The weight lam*|x - center|^2 defining e^{-weight} on R^n."""
-
+class _WeightFields(NamedTuple):
     dim: int
-    lam: Fraction = Fraction(1)
-    center: tuple[Fraction, ...] = ()
+    lam: Fraction
+    center: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _as_fraction(self.lam))
-        center = tuple(_as_fraction(c) for c in (self.center or (0,) * self.dim))
-        object.__setattr__(self, "center", center)
-        if self.dim < 1:
+
+class WeightSpec(_WeightFields):
+    """The weight lam*|x - center|^2 defining e^{-weight} on R^n: an
+    immutable record whose constructor makes lam and the center exact
+    (an empty center is the origin) and checks them against dim."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, lam: RationalLike = 1, center: Sequence[RationalLike] = ()):
+        lam = _as_fraction(lam)
+        center = tuple(_as_fraction(c) for c in (center or (0,) * dim))
+        if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if len(center) != self.dim:
-            raise DimensionMismatchError(
-                f"center length {len(center)} != dimension {self.dim}"
-            )
+        if lam <= 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        if len(center) != dim:
+            raise DimensionMismatchError(f"center length {len(center)} != dimension {dim}")
+        return super().__new__(cls, dim, lam, center)
 
     @classmethod
     def unit(cls, dim: int) -> "WeightSpec":

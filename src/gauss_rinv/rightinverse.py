@@ -38,14 +38,12 @@ them in floats, stay as library functions that no report path calls.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .hermite import (
     GaussianScalar,
@@ -175,19 +173,24 @@ def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteEx
 _PHASES = {"exp": (1, 1, 1, 1), "cos": (1, 0, -1, 0), "sin": (0, 1, 0, -1)}
 
 
-@dataclass(frozen=True)
-class KernelFunction:
-    """An explicit plane wave in ker(lap + a) living in the weighted space.
+class _KernelFields(NamedTuple):
+    kind: str  # "cos" | "sin" | "exp"
+    wavevector: tuple[float, ...]
+
+
+class KernelFunction(_KernelFields):
+    """An explicit plane wave in ker(lap + a) living in the weighted space,
+    an immutable record whose constructor checks the kind.
 
     The float wavevector has |k|^2 = a for trig kinds, -a for exp.
     """
 
-    kind: str  # "cos" | "sin" | "exp"
-    wavevector: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _PHASES:
-            raise ValueError(f"unknown plane-wave kind {self.kind!r}")
+    def __new__(cls, kind: str, wavevector: tuple[float, ...] = ()):
+        if kind not in _PHASES:
+            raise ValueError(f"unknown plane-wave kind {kind!r}")
+        return super().__new__(cls, kind, wavevector)
 
     def describe(self) -> str:
         vec = ",".join(f"{v:.12g}" for v in self.wavevector)
@@ -301,25 +304,24 @@ def kernel_basis(a: RationalLike, dim: int) -> list[KernelFunction]:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class SolveReport:
-    """The minimal-norm weak solution of (lap + a) u = f on V_N (N =
-    ``truncation``) with norms, ratio, and bound verdict.
+class SolveReport(NamedTuple):
+    """Immutable record of the minimal-norm weak solution of (lap + a) u = f
+    on V_N (N = ``truncation``) with norms, ratio, and bound verdict.
 
     Every field of a ``solve_min_norm`` report is exact or the float of an
     exact value: ``residual_exact`` is the exact weak residual check P_N
     (lap + a) u == f on V_N (the strong one at a = 0), ``ratio`` the exact
     ||u||^2_w / ||f||^2_w, and ``bound_satisfied`` ratio <= bound with zero
     tolerance.  The kernel and pre-enrichment fields are filled only by
-    ``enrich``, which no report path calls: there ``ratio`` is None and the
-    float ratio is the verdict's.
+    ``enrich``'s copy, which no report path makes: there ``ratio`` is None
+    and the float ratio is the verdict's.
     """
 
     weight: WeightSpec
     a: Fraction
     truncation: int
     solution: HermiteExpansion
-    kernel_part: list[tuple[KernelFunction, float]] = field(default_factory=list)
+    kernel_part: tuple[tuple[KernelFunction, float], ...] = ()
     residual_exact: bool = True
     kernel_defect: float = 0.0
     norm_f_sq: GaussianScalar | None = None
@@ -779,9 +781,8 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
     new_norm = old_norm - 2.0 * float(beta @ v) + float(beta @ gram @ beta)
     norm_f_float = report.norm_f_sq.to_float()
     ratio_float = new_norm / norm_f_float if norm_f_float else 0.0
-    return dataclasses.replace(
-        report,
-        kernel_part=[(g, -float(b)) for g, b in zip(basis, beta)],
+    return report._replace(
+        kernel_part=tuple((g, -float(b)) for g, b in zip(basis, beta)),
         kernel_defect=defect,
         norm_u_sq_float=new_norm,
         ratio=None,

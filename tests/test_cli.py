@@ -688,10 +688,12 @@ class TestReporting:
 
 
 # One fresh interpreter: the exact subcommands, opnorm at a = 0 among them,
-# must not load numpy, and the float layer must still load on demand through
-# the package afterwards.  The float runs then load numpy's core and linalg
-# only: the Gauss rules are the package's own and the sup estimate of
-# embedding_check is a lattice, so numpy.random and numpy.polynomial stay out.
+# must not load numpy, nor dataclasses and the inspect, ast and tokenize it
+# imports (the exact core's records are NamedTuples), and the float layer
+# must still load on demand through the package afterwards.  The float runs
+# then load numpy's core and linalg only: the Gauss rules are the package's
+# own and the sup estimate of embedding_check reads cell vertices and a
+# lattice, so numpy.random and numpy.polynomial stay out.
 NUMPY_FREE_PROGRAM = """
 import contextlib, io, json, os, sys, tempfile
 import gauss_rinv, gauss_rinv.cli as cli
@@ -706,6 +708,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
 assert codes == [0, 0, 0, 0, 0], codes
 assert "numpy" not in sys.modules, "an exact subcommand loaded numpy"
+stdlib = sorted(name for name in ("dataclasses", "inspect", "ast", "tokenize") if name in sys.modules)
+assert not stdlib, stdlib
 from gauss_rinv import BoxDomain
 assert gauss_rinv.solve_bounded is gauss_rinv.domains.solve_bounded
 assert BoxDomain is gauss_rinv.domains.BoxDomain

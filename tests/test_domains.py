@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -426,6 +427,21 @@ class TestInputLimits:
         with pytest.raises(InputLimitError, match=f"degree limit {last_ok}"):
             check_input_limits(dim, last_ok + 1)
 
+    def test_degree_limit_matches_the_exact_basis_norms(self):
+        """The int recurrence 2^(d+1) (d+1)! gives the degree limit that the
+        Fraction basis norms ||G_(d+1)||^2 give against the same float limit."""
+
+        def by_basis_norms(dim):
+            limit = sys.float_info.max / math.pi ** (dim / 2.0)
+            degree = 2
+            while HermiteExpansion.basis_norm_sq((degree + 1,), Fraction(1)) <= limit:
+                degree += 1
+            return degree - 2
+
+        limits = [domains.max_truncation(dim) for dim in range(1, 7)]
+        assert limits == [by_basis_norms(dim) for dim in range(1, 7)]
+        assert limits == [148, 147, 147, 147, 147, 147]
+
     @pytest.mark.parametrize("dim, last_ok", [(1, 32765), (2, 178), (3, 29), (4, 10)])
     def test_size_limit_both_sides(self, dim, last_ok):
         """Just inside MAX_TENSOR_ENTRIES the size passes (in 1-D and 2-D the
@@ -649,10 +665,34 @@ class TestEmbeddings:
         assert report.weighted_sq == 0.0 and report.holds
 
     def test_polynomial_cutoff_2d(self):
+        """x + y^2/3 on [-2, 2] x [-1, 1] peaks at the corners (2, +-1):
+        sup^2 = 49/9, which the lattice alone reads 6 % low."""
         box = BoxDomain(((-2.0, 2.0), (-1.0, 1.0)))
         poly = Polynomial(2, {(1, 0): 1, (0, 2): Fraction(1, 3)})
         report = embedding_check(SampledFunction.from_polynomial(poly, box))
         assert report.holds
+        assert report.sup_sq == pytest.approx(49 / 9, rel=1e-12)
+
+    def test_polynomial_sup_inside_a_cell(self):
+        """1 - x^2 on [-1, 1] vanishes at the vertices; the lattice's center
+        point reads its sup 1."""
+        box = BoxDomain(((-1.0, 1.0),))
+        poly = Polynomial(1, {(0,): 1, (2,): -1})
+        assert embedding_check(SampledFunction.from_polynomial(poly, box)).sup_sq == 1.0
+
+    @pytest.mark.parametrize(
+        "intervals, shape, seed, rel",
+        [(((0.0, 1.0), (-1.0, 1.0)), (3, 5), 1, 0.0), (((-1.0, 1.0), (-0.5, 0.5)), (7, 6), 5, 1e-15)],
+        ids=["dyadic", "non-dyadic"],
+    )
+    def test_grid_sup_is_the_largest_value(self, intervals, shape, seed, rel):
+        """A grid is multilinear on each cell, so its sup is its largest
+        value; a cell's far end, v_c + (v_(c+1) - v_c) / h * h, rounds
+        unless the spacing is dyadic."""
+        values = np.random.default_rng(seed).uniform(-1, 1, math.prod(shape))
+        values[len(values) // 2] = -3.0
+        report = embedding_check(SampledFunction.from_grid(BoxDomain(intervals), shape, values.tolist()))
+        assert report.sup_sq == pytest.approx(9.0, rel=rel, abs=0.0)
 
     def test_grid_function(self):
         box = BoxDomain(((0.0, 1.0),))

@@ -58,6 +58,39 @@ class TestMonomialToHermite:
             monomial_to_hermite(one, WeightSpec.unit(2))
 
 
+class TestWeightSpec:
+    def test_coerces_to_fractions_and_fills_zero_center(self):
+        w = WeightSpec(dim=2, lam="3/2")
+        assert w.lam == Fraction(3, 2) and type(w.lam) is Fraction
+        assert w.center == (Fraction(0), Fraction(0))
+        assert all(type(c) is Fraction for c in w.center)
+        shifted = WeightSpec(2, 2, (1, "-1/3"))
+        assert shifted.center == (Fraction(1), Fraction(-1, 3))
+        assert all(type(c) is Fraction for c in shifted.center)
+
+    @pytest.mark.parametrize(
+        "args, error, match",
+        [
+            ((0,), ValueError, "dimension must be >= 1"),
+            ((-1,), ValueError, "dimension must be >= 1"),
+            ((1, 0), ValueError, "lambda must be positive"),
+            ((1, Fraction(-1, 2)), ValueError, "lambda must be positive"),
+            ((2, 1, (1,)), DimensionMismatchError, "center length 1 != dimension 2"),
+            ((1, 1, (0, 0)), DimensionMismatchError, "center length 2 != dimension 1"),
+        ],
+    )
+    def test_rejects_bad_dimension_lambda_or_center(self, args, error, match):
+        with pytest.raises(error, match=match):
+            WeightSpec(*args)
+
+    def test_equal_specs_compare_and_hash_equal(self):
+        a = WeightSpec(dim=2, lam=Fraction(1), center=(0, 0))
+        b = WeightSpec.unit(2)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert WeightSpec(2, 2) != b
+        assert repr(b) == "WeightSpec(dim=2, lam=Fraction(1, 1), center=(Fraction(0, 1), Fraction(0, 1)))"
+
+
 class TestExpansionValidation:
     def test_float_index_rejected(self):
         with pytest.raises(TypeError):

@@ -1,6 +1,5 @@
 """Minimal-norm solver, the shifted sweep, kernel enrichment, operator norm, scaled weights."""
 
-import dataclasses
 import json
 import math
 import random
@@ -77,8 +76,8 @@ def triangular_report(f: Polynomial, a) -> rightinverse.SolveReport:
     u = triangular_coeffs(monomial_to_hermite(f, rep.weight), a)
     norm_u = u.norm_sq()
     ratio = norm_u.ratio(rep.norm_f_sq)
-    return dataclasses.replace(
-        rep, solution=u, norm_u_sq=norm_u, norm_u_sq_float=norm_u.to_float(), ratio=ratio,
+    return rep._replace(
+        solution=u, norm_u_sq=norm_u, norm_u_sq_float=norm_u.to_float(), ratio=ratio,
         ratio_float=float(ratio), bound_satisfied=ratio <= rep.bound,
     )
 
@@ -310,7 +309,7 @@ class TestSolveVerdict:
     def test_each_component_can_fail(self, component):
         rep = solve_min_norm(one_2d)
         assert rep.passed
-        assert not dataclasses.replace(rep, **{component: False}).passed
+        assert not rep._replace(**{component: False}).passed
 
 
 class TestMinNormStructure:
@@ -598,7 +597,7 @@ class TestEnrichment:
         at 2-D a = 10^6, see TestLargeShifts of test_cli), yet a wavevector
         scaled by 1 + 1e-6 is still caught."""
         scaled = [
-            dataclasses.replace(g, wavevector=tuple(v * (1 + 1e-6) for v in g.wavevector))
+            g._replace(wavevector=tuple(v * (1 + 1e-6) for v in g.wavevector))
             for g in kernel_basis(a, 2)
         ]
         with pytest.raises(ValueError, match="not annihilated by lap \\+ a"):
@@ -620,6 +619,10 @@ class TestEnrichment:
         with pytest.raises(OverflowError, match=r"plane-wave pairing <cos\(.*\), u> with \|k\| = 3162.28 "
                                                 r"and u of degree 100 is not finite"):
             enrich(triangular_report(x**100, 10**7), kernel_basis(10**7, 1))
+
+    def test_kernel_function_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown plane-wave kind 'tan'"):
+            KernelFunction(kind="tan", wavevector=(1.0,))
 
     def test_gram_pairings_match_quadrature(self):
         g1 = KernelFunction(kind="cos", wavevector=(1.0,))
