@@ -29,7 +29,6 @@ identities exactly.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -37,12 +36,14 @@ from typing import NamedTuple
 
 from .hermite import GaussianScalar, WeightSpec, inner_product, norm_sq
 from .polynomials import (
-    MultiIndex,
+    MAX_DEGREE,
     Polynomial,
     RationalLike,
     _as_fraction,
+    check_degree,
     coordinate_vector,
     dot,
+    key_layout,
     random_polynomial,
     reduced,
 )
@@ -57,43 +58,48 @@ STENCIL_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=STENCIL_CACHE_SIZE)
-def _weight_stencil(w: Polynomial) -> tuple[int, tuple, tuple]:
-    """(D, V, G): the weight's part of the adjoint as ints over one
-    denominator D.  V holds the (key, num) pairs of |grad w|^2 - lap w;
-    G holds (key - e_j, j, num) for every term key of d_j w, the key
-    lowered by e_j so that adding it to the exponents of a psi term with
-    e_j >= 1 gives the key of that term's d_j psi times this term.
+def _weight_stencil(w: Polynomial) -> tuple[int, tuple, tuple, int]:
+    """(D, V, G, R): the weight's part of the adjoint as ints over one
+    denominator D, on packed keys.  V holds the (key, num) pairs of
+    |grad w|^2 - lap w; G holds (key - step_j, shift_j, num) for every
+    term key of d_j w, the key lowered by step_j so that adding it to the
+    key of a psi term with e_j >= 1 gives the key of that term's d_j psi
+    times this term (an intermediate field may borrow; the sum does not).
+    R bounds the degree the stencil adds, 2 deg w - 2 or 0.
 
     Built from w's numerators in one pass rather than by the ring
     operations: each scaled or off-center corpus case brings a new weight,
     and the ring operations took 55 us a build against 20 us here.
     """
     d = w.den
-    grads: list[dict[MultiIndex, int]] = [{} for _ in range(w.dim)]  # d_j w over d
-    lap: dict[MultiIndex, int] = {}  # lap w over d
-    for exps, num in w.nums.items():
-        for j, k in enumerate(exps):
+    axes = key_layout(w.dim).axes
+    grads: list[dict[int, int]] = [{} for _ in axes]  # d_j w over d
+    lap: dict[int, int] = {}  # lap w over d
+    for key, num in w.nums.items():
+        for (shift, step), grad in zip(axes, grads):
+            k = key >> shift & MAX_DEGREE
             if k:
-                grads[j][exps[:j] + (k - 1,) + exps[j + 1:]] = num * k
+                grad[key - step] = num * k
             if k >= 2:
-                key = exps[:j] + (k - 2,) + exps[j + 1:]
-                lap[key] = lap.get(key, 0) + num * k * (k - 1)
+                lowered = key - 2 * step
+                lap[lowered] = lap.get(lowered, 0) + num * k * (k - 1)
     v = {key: -d * num for key, num in lap.items()}
     for g in grads:
         for ka, na in g.items():
             for kb, nb in g.items():
-                key = tuple(map(operator.add, ka, kb))
+                key = ka + kb
                 v[key] = v.get(key, 0) + na * nb
     g_pairs = [
-        (key[:j] + (key[j] - 1,) + key[j + 1:], j, num * d)
-        for j, g in enumerate(grads)
+        (key - step, shift, num * d)
+        for (shift, step), g in zip(axes, grads)
         for key, num in g.items()
     ]
     common = math.gcd(d * d, *v.values(), *(num for _, _, num in g_pairs))
     return (
         d * d // common,
         tuple((key, num // common) for key, num in v.items() if num),
-        tuple((key, j, num // common) for key, j, num in g_pairs),
+        tuple((key, shift, num // common) for key, shift, num in g_pairs),
+        max(2 * w.total_degree() - 2, 0),
     )
 
 
@@ -108,30 +114,32 @@ def formal_adjoint(psi: Polynomial, w: Polynomial, a: RationalLike = 0) -> Polyn
     """
     if psi.dim != w.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {w.dim}")
-    den, v_pairs, g_pairs = _weight_stencil(w)
+    den, v_pairs, g_pairs, rise = _weight_stencil(w)
+    check_degree(psi.total_degree() + rise, "the adjoint's image")
     a = _as_fraction(a)
     p, q = a.numerator, a.denominator
     v_pairs = [(off, num * q) for off, num in v_pairs]
-    g_pairs = [(off, j, -2 * q * num) for off, j, num in g_pairs]
+    g_pairs = [(off, shift, -2 * q * num) for off, shift, num in g_pairs]
+    lap_axes = [(shift, 2 * step) for shift, step in key_layout(psi.dim).axes]
     lap_scale, a_scale = den * q, den * p
-    add = operator.add
-    out: dict[MultiIndex, int] = {}
+    out: dict[int, int] = {}
     get = out.get
-    for exps, num in psi.nums.items():
-        for j, k in enumerate(exps):
+    for key, num in psi.nums.items():
+        for shift, step in lap_axes:
+            k = key >> shift & MAX_DEGREE
             if k >= 2:
-                key = exps[:j] + (k - 2,) + exps[j + 1:]
-                out[key] = get(key, 0) + num * k * (k - 1) * lap_scale
+                lowered = key - step
+                out[lowered] = get(lowered, 0) + num * k * (k - 1) * lap_scale
         for off, c in v_pairs:
-            key = tuple(map(add, exps, off))
-            out[key] = get(key, 0) + num * c
-        for off, j, c in g_pairs:
-            k = exps[j]
+            image = key + off
+            out[image] = get(image, 0) + num * c
+        for off, shift, c in g_pairs:
+            k = key >> shift & MAX_DEGREE
             if k:
-                key = tuple(map(add, exps, off))
-                out[key] = get(key, 0) + num * k * c
+                image = key + off
+                out[image] = get(image, 0) + num * k * c
         if a_scale:
-            out[exps] = get(exps, 0) + num * a_scale
+            out[key] = get(key, 0) + num * a_scale
     return Polynomial._trusted(psi.dim, *reduced(psi.den * den * q, out))
 
 

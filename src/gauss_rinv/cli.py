@@ -37,6 +37,7 @@ from .hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
 from .polynomials import (
     Polynomial,
     format_rational,
+    key_layout,
     parse_rational,
     random_polynomial,
 )
@@ -126,9 +127,11 @@ SHIFT_SYMMETRY_CASES = (
 def _reflected(f: HermiteExpansion) -> HermiteExpansion:
     """D f for D = diag((-1)^floor(|alpha| / 2)) on Hermite coefficients: D L D
     = -L and D P D = -P, so D (lap + a) D = -(lap - a) and the minimal-norm
-    solves at a of f and at -a of D f have the same exact ratio."""
+    solves at a of f and at -a of D f have the same exact ratio.  |alpha| % 4
+    >= 2 is bit 1 of the key's degree field."""
+    bit = 2 << key_layout(f.weight.dim).degree_shift
     return HermiteExpansion._trusted(
-        f.weight, f.den, {alpha: -num if sum(alpha) % 4 >= 2 else num for alpha, num in f.nums.items()}
+        f.weight, f.den, {alpha: -num if alpha & bit else num for alpha, num in f.nums.items()}
     )
 
 

@@ -41,15 +41,20 @@ import numpy as np
 from .hermite import (
     HermiteExpansion,
     WeightSpec,
-    _axis_norm_sq,
+    _axis_norms,
     gauss_rule,
     gaussian_moments,
     hermite_gram,
     norm_sq,
     tensor_rule,
 )
-from .polynomials import Polynomial, RationalLike, format_rational, reduced
+from .polynomials import Polynomial, RationalLike, format_rational, pack, reduced, unpack
 from .rightinverse import InputLimitError, exact_solve, input_float, multi_indices_up_to
+
+# linalg, the exact row reduction the tests use as a reference, loads with
+# the float layer rather than the exact core, so that perfbench's linalg
+# tracer targets resolve until it moves to the tests (ROADMAP item 1).
+from . import linalg  # noqa: F401  (imported for its side effect)
 
 # Gauss-Legendre nodes per axis of one quadrature panel.
 PANEL_ORDER = 12
@@ -481,8 +486,9 @@ def solve_bounded(
     # ||G_alpha||_w, the scale between the G basis and the orthonormal one:
     # at lam = 1, ||G_alpha||^2_w is the int prod_j 2^a_j a_j! times pi^{n/2};
     # the min-norm solution reaches degree N + 2
+    axis_norms = _axis_norms(truncation + 2)
     basis_norm = {
-        alpha: math.sqrt(math.prod(map(_axis_norm_sq, alpha)) * unit)
+        alpha: math.sqrt(math.prod([axis_norms[e] for e in alpha]) * unit)
         for alpha in multi_indices_up_to(n, truncation + 2)
     }
 
@@ -491,7 +497,7 @@ def solve_bounded(
     # each float coefficient is an int over a power of two: over the largest, exactly
     ratios = {alpha: (float(raw[alpha]) / basis_norm[alpha]).as_integer_ratio() for alpha in indices}
     den = max(d for _, d in ratios.values())
-    nums = {alpha: num * (den // d) for alpha, (num, d) in ratios.items()}
+    nums = {pack(alpha): num * (den // d) for alpha, (num, d) in ratios.items()}
     f_exp = HermiteExpansion._trusted(weight, *reduced(den, nums))
 
     u_exp, residual_exact, norm_f_w, norm_u_w, weighted_ratio = exact_solve(f_exp, a, truncation)
@@ -511,7 +517,8 @@ def solve_bounded(
     # against the per-axis Gram matrices of h_0..h_(N+2) over the box
     size = truncation + 3
     u_orth = np.zeros((size,) * n)
-    for alpha, num in u_exp.nums.items():
+    for key, num in u_exp.nums.items():
+        alpha = unpack(key, n)
         u_orth[alpha] = num / u_exp.den * basis_norm[alpha]
     with np.errstate(all="ignore"):
         grams = [(j, hermite_gram(*box.intervals[j], point0[j], size)[None]) for j in range(n)]

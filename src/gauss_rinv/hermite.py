@@ -14,6 +14,17 @@ basis norms are rational multiples of the global unit (pi/lam)^{n/2}:
 
     ||G_alpha||^2 = lam^{-|alpha|} * prod_j 2^{alpha_j} alpha_j!  *  (pi/lam)^{n/2}.
 
+A HermiteExpansion keys its coefficients as a Polynomial keys its terms:
+by packed multi-indices, the total degree |alpha| in the leading field
+and alpha_j in field n - 1 - j (see the ``polynomials`` module
+docstring), so int order is graded-lex order, ``alpha >> W*n`` is
+|alpha| and ``alpha & PAR`` its parity class.  A conversion row's index
+i lands at the key offset i * step_j of its axis (``term_image``), and
+``_parseval`` reads |alpha| and prod_j 2^alpha_j alpha_j! off each key.
+Every tuple multi-index of the public surface (``HermiteExpansion(weight,
+coeffs)``, ``coeffs``, ``to_json_dict``, ``basis_norm_sq``) is packed on
+the way in and unpacked on the way out.
+
 Exact weighted integrals of polynomials are GaussianScalar values: a
 rational part tagged with that symbolic unit.  Non-polynomial integrands
 go through tensor Gauss-Hermite quadrature.  Over an interval, the
@@ -34,6 +45,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .polynomials import (
+    MAX_DEGREE,
     DimensionMismatchError,
     IntRow,
     MultiIndex,
@@ -42,10 +54,13 @@ from .polynomials import (
     TermImage,
     _as_fraction,
     format_rational,
+    key_layout,
     over_common_denominator,
+    pack,
     reduced,
     tensor_expand,
     term_image,
+    unpack,
     validated_terms,
 )
 
@@ -101,18 +116,17 @@ class WeightSpec(_WeightFields):
         """
         n, p = self.dim, self.lam.numerator
         scale = math.lcm(*(c.denominator for c in self.center))
-        zero = (0,) * n
-        nums: dict[MultiIndex, int] = {}
+        nums: dict[int, int] = {}
         constant = 0
-        for j, c in enumerate(self.center):
-            nums[zero[:j] + (2,) + zero[j + 1:]] = p * scale * scale
+        for (_, step), c in zip(key_layout(n).axes, self.center):
+            nums[2 * step] = p * scale * scale
             if c:
                 cl = c.numerator * (scale // c.denominator)
-                nums[zero[:j] + (1,) + zero[j + 1:]] = -2 * p * cl * scale
-                nums.setdefault(zero, 0)  # the constant's key follows the first x_j
+                nums[step] = -2 * p * cl * scale
+                nums.setdefault(0, 0)  # the constant's key follows the first x_j
                 constant += cl * cl
         if constant:
-            nums[zero] = p * constant
+            nums[0] = p * constant
         return Polynomial._trusted(n, *reduced(self.lam.denominator * scale * scale, nums))
 
     def to_json_dict(self) -> dict:
@@ -271,60 +285,81 @@ def _centered_hermite_row(k: int, p: int, q: int, cn: int, cd: int) -> IntRow:
     return _reduced_row(den, out)
 
 
-# Distinct (exponents, p, q) of the zero-center monomial images kept.  A
+# Distinct (exponents, dim, p, q) of the zero-center monomial images kept.  A
 # seed's identity battery meets about 280 monomials; a degree-12 3-D solve
 # reads 455 indices.
 IMAGE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _monomial_image(exps: MultiIndex, p: int, q: int) -> TermImage:
-    """prod_j u_j^(e_j) over the scaled basis G_alpha, lam = p/q."""
-    return term_image(_centered_monomial_row(m, p, q, 0, 1) for m in exps)
+def _monomial_image(key: int, dim: int, p: int, q: int) -> TermImage:
+    """prod_j u_j^(e_j) over the scaled basis G_alpha, lam = p/q, for the
+    packed exponents ``key`` of ``dim`` fields."""
+    axes = key_layout(dim).axes
+    return term_image([(_centered_monomial_row(m, p, q, 0, 1), step) for m, (_, step) in zip(unpack(key, dim), axes) if m])
 
 
-def _term_images(weight: WeightSpec, row) -> Callable[[MultiIndex], TermImage]:
+def _term_images(weight: WeightSpec, row) -> Callable[[int], TermImage]:
     """The whole-term images over ``weight`` of one direction: the product of
     the centered ``row``s of the axes, built per call."""
     p, q = weight.lam.numerator, weight.lam.denominator
-    center = [(c.numerator, c.denominator) for c in weight.center]
-    return lambda key: term_image([row(e, p, q, cn, cd) for e, (cn, cd) in zip(key, center)])
+    axes = [
+        (shift, step, c.numerator, c.denominator)
+        for (shift, step), c in zip(key_layout(weight.dim).axes, weight.center)
+    ]
+    # a zero exponent's row is the identity (1, ((0, 1),)), so its axis is skipped
+    return lambda key: term_image([
+        (row(e, p, q, cn, cd), step) for shift, step, cn, cd in axes if (e := key >> shift & MAX_DEGREE)
+    ])
 
 
-@lru_cache(maxsize=None)
-def _axis_norm_sq(a: int) -> int:
-    """||H_a||^2 / sqrt(pi) = 2^a a!."""
-    return 2**a * math.factorial(a)
-
-
-# 2^a a! at index a.  _parseval replaces it by a longer copy when an axis
-# degree is past its end, so a reader never sees a partly extended table.
+# 2^a a! = ||H_a||^2 / sqrt(pi) at index a, the one table of the axis norms.
+# _axis_norms replaces it by a longer copy, so a reader never sees a partly
+# extended table.
 _AXIS_NORMS = [1]
 
 
-def _parseval(products: list[tuple[MultiIndex, int]], den: int, lam: Fraction) -> Fraction:
-    """sum of num * ||G_alpha||^2 / den over (alpha, num), in units (pi/lam)^{n/2}.
+def _axis_norms(top: int) -> list[int]:
+    """The table of 2^a a!, extended first to index ``top`` if it is shorter."""
+    global _AXIS_NORMS
+    norms = _AXIS_NORMS
+    if len(norms) <= top:
+        norms = norms[:]
+        for a in range(len(norms), top + 1):
+            norms.append(norms[-1] * 2 * a)
+        _AXIS_NORMS = norms
+    return norms
 
-    With lam = p/q, ||G_alpha||^2 = prod_j 2^a_j a_j! * q^|alpha| / p^|alpha|.
-    At lam = 1 the sum is one int sum; otherwise the terms are summed per
+
+def _parseval(products: list[tuple[int, int]], den: int, lam: Fraction, dim: int) -> Fraction:
+    """sum of num * ||G_alpha||^2 / den over (alpha, num), alpha a packed key
+    of ``dim`` fields, in units (pi/lam)^{n/2}.
+
+    With lam = p/q, ||G_alpha||^2 = prod_j 2^a_j a_j! * q^|alpha| / p^|alpha|,
+    the product over the key's fields and |alpha| its degree field.  At
+    lam = 1 the sum is one int sum; otherwise the terms are summed per
     degree s = |alpha|, each degree's sum times q^s p^(top - s), top the
     largest |alpha|, over p^top.  Either is reduced once.
     """
-    global _AXIS_NORMS
-    norm = _AXIS_NORMS.__getitem__
+    norms, layout = _AXIS_NORMS, key_layout(dim)
+    shift, shifts = layout.degree_shift, [axis_shift for axis_shift, _ in layout.axes]
     try:
         if lam == 1:
-            return Fraction(sum([num * math.prod(map(norm, alpha)) for alpha, num in products]), den)
+            total = 0
+            for alpha, num in products:
+                for axis_shift in shifts:
+                    num *= norms[alpha >> axis_shift & MAX_DEGREE]
+                total += num
+            return Fraction(total, den)
         by_degree: dict[int, int] = {}
         for alpha, num in products:
-            s = sum(alpha)
-            by_degree[s] = by_degree.get(s, 0) + num * math.prod(map(norm, alpha))
-    except IndexError:
-        norms = _AXIS_NORMS[:]
-        for a in range(len(norms), max(max(alpha) for alpha, _ in products) + 1):
-            norms.append(norms[-1] * 2 * a)
-        _AXIS_NORMS = norms
-        return _parseval(products, den, lam)
+            for axis_shift in shifts:
+                num *= norms[alpha >> axis_shift & MAX_DEGREE]
+            s = alpha >> shift
+            by_degree[s] = by_degree.get(s, 0) + num
+    except IndexError:  # no exponent is above the largest degree
+        _axis_norms(max(alpha for alpha, _ in products) >> shift)
+        return _parseval(products, den, lam, dim)
     p, q = lam.numerator, lam.denominator
     top = max(by_degree, default=0)
     total = sum(w * q**s * p ** (top - s) for s, w in by_degree.items())
@@ -334,7 +369,7 @@ def _parseval(products: list[tuple[MultiIndex, int]], den: int, lam: Fraction) -
 def hermite_polynomial_1d(k: int) -> Polynomial:
     """H_k as an exact one-dimensional Polynomial (physicists' convention)."""
     den, pairs = _centered_hermite_row(k, 1, 1, 0, 1)
-    return Polynomial._trusted(1, den, {(i,): c for i, c in pairs})
+    return Polynomial._trusted(1, den, {pack((i,)): c for i, c in pairs})
 
 
 # ----------------------------------------------------------------------
@@ -347,9 +382,10 @@ class HermiteExpansion:
 
     Stored as Polynomial stores its terms (see the ``polynomials`` module
     docstring): one positive int denominator ``den`` and the nonzero int
-    numerators ``nums``, with ``gcd(den, *nums.values()) == 1``.
-    ``coeffs``, the map of reduced Fractions in the key order of
-    ``nums``, is built on first read and cached.
+    numerators ``nums`` on packed multi-index keys, with ``gcd(den,
+    *nums.values()) == 1``.  ``coeffs``, the map of reduced Fractions on
+    tuple keys in the key order of ``nums``, is built on first read and
+    cached.
     """
 
     __slots__ = ("weight", "den", "nums", "_coeffs")
@@ -361,7 +397,7 @@ class HermiteExpansion:
 
     @classmethod
     def _trusted(
-        cls, weight: WeightSpec, den: int, nums: dict[MultiIndex, int]
+        cls, weight: WeightSpec, den: int, nums: dict[int, int]
     ) -> "HermiteExpansion":
         """Wrap a (den, nums) pair that already meets the Polynomial
         invariant for ``weight.dim``; the map is not copied."""
@@ -377,20 +413,20 @@ class HermiteExpansion:
         """Each multi-index and its reduced nonzero coefficient, in the key
         order of ``nums``; built on first read."""
         if self._coeffs is None:
-            den = self.den
-            self._coeffs = {key: Fraction(num, den) for key, num in self.nums.items()}
+            den, fields = self.den, key_layout(self.weight.dim).fields
+            read, size = fields.unpack, fields.size
+            self._coeffs = {read(key.to_bytes(size, "big")): Fraction(num, den) for key, num in self.nums.items()}
         return self._coeffs
 
     @staticmethod
     def basis_norm_sq(alpha: MultiIndex, lam: Fraction) -> Fraction:
         """Rational part of ||G_alpha||^2 in units (pi/lam)^{n/2}."""
-        r = 1
-        for a in alpha:
-            r *= _axis_norm_sq(a)
-        return r * lam ** (-sum(alpha))
+        norms = _axis_norms(max(alpha, default=0))
+        return math.prod([norms[a] for a in alpha]) * lam ** (-sum(alpha))
 
     def degree(self) -> int:
-        return max(map(sum, self.nums), default=-1)
+        """Total degree, read off the largest key; -1 for no terms."""
+        return max(self.nums) >> key_layout(self.weight.dim).degree_shift if self.nums else -1
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -412,12 +448,12 @@ class HermiteExpansion:
             d = large.get(alpha)
             if d is not None:
                 products.append((alpha, num * d))
-        total = _parseval(products, self.den * other.den, self.weight.lam)
+        total = _parseval(products, self.den * other.den, self.weight.lam, self.weight.dim)
         return GaussianScalar.for_weight(total, self.weight)
 
     def norm_sq(self) -> GaussianScalar:
         products = [(alpha, n * n) for alpha, n in self.nums.items()]
-        total = _parseval(products, self.den * self.den, self.weight.lam)
+        total = _parseval(products, self.den * self.den, self.weight.lam, self.weight.dim)
         return GaussianScalar.for_weight(total, self.weight)
 
     def to_polynomial(self) -> Polynomial:
@@ -427,11 +463,12 @@ class HermiteExpansion:
         return Polynomial._trusted(self.weight.dim, *tensor_expand(self.den, self.nums, images))
 
     def to_json_dict(self) -> dict:
+        """The weight and the coefficients in graded-lex order, the int order of the keys."""
         return {
             "weight": self.weight.to_json_dict(),
             "coeffs": [
                 {"index": list(k), "coef": format_rational(v)}
-                for k, v in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+                for _, (k, v) in sorted(zip(self.nums, self.coeffs.items()))
             ],
         }
 
@@ -446,8 +483,8 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
     if any(weight.center):
         images = _term_images(weight, _centered_monomial_row)
     else:
-        lam_p, lam_q = weight.lam.numerator, weight.lam.denominator
-        images = lambda key: _monomial_image(key, lam_p, lam_q)
+        dim, lam_p, lam_q = weight.dim, weight.lam.numerator, weight.lam.denominator
+        images = lambda key: _monomial_image(key, dim, lam_p, lam_q)
     return HermiteExpansion._trusted(weight, *tensor_expand(p.den, p.nums, images))
 
 

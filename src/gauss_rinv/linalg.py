@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals: Fraction row reduction.
 
 ``solve_exact`` and ``nullspace_exact`` read their results off one reduced
-row echelon form.  Only ``SingularMatrixError`` is used by another module
-of the package (``rightinverse.operator_norm`` raises it); the tests use
-the solvers as exact references.
+row echelon form.  No report path calls them: the tests use the solvers as
+exact references.  ``SingularMatrixError`` is defined in ``rightinverse``,
+whose ``operator_norm`` raises it, so the exact core imports without this
+module.
 """
 
 from __future__ import annotations
@@ -11,11 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .rightinverse import SingularMatrixError
+
 Rational = Union[Fraction, int]
-
-
-class SingularMatrixError(ArithmeticError):
-    """The exact system has no unique solution."""
 
 
 def _row_reduce(

@@ -15,21 +15,43 @@ one ``gcd(den, *nums.values())`` at the end.  ``terms``, the map of
 reduced ``Fraction`` coefficients in the key order of ``nums``, is built
 on first read and cached.
 
+Each multi-index is stored as one packed int key, the layout of
+Monagan & Pearce ("Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007) and of FLINT's ``mpoly``.  For n
+variables and fields FIELD_BITS = W bits wide,
+
+    key = |e| << W*n | e_0 << W*(n-1) | ... | e_(n-1),
+
+the total degree in the leading field.  Adding two keys multiplies their
+monomials; moving axis j by one step adds or subtracts ``step_j = 1 << W*n
+| 1 << W*(n-1-j)``; ``key >> W*n`` is the total degree; ``key & PAR``,
+PAR bit 0 of every exponent field, is the parity class; and int order is
+graded lexicographic order (total degree first, then lexicographic on the
+exponents), the canonical order of serialization and repr.  A field holds
+at most MAX_DEGREE = 2^W - 1, and so does the degree field: the validating
+constructors refuse a larger total degree, and every operation that raises
+the degree checks the result's degree from its operands' largest keys
+before it builds a key, so no field wraps into its neighbour.  The per-dim
+constants are ``key_layout(n)``.  Outside the kernels every multi-index is
+a tuple: ``Polynomial(dim, terms)``, ``terms``, ``coefficient``,
+``sorted_terms`` and the JSON wire form pack on the way in and unpack on
+the way out.
+
 A tensor expansion maps each term through its whole-term image, the
 tensor product of one sparse 1-D row per axis as (key, int) pairs over
-one denominator (``term_image``).  At zero center the monomial->Hermite
-conversion keeps its images in a cache keyed by the exponents and the
-weight's scale.  The other conversions, like ``shift``, build them per
-call, since centers and offsets change from call to call and a solution
-has more terms than a cache could keep, but from cached per-axis rows
-with the center folded in (``shift``'s binomial row composed with the
-Hermite row), so one expansion converts each term.
+one denominator (``term_image``), a row's index i landing at the key
+offset i * step_j of its axis; an axis with exponent 0 has the identity
+row and is skipped.  At zero center the monomial->Hermite
+conversion keeps its images in a cache keyed by the packed exponents, the
+dimension and the weight's scale.  The other conversions, like ``shift``,
+build them per call, since centers and offsets change from call to call
+and a solution has more terms than a cache could keep, but from cached
+per-axis rows with the center folded in (``shift``'s binomial row composed
+with the Hermite row), so one expansion converts each term.
 
-Canonical term order is graded lexicographic (total degree first, then
-lexicographic on the exponent tuple), used for serialization and repr.
-
-Invariant of every instance: ``den > 0``; ``nums`` has tuple-of-int keys
-of length ``dim`` with no negative entry and nonzero int values; and
+Invariant of every instance: ``den > 0``; ``nums`` has packed int keys of
+``dim`` exponent fields, each key equal to ``pack`` of a multi-index of
+total degree at most MAX_DEGREE, with nonzero int values; and
 ``gcd(den, *nums.values()) == 1``, so ``den`` is the lcm of the reduced
 coefficient denominators and equal polynomials have equal ``(den,
 nums)``.  Outside input goes through the validating
@@ -44,9 +66,10 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 # One entry per variable: entry j is the exponent of x_j.
 MultiIndex = tuple[int, ...]
@@ -54,12 +77,68 @@ MultiIndex = tuple[int, ...]
 RationalLike = Union[int, Fraction, str]
 
 # Int numerators over one denominator: (den, {key: num}) stands for the
-# map key -> num / den.
+# map key -> num / den, each key a packed multi-index.
 IntMap = tuple[int, dict]
+
+# Bits of one field of a packed key (W in the module docstring), and the
+# largest total degree, so the largest exponent, a field holds.
+FIELD_BITS = 32
+MAX_DEGREE = 2**FIELD_BITS - 1
 
 
 class DimensionMismatchError(ValueError):
     """Operands live in spaces of different ambient dimension."""
+
+
+class InputLimitError(ValueError):
+    """An input is larger than the stated limits."""
+
+
+def check_degree(degree: int, what: str) -> None:
+    """InputLimitError, naming ``what`` and the limit, for a total degree
+    above MAX_DEGREE: a packed field would wrap into its neighbour."""
+    if degree > MAX_DEGREE:
+        raise InputLimitError(
+            f"{what} has total degree {degree}, above MAX_DEGREE = {MAX_DEGREE} "
+            f"(one {FIELD_BITS}-bit field per exponent)"
+        )
+
+
+class KeyLayout(NamedTuple):
+    """The packed-key constants of one dimension n."""
+
+    degree_shift: int  # W * n: key >> degree_shift is the total degree
+    axes: tuple[tuple[int, int], ...]  # per axis j: (shift, step_j), e_j = key >> shift & MAX_DEGREE
+    parity: int  # PAR: bit 0 of every exponent field
+    fields: struct.Struct  # the exponents: fields.unpack(key.to_bytes(fields.size, "big"))
+
+
+@lru_cache(maxsize=64)
+def key_layout(dim: int) -> KeyLayout:
+    """The ``KeyLayout`` of dimension ``dim``, one shared instance per dim."""
+    top = FIELD_BITS * dim
+    shifts = [FIELD_BITS * (dim - 1 - j) for j in range(dim)]
+    return KeyLayout(
+        top,
+        tuple((shift, 1 << top | 1 << shift) for shift in shifts),
+        sum(1 << shift for shift in shifts),
+        struct.Struct(f">4x{dim}I"),  # FIELD_BITS = 32: one big-endian "I" word per field, the degree skipped
+    )
+
+
+def pack(exps: Sequence[int]) -> int:
+    """The packed key of a multi-index whose total degree is at most
+    MAX_DEGREE (not checked here; see ``check_multi_index``)."""
+    key = sum(exps)
+    for e in exps:
+        key = key << FIELD_BITS | e
+    return key
+
+
+def unpack(key: int, dim: int) -> MultiIndex:
+    """The multi-index of a packed key of ``dim`` fields."""
+    fields = key_layout(dim).fields
+    return fields.unpack(key.to_bytes(fields.size, "big"))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -95,7 +174,8 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 def check_multi_index(exps: Iterable, dim: int) -> MultiIndex:
     """Validate an outside multi-index: ``dim`` ints (numpy ints too), none
-    negative.  Floats are rejected rather than truncated."""
+    negative, of total degree at most MAX_DEGREE (InputLimitError above).
+    Floats are rejected rather than truncated."""
     key = tuple(operator.index(e) for e in exps)
     if len(key) != dim:
         raise DimensionMismatchError(
@@ -103,6 +183,7 @@ def check_multi_index(exps: Iterable, dim: int) -> MultiIndex:
         )
     if any(e < 0 for e in key):
         raise ValueError(f"negative entry in multi-index {key}")
+    check_degree(sum(key), f"multi-index {key}")
     return key
 
 
@@ -119,11 +200,12 @@ def validated_terms(dim: int, terms: Mapping) -> dict[MultiIndex, Fraction]:
 
 
 def over_common_denominator(terms: Mapping[MultiIndex, Fraction]) -> IntMap:
-    """(den, {key: num}) with ``terms[key] == num / den`` for every key,
-    ``den`` the lcm of the denominators (1 for no terms).  For reduced,
-    nonzero Fractions the pair meets the Polynomial invariant."""
+    """(den, {pack(key): num}) with ``terms[key] == num / den`` for every
+    key, ``den`` the lcm of the denominators (1 for no terms).  For checked
+    multi-indices and reduced, nonzero Fractions the pair meets the
+    Polynomial invariant."""
     den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+    return den, {pack(key): c.numerator * (den // c.denominator) for key, c in terms.items()}
 
 
 def reduced(den: int, nums: dict) -> IntMap:
@@ -162,35 +244,36 @@ def scale_over(a: IntMap, factor: Fraction) -> IntMap:
 IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
 # A whole-term image as ints over one denominator: (den, ((key, num), ...))
-# stands for sum num / den * basis_key, key a multi-index.
-TermImage = tuple[int, tuple[tuple[MultiIndex, int], ...]]
+# stands for sum num / den * basis_key, key a packed multi-index.
+TermImage = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def term_image(rows: Iterable[IntRow]) -> TermImage:
-    """The tensor product of one sparse 1-D row per axis: keys in the
+def term_image(rows: Iterable[tuple[IntRow, int]]) -> TermImage:
+    """The tensor product of one sparse 1-D row per axis, each with the
+    step of its axis: keys the sums of index * step over the axes, in the
     order of the nested loop over the rows, axis 0 outermost, numerators
     multiplied as ints over the product of the rows' denominators."""
     den = 1
-    partial: list[tuple[MultiIndex, int]] = [((), 1)]
-    for row_den, pairs in rows:
+    partial: list[tuple[int, int]] = [(0, 1)]
+    for (row_den, pairs), step in rows:
         den *= row_den
-        partial = [(prefix + (i,), pc * c) for prefix, pc in partial for i, c in pairs]
+        partial = [(prefix + i * step, pc * c) for prefix, pc in partial for i, c in pairs]
     return den, tuple(partial)
 
 
-def tensor_expand(den: int, nums: Mapping[MultiIndex, int], image: Callable[[MultiIndex], TermImage]) -> IntMap:
+def tensor_expand(den: int, nums: Mapping[int, int], image: Callable[[int], TermImage]) -> IntMap:
     """Expand every term num / den * prod_j basis_{e_j} through its whole-term
-    image: the sum of num / den * image(exps).
+    image: the sum of num / den * image(key).
 
-    ``image(exps)`` is the tensor product (``term_image``) of the term's
+    ``image(key)`` is the tensor product (``term_image``) of the term's
     per-axis rows; a caller that meets the same exponents again reads it
     from a cache.  Each term's numerators are rescaled from its image's
     denominator to the lcm of those denominators and summed; the result,
     over den times that lcm, is reduced once.  Keys need only be hashable.
     """
-    images = [(num, image(exps)) for exps, num in nums.items()]
+    images = [(num, image(key)) for key, num in nums.items()]
     common = math.lcm(*(term_den for _, (term_den, _) in images))
-    out: dict[MultiIndex, int] = {}
+    out: dict[int, int] = {}
     get = out.get
     for num, (term_den, pairs) in images:
         c = num * (common // term_den)
@@ -210,10 +293,11 @@ def _binomial_row(e: int, p: int, q: int) -> IntRow:
 class Polynomial:
     """Sparse polynomial over the rationals, used as an immutable value.
 
-    ``nums`` maps each multi-index to its nonzero int numerator over the
-    shared ``den``; every key has length ``dim``.  ``terms`` gives the
-    same map as reduced Fractions.  No method changes ``dim``, ``den`` or
-    ``nums`` after construction, so sharing across threads is safe.
+    ``nums`` maps each packed multi-index to its nonzero int numerator
+    over the shared ``den``; every key has ``dim`` exponent fields.
+    ``terms`` gives the same map as reduced Fractions on tuple keys.  No
+    method changes ``dim``, ``den`` or ``nums`` after construction, so
+    sharing across threads is safe.
     """
 
     __slots__ = ("dim", "den", "nums", "_terms")
@@ -226,7 +310,7 @@ class Polynomial:
         self.den, self.nums = over_common_denominator(self._terms)
 
     @classmethod
-    def _trusted(cls, dim: int, den: int, nums: dict[MultiIndex, int]) -> "Polynomial":
+    def _trusted(cls, dim: int, den: int, nums: dict[int, int]) -> "Polynomial":
         """Wrap a (den, nums) pair that already meets the invariant (see
         module docstring); the map is not copied."""
         self = object.__new__(cls)
@@ -241,8 +325,9 @@ class Polynomial:
         """Each multi-index and its reduced nonzero coefficient, in the key
         order of ``nums``; built on first read."""
         if self._terms is None:
-            den = self.den
-            self._terms = {key: Fraction(num, den) for key, num in self.nums.items()}
+            den, fields = self.den, key_layout(self.dim).fields
+            read, size = fields.unpack, fields.size
+            self._terms = {read(key.to_bytes(size, "big")): Fraction(num, den) for key, num in self.nums.items()}
         return self._terms
 
     # ------------------------------------------------------------------
@@ -276,7 +361,7 @@ class Polynomial:
         """The radial polynomial x_1^2 + ... + x_n^2, one shared instance per dim."""
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        return cls._trusted(dim, 1, {(0,) * j + (2,) + (0,) * (dim - j - 1): 1 for j in range(dim)})
+        return cls._trusted(dim, 1, {2 * step: 1 for _, step in key_layout(dim).axes})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -286,15 +371,15 @@ class Polynomial:
         return not self.nums
 
     def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        return max(map(sum, self.nums), default=-1)
+        """Total degree, read off the largest key; the zero polynomial reports -1."""
+        return max(self.nums) >> FIELD_BITS * self.dim if self.nums else -1
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
-        """Terms in graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        """Terms in graded lexicographic order: the int order of the keys."""
+        return [term for _, term in sorted(zip(self.nums, self.terms.items()))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -337,13 +422,17 @@ class Polynomial:
         return Polynomial._trusted(self.dim, self.den, {e: -n for e, n in self.nums.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product: a key sum per pair of terms, the degree checked
+        first from the two largest keys (InputLimitError above MAX_DEGREE)."""
         self._check_dim(other)
-        nums_b = list(other.nums.items())
-        out: dict[MultiIndex, int] = {}
-        for ea, na in self.nums.items():
-            for eb, nb in nums_b:
-                key = tuple(map(operator.add, ea, eb))
-                out[key] = out.get(key, 0) + na * nb
+        check_degree(self.total_degree() + other.total_degree(), "the product")
+        pairs_b = list(other.nums.items())
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, na in self.nums.items():
+            for kb, nb in pairs_b:
+                key = ka + kb
+                out[key] = get(key, 0) + na * nb
         return Polynomial._trusted(self.dim, *reduced(self.den * other.den, out))
 
     def scale(self, factor: RationalLike) -> "Polynomial":
@@ -355,6 +444,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
+        check_degree(exponent * self.total_degree(), f"the power {exponent}")
         result = Polynomial.constant(self.dim, 1)
         base = self
         e = exponent
@@ -373,24 +463,27 @@ class Polynomial:
         """Exact partial derivative with respect to x_index (0-based)."""
         if not 0 <= index < self.dim:
             raise IndexError(f"variable index {index} out of range for dim {self.dim}")
-        out: dict[MultiIndex, int] = {}
-        for exps, num in self.nums.items():
-            k = exps[index]
+        shift, step = key_layout(self.dim).axes[index]
+        out: dict[int, int] = {}
+        for key, num in self.nums.items():
+            k = key >> shift & MAX_DEGREE
             if k:
-                out[exps[:index] + (k - 1,) + exps[index + 1:]] = num * k
+                out[key - step] = num * k
         return Polynomial._trusted(self.dim, *reduced(self.den, out))
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.partial(j) for j in range(self.dim))
 
     def laplacian(self) -> "Polynomial":
-        out: dict[MultiIndex, int] = {}
-        for exps, num in self.nums.items():
-            for j, k in enumerate(exps):
-                if k < 2:
-                    continue
-                key = exps[:j] + (k - 2,) + exps[j + 1:]
-                out[key] = out.get(key, 0) + num * (k * (k - 1))
+        axes = [(shift, 2 * step) for shift, step in key_layout(self.dim).axes]
+        out: dict[int, int] = {}
+        get = out.get
+        for key, num in self.nums.items():
+            for shift, step in axes:
+                k = key >> shift & MAX_DEGREE
+                if k >= 2:
+                    lowered = key - step
+                    out[lowered] = get(lowered, 0) + num * (k * (k - 1))
         return Polynomial._trusted(self.dim, *reduced(self.den, out))
 
     # ------------------------------------------------------------------
@@ -420,10 +513,16 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"offset length {len(offset)} != dimension {self.dim}"
             )
-        off = [(v.numerator, v.denominator) for v in map(_as_fraction, offset)]
+        axes = [
+            (shift, step, v.numerator, v.denominator)
+            for (shift, step), v in zip(key_layout(self.dim).axes, map(_as_fraction, offset))
+        ]
         return Polynomial._trusted(self.dim, *tensor_expand(
             self.den, self.nums,
-            lambda exps: term_image(_binomial_row(e, p, q) for e, (p, q) in zip(exps, off)),
+            # a zero exponent's row is the identity (1, ((0, 1),)), so its axis is skipped
+            lambda key: term_image([
+                (_binomial_row(e, p, q), step) for shift, step, p, q in axes if (e := key >> shift & MAX_DEGREE)
+            ]),
         ))
 
     # ------------------------------------------------------------------
@@ -446,7 +545,8 @@ class Polynomial:
 
         ``dim`` must be an int >= 1, ``terms`` a list and every exponent an
         int; bools count as neither.  A wrong type raises TypeError, a wrong
-        value ValueError.
+        value ValueError, and a total degree above MAX_DEGREE
+        InputLimitError (a ValueError).
         """
         if not isinstance(data, Mapping) or "dim" not in data or "terms" not in data:
             raise TypeError("polynomial must be an object with 'dim' and 'terms'")
@@ -483,7 +583,7 @@ def dot(a: Iterable[Polynomial], b: Iterable[Polynomial]) -> Polynomial:
 @lru_cache(maxsize=64)
 def coordinate_vector(dim: int) -> tuple[Polynomial, ...]:
     """The vector (x_1, ..., x_n) as polynomials, one shared tuple per dim."""
-    return tuple(Polynomial._trusted(dim, 1, {(0,) * j + (1,) + (0,) * (dim - j - 1): 1}) for j in range(dim))
+    return tuple(Polynomial._trusted(dim, 1, {step: 1}) for _, step in key_layout(dim).axes)
 
 
 def random_polynomial(
@@ -517,16 +617,20 @@ def random_polynomial(
         return r
 
     common = math.lcm(*range(1, coeff_bound + 1))
+    steps = [step for _, step in key_layout(dim).axes]
+    getrandbits, axis_bits = rng.getrandbits, dim.bit_length()
     n_terms = 1 + below(max_terms)
-    nums: dict[MultiIndex, int] = {}
+    nums: dict[int, int] = {}
     for _ in range(n_terms):
         degree = below(max_degree + 1)
-        exps = [0] * dim
-        for _ in range(degree):
-            exps[below(dim)] += 1
+        key = 0
+        for _ in range(degree):  # one unit of degree on the axis below(dim), inlined
+            axis = getrandbits(axis_bits)
+            while axis >= dim:
+                axis = getrandbits(axis_bits)
+            key += steps[axis]
         num = below(2 * coeff_bound + 1) - coeff_bound
         den = 1 + below(coeff_bound)
-        key = tuple(exps)
         nums[key] = nums.get(key, 0) + num * (common // den)
     p = Polynomial._trusted(dim, *reduced(common, nums))
     if nonzero and p.is_zero():

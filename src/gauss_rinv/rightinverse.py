@@ -51,13 +51,16 @@ from .hermite import (
     WeightSpec,
     monomial_to_hermite,
 )
-from .linalg import SingularMatrixError
 from .polynomials import (
+    MAX_DEGREE,
     DimensionMismatchError,
+    InputLimitError,
     MultiIndex,
     Polynomial,
     RationalLike,
     format_rational,
+    key_layout,
+    pack,
     reduced,
 )
 
@@ -66,8 +69,8 @@ class GramConditionError(ArithmeticError):
     """Enrichment Gram system too ill-conditioned to trust."""
 
 
-class InputLimitError(ValueError):
-    """An input is larger than the stated limits."""
+class SingularMatrixError(ArithmeticError):
+    """The exact system has no unique solution, or a float inverse is not finite."""
 
 
 def input_float(value: Fraction, name: str) -> float:
@@ -118,34 +121,35 @@ LOWERED_CACHE_SIZE = 16384
 
 
 @lru_cache(maxsize=LOWERED_CACHE_SIZE)
-def _lowered(gamma: MultiIndex) -> tuple[tuple[MultiIndex, int], ...]:
-    """lap G_gamma as pairs (gamma - 2 e_j, 4 gamma_j (gamma_j - 1)), gamma_j >= 2.
+def _lowered(dim: int, gamma: int) -> tuple[tuple[int, int], ...]:
+    """lap G_gamma as pairs (gamma - 2 step_j, 4 gamma_j (gamma_j - 1)),
+    gamma_j >= 2, for the packed key gamma of ``dim`` fields.
 
     This holds for every weight scale lam and center: the lam factors of
     the scaled basis cancel against the chain rule.
     """
     return tuple(
-        (gamma[:j] + (g - 2,) + gamma[j + 1 :], 4 * g * (g - 1))
-        for j, g in enumerate(gamma)
-        if g >= 2
+        (gamma - 2 * step, 4 * g * (g - 1))
+        for shift, step in key_layout(dim).axes
+        if (g := gamma >> shift & MAX_DEGREE) >= 2
     )
 
 
 @lru_cache(maxsize=4096)
-def _level(dim: int, degree: int, parity: tuple[int, ...]) -> tuple[tuple[MultiIndex, ...], tuple]:
-    """(members, entries) of one level of a parity class: the multi-indices
-    parity + 2 q of total degree ``degree``, q in lex order, and each one's
+def _level(dim: int, degree: int, parity: int) -> tuple[tuple[int, ...], tuple]:
+    """(members, entries) of one level of the parity class ``parity`` (a
+    key & PAR): the packed multi-indices parity + 2 q of total degree
+    ``degree``, in int order, which is q's lex order, and each one's
     _lowered entries as (position in the level of degree - 2, int).
     Neither depends on a, lam or the center."""
-    half, odd = divmod(degree - sum(parity), 2)
-    if half < 0 or odd:
+    odd = parity.bit_count()
+    half, rem = divmod(degree - odd, 2)
+    if half < 0 or rem:
         return (), ()
-    below, level = (
-        tuple(tuple(p + 2 * e for p, e in zip(parity, q)) for q in _indices_of_degree(dim, h))
-        for h in (half - 1, half)
-    )
+    base = odd << key_layout(dim).degree_shift | parity  # the packed parity vector
+    below, level = (tuple(base + 2 * pack(q) for q in _indices_of_degree(dim, h)) for h in (half - 1, half))
     pos = {beta: i for i, beta in enumerate(below)}
-    return level, tuple(tuple((pos[beta], b) for beta, b in _lowered(gamma)) for gamma in level)
+    return level, tuple(tuple((pos[beta], b) for beta, b in _lowered(dim, gamma)) for gamma in level)
 
 
 def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteExpansion:
@@ -156,10 +160,10 @@ def shifted_laplacian(expansion: HermiteExpansion, a: RationalLike) -> HermiteEx
     """
     a = Fraction(a)
     p, q = a.numerator, a.denominator
-    nums = expansion.nums
+    dim, nums = expansion.weight.dim, expansion.nums
     out = {gamma: p * num for gamma, num in nums.items()} if p else {}
     for gamma, num in nums.items():
-        for beta, b in _lowered(gamma):
+        for beta, b in _lowered(dim, gamma):
             out[beta] = out.get(beta, 0) + q * b * num
     return HermiteExpansion._trusted(expansion.weight, *reduced(q * expansion.den, out))
 
@@ -230,12 +234,11 @@ class KernelFunction(_KernelFields):
                 f"wavevector length {len(k)} != dim {expansion.weight.dim}"
             )
         phases = _PHASES[self.kind]
-        den = expansion.den
         k_sq = sum(v * v for v in k) / 4.0
         try:
             total = math.fsum(
-                phases[sum(alpha) % 4] * (num / den) * math.prod(v**e for v, e in zip(k, alpha))
-                for alpha, num in expansion.nums.items()
+                phases[sum(alpha) % 4] * float(c) * math.prod(v**e for v, e in zip(k, alpha))
+                for alpha, c in expansion.coeffs.items()
             )
             damping = math.exp(k_sq if self.kind == "exp" else -k_sq)
             value = math.pi ** (len(k) / 2.0) * damping * total
@@ -524,13 +527,13 @@ def _level_work(dim: int, degree: int, odd: int) -> int:
 
 
 def _shifted_sweep(
-    dim: int, parity: tuple[int, ...], top: int, blocks: dict, a: Fraction, shift: Fraction
-) -> list[tuple[tuple[MultiIndex, ...], list[int], int]]:
+    dim: int, parity: int, top: int, blocks: dict, a: Fraction, shift: Fraction
+) -> list[tuple[tuple[int, ...], list[int], int]]:
     """u on the levels of one parity class at a != 0, as (members, nums,
     den) per level: the block Thomas sweep of ``_min_norm_coeffs`` over
     the levels d = odd, odd + 2, ..., top, on int numerators, one gcd per
     level and pass."""
-    odd = sum(parity)
+    odd = parity.bit_count()
     p, q, sp, sq = a.numerator, a.denominator, shift.numerator, shift.denominator
     c = a * shift
     cp, cq = c.numerator, c.denominator
@@ -593,33 +596,35 @@ def _min_norm_coeffs(f: HermiteExpansion, a: Fraction = Fraction(0), top: int | 
     """
     dim = f.weight.dim
     top = f.degree() if top is None else top
-    blocks: dict[tuple[int, tuple[int, ...]], dict[MultiIndex, int]] = {}
+    layout = key_layout(dim)
+    degree_shift, par = layout.degree_shift, layout.parity
+    blocks: dict[tuple[int, int], dict[int, int]] = {}  # (degree, parity class) -> its terms
     for alpha, num in f.nums.items():
-        blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = num
+        blocks.setdefault((alpha >> degree_shift, alpha & par), {})[alpha] = num
     if a:
         classes = sorted({parity for _, parity in blocks})
         work = 2 * sum(
-            (j + 1) * _level_work(dim, d, sum(parity))
+            (j + 1) * _level_work(dim, d, parity.bit_count())
             for parity in classes
-            for j, d in enumerate(range(sum(parity), top + 1, 2))
+            for j, d in enumerate(range(parity.bit_count(), top + 1, 2))
         )
     else:
         work = 0
         for d, parity in blocks:
-            work += _level_work(dim, d, sum(parity))
+            work += _level_work(dim, d, parity.bit_count())
     if work > MAX_MIN_NORM_WORK:
         raise InputLimitError(
             f"the min-norm solve in {dim}-D needs {work} units of work (lap entries times towers, "
             f"plus the {dim}-entry multi-indices), above MAX_MIN_NORM_WORK = {MAX_MIN_NORM_WORK}"
         )
-    parts: list[tuple[tuple[MultiIndex, ...], list[int], int]] = []
+    parts: list[tuple[tuple[int, ...], list[int], int]] = []
     if a:
         shift = a / f.weight.lam**2
         for parity in classes:
             parts.extend(_shifted_sweep(dim, parity, top, blocks, a, shift))
     else:
         for (d, parity), block in sorted(blocks.items()):
-            c0, *tail = _tower_polynomial(dim, d, sum(parity))
+            c0, *tail = _tower_polynomial(dim, d, parity.bit_count())
             above, entries = _level(dim, d + 2, parity)
             acc = _horner(tail, [block.get(gamma, 0) for gamma in _level(dim, d, parity)[0]], entries)
             nums = _raised(acc, entries)
@@ -645,8 +650,9 @@ def exact_solve(
         raise ValueError(f"truncation {top} is below the degree {degree} of the data")
     u = _min_norm_coeffs(f, a, top)
     image = shifted_laplacian(u, a)
-    if a:  # P_N; at a = 0 the image has degree deg f
-        kept = {gamma: num for gamma, num in image.nums.items() if sum(gamma) <= top}
+    if a:  # P_N, the keys below degree top + 1; at a = 0 the image has degree deg f
+        limit = (top + 1) << key_layout(f.weight.dim).degree_shift
+        kept = {gamma: num for gamma, num in image.nums.items() if gamma < limit}
         image = HermiteExpansion._trusted(image.weight, *reduced(image.den, kept))
     norm_f, norm_u = f.norm_sq(), u.norm_sq()
     ratio = Fraction(0) if norm_f.is_zero() else norm_u.ratio(norm_f)

@@ -400,7 +400,7 @@ class TestSolveBounded:
 
         def corrupt(*args):
             u = solver(*args)
-            top = max(u.nums)
+            top = max(u.coeffs)
             return HermiteExpansion(u.weight, {**u.coeffs, top: u.coeffs[top] + Fraction(1, 7)})
 
         monkeypatch.setattr(rightinverse, "_min_norm_coeffs", corrupt)

@@ -2,8 +2,9 @@
 
 Results of ring, calculus and conversion operations are wrapped without
 re-validation, so every such result must already meet the invariant the
-trusted constructors rely on: a positive int ``den``, int-tuple keys of
-length ``dim`` with no negative entry, nonzero int numerators, and no
+trusted constructors rely on: a positive int ``den``, packed int keys
+of ``dim`` exponent fields (the packing of a multi-index with no negative
+entry, so that its degree field is the sum of the others), nonzero int numerators, and no
 common factor of ``den`` and the numerators; the ``terms`` and
 ``coeffs`` read from them are then nonzero, reduced ``Fraction`` values.
 
@@ -47,17 +48,15 @@ from gauss_rinv.adjoint import formal_adjoint
 from gauss_rinv.hermite import (
     HermiteExpansion,
     WeightSpec,
-    _axis_norm_sq,
     hermite_polynomial_1d,
     monomial_to_hermite,
 )
 from gauss_rinv import hermite, rightinverse
 from gauss_rinv.linalg import SingularMatrixError, nullspace_exact, solve_exact
-from gauss_rinv.polynomials import Polynomial, dot, random_polynomial, reduced, tensor_expand
+from gauss_rinv.polynomials import Polynomial, dot, key_layout, pack, random_polynomial, reduced, tensor_expand, unpack
 from gauss_rinv.rightinverse import (
     KernelFunction,
     _level,
-    _lowered,
     _min_norm_coeffs,
     _tower_block,
     _tower_polynomial,
@@ -68,6 +67,7 @@ from gauss_rinv.rightinverse import (
 
 from conftest import polynomials, rationals
 from harmonic_basis import harmonic_dimension
+from tuple_reference import lowered, tuple_map
 
 
 def assert_clean(terms: dict, dim: int) -> None:
@@ -83,8 +83,9 @@ def assert_canonical(x, dim: int) -> None:
     """The (den, nums) invariant of a Polynomial or a HermiteExpansion."""
     assert type(x.den) is int and x.den > 0
     for key, num in x.nums.items():
-        assert type(key) is tuple and len(key) == dim
-        assert all(type(e) is int and e >= 0 for e in key)
+        assert type(key) is int and key >= 0
+        exps = unpack(key, dim)
+        assert pack(exps) == key and key >> 32 * dim == sum(exps)
         assert type(num) is int and num != 0
     assert math.gcd(x.den, *x.nums.values()) == 1
 
@@ -506,11 +507,11 @@ def test_equal_values_over_unreduced_denominators_compare_and_hash_alike():
         (x.scale(3) + one.scale(2)).scale(Fraction(1, 6)),
         (x.scale(Fraction(3, 2)) + one) * one.scale(Fraction(1, 3)),
         (x.scale(Fraction(1, 6)) * one.scale(6)).scale(Fraction(1, 2)) + one.scale(Fraction(1, 3)),
-        Polynomial._trusted(2, *reduced(36, {(1, 0): 18, (0, 0): 12})),
+        Polynomial._trusted(2, *reduced(36, {pack((1, 0)): 18, pack((0, 0)): 12})),
         Polynomial(2, {(1, 0): Fraction(9, 18), (0, 0): "4/12"}),
     ]
     for p in routes:
-        assert (p.den, p.nums) == (6, {(1, 0): 3, (0, 0): 2})
+        assert (p.den, p.nums) == (6, {pack((1, 0)): 3, pack((0, 0)): 2})
         assert p == direct and hash(p) == hash(direct)
         assert_canonical(p, 2)
     assert len(set(routes)) == 1
@@ -753,12 +754,12 @@ def reference_min_norm_block(dim: int, degree: int, parity: tuple[int, ...]):
     rows = tuple(reference_class_members(dim, degree, parity))
     pos = {alpha: i for i, alpha in enumerate(rows)}
     norms = [
-        (gamma, math.prod(map(_axis_norm_sq, gamma)))
+        (gamma, math.prod(2**g * math.factorial(g) for g in gamma))
         for gamma in reference_class_members(dim, degree + 2, parity)
     ]
     common = math.lcm(*(n for _, n in norms))
     columns = tuple(
-        (gamma, common // n, tuple((pos[beta], b) for beta, b in _lowered(gamma)))
+        (gamma, common // n, tuple((pos[beta], b) for beta, b in lowered(gamma)))
         for gamma, n in norms
     )
     matrix = [[0] * len(rows) for _ in rows]
@@ -787,7 +788,7 @@ def reference_float_blocks(dim: int, degree: int, shift: float) -> list:
             pos = {beta: i for i, beta in enumerate(rows)}
             block = np.zeros((len(rows), len(cols)))
             for ci, gamma in enumerate(cols):
-                for beta, b in _lowered(gamma):
+                for beta, b in lowered(gamma):
                     block[pos[beta], ci] = math.sqrt(b)
             if shift:
                 np.fill_diagonal(block, shift)
@@ -795,15 +796,21 @@ def reference_float_blocks(dim: int, degree: int, shift: float) -> list:
     return out
 
 
+def packed_parity(parity: tuple[int, ...]) -> int:
+    """The parity class key & PAR of a 0/1 parity vector."""
+    return pack(parity) & key_layout(len(parity)).parity
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_levels_match_class_members(dim):
     for degree in range(15):
         for parity in itertools.product((0, 1), repeat=dim):
-            members, entries = _level(dim, degree, parity)
-            assert list(members) == reference_class_members(dim, degree, parity)
+            members, entries = _level(dim, degree, packed_parity(parity))
+            members = [unpack(gamma, dim) for gamma in members]
+            assert members == reference_class_members(dim, degree, parity)
             below = reference_class_members(dim, degree - 2, parity)
             assert [[(below[i], b) for i, b in column] for column in entries] == [
-                list(_lowered(gamma)) for gamma in members
+                list(lowered(gamma)) for gamma in members
             ]
 
 
@@ -814,7 +821,7 @@ def class_block_min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
     u_gamma = (L / N_gamma) (B^T y)_gamma over f's denominator."""
     dim = f.weight.dim
     blocks: dict = {}
-    for alpha, num in f.nums.items():
+    for alpha, num in tuple_map(f)[1].items():
         blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = num
     u = {}
     for (deg, parity), rhs in sorted(blocks.items()):
@@ -839,9 +846,9 @@ def test_min_norm_block_matches_reference(dim):
     for degree in range(13):
         for parity in itertools.product((0, 1), repeat=dim):
             rows = tuple(reference_class_members(dim, degree, parity))
-            assert _level(dim, degree, parity)[0] == rows
+            assert _level(dim, degree, packed_parity(parity))[0] == tuple(map(pack, rows))
             if rows:
-                nums = {alpha: rng.choice((-1, 1)) * rng.getrandbits(64) for alpha in rows}
+                nums = {pack(alpha): rng.choice((-1, 1)) * rng.getrandbits(64) for alpha in rows}
                 f = HermiteExpansion._trusted(WeightSpec.unit(dim), *reduced(rng.choice(BIG), nums))
                 assert_same_solution(_min_norm_coeffs(f), class_block_min_norm_coeffs(f))
 
@@ -859,7 +866,7 @@ def test_min_norm_matches_bareiss_oracle(data):
 
 def reference_lap_raise(v: dict) -> dict:
     """L P v over multi-indices: P G_beta = sum_j G_(beta + 2 e_j), then lap
-    by _lowered, one term at a time."""
+    by the tuple reference of _lowered, one term at a time."""
     raised: dict = {}
     for beta, x in v.items():
         for j in range(len(beta)):
@@ -867,7 +874,7 @@ def reference_lap_raise(v: dict) -> dict:
             raised[gamma] = raised.get(gamma, 0) + x
     out: dict = {}
     for gamma, y in raised.items():
-        for beta, b in _lowered(gamma):
+        for beta, b in lowered(gamma):
             out[beta] = out.get(beta, 0) + b * y
     return {k: x for k, x in out.items() if x}
 
@@ -921,7 +928,7 @@ def test_tower_polynomial_annihilates_its_level(dim):
 def test_float_blocks_match_reference(dim, shift):
     """The towers operator_norm reads, from ``_nu``, have the singular
     values of the parity-class blocks of ``reference_float_blocks``, built
-    from _lowered alone, each tower's repeated dim H_m times: at shift 0
+    from the tuple reference of _lowered alone, each tower's repeated dim H_m times: at shift 0
     lap from V_(degree + 2) onto V_degree (steps 0..K + 1 onto 0..K), else
     B_m over steps 0..K."""
     for degree in range(11):
@@ -950,7 +957,7 @@ def fraction_min_norm_coeffs(f_coeffs: dict, dim: int, lam: Fraction) -> dict:
         rhs = [rhs_map.get(alpha, Fraction(0)) for alpha in rows]
         columns = [
             (gamma, HermiteExpansion.basis_norm_sq(gamma, lam),
-             [(pos[beta], b) for beta, b in _lowered(gamma)])
+             [(pos[beta], b) for beta, b in lowered(gamma)])
             for gamma in reference_class_members(dim, deg + 2, parity)
         ]
         matrix = [[Fraction(0)] * len(rows) for _ in rows]
@@ -967,7 +974,7 @@ def fraction_min_norm_coeffs(f_coeffs: dict, dim: int, lam: Fraction) -> dict:
 def fraction_shifted_laplacian(expansion: HermiteExpansion, a: Fraction) -> dict:
     out = {gamma: a * c for gamma, c in expansion.coeffs.items()} if a else {}
     for gamma, c in expansion.coeffs.items():
-        for beta, b in _lowered(gamma):
+        for beta, b in lowered(gamma):
             out[beta] = out.get(beta, Fraction(0)) + b * c
     return {k: v for k, v in out.items() if v}
 

@@ -165,11 +165,12 @@ def test_cold_caches_give_warm_bytes():
 
 
 # The caches of the centered rows, the monomial images and the shared
-# constants |x|^2 and (x_1, ..., x_n).
+# constants: the packed-key layouts, |x|^2 and (x_1, ..., x_n).
 CONVERSION_CACHES = (
     hermite._centered_monomial_row,
     hermite._centered_hermite_row,
     hermite._monomial_image,
+    polynomials.key_layout,
     polynomials.Polynomial.norm_squared,
     polynomials.coordinate_vector,
 )

@@ -23,7 +23,7 @@ from gauss_rinv.hermite import (
     monomial_to_hermite,
 )
 from gauss_rinv.linalg import SingularMatrixError, solve_exact
-from gauss_rinv.polynomials import Polynomial, random_polynomial
+from gauss_rinv.polynomials import Polynomial, key_layout, random_polynomial
 from gauss_rinv.rightinverse import (
     GramConditionError,
     InputLimitError,
@@ -38,6 +38,7 @@ from gauss_rinv.rightinverse import (
 )
 from conftest import polynomials, rationals
 from harmonic_basis import harmonic_dimension, harmonic_polynomial_basis
+from tuple_reference import lowered
 
 one_1d = Polynomial.constant(1, 1)
 one_2d = Polynomial.constant(2, 1)
@@ -64,7 +65,7 @@ def triangular_coeffs(f: HermiteExpansion, a) -> HermiteExpansion:
             c = rest.pop(alpha) / a
             if c:
                 u[alpha] = c
-                for beta, b in rightinverse._lowered(alpha):
+                for beta, b in lowered(alpha):
                     rest[beta] = rest.get(beta, 0) - b * c
     return HermiteExpansion(f.weight, u)
 
@@ -142,7 +143,9 @@ class TestLevels:
         an exact weak residual."""
         for cache in (rightinverse._level, rightinverse._tower_polynomial, *SWEEP_CACHES):
             cache.cache_clear()
-        assert rightinverse._level(1, 3999, (1,)) == (((3999,),), (((0, 4 * 3999 * 3998),),))
+        # the class of odd x: members and entries on packed keys, G_3999 and its lowered G_3997
+        odd = key_layout(1).parity
+        assert rightinverse._level(1, 3999, odd) == ((3999 << 32 | 3999,), (((0, 4 * 3999 * 3998),),))
         rightinverse._level.cache_clear()
         f = basis_element(WeightSpec.unit(1), (800,))
         u, residual_exact, *_ = rightinverse.exact_solve(f, Fraction(1))
@@ -164,7 +167,7 @@ class TestLevels:
         monkeypatch.setattr(rightinverse, "_level", spy)
         f = basis_element(WeightSpec.unit(dim), (6,) + (0,) * (dim - 1))
         assert rightinverse.exact_solve(f, Fraction(2))[1]
-        assert asked == {(0,) * dim}
+        assert asked == {0}  # the even class: no parity bit set
 
 
 def monomial_route_residual_zero(report, f: Polynomial) -> bool:
@@ -173,7 +176,7 @@ def monomial_route_residual_zero(report, f: Polynomial) -> bool:
     a = 0, where r has degree deg f = N)."""
     u = report.solution.to_polynomial()
     r = u.laplacian() + u.scale(report.a) - f
-    return all(sum(alpha) > report.truncation for alpha in monomial_to_hermite(r, report.weight).nums)
+    return all(sum(alpha) > report.truncation for alpha in monomial_to_hermite(r, report.weight).coeffs)
 
 
 class TestTowerSpectrum:
@@ -245,7 +248,7 @@ class TestResidualRoutes:
         def corrupt(solver):
             def wrapped(*args):
                 u = solver(*args)
-                top = max(u.nums)
+                top = max(u.coeffs)
                 return HermiteExpansion(u.weight, {**u.coeffs, top: u.coeffs[top] + Fraction(1, 7)})
 
             return wrapped
@@ -370,7 +373,7 @@ def normal_equations_coeffs(f: HermiteExpansion, a, top: int) -> HermiteExpansio
         out: dict = {}
         for gamma, c in coeffs.items():
             out[gamma] = out.get(gamma, 0) + a * c
-            for beta, b in rightinverse._lowered(gamma):
+            for beta, b in lowered(gamma):
                 out[beta] = out.get(beta, 0) + b * c
         return out
 
