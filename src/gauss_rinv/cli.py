@@ -14,10 +14,9 @@ shortest round-trip repr, and timing goes to stderr so repeated runs emit
 byte-identical JSON.  Exit codes: 0 all checks pass,
 1 a check failed, 2 invalid input, 3 numeric failure.
 The float layer, ``domains`` and numpy, is imported inside the runners
-that use it (``bounded``, ``counterexample``, ``suite``; ``opnorm`` loads
-numpy from ``operator_norm`` at a != 0 only), so ``solve``, ``verify`` and
-``opnorm`` at a = 0 run without it.  Of numpy, a float run loads the core
-and ``numpy.linalg`` only: its Gauss rules are the package's own.
+that use it (``bounded``, ``counterexample``, ``suite``), so ``solve``,
+``verify`` and ``opnorm``, at every a, never load numpy.  Of numpy, a float
+run loads the core and ``numpy.linalg`` only, with the package's Gauss rules.
 """
 
 from __future__ import annotations
@@ -315,7 +314,7 @@ def _opnorm(args) -> tuple[dict, dict, bool]:
     target = 1.0 / math.sqrt(8.0 * args.dim)
     spec = {"dimension": args.dim, "a": a, "degree": args.degree}
     results = {"dim": args.dim, "a": a, "degree": args.degree, "value": value, "reference_bound": target}
-    # The norm is a float singular value: allow 1e-12 relative.
+    # The norm is bisected in floats, to within ulps of 1/sigma_min: allow 1e-12 relative.
     return spec, {"opnorm": results}, value <= target * (1 + 1e-12)
 
 
@@ -459,7 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputLimitError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return EXIT_SPEC
-    except ArithmeticError as exc:  # Gram, singular block or SVD, quadrature, overflow, zero division
+    except ArithmeticError as exc:  # quadrature, float overflow, zero division
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
 

@@ -2,9 +2,7 @@
 
 ``solve_exact`` and ``nullspace_exact`` read their results off one reduced
 row echelon form.  No report path calls them: the tests use the solvers as
-exact references.  ``SingularMatrixError`` is defined in ``rightinverse``,
-whose ``operator_norm`` raises it, so the exact core imports without this
-module.
+exact references, and the exact core imports without this module.
 """
 
 from __future__ import annotations
@@ -12,9 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .rightinverse import SingularMatrixError
-
 Rational = Union[Fraction, int]
+
+
+class SingularMatrixError(ArithmeticError):
+    """The exact system has no unique solution."""
 
 
 def _row_reduce(

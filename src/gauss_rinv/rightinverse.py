@@ -10,7 +10,7 @@ the Laplacian lowers total degree by exactly two:
 coefficients (a bijective change of basis, so it equals the check on
 monomials).  The solves walk the cached ``_level(dim, degree, parity)``:
 one level of a parity class, its members and their _lowered entries;
-``operator_norm`` walks the towers of the Fischer decomposition instead.
+``operator_norm`` reads the same operator's towers from ``_nu``, in floats.
 
 For a = 0 the coefficient system (over solutions of degree <= deg f + 2)
 is underdetermined; the minimal-weighted-norm solution is u = P (L P)^-1 f
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -67,10 +68,6 @@ from .polynomials import (
 
 class GramConditionError(ArithmeticError):
     """Enrichment Gram system too ill-conditioned to trust."""
-
-
-class SingularMatrixError(ArithmeticError):
-    """The exact system has no unique solution, or a float inverse is not finite."""
 
 
 def input_float(value: Fraction, name: str) -> float:
@@ -403,8 +400,8 @@ class SolveReport(NamedTuple):
 MAX_MIN_NORM_WORK = 1_000_000
 
 
-def _nu(dim: int, m, k):
-    """The tower spectrum, for ints or float arrays: L P^k g = nu(m, k) P^(k - 1) g
+def _nu(dim: int, m: int, k: int) -> int:
+    """The tower spectrum, an int: L P^k g = nu(m, k) P^(k - 1) g
     for g in H_m = ker L of degree m (R. Howe, Trans. AMS 313, 1989; Stein & Weiss 1971, ch. IV)."""
     return 8 * k * (2 * m + 2 * k - 2 + dim)
 
@@ -805,76 +802,79 @@ def enrich(report: SolveReport, basis: Sequence[KernelFunction]) -> SolveReport:
 # operator norm of the truncated right inverse, tower by tower
 # ----------------------------------------------------------------------
 
-# Most tower entries operator_norm forms: (K + 1)^2 per tower at a != 0, K + 1
-# at a = 0.  1-D a != 0 stops at degree 3999, two 2000 x 2000 towers (5 s on
-# a 2-core machine), 2-D on at 455; a = 0 at 7,999,999 in 1-D, 5,654 from 2-D.
+# Most bisection passes of operator_norm: the floats in [0, M_m[0, 0]] have
+# fewer than 2^63 bit patterns.  MAX_TOWER_ENTRIES counts K + 1 per tower
+# times the passes: a = 0 stops at degree 7,999,999 in 1-D and 5,654 from
+# 2-D on, a != 0 at 126,983 and 710 (0.4 s each on a 2-core machine).
+BISECTION_PASSES = 63
 MAX_TOWER_ENTRIES = 8_000_000
 
 
-def _tower_entries(dim: int, degree: int, shifted: bool) -> int:
-    """Towers have K + 1 = 1..t steps, t = degree // 2 + 1 or (degree + 1) // 2 by m's parity; 1-D only t."""
+def _tower_entries(dim: int, degree: int) -> int:
+    """Sum of K + 1 over the towers: 1..t steps, t = degree // 2 + 1 or (degree + 1) // 2 by m's parity; 1-D only t."""
     tops = (degree // 2 + 1, (degree + 1) // 2)
-    if dim == 1:
-        return sum(t * t if shifted else t for t in tops)
-    return sum(t * (t + 1) * (2 * t + 1) // 6 if shifted else t * (t + 1) // 2 for t in tops)
+    return sum(tops) if dim == 1 else sum(t * (t + 1) // 2 for t in tops)
 
 
-def _tower_block(dim: int, m: int, top: int, shift: float) -> np.ndarray:
-    """B_m, lap + a on the tower P^k H_m, k <= top: ``shift`` on the diagonal, sqrt(nu(m, k)) at (k - 1, k)."""
-    import numpy as np
+def _tower_normal(dim: int, m: int, top: int, c: float, unit: float) -> list[tuple[float, float]]:
+    """M_m = B_m B_m^T on the steps k <= top of P^k H_m in units of unit^2, per row k
+    its diagonal c + nu(m, k + 1) and squared off-diagonal c nu(m, k), c = a^2."""
+    nus = [_nu(dim, m, k) / unit / unit for k in range(top + 2)]
+    return [(c + nus[k + 1], c * nus[k]) for k in range(top + 1)]
 
-    return np.diag(np.sqrt(_nu(dim, m, np.arange(1.0, top + 1))), 1) + shift * np.eye(top + 1)
+
+def _positive_definite(normals: list[list[tuple[float, float]]], x: float) -> bool:
+    """Whether the Sturm count of every M_m - x I, its negative LDL^T pivots d_k =
+    diag_k - x - off_k / d_(k - 1), is 0; at x = 0 the d_k are ``_shifted_pivots``."""
+    for tower in normals:
+        d = 1.0
+        for diag, off in tower:
+            d = diag - x - off / d
+            if d <= 0:
+                return False
+    return True
+
+
+def _float(bits: int) -> float:
+    """The float whose IEEE 754 bit pattern is the int ``bits``."""
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
 
 
 def operator_norm(dim: int, a: RationalLike = 0, degree: int = 8) -> float:
-    """Norm of the truncated right inverse of lap + a in orthonormal
-    Hermite coordinates: the largest over the towers P^k H_m, k <= K =
-    (degree - m) // 2, of V_degree (m <= degree; m <= 1 in 1-D), where lap
-    maps step k to sqrt(nu(m, k)) times step k - 1.  The towers take |a|,
-    as D (lap + a) D = -(lap - a) for D = diag((-1)^k): a and -a agree.
-
-    a = 0: 1/sigma_min of lap from V_(degree + 2) onto V_degree (Golub &
-    Van Loan, Matrix Computations, 5.5), its singular values sqrt(nu(m, k)),
-    k = 1..K + 1, read off; the least is sqrt(nu(0, 1)) = sqrt(8 dim).
-
-    a != 0: the largest singular value of each B_m^-1 (``_tower_block``).
-    D B_m D is a triangular M-matrix, so entry (i, j) of B_m^-1 is one
-    product of entries of B_m, of sign (-1)^(j - i): the inverse (LU swaps
-    no rows) and its norm come out to relative accuracy (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 8), where 1/sigma_min of B_m
-    would be resolved only to an absolute (K + 1) eps sigma_max.
-
-    Raises InputLimitError over MAX_TOWER_ENTRIES or for an |a| above the
-    float range, and SingularMatrixError, naming the tower, for an inverse
-    or norm that is not finite (at once for an a != 0 whose float is 0).
+    """1/sigma_min of P_degree (lap + a) from V_(degree + 2) onto V_degree in
+    orthonormal Hermite coordinates: the norm of the min-norm right inverse
+    every solve at truncation N = degree applies.  On each tower P^k H_m, k
+    <= K = (degree - m) // 2, m <= degree (m <= 1 in 1-D), it is the (K +
+    1) x (K + 2) bidiagonal B_m, a at (k, k) and sqrt(nu(m, k + 1)) at (k,
+    k + 1), so the norm is the largest 1/sqrt(lambda_min) of the
+    tridiagonal M_m = B_m B_m^T, which reads a^2 only: a and -a agree.
+    At a = 0, or an a whose square underflows, M_m = diag(nu(m, k + 1)) and
+    the norm is 1/sqrt(min nu(m, 1)) = 1/sqrt(8 dim).  Otherwise the least
+    lambda_min is bisected on the Sturm counts of ``_positive_definite``
+    (Barth, Martin & Wilkinson 1967; Golub & Van Loan 8.4.1) over float bit
+    patterns to adjacent floats lo < lambda_min <= hi, read at hi: within
+    5e-16 relative of the SVD of the ``_lowered`` blocks in the tests.  For
+    |a| > 1 the towers are in units of a^2, which may exceed the floats.
+    InputLimitError over MAX_TOWER_ENTRIES, counted before any tower is
+    walked, or for an |a| or nu(degree, degree + 1) above the float range.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    a = Fraction(a)
-    shift = abs(input_float(a, "a"))
-    if a and not shift:
-        raise SingularMatrixError(
-            f"operator_norm: a = {a} rounds to the float 0.0; the inverse's entries 1/|a| overflow"
-        )
-    entries = _tower_entries(dim, degree, shift != 0)
+    shift = abs(input_float(Fraction(a), "a"))
+    unit = max(1.0, shift)
+    c = (shift / unit) ** 2  # a^2 in units of unit^2
+    entries = _tower_entries(dim, degree) * (BISECTION_PASSES if c else 1)
     if entries > MAX_TOWER_ENTRIES:
         raise InputLimitError(
             f"opnorm: degree {degree} needs {entries} tower entries, above MAX_TOWER_ENTRIES = {MAX_TOWER_ENTRIES}"
         )
     input_float(Fraction(_nu(dim, degree, degree + 1)), "nu(degree, degree + 1)")  # the largest nu read
     towers = [(m, (degree - m) // 2) for m in range(min(degree, 1 if dim == 1 else degree) + 1)]
-    if not shift:  # nu(m, k) grows with k, so each tower's least is at k = 1
+    if not c:
         return 1.0 / math.sqrt(min(_nu(dim, m, 1) for m, _ in towers))
-    import numpy as np
-
-    norm = 0.0
-    for m, top in towers:
-        inverse = np.linalg.solve(_tower_block(dim, m, top, shift), np.eye(top + 1))
-        value = float(np.linalg.svd(inverse, compute_uv=False)[0]) if np.isfinite(inverse).all() else math.inf
-        if not math.isfinite(value):
-            raise SingularMatrixError(
-                f"operator_norm: the inverse of the {top + 1} x {top + 1} block of tower "
-                f"m = {m} at |a| = {shift!r} is not finite in floating point"
-            )
-        norm = max(norm, value)
-    return norm
+    normals = [_tower_normal(dim, m, top, c, unit) for m, top in towers]
+    lo, hi = 0, int.from_bytes(struct.pack("<d", min(t[0][0] for t in normals)), "little")  # >= lambda_min
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _positive_definite(normals, _float(mid)) else (lo, mid)
+    return 1.0 / math.sqrt(_float(hi)) / unit

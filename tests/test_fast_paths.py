@@ -58,7 +58,7 @@ from gauss_rinv.rightinverse import (
     KernelFunction,
     _level,
     _min_norm_coeffs,
-    _tower_block,
+    _tower_normal,
     _tower_polynomial,
     multi_indices_up_to,
     shifted_laplacian,
@@ -771,28 +771,25 @@ def reference_min_norm_block(dim: int, degree: int, parity: tuple[int, ...]):
 
 
 def reference_float_blocks(dim: int, degree: int, shift: float) -> list:
-    """(parity, block) over every parity vector: at shift 0 one block per
-    degree k, from k + 2 onto k; otherwise one square block per class."""
+    """(parity, block) over every parity vector: lap + shift from the class
+    members of degree <= degree + 2 onto those of degree <= degree, in
+    orthonormal coordinates, from the tuple reference of _lowered alone."""
     out = []
     for parity in itertools.product((0, 1), repeat=dim):
-        degrees = range(sum(parity), degree + 1, 2)
-        if shift:
-            members = [m for k in degrees for m in reference_class_members(dim, k, parity)]
-            spans = [(members, members)] if members else []
-        else:
-            spans = [
-                (reference_class_members(dim, k, parity), reference_class_members(dim, k + 2, parity))
-                for k in degrees
-            ]
-        for rows, cols in spans:
-            pos = {beta: i for i, beta in enumerate(rows)}
-            block = np.zeros((len(rows), len(cols)))
-            for ci, gamma in enumerate(cols):
-                for beta, b in lowered(gamma):
-                    block[pos[beta], ci] = math.sqrt(b)
-            if shift:
-                np.fill_diagonal(block, shift)
-            out.append((parity, block))
+        rows, cols = (
+            [m for k in range(sum(parity), top + 1, 2) for m in reference_class_members(dim, k, parity)]
+            for top in (degree, degree + 2)
+        )
+        if not rows:
+            continue
+        pos = {beta: i for i, beta in enumerate(rows)}
+        block = np.zeros((len(rows), len(cols)))
+        for ci, gamma in enumerate(cols):
+            if gamma in pos:
+                block[pos[gamma], ci] = shift
+            for beta, b in lowered(gamma):
+                block[pos[beta], ci] = math.sqrt(b)
+        out.append((parity, block))
     return out
 
 
@@ -926,19 +923,21 @@ def test_tower_polynomial_annihilates_its_level(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("shift", [0.0, 0.5, 3.0])
 def test_float_blocks_match_reference(dim, shift):
-    """The towers operator_norm reads, from ``_nu``, have the singular
-    values of the parity-class blocks of ``reference_float_blocks``, built
-    from the tuple reference of _lowered alone, each tower's repeated dim H_m times: at shift 0
-    lap from V_(degree + 2) onto V_degree (steps 0..K + 1 onto 0..K), else
-    B_m over steps 0..K."""
+    """The towers operator_norm reads, from ``_nu``, have the spectra of
+    the parity-class blocks of ``reference_float_blocks``, built from the
+    tuple reference of _lowered alone: the eigenvalues of each tower's
+    tridiagonal M_m = B_m B_m^T, repeated dim H_m times, are the squared
+    singular values of lap + shift from V_(degree + 2) onto V_degree."""
     for degree in range(11):
         blocks = [block for _, block in reference_float_blocks(dim, degree, shift)]
-        expected = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))
+        expected = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) ** 2 for b in blocks]))
         towers = []
         for m in range(degree + 1):
-            top = (degree - m) // 2
-            block = _tower_block(dim, m, top, shift) if shift else _tower_block(dim, m, top + 1, 0.0)[:-1]
-            towers.extend(list(np.linalg.svd(block, compute_uv=False)) * harmonic_dimension(dim, m))
+            rows = _tower_normal(dim, m, (degree - m) // 2, shift * shift, 1.0)
+            normal = np.diag([diag for diag, _ in rows])
+            beside = np.sqrt([off for _, off in rows[1:]])
+            normal += np.diag(beside, 1) + np.diag(beside, -1)
+            towers.extend(list(np.linalg.eigvalsh(normal)) * harmonic_dimension(dim, m))
         got = np.sort(towers)
         assert len(got) == len(expected) == len(multi_indices_up_to(dim, degree))
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-13 * expected[-1])

@@ -38,14 +38,16 @@ CONVERSION_SHA256 = "67467ea262849db33096a45c0462fec0ec679980100d74b3c2061c0358a
 # its a = 0 reports kept their bytes, pinned on their own.
 SOLVE_SHA256 = "cff2c2230d6883b81ed4f2a8ce5495a111cc5466da96009303b2f9a9a4d38627"
 SOLVE_A0_SHA256 = "17c2e3d397fcd9aee149287287c5e18c5422f4b271ef92b45d3109db63547f13"
-# repr of every operator_norm value over OPNORM_CASES and OPNORM_SHIFTS,
-# recorded when the norm was first taken tower by tower.  In 1-D the towers
-# are the old parity-class blocks, and those values kept their bits; 63 of
-# the 2-D and 3-D values moved, by at most 6.3e-16 relative, from the
-# parity-class blocks' SVDs (at a = 0 they are now 1/sqrt(8n) exactly).
-OPNORM_SHA256 = "6c924609fb4d128539c19264885ed519d8f32eab9a67dc3cbd2fef1900260fe2"
+# repr of every operator_norm value over OPNORM_CASES, in two pins.  The
+# a = 0 values, 1/sqrt(8n) exactly since the norm was first taken tower by
+# tower, keep their bits.  The OPNORM_SHIFTS values were re-recorded when
+# the norm at a != 0 became that of the min-norm inverse the solves apply
+# (the rectangular towers, bisected), in place of the triangular inverse's
+# square towers, whose norms reached 1e30.
+OPNORM_A0_SHA256 = "0e8dd70495191749c3c91963a6ed0a899e594329aa5be7ae78ec04b394a68bbd"
+OPNORM_SHIFTED_SHA256 = "ea21192f37d2ba796b6269dba858935ebb94375956114aef3e2fdeeee1837226"
 OPNORM_CASES = ((1, 40), (2, 16), (3, 10))  # (dim, top degree)
-OPNORM_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(3))
+OPNORM_SHIFTS = (Fraction(1, 2), Fraction(-1), Fraction(3))
 # The recorded bounded reports; the solve-side fields of the two a != 0
 # cases (solution coefficients, norm_u_l2, margin, the weighted ratios,
 # bound_satisfied) were re-recorded from the weak solution on V_N.
@@ -276,15 +278,16 @@ def test_cold_tower_caches_give_warm_bytes():
 
 
 def test_opnorm_values_pinned():
-    """276 operator norms, bit for bit."""
-    values = [
-        repr(operator_norm(dim, a, degree))
-        for dim, top in OPNORM_CASES
-        for a in OPNORM_SHIFTS
-        for degree in range(top + 1)
-    ]
-    assert len(values) == 276
-    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == OPNORM_SHA256
+    """69 operator norms at a = 0 and 207 at a != 0, bit for bit."""
+    for shifts, count, digest in [((0,), 69, OPNORM_A0_SHA256), (OPNORM_SHIFTS, 207, OPNORM_SHIFTED_SHA256)]:
+        values = [
+            repr(operator_norm(dim, a, degree))
+            for dim, top in OPNORM_CASES
+            for a in shifts
+            for degree in range(top + 1)
+        ]
+        assert len(values) == count
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() == digest
 
 
 def _close(x: float, y: float, scale: float) -> bool:

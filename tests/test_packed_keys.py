@@ -184,11 +184,12 @@ def test_solve_over_the_limit_exits_2_without_traceback(tmp_path):
 
 
 def test_errors_have_one_home():
-    """SingularMatrixError lives in rightinverse and InputLimitError in
-    polynomials; the exact core imports without linalg."""
+    """SingularMatrixError lives in linalg, its only raiser, and
+    InputLimitError in polynomials; the exact core imports without linalg."""
     from gauss_rinv import linalg
 
-    assert linalg.SingularMatrixError is rightinverse.SingularMatrixError
+    assert issubclass(linalg.SingularMatrixError, ArithmeticError)
+    assert not hasattr(rightinverse, "SingularMatrixError")
     assert rightinverse.InputLimitError is polynomials.InputLimitError
     code = "import sys, gauss_rinv; print('gauss_rinv.linalg' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

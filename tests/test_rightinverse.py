@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from gauss_rinv.hermite import (
     integrate_gaussian,
     monomial_to_hermite,
 )
-from gauss_rinv.linalg import SingularMatrixError, solve_exact
+from gauss_rinv.linalg import solve_exact
 from gauss_rinv.polynomials import Polynomial, key_layout, random_polynomial
 from gauss_rinv.rightinverse import (
     GramConditionError,
@@ -54,8 +55,7 @@ def basis_element(w: WeightSpec, alpha, coef=1) -> HermiteExpansion:
 def triangular_coeffs(f: HermiteExpansion, a) -> HermiteExpansion:
     """The unique u of degree <= deg f with (lap + a) u = f at a != 0, top
     down: u_alpha = (f_alpha - (lap u)_alpha) / a, where (lap u)_alpha reads
-    only the degree |alpha| + 2 already solved.  It is the inverse whose
-    norm operator_norm reports at a != 0, and a particular solution for
+    only the degree |alpha| + 2 already solved: a particular solution for
     the plane-wave enrichment."""
     a = Fraction(a)
     rest = dict(f.coeffs)  # f - lap u on the degrees not yet solved
@@ -85,24 +85,43 @@ def triangular_report(f: Polynomial, a) -> rightinverse.SolveReport:
 
 def column_solve_operator_norm(dim: int, a, degree: int) -> float:
     """Reference norm of the truncated right inverse operator_norm reports:
-    one exact solve per basis element G_alpha (degree <= degree) in
-    orthonormal coordinates, then the top float eigenvalue of q^T q; the
-    min-norm solve at a = 0, the triangular one otherwise."""
+    one exact min-norm solve at truncation degree per basis element G_alpha
+    (degree <= degree) in orthonormal coordinates, then the top float
+    eigenvalue of q^T q."""
     a = Fraction(a)
     unit = Fraction(1)
     cols = multi_indices_up_to(dim, degree)
-    # the min-norm solve reaches degree + 2; the triangular one stays in cols
-    rows = multi_indices_up_to(dim, degree + 2) if a == 0 else cols
+    rows = multi_indices_up_to(dim, degree + 2)
     row_pos = {g: i for i, g in enumerate(rows)}
     q = np.zeros((len(rows), len(cols)))
     for ci, alpha in enumerate(cols):
         norm_in = HermiteExpansion.basis_norm_sq(alpha, unit)
         basis = HermiteExpansion(WeightSpec.unit(dim), {alpha: unit})
-        column = rightinverse._min_norm_coeffs(basis) if a == 0 else triangular_coeffs(basis, a)
+        column = rightinverse._min_norm_coeffs(basis, a, degree)
         for gamma, c in column.coeffs.items():
             norm_out = HermiteExpansion.basis_norm_sq(gamma, unit)
             q[row_pos[gamma], ci] = float(c) * math.sqrt(float(norm_out / norm_in))
     return math.sqrt(max(np.linalg.eigvalsh(q.T @ q)[-1], 0.0))
+
+
+def lowered_block_norm(dim: int, a, degree: int) -> float:
+    """1/sigma_min of lap + a from V_(degree + 2) onto V_degree in
+    orthonormal coordinates, the rectangular matrix built from the tuple
+    reference of _lowered alone: sqrt(b) for each entry b of lap, a on the
+    diagonal."""
+    rows, cols = multi_indices_up_to(dim, degree), multi_indices_up_to(dim, degree + 2)
+    pos = {beta: i for i, beta in enumerate(rows)}
+    block = np.zeros((len(rows), len(cols)))
+    for ci, gamma in enumerate(cols):
+        if gamma in pos:
+            block[pos[gamma], ci] = float(a)
+        for beta, b in lowered(gamma):
+            block[pos[beta], ci] = math.sqrt(b)
+    return 1.0 / np.linalg.svd(block, compute_uv=False)[-1]
+
+
+# The shifts of perfbench's solve workload (perfbench/workloads.py SHIFTS).
+BENCH_SHIFTS = (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
 
 class TestAssemble:
@@ -669,8 +688,8 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("a", [Fraction(1, 2), 1, 3])
     def test_unenriched_norm_even_in_shift(self, n, a):
-        """D = diag((-1)^floor(|alpha|/2)) has D lap D = -lap, so the
-        inverse at -a is -D (inverse at a) D: the same norm, bit for bit."""
+        """Each tower's M_m = B_m B_m^T reads a^2 only: the same norm at a
+        and -a, bit for bit."""
         assert operator_norm(n, a, 6) == operator_norm(n, -a, 6)
 
     def test_n3_degree_20(self):
@@ -681,56 +700,72 @@ class TestOperatorNorm:
     )
     @pytest.mark.parametrize("a", [0, Fraction(1, 2), Fraction(-1, 2), 1, -1, 2, 3])
     def test_matches_column_solve_reference(self, n, degree_max, a):
-        """1/sigma_min of the blocks equals the largest singular value of
-        the solver's own inverse, column by column."""
+        """The bisected norm equals the largest singular value of the
+        solver's own min-norm inverse, column by column."""
         for degree in range(degree_max + 1):
             reference = column_solve_operator_norm(n, a, degree)
             assert operator_norm(n, a, degree) == pytest.approx(reference, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("n, a, degree", [(1, 1, 40), (2, 1, 22), (2, -2, 30), (3, 1, 16)])
-    def test_tiny_sigma_min_matches_column_solve_reference(self, n, a, degree):
-        """Where sigma_min of the block is far below eps * sigma_max (1e-30
-        in 1-D at degree 40), the norm of the block inverse still matches
-        the solver's own inverse to relative accuracy."""
-        reference = column_solve_operator_norm(n, a, degree)
-        assert operator_norm(n, a, degree) == pytest.approx(reference, rel=1e-13, abs=0)
+    @pytest.mark.parametrize(
+        "n, a, degree, value",
+        [
+            (1, 1, 8, 0.33712196956), (1, -1, 8, 0.33712196956), (1, 1, 40, 0.33712196956),
+            (1, -1, 40, 0.33712196956), (1, 3, 40, 0.25732831740), (2, -2, 30, 0.23157118400),
+            (3, 1, 16, 0.20174063939),
+        ],
+    )
+    def test_shifted_values_match_the_lowered_block(self, n, a, degree, value):
+        """The norms of ROADMAP item 3, each below 1/sqrt(8n), and within
+        1e-12 of 1/sigma_min of the rectangular block built from _lowered."""
+        norm = operator_norm(n, a, degree)
+        assert norm == pytest.approx(value, rel=1e-10, abs=0)
+        assert norm == pytest.approx(lowered_block_norm(n, a, degree), rel=1e-12, abs=0)
+        assert norm < 1 / math.sqrt(8 * n)
 
-    @pytest.mark.parametrize("n, degree", [(1, 30), (2, 16), (3, 10)])
-    @pytest.mark.parametrize("a", [Fraction(1, 2), 1, 3])
-    def test_block_inverse_sign_pattern(self, n, a, degree):
-        """Each a != 0 tower block B_m is upper bidiagonal, and entry (i, j)
-        of its inverse has sign (-1)^(j - i): one product, nothing to cancel."""
-        for m, top in walked_towers(n, degree):
-            block = rightinverse._tower_block(n, m, top, abs(float(a)))
-            assert block.shape == (top + 1, top + 1)
-            assert not np.tril(block, -1).any() and not np.triu(block, 2).any()
-            inverse = np.linalg.solve(block, np.eye(top + 1))
-            steps = np.arange(top + 1)
-            sign = (-1.0) ** (steps[None, :] - steps[:, None])
-            nonzero = inverse != 0
-            assert np.array_equal(nonzero, np.triu(np.ones_like(nonzero)))
-            assert np.all(np.sign(inverse[nonzero]) == sign[nonzero])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_solve_ratio_within_the_norm(self, n):
+        """The solve at truncation N is the operator opnorm measures: its
+        exact ratio is at most the squared norm, for random data in n = 1-3
+        and every shift of perfbench's solve workload."""
+        rng = random.Random(300 + n)
+        for a in BENCH_SHIFTS:
+            for top in (2, 5):
+                f = random_polynomial(rng, n, max_degree=top, max_terms=4)
+                ratio = float(solve_min_norm(f, a, truncation=top).ratio)
+                assert 0 < ratio <= operator_norm(n, a, top) ** 2 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0, Fraction(1, 2), -1, 3])
+    def test_norm_does_not_decrease_with_degree(self, n, a):
+        """M_m at degree d is a leading block of M_m at d + 1 or the same,
+        and new towers only join, so by Cauchy interlacing the norm does not
+        decrease.  It holds in floats too: a pass's pivots at degree d are a
+        prefix of those at d + 1."""
+        values = [operator_norm(n, a, degree) for degree in range(24 if n == 1 else 12)]
+        for lo, hi in zip(values, values[1:]):
+            assert hi >= lo
 
     def test_block_limit_both_sides(self, monkeypatch):
         """1-D a != 0 at degree d has towers of d // 2 + 1 and (d + 1) // 2
-        steps: 72 entries at degree 11 and 85 at 12."""
-        monkeypatch.setattr(rightinverse, "MAX_TOWER_ENTRIES", 72)
+        steps, each walked by 63 bisection passes: 756 entries at degree 11
+        and 819 at 12."""
+        monkeypatch.setattr(rightinverse, "MAX_TOWER_ENTRIES", 756)
         assert operator_norm(1, 1, 11) > 0
-        with pytest.raises(InputLimitError, match="needs 85 tower entries, above MAX_TOWER_ENTRIES = 72"):
+        with pytest.raises(InputLimitError, match="needs 819 tower entries, above MAX_TOWER_ENTRIES = 756"):
             operator_norm(1, 1, 12)
 
     def test_block_limit_admits_3d_degree_40(self):
-        """3-D a != 0 at degree 40 is 41 towers of at most 21 steps, 6181
-        entries; 1-D a != 0 at degree 4000 is over the limit."""
-        assert rightinverse._tower_entries(3, 40, True) == 6181
-        assert operator_norm(3, 1, 40) == pytest.approx(6.191859007838196e30, rel=1e-13)
-        with pytest.raises(InputLimitError, match="8004001 tower entries"):
-            operator_norm(1, 1, 4000)
+        """3-D a != 0 at degree 40 is 41 towers of at most 21 steps, 441
+        entries a pass; 1-D a != 0 at degree 126,984 is over the limit."""
+        assert rightinverse._tower_entries(3, 40) == 441
+        assert operator_norm(3, 1, 40) == pytest.approx(0.20174063939, rel=1e-10)
+        with pytest.raises(InputLimitError, match="8000055 tower entries"):
+            operator_norm(1, 1, 126_984)
 
     @pytest.mark.parametrize("n, a, degree", [(1, 1, 6), (2, Fraction(1, 2), 5), (3, -3, 4)])
     def test_wrong_spectrum_misses_the_reference(self, n, a, degree, monkeypatch):
-        """With nu off by one in the dimension the norm misses the triangular
-        column-solve reference, which reads no nu."""
+        """With nu off by one in the dimension the norm misses the min-norm
+        column-solve reference, taken before the fault is planted."""
         reference = column_solve_operator_norm(n, a, degree)
         assert operator_norm(n, a, degree) == pytest.approx(reference, rel=1e-12, abs=0)
         nu = rightinverse._nu
@@ -754,17 +789,18 @@ class TestOperatorNorm:
         assert criteria["operator-norm"]["pass"] is False
         assert criteria["operator-norm"]["n2_value"] == 1 / math.sqrt(24)
 
-    def test_zero_sigma_min_both_sides(self):
-        """1-D a = 1: the norm is 3.78e217 at degree 200; at degree 400 the
-        inverse overflows a float."""
-        assert math.isfinite(operator_norm(1, 1, 200))
-        with pytest.raises(SingularMatrixError, match=r"operator_norm: the inverse of the 201 x 201 block"):
-            operator_norm(1, 1, 400)
+    def test_high_degree_shift_is_bounded(self):
+        """1-D a = 1: sigma_min of the min-norm towers stays away from 0, so
+        the norm at degrees 200 and 400, where the inverse of the square
+        towers overflowed, is finite and below 1/sqrt(8)."""
+        for degree in (200, 400):
+            assert operator_norm(1, 1, 40) <= operator_norm(1, 1, degree) < 1 / math.sqrt(8)
 
     def test_shift_above_float_range(self):
         """The largest float as an int is a shift; one beyond it is an input limit."""
         top = int(sys.float_info.max)
         assert 0 < operator_norm(1, top, 4) <= operator_norm(1, 0, 4)
+        assert operator_norm(1, top, 4) == pytest.approx(1 / sys.float_info.max, rel=1e-12)
         for a in (top + 2**971, -(10**400)):
             with pytest.raises(InputLimitError, match=r"a: \|a\| = 10\^.* is above the float range"):
                 operator_norm(1, a, 4)
@@ -782,9 +818,11 @@ class TestOperatorNorm:
                 operator_norm(4 * dim, a, degree)
 
     def test_shift_below_float_range(self):
-        """a = 10^-400 is not 0: its inverse has entries 1/a, no float."""
-        with pytest.raises(SingularMatrixError, match=r"operator_norm: a = 1/10+ rounds to the float 0\.0"):
-            operator_norm(1, Fraction(1, 10**400), 4)
+        """An a whose float, or whose square, underflows gives the a = 0
+        value, bit for bit: the norm is continuous in a."""
+        for a in (Fraction(1, 10**400), Fraction(1, 10**200)):
+            assert operator_norm(1, a, 4) == operator_norm(1, 0, 4)
+        assert operator_norm(1, Fraction(1, 10**150), 4) == pytest.approx(operator_norm(1, 0, 4), rel=1e-15)
 
 
 def walked_towers(dim: int, degree: int) -> list[tuple[int, int]]:
@@ -793,10 +831,10 @@ def walked_towers(dim: int, degree: int) -> list[tuple[int, int]]:
 
 
 def spy_towers(monkeypatch, dim: int, a, degree: int) -> list[tuple[int, int]]:
-    """(m, steps) of each tower spectrum operator_norm reads after its
-    first call, the float-range check nu(degree, degree + 1): at a != 0 the
-    K steps of the block's off-diagonal, read as one array; at a = 0 the
-    tower's least value, the int nu(m, 1), which stands for its K + 1 steps."""
+    """(m, K + 1) of each tower operator_norm reads after its first call,
+    the float-range check nu(degree, degree + 1): at a != 0 nu(m, k) for
+    k = 0..K + 1, one call each; at a = 0 the tower's least value, the int
+    nu(m, 1), which stands for its K + 1 steps."""
     calls = []
     nu = rightinverse._nu
 
@@ -808,29 +846,30 @@ def spy_towers(monkeypatch, dim: int, a, degree: int) -> list[tuple[int, int]]:
     operator_norm(dim, a, degree)
     monkeypatch.undo()
     assert calls[0] == (degree, degree + 1)
-    read = []
+    if not a:
+        assert all(k == 1 for _, k in calls[1:])
+        return [(m, (degree - m) // 2 + 1) for m, _ in calls[1:]]
+    read: list[tuple[int, int]] = []
     for m, k in calls[1:]:
-        if isinstance(k, int):
-            assert not a and k == 1
-            read.append((m, (degree - m) // 2 + 1))
-        else:
-            read.append((m, len(k)))
-    return read
+        if k == 0:
+            read.append((m, 0))
+        assert read[-1][0] == m and k == read[-1][1]
+        read[-1] = (m, k + 1)
+    return [(m, steps - 1) for m, steps in read]
 
 
 class TestOperatorNormWork:
-    """MAX_TOWER_ENTRIES, counted before any tower is built, and the towers
+    """MAX_TOWER_ENTRIES, counted before any tower is walked, and the towers
     walked."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("shifted", [False, True])
     def test_shapes_count_the_blocks(self, dim, shifted, monkeypatch):
-        """The closed-form count is the entries of the towers read: K + 1 per
-        tower at a = 0, (K + 1)^2 per block at a != 0."""
+        """The closed-form count is the K + 1 steps of the towers read, at
+        a = 0 and a != 0 alike (where each bisection pass walks them)."""
         for degree in range(11):
             read = spy_towers(monkeypatch, dim, int(shifted), degree)
-            counted = sum((length + 1) ** 2 if shifted else length for _, length in read)
-            assert counted == rightinverse._tower_entries(dim, degree, shifted)
+            assert sum(steps for _, steps in read) == rightinverse._tower_entries(dim, degree)
 
     @pytest.mark.parametrize("dim, degree", [(40, 0), (25, 2), (8, 3)])
     @pytest.mark.parametrize("shifted", [False, True])
@@ -838,32 +877,34 @@ class TestOperatorNormWork:
         """Only the towers m <= degree are walked, each once, whatever the
         dimension."""
         read = spy_towers(monkeypatch, dim, int(shifted), degree)
-        assert read == [(m, top + (not shifted)) for m, top in walked_towers(dim, degree)]
+        assert read == [(m, top + 1) for m, top in walked_towers(dim, degree)]
 
     def test_high_dimension_at_low_degree(self):
         """The dimension enters only through nu: 40-D and 1000-D at degrees
-        0 and 1 are towers of one step, 1/sqrt(8 dim) at nu(0, 1) and 1/|a|
-        at a != 0."""
+        0 and 1 are towers of one step, 1/sqrt(8 dim) at nu(0, 1) and
+        1/sqrt(a^2 + 8 dim) at a != 0, each M_m the 1 x 1 a^2 + nu(m, 1)."""
         for dim in (40, 1000):
             for degree in (0, 1):
                 assert operator_norm(dim, 0, degree) == 1 / math.sqrt(8 * dim)
-                assert operator_norm(dim, -2, degree) == 0.5
+                assert operator_norm(dim, -2, degree) == 1 / math.sqrt(4 + 8 * dim)
 
     def test_total_limit_both_sides(self, monkeypatch):
-        """1-D a != 0 counts 8,000,000 entries at degree 3999 and 8,004,001
-        at 4000, 1-D a = 0 degree + 1; the count comes before any tower, so
-        a huge degree is refused at once."""
+        """1-D counts degree + 1 entries a pass: a != 0, 63 passes, counts
+        7,999,992 at degree 126,983 and 8,000,055 at 126,984; a = 0 counts
+        8,000,000 at 7,999,999.  The count comes before any tower, so a huge
+        degree is refused at once."""
         limit = rightinverse.MAX_TOWER_ENTRIES
-        assert rightinverse._tower_entries(1, 3999, True) == limit == 8_000_000
-        assert rightinverse._tower_entries(1, 4000, True) == 8_004_001
-        assert rightinverse._tower_entries(1, 7_999_999, False) == limit
+        passes = rightinverse.BISECTION_PASSES
+        assert passes * rightinverse._tower_entries(1, 126_983) == 7_999_992 <= limit == 8_000_000
+        assert passes * rightinverse._tower_entries(1, 126_984) == 8_000_055
+        assert rightinverse._tower_entries(1, 7_999_999) == limit
 
         def no_towers(*args):
             raise AssertionError("a tower was built")
 
         monkeypatch.setattr(rightinverse, "_nu", no_towers)
-        with pytest.raises(InputLimitError, match="needs 8004001 tower entries"):
-            operator_norm(1, 1, 4000)
+        with pytest.raises(InputLimitError, match="needs 8000055 tower entries"):
+            operator_norm(1, 1, 126_984)
         with pytest.raises(InputLimitError, match="needs 8000001 tower entries"):
             operator_norm(1, 0, 8_000_000)
         for dim in (1, 3, 1000):
@@ -879,16 +920,18 @@ class TestOperatorNormWork:
             operator_norm(2, 0, 5)
 
     def test_total_limit_admits_every_caller(self):
-        """The degrees callers ask for in 1-D to 3-D are admitted: a != 0 up
-        to 3999, 123 and 40, and a = 0 up to 312,499, 490 and 66."""
-        for dim, degree, shifted in [
-            (1, 3999, True), (2, 123, True), (3, 40, True), (1, 312_499, False), (2, 490, False), (3, 66, False),
-        ]:
-            assert rightinverse._tower_entries(dim, degree, shifted) <= rightinverse.MAX_TOWER_ENTRIES
+        """The degrees callers ask for in 1-D to 3-D are admitted: a = 0 up
+        to 312,499, 490 and 66, and a != 0 up to the largest, 126,983 in 1-D
+        and 710 from 2-D on, each in well under the 5 s allowed."""
         for dim, degree in [(1, 312_499), (2, 490), (3, 66)]:
             assert operator_norm(dim, 0, degree) == 1 / math.sqrt(8 * dim)
-        with pytest.raises(SingularMatrixError, match="2000 x 2000 block of tower m = 0"):
-            operator_norm(1, 1, 3999)
+        for dim, degree, value in [(1, 126_983, 0.33712196956), (3, 710, 0.20174063939)]:
+            entries = rightinverse.BISECTION_PASSES * rightinverse._tower_entries(dim, degree)
+            assert entries <= rightinverse.MAX_TOWER_ENTRIES
+            assert rightinverse.BISECTION_PASSES * rightinverse._tower_entries(dim, degree + 1) > rightinverse.MAX_TOWER_ENTRIES
+            started = time.perf_counter()
+            assert operator_norm(dim, 1, degree) == pytest.approx(value, rel=1e-10)
+            assert time.perf_counter() - started < 5.0
 
     @pytest.mark.parametrize("dim, degree", [(1, 12), (1, 20), (2, 6), (2, 8), (3, 4), (3, 40)])
     def test_a_zero_is_resolved(self, dim, degree):
@@ -896,7 +939,7 @@ class TestOperatorNormWork:
         least sqrt(8 dim), reached at nu(0, 1): the norm is 1/sqrt(8 dim) to
         the last bit, with no SVD to resolve."""
         for m, top in walked_towers(dim, degree):
-            assert rightinverse._nu(dim, m, np.arange(1.0, top + 2)).min() >= 8 * dim
+            assert min(rightinverse._nu(dim, m, k) for k in range(1, top + 2)) >= 8 * dim
         assert operator_norm(dim, 0, degree) == 1 / math.sqrt(8 * dim)
 
 
