@@ -16,9 +16,10 @@ denominator, in a small cache.  The commutator lap(adj(psi)) -
 adj(lap(psi)) controls solvability bounds: paired against psi under the
 radial weight |x|^2 it equals 8n||psi||^2 + 8||grad psi||^2, which makes
 ||(lap+a)* psi||^2 >= 8n||psi||^2 for every a.  Everything here is
-polynomial-exact; the integral checks run over weights lam*|x-x0|^2 where
-closed-form Hermite evaluation exists, and general polynomial weights get
-pointwise (polynomial equality) checks only.
+polynomial-exact; the integral checks run over weights lam*|x-x0|^2, whose
+Gaussian moments give every weighted integral of a polynomial in closed
+form, and general polynomial weights get pointwise (polynomial equality)
+checks only.
 
 Test functions are polynomials rather than compactly supported functions;
 the Gaussian factor decays fast enough that every integration by parts

@@ -25,9 +25,15 @@ Every tuple multi-index of the public surface (``HermiteExpansion(weight,
 coeffs)``, ``coeffs``, ``to_json_dict``, ``basis_norm_sq``) is packed on
 the way in and unpacked on the way out.
 
-Exact weighted integrals of polynomials are GaussianScalar values: a
-rational part tagged with that symbolic unit.  Non-polynomial integrands
-go through tensor Gauss-Hermite quadrature.  Over an interval, the
+Exact weighted integrals are GaussianScalar values: a rational part
+tagged with that symbolic unit.  Expansions pair by Parseval
+(``HermiteExpansion.inner`` and ``norm_sq``).  Polynomials pair through
+the per-axis Gaussian moments, converting neither factor:
+``inner_product`` and ``norm_sq`` sum p_a q_b prod_j m_j(a_j + b_j) over
+pairs of terms, m_j the moments of the axis-j Gaussian of mean x0_j and
+variance 1/(2 lam), held as ints over one denominator per row
+(``_moment_row``).  Non-polynomial integrands go through tensor
+Gauss-Hermite quadrature.  Over an interval, the
 orthonormal basis has closed-form float integrals: its Gaussian moments
 (``gaussian_moments``, from erf and Rodrigues' formula) and its Gram
 matrix (``hermite_gram``, by a Gauss-Legendre rule exact to its degree).
@@ -53,6 +59,7 @@ from .polynomials import (
     RationalLike,
     TermImage,
     _as_fraction,
+    check_degree,
     format_rational,
     key_layout,
     over_common_denominator,
@@ -142,6 +149,12 @@ class WeightSpec(_WeightFields):
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _half(dim: int) -> Fraction:
+    """dim / 2, the pi power of an integral over R^dim."""
+    return Fraction(dim, 2)
+
+
 class GaussianScalar:
     """Exact weighted-integral value: rational * (pi/lam)^{pi_pow}.
 
@@ -160,8 +173,17 @@ class GaussianScalar:
             raise ValueError("lambda must be positive")
 
     @classmethod
+    def _trusted(cls, value: Fraction, pi_pow: Fraction, lam: Fraction) -> "GaussianScalar":
+        """Wrap three Fractions that already make a valid scalar (lam > 0),
+        as the results of arithmetic on valid scalars do; nothing is checked."""
+        self = object.__new__(cls)
+        self.value, self.pi_pow, self.lam = value, pi_pow, lam
+        return self
+
+    @classmethod
     def for_weight(cls, value: RationalLike, weight: WeightSpec) -> "GaussianScalar":
-        return cls(value, Fraction(weight.dim, 2), weight.lam)
+        """value * (pi/lam)^(n/2), the unit of an integral over ``weight``."""
+        return cls._trusted(_as_fraction(value), _half(weight.dim), weight.lam)
 
     def _check_unit(self, other: "GaussianScalar") -> None:
         if self.pi_pow != other.pi_pow or self.lam != other.lam:
@@ -171,17 +193,17 @@ class GaussianScalar:
 
     def __add__(self, other: "GaussianScalar") -> "GaussianScalar":
         self._check_unit(other)
-        return GaussianScalar(self.value + other.value, self.pi_pow, self.lam)
+        return GaussianScalar._trusted(self.value + other.value, self.pi_pow, self.lam)
 
     def __mul__(self, other: "GaussianScalar") -> "GaussianScalar":
         if self.lam != other.lam:
             raise UnitMismatchError(
                 f"cannot multiply scalars with lambda {self.lam} and {other.lam}"
             )
-        return GaussianScalar(self.value * other.value, self.pi_pow + other.pi_pow, self.lam)
+        return GaussianScalar._trusted(self.value * other.value, self.pi_pow + other.pi_pow, self.lam)
 
     def scale(self, factor: RationalLike) -> "GaussianScalar":
-        return GaussianScalar(self.value * _as_fraction(factor), self.pi_pow, self.lam)
+        return GaussianScalar._trusted(self.value * _as_fraction(factor), self.pi_pow, self.lam)
 
     def ratio(self, other: "GaussianScalar") -> Fraction:
         """Exact ratio of two same-unit scalars."""
@@ -285,9 +307,10 @@ def _centered_hermite_row(k: int, p: int, q: int, cn: int, cd: int) -> IntRow:
     return _reduced_row(den, out)
 
 
-# Distinct (exponents, dim, p, q) of the zero-center monomial images kept.  A
-# seed's identity battery meets about 280 monomials; a degree-12 3-D solve
-# reads 455 indices.
+# Distinct (exponents, dim, p, q) of the zero-center monomial images kept.
+# Their traffic is the solver's inputs: a degree-12 3-D solve reads 455
+# indices.  The identity corpus pairs its polynomials through Gaussian
+# moments and reads no image.
 IMAGE_CACHE_SIZE = 4096
 
 
@@ -488,16 +511,91 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
     return HermiteExpansion._trusted(weight, *tensor_expand(p.den, p.nums, images))
 
 
+# ----------------------------------------------------------------------
+# weighted integrals of polynomials, from per-axis Gaussian moments
+# ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1024)
+def _moment_row(top: int, p: int, q: int, cn: int, cd: int) -> tuple[int, tuple[int, ...]]:
+    """The moments m_k, k = 0..top, of the Gaussian of mean c = cn/cd and
+    variance q/(2p) = 1/(2 lam), as (den, (num_0, ..., num_top)) with
+    m_k = num_k / den, reduced: m_k = c m_(k-1) + (k-1) q/(2p) m_(k-2),
+    m_0 = 1.
+
+    The denominator of m_k divides cd^k (2p)^(k//2), so over D = cd^top
+    (2p)^(top//2) both terms of the recurrence are ints and each division
+    below is exact.
+    """
+    two_p = 2 * p
+    den = cd**top * two_p ** (top // 2)
+    nums = [den, cn * den // cd][: top + 1]
+    for k in range(2, top + 1):
+        nums.append(cn * nums[-1] // cd + (k - 1) * q * nums[-2] // two_p)
+    g = math.gcd(den, *nums)
+    return den // g, tuple(n // g for n in nums)
+
+
+def _pairing(p: Polynomial, q: Polynomial, weight: WeightSpec) -> GaussianScalar:
+    """<p, q>_weight = (pi/lam)^(n/2) sum_(a,b) p_a q_b prod_j m_j(a_j + b_j),
+    m_j the moments of the axis-j Gaussian (``_moment_row``).
+
+    An odd moment about a zero center is 0, so terms pair only within the
+    class ``key & mask``, mask the parity bits of the zero-center axes.  The
+    products are summed per key a + b, each then weighted by its moments;
+    for p is q, each unordered pair of terms once, doubled off the diagonal.
+    """
+    if p.dim != weight.dim:
+        raise DimensionMismatchError(f"polynomial dimension {p.dim} != weight dimension {weight.dim}")
+    if not (p.nums and q.nums):
+        return GaussianScalar.for_weight(Fraction(0), weight)
+    top = p.total_degree() + q.total_degree()
+    check_degree(top, "the weighted product")
+    lam_p, lam_q = weight.lam.numerator, weight.lam.denominator
+    den, rows, mask = p.den * q.den, [], 0
+    for (shift, _), c in zip(key_layout(weight.dim).axes, weight.center):
+        cn = c.numerator
+        row_den, row = _moment_row(top, lam_p, lam_q, cn, c.denominator)
+        den *= row_den
+        rows.append((shift, row))
+        if not cn:
+            mask |= 1 << shift
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for kb, nb in q.nums.items():
+        classes.setdefault(kb & mask, []).append((kb, nb))
+    sums: dict[int, int] = {}
+    get = sums.get
+    if p is q:
+        for terms in classes.values():
+            for i, (ka, na) in enumerate(terms):
+                sums[2 * ka] = get(2 * ka, 0) + na * na
+                na *= 2
+                for kb, nb in terms[i + 1:]:
+                    key = ka + kb
+                    sums[key] = get(key, 0) + na * nb
+    else:
+        for ka, na in p.nums.items():
+            for kb, nb in classes.get(ka & mask, ()):
+                key = ka + kb
+                sums[key] = get(key, 0) + na * nb
+    total = 0
+    for key, v in sums.items():
+        for shift, row in rows:
+            v *= row[key >> shift & MAX_DEGREE]
+        total += v
+    return GaussianScalar.for_weight(Fraction(total, den), weight)
+
+
 def inner_product(p: Polynomial, q: Polynomial, weight: WeightSpec) -> GaussianScalar:
     """Exact <p, q>_weight = integral of p*q*e^{-weight} over R^n."""
     if p.dim != q.dim:
         raise DimensionMismatchError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return monomial_to_hermite(p, weight).inner(monomial_to_hermite(q, weight))
+    return _pairing(p, q, weight)
 
 
 def norm_sq(p: Polynomial, weight: WeightSpec) -> GaussianScalar:
     """Exact squared weighted norm ||p||^2_weight."""
-    return monomial_to_hermite(p, weight).norm_sq()
+    return _pairing(p, p, weight)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Weighted-space engine: conversions, exact integrals, quadrature, moments."""
 
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,13 @@ from gauss_rinv.hermite import (
     norm_sq,
     tensor_rule,
 )
-from gauss_rinv.polynomials import DimensionMismatchError, Polynomial
+from gauss_rinv.polynomials import (
+    MAX_DEGREE,
+    DimensionMismatchError,
+    InputLimitError,
+    Polynomial,
+    random_polynomial,
+)
 from gauss_rinv.rightinverse import KernelFunction
 
 from conftest import polynomials
@@ -183,7 +190,107 @@ def test_inner_product_scaled_weight_matches_quadrature():
     assert quad == pytest.approx(exact, rel=1e-10)
 
 
+# lam values and per-axis center kinds of the cross-route pairs
+PAIRING_LAMS = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3), Fraction(5, 7))
+PAIRING_CENTERS = ("zero", "off", "mixed")
+
+
+def pairing_cases(seed: int, count: int):
+    """Seeded (p, q, weight): n = 1-4, degree <= 8, every lam of
+    PAIRING_LAMS, centers zero, off or mixed per axis; every tenth p and
+    every tenth q zero."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, lam, kind = rng.randint(1, 4), PAIRING_LAMS[i % 5], PAIRING_CENTERS[i % 3]
+        center = tuple(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            if kind == "off" or (kind == "mixed" and rng.random() < 0.5) else 0
+            for _ in range(n)
+        )
+        p = Polynomial.zero(n) if i % 10 == 8 else random_polynomial(rng, n, max_degree=8, max_terms=6)
+        q = Polynomial.zero(n) if i % 10 == 9 else random_polynomial(rng, n, max_degree=8, max_terms=6)
+        yield p, q, WeightSpec(n, lam, center)
+
+
+def parseval_route(p: Polynomial, q: Polynomial, w: WeightSpec) -> tuple:
+    """<p, q>_w and ||p||^2_w through the Hermite coefficients and Parseval,
+    as (value, pi_pow, lam) triples."""
+    x, y = monomial_to_hermite(p, w), monomial_to_hermite(q, w)
+    return tuple((s.value, s.pi_pow, s.lam) for s in (x.inner(y), x.norm_sq()))
+
+
+def moment_route(p: Polynomial, q: Polynomial, w: WeightSpec) -> tuple:
+    """The same two integrals from the Gaussian moments."""
+    return tuple((s.value, s.pi_pow, s.lam) for s in (inner_product(p, q, w), norm_sq(p, w)))
+
+
+def fraction_moment_row(top: int, p: int, q: int, cn: int, cd: int, factor=lambda k: k - 1):
+    """_moment_row's (den, nums) from the recurrence in Fractions,
+    m_k = c m_(k-1) + factor(k) q/(2p) m_(k-2), over the lcm of the
+    denominators."""
+    c, var = Fraction(cn, cd), Fraction(q, 2 * p)
+    m = [Fraction(1), c]
+    for k in range(2, top + 1):
+        m.append(c * m[-1] + factor(k) * var * m[-2])
+    m = m[: top + 1]
+    den = math.lcm(*(v.denominator for v in m))
+    return den, tuple(v.numerator * (den // v.denominator) for v in m)
+
+
+class TestMomentPairing:
+    """inner_product and norm_sq pair polynomials through Gaussian moments;
+    HermiteExpansion.inner and norm_sq pair expansions by Parseval.  The two
+    exact routes must agree to the bit."""
+
+    def test_routes_agree_on_seeded_pairs(self):
+        cases = list(pairing_cases(seed=33, count=600))
+        assert any(p.is_zero() for p, _, _ in cases) and any(q.is_zero() for _, q, _ in cases)
+        for p, q, w in cases:
+            assert moment_route(p, q, w) == parseval_route(p, q, w), (p, q, w)
+
+    def test_dimension_mismatch_messages(self):
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch: 1 vs 2"):
+            inner_product(one, Polynomial.constant(2, 1), WeightSpec.unit(1))
+        for call in (lambda: inner_product(one, one, WeightSpec.unit(2)), lambda: norm_sq(one, WeightSpec.unit(2))):
+            with pytest.raises(DimensionMismatchError, match="polynomial dimension 1 != weight dimension 2"):
+                call()
+
+    def test_degree_above_limit_builds_no_row(self):
+        half = Polynomial(2, {(MAX_DEGREE // 2 + 1, 0): 1})
+        hermite._moment_row.cache_clear()
+        for call in (lambda: inner_product(half, half, WeightSpec.unit(2)), lambda: norm_sq(half, WeightSpec.unit(2))):
+            with pytest.raises(InputLimitError, match="MAX_DEGREE"):
+                call()
+        assert hermite._moment_row.cache_info().misses == 0
+
+    @pytest.mark.parametrize("factor, agree", [(lambda k: k - 1, True), (lambda k: k, False)], ids=["k-1", "k"])
+    def test_wrong_recurrence_factor_is_caught(self, monkeypatch, factor, agree):
+        """The rows from the Fraction recurrence give the Parseval values;
+        with the factor k in place of k - 1 the comparison fails."""
+        monkeypatch.setattr(hermite, "_moment_row", lambda *key: fraction_moment_row(*key, factor=factor))
+        cases = list(pairing_cases(seed=34, count=40))
+        assert all(moment_route(*case) == parseval_route(*case) for case in cases) is agree
+
+
 class TestGaussianScalar:
+    def test_arithmetic_matches_validated_scalars(self):
+        """Sums, products, scalings and weight units are built unchecked;
+        they equal, and print as, the scalars __init__ builds."""
+        a = GaussianScalar(Fraction(3, 4), Fraction(1, 2), Fraction(2))
+        b = GaussianScalar("1/3", Fraction(1, 2), 2)
+        for got, want in [
+            (a + b, GaussianScalar(Fraction(13, 12), Fraction(1, 2), 2)),
+            (a * b, GaussianScalar(Fraction(1, 4), 1, 2)),
+            (a.scale("2/3"), GaussianScalar(Fraction(1, 2), Fraction(1, 2), 2)),
+            (GaussianScalar.for_weight(Fraction(3, 4), WeightSpec(1, 2)), a),
+        ]:
+            assert got == want and (str(got), repr(got)) == (str(want), repr(want))
+            assert all(type(v) is Fraction for v in (got.value, got.pi_pow, got.lam))
+        with pytest.raises(UnitMismatchError):
+            _ = a + GaussianScalar(1, Fraction(1, 2), 1)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            GaussianScalar(1, Fraction(1, 2), 0)
+
     def test_unit_mismatch_comparison(self):
         a = GaussianScalar(1, Fraction(1, 2), 1)
         b = GaussianScalar(1, Fraction(1, 2), 2)

@@ -145,8 +145,9 @@ def test_battery_digest_pinned():
     assert _sha256(results) == BATTERY_SHA256
 
 
-# The caches of weight stencils and zero-center monomial images.
-KERNEL_CACHES = (adjoint._weight_stencil, hermite._monomial_image)
+# The caches of weight stencils, Gaussian moment rows and zero-center
+# monomial images.
+KERNEL_CACHES = (adjoint._weight_stencil, hermite._moment_row, hermite._monomial_image)
 
 
 def test_cold_caches_give_warm_bytes():
@@ -166,12 +167,17 @@ def test_cold_caches_give_warm_bytes():
         assert cache.cache_info().maxsize is not None
 
 
-# The caches of the centered rows, the monomial images and the shared
-# constants: the packed-key layouts, |x|^2 and (x_1, ..., x_n).
+# The Hermite conversions' caches: the centered rows of both directions and
+# the zero-center monomial images.
 CONVERSION_CACHES = (
     hermite._centered_monomial_row,
     hermite._centered_hermite_row,
     hermite._monomial_image,
+)
+# The caches a verify run reads: the Gaussian moment rows and the shared
+# constants, the packed-key layouts, |x|^2 and (x_1, ..., x_n).
+CORPUS_CACHES = (
+    hermite._moment_row,
     polynomials.key_layout,
     polynomials.Polynomial.norm_squared,
     polynomials.coordinate_vector,
@@ -179,23 +185,27 @@ CONVERSION_CACHES = (
 
 
 def test_cold_conversion_caches_give_pinned_verify_bytes(capsys):
-    """The seed-7 verify report from emptied conversion and constant caches,
-    and again from the caches that filled, gives the CI-pinned bytes; so do
-    the conversions over WEIGHTS, which also fill the Hermite->monomial
-    rows that the corpus does not read."""
+    """The seed-7 verify report from emptied moment-row, conversion and
+    constant caches gives the CI-pinned bytes and leaves every conversion
+    cache empty: the corpus pairs polynomials through Gaussian moments and
+    converts none to Hermite coefficients.  The conversions over WEIGHTS
+    then fill the conversion caches, and the report from the warm caches
+    has the same bytes."""
 
     def verify_text() -> str:
         assert main(VERIFY_ARGS) == EXIT_OK
         return capsys.readouterr().out
 
-    for cache in CONVERSION_CACHES:
+    for cache in CONVERSION_CACHES + CORPUS_CACHES:
         cache.cache_clear()
     cold = verify_text()
+    assert all(cache.cache_info().currsize for cache in CORPUS_CACHES)
+    assert not any(cache.cache_info().currsize for cache in CONVERSION_CACHES)
     assert _sha256(conversion_documents()) == CONVERSION_SHA256
     assert all(cache.cache_info().currsize for cache in CONVERSION_CACHES)
     assert verify_text() == cold
     assert hashlib.sha256(cold.encode()).hexdigest() == VERIFY_SHA256
-    for cache in CONVERSION_CACHES:
+    for cache in CONVERSION_CACHES + CORPUS_CACHES:
         assert cache.cache_info().maxsize is not None
 
 
@@ -213,10 +223,29 @@ def test_large_solution_round_trips_from_cold_and_warm_rows():
         assert (back.den, back.nums) == (u.den, u.nums)
 
 
-def test_corrupted_centered_row_fails_verify(monkeypatch, capsys):
-    """One numerator off in every m = 2 monomial->Hermite row, at zero
+def test_corrupted_moment_row_fails_verify(monkeypatch, capsys):
+    """One numerator off at k = 2 in every Gaussian moment row, at zero
     center or off it, fails cases of the seed-7 verify report, and the
     command exits 1."""
+    row = hermite._moment_row
+
+    def corrupted(top: int, p: int, q: int, cn: int, cd: int):
+        den, nums = row(top, p, q, cn, cd)
+        if top >= 2:
+            nums = (*nums[:2], nums[2] + 1, *nums[3:])
+        return den, nums
+
+    monkeypatch.setattr(hermite, "_moment_row", corrupted)
+    assert main(VERIFY_ARGS) == EXIT_CHECK_FAILED
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False
+    assert any(not case["pass"] for case in report["results"])
+
+
+def test_corrupted_centered_row_fails_conversion_digest(monkeypatch):
+    """One numerator off in every m = 2 monomial->Hermite row, at zero
+    center or off it, moves the pinned conversions over WEIGHTS, whose
+    Hermite coefficients are built from those rows."""
     row = hermite._centered_monomial_row
 
     def corrupted(m: int, p: int, q: int, cn: int, cd: int):
@@ -226,17 +255,16 @@ def test_corrupted_centered_row_fails_verify(monkeypatch, capsys):
             pairs = ((k, num + 1), *rest)
         return den, pairs
 
+    # each row is built from the one below it, and the zero-center images
+    # from the rows, so what is cached carries the error or hides it
+    for cache in CONVERSION_CACHES:
+        cache.cache_clear()
     monkeypatch.setattr(hermite, "_centered_monomial_row", corrupted)
     try:
-        assert main(VERIFY_ARGS) == EXIT_CHECK_FAILED
-        report = json.loads(capsys.readouterr().out)
-        assert report["pass"] is False
-        assert any(not case["pass"] for case in report["results"])
+        assert _sha256(conversion_documents()) != CONVERSION_SHA256
     finally:
-        # each row is built from the one below it, and the zero-center
-        # images from the rows, so what was cached meanwhile carries the error
-        row.cache_clear()
-        hermite._monomial_image.cache_clear()
+        for cache in CONVERSION_CACHES:
+            cache.cache_clear()
 
 
 def test_conversion_digest_pinned():
