@@ -12,7 +12,8 @@ sparse stencil pass,
     V = |grad w|^2 - lap(w),
 
 with V and the d_j w of each weight polynomial kept, as ints over one
-denominator, in a small cache.  The commutator lap(adj(psi)) -
+denominator, in a small cache keyed on the weight and the denominator of
+a.  The commutator lap(adj(psi)) -
 adj(lap(psi)) controls solvability bounds: paired against psi under the
 radial weight |x|^2 it equals 8n||psi||^2 + 8||grad psi||^2, which makes
 ||(lap+a)* psi||^2 >= 8n||psi||^2 for every a.  Everything here is
@@ -53,20 +54,24 @@ COMMUTATOR_METHODS = ("direct", "expanded", "reduced")
 
 
 # Weight polynomials whose stencils are kept: 8 holds the radial weights
-# of n = 1-3 and the last few corpus weights, each of which a case
-# applies the adjoint to up to three times.
+# of n = 1-3 and the last few corpus weights, each of which a case applies
+# the adjoint to up to three times.  The stencil cache holds each weight at
+# both shift denominators of the corpus, q in {1, 2}; the expanded
+# commutator route keeps the derivatives of as many weights.
 STENCIL_CACHE_SIZE = 8
 
 
-@lru_cache(maxsize=STENCIL_CACHE_SIZE)
-def _weight_stencil(w: Polynomial) -> tuple[int, tuple, tuple, int]:
-    """(D, V, G, R): the weight's part of the adjoint as ints over one
-    denominator D, on packed keys.  V holds the (key, num) pairs of
-    |grad w|^2 - lap w; G holds (key - step_j, shift_j, num) for every
-    term key of d_j w, the key lowered by step_j so that adding it to the
-    key of a psi term with e_j >= 1 gives the key of that term's d_j psi
-    times this term (an intermediate field may borrow; the sum does not).
-    R bounds the degree the stencil adds, 2 deg w - 2 or 0.
+@lru_cache(maxsize=2 * STENCIL_CACHE_SIZE)
+def _weight_stencil(w: Polynomial, q: int) -> tuple[int, tuple, tuple, tuple, int]:
+    """(S, L, V, G, R): the weight's part of the adjoint of lap + p/q as
+    ints over one denominator S = D q, keyed on (w, q), ints both: hashing
+    a Fraction shift costs about 1 us.  L holds (shift_j, 2 step_j) per
+    axis, lap psi entering times S; V holds the (key, num) pairs of q
+    (|grad w|^2 - lap w); G holds (key - step_j, shift_j, num) for every
+    term key of -2 q d_j w, the key lowered by step_j so that adding it to
+    the key of a psi term with e_j >= 1 gives the key of that term's d_j
+    psi times this term (an intermediate field may borrow; the sum does
+    not).  R bounds the degree the stencil adds, 2 deg w - 2 or 0.
 
     Built from w's numerators in one pass rather than by the ring
     operations: each scaled or off-center corpus case brings a new weight,
@@ -97,9 +102,10 @@ def _weight_stencil(w: Polynomial) -> tuple[int, tuple, tuple, int]:
     ]
     common = math.gcd(d * d, *v.values(), *(num for _, _, num in g_pairs))
     return (
-        d * d // common,
-        tuple((key, num // common) for key, num in v.items() if num),
-        tuple((key, shift, num // common) for key, shift, num in g_pairs),
+        d * d // common * q,
+        tuple((shift, 2 * step) for shift, step in axes),
+        tuple((key, num // common * q) for key, num in v.items() if num),
+        tuple((key, shift, -2 * q * (num // common)) for key, shift, num in g_pairs),
         max(2 * w.total_degree() - 2, 0),
     )
 
@@ -107,22 +113,19 @@ def _weight_stencil(w: Polynomial) -> tuple[int, tuple, tuple, int]:
 def formal_adjoint(psi: Polynomial, w: Polynomial, a: RationalLike = 0) -> Polynomial:
     """Adjoint of lap + a under the weight polynomial w, applied to psi.
 
-    One pass over the terms of psi = P / e with the stencil (D, V, G) of
-    w and a = p / q: every contribution of lap psi + V psi - 2 sum_j
-    (d_j w)(d_j psi) + a psi is added as an int over e D q, and the sum
-    is reduced once.  For the radial weight |x|^2 and a = 0 this is
+    One pass over the terms of psi = P / e with the stencil of w at a =
+    p / q, cached on (w, q): every contribution of lap psi + V psi - 2
+    sum_j (d_j w)(d_j psi) + a psi is added as an int over e D q, and the
+    sum is reduced once.  For the radial weight |x|^2 and a = 0 this is
     lap(psi) + 4|x|^2 psi - 2n psi - 4 x.grad(psi).
     """
     if psi.dim != w.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {w.dim}")
-    den, v_pairs, g_pairs, rise = _weight_stencil(w)
-    check_degree(psi.total_degree() + rise, "the adjoint's image")
     a = _as_fraction(a)
     p, q = a.numerator, a.denominator
-    v_pairs = [(off, num * q) for off, num in v_pairs]
-    g_pairs = [(off, shift, -2 * q * num) for off, shift, num in g_pairs]
-    lap_axes = [(shift, 2 * step) for shift, step in key_layout(psi.dim).axes]
-    lap_scale, a_scale = den * q, den * p
+    lap_scale, lap_axes, v_pairs, g_pairs, rise = _weight_stencil(w, q)
+    check_degree(psi.total_degree() + rise, "the adjoint's image")
+    a_scale = lap_scale // q * p
     out: dict[int, int] = {}
     get = out.get
     for key, num in psi.nums.items():
@@ -141,7 +144,17 @@ def formal_adjoint(psi: Polynomial, w: Polynomial, a: RationalLike = 0) -> Polyn
                 out[image] = get(image, 0) + num * k * c
         if a_scale:
             out[key] = get(key, 0) + num * a_scale
-    return Polynomial._trusted(psi.dim, *reduced(psi.den * den * q, out))
+    return Polynomial._trusted(psi.dim, *reduced(psi.den * lap_scale, out))
+
+
+@lru_cache(maxsize=STENCIL_CACHE_SIZE)
+def _weight_derivatives(w: Polynomial) -> tuple:
+    """(grad w, lap |grad w|^2, grad |grad w|^2, lap lap w, grad lap w): the
+    factors of the expanded commutator that depend on w alone."""
+    grad_w = w.gradient()
+    grad_sq = dot(grad_w, grad_w)
+    lap_w = w.laplacian()
+    return grad_w, grad_sq.laplacian(), grad_sq.gradient(), lap_w.laplacian(), lap_w.gradient()
 
 
 def commutator(psi: Polynomial, w: Polynomial, method: str = "direct") -> Polynomial:
@@ -159,7 +172,8 @@ def commutator(psi: Polynomial, w: Polynomial, method: str = "direct") -> Polyno
     All applicable routes return the identical exact polynomial.  Only
     ``direct`` goes through the stencil of ``formal_adjoint`` (looked up on
     the module, so a replaced adjoint is the one applied); ``expanded`` and
-    ``reduced`` run on the generic ring operations.
+    ``reduced`` run on the generic ring operations, ``expanded`` reading
+    the factors that depend on w alone from a small per-weight cache.
     """
     if method not in COMMUTATOR_METHODS:
         raise ValueError(f"unknown commutator method {method!r}")
@@ -168,15 +182,13 @@ def commutator(psi: Polynomial, w: Polynomial, method: str = "direct") -> Polyno
     if method == "direct":
         return formal_adjoint(psi, w).laplacian() - formal_adjoint(psi.laplacian(), w)
     if method == "expanded":
-        grad_w = w.gradient()
-        grad_sq = dot(grad_w, grad_w)
-        lap_w = w.laplacian()
+        grad_w, lap_grad_sq, grad_grad_sq, lap_lap_w, grad_lap_w = _weight_derivatives(w)
         grad_psi = psi.gradient()
         return (
-            psi * grad_sq.laplacian()
-            + dot(grad_psi, grad_sq.gradient()).scale(2)
-            - psi * lap_w.laplacian()
-            - dot(grad_psi, lap_w.gradient()).scale(2)
+            psi * lap_grad_sq
+            + dot(grad_psi, grad_grad_sq).scale(2)
+            - psi * lap_lap_w
+            - dot(grad_psi, grad_lap_w).scale(2)
             - dot(grad_psi, grad_w).laplacian().scale(2)
             + dot(psi.laplacian().gradient(), grad_w).scale(2)
         )
@@ -320,8 +332,12 @@ def _draw(rng: random.Random, dim: int) -> Polynomial:
     return random_polynomial(rng, dim, max_degree=6, max_terms=8)
 
 
-def _check_case(identity: str, rng: random.Random, psi: Polynomial, a: Fraction) -> CheckReport:
-    """One case's check; every further draw from rng comes after psi's."""
+def check_identity_case(identity: str, seed: int) -> CheckReport:
+    """The check of one seeded corpus case; the seed fully determines the
+    inputs, every draw after psi's coming from the same rng."""
+    rng = random.Random(seed)
+    psi = _draw(rng, rng.choice([1, 2, 3]))
+    a = SHIFT_CYCLE[seed % len(SHIFT_CYCLE)]
     if identity == "commutator-three-way":
         radial = Polynomial.norm_squared(psi.dim)
         direct, expanded, reduced = (commutator(psi, radial, m) for m in COMMUTATOR_METHODS)
@@ -346,16 +362,25 @@ def _check_case(identity: str, rng: random.Random, psi: Polynomial, a: Fraction)
     raise ValueError(f"unknown identity {identity!r}")
 
 
+def identity_jobs(seed: int, cases_per_identity: int, weight_cases: int) -> list[tuple[str, int]]:
+    """(identity, case seed) of every case of the corpus at a master seed:
+    every identity over fresh seeds derived deterministically from it."""
+    jobs: list[tuple[str, int]] = []
+    for offset, identity in enumerate(CORPUS_IDENTITIES):
+        base = seed * 1_000_003 + offset * 10_007
+        jobs.extend((identity, base + i) for i in range(cases_per_identity))
+    base = seed * 1_000_003 + len(CORPUS_IDENTITIES) * 10_007
+    jobs.extend(("weight-expansion", base + i) for i in range(weight_cases))
+    return jobs
+
+
 def run_identity_case(identity: str, seed: int) -> dict:
-    """Run one seeded corpus case; the seed fully determines the inputs.
+    """Run one seeded corpus case, its id ``identity-seed``.
 
     ``lhs`` and ``rhs`` are the str() of the two sides: polynomials for the
     commutator routes, exact scalars otherwise.
     """
-    rng = random.Random(seed)
-    dim = rng.choice([1, 2, 3])
-    psi = _draw(rng, dim)
-    report = _check_case(identity, rng, psi, SHIFT_CYCLE[seed % len(SHIFT_CYCLE)])
+    report = check_identity_case(identity, seed)
     return {
         "id": f"{identity}-{seed}",
         "seed": seed,
@@ -371,14 +396,5 @@ def run_identity_battery(
     cases_per_identity: int = 200,
     weight_cases: int = 50,
 ) -> list[dict]:
-    """The full seeded identity corpus: every identity over fresh seeds.
-
-    Case seeds derive deterministically from the master seed.
-    """
-    jobs: list[tuple[str, int]] = []
-    for offset, identity in enumerate(CORPUS_IDENTITIES):
-        base = seed * 1_000_003 + offset * 10_007
-        jobs.extend((identity, base + i) for i in range(cases_per_identity))
-    base = seed * 1_000_003 + len(CORPUS_IDENTITIES) * 10_007
-    jobs.extend(("weight-expansion", base + i) for i in range(weight_cases))
-    return [run_identity_case(identity, s) for identity, s in jobs]
+    """The full seeded identity corpus, every case of ``identity_jobs``."""
+    return [run_identity_case(identity, s) for identity, s in identity_jobs(seed, cases_per_identity, weight_cases)]

@@ -106,7 +106,9 @@ class WeightSpec(_WeightFields):
         return super().__new__(cls, dim, lam, center)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def unit(cls, dim: int) -> "WeightSpec":
+        """The weight |x|^2 on R^dim, one shared instance per dim."""
         return cls(dim=dim)
 
     @property
@@ -186,6 +188,9 @@ class GaussianScalar:
         return cls._trusted(_as_fraction(value), _half(weight.dim), weight.lam)
 
     def _check_unit(self, other: "GaussianScalar") -> None:
+        # scalars of one weight share its unit objects: skip Fraction.__eq__
+        if self.pi_pow is other.pi_pow and self.lam is other.lam:
+            return
         if self.pi_pow != other.pi_pow or self.lam != other.lam:
             raise UnitMismatchError(
                 f"unit (pi/{self.lam})^{self.pi_pow} vs (pi/{other.lam})^{other.pi_pow}"

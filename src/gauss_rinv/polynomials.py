@@ -300,7 +300,8 @@ class Polynomial:
     sharing across threads is safe.
     """
 
-    __slots__ = ("dim", "den", "nums", "_terms")
+    # _hash is left unset until the first hash() (see __hash__)
+    __slots__ = ("dim", "den", "nums", "_terms", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, RationalLike]):
         if dim < 1:
@@ -387,13 +388,27 @@ class Polynomial:
         return self.dim == other.dim and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.den, frozenset(self.nums.items())))
+        """Kept after the first call: caches hash one weight again and again."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.dim, self.den, frozenset(self.nums.items())))
+            return self._hash
 
     def __str__(self) -> str:
-        """The identity corpus signature: graded-lex terms c*x^[e], or 0."""
+        """The identity corpus signature: graded-lex terms c*x^[e], or 0.
+        Each coefficient num/den is reduced by one gcd, without building
+        ``terms``."""
         if not self.nums:
             return "0"
-        return " + ".join(f"{format_rational(c)}*x^{list(e)}" for e, c in self.sorted_terms())
+        den, fields = self.den, key_layout(self.dim).fields
+        read, size = fields.unpack, fields.size
+        parts = []
+        for key, num in sorted(self.nums.items()):
+            g = math.gcd(num, den)
+            coef = str(num // g) if g == den else f"{num // g}/{den // g}"
+            parts.append(f"{coef}*x^{list(read(key.to_bytes(size, 'big')))}")
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.dim}, {self})"
@@ -586,6 +601,12 @@ def coordinate_vector(dim: int) -> tuple[Polynomial, ...]:
     return tuple(Polynomial._trusted(dim, 1, {step: 1}) for _, step in key_layout(dim).axes)
 
 
+@lru_cache(maxsize=16)
+def _lcm_upto(bound: int) -> int:
+    """lcm(1..bound), the common denominator of ``random_polynomial``'s coefficients."""
+    return math.lcm(*range(1, bound + 1))
+
+
 def random_polynomial(
     rng,
     dim: int,
@@ -616,22 +637,35 @@ def random_polynomial(
             r = rng.getrandbits(k)
         return r
 
-    common = math.lcm(*range(1, coeff_bound + 1))
+    # each term's below(degrees), below(signed) and below(coeff_bound) are
+    # inlined too, their bit widths taken once
+    common = _lcm_upto(coeff_bound)
+    degrees, signed = max_degree + 1, 2 * coeff_bound + 1
+    n_terms = 1 + below(max_terms)
+    for n in (degrees, signed, coeff_bound):
+        if n < 1:
+            raise ValueError(f"empty range for randrange({n})")
     steps = [step for _, step in key_layout(dim).axes]
     getrandbits, axis_bits = rng.getrandbits, dim.bit_length()
-    n_terms = 1 + below(max_terms)
+    degree_bits, signed_bits, den_bits = degrees.bit_length(), signed.bit_length(), coeff_bound.bit_length()
     nums: dict[int, int] = {}
     for _ in range(n_terms):
-        degree = below(max_degree + 1)
+        degree = getrandbits(degree_bits)
+        while degree >= degrees:
+            degree = getrandbits(degree_bits)
         key = 0
         for _ in range(degree):  # one unit of degree on the axis below(dim), inlined
             axis = getrandbits(axis_bits)
             while axis >= dim:
                 axis = getrandbits(axis_bits)
             key += steps[axis]
-        num = below(2 * coeff_bound + 1) - coeff_bound
-        den = 1 + below(coeff_bound)
-        nums[key] = nums.get(key, 0) + num * (common // den)
+        num = getrandbits(signed_bits)
+        while num >= signed:
+            num = getrandbits(signed_bits)
+        den = getrandbits(den_bits)
+        while den >= coeff_bound:
+            den = getrandbits(den_bits)
+        nums[key] = nums.get(key, 0) + (num - coeff_bound) * (common // (den + 1))
     p = Polynomial._trusted(dim, *reduced(common, nums))
     if nonzero and p.is_zero():
         return Polynomial.constant(dim, Fraction(1, 1 + below(coeff_bound)))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -96,6 +97,13 @@ class TestWeightSpec:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert WeightSpec(2, 2) != b
         assert repr(b) == "WeightSpec(dim=2, lam=Fraction(1, 1), center=(Fraction(0, 1), Fraction(0, 1)))"
+
+    def test_unit_is_one_shared_instance_per_dim(self):
+        for n in range(1, 5):
+            assert WeightSpec.unit(n) is WeightSpec.unit(n) == WeightSpec(n)
+        assert WeightSpec.unit.cache_info().maxsize is not None
+        with pytest.raises(ValueError):
+            WeightSpec.unit(0)
 
 
 class TestExpansionValidation:
@@ -290,6 +298,25 @@ class TestGaussianScalar:
             _ = a + GaussianScalar(1, Fraction(1, 2), 1)
         with pytest.raises(ValueError, match="lambda must be positive"):
             GaussianScalar(1, Fraction(1, 2), 0)
+
+    def test_unit_check_by_identity_then_by_value(self):
+        """Scalars holding the very same unit objects combine unchecked;
+        equal but distinct units still combine, and a unit that differs in
+        one part, the other shared, still raises with its message."""
+        w = WeightSpec(2, Fraction(3, 2))
+        a, b = GaussianScalar.for_weight(1, w), GaussianScalar.for_weight(2, w)
+        assert a.pi_pow is b.pi_pow and a.lam is b.lam
+        assert (a + b).value == 3 and a <= b and a.ratio(b) == Fraction(1, 2)
+        c = GaussianScalar(2, Fraction(1), Fraction(3, 2))
+        assert c.pi_pow is not a.pi_pow and c.lam is not a.lam
+        assert (a + c).value == 3 and b == c
+        for other, message in [
+            (GaussianScalar._trusted(Fraction(1), a.pi_pow, Fraction(2)), "unit (pi/3/2)^1 vs (pi/2)^1"),
+            (GaussianScalar._trusted(Fraction(1), Fraction(1, 2), a.lam), "unit (pi/3/2)^1 vs (pi/3/2)^1/2"),
+        ]:
+            for op in (lambda: a + other, lambda: a <= other, lambda: a.ratio(other), lambda: a == other):
+                with pytest.raises(UnitMismatchError, match=re.escape(message)):
+                    op()
 
     def test_unit_mismatch_comparison(self):
         a = GaussianScalar(1, Fraction(1, 2), 1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from gauss_rinv import adjoint, hermite, polynomials, rightinverse
 from gauss_rinv.adjoint import run_identity_battery
-from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main, run_suite
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import Polynomial, random_polynomial
@@ -145,9 +145,15 @@ def test_battery_digest_pinned():
     assert _sha256(results) == BATTERY_SHA256
 
 
-# The caches of weight stencils, Gaussian moment rows and zero-center
-# monomial images.
-KERNEL_CACHES = (adjoint._weight_stencil, hermite._moment_row, hermite._monomial_image)
+# The caches of weight stencils (per weight and shift denominator), the
+# expanded commutator's weight derivatives, Gaussian moment rows and
+# zero-center monomial images.
+KERNEL_CACHES = (
+    adjoint._weight_stencil,
+    adjoint._weight_derivatives,
+    hermite._moment_row,
+    hermite._monomial_image,
+)
 
 
 def test_cold_caches_give_warm_bytes():
@@ -174,10 +180,14 @@ CONVERSION_CACHES = (
     hermite._centered_hermite_row,
     hermite._monomial_image,
 )
-# The caches a verify run reads: the Gaussian moment rows and the shared
-# constants, the packed-key layouts, |x|^2 and (x_1, ..., x_n).
+# The caches a verify run reads: the weight stencils and derivatives, the
+# Gaussian moment rows and the shared constants, the unit weights, the
+# packed-key layouts, |x|^2 and (x_1, ..., x_n).
 CORPUS_CACHES = (
+    adjoint._weight_stencil,
+    adjoint._weight_derivatives,
     hermite._moment_row,
+    hermite.WeightSpec.unit,
     polynomials.key_layout,
     polynomials.Polynomial.norm_squared,
     polynomials.coordinate_vector,
@@ -223,10 +233,9 @@ def test_large_solution_round_trips_from_cold_and_warm_rows():
         assert (back.den, back.nums) == (u.den, u.nums)
 
 
-def test_corrupted_moment_row_fails_verify(monkeypatch, capsys):
-    """One numerator off at k = 2 in every Gaussian moment row, at zero
-    center or off it, fails cases of the seed-7 verify report, and the
-    command exits 1."""
+def corrupt_moment_rows(monkeypatch) -> None:
+    """Put one numerator off at k = 2 in every Gaussian moment row, at zero
+    center or off it."""
     row = hermite._moment_row
 
     def corrupted(top: int, p: int, q: int, cn: int, cd: int):
@@ -236,10 +245,47 @@ def test_corrupted_moment_row_fails_verify(monkeypatch, capsys):
         return den, nums
 
     monkeypatch.setattr(hermite, "_moment_row", corrupted)
+
+
+def test_corrupted_moment_row_fails_verify(monkeypatch, capsys):
+    """Corrupted moment rows fail cases of the seed-7 verify report, and
+    the command exits 1."""
+    corrupt_moment_rows(monkeypatch)
     assert main(VERIFY_ARGS) == EXIT_CHECK_FAILED
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is False
     assert any(not case["pass"] for case in report["results"])
+
+
+def test_corrupted_moment_row_fails_suite_identity_battery(monkeypatch):
+    """Under corrupted moment rows the suite's identity-battery record,
+    read from verdicts alone, fails and names the very cases that fail in
+    the formatted corpus at the suite's arguments."""
+    corrupt_moment_rows(monkeypatch)
+    expected = [case["id"] for case in run_identity_battery(42, 200, 50) if not case["pass"]]
+    results, passed = run_suite()
+    (record,) = [r for r in results if r["criterion"] == "identity-battery"]
+    assert expected and not passed
+    assert record["pass"] is False and record["failures"] == expected and record["total"] == 1250
+
+
+def test_corrupted_weight_derivatives_fail_verify(monkeypatch, capsys):
+    """lap |grad w|^2 doubled in the expanded commutator's per-weight cache
+    (emptied first, so no correct entry is read) fails the seed-7 verify
+    report in both identities that take the expanded route, and only
+    there."""
+    derivatives = adjoint._weight_derivatives
+
+    def corrupted(w):
+        grad_w, lap_grad_sq, *rest = derivatives(w)
+        return (grad_w, lap_grad_sq.scale(2), *rest)
+
+    derivatives.cache_clear()
+    monkeypatch.setattr(adjoint, "_weight_derivatives", corrupted)
+    assert main(VERIFY_ARGS) == EXIT_CHECK_FAILED
+    report = json.loads(capsys.readouterr().out)
+    failed = {case["identity"] for case in report["results"] if not case["pass"]}
+    assert failed == {"commutator-three-way", "weight-expansion"}
 
 
 def test_corrupted_centered_row_fails_conversion_digest(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, calculus, and the wire format."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from gauss_rinv.polynomials import (
     coordinate_vector,
     format_rational,
     parse_rational,
+    random_polynomial,
+    reduced,
 )
 
 from conftest import polynomials
@@ -127,6 +130,40 @@ class TestCachedConstants:
     def test_caches_are_bounded(self):
         for cache in (Polynomial.norm_squared, coordinate_vector):
             assert cache.cache_info().maxsize is not None
+
+
+def sorted_terms_rendering(p: Polynomial) -> str:
+    """The corpus signature as built from the Fraction terms."""
+    if p.is_zero():
+        return "0"
+    return " + ".join(f"{format_rational(c)}*x^{list(e)}" for e, c in p.sorted_terms())
+
+
+def test_str_formats_from_ints_as_the_sorted_terms():
+    """str() of seeded polynomials in n = 1-4, zero and constants among
+    them, equals the rendering of sorted_terms and builds no ``terms``."""
+    rng = random.Random(34)
+    cases = []
+    for i in range(200):
+        n = 1 + i % 4
+        p = random_polynomial(rng, n, max_degree=i % 7, max_terms=1 + i % 9, coeff_bound=1 + i % 20)
+        cases += [p, p - p, Polynomial._trusted(n, *reduced(1 + i % 5, {0: i % 7 - 3}))]
+    assert any(p.is_zero() for p in cases) and any(p.total_degree() == 0 for p in cases)
+    assert any(num < 0 for p in cases for num in p.nums.values())
+    for p in cases:
+        text = str(p)
+        assert p._terms is None
+        assert text == sorted_terms_rendering(p)
+
+
+def test_hash_is_computed_once_and_kept():
+    """The hash slot stays empty until the first hash() and then holds the
+    hash of the (dim, den, nums) value."""
+    p = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 0): 3})
+    q = p + Polynomial.zero(2)
+    assert not hasattr(p, "_hash") and not hasattr(q, "_hash")
+    assert hash(p) == hash(q) == hash((2, 2, frozenset(p.nums.items())))
+    assert p._hash == q._hash == hash(p)
 
 
 class TestEvaluate:
