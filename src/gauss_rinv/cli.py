@@ -390,14 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report to this path instead of stdout")
     sub = parser.add_subparsers(dest="command")
+    # argparse takes "-1/2" after a space for an option, so a negative value goes after "="
+    a_help = "rational shift, e.g. --a=1, --a=-2, --a=-1/2"
 
     p_solve = sub.add_parser(
         "solve", parents=[common], help="minimal-norm solve of (lap+a)u = f under the weight lam*|x-x0|^2"
     )
     p_solve.add_argument("--dim", type=int, required=True)
-    p_solve.add_argument("--a", default="0", help="rational shift, e.g. 1, -2, 1/2")
+    p_solve.add_argument("--a", default="0", help=a_help)
     p_solve.add_argument("--lambda", dest="lam", default="1", help="rational weight scale")
-    p_solve.add_argument("--center", default="", help="comma-separated rational weight center")
+    p_solve.add_argument("--center", default="", help="comma-separated rational weight center, e.g. --center=-1/2,0")
     p_solve.add_argument("--f", required=True, help="const:<rational> or polynomial JSON path")
     p_solve.set_defaults(run=_solve)
 
@@ -409,21 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opnorm = sub.add_parser("opnorm", parents=[common], help="1/sigma_min of the truncated lap + a")
     p_opnorm.add_argument("--dim", type=int, required=True)
-    p_opnorm.add_argument("--a", default="0")
+    p_opnorm.add_argument("--a", default="0", help=a_help)
     p_opnorm.add_argument("--degree", type=int, default=8)
     p_opnorm.set_defaults(run=_opnorm)
 
     p_bounded = sub.add_parser("bounded", parents=[common], help="bounded-domain solve with the diameter constant")
     p_bounded.add_argument("--box", required=True, help="'lo1,hi1;lo2,hi2;...'")
     p_bounded.add_argument("--f", required=True, help="const:<v> | poly:<path> | expr-grid:<path>")
-    p_bounded.add_argument("--a", default="0")
+    p_bounded.add_argument("--a", default="0", help=a_help)
     p_bounded.add_argument("--degree", type=int, default=30)
     p_bounded.set_defaults(run=_bounded)
 
     p_ce = sub.add_parser("counterexample", parents=[common], help="unweighted-L2 failure demonstration")
     p_ce.add_argument("--R", type=float, default=1000.0)
-    p_ce.add_argument("--c1", default="0")
-    p_ce.add_argument("--c2", default="0")
+    p_ce.add_argument("--c1", default="0", help="rational slope of the affine part c1 x + c2, e.g. --c1=-1/3")
+    p_ce.add_argument("--c2", default="0", help="rational constant of the affine part c1 x + c2, e.g. --c2=-1/3")
     p_ce.set_defaults(run=_counterexample)
 
     p_suite = sub.add_parser(

@@ -67,7 +67,6 @@ from .polynomials import (
     reduced,
     tensor_expand,
     term_image,
-    unpack,
     validated_terms,
 )
 
@@ -254,8 +253,8 @@ class GaussianScalar:
 
 
 # ----------------------------------------------------------------------
-# Hermite conversion tables (exact, cached): per-axis rows, and the
-# zero-center monomial images tensor_expand reads
+# Hermite conversion tables (exact, cached): the per-axis rows both
+# directions convert through
 # ----------------------------------------------------------------------
 
 # A cold row is built from the rows below it; each ROW_STRIDE-th row first
@@ -310,21 +309,6 @@ def _centered_hermite_row(k: int, p: int, q: int, cn: int, cd: int) -> IntRow:
         for i, num in pairs:
             out[i] -= scale * num
     return _reduced_row(den, out)
-
-
-# Distinct (exponents, dim, p, q) of the zero-center monomial images kept.
-# Their traffic is the solver's inputs: a degree-12 3-D solve reads 455
-# indices.  The identity corpus pairs its polynomials through Gaussian
-# moments and reads no image.
-IMAGE_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=IMAGE_CACHE_SIZE)
-def _monomial_image(key: int, dim: int, p: int, q: int) -> TermImage:
-    """prod_j u_j^(e_j) over the scaled basis G_alpha, lam = p/q, for the
-    packed exponents ``key`` of ``dim`` fields."""
-    axes = key_layout(dim).axes
-    return term_image([(_centered_monomial_row(m, p, q, 0, 1), step) for m, (_, step) in zip(unpack(key, dim), axes) if m])
 
 
 def _term_images(weight: WeightSpec, row) -> Callable[[int], TermImage]:
@@ -508,11 +492,7 @@ def monomial_to_hermite(p: Polynomial, weight: WeightSpec) -> HermiteExpansion:
         raise DimensionMismatchError(
             f"polynomial dimension {p.dim} != weight dimension {weight.dim}"
         )
-    if any(weight.center):
-        images = _term_images(weight, _centered_monomial_row)
-    else:
-        dim, lam_p, lam_q = weight.dim, weight.lam.numerator, weight.lam.denominator
-        images = lambda key: _monomial_image(key, dim, lam_p, lam_q)
+    images = _term_images(weight, _centered_monomial_row)
     return HermiteExpansion._trusted(weight, *tensor_expand(p.den, p.nums, images))
 
 

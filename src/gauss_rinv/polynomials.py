@@ -41,13 +41,10 @@ A tensor expansion maps each term through its whole-term image, the
 tensor product of one sparse 1-D row per axis as (key, int) pairs over
 one denominator (``term_image``), a row's index i landing at the key
 offset i * step_j of its axis; an axis with exponent 0 has the identity
-row and is skipped.  At zero center the monomial->Hermite
-conversion keeps its images in a cache keyed by the packed exponents, the
-dimension and the weight's scale.  The other conversions, like ``shift``,
-build them per call, since centers and offsets change from call to call
-and a solution has more terms than a cache could keep, but from cached
-per-axis rows with the center folded in (``shift``'s binomial row composed
-with the Hermite row), so one expansion converts each term.
+row and is skipped.  Every conversion, like ``shift``, builds its images
+per call from cached per-axis rows with the center folded in (``shift``'s
+binomial row, the centered Hermite rows of both directions), so one
+expansion converts each term and nothing is cached per whole term.
 
 Invariant of every instance: ``den > 0``; ``nums`` has packed int keys of
 ``dim`` exponent fields, each key equal to ``pack`` of a multi-index of
@@ -266,8 +263,7 @@ def tensor_expand(den: int, nums: Mapping[int, int], image: Callable[[int], Term
     image: the sum of num / den * image(key).
 
     ``image(key)`` is the tensor product (``term_image``) of the term's
-    per-axis rows; a caller that meets the same exponents again reads it
-    from a cache.  Each term's numerators are rescaled from its image's
+    per-axis rows.  Each term's numerators are rescaled from its image's
     denominator to the lcm of those denominators and summed; the result,
     over den times that lcm, is reduced once.  Keys need only be hashable.
     """

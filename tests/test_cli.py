@@ -440,6 +440,35 @@ class TestSpecEcho:
         _, report = run_cli("bounded", "--box=0,1", "--f", "const:1", "--degree", "4", tmp_path=tmp_path)
         assert report["spec"]["box"] == "0,1" and report["results"]["bounded"]["x0"] == [0.5]
 
+    def test_negative_rationals_in_equals_form(self, tmp_path, capsys, monkeypatch):
+        """argparse takes "-1/2" after a space for an option; after "=" it is
+        the value, and the spec echoes it.  Each help string shows that form."""
+        code, report = run_cli("solve", "--dim", "1", "--a=-1/2", "--f", "const:1", tmp_path=tmp_path)
+        assert code == EXIT_OK and report["spec"]["a"] == "-1/2"
+        code, report = run_cli("solve", "--dim", "2", "--center=-1/2,0", "--f", "const:1", tmp_path=tmp_path)
+        assert code == EXIT_OK and report["spec"]["weight"]["center"] == ["-1/2", "0"]
+        code, report = run_cli("counterexample", "--c1=-1/3", tmp_path=tmp_path)
+        assert code == EXIT_OK and report["spec"]["c1"] == "-1/3"
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--dim", "1", "--a", "-1/2", "--f", "const:1"])
+        assert info.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        helps = {
+            ("solve", "--a"): "--a=-1/2",
+            ("solve", "--center"): "--center=-1/2,0",
+            ("opnorm", "--a"): "--a=-1/2",
+            ("bounded", "--a"): "--a=-1/2",
+            ("counterexample", "--c1"): "--c1=-1/3",
+            ("counterexample", "--c2"): "--c2=-1/3",
+        }
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        for (command, option), form in helps.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            lines = capsys.readouterr().out.splitlines()
+            (line,) = [line for line in lines if line.startswith(f"  {option} ")]
+            assert form in line, (command, option)
+
 
 class TestBadInputExits2:
     """Malformed input ends with exit 2 and the location on stderr."""

@@ -146,13 +146,11 @@ def test_battery_digest_pinned():
 
 
 # The caches of weight stencils (per weight and shift denominator), the
-# expanded commutator's weight derivatives, Gaussian moment rows and
-# zero-center monomial images.
+# expanded commutator's weight derivatives and Gaussian moment rows.
 KERNEL_CACHES = (
     adjoint._weight_stencil,
     adjoint._weight_derivatives,
     hermite._moment_row,
-    hermite._monomial_image,
 )
 
 
@@ -173,12 +171,10 @@ def test_cold_caches_give_warm_bytes():
         assert cache.cache_info().maxsize is not None
 
 
-# The Hermite conversions' caches: the centered rows of both directions and
-# the zero-center monomial images.
+# The Hermite conversions' caches: the centered rows of both directions.
 CONVERSION_CACHES = (
     hermite._centered_monomial_row,
     hermite._centered_hermite_row,
-    hermite._monomial_image,
 )
 # The caches a verify run reads: the weight stencils and derivatives, the
 # Gaussian moment rows and the shared constants, the unit weights, the
@@ -220,12 +216,11 @@ def test_cold_conversion_caches_give_pinned_verify_bytes(capsys):
 
 
 def test_large_solution_round_trips_from_cold_and_warm_rows():
-    """The min-norm solution of x1^8 in 12-D has more terms than
-    IMAGE_CACHE_SIZE; it converts to monomials and back to the same
-    (den, nums), from emptied conversion caches and again from the rows
-    that filled."""
+    """The min-norm solution of x1^8 in 12-D, 6,187 terms, converts to
+    monomials and back to the same (den, nums), from emptied conversion
+    caches and again from the rows that filled."""
     u = solve_min_norm(Polynomial.monomial((8,) + (0,) * 11)).solution
-    assert len(u.nums) == 6187 > hermite.IMAGE_CACHE_SIZE
+    assert len(u.nums) == 6187
     for cache in CONVERSION_CACHES:
         cache.cache_clear()
     for _ in range(2):
@@ -301,8 +296,8 @@ def test_corrupted_centered_row_fails_conversion_digest(monkeypatch):
             pairs = ((k, num + 1), *rest)
         return den, pairs
 
-    # each row is built from the one below it, and the zero-center images
-    # from the rows, so what is cached carries the error or hides it
+    # each row is built from the one below it, so what is cached carries
+    # the error or hides it
     for cache in CONVERSION_CACHES:
         cache.cache_clear()
     monkeypatch.setattr(hermite, "_centered_monomial_row", corrupted)

@@ -495,6 +495,23 @@ class TestShiftedSweep:
             f = monomial_to_hermite(random_polynomial(rng, dim, max_degree=5, max_terms=5, nonzero=True), w)
             assert rightinverse.exact_solve(f, a)[4] == rightinverse.exact_solve(cli._reflected(f), -a)[4]
 
+    def test_a_zero_solution_is_the_same_for_every_truncation(self):
+        """At a = 0 solve_min_norm gives the same solution and exact ratio at
+        truncation deg f + 2j, j = 1, 2, as at deg f, on unit, scaled and
+        off-center weights in n = 1-3, while the report's truncation moves."""
+        rng = random.Random(29)
+        for lam, offset in ((1, 0), (Fraction(5, 3), 0), (Fraction(1, 2), Fraction(-2, 3))):
+            for dim in (1, 1, 2, 2, 3, 3):
+                w = scaled_weight(dim, Fraction(lam), Fraction(offset))
+                f = random_polynomial(rng, dim, max_degree=5, max_terms=5, nonzero=True)
+                base = solve_min_norm(f, 0, weight=w)
+                assert base.truncation == f.total_degree() and base.residual_exact
+                for j in (1, 2):
+                    rep = solve_min_norm(f, 0, weight=w, truncation=base.truncation + 2 * j)
+                    assert rep.truncation == base.truncation + 2 * j
+                    assert (rep.solution.den, rep.solution.nums) == (base.solution.den, base.solution.nums)
+                    assert rep.ratio == base.ratio and rep.residual_exact
+
     def test_truncation_below_degree_raises(self):
         f = Polynomial(2, {(2, 1): 1})
         assert solve_min_norm(f, 1, truncation=5).truncation == 5
