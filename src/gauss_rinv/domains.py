@@ -376,9 +376,11 @@ def max_truncation(dim: int) -> int:
 
 
 def check_input_limits(dim: int, truncation: int) -> None:
-    """Raise InputLimitError, naming the limit, for a bounded solve whose
-    (N+3)^n coefficient array is over MAX_TENSOR_ENTRIES or whose N is
-    above max_truncation(dim)."""
+    """Raise ValueError for a negative N, and InputLimitError, naming the
+    limit, for a bounded solve whose (N+3)^n coefficient array is over
+    MAX_TENSOR_ENTRIES or whose N is above max_truncation(dim)."""
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     entries = (truncation + 3) ** dim
     if entries > MAX_TENSOR_ENTRIES:
         raise InputLimitError(
@@ -469,7 +471,7 @@ def solve_bounded(
     pairing or the basis is wrong.  ``projection_defect_rel`` = 1 -
     ||P_N f~||^2_w / ||f~||^2_w is the share of the data the truncation
     drops (0 for zero data).  Inputs beyond ``check_input_limits`` raise
-    InputLimitError first.
+    InputLimitError first, and a negative truncation ValueError.
     """
     a = Fraction(a)
     n = box.dim

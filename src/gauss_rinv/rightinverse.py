@@ -636,13 +636,15 @@ def exact_solve(
     f: HermiteExpansion, a: Fraction, truncation: int | None = None
 ) -> tuple[HermiteExpansion, bool, GaussianScalar, GaussianScalar, Fraction]:
     """The exact core of every solve at truncation N (deg f, 0 for zero
-    data, by default; ValueError below deg f): u = _min_norm_coeffs(f,
+    data, by default; ValueError below 0 or deg f): u = _min_norm_coeffs(f,
     a, N), the exact weak residual check P_N shifted_laplacian(u, a) == f
     on V_N, ||f||^2_w, ||u||^2_w and their ratio ||u||^2_w / ||f||^2_w (0
     for zero data).  At a = 0, (lap) u has degree deg f, so the weak
     residual is the strong one."""
     degree = f.degree()
     top = max(degree, 0) if truncation is None else truncation
+    if top < 0:
+        raise ValueError(f"truncation must be >= 0, got {top}")
     if top < degree:
         raise ValueError(f"truncation {top} is below the degree {degree} of the data")
     u = _min_norm_coeffs(f, a, top)

@@ -427,6 +427,13 @@ class TestInputLimits:
         with pytest.raises(InputLimitError, match=f"degree limit {last_ok}"):
             check_input_limits(dim, last_ok + 1)
 
+    def test_negative_truncation_raises(self):
+        box = BoxDomain(((-1.0, 1.0),))
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+            check_input_limits(1, -1)
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+            solve_bounded(box, SampledFunction.constant(box, 1.0), 0, -1)
+
     def test_degree_limit_matches_the_exact_basis_norms(self):
         """The int recurrence 2^(d+1) (d+1)! gives the degree limit that the
         Fraction basis norms ||G_(d+1)||^2 give against the same float limit."""

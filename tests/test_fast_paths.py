@@ -1,4 +1,4 @@
-"""The exact core's fast paths against slower references and its invariant.
+"""The exact core's fast paths against the reference kernels and its invariant.
 
 Results of ring, calculus and conversion operations are wrapped without
 re-validation, so every such result must already meet the invariant the
@@ -8,27 +8,22 @@ entry, so that its degree field is the sum of the others), nonzero int numerator
 common factor of ``den`` and the numerators; the ``terms`` and
 ``coeffs`` read from them are then nonzero, reduced ``Fraction`` values.
 
-Every ring, calculus, conversion and Parseval operation, the min-norm
-block solves and ``shifted_laplacian`` run on int numerators over one
-common denominator; ``solve_exact`` must solve as the partial-pivoting
-Fraction reference does, and ``nullspace_exact`` must span the kernel.
-The min-norm solve applies (L P)^-1 by Horner from the tower spectrum;
-the class-block normal equations it replaced, solved by ``solve_exact``,
-are kept here as its oracle, and the towers it counts must annihilate
-every level.
-Their ``Fraction``-by-``Fraction`` forms, one ``Fraction`` operation per
-step, are kept here as references; the kernels must match them exactly,
-key order included.  Reports sort term maps before they serialize them,
-so the order pin guards the kernels' own determinism, not report bytes:
-off center, the one-pass conversions order their keys as a Fraction form
-of the one-pass route and equal the two-pass route (shift, then the
-Hermite rows) as maps, and a test below rebuilds inputs in reversed key
-order and asks every serialized or summed result to stay the same.
-The composed formal adjoint, one reduced ring operation per
-step, is the reference of its one-pass stencil; since the adjoint feeds
-only exact sums and sorted serializations, its key order is not compared.
-So are the per-call assemblers the cached levels of
-``lap + a`` replaced (class members by sorting, the float blocks over
+Every ring, calculus, shift, conversion and Parseval operation, the
+formal adjoint's one-pass stencil, ``shifted_laplacian`` and the a = 0
+min-norm solve must match its kernel in ``reference`` (tuple keys, one
+``Fraction`` operation per step, its own Hermite rows) exactly, key order
+included.  Reports sort term maps before they serialize them, so the
+order pin guards the kernels' own determinism, not report bytes: off
+center, the one-pass conversions order their keys as the reference's
+one-pass route, and equal the two-pass route (shift, then the zero-center
+rows) as maps; a test below rebuilds inputs in reversed key order and asks
+every serialized or summed result to stay the same.  The min-norm solve
+applies (L P)^-1 by Horner from the tower spectrum; the reference solves
+the class-block normal equations it replaced, and the towers it counts
+must annihilate every level.  ``solve_exact`` must solve as the
+partial-pivoting Fraction reference here does, and ``nullspace_exact``
+must span the kernel.  So are the per-call assemblers the cached levels
+of ``lap + a`` replaced (class members by sorting, the float blocks over
 every parity vector): members and float blocks must be equal.
 """
 
@@ -51,9 +46,9 @@ from gauss_rinv.hermite import (
     hermite_polynomial_1d,
     monomial_to_hermite,
 )
-from gauss_rinv import hermite, rightinverse
+from gauss_rinv import hermite
 from gauss_rinv.linalg import SingularMatrixError, nullspace_exact, solve_exact
-from gauss_rinv.polynomials import Polynomial, dot, key_layout, pack, random_polynomial, reduced, tensor_expand, unpack
+from gauss_rinv.polynomials import Polynomial, key_layout, pack, random_polynomial, reduced, tensor_expand, unpack
 from gauss_rinv.rightinverse import (
     KernelFunction,
     _level,
@@ -65,9 +60,17 @@ from gauss_rinv.rightinverse import (
     solve_min_norm,
 )
 
-from conftest import polynomials, rationals
-from harmonic_basis import harmonic_dimension
-from tuple_reference import lowered, tuple_map
+import reference as ref
+from conftest import (
+    BIG,
+    LAMS,
+    adjoint_weights,
+    exact_coefficients,
+    exact_polynomials,
+    exact_weights,
+    polynomials,
+    rationals,
+)
 
 
 def assert_clean(terms: dict, dim: int) -> None:
@@ -110,11 +113,6 @@ def poly_and_offset(draw):
     return p, offset
 
 
-@st.composite
-def weights(draw, dim: int):
-    lam = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
-    center = tuple(draw(rationals(bound=5)) for _ in range(dim))
-    return WeightSpec(dim, lam, center)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +167,7 @@ def test_polynomial_ops_keep_invariant(case, q, factor):
 @given(st.data())
 def test_hermite_ops_keep_invariant(data):
     p = data.draw(polynomials(max_degree=5))
-    w = data.draw(weights(p.dim))
+    w = data.draw(exact_weights(p.dim))
     expansion = monomial_to_hermite(p, w)
     factor = data.draw(rationals())
     results = [
@@ -194,177 +192,9 @@ def test_hermite_polynomial_1d_keeps_invariant():
         assert h.total_degree() == k
 
 
-
 # ----------------------------------------------------------------------
-# Fraction references of the int-numerator kernels
+# the kernels against the reference
 # ----------------------------------------------------------------------
-
-
-def fraction_tensor_expand(terms, row) -> dict:
-    """sum of coef * prod_j row(j, e_j), one Fraction product and sum per step;
-    ``row(j, e)`` gives (index, Fraction) pairs."""
-    out: dict = {}
-    for exps, coef in terms.items():
-        partial = [((), coef)]
-        for j, e in enumerate(exps):
-            partial = [(prefix + (i,), pc * c) for prefix, pc in partial for i, c in row(j, e)]
-        for key, c in partial:
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return {k: v for k, v in out.items() if v}
-
-
-def fraction_binomial_row(e: int, offset: Fraction):
-    if offset == 0:
-        return ((e, Fraction(1)),)
-    return tuple((i, math.comb(e, i) * offset ** (e - i)) for i in range(e + 1))
-
-
-def monomial_in_hermite(m: int) -> list[Fraction]:
-    """t^m over H_0..H_m by t H_k = H_{k+1}/2 + k H_{k-1}."""
-    row = [Fraction(1)]
-    for _ in range(m):
-        nxt = [Fraction(0)] * (len(row) + 1)
-        for k, c in enumerate(row):
-            nxt[k + 1] += c / 2
-            if k >= 1:
-                nxt[k - 1] += c * k
-        row = nxt
-    return row
-
-
-def hermite_in_monomials(k: int) -> list[Fraction]:
-    """Monomial coefficients of H_k by H_{j+1} = 2t H_j - 2j H_{j-1}."""
-    prev, cur = [Fraction(0)], [Fraction(1)]
-    for j in range(k):
-        nxt = [Fraction(0)] * (j + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(prev):
-            nxt[i] -= 2 * j * c
-        prev, cur = cur, nxt
-    return cur
-
-
-def fraction_shift(p: Polynomial, offset) -> dict:
-    return fraction_tensor_expand(p.terms, lambda j, e: fraction_binomial_row(e, offset[j]))
-
-
-def fraction_monomial_row(m: int, lam: Fraction):
-    """u^m over G_k(u), k ascending, by the recurrence of monomial_in_hermite."""
-    h = monomial_in_hermite(m)
-    return [(k, h[k] * lam ** ((k - m) // 2)) for k in range(m % 2, m + 1, 2)]
-
-
-def fraction_hermite_row(k: int, lam: Fraction):
-    """G_k(u) over u^i, i ascending, by the recurrence of hermite_in_monomials."""
-    h = hermite_in_monomials(k)
-    return [(i, c * lam ** ((i - k) // 2)) for i, c in enumerate(h) if c]
-
-
-def fraction_monomial_to_hermite(p: Polynomial, w: WeightSpec) -> dict:
-    """The two-pass route: shift to the center, then the Hermite rows."""
-    terms = fraction_shift(p, w.center)
-    return fraction_tensor_expand(terms, lambda j, m: fraction_monomial_row(m, w.lam))
-
-
-def fraction_to_polynomial(coeffs: dict, w: WeightSpec) -> dict:
-    """The two-pass route: the Hermite rows, then shift back from the center."""
-    terms = fraction_tensor_expand(coeffs, lambda j, k: fraction_hermite_row(k, w.lam))
-    return fraction_tensor_expand(terms, lambda j, e: fraction_binomial_row(e, -w.center[j]))
-
-
-def fraction_composed_row(outer, inner) -> list:
-    """sum_i c_i inner(i) over the pairs (i, c_i) of ``outer``, one Fraction
-    product and sum per step; nonzero pairs, index ascending."""
-    out: dict = {}
-    for i, c in outer:
-        for k, v in inner(i):
-            out[k] = out.get(k, Fraction(0)) + c * v
-    return sorted((k, v) for k, v in out.items() if v)
-
-
-def one_pass_monomial_to_hermite(p: Polynomial, w: WeightSpec) -> dict:
-    """The one-pass route: terms in ``nums`` order, each through the nested
-    loop over its per-axis rows, each row x^m = (u + c)^m composed with the
-    rows of u^i."""
-    return fraction_tensor_expand(p.terms, lambda j, m: fraction_composed_row(
-        fraction_binomial_row(m, w.center[j]), lambda i: fraction_monomial_row(i, w.lam)))
-
-
-def one_pass_to_polynomial(coeffs: dict, w: WeightSpec) -> dict:
-    """The one-pass route back: each row G_k(u) composed with the binomial
-    rows of u^i = (x - c)^i."""
-    return fraction_tensor_expand(coeffs, lambda j, k: fraction_composed_row(
-        fraction_hermite_row(k, w.lam), lambda i: fraction_binomial_row(i, -w.center[j])))
-
-
-def fraction_mul(p: Polynomial, q: Polynomial) -> dict:
-    out: dict = {}
-    for ea, ca in p.terms.items():
-        for eb, cb in q.terms.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def fraction_inner(x: HermiteExpansion, y: HermiteExpansion) -> Fraction:
-    total = Fraction(0)
-    for alpha, c in x.coeffs.items():
-        d = y.coeffs.get(alpha)
-        if d is not None:
-            total += c * d * HermiteExpansion.basis_norm_sq(alpha, x.weight.lam)
-    return total
-
-
-LAMS = (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(7, 5), Fraction(2, 9))
-# Large numerators, and large denominators coprime to each other and to 2,
-# 3, 5 and 7, so that common denominators do not collapse.
-BIG = (10007, 65537, 2**61 - 1, 3**41, 7**23)
-
-
-def exact_coefficients() -> st.SearchStrategy[Fraction]:
-    return st.one_of(
-        st.builds(Fraction, st.integers(-16, 16).filter(bool), st.integers(1, 16)),
-        st.builds(Fraction, st.integers(-(10**30), 10**30).filter(bool), st.sampled_from(BIG)),
-        st.builds(Fraction, st.sampled_from(BIG), st.sampled_from(BIG)),
-    )
-
-
-@st.composite
-def exact_polynomials(draw, dim: int, max_degree: int = 8, max_terms: int = 6):
-    """Zero (no terms), single-term and multi-term polynomials of total
-    degree up to ``max_degree``."""
-    terms = {}
-    for _ in range(draw(st.integers(0, max_terms))):
-        exps, budget = [], draw(st.integers(0, max_degree))
-        for _ in range(dim):
-            e = draw(st.integers(0, budget))
-            exps.append(e)
-            budget -= e
-        terms[tuple(exps)] = draw(exact_coefficients())
-    return Polynomial(dim, terms)
-
-
-@st.composite
-def exact_weights(draw, dim: int):
-    lam = draw(st.sampled_from(LAMS))
-    center = draw(st.one_of(
-        st.just((0,) * dim),
-        st.tuples(*[st.sampled_from((0, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 11)))] * dim),
-    ))
-    return WeightSpec(dim, lam, center)
-
-
-def weight_by_composition(w: WeightSpec) -> Polynomial:
-    """Reference lam*|x - c|^2: validated constructors and one ring
-    operation per step."""
-    x = [Polynomial.variable(w.dim, j) for j in range(w.dim)]
-    out = Polynomial.zero(w.dim)
-    for j in range(w.dim):
-        shifted = x[j] - Polynomial.constant(w.dim, w.center[j])
-        out = out + shifted * shifted
-    return out.scale(w.lam)
 
 
 @settings(max_examples=100, deadline=None)
@@ -374,15 +204,15 @@ def test_weight_polynomial_matches_composition(data):
     lam = abs(data.draw(exact_coefficients()))
     center = tuple(data.draw(st.one_of(st.just(0), exact_coefficients())) for _ in range(dim))
     w = WeightSpec(dim, lam, center)
-    got, reference = w.polynomial(), weight_by_composition(w)
-    assert got == reference and str(got) == str(reference)
-    assert list(got.nums.items()) == list(reference.nums.items())
+    got = w.polynomial()
+    ref.same(got, ref.weight_polynomial(dim, lam, w.center))
     assert_canonical(got, dim)
 
 
-def assert_same_terms(got: dict, reference: dict, dim: int) -> None:
-    assert list(got.items()) == list(reference.items())
-    assert_clean(got, dim)
+def assert_same_terms(got, reference: dict, dim: int) -> None:
+    """Equal to the reference, key order included, and clean."""
+    ref.same(got, reference)
+    assert_clean(reference, dim)
 
 
 @settings(max_examples=50, deadline=None)
@@ -391,50 +221,75 @@ def test_shift_matches_fraction_reference(data):
     dim = data.draw(st.integers(1, 3))
     p = data.draw(exact_polynomials(dim))
     offset = [data.draw(st.one_of(st.just(Fraction(0)), exact_coefficients())) for _ in range(dim)]
-    assert_same_terms(p.shift(offset).terms, fraction_shift(p, offset), dim)
+    assert_same_terms(p.shift(offset), ref.shift(p.terms, offset), dim)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_mul_matches_fraction_reference(data):
-    dim = data.draw(st.integers(1, 3))
-    p = data.draw(exact_polynomials(dim, max_degree=4))
-    q = data.draw(exact_polynomials(dim, max_degree=4))
-    assert_same_terms((p * q).terms, fraction_mul(p, q), dim)
-    assert_same_terms((p * p).terms, fraction_mul(p, p), dim)
+    dim = data.draw(st.integers(1, 4))
+    p = data.draw(exact_polynomials(dim, max_degree=6))
+    q = data.draw(exact_polynomials(dim, max_degree=6))
+    assert_same_terms(p * q, ref.mul(p.terms, q.terms), dim)
+    assert_same_terms(p * p, ref.mul(p.terms, p.terms), dim)
 
 
-@settings(max_examples=50, deadline=None)
+def conversions_match(p: Polynomial, w: WeightSpec) -> bool:
+    """Both directions equal the reference's one-pass route, key order
+    included, and the two-pass route (shift, then the zero-center rows) as
+    maps; the way back starts from the reference's own coefficients."""
+    x, h = monomial_to_hermite(p, w), ref.to_hermite(p.terms, w.lam, w.center)
+    back, terms = x.to_polynomial(), ref.to_monomials(h, w.lam, w.center)
+    zero = (0,) * w.dim
+    return (
+        list(x.coeffs.items()) == list(h.items()) and x.coeffs == ref.to_hermite(ref.shift(p.terms, w.center), w.lam, zero)
+        and list(back.terms.items()) == list(terms.items())
+        and terms == ref.shift(ref.to_monomials(h, w.lam, zero), [-c for c in w.center])
+    )
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_conversions_match_fraction_reference(data):
-    """Equal to the two-pass route as maps; in its key order at zero center,
-    and in the one-pass route's key order off center."""
-    dim = data.draw(st.integers(1, 3))
+    dim = data.draw(st.integers(1, 4))
     p = data.draw(exact_polynomials(dim))
     w = data.draw(exact_weights(dim))
-    expansion = monomial_to_hermite(p, w)
-    back = expansion.to_polynomial()
-    cases = [
-        (expansion.coeffs, fraction_monomial_to_hermite(p, w), one_pass_monomial_to_hermite(p, w)),
-        (back.terms, fraction_to_polynomial(expansion.coeffs, w), one_pass_to_polynomial(expansion.coeffs, w)),
-    ]
-    for got, two_pass, one_pass in cases:
-        assert got == two_pass
-        assert_same_terms(got, one_pass if any(w.center) else two_pass, dim)
-    assert back == p
+    assert conversions_match(p, w)
+    x = monomial_to_hermite(p, w)
+    assert_clean(x.coeffs, dim)
+    assert x.to_polynomial() == p
+    assert x.degree() == p.total_degree()
 
 
-@settings(max_examples=50, deadline=None)
+@pytest.mark.parametrize("name", ["_centered_monomial_row", "_centered_hermite_row"])
+def test_a_row_fault_fails_the_conversion_reference(monkeypatch, name):
+    """One numerator of one row off by one: the comparison must fail."""
+    row = getattr(hermite, name)
+
+    def faulty(k, *args):
+        den, pairs = row(k, *args)
+        return (den, ((pairs[0][0], pairs[0][1] + 1), *pairs[1:])) if k == 3 else (den, pairs)
+
+    p, w = Polynomial(2, {(3, 1): 1, (0, 2): Fraction(-2, 3)}), WeightSpec(2, Fraction(2), (Fraction(1, 3), 0))
+    assert conversions_match(p, w)
+    monkeypatch.setattr(hermite, name, faulty)
+    try:
+        assert not conversions_match(p, w)
+    finally:
+        row.cache_clear()
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_parseval_matches_fraction_reference(data):
-    dim = data.draw(st.integers(1, 3))
+    dim = data.draw(st.integers(1, 4))
     w = data.draw(exact_weights(dim))
     x = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
     y = monomial_to_hermite(data.draw(exact_polynomials(dim)), w)
     for got, reference in (
-        (x.norm_sq().value, fraction_inner(x, x)),
-        (x.inner(y).value, fraction_inner(x, y)),
-        (y.inner(x).value, fraction_inner(x, y)),
+        (x.norm_sq().value, ref.inner(x.coeffs, x.coeffs, w.lam)),
+        (x.inner(y).value, ref.inner(x.coeffs, y.coeffs, w.lam)),
+        (y.inner(x).value, ref.inner(x.coeffs, y.coeffs, w.lam)),
     ):
         assert type(got) is Fraction and got == reference
         assert math.gcd(got.numerator, got.denominator) == 1
@@ -442,56 +297,26 @@ def test_parseval_matches_fraction_reference(data):
     assert (x.norm_sq().value == 0) == x.is_zero()
 
 
-def fraction_add(x: dict, y: dict, sign: int = 1) -> dict:
-    out = dict(x)
-    for key, c in y.items():
-        out[key] = out.get(key, Fraction(0)) + sign * c
-    return {k: v for k, v in out.items() if v}
-
-
-def fraction_scale(x: dict, factor: Fraction) -> dict:
-    return {k: v * factor for k, v in x.items()} if factor else {}
-
-
-def fraction_partial(terms: dict, index: int) -> dict:
-    out: dict = {}
-    for exps, coef in terms.items():
-        k = exps[index]
-        if k:
-            key = exps[:index] + (k - 1,) + exps[index + 1:]
-            out[key] = out.get(key, Fraction(0)) + coef * k
-    return out
-
-
-def fraction_laplacian(terms: dict) -> dict:
-    out: dict = {}
-    for exps, coef in terms.items():
-        for j, k in enumerate(exps):
-            if k >= 2:
-                key = exps[:j] + (k - 2,) + exps[j + 1:]
-                out[key] = out.get(key, Fraction(0)) + coef * (k * (k - 1))
-    return {k: v for k, v in out.items() if v}
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_ring_and_calculus_match_fraction_reference(data):
-    dim = data.draw(st.integers(1, 3))
+    dim = data.draw(st.integers(1, 4))
     p = data.draw(exact_polynomials(dim))
     q = data.draw(exact_polynomials(dim))
     factor = data.draw(st.one_of(st.just(Fraction(0)), st.integers(-3, 3), exact_coefficients()))
     cases = [
-        (p + q, fraction_add(p.terms, q.terms)),
-        (p - q, fraction_add(p.terms, q.terms, -1)),
+        (p + q, ref.add(p.terms, q.terms)),
+        (p - q, ref.add(p.terms, q.terms, -1)),
         (q - q, {}),
-        (-p, fraction_scale(p.terms, -1)),
-        (p.scale(factor), fraction_scale(p.terms, Fraction(factor))),
-        (p.laplacian(), fraction_laplacian(p.terms)),
-        *((p.partial(j), fraction_partial(p.terms, j)) for j in range(dim)),
+        (-p, ref.scale(p.terms, -1)),
+        (p.scale(factor), ref.scale(p.terms, Fraction(factor))),
+        (p.laplacian(), ref.laplacian(p.terms)),
+        *((p.partial(j), ref.partial(p.terms, j)) for j in range(dim)),
     ]
     for got, reference in cases:
         assert_canonical(got, dim)
-        assert_same_terms(got.terms, reference, dim)
+        assert_same_terms(got, reference, dim)
+    assert p.total_degree() == max(map(sum, p.terms), default=-1)
 
 
 def test_equal_values_over_unreduced_denominators_compare_and_hash_alike():
@@ -520,25 +345,6 @@ def test_equal_values_over_unreduced_denominators_compare_and_hash_alike():
     assert all(monomial_to_hermite(p, w) == monomial_to_hermite(direct, w) for p in routes)
 
 
-def fraction_random_polynomial(rng, dim, max_degree, max_terms=10, coeff_bound=16, nonzero=False):
-    """The same draws in the same order, summed one Fraction at a time."""
-    n_terms = rng.randint(1, max_terms)
-    terms: dict = {}
-    for _ in range(n_terms):
-        degree = rng.randint(0, max_degree)
-        exps = [0] * dim
-        for _ in range(degree):
-            exps[rng.randrange(dim)] += 1
-        num = rng.randint(-coeff_bound, coeff_bound)
-        den = rng.randint(1, coeff_bound)
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(num, den)
-    p = Polynomial(dim, terms)
-    if nonzero and p.is_zero():
-        return Polynomial.constant(dim, Fraction(1, rng.randint(1, coeff_bound)))
-    return p
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -553,9 +359,8 @@ def test_random_polynomial_matches_fraction_loop(kwargs):
         dim = 1 + seed % 3
         rng, ref_rng = random.Random(seed), random.Random(seed)
         got = random_polynomial(rng, dim, **kwargs)
-        reference = fraction_random_polynomial(ref_rng, dim, **kwargs)
         assert_canonical(got, dim)
-        assert_same_terms(got.terms, reference.terms, dim)
+        assert_same_terms(got, ref.random_polynomial(ref_rng, dim, **kwargs), dim)
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -565,9 +370,9 @@ ROW_CENTERS = (Fraction(0), Fraction(-5, 2), Fraction(1, 3), Fraction(7, 11), Fr
 
 
 def test_hermite_rows_match_recurrences():
-    """Each axis row, centered or not, equals the three-term recurrences it
-    replaced (after the shift, off center), for every lam of LAMS and degree
-    up to 12, and each round trip gives back its input."""
+    """Each axis row, centered or not, equals the reference's, from the
+    three-term recurrences, key order included, for every lam of LAMS and
+    degree up to 12, and each round trip gives back its input."""
     for lam in LAMS:
         for c in ROW_CENTERS:
             w = WeightSpec(1, lam, (c,))
@@ -576,15 +381,8 @@ def test_hermite_rows_match_recurrences():
                 expansion = monomial_to_hermite(monomial, w)
                 basis = HermiteExpansion(w, {(m,): 1})
                 back = basis.to_polynomial()
-                cases = [
-                    (expansion.coeffs, fraction_monomial_to_hermite(monomial, w)),
-                    (back.terms, fraction_to_polynomial({(m,): Fraction(1)}, w)),
-                ]
-                for got, reference in cases:
-                    assert got == reference
-                    if c == 0:
-                        assert_same_terms(got, reference, 1)
-                    assert_clean(got, 1)
+                assert_same_terms(expansion, ref.to_hermite({(m,): Fraction(1)}, lam, (c,)), 1)
+                assert_same_terms(back, ref.to_monomials({(m,): Fraction(1)}, lam, (c,)), 1)
                 assert expansion.to_polynomial() == monomial
                 assert monomial_to_hermite(back, w) == basis
 
@@ -642,51 +440,25 @@ def test_results_do_not_depend_on_input_key_order(data):
     assert results(p, q, lambda x, v: reversed_exp(monomial_to_hermite(x, v))) == expected
 
 
-def composed_adjoint(psi: Polynomial, w: Polynomial, a=0) -> Polynomial:
-    """Reference adjoint of lap + a: lap psi + psi |grad w|^2 - psi lap w
-    - 2 grad psi . grad w + a psi, one reduced ring operation per step."""
-    grad_w = w.gradient()
-    out = (
-        psi.laplacian()
-        + psi * dot(grad_w, grad_w)
-        - psi * w.laplacian()
-        - dot(psi.gradient(), grad_w).scale(2)
-    )
-    if a:
-        out = out + psi.scale(a)
-    return out
-
-
-ADJOINT_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(10**20))
-
-
-@st.composite
-def adjoint_weights(draw, dim: int) -> Polynomial:
-    """The radial weight, a scaled or off-center lam |x - c|^2, or a general
-    polynomial weight drawn as the corpus's weight-expansion cases draw it."""
-    kind = draw(st.sampled_from(("radial", "spec", "general")))
-    if kind == "radial":
-        return Polynomial.norm_squared(dim)
-    if kind == "spec":
-        return draw(exact_weights(dim)).polynomial()
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    return random_polynomial(rng, dim, max_degree=4, max_terms=6, nonzero=True)
+ADJOINT_SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3), Fraction(10**20))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_adjoint_stencil_matches_composed_reference(data):
-    dim = data.draw(st.integers(1, 3))
+    """The one-pass stencil equals the reference's lap psi + V psi - 2 grad w
+    . grad psi + a psi, in its term order."""
+    dim = data.draw(st.integers(1, 4))
     psi = data.draw(exact_polynomials(dim))
     w = data.draw(adjoint_weights(dim))
     a = data.draw(st.sampled_from(ADJOINT_SHIFTS))
-    got, reference = formal_adjoint(psi, w, a), composed_adjoint(psi, w, a)
-    assert (got.den, got.nums) == (reference.den, reference.nums)
+    got = formal_adjoint(psi, w, a)
+    ref.same(got, ref.formal_adjoint(dim, psi.terms, w.terms, a))
     assert_canonical(got, dim)
 
 
 # ----------------------------------------------------------------------
-# Fraction references of the exact solves and of lap + a
+# the exact solves and lap + a
 # ----------------------------------------------------------------------
 
 
@@ -736,63 +508,6 @@ def fraction_det(matrix) -> Fraction:
     return det
 
 
-def reference_class_members(dim: int, degree: int, parity: tuple[int, ...]) -> list:
-    """Multi-indices of the given total degree and per-axis parity, sorted."""
-    residual = degree - sum(parity)
-    if residual < 0 or residual % 2:
-        return []
-    half = residual // 2
-    return sorted(
-        tuple(p + 2 * q for p, q in zip(parity, quot))
-        for quot in itertools.product(range(half + 1), repeat=dim)
-        if sum(quot) == half
-    )
-
-
-def reference_min_norm_block(dim: int, degree: int, parity: tuple[int, ...]):
-    """(rows, K, columns): columns (gamma, L // N_gamma, ((row, b), ...))."""
-    rows = tuple(reference_class_members(dim, degree, parity))
-    pos = {alpha: i for i, alpha in enumerate(rows)}
-    norms = [
-        (gamma, math.prod(2**g * math.factorial(g) for g in gamma))
-        for gamma in reference_class_members(dim, degree + 2, parity)
-    ]
-    common = math.lcm(*(n for _, n in norms))
-    columns = tuple(
-        (gamma, common // n, tuple((pos[beta], b) for beta, b in lowered(gamma)))
-        for gamma, n in norms
-    )
-    matrix = [[0] * len(rows) for _ in rows]
-    for _, scale, column in columns:
-        for ai, b_a in column:
-            for bi, b_b in column:
-                matrix[ai][bi] += scale * b_a * b_b
-    return rows, tuple(map(tuple, matrix)), columns
-
-
-def reference_float_blocks(dim: int, degree: int, shift: float) -> list:
-    """(parity, block) over every parity vector: lap + shift from the class
-    members of degree <= degree + 2 onto those of degree <= degree, in
-    orthonormal coordinates, from the tuple reference of _lowered alone."""
-    out = []
-    for parity in itertools.product((0, 1), repeat=dim):
-        rows, cols = (
-            [m for k in range(sum(parity), top + 1, 2) for m in reference_class_members(dim, k, parity)]
-            for top in (degree, degree + 2)
-        )
-        if not rows:
-            continue
-        pos = {beta: i for i, beta in enumerate(rows)}
-        block = np.zeros((len(rows), len(cols)))
-        for ci, gamma in enumerate(cols):
-            if gamma in pos:
-                block[pos[gamma], ci] = shift
-            for beta, b in lowered(gamma):
-                block[pos[beta], ci] = math.sqrt(b)
-        out.append((parity, block))
-    return out
-
-
 def packed_parity(parity: tuple[int, ...]) -> int:
     """The parity class key & PAR of a 0/1 parity vector."""
     return pack(parity) & key_layout(len(parity)).parity
@@ -804,76 +519,56 @@ def test_levels_match_class_members(dim):
         for parity in itertools.product((0, 1), repeat=dim):
             members, entries = _level(dim, degree, packed_parity(parity))
             members = [unpack(gamma, dim) for gamma in members]
-            assert members == reference_class_members(dim, degree, parity)
-            below = reference_class_members(dim, degree - 2, parity)
+            assert members == ref.class_members(dim, degree, parity)
+            below = ref.class_members(dim, degree - 2, parity)
             assert [[(below[i], b) for i, b in column] for column in entries] == [
-                list(lowered(gamma)) for gamma in members
+                list(ref.lowered(gamma)) for gamma in members
             ]
-
-
-def class_block_min_norm_coeffs(f: HermiteExpansion) -> HermiteExpansion:
-    """The class-block normal equations the tower solve replaced, as an
-    oracle: per (degree, parity) block, ``solve_exact`` of K y = f's
-    numerators with the int K of ``reference_min_norm_block``, then
-    u_gamma = (L / N_gamma) (B^T y)_gamma over f's denominator."""
-    dim = f.weight.dim
-    blocks: dict = {}
-    for alpha, num in tuple_map(f)[1].items():
-        blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = num
-    u = {}
-    for (deg, parity), rhs in sorted(blocks.items()):
-        rows, matrix, columns = reference_min_norm_block(dim, deg, parity)
-        y = solve_exact(matrix, [rhs.get(alpha, 0) for alpha in rows])
-        for gamma, scale, column in columns:
-            u[gamma] = scale * sum(b * y[i] for i, b in column) / f.den
-    return HermiteExpansion(f.weight, u)
-
-
-def assert_same_solution(got: HermiteExpansion, expected: HermiteExpansion) -> None:
-    assert got.den == expected.den
-    assert list(got.nums.items()) == list(expected.nums.items())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_min_norm_block_matches_reference(dim):
     """Each (degree, parity) block, on a full right-hand side, solves as the
-    class-block oracle does, in value and key order, over the reference
-    members."""
+    reference's class-block solve does, in value and key order, over the
+    reference members."""
     rng = random.Random(dim)
     for degree in range(13):
         for parity in itertools.product((0, 1), repeat=dim):
-            rows = tuple(reference_class_members(dim, degree, parity))
+            rows = tuple(ref.class_members(dim, degree, parity))
             assert _level(dim, degree, packed_parity(parity))[0] == tuple(map(pack, rows))
             if rows:
                 nums = {pack(alpha): rng.choice((-1, 1)) * rng.getrandbits(64) for alpha in rows}
                 f = HermiteExpansion._trusted(WeightSpec.unit(dim), *reduced(rng.choice(BIG), nums))
-                assert_same_solution(_min_norm_coeffs(f), class_block_min_norm_coeffs(f))
+                assert_same_terms(_min_norm_coeffs(f), ref.min_norm(f.coeffs, dim, 1), dim)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_min_norm_matches_bareiss_oracle(data):
-    """The tower solve equals the class-block solve, in value and key order,
-    in 1-D to 4-D on unit, scaled and off-center weights."""
+    """The tower solve, and the a = 0 report's solution, equal the reference's
+    class-block solve at the weight's own lam, in value and key order, in
+    1-D to 4-D on unit, scaled and off-center weights: lam cancels from
+    every block."""
     dim = data.draw(st.integers(1, 4))
     p = data.draw(exact_polynomials(dim, max_degree=(12, 12, 10, 8)[dim - 1]))
-    f = monomial_to_hermite(p, data.draw(exact_weights(dim)))
-    assert_same_solution(_min_norm_coeffs(f), class_block_min_norm_coeffs(f))
+    w = data.draw(exact_weights(dim))
+    f = monomial_to_hermite(p, w)
+    reference = ref.min_norm(f.coeffs, dim, w.lam)
+    assert_same_terms(_min_norm_coeffs(f), reference, dim)
+    report = solve_min_norm(p, 0, weight=w)
+    assert_same_terms(report.solution, reference, dim)
+    assert report.residual_exact
 
 
 def reference_lap_raise(v: dict) -> dict:
-    """L P v over multi-indices: P G_beta = sum_j G_(beta + 2 e_j), then lap
-    by the tuple reference of _lowered, one term at a time."""
+    """L P v over multi-indices: P G_beta = sum_j G_(beta + 2 e_j), then the
+    reference's lap on Hermite coefficients."""
     raised: dict = {}
     for beta, x in v.items():
         for j in range(len(beta)):
             gamma = beta[:j] + (beta[j] + 2,) + beta[j + 1 :]
             raised[gamma] = raised.get(gamma, 0) + x
-    out: dict = {}
-    for gamma, y in raised.items():
-        for beta, b in lowered(gamma):
-            out[beta] = out.get(beta, 0) + b * y
-    return {k: x for k, x in out.items() if x}
+    return ref.shifted_laplacian(raised, 0)
 
 
 def apply_polynomial(coeffs, v: dict) -> dict:
@@ -906,7 +601,7 @@ def test_tower_polynomial_annihilates_its_level(dim):
     rng = random.Random(100 + dim)
     for degree in range(10):
         for parity in itertools.product((0, 1), repeat=dim):
-            rows = reference_class_members(dim, degree, parity)
+            rows = ref.class_members(dim, degree, parity)
             if not rows:
                 continue
             v = {alpha: rng.randint(-(10**6), 10**6) or 1 for alpha in rows}
@@ -924,12 +619,12 @@ def test_tower_polynomial_annihilates_its_level(dim):
 @pytest.mark.parametrize("shift", [0.0, 0.5, 3.0])
 def test_float_blocks_match_reference(dim, shift):
     """The towers operator_norm reads, from ``_nu``, have the spectra of
-    the parity-class blocks of ``reference_float_blocks``, built from the
-    tuple reference of _lowered alone: the eigenvalues of each tower's
+    the parity-class blocks of ``reference.float_blocks``, built from the
+    reference's lowered entries alone: the eigenvalues of each tower's
     tridiagonal M_m = B_m B_m^T, repeated dim H_m times, are the squared
     singular values of lap + shift from V_(degree + 2) onto V_degree."""
     for degree in range(11):
-        blocks = [block for _, block in reference_float_blocks(dim, degree, shift)]
+        blocks = ref.float_blocks(dim, degree, shift)
         expected = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) ** 2 for b in blocks]))
         towers = []
         for m in range(degree + 1):
@@ -937,45 +632,10 @@ def test_float_blocks_match_reference(dim, shift):
             normal = np.diag([diag for diag, _ in rows])
             beside = np.sqrt([off for _, off in rows[1:]])
             normal += np.diag(beside, 1) + np.diag(beside, -1)
-            towers.extend(list(np.linalg.eigvalsh(normal)) * harmonic_dimension(dim, m))
+            towers.extend(list(np.linalg.eigvalsh(normal)) * ref.harmonic_dimension(dim, m))
         got = np.sort(towers)
         assert len(got) == len(expected) == len(multi_indices_up_to(dim, degree))
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-13 * expected[-1])
-
-
-def fraction_min_norm_coeffs(f_coeffs: dict, dim: int, lam: Fraction) -> dict:
-    """M w = f with M = B R^{-1} B^T assembled one Fraction at a time per
-    (degree, parity) block, R the basis norms at ``lam``; u = R^{-1} B^T w."""
-    blocks: dict = {}
-    for alpha, c in f_coeffs.items():
-        blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = c
-    u: dict = {}
-    for (deg, parity), rhs_map in sorted(blocks.items()):
-        rows = reference_class_members(dim, deg, parity)
-        pos = {alpha: i for i, alpha in enumerate(rows)}
-        rhs = [rhs_map.get(alpha, Fraction(0)) for alpha in rows]
-        columns = [
-            (gamma, HermiteExpansion.basis_norm_sq(gamma, lam),
-             [(pos[beta], b) for beta, b in lowered(gamma)])
-            for gamma in reference_class_members(dim, deg + 2, parity)
-        ]
-        matrix = [[Fraction(0)] * len(rows) for _ in rows]
-        for _, r_gamma, column in columns:
-            for ai, b_a in column:
-                for bi, b_b in column:
-                    matrix[ai][bi] += b_a * b_b / r_gamma
-        w = fraction_solve_exact(matrix, rhs)
-        for gamma, r_gamma, column in columns:
-            u[gamma] = sum((b * w[ai] for ai, b in column), Fraction(0)) / r_gamma
-    return {k: v for k, v in u.items() if v != 0}
-
-
-def fraction_shifted_laplacian(expansion: HermiteExpansion, a: Fraction) -> dict:
-    out = {gamma: a * c for gamma, c in expansion.coeffs.items()} if a else {}
-    for gamma, c in expansion.coeffs.items():
-        for beta, b in lowered(gamma):
-            out[beta] = out.get(beta, Fraction(0)) + b * c
-    return {k: v for k, v in out.items() if v}
 
 
 SHIFTS = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1), Fraction(3))
@@ -990,20 +650,6 @@ def solve_cases(draw):
     return p, draw(exact_weights(dim))
 
 
-@settings(max_examples=40, deadline=None)
-@given(solve_cases(), st.sampled_from(LAMS))
-def test_min_norm_matches_fraction_reference(case, other_lam):
-    p, w = case
-    f = monomial_to_hermite(p, w)
-    reference = fraction_min_norm_coeffs(f.coeffs, w.dim, w.lam)
-    assert_same_terms(_min_norm_coeffs(f).coeffs, reference, w.dim)
-    report = solve_min_norm(p, 0, weight=w)
-    assert_same_terms(report.solution.coeffs, reference, w.dim)
-    assert report.residual_exact
-    # lam cancels from every block
-    assert fraction_min_norm_coeffs(f.coeffs, w.dim, other_lam) == reference
-
-
 @pytest.mark.parametrize("dim, degree", [(1, 12), (2, 12), (3, 10)])
 def test_min_norm_matches_fraction_reference_at_top_degree(dim, degree):
     """Every (degree, parity) block up to the largest one, full right-hand
@@ -1013,9 +659,8 @@ def test_min_norm_matches_fraction_reference_at_top_degree(dim, degree):
         for i, alpha in enumerate(multi_indices_up_to(dim, degree))
     }
     for lam in (Fraction(1), Fraction(2, 9)):
-        reference = fraction_min_norm_coeffs(f_coeffs, dim, lam)
         got = _min_norm_coeffs(HermiteExpansion(WeightSpec(dim, lam), f_coeffs))
-        assert_same_terms(got.coeffs, reference, dim)
+        assert_same_terms(got, ref.min_norm(f_coeffs, dim, lam), dim)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1026,7 +671,7 @@ def test_shifted_laplacian_matches_fraction_reference(case):
     for a in SHIFTS:
         got = shifted_laplacian(expansion, a)
         assert got.weight == w
-        assert_same_terms(got.coeffs, fraction_shifted_laplacian(expansion, a), w.dim)
+        assert_same_terms(got, ref.shifted_laplacian(expansion.coeffs, a), w.dim)
 
 
 def assert_solves(matrix, rhs) -> None:

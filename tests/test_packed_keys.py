@@ -1,19 +1,17 @@
-"""The packed exponent keys of the exact core against a tuple-keyed reference.
+"""The packed exponent keys of the exact core.
 
 Every multi-index of ``Polynomial.nums`` and ``HermiteExpansion.nums`` is
 one int, ``|e| << W*n | e_0 << W*(n-1) | ... | e_(n-1)`` (see the
-``polynomials`` module docstring).  The kernels on these keys must give
-the same ``(den, terms)``, key order included, as the same kernels on
-tuple keys (``tuple_reference``); int order must be graded-lex order;
+``polynomials`` module docstring).  Int order must be graded-lex order;
 pack and unpack must be inverse up to the largest degree a field holds;
-and no operation may build a key whose fields wrap.
+and no operation may build a key whose fields wrap.  That the kernels on
+these keys give the values and key order of the tuple-keyed kernels in
+``reference`` is tested in ``test_fast_paths``.
 """
 
 import json
-import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from hypothesis import strategies as st
 import gauss_rinv
 from gauss_rinv import polynomials, rightinverse
 from gauss_rinv.adjoint import formal_adjoint
-from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
+from gauss_rinv.hermite import HermiteExpansion, WeightSpec
 from gauss_rinv.polynomials import (
     FIELD_BITS,
     MAX_DEGREE,
@@ -30,96 +28,14 @@ from gauss_rinv.polynomials import (
     Polynomial,
     key_layout,
     pack,
-    random_polynomial,
     unpack,
 )
 
-import tuple_reference as ref
-from conftest import rationals
-
-LAMS = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 5))
-CENTERS = (Fraction(0), Fraction(1, 3), Fraction(-5, 2))
-
-
-@st.composite
-def polys(draw, dim: int, max_degree: int = 6, max_terms: int = 5) -> Polynomial:
-    terms = {}
-    for _ in range(draw(st.integers(0, max_terms))):
-        exps, budget = [], draw(st.integers(0, max_degree))
-        for _ in range(dim):
-            e = draw(st.integers(0, budget))
-            exps.append(e)
-            budget -= e
-        terms[tuple(exps)] = draw(rationals())
-    return Polynomial(dim, terms)
-
-
-@st.composite
-def weights(draw, dim: int) -> WeightSpec:
-    center = draw(st.tuples(*[st.sampled_from(CENTERS)] * dim))
-    return WeightSpec(dim, draw(st.sampled_from(LAMS)), center)
-
-
-@st.composite
-def adjoint_weights(draw, dim: int) -> Polynomial:
-    """The radial weight, a scaled off-center lam |x - c|^2, or a general
-    polynomial weight."""
-    kind = draw(st.sampled_from(("radial", "spec", "general")))
-    if kind == "radial":
-        return Polynomial.norm_squared(dim)
-    if kind == "spec":
-        return draw(weights(dim)).polynomial()
-    return random_polynomial(random.Random(draw(st.integers(0, 2**32))), dim, max_degree=4, max_terms=6, nonzero=True)
-
-
-def same(got, expected: ref.IntMap) -> None:
-    """(den, terms) equal, key order included."""
-    den, nums = ref.tuple_map(got)
-    assert den == expected[0]
-    assert list(nums.items()) == list(expected[1].items())
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_ring_and_calculus_match_tuple_reference(data):
-    dim = data.draw(st.integers(1, 4))
-    p, q = data.draw(polys(dim)), data.draw(polys(dim))
-    tp, tq = ref.tuple_map(p), ref.tuple_map(q)
-    same(p * q, ref.mul(tp, tq))
-    same(p + q, ref.add(tp, tq))
-    same(p - q, ref.add(tp, tq, -1))
-    same(p.laplacian(), ref.laplacian(tp))
-    for j in range(dim):
-        same(p.partial(j), ref.partial(tp, j))
-    assert p.total_degree() == max(map(sum, tp[1]), default=-1)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_formal_adjoint_matches_tuple_reference(data):
-    dim = data.draw(st.integers(1, 4))
-    psi, w = data.draw(polys(dim)), data.draw(adjoint_weights(dim))
-    a = data.draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-3))))
-    same(formal_adjoint(psi, w, a), ref.formal_adjoint(dim, ref.tuple_map(psi), ref.tuple_map(w), a))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_conversions_and_parseval_match_tuple_reference(data):
-    dim = data.draw(st.integers(1, 4))
-    p, q = data.draw(polys(dim)), data.draw(polys(dim))
-    w = data.draw(weights(dim))
-    x, y = monomial_to_hermite(p, w), monomial_to_hermite(q, w)
-    tx = ref.to_hermite(ref.tuple_map(p), w)
-    same(x, tx)
-    same(x.to_polynomial(), ref.to_monomials(tx, w))
-    assert x.inner(y).value == ref.inner(tx, ref.tuple_map(y), w.lam)
-    assert x.norm_sq().value == ref.inner(tx, tx, w.lam)
-    assert x.degree() == max(map(sum, tx[1]), default=-1)
+from conftest import exact_polynomials
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(polys))
+@given(st.integers(1, 4).flatmap(exact_polynomials))
 def test_int_order_is_graded_lex_order(p):
     keys = [unpack(k, p.dim) for k in sorted(p.nums)]
     assert keys == [e for e, _ in p.sorted_terms()]

@@ -38,8 +38,7 @@ from gauss_rinv.rightinverse import (
     solve_min_norm,
 )
 from conftest import polynomials, rationals
-from harmonic_basis import harmonic_dimension, harmonic_polynomial_basis
-from tuple_reference import lowered
+from reference import float_blocks, harmonic_basis, harmonic_dimension, lowered
 
 one_1d = Polynomial.constant(1, 1)
 one_2d = Polynomial.constant(2, 1)
@@ -102,22 +101,6 @@ def column_solve_operator_norm(dim: int, a, degree: int) -> float:
             norm_out = HermiteExpansion.basis_norm_sq(gamma, unit)
             q[row_pos[gamma], ci] = float(c) * math.sqrt(float(norm_out / norm_in))
     return math.sqrt(max(np.linalg.eigvalsh(q.T @ q)[-1], 0.0))
-
-
-def lowered_block_norm(dim: int, a, degree: int) -> float:
-    """1/sigma_min of lap + a from V_(degree + 2) onto V_degree in
-    orthonormal coordinates, the rectangular matrix built from the tuple
-    reference of _lowered alone: sqrt(b) for each entry b of lap, a on the
-    diagonal."""
-    rows, cols = multi_indices_up_to(dim, degree), multi_indices_up_to(dim, degree + 2)
-    pos = {beta: i for i, beta in enumerate(rows)}
-    block = np.zeros((len(rows), len(cols)))
-    for ci, gamma in enumerate(cols):
-        if gamma in pos:
-            block[pos[gamma], ci] = float(a)
-        for beta, b in lowered(gamma):
-            block[pos[beta], ci] = math.sqrt(b)
-    return 1.0 / np.linalg.svd(block, compute_uv=False)[-1]
 
 
 # The shifts of perfbench's solve workload (perfbench/workloads.py SHIFTS).
@@ -342,7 +325,7 @@ class TestMinNormStructure:
         for _ in range(5):
             f = random_polynomial(rng, 2, max_degree=5, max_terms=6, nonzero=True)
             u = solve_min_norm(f).solution_polynomial()
-            for h in harmonic_polynomial_basis(2, f.total_degree() + 2):
+            for h in harmonic_basis(2, f.total_degree() + 2):
                 assert inner_product(u, h, w).is_zero()
 
     def test_bound_dominance_random(self):
@@ -518,6 +501,12 @@ class TestShiftedSweep:
         with pytest.raises(ValueError, match="truncation 2 is below the degree 3 of the data"):
             solve_min_norm(f, 1, truncation=2)
 
+    def test_negative_truncation_raises(self):
+        """Zero data has degree -1, so N = -1 is not below it; it is refused by name."""
+        for a in (0, 1):
+            with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+                solve_min_norm(Polynomial.zero(2), a, truncation=-1)
+
     def test_dropped_coupling_fails_residual_and_exits_1(self, tmp_path, monkeypatch):
         """With the a^2 coupling term dropped from the pivot recursion
         (s_k = nu(m, k + 1) + c on every tower) the weak residual is false
@@ -559,7 +548,7 @@ class TestKernelBasis:
         assert vectors == pytest.approx([-1.0, 1.0])
 
     def test_harmonic_basis_n2_degree2(self):
-        basis = harmonic_polynomial_basis(2, 2)
+        basis = harmonic_basis(2, 2)
         degrees = sorted(h.total_degree() for h in basis)
         assert degrees == [0, 1, 1, 2, 2]
         for h in basis:
@@ -733,10 +722,13 @@ class TestOperatorNorm:
     )
     def test_shifted_values_match_the_lowered_block(self, n, a, degree, value):
         """The norms of ROADMAP item 3, each below 1/sqrt(8n), and within
-        1e-12 of 1/sigma_min of the rectangular block built from _lowered."""
+        1e-12 of 1/sigma_min of lap + a from V_(degree + 2) onto V_degree,
+        the least over its parity-class blocks built from the reference's
+        lowered entries alone."""
         norm = operator_norm(n, a, degree)
         assert norm == pytest.approx(value, rel=1e-10, abs=0)
-        assert norm == pytest.approx(lowered_block_norm(n, a, degree), rel=1e-12, abs=0)
+        sigma_min = min(np.linalg.svd(b, compute_uv=False)[-1] for b in float_blocks(n, degree, float(a)))
+        assert norm == pytest.approx(1 / sigma_min, rel=1e-12, abs=0)
         assert norm < 1 / math.sqrt(8 * n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
