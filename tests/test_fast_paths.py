@@ -547,8 +547,7 @@ def test_min_norm_block_matches_reference(dim):
 def test_min_norm_matches_bareiss_oracle(data):
     """The tower solve, and the a = 0 report's solution, equal the reference's
     class-block solve at the weight's own lam, in value and key order, in
-    1-D to 4-D on unit, scaled and off-center weights: lam cancels from
-    every block."""
+    1-D to 4-D on unit, scaled and off-center weights."""
     dim = data.draw(st.integers(1, 4))
     p = data.draw(exact_polynomials(dim, max_degree=(12, 12, 10, 8)[dim - 1]))
     w = data.draw(exact_weights(dim))
@@ -648,6 +647,17 @@ def solve_cases(draw):
     dim = draw(st.integers(1, 3))
     p = draw(exact_polynomials(dim, max_degree=10 if dim == 3 else 12, max_terms=4))
     return p, draw(exact_weights(dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(solve_cases(), st.sampled_from(LAMS))
+def test_min_norm_matches_fraction_reference(case, other_lam):
+    """lam cancels from every block: the a = 0 report's solution equals the
+    reference's class-block solve at any other lam too."""
+    p, w = case
+    report = solve_min_norm(p, 0, weight=w)
+    assert_same_terms(report.solution, ref.min_norm(monomial_to_hermite(p, w).coeffs, w.dim, other_lam), w.dim)
+    assert report.residual_exact
 
 
 @pytest.mark.parametrize("dim, degree", [(1, 12), (2, 12), (3, 10)])

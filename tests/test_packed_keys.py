@@ -4,14 +4,15 @@ Every multi-index of ``Polynomial.nums`` and ``HermiteExpansion.nums`` is
 one int, ``|e| << W*n | e_0 << W*(n-1) | ... | e_(n-1)`` (see the
 ``polynomials`` module docstring).  Int order must be graded-lex order;
 pack and unpack must be inverse up to the largest degree a field holds;
-and no operation may build a key whose fields wrap.  That the kernels on
-these keys give the values and key order of the tuple-keyed kernels in
-``reference`` is tested in ``test_fast_paths``.
+no operation may build a key whose fields wrap; and the kernels on wide
+keys, exponents far past the draws of ``test_fast_paths``, must give the
+values and key order of the tuple-keyed kernels in ``reference``.
 """
 
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import gauss_rinv
 from gauss_rinv import polynomials, rightinverse
 from gauss_rinv.adjoint import formal_adjoint
-from gauss_rinv.hermite import HermiteExpansion, WeightSpec
+from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import (
     FIELD_BITS,
     MAX_DEGREE,
@@ -31,7 +32,50 @@ from gauss_rinv.polynomials import (
     unpack,
 )
 
-from conftest import exact_polynomials
+import reference as ref
+from conftest import adjoint_weights, exact_polynomials, exact_weights
+
+# Total degrees up to 2^30 fill each field far past the fast-path draws;
+# products and adjoints stay below MAX_DEGREE.
+WIDE = 2**30
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ring_and_calculus_match_tuple_reference(data):
+    dim = data.draw(st.integers(1, 4))
+    p, q = (data.draw(exact_polynomials(dim, max_degree=WIDE, max_terms=4)) for _ in range(2))
+    ref.same(p * q, ref.mul(p.terms, q.terms))
+    ref.same(p - q, ref.add(p.terms, q.terms, -1))
+    ref.same(p.laplacian(), ref.laplacian(p.terms))
+    for j in range(dim):
+        ref.same(p.partial(j), ref.partial(p.terms, j))
+    assert p.total_degree() == max(map(sum, p.terms), default=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_formal_adjoint_matches_tuple_reference(data):
+    dim = data.draw(st.integers(1, 4))
+    psi, w = data.draw(exact_polynomials(dim, max_degree=WIDE)), data.draw(adjoint_weights(dim))
+    a = data.draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-3))))
+    ref.same(formal_adjoint(psi, w, a), ref.formal_adjoint(dim, psi.terms, w.terms, a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_conversions_and_parseval_match_tuple_reference(data):
+    """Total degree up to 12, past the fast-path draws: the conversion
+    rows are dense off center, so this is as wide as they go cheaply."""
+    dim = data.draw(st.integers(1, 4))
+    p, q = (data.draw(exact_polynomials(dim, max_degree=12, max_terms=3)) for _ in range(2))
+    w = data.draw(exact_weights(dim))
+    x, y = monomial_to_hermite(p, w), monomial_to_hermite(q, w)
+    h = ref.to_hermite(p.terms, w.lam, w.center)
+    ref.same(x, h)
+    ref.same(x.to_polynomial(), ref.to_monomials(h, w.lam, w.center))
+    assert x.inner(y).value == ref.inner(h, y.coeffs, w.lam)
+    assert x.degree() == max(map(sum, h), default=-1)
 
 
 @settings(max_examples=60, deadline=None)
