@@ -15,7 +15,6 @@ from .hermite import (
     UnitMismatchError,
     WeightSpec,
     inner_product,
-    integrate_gaussian,
     monomial_to_hermite,
     norm_sq,
 )

@@ -293,7 +293,7 @@ def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> 
 def _panel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The PANEL_ORDER^dim tensor Gauss-Legendre nodes on [-1, 1]^dim and
     their weights, built once per dimension and read-only."""
-    rule = tensor_rule(*gauss_rule("legendre", PANEL_ORDER), dim)
+    rule = tensor_rule(*gauss_rule(PANEL_ORDER), dim)
     for arr in rule:
         arr.setflags(write=False)
     return rule
@@ -734,7 +734,7 @@ def _closed_form(
 def _integral_form() -> Callable[[float], float]:
     """u(x) = integral_0^x (x-t) f(t) dt with the piecewise source f(t) = t
     on (0,1), 1/t on [1, inf); quadrature per smooth piece."""
-    nodes, weights = gauss_rule("legendre", INTEGRAL_FORM_ORDER)
+    nodes, weights = gauss_rule(INTEGRAL_FORM_ORDER)
 
     def piece(lo: float, hi: float, g: Callable[[np.ndarray], np.ndarray]) -> float:
         mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0

@@ -22,8 +22,8 @@ docstring), so int order is graded-lex order, ``alpha >> W*n`` is
 i lands at the key offset i * step_j of its axis (``term_image``), and
 ``_parseval`` reads |alpha| and prod_j 2^alpha_j alpha_j! off each key.
 Every tuple multi-index of the public surface (``HermiteExpansion(weight,
-coeffs)``, ``coeffs``, ``to_json_dict``, ``basis_norm_sq``) is packed on
-the way in and unpacked on the way out.
+coeffs)``, ``coeffs``, ``to_json_dict``) is packed on the way in and
+unpacked on the way out.
 
 Exact weighted integrals are GaussianScalar values: a rational part
 tagged with that symbolic unit.  Expansions pair by Parseval
@@ -32,12 +32,11 @@ the per-axis Gaussian moments, converting neither factor:
 ``inner_product`` and ``norm_sq`` sum p_a q_b prod_j m_j(a_j + b_j) over
 pairs of terms, m_j the moments of the axis-j Gaussian of mean x0_j and
 variance 1/(2 lam), held as ints over one denominator per row
-(``_moment_row``).  Non-polynomial integrands go through tensor
-Gauss-Hermite quadrature.  Over an interval, the
-orthonormal basis has closed-form float integrals: its Gaussian moments
-(``gaussian_moments``, from erf and Rodrigues' formula) and its Gram
-matrix (``hermite_gram``, by a Gauss-Legendre rule exact to its degree).
-Both Gauss rules come from ``gauss_rule``: Jacobi-matrix eigenvalues from
+(``_moment_row``).  Over an interval, the orthonormal basis has
+closed-form float integrals: its Gaussian moments (``gaussian_moments``,
+from erf and Rodrigues' formula) and its Gram matrix (``hermite_gram``, by
+a Gauss-Legendre rule exact to its degree).  That rule, the package's one
+Gauss rule, comes from ``gauss_rule``: Jacobi-matrix eigenvalues from
 numpy.linalg, each polished by one fixed-point Newton step.  These float
 functions import numpy when called, so the exact calculus loads and runs
 without it.
@@ -63,7 +62,6 @@ from .polynomials import (
     format_rational,
     key_layout,
     over_common_denominator,
-    pack,
     reduced,
     tensor_expand,
     term_image,
@@ -378,12 +376,6 @@ def _parseval(products: list[tuple[int, int]], den: int, lam: Fraction, dim: int
     return Fraction(total, den * p**top)
 
 
-def hermite_polynomial_1d(k: int) -> Polynomial:
-    """H_k as an exact one-dimensional Polynomial (physicists' convention)."""
-    den, pairs = _centered_hermite_row(k, 1, 1, 0, 1)
-    return Polynomial._trusted(1, den, {pack((i,)): c for i, c in pairs})
-
-
 # ----------------------------------------------------------------------
 # expansions
 # ----------------------------------------------------------------------
@@ -429,12 +421,6 @@ class HermiteExpansion:
             read, size = fields.unpack, fields.size
             self._coeffs = {read(key.to_bytes(size, "big")): Fraction(num, den) for key, num in self.nums.items()}
         return self._coeffs
-
-    @staticmethod
-    def basis_norm_sq(alpha: MultiIndex, lam: Fraction) -> Fraction:
-        """Rational part of ||G_alpha||^2 in units (pi/lam)^{n/2}."""
-        norms = _axis_norms(max(alpha, default=0))
-        return math.prod([norms[a] for a in alpha]) * lam ** (-sum(alpha))
 
     def degree(self) -> int:
         """Total degree, read off the largest key; -1 for no terms."""
@@ -584,7 +570,7 @@ def norm_sq(p: Polynomial, weight: WeightSpec) -> GaussianScalar:
 
 
 # ----------------------------------------------------------------------
-# Gauss-Hermite quadrature
+# Hermite values, the Gauss-Legendre rule
 # ----------------------------------------------------------------------
 
 
@@ -608,8 +594,6 @@ def normalized_hermite_values(max_k: int, t, first=math.pi**-0.25):
     return vals
 
 
-# sqrt(pi) to 40 digits, so that a Hermite weight is rounded once.
-_SQRT_PI = Fraction("1.772453850905516027298167483341145182798")
 # Fraction bits of the fixed-point Newton step of gauss_rule.
 NEWTON_BITS = 128
 
@@ -634,54 +618,28 @@ def _legendre_newton(x: float, n: int) -> tuple[float, float]:
     return (t * g - p * e) / (g << f), (e * (g + 2 * t * p) << 2 * f + 1) / g**3
 
 
-def _hermite_newton(x: float, n: int) -> tuple[float, float]:
-    """The root of H_n next to x and its weight 2^(n-1) n! sqrt(pi) / (n H_(n-1)(t))^2.
-
-    With h = H_n(x), q = H_(n-1)(x), r = H_(n-2)(x) and H_n' = 2n H_(n-1),
-    one Newton step gives the root x - h / (2n q), and the weight formula
-    at x moves by the factor 1 + 2 (n-1) r h / (n q^2) over the step.
-    Both are carried in fixed point with NEWTON_BITS fraction bits and
-    rounded once.
-    """
-    f = NEWTON_BITS
-    a, d = x.as_integer_ratio()
-    t = (a << f) // d
-    r, q, h = 0, 0, 1 << f
-    for k in range(n):
-        r, q, h = q, h, (2 * t * h >> f) - 2 * k * q
-    scale = math.factorial(n) * _SQRT_PI.numerator << n - 1 + 2 * f
-    weight = scale * (n * q * q + 2 * (n - 1) * r * h) / (_SQRT_PI.denominator * n**3 * q**4)
-    return (2 * n * t * q - (h << f)) / (2 * n * q << f), weight
-
-
 @lru_cache(maxsize=None)
-def gauss_rule(family: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order-point Gauss rule, exact to degree 2 order - 1, of the
-    weight 1 on [-1, 1] (``"legendre"``) or e^{-t^2} on R (``"hermite"``):
-    ascending nodes and their weights, built once per order, read-only.
+def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule, exact to degree 2 order - 1 on
+    [-1, 1]: ascending nodes and their weights, built once per order,
+    read-only.
 
     The nodes start as the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix, off-diagonal k / sqrt(4k^2 - 1) or sqrt(k / 2), k < order
-    (Golub & Welsch, Math. Comp. 23, 1969).  One Newton step on the
-    three-term recurrence, in fixed point, takes each to the nearest float
-    of its root, and the weight is the derivative formula at the root.  The
-    rule is symmetric, so only the roots >= 0 take the step.
+    matrix, off-diagonal k / sqrt(4k^2 - 1), k < order (Golub & Welsch,
+    Math. Comp. 23, 1969).  One Newton step on the three-term recurrence,
+    in fixed point, takes each to the nearest float of its root, and the
+    weight is the derivative formula at the root.  The rule is symmetric,
+    so only the roots >= 0 take the step.
     """
     import numpy as np
 
     if order < 1:
         raise ValueError(f"a Gauss rule needs order >= 1, got {order}")
     k = np.arange(1.0, order)
-    if family == "legendre":
-        newton, off = _legendre_newton, k / np.sqrt(4.0 * k * k - 1.0)
-    elif family == "hermite":
-        newton, off = _hermite_newton, np.sqrt(k / 2.0)
-    else:
-        raise ValueError(f"unknown Gauss rule family {family!r}")
-    start = np.linalg.eigvalsh(np.diag(off, -1))[order // 2:]
+    start = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))[order // 2:]
     if order % 2:
         start[0] = 0.0  # the middle root of an odd order
-    half = np.array([newton(x, order) for x in start.tolist()]).T
+    half = np.array([_legendre_newton(x, order) for x in start.tolist()]).T
     half[0] = abs(half[0])  # the root 0 comes out as -0.0 where g < 0
     mirror = half[:, order % 2:][:, ::-1]
     nodes, weights = np.concatenate([-mirror[0], half[0]]), np.concatenate([mirror[1], half[1]])
@@ -698,31 +656,6 @@ def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndar
     grids = np.meshgrid(*[nodes] * n, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     return points, np.prod(np.meshgrid(*[weights] * n, indexing="ij"), axis=0).ravel()
-
-
-def integrate_gaussian(
-    fn: Callable[[np.ndarray], np.ndarray], weight: WeightSpec, order: int
-) -> float | np.ndarray:
-    """Tensor Gauss-Hermite approximation of integral fn(x) e^{-weight} dx.
-
-    ``fn`` maps an (m, n) array of nodes to m values (the result is a
-    float) or to an (m, k) array (the result is k integrals).  With
-    ``order`` points per axis the rule is exact for polynomials of degree
-    at most 2 * order - 1 in each variable.  Change of variables
-    x = y/sqrt(lam) + center maps the scaled weight to the reference
-    e^{-|y|^2} rule and contributes the lam^{-n/2} Jacobian.
-    """
-    import numpy as np
-
-    lam = float(weight.lam)
-    points, weights = tensor_rule(*gauss_rule("hermite", order), weight.dim)
-    center = np.array([float(c) for c in weight.center])
-    values = np.asarray(fn(points * lam**-0.5 + center), dtype=float)
-    # one contiguous row per component, each summed pairwise on its own, so
-    # a component's bits do not depend on how many others come with it
-    rows = np.ascontiguousarray(values.reshape(len(weights), -1).T)
-    total = (rows * weights).sum(axis=1) * lam ** (-weight.dim / 2.0)
-    return float(total[0]) if values.ndim == 1 else total
 
 
 # ----------------------------------------------------------------------
@@ -788,7 +721,7 @@ def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     exactly."""
     import numpy as np
 
-    nodes, weights = gauss_rule("legendre", size)
+    nodes, weights = gauss_rule(size)
     t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
     values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
     return (values * (weights * (hi - lo) / 2.0)) @ values.T

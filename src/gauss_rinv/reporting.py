@@ -9,7 +9,6 @@ and a non-finite float raises ValueError.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
 
@@ -18,12 +17,6 @@ def _default(obj):
         from .polynomials import format_rational
 
         return format_rational(obj)
-    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
-    if np is not None:
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} in report")
 
 

@@ -10,9 +10,11 @@ test compares values and key order alike (``same``).  The 1-D conversion
 rows are this module's own, from the three-term recurrences; no kernel
 reads a table, row or key of the package.  The min-norm solve assembles
 the class-block normal equations and solves them with ``linalg``'s
-Fraction row reduction, which its own tests check.  ``float_blocks``, the
-blocks whose singular values ``operator_norm`` must give, are the one
-float kernel.
+Fraction row reduction, which its own tests check; so does the weak
+solution at a != 0 (``normal_equations``).  Two kernels are float:
+``float_blocks``, the blocks whose singular values ``operator_norm`` must
+give, and ``gauss_hermite``, the tensor Gauss-Hermite quadrature that
+every float integral over R^n in the tests goes through.
 """
 
 from __future__ import annotations
@@ -266,30 +268,54 @@ def class_members(dim: int, degree: int, parity: tuple) -> list:
     )
 
 
+def _block_solve(rows: list, cols: list, rhs: Terms, lam, a) -> Terms:
+    """The least-norm u over ``cols`` with (lap + a) u = rhs on ``rows``:
+    the normal equations B R^-1 B^T w = rhs, B the ``lowered`` entries (a
+    on the diagonal), R the basis norms at ``lam``, solved by
+    ``solve_exact``; u = R^-1 B^T w."""
+    pos = {alpha: i for i, alpha in enumerate(rows)}
+    columns = [
+        (
+            gamma,
+            basis_norm_sq(gamma, lam),
+            [(pos[beta], b) for beta, b in lowered(gamma)] + ([(pos[gamma], a)] if a and gamma in pos else []),
+        )
+        for gamma in cols
+    ]
+    matrix = [[Fraction(0)] * len(rows) for _ in rows]
+    for _, norm, column in columns:
+        for i, b_i in column:
+            for j, b_j in column:
+                matrix[i][j] += b_i * b_j / norm
+    w = solve_exact(matrix, [rhs.get(alpha, 0) for alpha in rows])
+    return {gamma: sum((b * w[i] for i, b in column), Fraction(0)) / norm for gamma, norm, column in columns}
+
+
 def min_norm(f: Terms, dim: int, lam) -> Terms:
     """The u of least weighted norm with lap u = f, per (degree, parity)
-    block of f: the normal equations B R^-1 B^T w = f_block, B the
-    ``lowered`` entries from the members of degree + 2, R their basis norms
-    at ``lam``, solved by ``solve_exact``; u = R^-1 B^T w."""
+    block of f: ``_block_solve`` from the members of degree + 2 onto those
+    of the block's degree."""
     blocks: dict = {}
     for alpha, c in f.items():
         blocks.setdefault((sum(alpha), tuple(e % 2 for e in alpha)), {})[alpha] = c
     u: dict = {}
     for (degree, parity), rhs in sorted(blocks.items()):
-        rows = class_members(dim, degree, parity)
-        pos = {alpha: i for i, alpha in enumerate(rows)}
-        columns = [
-            (gamma, basis_norm_sq(gamma, lam), [(pos[beta], b) for beta, b in lowered(gamma)])
-            for gamma in class_members(dim, degree + 2, parity)
-        ]
-        matrix = [[Fraction(0)] * len(rows) for _ in rows]
-        for _, norm, column in columns:
-            for i, b_i in column:
-                for j, b_j in column:
-                    matrix[i][j] += b_i * b_j / norm
-        w = solve_exact(matrix, [rhs.get(alpha, 0) for alpha in rows])
-        for gamma, norm, column in columns:
-            u[gamma] = sum((b * w[i] for i, b in column), Fraction(0)) / norm
+        u.update(_block_solve(class_members(dim, degree, parity), class_members(dim, degree + 2, parity), rhs, lam, 0))
+    return _nonzero(u)
+
+
+def normal_equations(f: Terms, dim: int, lam, a, top: int) -> Terms:
+    """The weak solution of (lap + a) u = f at truncation ``top``, the
+    class-block normal equations the sweep solves: per parity class of f,
+    ``_block_solve`` from the class's part of V_(top + 2) onto its part of
+    V_top."""
+    u: dict = {}
+    for parity in sorted({tuple(e % 2 for e in alpha) for alpha in f}):
+        rows, cols = (
+            [m for k in range(sum(parity), last + 1, 2) for m in class_members(dim, k, parity)]
+            for last in (top, top + 2)
+        )
+        u.update(_block_solve(rows, cols, f, lam, Fraction(a)))
     return _nonzero(u)
 
 
@@ -336,3 +362,24 @@ def harmonic_basis(dim: int, max_degree: int) -> list[Polynomial]:
                 matrix[rows[key]][ci] = c
         basis.extend(Polynomial(dim, dict(zip(cols, vec))) for vec in nullspace_exact(matrix, len(cols)))
     return basis
+
+
+# ----------------------------------------------------------------------
+# float quadrature over R^n
+# ----------------------------------------------------------------------
+
+
+def gauss_hermite(fn, weight, order: int):
+    """Tensor Gauss-Hermite approximation of the integral of fn(x)
+    e^(-lam |x - center|^2) over R^n, from numpy's ``hermgauss``: exact for
+    degree <= 2 order - 1 in each variable.  ``fn`` maps the (m, n) nodes,
+    the last axis fastest, to m values (the result is a float) or to (m, k)
+    values (k integrals); x = y / sqrt(lam) + center maps the rule of
+    e^(-|y|^2) onto the weight, with the Jacobian lam^(-n/2)."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    lam, center = float(weight.lam), np.array([float(c) for c in weight.center])
+    points = np.array(list(itertools.product(nodes, repeat=weight.dim)))
+    tensor = np.prod(list(itertools.product(weights, repeat=weight.dim)), axis=1)
+    values = np.asarray(fn(points / math.sqrt(lam) + center), dtype=float)
+    total = tensor @ values * lam ** (-weight.dim / 2.0)
+    return float(total) if values.ndim == 1 else total

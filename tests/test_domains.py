@@ -32,6 +32,7 @@ from gauss_rinv.hermite import (
     tensor_rule,
 )
 from gauss_rinv.polynomials import Polynomial
+from reference import basis_norm_sq
 
 
 def orthonormal_table(weight: WeightSpec, indices, points: np.ndarray) -> np.ndarray:
@@ -143,7 +144,7 @@ class TestQuadrature:
 def recursive_integrate_box(fn, box, tol=1e-10):
     """Reference integrate_box: the depth-first recursion, one integrand
     call per panel, over a rule built per call."""
-    ref_nodes, ref_weights = tensor_rule(*gauss_rule.__wrapped__("legendre", PANEL_ORDER), box.dim)
+    ref_nodes, ref_weights = tensor_rule(*gauss_rule.__wrapped__(PANEL_ORDER), box.dim)
 
     def panel(lo, hi):
         half = (hi - lo) / 2.0
@@ -265,7 +266,7 @@ class TestLevelBatching:
         for _ in range(3):
             for box in (UNIT, SQUARE):
                 integrate_box(lambda x: x[:, 0] ** 2, box)
-        assert built == [("legendre", PANEL_ORDER)] * 2
+        assert built == [(PANEL_ORDER,)] * 2
         for dim in (1, 2):
             nodes, weights = domains._panel_rule(dim)
             with pytest.raises(ValueError):
@@ -282,7 +283,7 @@ def _evaluate(expansion: HermiteExpansion, points) -> np.ndarray:
     indices = sorted(expansion.coeffs)
     orth = [
         float(expansion.coeffs[alpha])
-        * math.sqrt(float(HermiteExpansion.basis_norm_sq(alpha, w.lam)) * unit)
+        * math.sqrt(float(basis_norm_sq(alpha, w.lam)) * unit)
         for alpha in indices
     ]
     return orthonormal_table(w, indices, np.asarray(points, dtype=float)) @ np.array(orth)
@@ -441,7 +442,7 @@ class TestInputLimits:
         def by_basis_norms(dim):
             limit = sys.float_info.max / math.pi ** (dim / 2.0)
             degree = 2
-            while HermiteExpansion.basis_norm_sq((degree + 1,), Fraction(1)) <= limit:
+            while basis_norm_sq((degree + 1,), Fraction(1)) <= limit:
                 degree += 1
             return degree - 2
 
@@ -630,7 +631,7 @@ class TestClosedForms:
         unit = math.pi ** (box.dim / 2.0)
         coeffs = {}
         for alpha in rightinverse.multi_indices_up_to(box.dim, truncation):
-            norm = math.sqrt(float(HermiteExpansion.basis_norm_sq(alpha, Fraction(1))) * unit)
+            norm = math.sqrt(float(basis_norm_sq(alpha, Fraction(1))) * unit)
             c = float(pairs[alpha]) / norm
             if c != 0.0:
                 coeffs[alpha] = Fraction(c)

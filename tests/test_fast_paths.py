@@ -43,7 +43,6 @@ from gauss_rinv.adjoint import formal_adjoint
 from gauss_rinv.hermite import (
     HermiteExpansion,
     WeightSpec,
-    hermite_polynomial_1d,
     monomial_to_hermite,
 )
 from gauss_rinv import hermite
@@ -183,13 +182,6 @@ def test_hermite_ops_keep_invariant(data):
     assert_canonical(back, p.dim)
     assert_clean(back.terms, p.dim)
     assert back == p
-
-
-def test_hermite_polynomial_1d_keeps_invariant():
-    for k in range(12):
-        h = hermite_polynomial_1d(k)
-        assert_clean(h.terms, 1)
-        assert h.total_degree() == k
 
 
 # ----------------------------------------------------------------------

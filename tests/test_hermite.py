@@ -18,9 +18,7 @@ from gauss_rinv.hermite import (
     HermiteExpansion,
     UnitMismatchError,
     WeightSpec,
-    hermite_polynomial_1d,
     inner_product,
-    integrate_gaussian,
     monomial_to_hermite,
     norm_sq,
     tensor_rule,
@@ -35,6 +33,7 @@ from gauss_rinv.polynomials import (
 from gauss_rinv.rightinverse import KernelFunction
 
 from conftest import polynomials
+from reference import basis_norm_sq, gauss_hermite, hermite_row
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -146,7 +145,8 @@ class TestInnerProduct:
 
     def test_h2_norm(self):
         # ||H_2||^2 = 2^2 * 2! = 8 in units sqrt(pi)
-        assert norm_sq(hermite_polynomial_1d(2), WeightSpec.unit(1)).value == 8
+        h2 = Polynomial(1, {(i,): c for i, c in hermite_row(2, 1)})
+        assert norm_sq(h2, WeightSpec.unit(1)).value == 8
 
     def test_zero_norm(self):
         assert norm_sq(Polynomial.zero(1), WeightSpec.unit(1)).is_zero()
@@ -167,7 +167,7 @@ def test_parseval(p):
     w = WeightSpec.unit(p.dim)
     exp = monomial_to_hermite(p, w)
     total = sum(
-        c * c * HermiteExpansion.basis_norm_sq(alpha, w.lam)
+        c * c * basis_norm_sq(alpha, w.lam)
         for alpha, c in exp.coeffs.items()
     )
     assert norm_sq(p, w).value == total
@@ -181,7 +181,7 @@ def test_inner_product_matches_quadrature(p, q):
         q = Polynomial.constant(p.dim, Fraction(1, 2))
     w = WeightSpec.unit(p.dim)
     exact = inner_product(p, q, w).to_float()
-    quad = integrate_gaussian(
+    quad = gauss_hermite(
         lambda x: np.array([float(p.evaluate(pt)) * float(q.evaluate(pt)) for pt in x]), w, order=12
     )
     assert quad == pytest.approx(exact, rel=1e-10, abs=1e-10)
@@ -192,7 +192,7 @@ def test_inner_product_scaled_weight_matches_quadrature():
     p = Polynomial(2, {(2, 1): Fraction(1), (0, 0): Fraction(-1, 3)})
     q = Polynomial(2, {(1, 1): Fraction(2), (0, 2): Fraction(1, 5)})
     exact = inner_product(p, q, w).to_float()
-    quad = integrate_gaussian(
+    quad = gauss_hermite(
         lambda x: np.array([float(p.evaluate(pt)) * float(q.evaluate(pt)) for pt in x]), w, order=16
     )
     assert quad == pytest.approx(exact, rel=1e-10)
@@ -346,72 +346,27 @@ UNIT = WeightSpec.unit(1)
 SCALED = WeightSpec(dim=1, lam=Fraction(2), center=(Fraction(1, 2),))
 
 
-def gauss_rule(order: int, w: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes integrate_gaussian evaluates at, and the weight each gets
-    (the integral of the indicator of that node)."""
-    seen = []
-    weights = integrate_gaussian(lambda x: seen.append(x[:, 0]) or np.eye(len(x)), w, order)
-    return seen[0], weights
-
-
 class TestQuadrature:
-    """Gauss-Hermite quadrature through integrate_gaussian, on the unit
-    weight and on e^{-2 (x - 1/2)^2}: nodes c + t / sqrt(lam), weights
-    scaled by lam^{-1/2}, for the reference nodes t and weights."""
-
-    def test_order_one(self):
-        for w in (UNIT, SCALED):
-            nodes, weights = gauss_rule(1, w)
-            assert nodes.tolist() == [float(w.center[0])]
-            assert weights[0] == pytest.approx(math.sqrt(math.pi / w.lam), rel=1e-15)
-
-    def test_order_two(self):
-        for w in (UNIT, SCALED):
-            nodes, weights = gauss_rule(2, w)
-            half = 1 / math.sqrt(2 * w.lam)
-            c = float(w.center[0])
-            assert sorted(nodes) == pytest.approx([c - half, c + half])
-            for v in weights:
-                assert v == pytest.approx(math.sqrt(math.pi / w.lam) / 2, rel=1e-14)
-
-    def test_moment_by_order_three(self):
-        for w in (UNIT, SCALED):
-            c = float(w.center[0])
-            val = integrate_gaussian(lambda x: (x[:, 0] - c) ** 4, w, 3)
-            assert val == pytest.approx(3 * SQRT_PI / 4 * float(w.lam) ** -2.5, rel=1e-12)
+    """Exact Gaussian moments against tensor Gauss-Hermite quadrature
+    (``reference.gauss_hermite``) on the unit weight and on e^{-2 (x -
+    1/2)^2}; the package's Gauss rule refuses order 0, and its tensor
+    product puts the last axis fastest."""
 
     @pytest.mark.parametrize("order", [5, 13, 40])
     def test_degree_exactness(self, order):
-        """Exact for polynomial degree <= 2m-1 against either weight."""
+        """norm_sq of x^k against either weight equals the order-point
+        rule, which is exact for degree <= 2 order - 1."""
         for w in (UNIT, SCALED):
             for degree in range(0, 2 * order, 2):
                 if degree > 24:
                     break
                 exact = norm_sq(Polynomial(1, {(degree // 2,): 1}), w).to_float()
-                quad = integrate_gaussian(lambda x: x[:, 0] ** degree, w, order)
+                quad = gauss_hermite(lambda x: x[:, 0] ** degree, w, order)
                 assert quad == pytest.approx(exact, rel=1e-12)
 
-    def test_nodes_are_roots(self):
-        h12 = hermite_polynomial_1d(12)
-        scale = float(max(abs(c) for c in h12.terms.values()))
-        for w in (UNIT, SCALED):
-            nodes, _ = gauss_rule(12, w)
-            for x in nodes:
-                t = math.sqrt(w.lam) * (x - float(w.center[0]))
-                assert abs(float(h12.evaluate([t]))) <= 1e-9 * scale
-
     def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            integrate_gaussian(lambda x: x[:, 0], UNIT, 0)
-
-    def test_array_integrand_gives_every_component(self):
-        """An (m, k) integrand gives the k integrals of its columns."""
-        w = WeightSpec(dim=2, lam=Fraction(3, 2), center=(Fraction(1), Fraction(-1, 2)))
-        columns = [lambda x: np.ones(len(x)), lambda x: x[:, 0] * x[:, 1], lambda x: np.cos(x[:, 1])]
-        both = integrate_gaussian(lambda x: np.stack([c(x) for c in columns], axis=1), w, 16)
-        assert both.shape == (3,)
-        assert both.tolist() == [integrate_gaussian(c, w, 16) for c in columns]
-        assert both[0] == pytest.approx(math.pi / 1.5, rel=1e-14)
+        with pytest.raises(ValueError, match="order >= 1"):
+            hermite.gauss_rule(0)
 
     def test_tensor_rule_last_axis_fastest(self):
         points, weights = tensor_rule(np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 2)
@@ -424,43 +379,33 @@ def test_parseval_extends_the_axis_norm_table(monkeypatch):
     monkeypatch.setattr(hermite, "_AXIS_NORMS", [1])
     lam = Fraction(3, 2)
     g = HermiteExpansion(WeightSpec(dim=1, lam=lam), {(200,): 1, (3,): Fraction(-2, 5)})
-    expected = HermiteExpansion.basis_norm_sq((200,), lam) + Fraction(4, 25) * HermiteExpansion.basis_norm_sq((3,), lam)
+    expected = basis_norm_sq((200,), lam) + Fraction(4, 25) * basis_norm_sq((3,), lam)
     assert g.norm_sq().value == expected
     assert hermite._AXIS_NORMS == [2**a * math.factorial(a) for a in range(201)]
 
 
-def _mp_gauss_root(mpmath, family: str, n: int, start: float):
-    """The root of P_n or H_n next to ``start`` and its weight, at the
-    working precision: two Newton steps from a float start reach it to
-    about 1e-32, and the weight is read at the first step's end, where it
-    is within about 1e-29 of the root's."""
+def _mp_legendre_root(mpmath, n: int, start: float):
+    """The root of P_n next to ``start`` and its weight, at the working
+    precision: two Newton steps from a float start reach it to about
+    1e-32, and the weight is read at the first step's end, where it is
+    within about 1e-29 of the root's."""
     x = mpmath.mpf(start)
     for _ in range(2):
         q, p = mpmath.mpf(0), mpmath.mpf(1)
         for k in range(n):
-            if family == "legendre":
-                q, p = p, ((2 * k + 1) * x * p - k * q) / (k + 1)
-            else:
-                q, p = p, 2 * x * p - 2 * k * q
-        if family == "legendre":
-            dp = n * (q - x * p) / (1 - x * x)
-            weight = 2 / ((1 - x * x) * dp * dp)
-        else:
-            dp = 2 * n * q
-            weight = mpmath.mpf(2) ** (n - 1) * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi) / (n * q) ** 2
+            q, p = p, ((2 * k + 1) * x * p - k * q) / (k + 1)
+        dp = n * (q - x * p) / (1 - x * x)
+        weight = 2 / ((1 - x * x) * dp * dp)
         x = x - p / dp
     return x, weight
 
 
-@pytest.mark.parametrize("family", ["legendre", "hermite"])
-def test_gauss_rule_matches_mpmath(family):
+def test_gauss_rule_matches_mpmath():
     """Orders 1-64 against a 40-digit reference: the largest node error and
     the largest relative weight error are within 4e-16 of those of numpy's
-    rule (leggauss, hermgauss) at every order, the weights sum to the mass
-    of the weight, 2 or sqrt(pi), and the arrays are read-only."""
+    leggauss at every order, the weights sum to 2, and the arrays are
+    read-only."""
     mpmath = pytest.importorskip("mpmath")
-    reference_rule = {"legendre": np.polynomial.legendre.leggauss, "hermite": np.polynomial.hermite.hermgauss}[family]
-    mass = {"legendre": 2.0, "hermite": SQRT_PI}[family]
 
     def errors(nodes, weights, roots):
         return (
@@ -470,15 +415,15 @@ def test_gauss_rule_matches_mpmath(family):
 
     with mpmath.workdps(40):
         for order in range(1, 65):
-            nodes, weights = hermite.gauss_rule(family, order)
-            half = order // 2  # the rules are symmetric: the roots >= 0 decide
-            roots = [_mp_gauss_root(mpmath, family, order, x) for x in nodes[half:].tolist()]
+            nodes, weights = hermite.gauss_rule(order)
+            half = order // 2  # the rule is symmetric: the roots >= 0 decide
+            roots = [_mp_legendre_root(mpmath, order, x) for x in nodes[half:].tolist()]
             ours = errors(nodes[half:], weights[half:], roots)
-            theirs = errors(*(arr[half:] for arr in reference_rule(order)), roots)
+            theirs = errors(*(arr[half:] for arr in np.polynomial.legendre.leggauss(order)), roots)
             assert ours[0] <= theirs[0] + 4e-16, (order, ours, theirs)
             assert ours[1] <= theirs[1] + 4e-16, (order, ours, theirs)
             assert (nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all()
-            assert math.fsum(weights) == pytest.approx(mass, rel=1e-15)
+            assert math.fsum(weights) == pytest.approx(2.0, rel=1e-15)
             with pytest.raises(ValueError):
                 nodes[0] = 0.0
             with pytest.raises(ValueError):
@@ -489,17 +434,13 @@ def test_gauss_rule_built_once_per_order(monkeypatch):
     """A rule takes its Newton steps, one per root >= 0, on its first call
     only, and every call returns the same arrays."""
     steps = []
-    newton = hermite._hermite_newton
-    monkeypatch.setattr(hermite, "_hermite_newton", lambda x, n: steps.append(n) or newton(x, n))
+    newton = hermite._legendre_newton
+    monkeypatch.setattr(hermite, "_legendre_newton", lambda x, n: steps.append(n) or newton(x, n))
     hermite.gauss_rule.cache_clear()
-    first = hermite.gauss_rule("hermite", 7)
+    first = hermite.gauss_rule(7)
     for _ in range(3):
-        assert hermite.gauss_rule("hermite", 7) is first
+        assert hermite.gauss_rule(7) is first
     assert steps == [7] * 4
-    with pytest.raises(ValueError, match="order >= 1"):
-        hermite.gauss_rule("hermite", 0)
-    with pytest.raises(ValueError, match="unknown Gauss rule family"):
-        hermite.gauss_rule("laguerre", 3)
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
@@ -545,7 +486,7 @@ class TestGaussianMoment:
             "exp": lambda t: math.exp(t),
         }[kind]
         closed = plane_wave_moment(p, k, kind)
-        quad = integrate_gaussian(
+        quad = gauss_hermite(
             lambda x: np.array([float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]) for pt in x]),
             WeightSpec.unit(2),
             order=40,
@@ -562,7 +503,7 @@ class TestGaussianMoment:
         )
         k = [0.8, -0.5]
         factor = {"cos": math.cos, "sin": math.sin, "exp": math.exp}[kind]
-        quad = integrate_gaussian(
+        quad = gauss_hermite(
             lambda x: np.array([float(p.evaluate(pt)) * factor(k[0] * pt[0] + k[1] * pt[1]) for pt in x]),
             WeightSpec.unit(2),
             order=40,

@@ -18,12 +18,9 @@ from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from gauss_rinv.hermite import (
     HermiteExpansion,
     WeightSpec,
-    hermite_polynomial_1d,
     inner_product,
-    integrate_gaussian,
     monomial_to_hermite,
 )
-from gauss_rinv.linalg import solve_exact
 from gauss_rinv.polynomials import Polynomial, key_layout, random_polynomial
 from gauss_rinv.rightinverse import (
     GramConditionError,
@@ -38,7 +35,16 @@ from gauss_rinv.rightinverse import (
     solve_min_norm,
 )
 from conftest import polynomials, rationals
-from reference import float_blocks, harmonic_basis, harmonic_dimension, lowered
+from reference import (
+    basis_norm_sq,
+    float_blocks,
+    gauss_hermite,
+    harmonic_basis,
+    harmonic_dimension,
+    hermite_row,
+    lowered,
+    normal_equations,
+)
 
 one_1d = Polynomial.constant(1, 1)
 one_2d = Polynomial.constant(2, 1)
@@ -94,11 +100,11 @@ def column_solve_operator_norm(dim: int, a, degree: int) -> float:
     row_pos = {g: i for i, g in enumerate(rows)}
     q = np.zeros((len(rows), len(cols)))
     for ci, alpha in enumerate(cols):
-        norm_in = HermiteExpansion.basis_norm_sq(alpha, unit)
+        norm_in = basis_norm_sq(alpha, unit)
         basis = HermiteExpansion(WeightSpec.unit(dim), {alpha: unit})
         column = rightinverse._min_norm_coeffs(basis, a, degree)
         for gamma, c in column.coeffs.items():
-            norm_out = HermiteExpansion.basis_norm_sq(gamma, unit)
+            norm_out = basis_norm_sq(gamma, unit)
             q[row_pos[gamma], ci] = float(c) * math.sqrt(float(norm_out / norm_in))
     return math.sqrt(max(np.linalg.eigvalsh(q.T @ q)[-1], 0.0))
 
@@ -281,7 +287,7 @@ class TestSolveMinNorm:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_hermite_data(self, k):
-        rep = solve_min_norm(hermite_polynomial_1d(k))
+        rep = solve_min_norm(Polynomial(1, {(i,): c for i, c in hermite_row(k, 1)}))
         assert rep.ratio == Fraction(1, 4 * (k + 1) * (k + 2))
         assert rep.residual_exact
 
@@ -355,41 +361,6 @@ class TestMinNormStructure:
         assert u_combo == u_split
 
 
-def normal_equations_coeffs(f: HermiteExpansion, a, top: int) -> HermiteExpansion:
-    """The class-block normal equations the sweep solves, as an oracle: per
-    parity class of f, P_top T T* w = f on the class's part of V_top, for T
-    = lap + a and T* = lam^2 P + a, assembled one basis element at a time
-    and solved by ``solve_exact``; u = T* w."""
-    a, dim, lam_sq = Fraction(a), f.weight.dim, f.weight.lam**2
-
-    def t_star(coeffs: dict) -> dict:
-        out: dict = {}
-        for beta, c in coeffs.items():
-            out[beta] = out.get(beta, 0) + a * c
-            for j in range(dim):
-                gamma = beta[:j] + (beta[j] + 2,) + beta[j + 1 :]
-                out[gamma] = out.get(gamma, 0) + lam_sq * c
-        return out
-
-    def t(coeffs: dict) -> dict:
-        out: dict = {}
-        for gamma, c in coeffs.items():
-            out[gamma] = out.get(gamma, 0) + a * c
-            for beta, b in lowered(gamma):
-                out[beta] = out.get(beta, 0) + b * c
-        return out
-
-    u: dict = {}
-    for parity in {tuple(e % 2 for e in alpha) for alpha in f.coeffs}:
-        rows = [alpha for alpha in multi_indices_up_to(dim, top) if tuple(e % 2 for e in alpha) == parity]
-        columns = [t(t_star({alpha: Fraction(1)})) for alpha in rows]
-        matrix = [[column.get(beta, Fraction(0)) for column in columns] for beta in rows]
-        w = solve_exact(matrix, [f.coeffs.get(beta, Fraction(0)) for beta in rows])
-        for gamma, c in t_star(dict(zip(rows, w))).items():
-            u[gamma] = u.get(gamma, 0) + c
-    return HermiteExpansion(f.weight, {key: c for key, c in u.items() if c})
-
-
 LAMS = (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(5, 3))
 BIG_SHIFTS = (Fraction(10**30), Fraction(-1, 10**30), Fraction(7, 10**30), Fraction(-(10**30), 3))
 
@@ -411,7 +382,8 @@ class TestShiftedSweep:
             for a in (Fraction(1), Fraction(-5, 2), Fraction(1, 3)):
                 f = monomial_to_hermite(random_polynomial(rng, dim, max_degree=4, max_terms=4, nonzero=True), w)
                 for top in range(f.degree(), (6, 6, 5)[dim - 1] + 1):
-                    assert rightinverse._min_norm_coeffs(f, a, top) == normal_equations_coeffs(f, a, top)
+                    got = rightinverse._min_norm_coeffs(f, a, top).coeffs
+                    assert got == normal_equations(f.coeffs, dim, w.lam, a, top)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -441,7 +413,7 @@ class TestShiftedSweep:
         f_exp = monomial_to_hermite(f, scaled_weight(f.dim, lam, offset))
         u = rightinverse._min_norm_coeffs(f_exp)
         top = max(f_exp.degree(), 0)
-        assert u == normal_equations_coeffs(f_exp, 0, top)
+        assert u.coeffs == normal_equations(f_exp.coeffs, f.dim, lam, 0, top)
         for extra in (2, 4):
             assert rightinverse._min_norm_coeffs(f_exp, Fraction(0), top + extra) == u
 
@@ -656,7 +628,7 @@ class TestEnrichment:
         g1 = KernelFunction(kind="cos", wavevector=(1.0,))
         g2 = KernelFunction(kind="sin", wavevector=(1.0,))
         w = WeightSpec.unit(1)
-        quad = integrate_gaussian(lambda x: np.cos(x[:, 0]) ** 2, w, order=40)
+        quad = gauss_hermite(lambda x: np.cos(x[:, 0]) ** 2, w, order=40)
         gram, _ = rightinverse._kernel_gram([g1, g2])
         assert gram[0, 0] == pytest.approx(quad, rel=1e-12)
         assert gram[0, 1] == pytest.approx(0.0, abs=1e-15)
@@ -670,7 +642,7 @@ class TestEnrichment:
         w = WeightSpec.unit(2)
         for i, g in enumerate(basis):
             for j, h in enumerate(basis):
-                quad = integrate_gaussian(
+                quad = gauss_hermite(
                     lambda x: np.array([g.evaluate(p) * h.evaluate(p) for p in x]), w, order=40
                 )
                 assert gram[i, j] == pytest.approx(quad, rel=1e-10, abs=1e-12)
@@ -981,7 +953,7 @@ class TestScaledSolve:
         w = WeightSpec(dim=1, lam=Fraction(2))
         rep = solve_min_norm(one_1d, 0, weight=w)
         u = rep.solution_polynomial()
-        quad = integrate_gaussian(
+        quad = gauss_hermite(
             lambda x: np.array([float(u.evaluate(p)) ** 2 for p in x]), w, order=20
         )
         assert quad == pytest.approx(rep.norm_u_sq.to_float(), rel=1e-12)
@@ -1002,7 +974,7 @@ def test_plane_wave_pairing_is_gaussian_moment():
     g = KernelFunction(kind="exp", wavevector=(0.5,))
     p = Polynomial(1, {(2,): 1})
     w = WeightSpec.unit(1)
-    quad = integrate_gaussian(lambda x: x[:, 0] ** 2 * np.exp(0.5 * x[:, 0]), w, order=40)
+    quad = gauss_hermite(lambda x: x[:, 0] ** 2 * np.exp(0.5 * x[:, 0]), w, order=40)
     assert g.pair(monomial_to_hermite(p, w)) == pytest.approx(quad, rel=1e-12)
 
 
@@ -1018,7 +990,7 @@ def test_min_norm_against_dense_pseudoinverse():
         rows = multi_indices_up_to(n, d)
         cols = multi_indices_up_to(n, d + 2)
         row_pos = {r: i for i, r in enumerate(rows)}
-        norm = lambda alpha: math.sqrt(float(HermiteExpansion.basis_norm_sq(alpha, Fraction(1))))
+        norm = lambda alpha: math.sqrt(float(basis_norm_sq(alpha, Fraction(1))))
         a = np.zeros((len(rows), len(cols)))
         for ci, gamma in enumerate(cols):
             for j, g in enumerate(gamma):

@@ -12,7 +12,6 @@ SRC = ROOT / "src"
 
 SCRIPTS = {
     "bound_margins.py": ["--cases", "3"],
-    "counterexample_growth.py": ["--R", "100"],
 }
 
 
