@@ -16,7 +16,7 @@ byte-identical JSON.  Exit codes: 0 all checks pass,
 The float layer, ``domains`` and numpy, is imported inside the runners
 that use it (``bounded``, ``counterexample``, ``suite``), so ``solve``,
 ``verify`` and ``opnorm``, at every a, never load numpy.  Of numpy, a float
-run loads the core and ``numpy.linalg`` only, with the package's Gauss rules.
+run loads the core and ``numpy.linalg`` only, with the package's one Gauss rule.
 """
 
 from __future__ import annotations

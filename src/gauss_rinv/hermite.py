@@ -32,14 +32,8 @@ the per-axis Gaussian moments, converting neither factor:
 ``inner_product`` and ``norm_sq`` sum p_a q_b prod_j m_j(a_j + b_j) over
 pairs of terms, m_j the moments of the axis-j Gaussian of mean x0_j and
 variance 1/(2 lam), held as ints over one denominator per row
-(``_moment_row``).  Over an interval, the orthonormal basis has
-closed-form float integrals: its Gaussian moments (``gaussian_moments``,
-from erf and Rodrigues' formula) and its Gram matrix (``hermite_gram``, by
-a Gauss-Legendre rule exact to its degree).  That rule, the package's one
-Gauss rule, comes from ``gauss_rule``: Jacobi-matrix eigenvalues from
-numpy.linalg, each polished by one fixed-point Newton step.  These float
-functions import numpy when called, so the exact calculus loads and runs
-without it.
+(``_moment_row``).  The module is exact-only: the float integrals over
+intervals, with the package's one Gauss rule, live in ``domains``.
 """
 
 from __future__ import annotations
@@ -567,161 +561,3 @@ def inner_product(p: Polynomial, q: Polynomial, weight: WeightSpec) -> GaussianS
 def norm_sq(p: Polynomial, weight: WeightSpec) -> GaussianScalar:
     """Exact squared weighted norm ||p||^2_weight."""
     return _pairing(p, p, weight)
-
-
-# ----------------------------------------------------------------------
-# Hermite values, the Gauss-Legendre rule
-# ----------------------------------------------------------------------
-
-
-def normalized_hermite_values(max_k: int, t, first=math.pi**-0.25):
-    """Orthonormal H_k(t)/sqrt(2^k k! sqrt(pi)) values, k = 0..max_k.
-
-    ``t`` is a float or a numpy array (then every entry from k = 1 on is
-    an array of t's shape; the k = 0 entry is ``first``, by default the
-    scalar pi^{-1/4}).  High-degree Hermite polynomials have astronomically
-    large monomial coefficients; the normalized three-term recurrence keeps
-    every value O(1) near the physical region, so pointwise evaluation
-    stays precise.  The recurrence is linear, so ``first`` =
-    pi^{-1/4} e^{-t^2/2} gives the Hermite functions h_k(t) e^{-t^2/2},
-    which stay below 1 where h_k(t) itself would overflow.
-    """
-    vals = [first]
-    prev = 0.0
-    for k in range(max_k):
-        vals.append(t * math.sqrt(2.0 / (k + 1)) * vals[k] - math.sqrt(k / (k + 1.0)) * prev)
-        prev = vals[k]
-    return vals
-
-
-# Fraction bits of the fixed-point Newton step of gauss_rule.
-NEWTON_BITS = 128
-
-
-def _legendre_newton(x: float, n: int) -> tuple[float, float]:
-    """The root of P_n next to x and its weight 2 / ((1 - t^2) P_n'(t)^2).
-
-    With p = P_n(x), q = P_(n-1)(x), e = 1 - x^2 and g = n (q - x p) =
-    e P_n'(x), one Newton step gives the root x - p e / g, and the weight
-    formula, 2 e / g^2 at x, moves by the factor 1 + 2 x p / g over the
-    step (P_n'' / P_n' = 2 t / (1 - t^2) at a root).  Both are carried in
-    fixed point with NEWTON_BITS fraction bits and rounded once.
-    """
-    f = NEWTON_BITS
-    a, d = x.as_integer_ratio()
-    t = (a << f) // d
-    q, p = 0, 1 << f
-    for k in range(n):
-        q, p = p, (((2 * k + 1) * t * p >> f) - k * q) // (k + 1)
-    e = (1 << 2 * f) - t * t
-    g = n * ((q << f) - t * p)
-    return (t * g - p * e) / (g << f), (e * (g + 2 * t * p) << 2 * f + 1) / g**3
-
-
-@lru_cache(maxsize=None)
-def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order-point Gauss-Legendre rule, exact to degree 2 order - 1 on
-    [-1, 1]: ascending nodes and their weights, built once per order,
-    read-only.
-
-    The nodes start as the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix, off-diagonal k / sqrt(4k^2 - 1), k < order (Golub & Welsch,
-    Math. Comp. 23, 1969).  One Newton step on the three-term recurrence,
-    in fixed point, takes each to the nearest float of its root, and the
-    weight is the derivative formula at the root.  The rule is symmetric,
-    so only the roots >= 0 take the step.
-    """
-    import numpy as np
-
-    if order < 1:
-        raise ValueError(f"a Gauss rule needs order >= 1, got {order}")
-    k = np.arange(1.0, order)
-    start = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))[order // 2:]
-    if order % 2:
-        start[0] = 0.0  # the middle root of an odd order
-    half = np.array([_legendre_newton(x, order) for x in start.tolist()]).T
-    half[0] = abs(half[0])  # the root 0 comes out as -0.0 where g < 0
-    mirror = half[:, order % 2:][:, ::-1]
-    nodes, weights = np.concatenate([-mirror[0], half[0]]), np.concatenate([mirror[1], half[1]])
-    for arr in (nodes, weights):
-        arr.setflags(write=False)
-    return nodes, weights
-
-
-def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-fold tensor product of a 1-D rule: (m, n) points, the last
-    axis fastest, and their (m,) weights, m = len(nodes)^n."""
-    import numpy as np
-
-    grids = np.meshgrid(*[nodes] * n, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    return points, np.prod(np.meshgrid(*[weights] * n, indexing="ij"), axis=0).ravel()
-
-
-# ----------------------------------------------------------------------
-# closed-form 1-D integrals of the orthonormal basis
-# ----------------------------------------------------------------------
-
-
-def _gauss_mass(a: float, b: float) -> float:
-    """integral_a^b e^{-t^2} dt, by erfc when both ends lie on one side of
-    0, where the difference of erfs would cancel."""
-    if a >= 0.0 or b <= 0.0:
-        near, far = sorted((abs(a), abs(b)))
-        return math.sqrt(math.pi) / 2.0 * (math.erfc(near) - math.erfc(far))
-    return math.sqrt(math.pi) / 2.0 * (math.erf(b) - math.erf(a))
-
-
-@lru_cache(maxsize=None)
-def _rodrigues_factors(cols: int) -> np.ndarray:
-    """1/sqrt(2k), k = 1..cols-1, read-only: d/dt [h_(k-1)(t) e^{-t^2}] = -sqrt(2k) h_k(t) e^{-t^2}."""
-    import numpy as np
-
-    factors = 1.0 / np.sqrt(2.0 * np.arange(1, cols))
-    factors.setflags(write=False)
-    return factors
-
-
-def gaussian_moments(
-    lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, rows: int, cols: int
-) -> np.ndarray:
-    """The (C, rows, cols) table M[c, m, k] of the integrals over [lo_c, hi_c]
-    of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2.
-
-    M[0, 0] is erf.  For k >= 1, Rodrigues' formula integrated by parts
-    gives M[m, k] = (m M[m-1, k-1] - [s^m h_(k-1) e^{-t^2}]) / sqrt(2k);
-    for m >= 1, s = t + x0 - origin and t h_0 = h_1 / sqrt(2) give M[m, 0].
-    That last step loses about |x0 - origin| / (hi - lo) per row when the
-    origin is far from x0 next to the cell width; domains.SampledFunction
-    asks for m <= 2 on grid cells and puts a polynomial's origin at 0.
-    h_(k-1) e^{-t^2} is the Hermite function h_(k-1) e^{-t^2/2} times
-    e^{-t^2/2}: a far end underflows to 0, not inf * 0.
-    """
-    import numpy as np
-
-    cells = len(lo)
-    t = np.concatenate([lo, hi]) - x0
-    half = np.exp(-t * t / 2.0)
-    ends = (np.array(normalized_hermite_values(cols - 2, t, math.pi**-0.25 * half)) * half).T
-    factors = _rodrigues_factors(cols)
-    table = np.empty((cells, rows, cols))
-    table[:, 0, 0] = [math.pi**-0.25 * _gauss_mass(a, b) for a, b in zip(t[:cells], t[cells:])]
-    table[:, 0, 1:] = (ends[:cells] - ends[cells:]) * factors
-    s_lo, s_hi = (lo - origins)[:, None], (hi - origins)[:, None]
-    for m in range(1, rows):
-        edge = s_hi**m * ends[cells:] - s_lo**m * ends[:cells]
-        table[:, m, 1:] = (m * table[:, m - 1, :-1] - edge) * factors
-        table[:, m, 0] = table[:, m - 1, 1] * math.sqrt(0.5) + (x0 - origins) * table[:, m - 1, 0]
-    return table
-
-
-def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
-    """G[a, b] = integral_lo^hi h_a(x - x0) h_b(x - x0) dx, a, b < size: a
-    polynomial of degree 2 size - 2, which the size-point rule integrates
-    exactly."""
-    import numpy as np
-
-    nodes, weights = gauss_rule(size)
-    t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
-    values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
-    return (values * (weights * (hi - lo) / 2.0)) @ values.T

@@ -41,10 +41,10 @@ A tensor expansion maps each term through its whole-term image, the
 tensor product of one sparse 1-D row per axis as (key, int) pairs over
 one denominator (``term_image``), a row's index i landing at the key
 offset i * step_j of its axis; an axis with exponent 0 has the identity
-row and is skipped.  Every conversion, like ``shift``, builds its images
-per call from cached per-axis rows with the center folded in (``shift``'s
-binomial row, the centered Hermite rows of both directions), so one
-expansion converts each term and nothing is cached per whole term.
+row and is skipped.  Every conversion builds its images per call from
+cached per-axis rows with the center folded in (the centered Hermite rows
+of both directions), and ``shift`` from binomial rows it builds per term,
+so one expansion converts each term and nothing is cached per whole term.
 
 Invariant of every instance: ``den > 0``; ``nums`` has packed int keys of
 ``dim`` exponent fields, each key equal to ``pack`` of a multi-index of
@@ -278,7 +278,6 @@ def tensor_expand(den: int, nums: Mapping[int, int], image: Callable[[int], Term
     return reduced(den * common, out)
 
 
-@lru_cache(maxsize=4096)
 def _binomial_row(e: int, p: int, q: int) -> IntRow:
     """(x + p/q)^e = sum_i C(e, i) p^(e-i) q^i / q^e x^i, nonzero terms only."""
     if p == 0:

@@ -19,18 +19,14 @@ from gauss_rinv.domains import (
     check_input_limits,
     counterexample_report,
     embedding_check,
-    integrate_box,
-    solve_bounded,
-)
-from gauss_rinv.hermite import (
-    HermiteExpansion,
-    WeightSpec,
     gauss_rule,
     gaussian_moments,
-    monomial_to_hermite,
+    integrate_box,
     normalized_hermite_values,
+    solve_bounded,
     tensor_rule,
 )
+from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import Polynomial
 from reference import basis_norm_sq
 

@@ -1,18 +1,21 @@
 """Weighted-space engine: conversions, exact integrals, quadrature, moments."""
 
+import ast
 import math
 import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauss_rinv import hermite
+from gauss_rinv import domains, hermite
+from gauss_rinv.domains import tensor_rule
 from gauss_rinv.hermite import (
     GaussianScalar,
     HermiteExpansion,
@@ -21,7 +24,6 @@ from gauss_rinv.hermite import (
     inner_product,
     monomial_to_hermite,
     norm_sq,
-    tensor_rule,
 )
 from gauss_rinv.polynomials import (
     MAX_DEGREE,
@@ -366,7 +368,7 @@ class TestQuadrature:
 
     def test_invalid_order(self):
         with pytest.raises(ValueError, match="order >= 1"):
-            hermite.gauss_rule(0)
+            domains.gauss_rule(0)
 
     def test_tensor_rule_last_axis_fastest(self):
         points, weights = tensor_rule(np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 2)
@@ -415,7 +417,7 @@ def test_gauss_rule_matches_mpmath():
 
     with mpmath.workdps(40):
         for order in range(1, 65):
-            nodes, weights = hermite.gauss_rule(order)
+            nodes, weights = domains.gauss_rule(order)
             half = order // 2  # the rule is symmetric: the roots >= 0 decide
             roots = [_mp_legendre_root(mpmath, order, x) for x in nodes[half:].tolist()]
             ours = errors(nodes[half:], weights[half:], roots)
@@ -434,13 +436,28 @@ def test_gauss_rule_built_once_per_order(monkeypatch):
     """A rule takes its Newton steps, one per root >= 0, on its first call
     only, and every call returns the same arrays."""
     steps = []
-    newton = hermite._legendre_newton
-    monkeypatch.setattr(hermite, "_legendre_newton", lambda x, n: steps.append(n) or newton(x, n))
-    hermite.gauss_rule.cache_clear()
-    first = hermite.gauss_rule(7)
+    newton = domains._legendre_newton
+    monkeypatch.setattr(domains, "_legendre_newton", lambda x, n: steps.append(n) or newton(x, n))
+    domains.gauss_rule.cache_clear()
+    first = domains.gauss_rule(7)
     for _ in range(3):
-        assert hermite.gauss_rule(7) is first
+        assert domains.gauss_rule(7) is first
     assert steps == [7] * 4
+
+
+def test_exact_core_imports_no_numpy():
+    """polynomials, hermite and adjoint hold no ``import numpy`` or ``from
+    numpy`` at any nesting level.  rightinverse joins them once ROADMAP
+    item 1 deletes its plane-wave functions, which import numpy inside."""
+    for name in ("polynomials", "hermite", "adjoint"):
+        tree = ast.parse(Path(hermite.__file__).with_name(f"{name}.py").read_text())
+        found = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        ]
+        assert found == [], (name, found)
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gauss_rinv import adjoint, hermite, polynomials, rightinverse
+from gauss_rinv import adjoint, domains, hermite, polynomials, rightinverse
 from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main, run_suite
 from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
@@ -399,7 +399,7 @@ def test_bounded_digest_pinned():
 def test_wrong_rodrigues_factor_is_caught(monkeypatch):
     """Rodrigues' d/dt [h_(k-1) e^{-t^2}] = -sqrt(2k) h_k e^{-t^2} with
     sqrt(2k + 1) in its place: the Bessel check or the pinned reports see it."""
-    monkeypatch.setattr(hermite, "_rodrigues_factors", lambda cols: 1.0 / np.sqrt(2.0 * np.arange(1, cols) + 1.0))
+    monkeypatch.setattr(domains, "_rodrigues_factors", lambda cols: 1.0 / np.sqrt(2.0 * np.arange(1, cols) + 1.0))
     recorded = json.loads(BOUNDED_DOCUMENTS.read_text())
     current = bounded_documents()
     assert bounded_mismatches(recorded, current) or not all(doc["bessel_holds"] for doc in current)
