@@ -158,6 +158,7 @@ def run_suite() -> tuple[list[dict], bool]:
     # bound dominance over seeded random data
     rng = random.Random(SUITE_SEED)
     worst = Fraction(0)
+    worst_nonconstant = dict.fromkeys((1, 2, 3), Fraction(0))
     dominated = True
     equality_only_const = True
     for i in range(SUITE_BOUND_CASES):
@@ -165,14 +166,17 @@ def run_suite() -> tuple[list[dict], bool]:
         f = random_polynomial(rng, n, max_degree=8, max_terms=10, nonzero=True)
         rep = solve_min_norm(f)
         dominated = dominated and rep.passed
-        if rep.ratio == rep.bound and f.total_degree() > 0:
-            equality_only_const = False
-        worst = max(worst, rep.ratio * Fraction(8 * n))
+        normalized = rep.ratio * Fraction(8 * n)
+        worst = max(worst, normalized)
+        if f.total_degree() > 0:
+            equality_only_const = equality_only_const and rep.ratio != rep.bound
+            worst_nonconstant[n] = max(worst_nonconstant[n], normalized)
     record(
         "bound-dominance",
         dominated and equality_only_const,
         cases=SUITE_BOUND_CASES,
         worst_normalized_ratio=format_rational(worst),
+        worst_nonconstant_ratio_by_dimension={str(n): format_rational(r) for n, r in worst_nonconstant.items()},
     )
 
     # operator norm of the truncated right inverse

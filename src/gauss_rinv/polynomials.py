@@ -448,9 +448,6 @@ class Polynomial:
     def scale(self, factor: RationalLike) -> "Polynomial":
         return Polynomial._trusted(self.dim, *scale_over((self.den, self.nums), _as_fraction(factor)))
 
-    def __rmul__(self, factor: RationalLike) -> "Polynomial":
-        return self.scale(factor)
-
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
