@@ -21,6 +21,14 @@ Those tables, the Hermite-function values and ``gauss_rule``, the one
 Gauss rule of the package (Jacobi-matrix eigenvalues, each polished by one
 fixed-point Newton step), are defined here, outside the exact core.
 
+A moment table and a Gram matrix depend on the box, the data's cells, the
+center and the truncation, not on the data values or a, so each is kept
+across calls, read-only, in a cache of KEPT_TABLES per kind keyed on the
+float64 bits of its cell ends, origins and center (0.0 and -0.0 key apart)
+and on its sizes.  Only a table whose floats and key together number at
+most KEPT_TABLE_FLOATS is kept, so the caches hold at most 4.2 MB; a larger
+one, such as a CELL_CHUNK chunk of a long grid axis, is built on each call.
+
 The embedding checks confirm ||f||^2_w <= ||f||^2_{L2} (the weight is at
 most 1) and ||f||^2_w <= pi^{n/2} sup|f|^2 (total Gaussian mass), which
 transport unweighted data into the weighted theory.
@@ -97,6 +105,11 @@ MAX_TENSOR_ENTRIES = 32_768
 # Grid cells whose Gaussian moments are tabulated at once, so that a long
 # axis holds at most 1024 x 3 x (N+1) floats (3.6 MB at N = 147).
 CELL_CHUNK = 1024
+# Floats of a moment table or Gram matrix kept across calls, its key's
+# floats included, and tables kept of each kind: at most
+# 2 x 64 x 4,096 floats, 4.2 MB.  A larger table is built on each call.
+KEPT_TABLE_FLOATS = 4096
+KEPT_TABLES = 64
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +223,8 @@ def gaussian_moments(
     lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, rows: int, cols: int
 ) -> np.ndarray:
     """The (C, rows, cols) table M[c, m, k] of the integrals over [lo_c, hi_c]
-    of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2.
+    of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2;
+    read-only, and kept across calls when it is small (KEPT_TABLE_FLOATS).
 
     M[0, 0] is erf.  For k >= 1, Rodrigues' formula integrated by parts
     gives M[m, k] = (m M[m-1, k-1] - [s^m h_(k-1) e^{-t^2}]) / sqrt(2k);
@@ -221,6 +235,23 @@ def gaussian_moments(
     h_(k-1) e^{-t^2} is the Hermite function h_(k-1) e^{-t^2/2} times
     e^{-t^2/2}: a far end underflows to 0, not inf * 0.
     """
+    if len(lo) * (rows * cols + 3) + 1 > KEPT_TABLE_FLOATS:
+        return _moment_table(lo, hi, origins, x0, rows, cols)
+    return _kept_moment_table(np.concatenate([lo, hi, origins, [x0]]).tobytes(), rows, cols)
+
+
+@lru_cache(maxsize=KEPT_TABLES)
+def _kept_moment_table(bits: bytes, rows: int, cols: int) -> np.ndarray:
+    """_moment_table of the cell ends, origins and x0 packed, in that
+    order, as float64 bytes, so that 0.0 and -0.0 key apart."""
+    values = np.frombuffer(bits)
+    lo, hi, origins = values[:-1].reshape(3, -1)
+    return _moment_table(lo, hi, origins, float(values[-1]), rows, cols)
+
+
+def _moment_table(
+    lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, rows: int, cols: int
+) -> np.ndarray:
     cells = len(lo)
     t = np.concatenate([lo, hi]) - x0
     half = np.exp(-t * t / 2.0)
@@ -234,17 +265,33 @@ def gaussian_moments(
         edge = s_hi**m * ends[cells:] - s_lo**m * ends[:cells]
         table[:, m, 1:] = (m * table[:, m - 1, :-1] - edge) * factors
         table[:, m, 0] = table[:, m - 1, 1] * math.sqrt(0.5) + (x0 - origins) * table[:, m - 1, 0]
+    table.setflags(write=False)
     return table
 
 
 def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     """G[a, b] = integral_lo^hi h_a(x - x0) h_b(x - x0) dx, a, b < size: a
     polynomial of degree 2 size - 2, which the size-point rule integrates
-    exactly."""
+    exactly; read-only, and kept across calls when it is small
+    (KEPT_TABLE_FLOATS)."""
+    if size * size + 3 > KEPT_TABLE_FLOATS:
+        return _gram_matrix(lo, hi, x0, size)
+    return _kept_gram_matrix(np.array([lo, hi, x0], dtype=float).tobytes(), size)
+
+
+@lru_cache(maxsize=KEPT_TABLES)
+def _kept_gram_matrix(bits: bytes, size: int) -> np.ndarray:
+    """_gram_matrix of lo, hi and x0 packed as float64 bytes."""
+    return _gram_matrix(*np.frombuffer(bits).tolist(), size)
+
+
+def _gram_matrix(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     nodes, weights = gauss_rule(size)
     t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
     values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
-    return (values * (weights * (hi - lo) / 2.0)) @ values.T
+    gram = (values * (weights * (hi - lo) / 2.0)) @ values.T
+    gram.setflags(write=False)
+    return gram
 
 
 # ----------------------------------------------------------------------

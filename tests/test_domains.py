@@ -10,6 +10,7 @@ import pytest
 
 from gauss_rinv import domains, rightinverse
 from gauss_rinv.domains import (
+    CELL_CHUNK,
     MAX_DEPTH,
     PANEL_ORDER,
     BoxDomain,
@@ -21,6 +22,7 @@ from gauss_rinv.domains import (
     embedding_check,
     gauss_rule,
     gaussian_moments,
+    hermite_gram,
     integrate_box,
     normalized_hermite_values,
     solve_bounded,
@@ -483,7 +485,10 @@ class TestInputLimits:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started on an over-limit input")
 
-        for name in ("multi_indices_up_to", "gaussian_moments", "hermite_gram", "integrate_box"):
+        for name in (
+            "multi_indices_up_to", "gaussian_moments", "_kept_moment_table", "_moment_table",
+            "hermite_gram", "_kept_gram_matrix", "_gram_matrix", "integrate_box",
+        ):
             monkeypatch.setattr(domains, name, forbidden)
         box = BoxDomain(intervals)
         with pytest.raises(InputLimitError):
@@ -559,6 +564,25 @@ class TestClosedForms:
         assert np.isfinite(table).all()
         assert table[0, 0, 0] == pytest.approx(math.pi**-0.25 * math.sqrt(math.pi) / 2, rel=1e-15)
         assert np.abs(table[1]).max() < 1e-300
+
+    def test_large_tables_are_built_not_kept(self):
+        """A table over KEPT_TABLE_FLOATS is returned but not kept: the
+        moments of a CELL_CHUNK chunk of a 2,001-node grid, whose first cell
+        reads as that cell's own kept table, and a size-70 Gram matrix.  A
+        kept table is keyed on the bits of x0, so 0.0 and -0.0 key two."""
+        caches = domains._kept_moment_table, domains._kept_gram_matrix
+        for cache in caches:
+            cache.cache_clear()
+        nodes = np.linspace(-1.0, 1.0, 2001)
+        lo, hi = nodes[:CELL_CHUNK], nodes[1 : CELL_CHUNK + 1]
+        table = gaussian_moments(lo, hi, lo, 0.0, 3, 2)
+        assert table.shape == (CELL_CHUNK, 3, 2)
+        assert hermite_gram(-1.0, 1.0, 0.0, 70).shape == (70, 70)
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        for x0 in (0.0, -0.0):
+            first = gaussian_moments(lo[:1], hi[:1], lo[:1], x0, 3, 2)
+            np.testing.assert_allclose(first[0], table[0], rtol=1e-14, atol=0.0)
+        assert [cache.cache_info().currsize for cache in caches] == [2, 0]
 
     def test_non_dyadic_grid(self):
         """The 7 x 6 grid whose weighted norm the panel tree missed by 3.2e-4

@@ -19,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gauss_rinv import adjoint, domains, hermite, polynomials, rightinverse
 from gauss_rinv.adjoint import run_identity_battery
@@ -396,7 +397,46 @@ def test_bounded_digest_pinned():
     assert bounded_mismatches(recorded, bounded_documents()) == []
 
 
-def test_wrong_rodrigues_factor_is_caught(monkeypatch):
+# The tables a box keeps across calls: its Gaussian moment tables and its
+# Hermite Gram matrices.
+BOX_CACHES = (
+    domains._kept_moment_table,
+    domains._kept_gram_matrix,
+)
+
+
+def test_cold_box_caches_give_warm_bytes():
+    """The bounded reports from emptied table caches, and again from the
+    tables they kept, give the same bytes, which match the recorded
+    reports; a kept table is read-only."""
+    for cache in BOX_CACHES:
+        cache.cache_clear()
+    cold = bounded_documents()
+    assert all(cache.cache_info().currsize for cache in BOX_CACHES)
+    warm = bounded_documents()
+    assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
+    assert bounded_mismatches(json.loads(BOUNDED_DOCUMENTS.read_text()), cold) == []
+    for cache in BOX_CACHES:
+        assert cache.cache_info().maxsize is not None
+    ends = np.array([-1.0]), np.array([1.0])
+    for table in (domains.gaussian_moments(*ends, np.zeros(1), 0.0, 1, 4), domains.hermite_gram(-1.0, 1.0, 0.0, 4)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+@pytest.fixture
+def cold_box_caches():
+    """Empty the table caches before a test and after it: a warm table
+    would hide a fault planted in its builder, and a table built under the
+    fault would outlive the test."""
+    for cache in BOX_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in BOX_CACHES:
+        cache.cache_clear()
+
+
+def test_wrong_rodrigues_factor_is_caught(monkeypatch, cold_box_caches):
     """Rodrigues' d/dt [h_(k-1) e^{-t^2}] = -sqrt(2k) h_k e^{-t^2} with
     sqrt(2k + 1) in its place: the Bessel check or the pinned reports see it."""
     monkeypatch.setattr(domains, "_rodrigues_factors", lambda cols: 1.0 / np.sqrt(2.0 * np.arange(1, cols) + 1.0))
