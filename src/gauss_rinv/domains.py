@@ -21,13 +21,18 @@ Those tables, the Hermite-function values and ``gauss_rule``, the one
 Gauss rule of the package (Jacobi-matrix eigenvalues, each polished by one
 fixed-point Newton step), are defined here, outside the exact core.
 
-A moment table and a Gram matrix depend on the box, the data's cells, the
-center and the truncation, not on the data values or a, so each is kept
-across calls, read-only, in a cache of KEPT_TABLES per kind keyed on the
-float64 bits of its cell ends, origins and center (0.0 and -0.0 key apart)
-and on its sizes.  Only a table whose floats and key together number at
-most KEPT_TABLE_FLOATS is kept, so the caches hold at most 4.2 MB; a larger
-one, such as a CELL_CHUNK chunk of a long grid axis, is built on each call.
+What a bounded op reads that the data values and a do not set is kept
+across calls, read-only, in bounded caches keyed on ints and on the float64
+bytes of its inputs (so 0.0 and -0.0 key apart), each result built by one
+builder whether or not it is kept: ``axis_blocks``, the pairing, weighted
+and plain blocks of an axis chunk (keyed on its cell ends, origins, the
+center, the top power and N); ``hermite_gram``, a side's Gram matrix (its
+ends, the center, the size); ``basis_plan``, the indices, positions and
+norms of a truncation (n, N); each at most KEPT_TABLE_FLOATS floats with its
+key and KEPT_TABLES per kind, 6.3 MB in all.  ``lattice_rows``, the
+sup-lattice rows of a data axis (n, the axis, its ends, cell ends, origins
+and top power), keeps up to KEPT_ROWS of KEPT_ROW_FLOATS floats, 2.1 MB.
+Larger results are built on each call.
 
 The embedding checks confirm ||f||^2_w <= ||f||^2_{L2} (the weight is at
 most 1) and ||f||^2_w <= pi^{n/2} sup|f|^2 (total Gaussian mass), which
@@ -57,7 +62,7 @@ from .hermite import (
     _axis_norms,
     norm_sq,
 )
-from .polynomials import Polynomial, RationalLike, format_rational, pack, reduced, unpack
+from .polynomials import Polynomial, RationalLike, format_rational, pack, reduced
 from .rightinverse import InputLimitError, exact_solve, input_float, multi_indices_up_to
 
 # linalg, the exact row reduction the tests use as a reference, loads with
@@ -105,11 +110,14 @@ MAX_TENSOR_ENTRIES = 32_768
 # Grid cells whose Gaussian moments are tabulated at once, so that a long
 # axis holds at most 1024 x 3 x (N+1) floats (3.6 MB at N = 147).
 CELL_CHUNK = 1024
-# Floats of a moment table or Gram matrix kept across calls, its key's
-# floats included, and tables kept of each kind: at most
-# 2 x 64 x 4,096 floats, 4.2 MB.  A larger table is built on each call.
+# Floats of one result kept across calls, its key's included (a basis plan
+# counts 20, 160 bytes, per index), and results kept per kind: 64 x 4,096
+# floats, 2.1 MB, for each of three kinds; sup-lattice rows, SUP_SAMPLES (top
+# power + 3) floats each, 16 x 16,384 floats, 2.1 MB (powers up to 4).
 KEPT_TABLE_FLOATS = 4096
 KEPT_TABLES = 64
+KEPT_ROW_FLOATS = 8 * SUP_SAMPLES
+KEPT_ROWS = 16
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +143,13 @@ def normalized_hermite_values(max_k: int, t, first=math.pi**-0.25):
         vals.append(t * math.sqrt(2.0 / (k + 1)) * vals[k] - math.sqrt(k / (k + 1.0)) * prev)
         prev = vals[k]
     return vals
+
+
+def _read_only(*arrays):
+    """The arrays (one, or a tuple of them), made read-only: a kept result is shared."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 # Fraction bits of the fixed-point Newton step of gauss_rule.
@@ -183,10 +198,7 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     half = np.array([_legendre_newton(x, order) for x in start.tolist()]).T
     half[0] = abs(half[0])  # the root 0 comes out as -0.0 where g < 0
     mirror = half[:, order % 2:][:, ::-1]
-    nodes, weights = np.concatenate([-mirror[0], half[0]]), np.concatenate([mirror[1], half[1]])
-    for arr in (nodes, weights):
-        arr.setflags(write=False)
-    return nodes, weights
+    return _read_only(np.concatenate([-mirror[0], half[0]]), np.concatenate([mirror[1], half[1]]))
 
 
 def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +226,7 @@ def _gauss_mass(a: float, b: float) -> float:
 @lru_cache(maxsize=None)
 def _rodrigues_factors(cols: int) -> np.ndarray:
     """1/sqrt(2k), k = 1..cols-1, read-only: d/dt [h_(k-1)(t) e^{-t^2}] = -sqrt(2k) h_k(t) e^{-t^2}."""
-    factors = 1.0 / np.sqrt(2.0 * np.arange(1, cols))
-    factors.setflags(write=False)
-    return factors
+    return _read_only(1.0 / np.sqrt(2.0 * np.arange(1, cols)))
 
 
 def gaussian_moments(
@@ -224,7 +234,7 @@ def gaussian_moments(
 ) -> np.ndarray:
     """The (C, rows, cols) table M[c, m, k] of the integrals over [lo_c, hi_c]
     of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2;
-    read-only, and kept across calls when it is small (KEPT_TABLE_FLOATS).
+    read-only.  ``axis_blocks`` keeps the blocks it reads from it.
 
     M[0, 0] is erf.  For k >= 1, Rodrigues' formula integrated by parts
     gives M[m, k] = (m M[m-1, k-1] - [s^m h_(k-1) e^{-t^2}]) / sqrt(2k);
@@ -235,23 +245,6 @@ def gaussian_moments(
     h_(k-1) e^{-t^2} is the Hermite function h_(k-1) e^{-t^2/2} times
     e^{-t^2/2}: a far end underflows to 0, not inf * 0.
     """
-    if len(lo) * (rows * cols + 3) + 1 > KEPT_TABLE_FLOATS:
-        return _moment_table(lo, hi, origins, x0, rows, cols)
-    return _kept_moment_table(np.concatenate([lo, hi, origins, [x0]]).tobytes(), rows, cols)
-
-
-@lru_cache(maxsize=KEPT_TABLES)
-def _kept_moment_table(bits: bytes, rows: int, cols: int) -> np.ndarray:
-    """_moment_table of the cell ends, origins and x0 packed, in that
-    order, as float64 bytes, so that 0.0 and -0.0 key apart."""
-    values = np.frombuffer(bits)
-    lo, hi, origins = values[:-1].reshape(3, -1)
-    return _moment_table(lo, hi, origins, float(values[-1]), rows, cols)
-
-
-def _moment_table(
-    lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, rows: int, cols: int
-) -> np.ndarray:
     cells = len(lo)
     t = np.concatenate([lo, hi]) - x0
     half = np.exp(-t * t / 2.0)
@@ -265,8 +258,42 @@ def _moment_table(
         edge = s_hi**m * ends[cells:] - s_lo**m * ends[:cells]
         table[:, m, 1:] = (m * table[:, m - 1, :-1] - edge) * factors
         table[:, m, 0] = table[:, m - 1, 1] * math.sqrt(0.5) + (x0 - origins) * table[:, m - 1, 0]
-    table.setflags(write=False)
-    return table
+    return _read_only(table)
+
+
+def axis_blocks(
+    lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, powers: np.ndarray, top: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three blocks SampledFunction.integrals contracts one axis's cells
+    [lo_c, hi_c] with, for the basis (x - origins_c)^p, p in powers: the
+    pairings M[c, p, k], k <= top, of ``gaussian_moments``; the weighted
+    block pi^{1/4} M[c, p + q, 0] of ||f~||^2_w (h_0 = pi^{-1/4}, so it
+    integrates s^(p+q) e^{-t^2}); and the plain block, the integral of
+    s^(p+q) over the cell.  The blocks of every power up to the top one are
+    read-only, and kept across calls when they and their key number at
+    most KEPT_TABLE_FLOATS floats."""
+    size = int(powers[-1]) + 1
+    small = len(lo) * (size * (top + 1 + 2 * size) + 3) + 3 <= KEPT_TABLE_FLOATS
+    build = _kept_axis_blocks if small else _kept_axis_blocks.__wrapped__
+    blocks = build(np.concatenate([lo, hi, origins, [x0]]).tobytes(), size - 1, top)
+    if len(powers) == size:
+        return blocks
+    pairs, weighted, plain = blocks
+    return pairs[:, powers], weighted[:, powers[:, None], powers], plain[:, powers[:, None], powers]
+
+
+@lru_cache(maxsize=KEPT_TABLES)
+def _kept_axis_blocks(bits: bytes, power: int, top: int) -> tuple[np.ndarray, ...]:
+    """axis_blocks of the cell ends, origins and x0 packed, in that order,
+    as float64 bytes, so that 0.0 and -0.0 key apart, for the powers
+    0..power."""
+    values, powers = np.frombuffer(bits), np.arange(power + 1)
+    lo, hi, origins = values[:-1].reshape(3, -1)
+    rows, square = 2 * power + 1, powers[:, None] + powers
+    table = gaussian_moments(lo, hi, origins, float(values[-1]), rows, max(top + 1, 2))
+    p = np.arange(1, rows + 1)
+    plain = ((hi - origins)[:, None] ** p - (lo - origins)[:, None] ** p) / p
+    return _read_only(table[:, powers, : top + 1], math.pi**0.25 * table[:, :, 0][:, square], plain[:, square])
 
 
 def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
@@ -274,24 +301,18 @@ def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     polynomial of degree 2 size - 2, which the size-point rule integrates
     exactly; read-only, and kept across calls when it is small
     (KEPT_TABLE_FLOATS)."""
-    if size * size + 3 > KEPT_TABLE_FLOATS:
-        return _gram_matrix(lo, hi, x0, size)
-    return _kept_gram_matrix(np.array([lo, hi, x0], dtype=float).tobytes(), size)
+    build = _kept_gram_matrix if size * size + 3 <= KEPT_TABLE_FLOATS else _kept_gram_matrix.__wrapped__
+    return build(np.array([lo, hi, x0], dtype=float).tobytes(), size)
 
 
 @lru_cache(maxsize=KEPT_TABLES)
 def _kept_gram_matrix(bits: bytes, size: int) -> np.ndarray:
-    """_gram_matrix of lo, hi and x0 packed as float64 bytes."""
-    return _gram_matrix(*np.frombuffer(bits).tolist(), size)
-
-
-def _gram_matrix(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
+    """hermite_gram of lo, hi and x0 packed as float64 bytes."""
+    lo, hi, x0 = np.frombuffer(bits).tolist()
     nodes, weights = gauss_rule(size)
     t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
     values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
-    gram = (values * (weights * (hi - lo) / 2.0)) @ values.T
-    gram.setflags(write=False)
-    return gram
+    return _read_only((values * (weights * (hi - lo) / 2.0)) @ values.T)
 
 
 # ----------------------------------------------------------------------
@@ -368,17 +389,19 @@ class SampledFunction:
         """Values at an (m, n) array of points, zero outside the box."""
         x = np.asarray(points, dtype=float)
         lo, hi = self.box.corners
-        inside = np.all((lo <= x) & (x <= hi), axis=1)
+        return self._values([_axis_rows(x[:, j], lo[j], hi[j], *axis) for j, axis in enumerate(self.axes)])
+
+    def _values(self, located) -> np.ndarray:
+        """Values at the points that ``_axis_rows`` located on each axis."""
         cells, rows = [], []
-        for (edges, origins, powers), v in zip(self.axes, np.clip(x, lo, hi).T):
-            c = np.clip(np.searchsorted(edges, v) - 1, 0, len(origins) - 1)
+        for (inside, c, vander), (edges, origins, powers) in zip(located, self.axes):
             cells += [c, slice(None)]
-            rows.append(np.vander(v - origins[c], powers[-1] + 1, increasing=True)[:, powers])
+            rows.append(vander[:, powers])
         # each point's (D_1, ..., D_n) block, contracted with its power rows
         values = self.coeffs.reshape([s for e, o, p in self.axes for s in (len(o), len(p))])[tuple(cells)]
         for row in reversed(rows):
             values = np.einsum("m...d,md->m...", values, row)
-        return np.where(inside, values, 0.0)
+        return np.where(np.logical_and.reduce([inside for inside, _, _ in located]), values, 0.0)
 
     @classmethod
     def constant(cls, box: BoxDomain, value: float) -> "SampledFunction":
@@ -427,20 +450,15 @@ class SampledFunction:
         # the longest axes first, so no intermediate outgrows the data or the result
         for j in sorted(range(self.box.dim), key=lambda j: -self.coeffs.shape[j]):
             edges, origins, powers = self.axes[j]
-            rows, square = 2 * int(powers[-1]) + 1, powers[:, None] + powers
-            total, mass = 0.0, []
+            total, blocks = 0.0, []
             for first in range(0, len(origins), CELL_CHUNK):
                 part = slice(first, first + CELL_CHUNK)
-                ends = edges[:-1][part], edges[1:][part]
-                table = gaussian_moments(*ends, origins[part], x0[j], rows, max(top + 1, 2))
-                total = total + _contract(pairs, j, table[:, powers, : top + 1], first, keep=False)
-                mass.append(table[:, :, 0])
+                blocks.append(axis_blocks(edges[:-1][part], edges[1:][part], origins[part], x0[j], powers, top))
+                total = total + _contract(pairs, j, blocks[-1][0], first, keep=False)
             pairs = total
-            # h_0 = pi^{-1/4}, so pi^{1/4} times the k = 0 column integrates s^p e^{-t^2}
-            weighted.append((j, math.pi**0.25 * np.concatenate(mass)[:, square]))
-            p = np.arange(1, rows + 1)
-            moments = ((edges[1:] - origins)[:, None] ** p - (edges[:-1] - origins)[:, None] ** p) / p
-            plain.append((j, moments[:, square]))
+            _, w, p = blocks[0] if len(blocks) == 1 else [np.concatenate(chunks) for chunks in zip(*blocks)]
+            weighted.append((j, w))
+            plain.append((j, p))
         return (
             _finite("pairings <f~, h_alpha>_w", pairs),
             _finite("||f~||^2_w", _quadratic(self.coeffs, weighted)),
@@ -454,7 +472,7 @@ class SampledFunction:
 
 
 def _finite(name: str, value):
-    if not np.isfinite(value).all():
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise QuadratureError(f"non-finite {name}: it leaves the float range")
     return value
 
@@ -463,12 +481,12 @@ def _contract(t: np.ndarray, j: int, table: np.ndarray, first: int = 0, keep: bo
     """t's axis j, read as (cells, D) from cell ``first`` on, against
     table[c, d, e]: out[.., c, e, ..] (keep) or summed over c (not keep)."""
     cells, depth, _ = table.shape
-    moved = np.swapaxes(t, j, -1)[..., first * depth : (first + cells) * depth]
+    moved = t.swapaxes(j, -1)[..., first * depth : (first + cells) * depth]
     moved = moved.reshape(moved.shape[:-1] + (cells, depth))
     if not keep:
-        return np.swapaxes(np.einsum("...cd,cde->...e", moved, table), j, -1)
+        return np.einsum("...cd,cde->...e", moved, table).swapaxes(j, -1)
     out = np.einsum("...cd,cde->...ce", moved, table)
-    return np.swapaxes(out.reshape(out.shape[:-2] + (-1,)), j, -1)
+    return out.reshape(out.shape[:-2] + (-1,)).swapaxes(j, -1)
 
 
 def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> float:
@@ -477,7 +495,7 @@ def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> 
     out = coeffs
     for j, block in blocks:
         out = _contract(out, j, block)
-    return float(np.sum(coeffs * out))
+    return float((coeffs * out).sum())
 
 
 # ----------------------------------------------------------------------
@@ -489,10 +507,7 @@ def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> 
 def _panel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The PANEL_ORDER^dim tensor Gauss-Legendre nodes on [-1, 1]^dim and
     their weights, built once per dimension and read-only."""
-    rule = tensor_rule(*gauss_rule(PANEL_ORDER), dim)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
+    return _read_only(*tensor_rule(*gauss_rule(PANEL_ORDER), dim))
 
 
 def integrate_box(
@@ -591,6 +606,29 @@ def check_input_limits(dim: int, truncation: int) -> None:
         )
 
 
+def basis_plan(dim: int, truncation: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, dict[int, int]]:
+    """The multi-indices alpha of degree <= N + 2 (the min-norm solution's
+    reach), graded lex: packed keys, (2, K) flat positions in the (N+1)^n
+    pairings (row 0; clipped above degree N) and the (N+3)^n orthonormal
+    coefficients (row 1), ||G_alpha||_w, and each key's column; read-only,
+    and kept across calls when its 20 floats per index are KEPT_TABLE_FLOATS
+    or fewer."""
+    small = 20 * math.comb(truncation + 2 + dim, dim) <= KEPT_TABLE_FLOATS
+    return (_kept_basis_plan if small else _kept_basis_plan.__wrapped__)(dim, truncation)
+
+
+@lru_cache(maxsize=KEPT_TABLES)
+def _kept_basis_plan(dim: int, truncation: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, dict[int, int]]:
+    indices = multi_indices_up_to(dim, truncation + 2)
+    # at lam = 1, ||G_alpha||^2_w is the int prod_j 2^a_j a_j! times pi^{n/2}
+    unit, axis_norms = math.pi ** (dim / 2.0), _axis_norms(truncation + 2)
+    norms = np.array([math.sqrt(math.prod([axis_norms[e] for e in alpha]) * unit) for alpha in indices])
+    exps, sizes = np.array(indices).reshape(-1, dim).T, (truncation + 1, truncation + 3)
+    flat = np.array([np.ravel_multi_index(exps, (size,) * dim, mode="clip") for size in sizes])
+    keys = tuple(pack(alpha) for alpha in indices)
+    return keys, *_read_only(flat, norms), {key: i for i, key in enumerate(keys)}
+
+
 @dataclass
 class BoundedSolveReport:
     """Outcome of the zero-extend / weighted-solve / restrict pipeline."""
@@ -679,23 +717,15 @@ def solve_bounded(
         dim=n, lam=Fraction(1), center=tuple(Fraction(v) for v in point0)
     )
 
-    indices = multi_indices_up_to(n, truncation)
-    unit = math.pi ** (n / 2.0)
-    # ||G_alpha||_w, the scale between the G basis and the orthonormal one:
-    # at lam = 1, ||G_alpha||^2_w is the int prod_j 2^a_j a_j! times pi^{n/2};
-    # the min-norm solution reaches degree N + 2
-    axis_norms = _axis_norms(truncation + 2)
-    basis_norm = {
-        alpha: math.sqrt(math.prod([axis_norms[e] for e in alpha]) * unit)
-        for alpha in multi_indices_up_to(n, truncation + 2)
-    }
+    keys, flat, norms, rows = basis_plan(n, truncation)
+    k = math.comb(truncation + n, n)  # the pairings: the indices of degree <= N come first
 
     with np.errstate(all="ignore"):
         raw, norm_f_w_data, norm_f_l2_sq = f.integrals(point0, truncation)
     # each float coefficient is an int over a power of two: over the largest, exactly
-    ratios = {alpha: (float(raw[alpha]) / basis_norm[alpha]).as_integer_ratio() for alpha in indices}
-    den = max(d for _, d in ratios.values())
-    nums = {pack(alpha): num * (den // d) for alpha, (num, d) in ratios.items()}
+    ratios = [v.as_integer_ratio() for v in (raw.ravel()[flat[0, :k]] / norms[:k]).tolist()]
+    den = max(d for _, d in ratios)
+    nums = {key: num * (den // d) for key, (num, d) in zip(keys, ratios)}
     f_exp = HermiteExpansion._trusted(weight, *reduced(den, nums))
 
     u_exp, residual_exact, norm_f_w, norm_u_w, weighted_ratio = exact_solve(f_exp, a, truncation)
@@ -707,17 +737,15 @@ def solve_bounded(
     # pairings and ||f~||^2_w are each within QUAD_TOL of their integrals, so
     # by Cauchy-Schwarz sum p^2 moves by 2 QUAD_TOL sqrt(K ||f~||^2) + K QUAD_TOL^2.
     projected = norm_f_w.to_float()
-    k = len(indices)
     bessel_tol = QUAD_TOL * (1.0 + 2.0 * math.sqrt(k * max(norm_f_w_data, 0.0)) + k * QUAD_TOL)
     defect = 1.0 - projected / norm_f_w_data if norm_f_w_data > 0 else 0.0
 
     # restriction norm of the solution: its dense orthonormal coefficients
     # against the per-axis Gram matrices of h_0..h_(N+2) over the box
     size = truncation + 3
+    at = [rows[key] for key in u_exp.nums]
     u_orth = np.zeros((size,) * n)
-    for key, num in u_exp.nums.items():
-        alpha = unpack(key, n)
-        u_orth[alpha] = num / u_exp.den * basis_norm[alpha]
+    u_orth.flat[flat[1, at]] = np.array([num / u_exp.den for num in u_exp.nums.values()]) * norms[at]
     with np.errstate(all="ignore"):
         grams = [(j, hermite_gram(*box.intervals[j], point0[j], size)[None]) for j in range(n)]
         norm_u_l2 = math.sqrt(max(_finite("||u||^2_L2", _quadratic(u_orth, grams)), 0.0))
@@ -793,9 +821,38 @@ def _sup_lattice(n: int) -> np.ndarray:
     for _ in range(64):  # x -> (1 + x)^(1/(n+1)) contracts by 1/2 or more
         phi = (1.0 + phi) ** (1.0 / (n + 1))
     alpha = phi ** -np.arange(1.0, n + 1)
-    points = (0.5 + np.arange(SUP_SAMPLES)[:, None] * alpha) % 1.0
-    points.setflags(write=False)
-    return points
+    return _read_only((0.5 + np.arange(SUP_SAMPLES)[:, None] * alpha) % 1.0)
+
+
+def _axis_rows(v: np.ndarray, lo: float, hi: float, edges: np.ndarray, origins: np.ndarray, powers):
+    """Points' coordinates v on one axis [lo, hi] of a SampledFunction:
+    whether each lies in [lo, hi], its cell once clipped there, and its
+    offset from that cell's origin to the powers 0..powers[-1]."""
+    inside = (lo <= v) & (v <= hi)
+    v = np.clip(v, lo, hi)
+    c = np.clip(np.searchsorted(edges, v) - 1, 0, len(origins) - 1)
+    return inside, c, np.vander(v - origins[c], powers[-1] + 1, increasing=True)
+
+
+def lattice_rows(n: int, j: int, lo: float, hi: float, edges: np.ndarray, origins: np.ndarray, powers):
+    """_axis_rows of coordinate j of the _sup_lattice(n) points mapped onto
+    [lo, hi]; read-only, and kept across calls when its SUP_SAMPLES (top
+    power + 3) floats (powers, cells and flags) and its key number at most
+    KEPT_ROW_FLOATS."""
+    top = int(powers[-1])
+    small = SUP_SAMPLES * (top + 3) + 2 * len(edges) + 4 <= KEPT_ROW_FLOATS
+    build = _kept_lattice_rows if small else _kept_lattice_rows.__wrapped__
+    return build(n, j, np.concatenate([[lo, hi], edges, origins]).tobytes(), top)
+
+
+@lru_cache(maxsize=KEPT_ROWS)
+def _kept_lattice_rows(n: int, j: int, bits: bytes, top: int) -> tuple[np.ndarray, ...]:
+    """lattice_rows of lo, hi, the cell edges and origins packed, in that
+    order, as float64 bytes, and the top power."""
+    values = np.frombuffer(bits)
+    lo, hi, cells = values[0], values[1], (len(values) - 3) // 2
+    edges, origins = values[2 : cells + 3], values[cells + 3 :]
+    return _read_only(*_axis_rows(lo + _sup_lattice(n)[:, j] * (hi - lo), lo, hi, edges, origins, (top,)))
 
 
 def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
@@ -838,7 +895,8 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
         sup = float(np.max(np.abs(vertices)))
         if any(powers[-1] > 1 for _, _, powers in f.axes):
             lo, hi = f.box.corners
-            sup = max(sup, float(np.max(np.abs(f(lo + _sup_lattice(n) * (hi - lo))))))
+            located = [lattice_rows(n, j, lo[j], hi[j], *axis) for j, axis in enumerate(f.axes)]
+            sup = max(sup, float(np.max(np.abs(f._values(located)))))
         sup_sq = sup**2
 
     pi_mass = math.pi ** (n / 2.0)

@@ -2,10 +2,13 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -794,3 +797,36 @@ class TestSuiteDeterminism:
         first, second = suite_runs
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["pass"] is True
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run_and_meet_their_comments(tmp_path):
+    """Every `gauss-rinv` line of README's example block exits 0 in-process
+    and its report holds each number its comment states: a quoted rational
+    is the solve's exact ratio, `-> 1/sqrt(k)` the operator norm, and
+    `v < 1/sqrt(k)` a norm that reads v to four places and stays below."""
+    block = README.read_text().split("```sh\ngauss-rinv ", 1)[1].split("```", 1)[0]
+    lines = [line for line in ("gauss-rinv " + block).splitlines() if line.startswith("gauss-rinv ")]
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"dim": 2, "terms": [{"exp": [2, 1], "coef": "1"}, {"exp": [0, 1], "coef": "-1/3"}]}))
+    claims = []
+    for line in lines:
+        command, _, comment = line.partition("#")
+        args = [str(poly) if arg == "path/to/poly.json" else arg for arg in shlex.split(command)[1:]]
+        code, report = run_cli(*args, tmp_path=tmp_path)
+        assert code == EXIT_OK and report["pass"] is True, line
+        results = report["results"]
+        for ratio in re.findall(r'"(-?\d+/\d+)"', comment):
+            claims.append(ratio)
+            assert results["solve"]["ratio"] == ratio, line
+        for bound in re.findall(r"-> 1/sqrt\((\d+)\)", comment):
+            claims.append(bound)
+            assert results["opnorm"]["value"] == pytest.approx(1 / math.sqrt(int(bound)), rel=1e-12), line
+        for value, bound in re.findall(r"(\d\.\d+) < 1/sqrt\((\d+)\)", comment):
+            claims.append(value)
+            norm = results["opnorm"]["value"]
+            assert f"{norm:.4f}" == value and norm < 1 / math.sqrt(int(bound)), line
+    assert len(lines) == 11
+    assert claims == ["1/8", "1/9", "4/33", "1/32", "8", "0.2017"]

@@ -29,7 +29,7 @@ from gauss_rinv.domains import (
     tensor_rule,
 )
 from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
-from gauss_rinv.polynomials import Polynomial
+from gauss_rinv.polynomials import Polynomial, pack
 from reference import basis_norm_sq
 
 
@@ -486,8 +486,8 @@ class TestInputLimits:
             raise AssertionError("work started on an over-limit input")
 
         for name in (
-            "multi_indices_up_to", "gaussian_moments", "_kept_moment_table", "_moment_table",
-            "hermite_gram", "_kept_gram_matrix", "_gram_matrix", "integrate_box",
+            "multi_indices_up_to", "gaussian_moments", "axis_blocks", "_kept_axis_blocks", "hermite_gram",
+            "_kept_gram_matrix", "basis_plan", "_kept_basis_plan", "integrate_box",
         ):
             monkeypatch.setattr(domains, name, forbidden)
         box = BoxDomain(intervals)
@@ -566,23 +566,36 @@ class TestClosedForms:
         assert np.abs(table[1]).max() < 1e-300
 
     def test_large_tables_are_built_not_kept(self):
-        """A table over KEPT_TABLE_FLOATS is returned but not kept: the
-        moments of a CELL_CHUNK chunk of a 2,001-node grid, whose first cell
-        reads as that cell's own kept table, and a size-70 Gram matrix.  A
-        kept table is keyed on the bits of x0, so 0.0 and -0.0 key two."""
-        caches = domains._kept_moment_table, domains._kept_gram_matrix
+        """Blocks or a Gram matrix over KEPT_TABLE_FLOATS are returned but not
+        kept: the blocks of a CELL_CHUNK chunk of a 2,001-node grid, whose
+        first cell reads as that cell's own kept blocks, and a size-70 Gram
+        matrix.  Kept blocks are keyed on the bits of x0, so 0.0 and -0.0
+        key two."""
+        caches = domains._kept_axis_blocks, domains._kept_gram_matrix
         for cache in caches:
             cache.cache_clear()
         nodes = np.linspace(-1.0, 1.0, 2001)
-        lo, hi = nodes[:CELL_CHUNK], nodes[1 : CELL_CHUNK + 1]
-        table = gaussian_moments(lo, hi, lo, 0.0, 3, 2)
-        assert table.shape == (CELL_CHUNK, 3, 2)
+        lo, hi, powers = nodes[:CELL_CHUNK], nodes[1 : CELL_CHUNK + 1], np.array([0, 1])
+        blocks = domains.axis_blocks(lo, hi, lo, 0.0, powers, 1)
+        assert [block.shape for block in blocks] == [(CELL_CHUNK, 2, 2)] * 3
         assert hermite_gram(-1.0, 1.0, 0.0, 70).shape == (70, 70)
         assert [cache.cache_info().currsize for cache in caches] == [0, 0]
         for x0 in (0.0, -0.0):
-            first = gaussian_moments(lo[:1], hi[:1], lo[:1], x0, 3, 2)
-            np.testing.assert_allclose(first[0], table[0], rtol=1e-14, atol=0.0)
+            first = domains.axis_blocks(lo[:1], hi[:1], lo[:1], x0, powers, 1)
+            for block, whole in zip(first, blocks):
+                np.testing.assert_allclose(block[0], whole[0], rtol=1e-14, atol=0.0)
         assert [cache.cache_info().currsize for cache in caches] == [2, 0]
+
+    def test_large_basis_plan_is_built_not_kept(self):
+        """The 2-D plan at the degree limit, 11,325 indices of degree <= 149,
+        is over KEPT_TABLE_FLOATS: built in full, not kept; N = 16 is kept."""
+        domains._kept_basis_plan.cache_clear()
+        keys, flat, norms, columns = domains.basis_plan(2, 147)
+        assert len(keys) == flat.shape[1] == len(norms) == len(columns) == math.comb(151, 2)
+        assert flat[1, columns[pack((149, 0))]] == 149 * 150
+        assert domains._kept_basis_plan.cache_info().currsize == 0
+        domains.basis_plan(2, 16)
+        assert domains._kept_basis_plan.cache_info().currsize == 1
 
     def test_non_dyadic_grid(self):
         """The 7 x 6 grid whose weighted norm the panel tree missed by 3.2e-4
@@ -728,6 +741,33 @@ class TestEmbeddings:
         assert f([[0.5]]) == pytest.approx([0.5])
         assert f([[0.3], [1.5]]).tolist() == pytest.approx([0.3, 0.0])  # zero outside
         assert embedding_check(f).holds
+
+    @pytest.mark.parametrize(
+        "intervals, terms",
+        [(((0.25, 1.5),), {(3,): 2, (2,): -1, (0,): 1}), (((0.0, 1.0), (-0.25, 0.75)), {(2, 1): 1, (0, 3): -2, (1, 0): 1})],
+        ids=["1-D", "2-D"],
+    )
+    def test_lattice_rows_give_the_values_at_the_lattice(self, intervals, terms):
+        """The sup estimate's lattice rows, cold and then kept, give f at the
+        _sup_lattice points mapped onto the box, bit for bit."""
+        box = BoxDomain(intervals)
+        f = SampledFunction.from_polynomial(Polynomial(box.dim, terms), box)
+        lo, hi = box.corners
+        expected = f(lo + domains._sup_lattice(box.dim) * (hi - lo))
+        domains._kept_lattice_rows.cache_clear()
+        for _ in range(2):
+            located = [domains.lattice_rows(box.dim, j, lo[j], hi[j], *axis) for j, axis in enumerate(f.axes)]
+            assert f._values(located).tobytes() == expected.tobytes()
+        assert domains._kept_lattice_rows.cache_info()[:2] == (box.dim, box.dim)
+        assert embedding_check(f).sup_sq >= float(np.max(np.abs(expected))) ** 2
+
+    def test_high_power_lattice_rows_are_built_not_kept(self):
+        """x^5 needs 8 x SUP_SAMPLES floats of rows, cells and flags, over
+        KEPT_ROW_FLOATS: its rows are built on each call."""
+        box = BoxDomain(((-1.0, 1.0),))
+        domains._kept_lattice_rows.cache_clear()
+        embedding_check(SampledFunction.from_polynomial(Polynomial(1, {(5,): 1, (2,): -1}), box))
+        assert domains._kept_lattice_rows.cache_info().currsize == 0
 
     def test_nonconstant_polynomial_rejected(self):
         with pytest.raises(ValueError):

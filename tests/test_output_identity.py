@@ -24,7 +24,7 @@ import pytest
 from gauss_rinv import adjoint, domains, hermite, polynomials, rightinverse
 from gauss_rinv.adjoint import run_identity_battery
 from gauss_rinv.cli import EXIT_CHECK_FAILED, EXIT_OK, main, run_suite
-from gauss_rinv.domains import BoxDomain, SampledFunction, solve_bounded
+from gauss_rinv.domains import BoxDomain, SampledFunction, embedding_check, solve_bounded
 from gauss_rinv.hermite import WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import Polynomial, random_polynomial
 from gauss_rinv.rightinverse import operator_norm, solve_min_norm
@@ -397,31 +397,53 @@ def test_bounded_digest_pinned():
     assert bounded_mismatches(recorded, bounded_documents()) == []
 
 
-# The tables a box keeps across calls: its Gaussian moment tables and its
-# Hermite Gram matrices.
+def embedding_documents() -> list[dict]:
+    """embedding_check reports of polynomials of power 2 or more on the
+    bounded boxes, whose sup estimates read the lattice rows."""
+    rng = random.Random(4043)
+    docs = []
+    for intervals, *_ in BOUNDED_CASES:
+        box = BoxDomain(intervals)
+        poly = random_polynomial(rng, box.dim, max_degree=3, max_terms=3) + Polynomial.variable(box.dim, 0) ** 2
+        docs.append(embedding_check(SampledFunction.from_polynomial(poly, box)).to_json_dict())
+    return docs
+
+
+# What a box keeps across calls: the per-axis blocks its data's pairings
+# and norms contract with, its Hermite Gram matrices, the basis plan of
+# its truncation and the sup-lattice rows of its data's axes.
 BOX_CACHES = (
-    domains._kept_moment_table,
+    domains._kept_axis_blocks,
     domains._kept_gram_matrix,
+    domains._kept_basis_plan,
+    domains._kept_lattice_rows,
 )
 
 
 def test_cold_box_caches_give_warm_bytes():
-    """The bounded reports from emptied table caches, and again from the
-    tables they kept, give the same bytes, which match the recorded
-    reports; a kept table is read-only."""
+    """The bounded and embedding reports from emptied caches, and again
+    from what they kept, give the same bytes, and the bounded ones match
+    the recorded reports; every kept array is read-only."""
     for cache in BOX_CACHES:
         cache.cache_clear()
-    cold = bounded_documents()
+    cold = bounded_documents(), embedding_documents()
     assert all(cache.cache_info().currsize for cache in BOX_CACHES)
-    warm = bounded_documents()
+    warm = bounded_documents(), embedding_documents()
     assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
-    assert bounded_mismatches(json.loads(BOUNDED_DOCUMENTS.read_text()), cold) == []
+    assert bounded_mismatches(json.loads(BOUNDED_DOCUMENTS.read_text()), cold[0]) == []
     for cache in BOX_CACHES:
         assert cache.cache_info().maxsize is not None
     ends = np.array([-1.0]), np.array([1.0])
-    for table in (domains.gaussian_moments(*ends, np.zeros(1), 0.0, 1, 4), domains.hermite_gram(-1.0, 1.0, 0.0, 4)):
+    kept = (
+        domains.gaussian_moments(*ends, np.zeros(1), 0.0, 1, 4),
+        *domains.axis_blocks(*ends, np.zeros(1), 0.0, np.arange(3), 3),
+        domains.hermite_gram(-1.0, 1.0, 0.0, 4),
+        *domains.basis_plan(1, 4)[1:3],
+        *domains.lattice_rows(1, 0, -1.0, 1.0, np.array([-1.0, 1.0]), np.zeros(1), np.array([0, 2])),
+    )
+    for table in kept:
         with pytest.raises(ValueError):
-            table[0, 0] = 0.0
+            table[(0,) * table.ndim] = 0
 
 
 @pytest.fixture
