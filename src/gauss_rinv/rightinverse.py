@@ -12,25 +12,22 @@ monomials).  The solves walk the cached ``_level(dim, degree, parity)``:
 one level of a parity class, its members and their _lowered entries;
 ``operator_norm`` reads the same operator's towers from ``_nu``, in floats.
 
-For a = 0 the coefficient system (over solutions of degree <= deg f + 2)
-is underdetermined; the minimal-weighted-norm solution is u = P (L P)^-1 f
-for L = lap and P the raising map (L* = lam^2 P).  L P keeps the blocks of
-(total degree, parity vector) and has a known integer spectrum on each,
-one eigenvalue per tower of the Fischer decomposition, so (L P)^-1 is an
-integer polynomial in L P, applied by Horner: no matrix is formed.
-
-For a != 0 the package's solution is the weak (Galerkin) one on V_N, the
-polynomials of degree <= N (N = deg f by default): the minimal-weighted-norm
-u in V_(N+2) with P_N (lap + a) u = f, P_N the weighted projection onto
-V_N.  It is u = T* w for T = lap + a, T* = lam^2 P + a, and the w in V_N
-with P_N T T* w = f (Hormander's duality argument on a finite test space),
-so ||u||^2 = <w, f> exactly, and the coercivity ||T* w||^2 >= 8 n lam^2
-||w||^2 gives ||u||^2 <= ||f||^2 / (8 n lam^2) for every a, N, lam and
-center.  Within a parity class P_N T T* is block tridiagonal over the
-levels; its block Thomas sweep runs from the bottom level up, where each
-pivot acts on the tower P^k H_m of a level as one rational, independent of
-N, and its inverse is a polynomial in L P applied by Horner like the
-a = 0 one.  No matrix is formed and no kernel element is needed.  The
+The package's solution is the weak (Galerkin) one on V_N, the polynomials
+of degree <= N (N = deg f by default): the minimal-weighted-norm u in
+V_(N+2) with P_N (lap + a) u = f, P_N the weighted projection onto V_N.
+It is u = T* w for T = lap + a, T* = lam^2 P + a (L = lap, P the raising
+map, L* = lam^2 P), and the w in V_N with P_N T T* w = f (Hormander's
+duality argument on a finite test space), so ||u||^2 = <w, f> exactly,
+and the coercivity ||T* w||^2 >= 8 n lam^2 ||w||^2 gives ||u||^2 <=
+||f||^2 / (8 n lam^2) for every a, N, lam and center.  Within a parity
+class P_N T T* is block tridiagonal over the levels, and one block Thomas
+sweep solves it for every a.  Each pivot acts on the tower P^k H_m of a
+level as one rational, independent of N, and its inverse is an integer
+polynomial in L P applied by Horner: no matrix is formed and no kernel
+element is needed.  At a = 0 the couplings between levels vanish: the
+sweep walks only f's own (degree, parity) levels, with no back pass, each
+pivot is L P, whose integer spectrum has one eigenvalue per tower of the
+Fischer decomposition, and u = P (L P)^-1 f is the same for every N.  The
 plane-wave kernel elements (cos/sin(k.x) with |k|^2 = a, e^(k.x) with
 |k|^2 = -a) and ``enrich``, which projected a particular solution off
 them in floats, stay as library functions that no report path calls.
@@ -383,20 +380,21 @@ class SolveReport(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-# Most work a min-norm solve may take, counted from binomials before any
-# level is built.  A level's units are the lap entries of the level above
-# it (dim times its members) times the towers, plus the dim ints of each
-# member's multi-index on the level and the one above.  At a = 0 the levels
-# are the data's (degree, parity) blocks, one Horner each.  At a != 0 they
-# are every level of each of the data's parity classes from its bottom to
-# N, twice (the forward and the back pass), and a level counts j + 1 times,
-# j the levels below it in its class: the sweep's ints grow by about one
-# pivot per level.  A unit takes about 0.4 us at a = 0 and 0.1-1.2 us at
-# a != 0 (2-core x86): x1^8 in 12-D counts 198,564 at a = 0 (0.9 s in a
-# whole cold `gauss-rinv solve`) and 1,867,200 at a != 0; x^1000 in 1-D
-# counts 754,506 at a = 1 (0.9 s), and x^80 in 2-D 3,159,296 (2.8 s);
-# x1^12 in 12-D (2,283,972) and x1^2 in 1000-D (504,502,000) are refused
-# at a = 0.
+# Most work a min-norm solve may take, counted from binomials over the
+# levels the sweep walks, before any level is built.  A level's units are
+# the lap entries of the level above it (dim times its members) times the
+# towers, plus the dim ints of each member's multi-index on the level and
+# the one above.  At a = 0 the sweep walks the data's (degree, parity)
+# blocks, uncoupled, and each counts once.  At a != 0 it walks every level
+# of each of the data's parity classes from its bottom to N, twice (the
+# forward and the back pass), and a level counts j + 1 times, j the levels
+# below it in its class: the sweep's ints grow by about one pivot per
+# level, so a level counts 2 (j + 1) times in all.  A unit takes about
+# 0.4 us at a = 0 and 0.1-1.2 us at a != 0 (2-core x86): x1^8 in 12-D
+# counts 198,564 at a = 0 (0.9 s in a whole cold `gauss-rinv solve`) and
+# 1,867,200 at a != 0; x^1000 in 1-D counts 754,506 at a = 1 (0.9 s), and
+# x^80 in 2-D 3,159,296 (2.8 s); x1^12 in 12-D (2,283,972) and x1^2 in
+# 1000-D (504,502,000) are refused at a = 0.
 MAX_MIN_NORM_WORK = 1_000_000
 
 
@@ -415,35 +413,24 @@ def _towers(dim: int, degree: int, odd: int) -> range:
 
 
 @lru_cache(maxsize=1024)
-def _tower_polynomial(dim: int, degree: int, odd: int) -> tuple[int, ...]:
-    """(c_0, c_1, ...) of c(x) = prod_k (mu_k - x), mu_k = nu(degree - 2k,
-    k + 1), over the ``_towers`` on the degree level of a parity class."""
-    coeffs = [1]
-    for k in _towers(dim, degree, odd):
-        mu = _nu(dim, degree - 2 * k, k + 1)
-        coeffs = [mu * c - below for c, below in zip(coeffs + [0], [0] + coeffs)]
-    return tuple(coeffs)
-
-
-@lru_cache(maxsize=1024)
 def _lagrange_bases(dim: int, degree: int, odd: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Per tower of the level, in ``_towers`` order: (B_k, B_k(mu_k)) for
-    B_k(x) = prod_(j != k) (x - mu_j), its int coefficients from x^0 up.
-    They do not depend on a or lam."""
+    B_k(x) = prod_(j != k) (x - mu_j), its int coefficients from x^0 up:
+    prod_j (x - mu_j) divided by x - mu_k, synthetically.  They do not
+    depend on a or lam."""
     mus = [_nu(dim, degree - 2 * k, k + 1) for k in _towers(dim, degree, odd)]
+    full = [1]
+    for mu in mus:
+        full = [below - mu * c for c, below in zip(full + [0], [0] + full)]
     out = []
-    for k, mu in enumerate(mus):
-        coeffs, at_mu = [1], 1
-        for j, other in enumerate(mus):
-            if j != k:
-                coeffs = [below - other * c for c, below in zip(coeffs + [0], [0] + coeffs)]
-                at_mu *= mu - other
-        out.append((tuple(coeffs), at_mu))
+    for mu in mus:  # B_k from its top: b_(i - 1) = full_i + mu_k b_i
+        basis = itertools.accumulate(reversed(full[1:]), lambda b, c: c + mu * b)
+        out.append((tuple(basis)[::-1], math.prod(mu - other for other in mus if other != mu)))
     return tuple(out)
 
 
 @lru_cache(maxsize=4096)
-def _shifted_pivots(dim: int, c_num: int, c_den: int, degree: int, odd: int) -> tuple[Fraction, ...]:
+def _shifted_pivots(dim: int, c_num: int, c_den: int, degree: int, odd: int) -> tuple[Fraction | int, ...]:
     """The bottom-up pivots of the sweep on the degree level of a parity
     class at c = c_num / c_den = a^2 / lam^2, one per ``_towers`` k.
 
@@ -452,8 +439,11 @@ def _shifted_pivots(dim: int, c_num: int, c_den: int, degree: int, odd: int) -> 
     pivots of the level below: the Thomas pivots of the tower's normal
     operator, taken from its bottom, so they do not depend on N.  Called
     for the levels of a class from the bottom up, the recursion finds the
-    level below cached.
+    level below cached.  At c = 0 they are the ints mu_k = nu(m, k + 1),
+    the spectrum of L P, and the level below is not read.
     """
+    if not c_num:
+        return tuple(_nu(dim, degree - 2 * k, k + 1) for k in _towers(dim, degree, odd))
     c = Fraction(c_num, c_den)
     below = _shifted_pivots(dim, c_num, c_den, degree - 2, odd) if degree - 2 >= odd else ()
     first = _towers(dim, degree - 2, odd).start  # the k of below[0]
@@ -467,13 +457,16 @@ def _shifted_pivots(dim: int, c_num: int, c_den: int, degree: int, odd: int) -> 
 def _shifted_inverse(dim: int, c_num: int, c_den: int, degree: int, odd: int) -> tuple[tuple[int, ...], int]:
     """(Q, D) with q = Q / D, q(mu_k) = 1 / s_k for the ``_shifted_pivots``
     s_k: Q is the int sum of the ``_lagrange_bases`` B_k times 1 / (s_k
-    B_k(mu_k)) over their lcm D, so the pivot's inverse is Q(L P) / D."""
+    B_k(mu_k)) over their lcm D, so the pivot's inverse is Q(L P) / D, in
+    lowest terms with D > 0.  It is built on ints."""
     bases = _lagrange_bases(dim, degree, odd)
-    weights = [1 / (s * at_mu) for s, (_, at_mu) in zip(_shifted_pivots(dim, c_num, c_den, degree, odd), bases)]
-    den = math.lcm(*(w.denominator for w in weights))
+    pivots = _shifted_pivots(dim, c_num, c_den, degree, odd)
+    # 1 / (s_k B_k(mu_k)) as an int numerator over an int of either sign
+    weights = [(s.denominator, s.numerator * at_mu) for s, (_, at_mu) in zip(pivots, bases)]
+    den = math.lcm(*(w for _, w in weights))
     q = [0] * len(bases)
-    for w, (basis, _) in zip(weights, bases):
-        scale = w.numerator * (den // w.denominator)
+    for (num, w), (basis, _) in zip(weights, bases):
+        scale = num * (den // w)
         for i, b in enumerate(basis):
             q[i] += scale * b
     g = math.gcd(den, *q)
@@ -516,60 +509,12 @@ def _over_gcd(nums: list[int], den: int) -> tuple[list[int], int]:
     return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
+@lru_cache(maxsize=4096)
 def _level_work(dim: int, degree: int, odd: int) -> int:
     """MAX_MIN_NORM_WORK units of one Horner on a level (see there)."""
     half = (degree - odd) // 2
     rows, cols = math.comb(half + dim - 1, dim - 1), math.comb(half + dim, dim - 1)
     return dim * (rows * (half + 1 if dim > 1 else 1) + rows + cols)
-
-
-def _shifted_sweep(
-    dim: int, parity: int, top: int, blocks: dict, a: Fraction, shift: Fraction
-) -> list[tuple[tuple[int, ...], list[int], int]]:
-    """u on the levels of one parity class at a != 0, as (members, nums,
-    den) per level: the block Thomas sweep of ``_min_norm_coeffs`` over
-    the levels d = odd, odd + 2, ..., top, on int numerators, one gcd per
-    level and pass."""
-    odd = parity.bit_count()
-    p, q, sp, sq = a.numerator, a.denominator, shift.numerator, shift.denominator
-    c = a * shift
-    cp, cq = c.numerator, c.denominator
-    # per level d: its members and their entries into the level below, the
-    # level above and its entries, and the pivot inverse Q(L P) / D
-    steps = [
-        (d, *_level(dim, d, parity), *_level(dim, d + 2, parity), *_shifted_inverse(dim, cp, cq, d, odd))
-        for d in range(odd, top + 1, 2)
-    ]
-    vs: list[tuple[list[int], int]] = []
-    for d, members, below, _, entries, coeffs, den in steps:  # forward: y_d = S_d^-1 (f_d - a P y_(d - 2))
-        block = blocks.get((d, parity), {})
-        rhs = [block.get(gamma, 0) for gamma in members]
-        if vs:
-            y, e = vs[-1]
-            rhs = [q * e * r - p * x for r, x in zip(rhs, _raised(y, below))]
-            den *= q * e
-        vs.append(_over_gcd(_horner(coeffs, rhs, entries), den))
-    for j in range(len(steps) - 2, -1, -1):  # back: v_d = y_d - alpha S_d^-1 L v_(d + 2)
-        (y, e), (v, g) = vs[j], vs[j + 1]
-        *_, entries, coeffs, den = steps[j]
-        lowered = [0] * len(y)
-        for column, x in zip(entries, v):
-            if x:
-                for i, b in column:
-                    lowered[i] += b * x
-        x = _horner(coeffs, lowered, entries)
-        vs[j] = _over_gcd([sq * den * g * yi - sp * e * xi for yi, xi in zip(y, x)], sq * den * g * e)
-    # u = P v + alpha v: alpha v_odd on the bottom level, P v_d + alpha v_(d + 2) above
-    v, g = vs[0]
-    parts = [(steps[0][1], *_over_gcd([sp * x for x in v], sq * g))]
-    for j, (v, g) in enumerate(vs):
-        above, entries = steps[j][3:5]
-        nums = _raised(v, entries)
-        if j + 1 < len(vs):
-            v_up, g_up = vs[j + 1]
-            nums, g = [sq * g_up * x + sp * g * y for x, y in zip(nums, v_up)], sq * g * g_up
-        parts.append((above, *_over_gcd(nums, g)))
-    return parts
 
 
 def _min_norm_coeffs(f: HermiteExpansion, a: Fraction = Fraction(0), top: int | None = None) -> HermiteExpansion:
@@ -579,56 +524,85 @@ def _min_norm_coeffs(f: HermiteExpansion, a: Fraction = Fraction(0), top: int | 
     With v = lam^2 w, u = T* w = (P + alpha) v for alpha = a / lam^2, and
     P_top (L + a)(P + alpha) v = f.  Within a parity class this is block
     tridiagonal over the levels d: L P + c on the diagonal (c = a alpha),
-    alpha L above and a P below.  One block Thomas sweep from the bottom
-    level up (``_shifted_sweep``) solves it: forward y_d = S_d^-1 (f_d -
-    a P y_(d - 2)), back v_d = y_d - alpha S_d^-1 L v_(d + 2), then u = P v
-    + alpha v; the pivot inverses S_d^-1 = Q_d(L P) / D_d of
-    ``_shifted_inverse`` are applied by ``_horner``.  At a = 0 the levels
-    decouple and S_d = L P: one Horner per (degree, parity) block of f,
-    with the ``_tower_polynomial`` c of the level, (L P)^-1 = -(c_1 + c_2
-    (L P) + ...) / c_0 as c(L P) = 0 there, and u = P (L P)^-1 f, the same
-    for every weight and every top.  Each level of u is put over one
-    denominator, and u over the lcm of those.  Work over MAX_MIN_NORM_WORK
-    raises InputLimitError before any level is built.
+    alpha L above and a P below.  One block Thomas sweep solves it for
+    every a, on int numerators: forward, from the bottom up, y_d = S_d^-1
+    (f_d - a P y_(d - 2)); back, from the top down, v_d = y_d - alpha
+    S_d^-1 L v_(d + 2) and u's level d + 2, P v_d + alpha v_(d + 2); and
+    u = alpha v on the bottom level.  The pivot inverses S_d^-1 = Q_d(L P)
+    / D_d of ``_shifted_inverse`` are applied by ``_horner``.  At a != 0
+    the sweep walks every level of each of f's parity classes from its
+    bottom to top.  At a = 0 the couplings a P and alpha L vanish and S_d =
+    L P: it walks only f's own (degree, parity) blocks, uncoupled, with no
+    back step, and u = P (L P)^-1 f, the same for every weight and every
+    top.  Each level of u is put over one denominator with their gcd
+    divided out, as is each y_d and v_d that feeds another level, and u,
+    in (degree, parity) order, over the lcm of those.  Work over
+    MAX_MIN_NORM_WORK raises InputLimitError before any level is built.
     """
     dim = f.weight.dim
     top = f.degree() if top is None else top
     layout = key_layout(dim)
     degree_shift, par = layout.degree_shift, layout.parity
     blocks: dict[tuple[int, int], dict[int, int]] = {}  # (degree, parity class) -> its terms
-    for alpha, num in f.nums.items():
-        blocks.setdefault((alpha >> degree_shift, alpha & par), {})[alpha] = num
-    if a:
-        classes = sorted({parity for _, parity in blocks})
-        work = 2 * sum(
-            (j + 1) * _level_work(dim, d, parity.bit_count())
-            for parity in classes
-            for j, d in enumerate(range(parity.bit_count(), top + 1, 2))
-        )
+    for gamma, num in f.nums.items():
+        blocks.setdefault((gamma >> degree_shift, gamma & par), {})[gamma] = num
+    p, q, lam = a.numerator, a.denominator, f.weight.lam
+    alpha, c = (a / lam**2, a * a / lam**2) if p else (a, a)  # alpha = a / lam^2, c = a alpha
+    sp, sq, cp, cq = alpha.numerator, alpha.denominator, c.numerator, c.denominator
+    # the chains of (degree, parity) levels the sweep walks, coupled within a chain: each
+    # parity class of f from its bottom to top, or at a = 0, uncoupled, f's own blocks
+    if p:
+        classes = {parity for _, parity in blocks}
+        plan = [[(d, parity) for d in range(parity.bit_count(), top + 1, 2)] for parity in classes]
     else:
-        work = 0
-        for d, parity in blocks:
-            work += _level_work(dim, d, parity.bit_count())
+        plan = [sorted(blocks)]
+    work = 0
+    for chain in plan:
+        for j, (d, parity) in enumerate(chain):
+            work += (2 * (j + 1) if p else 1) * _level_work(dim, d, parity.bit_count())
     if work > MAX_MIN_NORM_WORK:
         raise InputLimitError(
             f"the min-norm solve in {dim}-D needs {work} units of work (lap entries times towers, "
             f"plus the {dim}-entry multi-indices), above MAX_MIN_NORM_WORK = {MAX_MIN_NORM_WORK}"
         )
-    parts: list[tuple[tuple[int, ...], list[int], int]] = []
-    if a:
-        shift = a / f.weight.lam**2
-        for parity in classes:
-            parts.extend(_shifted_sweep(dim, parity, top, blocks, a, shift))
-    else:
-        for (d, parity), block in sorted(blocks.items()):
-            c0, *tail = _tower_polynomial(dim, d, parity.bit_count())
+    parts: list[tuple[int, int, tuple[int, ...], list[int], int]] = []  # (degree, parity, members, nums, den)
+    for chain in plan:
+        ys: list[tuple[list[int], int]] = []
+        for d, parity in chain:  # forward: y_d = S_d^-1 (f_d - a P y_(d - 2))
+            members, below = _level(dim, d, parity)
+            coeffs, den = _shifted_inverse(dim, cp, cq, d, parity.bit_count())
+            block = blocks.get((d, parity), {})
+            rhs = [block.get(gamma, 0) for gamma in members]
+            if p and ys:
+                y, e = ys[-1]
+                rhs = [q * e * r - p * x for r, x in zip(rhs, _raised(y, below))]
+                den *= q * e
+            y = _horner(coeffs, rhs, _level(dim, d + 2, parity)[1])
+            ys.append(_over_gcd(y, den) if p else (y, den))  # at a = 0 only its part of u, below, takes a gcd
+        v_up = None  # v_(d + 2) over g_up, at a != 0
+        for (d, parity), (v, g) in zip(reversed(chain), reversed(ys)):  # back: v_d = y_d - alpha S_d^-1 L v_(d + 2)
             above, entries = _level(dim, d + 2, parity)
-            acc = _horner(tail, [block.get(gamma, 0) for gamma in _level(dim, d, parity)[0]], entries)
-            nums = _raised(acc, entries)
-            g = math.gcd(c0, *nums)
-            parts.append((above, [-v // g for v in nums], c0 // g))
-    common = math.lcm(*(den for _, _, den in parts))
-    u = {gamma: num * (common // den) for members, nums, den in parts for gamma, num in zip(members, nums)}
+            if v_up is None:
+                nums, den = _raised(v, entries), g
+            else:
+                coeffs, den = _shifted_inverse(dim, cp, cq, d, parity.bit_count())
+                lowered = [0] * len(v)
+                for column, x in zip(entries, v_up):
+                    if x:
+                        for i, b in column:
+                            lowered[i] += b * x
+                x = _horner(coeffs, lowered, entries)
+                v, g = _over_gcd([sq * den * g_up * vi - sp * g * xi for vi, xi in zip(v, x)], sq * den * g_up * g)
+                nums, den = [sq * g_up * x + sp * g * y for x, y in zip(_raised(v, entries), v_up)], sq * g * g_up
+            parts.append((d + 2, parity, above, *_over_gcd(nums, den)))  # u = P v_d + alpha v_(d + 2) there
+            if p:
+                v_up, g_up = v, g
+        if p:  # and u = alpha v on the bottom level
+            d, parity = chain[0]
+            parts.append((d, parity, _level(dim, d, parity)[0], *_over_gcd([sp * x for x in v], sq * g)))
+    parts.sort()  # in (degree, parity) order: no two parts share a level
+    common = math.lcm(*(den for *_, den in parts))
+    u = {gamma: num * (common // den) for _, _, members, nums, den in parts for gamma, num in zip(members, nums)}
     return HermiteExpansion._trusted(f.weight, *reduced(f.den * common, u))
 
 

@@ -50,10 +50,11 @@ from gauss_rinv.linalg import SingularMatrixError, nullspace_exact, solve_exact
 from gauss_rinv.polynomials import Polynomial, key_layout, pack, random_polynomial, reduced, tensor_expand, unpack
 from gauss_rinv.rightinverse import (
     KernelFunction,
+    _lagrange_bases,
     _level,
     _min_norm_coeffs,
+    _shifted_inverse,
     _tower_normal,
-    _tower_polynomial,
     multi_indices_up_to,
     shifted_laplacian,
     solve_min_norm,
@@ -573,22 +574,12 @@ def apply_polynomial(coeffs, v: dict) -> dict:
     return {k: x for k, x in out.items() if x}
 
 
-def without_root(coeffs, mu: int) -> list[int]:
-    """c(x) / (mu - x) by synthetic division; the remainder must be 0."""
-    quotient, carry = [], 0
-    for c in reversed(coeffs[1:]):
-        carry = c + carry * mu if quotient else c
-        quotient.append(carry)
-    quotient = [-q for q in reversed(quotient)]
-    assert coeffs[0] == mu * quotient[0]
-    return quotient
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_tower_polynomial_annihilates_its_level(dim):
-    """c(L P) v == 0 for a random v on every (degree, parity) level up to
-    degree 9, and with any one of c's roots mu_k taken out it is not: the
-    towers counted are exactly the towers present, fewer in 1-D."""
+def test_pivot_inverse_inverts_its_level(dim):
+    """The a = 0 pivot inverse (Q, D) of ``_shifted_inverse`` gives
+    Q(L P)(L P v) == D v for a random v on every (degree, parity) level up
+    to degree 9, and each tower's ``_lagrange_bases`` B_k gives B_k(L P) v
+    != 0: the towers counted are exactly the towers present, fewer in 1-D."""
     rng = random.Random(100 + dim)
     for degree in range(10):
         for parity in itertools.product((0, 1), repeat=dim):
@@ -596,14 +587,13 @@ def test_tower_polynomial_annihilates_its_level(dim):
             if not rows:
                 continue
             v = {alpha: rng.randint(-(10**6), 10**6) or 1 for alpha in rows}
-            coeffs = _tower_polynomial(dim, degree, sum(parity))
+            coeffs, den = _shifted_inverse(dim, 0, 1, degree, sum(parity))
+            bases = _lagrange_bases(dim, degree, sum(parity))
             top = (degree - sum(parity)) // 2
-            towers = range(top + 1) if dim > 1 else (top,)
-            assert len(coeffs) == len(towers) + 1
-            assert apply_polynomial(coeffs, v) == {}
-            for k in towers:
-                mu = 8 * (k + 1) * (2 * degree - 2 * k + dim)
-                assert apply_polynomial(without_root(list(coeffs), mu), v) != {}
+            assert len(coeffs) == len(bases) == (top + 1 if dim > 1 else 1)
+            assert apply_polynomial(coeffs, reference_lap_raise(v)) == {alpha: den * x for alpha, x in v.items()}
+            for basis, _ in bases:
+                assert apply_polynomial(basis, v) != {}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -319,11 +319,9 @@ def test_solve_digest_pinned():
     assert _sha256([doc for doc in docs if doc["a"] == "0"]) == SOLVE_A0_SHA256
 
 
-# The caches of the tower polynomials, of lap + a (its entries per
-# multi-index and its levels) and of the shifted sweep (its Lagrange bases,
-# pivots and pivot inverses).
+# The caches of lap + a (its entries per multi-index and its levels) and of
+# the sweep (its Lagrange bases, pivots and pivot inverses).
 SOLVE_CACHES = (
-    rightinverse._tower_polynomial,
     rightinverse._lowered,
     rightinverse._level,
     rightinverse._lagrange_bases,
@@ -333,9 +331,8 @@ SOLVE_CACHES = (
 
 
 def test_cold_tower_caches_give_warm_bytes():
-    """The solve corpus from emptied tower-polynomial, level and sweep
-    caches, and again from the caches that filled, gives the same, pinned,
-    bytes."""
+    """The solve corpus from emptied level and sweep caches, and again
+    from the caches that filled, gives the same, pinned, bytes."""
     for cache in SOLVE_CACHES:
         cache.cache_clear()
     cold = solve_documents()

@@ -146,10 +146,11 @@ class TestLevels:
 
     def test_cold_cache_high_degree(self):
         """A level is built without its lower levels: on a cold cache the
-        1-D degree-3999 level is one call, and a 1-D a = 1 sweep from degree
+        1-D degree-3999 level is one call, a 1-D a = 1 sweep from degree
         800 walks its 401 levels and their pivots from the bottom up, with
-        an exact weak residual."""
-        for cache in (rightinverse._level, rightinverse._tower_polynomial, *SWEEP_CACHES):
+        an exact weak residual, and an a = 0 solve of G_3999 reads the
+        pivots of its own level alone."""
+        for cache in (rightinverse._level, *SWEEP_CACHES):
             cache.cache_clear()
         # the class of odd x: members and entries on packed keys, G_3999 and its lowered G_3997
         odd = key_layout(1).parity
@@ -160,6 +161,10 @@ class TestLevels:
         assert len(u.nums) == 402 and u.degree() == 802
         assert residual_exact
         assert rightinverse._shifted_pivots.cache_info().currsize == 401
+        for cache in SWEEP_CACHES:
+            cache.cache_clear()
+        assert rightinverse.exact_solve(basis_element(WeightSpec.unit(1), (3999,)), Fraction(0))[1]
+        assert rightinverse._shifted_pivots.cache_info().currsize == 1
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_triangular_walks_only_the_classes_of_f(self, dim, monkeypatch):
@@ -177,6 +182,29 @@ class TestLevels:
         assert rightinverse.exact_solve(f, Fraction(2))[1]
         assert asked == {0}  # the even class: no parity bit set
 
+    def test_zero_shift_walks_only_the_levels_of_f(self, monkeypatch):
+        """At a = 0 the levels do not couple, and the sweep walks only f's
+        own: the 1-D Hermite data G_0 + G_40 asks for levels 0 and 40 and
+        the two they raise into, 2 and 42, and counts the work of levels 0
+        and 40 alone, so the empty levels between are never walked."""
+        asked = set()
+        level = rightinverse._level
+
+        def spy(d, degree, parity):
+            asked.add(degree)
+            return level(d, degree, parity)
+
+        monkeypatch.setattr(rightinverse, "_level", spy)
+        f = HermiteExpansion(WeightSpec.unit(1), {(0,): 1, (40,): 1})
+        assert rightinverse.exact_solve(f, Fraction(0))[1]
+        assert asked == {0, 2, 40, 42}
+        work = rightinverse._level_work(1, 0, 0) + rightinverse._level_work(1, 40, 0)
+        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_WORK", work)
+        assert rightinverse.exact_solve(f, Fraction(0))[1]
+        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_WORK", work - 1)
+        with pytest.raises(InputLimitError, match=f"needs {work} units of work"):
+            rightinverse.exact_solve(f, Fraction(0))
+
 
 def monomial_route_residual_zero(report, f: Polynomial) -> bool:
     """Reference weak residual check on monomials: r = lap(u) + a u - f has
@@ -189,26 +217,33 @@ def monomial_route_residual_zero(report, f: Polynomial) -> bool:
 
 class TestTowerSpectrum:
     """The exact residual check guards the tower spectrum the min-norm solve
-    inverts L P by: the 2-D degree-4 even level served with its harmonic
-    tower's mu_0 off by one."""
+    inverts L P by: the a = 0 pivot inverse of the 2-D degree-4 even level
+    served as if its harmonic tower's mu_0 were off by one."""
 
     F = Polynomial(2, {(4, 0): 1, (2, 2): 1, (0, 4): 1})
-    KEY = (2, 4, 0)  # (dim, degree, odd axes)
+    KEY = (2, 0, 1, 4, 0)  # (dim, c numerator, c denominator, degree, odd axes)
 
     @staticmethod
-    def tower_polynomial(mus) -> tuple[int, ...]:
-        coeffs = [1]
-        for mu in mus:
-            coeffs = [mu * c - below for c, below in zip(coeffs + [0], [0] + coeffs)]
-        return tuple(coeffs)
+    def pivot_inverse(mus, pivots) -> tuple[tuple[int, ...], int]:
+        """(Q, D) in lowest terms with Q(mu_k) / D = 1 / pivots[k], Q of
+        degree below len(mus): Lagrange interpolation in Fractions."""
+        q = [Fraction(0)] * len(mus)
+        for k, (mu, s) in enumerate(zip(mus, pivots)):
+            basis = [Fraction(1, s)]
+            for j, other in enumerate(mus):
+                if j != k:
+                    basis = [(below - other * c) / (mu - other) for c, below in zip(basis + [0], [0] + basis)]
+            q = [x + b for x, b in zip(q, basis)]
+        den = math.lcm(*(x.denominator for x in q))
+        return tuple(int(x * den) for x in q), den
 
     def corrupt(self, monkeypatch):
         mus = [8 * (k + 1) * (2 * 4 - 2 * k + 2) for k in range(3)]
-        tower = rightinverse._tower_polynomial
-        assert tower(*self.KEY) == self.tower_polynomial(mus)
-        bad = self.tower_polynomial([mus[0] + 1, *mus[1:]])
+        inverse = rightinverse._shifted_inverse
+        assert inverse(*self.KEY) == self.pivot_inverse(mus, mus)
+        bad = self.pivot_inverse(mus, [mus[0] + 1, *mus[1:]])
         monkeypatch.setattr(
-            rightinverse, "_tower_polynomial", lambda *k: bad if k == self.KEY else tower(*k)
+            rightinverse, "_shifted_inverse", lambda *k: bad if k == self.KEY else inverse(*k)
         )
 
     def test_wrong_mu_fails_residual(self, monkeypatch):
@@ -759,12 +794,12 @@ class TestOperatorNorm:
         nu = rightinverse._nu
         monkeypatch.setattr(cli, "run_identity_battery", lambda **kwargs: [])
         monkeypatch.setattr(rightinverse, "_nu", lambda dim, m, k: nu(dim + 1, m, k))
-        for cache in (rightinverse._tower_polynomial, *SWEEP_CACHES):
+        for cache in SWEEP_CACHES:
             cache.cache_clear()
         try:
             assert main(["suite"]) == EXIT_CHECK_FAILED
         finally:
-            for cache in (rightinverse._tower_polynomial, *SWEEP_CACHES):
+            for cache in SWEEP_CACHES:
                 cache.cache_clear()
         criteria = {c["criterion"]: c for c in json.loads(capsys.readouterr().out)["results"]["criteria"]}
         assert criteria["operator-norm"]["pass"] is False
