@@ -22,17 +22,8 @@ Gauss rule of the package (Jacobi-matrix eigenvalues, each polished by one
 fixed-point Newton step), are defined here, outside the exact core.
 
 What a bounded op reads that the data values and a do not set is kept
-across calls, read-only, in bounded caches keyed on ints and on the float64
-bytes of its inputs (so 0.0 and -0.0 key apart), each result built by one
-builder whether or not it is kept: ``axis_blocks``, the pairing, weighted
-and plain blocks of an axis chunk (keyed on its cell ends, origins, the
-center, the top power and N); ``hermite_gram``, a side's Gram matrix (its
-ends, the center, the size); ``basis_plan``, the indices, positions and
-norms of a truncation (n, N); each at most KEPT_TABLE_FLOATS floats with its
-key and KEPT_TABLES per kind, 6.3 MB in all.  ``lattice_rows``, the
-sup-lattice rows of a data axis (n, the axis, its ends, cell ends, origins
-and top power), keeps up to KEPT_ROWS of KEPT_ROW_FLOATS floats, 2.1 MB.
-Larger results are built on each call.
+across calls, read-only, by one rule (``_kept``) in one store of at most
+KEPT_BYTES; a result over KEPT_BYTES // 64 is built on each call.
 
 The embedding checks confirm ||f||^2_w <= ||f||^2_{L2} (the weight is at
 most 1) and ||f||^2_w <= pi^{n/2} sup|f|^2 (total Gaussian mass), which
@@ -49,9 +40,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,14 +68,16 @@ PANEL_ORDER = 12
 MAX_DEPTH = 24
 # Error budget of each float integral of solve_bounded; the Bessel
 # tolerance is derived from it, and it is printed as "quad_tol".  The
-# closed forms meet it to rounding, except that a grid's weighted norm
-# loses about (nodes per axis / 2)^2 ulps (see gaussian_moments): 1e-10
-# relative at 2,000 nodes.
+# closed forms meet it to rounding, except the weighted norm: the forward
+# recurrence of gaussian_moments loses about 1/w^2 per power on cells of
+# half-width w (x^10 on [-1, 1] reads 2.9e-9 relative, a 2,000-node grid
+# 1e-10).  A weighted norm below -QUAD_TOL ||f||^2_L2 raises, and solve_bounded
+# refuses one above (1 + QUAD_TOL) ||f||^2_L2.
 QUAD_TOL = 1e-10
 # Points of the sup estimate of embedding_check, a Kronecker lattice in the
 # box, for data of power above 1 on some axis: its sup may lie inside a cell.
 SUP_SAMPLES = 2048
-# Slack of the two embedding inequalities.
+# Slack of the two embedding inequalities, relative to each right-hand side.
 EMBEDDING_TOL = 1e-8
 # Points of the closed-form and second-derivative checks of the counterexample.
 SAMPLE_POINTS = 50
@@ -107,17 +101,14 @@ MAX_R = 1e101
 # contraction costs n (N+3)^(n+1) multiply-adds.  2-D reaches its degree
 # limit 147 (22,500 entries), 3-D stops at N = 29, 4-D at N = 10.
 MAX_TENSOR_ENTRIES = 32_768
+# Largest box diameter |U| of a bounded solve: its constant's e^{|U|^2}
+# overflows a float past sqrt(ln(float max)) = 26.64.
+MAX_DIAMETER = math.sqrt(math.log(sys.float_info.max))
 # Grid cells whose Gaussian moments are tabulated at once, so that a long
 # axis holds at most 1024 x 3 x (N+1) floats (3.6 MB at N = 147).
 CELL_CHUNK = 1024
-# Floats of one result kept across calls, its key's included (a basis plan
-# counts 20, 160 bytes, per index), and results kept per kind: 64 x 4,096
-# floats, 2.1 MB, for each of three kinds; sup-lattice rows, SUP_SAMPLES (top
-# power + 3) floats each, 16 x 16,384 floats, 2.1 MB (powers up to 4).
-KEPT_TABLE_FLOATS = 4096
-KEPT_TABLES = 64
-KEPT_ROW_FLOATS = 8 * SUP_SAMPLES
-KEPT_ROWS = 16
+# Bytes kept across calls, keys included (8 MiB); a result over 1/64 of it is not kept.
+KEPT_BYTES = 8 << 20
 
 
 # ----------------------------------------------------------------------
@@ -145,11 +136,38 @@ def normalized_hermite_values(max_k: int, t, first=math.pi**-0.25):
     return vals
 
 
-def _read_only(*arrays):
-    """The arrays (one, or a tuple of them), made read-only: a kept result is shared."""
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays if len(arrays) > 1 else arrays[0]
+_KEPT: OrderedDict = OrderedDict()  # key -> (result, bytes), the least recently read first
+
+
+def _kept(build):
+    """``build`` with its results read-only and kept in _KEPT, keyed on its
+    arguments (float64 arrays by their bytes, a zero by its repr: -0.0 is not
+    0.0); a result's bytes are its arrays', 8 per entry of any other container
+    and its key's.  Past KEPT_BYTES in all, the least recently read go first.
+    The store takes no lock: the package starts no threads."""
+
+    @wraps(build)
+    def kept(*args):
+        parts = [build]
+        for a in args:
+            parts.append(a.tobytes() if isinstance(a, np.ndarray) else a or repr(a))
+        key = tuple(parts)
+        if key in _KEPT:
+            _KEPT.move_to_end(key)
+            return _KEPT[key][0]
+        result = build(*args)
+        size = 8 * len(key) + sum(len(a) for a in key if isinstance(a, (bytes, str)))
+        for part in result if isinstance(result, tuple) else (result,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+            size += part.nbytes if isinstance(part, np.ndarray) else 8 * len(part)
+        if size <= KEPT_BYTES // 64:
+            _KEPT[key] = result, size
+            while sum(size for _, size in _KEPT.values()) > KEPT_BYTES:
+                _KEPT.popitem(last=False)
+        return result
+
+    return kept
 
 
 # Fraction bits of the fixed-point Newton step of gauss_rule.
@@ -176,11 +194,10 @@ def _legendre_newton(x: float, n: int) -> tuple[float, float]:
     return (t * g - p * e) / (g << f), (e * (g + 2 * t * p) << 2 * f + 1) / g**3
 
 
-@lru_cache(maxsize=None)
+@_kept
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-point Gauss-Legendre rule, exact to degree 2 order - 1 on
-    [-1, 1]: ascending nodes and their weights, built once per order,
-    read-only.
+    [-1, 1]: ascending nodes and their weights, kept, read-only.
 
     The nodes start as the eigenvalues of the symmetric tridiagonal Jacobi
     matrix, off-diagonal k / sqrt(4k^2 - 1), k < order (Golub & Welsch,
@@ -198,7 +215,7 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     half = np.array([_legendre_newton(x, order) for x in start.tolist()]).T
     half[0] = abs(half[0])  # the root 0 comes out as -0.0 where g < 0
     mirror = half[:, order % 2:][:, ::-1]
-    return _read_only(np.concatenate([-mirror[0], half[0]]), np.concatenate([mirror[1], half[1]]))
+    return np.concatenate([-mirror[0], half[0]]), np.concatenate([mirror[1], half[1]])
 
 
 def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,18 +240,18 @@ def _gauss_mass(a: float, b: float) -> float:
     return math.sqrt(math.pi) / 2.0 * (math.erf(b) - math.erf(a))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _rodrigues_factors(cols: int) -> np.ndarray:
-    """1/sqrt(2k), k = 1..cols-1, read-only: d/dt [h_(k-1)(t) e^{-t^2}] = -sqrt(2k) h_k(t) e^{-t^2}."""
-    return _read_only(1.0 / np.sqrt(2.0 * np.arange(1, cols)))
+    """1/sqrt(2k), k = 1..cols-1: d/dt [h_(k-1)(t) e^{-t^2}] = -sqrt(2k) h_k(t) e^{-t^2}."""
+    return 1.0 / np.sqrt(2.0 * np.arange(1, cols))
 
 
 def gaussian_moments(
     lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, rows: int, cols: int
 ) -> np.ndarray:
     """The (C, rows, cols) table M[c, m, k] of the integrals over [lo_c, hi_c]
-    of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2;
-    read-only.  ``axis_blocks`` keeps the blocks it reads from it.
+    of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2.
+    ``axis_blocks`` keeps the blocks it reads from it, not the table.
 
     M[0, 0] is erf.  For k >= 1, Rodrigues' formula integrated by parts
     gives M[m, k] = (m M[m-1, k-1] - [s^m h_(k-1) e^{-t^2}]) / sqrt(2k);
@@ -258,61 +275,36 @@ def gaussian_moments(
         edge = s_hi**m * ends[cells:] - s_lo**m * ends[:cells]
         table[:, m, 1:] = (m * table[:, m - 1, :-1] - edge) * factors
         table[:, m, 0] = table[:, m - 1, 1] * math.sqrt(0.5) + (x0 - origins) * table[:, m - 1, 0]
-    return _read_only(table)
+    return table
 
 
+@_kept
 def axis_blocks(
-    lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, powers: np.ndarray, top: int
+    lo: np.ndarray, hi: np.ndarray, origins: np.ndarray, x0: float, power: int, top: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three blocks SampledFunction.integrals contracts one axis's cells
-    [lo_c, hi_c] with, for the basis (x - origins_c)^p, p in powers: the
+    [lo_c, hi_c] with, for the basis (x - origins_c)^p, p <= power: the
     pairings M[c, p, k], k <= top, of ``gaussian_moments``; the weighted
     block pi^{1/4} M[c, p + q, 0] of ||f~||^2_w (h_0 = pi^{-1/4}, so it
     integrates s^(p+q) e^{-t^2}); and the plain block, the integral of
-    s^(p+q) over the cell.  The blocks of every power up to the top one are
-    read-only, and kept across calls when they and their key number at
-    most KEPT_TABLE_FLOATS floats."""
-    size = int(powers[-1]) + 1
-    small = len(lo) * (size * (top + 1 + 2 * size) + 3) + 3 <= KEPT_TABLE_FLOATS
-    build = _kept_axis_blocks if small else _kept_axis_blocks.__wrapped__
-    blocks = build(np.concatenate([lo, hi, origins, [x0]]).tobytes(), size - 1, top)
-    if len(powers) == size:
-        return blocks
-    pairs, weighted, plain = blocks
-    return pairs[:, powers], weighted[:, powers[:, None], powers], plain[:, powers[:, None], powers]
-
-
-@lru_cache(maxsize=KEPT_TABLES)
-def _kept_axis_blocks(bits: bytes, power: int, top: int) -> tuple[np.ndarray, ...]:
-    """axis_blocks of the cell ends, origins and x0 packed, in that order,
-    as float64 bytes, so that 0.0 and -0.0 key apart, for the powers
-    0..power."""
-    values, powers = np.frombuffer(bits), np.arange(power + 1)
-    lo, hi, origins = values[:-1].reshape(3, -1)
+    s^(p+q) over the cell.  Kept, read-only."""
+    powers = np.arange(power + 1)
     rows, square = 2 * power + 1, powers[:, None] + powers
-    table = gaussian_moments(lo, hi, origins, float(values[-1]), rows, max(top + 1, 2))
+    table = gaussian_moments(lo, hi, origins, x0, rows, max(top + 1, 2))
     p = np.arange(1, rows + 1)
     plain = ((hi - origins)[:, None] ** p - (lo - origins)[:, None] ** p) / p
-    return _read_only(table[:, powers, : top + 1], math.pi**0.25 * table[:, :, 0][:, square], plain[:, square])
+    return table[:, powers, : top + 1], math.pi**0.25 * table[:, :, 0][:, square], plain[:, square]
 
 
+@_kept
 def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     """G[a, b] = integral_lo^hi h_a(x - x0) h_b(x - x0) dx, a, b < size: a
     polynomial of degree 2 size - 2, which the size-point rule integrates
-    exactly; read-only, and kept across calls when it is small
-    (KEPT_TABLE_FLOATS)."""
-    build = _kept_gram_matrix if size * size + 3 <= KEPT_TABLE_FLOATS else _kept_gram_matrix.__wrapped__
-    return build(np.array([lo, hi, x0], dtype=float).tobytes(), size)
-
-
-@lru_cache(maxsize=KEPT_TABLES)
-def _kept_gram_matrix(bits: bytes, size: int) -> np.ndarray:
-    """hermite_gram of lo, hi and x0 packed as float64 bytes."""
-    lo, hi, x0 = np.frombuffer(bits).tolist()
+    exactly; kept, read-only."""
     nodes, weights = gauss_rule(size)
     t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
     values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
-    return _read_only((values * (weights * (hi - lo) / 2.0)) @ values.T)
+    return (values * (weights * (hi - lo) / 2.0)) @ values.T
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +332,10 @@ class BoxDomain:
     @property
     def diameter(self) -> float:
         """Euclidean length of the corner-to-corner vector."""
-        return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.intervals))
+        try:
+            return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.intervals))
+        except OverflowError:  # a side's square is past the float range
+            return math.hypot(*(hi - lo for lo, hi in self.intervals))
 
     @property
     def center(self) -> tuple[float, ...]:
@@ -436,7 +431,11 @@ class SampledFunction:
         for j, ((lo, hi), num) in enumerate(zip(box.intervals, arr.shape)):
             nodes = np.linspace(lo, hi, num)
             v = np.swapaxes(coeffs, j, -1)
-            local = np.stack([v[..., :-1], np.diff(v, axis=-1) / np.diff(nodes)], axis=-1)
+            with np.errstate(all="ignore"):
+                slopes = np.diff(v, axis=-1) / np.diff(nodes)
+            if not np.isfinite(slopes).all():
+                raise ValueError(f"non-finite grid slope {float(slopes[~np.isfinite(slopes)][0])!r} on axis {j}")
+            local = np.stack([v[..., :-1], slopes], axis=-1)
             coeffs = np.swapaxes(local.reshape(local.shape[:-2] + (-1,)), j, -1)
             axes.append((nodes, nodes[:-1], np.array([0, 1])))
         return cls(box, tuple(axes), coeffs)
@@ -445,7 +444,8 @@ class SampledFunction:
         """Against e^{-|x-x0|^2}, the (top+1)^n pairings <f~, h_alpha(x - x0)>,
         alpha_j <= top, h_alpha the orthonormal Hermite basis, and
         ||f~||^2_w; then ||f||^2_{L2} over the box.  One table of Gaussian
-        moments per axis serves both weighted integrals."""
+        moments per axis serves both weighted integrals.  A ||f~||^2_w below
+        -QUAD_TOL ||f||^2_{L2} raises QuadratureError."""
         pairs, weighted, plain = self.coeffs, [], []
         # the longest axes first, so no intermediate outgrows the data or the result
         for j in sorted(range(self.box.dim), key=lambda j: -self.coeffs.shape[j]):
@@ -453,17 +453,20 @@ class SampledFunction:
             total, blocks = 0.0, []
             for first in range(0, len(origins), CELL_CHUNK):
                 part = slice(first, first + CELL_CHUNK)
-                blocks.append(axis_blocks(edges[:-1][part], edges[1:][part], origins[part], x0[j], powers, top))
+                blocks.append(axis_blocks(edges[:-1][part], edges[1:][part], origins[part], x0[j], int(powers[-1]), top))
+                if len(powers) <= powers[-1]:  # a power set with gaps reads its own rows
+                    blocks[-1] = blocks[-1][0][:, powers], *[b[:, powers[:, None], powers] for b in blocks[-1][1:]]
                 total = total + _contract(pairs, j, blocks[-1][0], first, keep=False)
             pairs = total
             _, w, p = blocks[0] if len(blocks) == 1 else [np.concatenate(chunks) for chunks in zip(*blocks)]
             weighted.append((j, w))
             plain.append((j, p))
-        return (
-            _finite("pairings <f~, h_alpha>_w", pairs),
-            _finite("||f~||^2_w", _quadratic(self.coeffs, weighted)),
-            _finite("||f||^2_L2", _quadratic(self.coeffs, plain)),
-        )
+        pairs = _finite("pairings <f~, h_alpha>_w", pairs)
+        norm_w = _finite("||f~||^2_w", _quadratic(self.coeffs, weighted))
+        norm_l2 = _finite("||f||^2_L2", _quadratic(self.coeffs, plain))
+        if norm_w < -QUAD_TOL * norm_l2:
+            raise QuadratureError(f"||f~||^2_w = {norm_w!r} is below -QUAD_TOL ||f||^2_L2 = {-QUAD_TOL * norm_l2!r}")
+        return pairs, norm_w, norm_l2
 
 
 # ----------------------------------------------------------------------
@@ -503,11 +506,11 @@ def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> 
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _panel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The PANEL_ORDER^dim tensor Gauss-Legendre nodes on [-1, 1]^dim and
-    their weights, built once per dimension and read-only."""
-    return _read_only(*tensor_rule(*gauss_rule(PANEL_ORDER), dim))
+    their weights; kept, read-only."""
+    return tensor_rule(*gauss_rule(PANEL_ORDER), dim)
 
 
 def integrate_box(
@@ -586,10 +589,11 @@ def max_truncation(dim: int) -> int:
     return degree - 2
 
 
-def check_input_limits(dim: int, truncation: int) -> None:
+def check_input_limits(dim: int, truncation: int, diameter: float = 0.0) -> None:
     """Raise ValueError for a negative N, and InputLimitError, naming the
     limit, for a bounded solve whose (N+3)^n coefficient array is over
-    MAX_TENSOR_ENTRIES or whose N is above max_truncation(dim)."""
+    MAX_TENSOR_ENTRIES, whose N is above max_truncation(dim) or whose box
+    diameter is above MAX_DIAMETER."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     entries = (truncation + 3) ** dim
@@ -604,21 +608,20 @@ def check_input_limits(dim: int, truncation: int) -> None:
             f"truncation {truncation} in {dim}-D is above the degree limit {limit}: "
             f"the degree-{truncation + 2} basis norm overflows a float"
         )
+    if diameter > MAX_DIAMETER:
+        raise InputLimitError(
+            f"box diameter |U| = {diameter!r} is above MAX_DIAMETER = {MAX_DIAMETER!r}: "
+            f"the diameter constant's e^(|U|^2) overflows a float"
+        )
 
 
+@_kept
 def basis_plan(dim: int, truncation: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, dict[int, int]]:
     """The multi-indices alpha of degree <= N + 2 (the min-norm solution's
     reach), graded lex: packed keys, (2, K) flat positions in the (N+1)^n
     pairings (row 0; clipped above degree N) and the (N+3)^n orthonormal
-    coefficients (row 1), ||G_alpha||_w, and each key's column; read-only,
-    and kept across calls when its 20 floats per index are KEPT_TABLE_FLOATS
-    or fewer."""
-    small = 20 * math.comb(truncation + 2 + dim, dim) <= KEPT_TABLE_FLOATS
-    return (_kept_basis_plan if small else _kept_basis_plan.__wrapped__)(dim, truncation)
-
-
-@lru_cache(maxsize=KEPT_TABLES)
-def _kept_basis_plan(dim: int, truncation: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, dict[int, int]]:
+    coefficients (row 1), ||G_alpha||_w, and each key's column; kept,
+    read-only."""
     indices = multi_indices_up_to(dim, truncation + 2)
     # at lam = 1, ||G_alpha||^2_w is the int prod_j 2^a_j a_j! times pi^{n/2}
     unit, axis_norms = math.pi ** (dim / 2.0), _axis_norms(truncation + 2)
@@ -626,7 +629,7 @@ def _kept_basis_plan(dim: int, truncation: int) -> tuple[tuple[int, ...], np.nda
     exps, sizes = np.array(indices).reshape(-1, dim).T, (truncation + 1, truncation + 3)
     flat = np.array([np.ravel_multi_index(exps, (size,) * dim, mode="clip") for size in sizes])
     keys = tuple(pack(alpha) for alpha in indices)
-    return keys, *_read_only(flat, norms), {key: i for i, key in enumerate(keys)}
+    return keys, flat, norms, {key: i for i, key in enumerate(keys)}
 
 
 @dataclass
@@ -705,13 +708,15 @@ def solve_bounded(
     pairing or the basis is wrong.  ``projection_defect_rel`` = 1 -
     ||P_N f~||^2_w / ||f~||^2_w is the share of the data the truncation
     drops (0 for zero data).  Inputs beyond ``check_input_limits`` raise
-    InputLimitError first, and a negative truncation ValueError.
+    InputLimitError first, and a negative truncation ValueError; a
+    ||f~||^2_w above ||f||^2_{L2} (1 + QUAD_TOL) raises QuadratureError.
     """
     a = Fraction(a)
     n = box.dim
     if f.box.intervals != box.intervals:
         raise ValueError("sampled function must live on the target box")
-    check_input_limits(n, truncation)
+    diameter = box.diameter
+    check_input_limits(n, truncation, diameter)
     point0 = box.center
     weight = WeightSpec(
         dim=n, lam=Fraction(1), center=tuple(Fraction(v) for v in point0)
@@ -722,6 +727,8 @@ def solve_bounded(
 
     with np.errstate(all="ignore"):
         raw, norm_f_w_data, norm_f_l2_sq = f.integrals(point0, truncation)
+    if norm_f_w_data > norm_f_l2_sq * (1.0 + QUAD_TOL):  # the weight is at most 1 on the box
+        raise QuadratureError(f"||f~||^2_w = {norm_f_w_data!r} is above ||f||^2_L2 = {norm_f_l2_sq!r} (1 + QUAD_TOL)")
     # each float coefficient is an int over a power of two: over the largest, exactly
     ratios = [v.as_integer_ratio() for v in (raw.ravel()[flat[0, :k]] / norms[:k]).tolist()]
     den = max(d for _, d in ratios)
@@ -750,7 +757,7 @@ def solve_bounded(
         grams = [(j, hermite_gram(*box.intervals[j], point0[j], size)[None]) for j in range(n)]
         norm_u_l2 = math.sqrt(max(_finite("||u||^2_L2", _quadratic(u_orth, grams)), 0.0))
     norm_f_l2 = math.sqrt(max(norm_f_l2_sq, 0.0))
-    constant = math.sqrt(math.exp(box.diameter**2) / (8 * n))
+    constant = math.sqrt(math.exp(diameter**2) / (8 * n))
     bound_value = constant * norm_f_l2
     margin = bound_value - norm_u_l2
 
@@ -810,9 +817,9 @@ class EmbeddingReport:
         }
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _sup_lattice(n: int) -> np.ndarray:
-    """SUP_SAMPLES points of [0, 1)^n, read-only: the Kronecker lattice
+    """SUP_SAMPLES points of [0, 1)^n, kept, read-only: the Kronecker lattice
     u_k = frac(1/2 + k alpha), k < SUP_SAMPLES, alpha_j = phi^-j (j = 1..n),
     phi the positive root of x^(n+1) = x + 1, whose powers keep the points
     evenly spread in every dimension (M. Roberts, 2018).  u_0 is the
@@ -821,7 +828,7 @@ def _sup_lattice(n: int) -> np.ndarray:
     for _ in range(64):  # x -> (1 + x)^(1/(n+1)) contracts by 1/2 or more
         phi = (1.0 + phi) ** (1.0 / (n + 1))
     alpha = phi ** -np.arange(1.0, n + 1)
-    return _read_only((0.5 + np.arange(SUP_SAMPLES)[:, None] * alpha) % 1.0)
+    return (0.5 + np.arange(SUP_SAMPLES)[:, None] * alpha) % 1.0
 
 
 def _axis_rows(v: np.ndarray, lo: float, hi: float, edges: np.ndarray, origins: np.ndarray, powers):
@@ -834,30 +841,16 @@ def _axis_rows(v: np.ndarray, lo: float, hi: float, edges: np.ndarray, origins: 
     return inside, c, np.vander(v - origins[c], powers[-1] + 1, increasing=True)
 
 
-def lattice_rows(n: int, j: int, lo: float, hi: float, edges: np.ndarray, origins: np.ndarray, powers):
-    """_axis_rows of coordinate j of the _sup_lattice(n) points mapped onto
-    [lo, hi]; read-only, and kept across calls when its SUP_SAMPLES (top
-    power + 3) floats (powers, cells and flags) and its key number at most
-    KEPT_ROW_FLOATS."""
-    top = int(powers[-1])
-    small = SUP_SAMPLES * (top + 3) + 2 * len(edges) + 4 <= KEPT_ROW_FLOATS
-    build = _kept_lattice_rows if small else _kept_lattice_rows.__wrapped__
-    return build(n, j, np.concatenate([[lo, hi], edges, origins]).tobytes(), top)
-
-
-@lru_cache(maxsize=KEPT_ROWS)
-def _kept_lattice_rows(n: int, j: int, bits: bytes, top: int) -> tuple[np.ndarray, ...]:
-    """lattice_rows of lo, hi, the cell edges and origins packed, in that
-    order, as float64 bytes, and the top power."""
-    values = np.frombuffer(bits)
-    lo, hi, cells = values[0], values[1], (len(values) - 3) // 2
-    edges, origins = values[2 : cells + 3], values[cells + 3 :]
-    return _read_only(*_axis_rows(lo + _sup_lattice(n)[:, j] * (hi - lo), lo, hi, edges, origins, (top,)))
+@_kept
+def lattice_rows(n: int, j: int, lo: float, hi: float, edges: np.ndarray, origins: np.ndarray, top: int):
+    """_axis_rows, to the power top, of coordinate j of the _sup_lattice(n)
+    points mapped onto [lo, hi]; kept, read-only."""
+    return _axis_rows(lo + _sup_lattice(n)[:, j] * (hi - lo), lo, hi, edges, origins, (top,))
 
 
 def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
     """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2,
-    each within EMBEDDING_TOL.
+    each within EMBEDDING_TOL times its right-hand side.
 
     Sampled data gets both squared norms in closed form over its support
     box (the zero extension contributes nothing outside) and, for the sup,
@@ -895,13 +888,13 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
         sup = float(np.max(np.abs(vertices)))
         if any(powers[-1] > 1 for _, _, powers in f.axes):
             lo, hi = f.box.corners
-            located = [lattice_rows(n, j, lo[j], hi[j], *axis) for j, axis in enumerate(f.axes)]
+            located = [lattice_rows(n, j, lo[j], hi[j], e, o, int(p[-1])) for j, (e, o, p) in enumerate(f.axes)]
             sup = max(sup, float(np.max(np.abs(f._values(located)))))
         sup_sq = sup**2
 
     pi_mass = math.pi ** (n / 2.0)
-    l2_holds = None if l2_sq is None else weighted <= l2_sq + EMBEDDING_TOL
-    sup_holds = None if sup_sq is None else weighted <= pi_mass * sup_sq + EMBEDDING_TOL
+    l2_holds = None if l2_sq is None else weighted <= l2_sq * (1.0 + EMBEDDING_TOL)
+    sup_holds = None if sup_sq is None else weighted <= pi_mass * sup_sq * (1.0 + EMBEDDING_TOL)
     return EmbeddingReport(
         dim=n,
         weighted_sq=weighted,

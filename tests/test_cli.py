@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -501,6 +502,23 @@ class TestBadInputExits2:
         path = self._write(tmp_path, "g.json", {"shape": shape, "values": values})
         assert main(["bounded", "--box=0,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
 
+    def test_grid_slope_overflow(self, tmp_path, capsys):
+        """1e308 to -1e308 over a spacing of 2 is a slope of -inf: exit 2
+        naming it, with no numpy warning on the way."""
+        path = self._write(tmp_path, "g.json", {"shape": [2], "values": [1e308, -1e308]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounded", "--box=-1,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
+        assert "invalid grid" in (err := capsys.readouterr().err) and "non-finite grid slope -inf on axis 0" in err
+
+    @pytest.mark.parametrize("box", ["-40,40", "-1e200,1e200", "-19,19;-0.5,0.5"])
+    def test_bounded_box_over_diameter_limit(self, box, capsys):
+        """A box whose diameter constant e^{|U|^2} overflows a float is
+        refused, naming |U| and MAX_DIAMETER, before the solve."""
+        assert main(["bounded", f"--box={box}", "--degree", "4", "--f", "const:1"]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith("spec error: box diameter |U| = ") and "above MAX_DIAMETER = 26.64" in err
+
     def test_grid_not_an_object(self, tmp_path, capsys):
         path = self._write(tmp_path, "g.json", 7)
         assert main(["bounded", "--box=0,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
@@ -531,10 +549,29 @@ class TestNumericFailureExits3:
 
     @pytest.mark.filterwarnings("error")
     def test_bounded_huge_box(self, capsys):
-        """On [-1e200, 1e200] the Hermite values of the Gram rule overflow:
-        exit 3 naming the integral, and no numpy warning."""
-        assert main(["bounded", "--box=-1e200,1e200", "--degree", "4", "--f", "const:1"]) == EXIT_NUMERIC
+        """10^153 on [-13, 13], inside MAX_DIAMETER, has finite data norms,
+        but ||u||^2_L2 leaves the float range: exit 3 naming the integral,
+        and no numpy warning.  (A box past MAX_DIAMETER, such as [-1e200,
+        1e200], exits 2 before the solve.)"""
+        assert main(["bounded", "--box=-13,13", "--degree", "4", "--f", f"const:{10**153}"]) == EXIT_NUMERIC
         assert "numeric failure: non-finite ||u||^2_L2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "box, exp, degree, message",
+        [("-0.01,0.01", 4, 30, "is below -QUAD_TOL ||f||^2_L2"), ("-1,1", 40, 4, "is above ||f||^2_L2")],
+        ids=["negative", "above-l2"],
+    )
+    def test_bounded_weighted_norm_out_of_range(self, tmp_path, capsys, box, exp, degree, message):
+        """The Gaussian moments' forward recurrence reads ||f~||^2_w of x^4
+        on [-0.01, 0.01] as -1.2e-17, and of x^40 on [-1, 1] as 1.3e31 (its
+        true value is 0.0093): a weighted norm below 0 or above the L2
+        norm exits 3 naming ||f~||^2_w instead of passing or failing the
+        bound on a wrong number."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(Polynomial(1, {(exp,): 1}).to_json_dict()))
+        assert main(["bounded", f"--box={box}", "--degree", str(degree), "--f", f"poly:{path}"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ||f~||^2_w = ") and message in err
 
 
 class TestLargeShifts:

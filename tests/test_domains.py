@@ -50,6 +50,11 @@ def orthonormal_table(weight: WeightSpec, indices, points: np.ndarray) -> np.nda
     return table
 
 
+def kept_entries(build) -> int:
+    """The results of a ``domains._kept`` builder in its one store."""
+    return sum(key[0] is build.__wrapped__ for key in domains._KEPT)
+
+
 # sqrt(x + SQRT_SHIFT) is steep enough near 0 to refine 43 1-D panels
 # there at tol 1e-10, and smooth enough to converge above MAX_DEPTH.
 SQRT_SHIFT = 1e-4
@@ -260,7 +265,7 @@ class TestLevelBatching:
     def test_panel_rule_built_once_and_read_only(self, monkeypatch):
         built = []
         monkeypatch.setattr(domains, "gauss_rule", lambda *key: built.append(key) or gauss_rule(*key))
-        domains._panel_rule.cache_clear()
+        domains._KEPT.clear()
         for _ in range(3):
             for box in (UNIT, SQUARE):
                 integrate_box(lambda x: x[:, 0] ** 2, box)
@@ -479,15 +484,17 @@ class TestInputLimits:
 
     @pytest.mark.parametrize(
         "intervals, degree",
-        [(((-1.0, 1.0),), 149), (((-1.0, 1.0),) * 2, 148), (((-1.0, 1.0),) * 3, 30)],
+        [(((-1.0, 1.0),), 149), (((-1.0, 1.0),) * 2, 148), (((-1.0, 1.0),) * 3, 30), (((-40.0, 40.0),), 4)],
     )
     def test_rejected_before_any_work(self, monkeypatch, intervals, degree):
+        """Over the tensor or degree limit, or on a box of diameter 80, whose
+        constant e^{|U|^2} overflows a float, before any table is built."""
+
         def forbidden(*args, **kwargs):
             raise AssertionError("work started on an over-limit input")
 
         for name in (
-            "multi_indices_up_to", "gaussian_moments", "axis_blocks", "_kept_axis_blocks", "hermite_gram",
-            "_kept_gram_matrix", "basis_plan", "_kept_basis_plan", "integrate_box",
+            "multi_indices_up_to", "gaussian_moments", "axis_blocks", "hermite_gram", "basis_plan", "integrate_box",
         ):
             monkeypatch.setattr(domains, name, forbidden)
         box = BoxDomain(intervals)
@@ -566,36 +573,59 @@ class TestClosedForms:
         assert np.abs(table[1]).max() < 1e-300
 
     def test_large_tables_are_built_not_kept(self):
-        """Blocks or a Gram matrix over KEPT_TABLE_FLOATS are returned but not
-        kept: the blocks of a CELL_CHUNK chunk of a 2,001-node grid, whose
-        first cell reads as that cell's own kept blocks, and a size-70 Gram
-        matrix.  Kept blocks are keyed on the bits of x0, so 0.0 and -0.0
-        key two."""
-        caches = domains._kept_axis_blocks, domains._kept_gram_matrix
-        for cache in caches:
-            cache.cache_clear()
+        """Blocks or a Gram matrix over KEPT_BYTES // 64 with their key are
+        returned, read-only, but not kept: the blocks of a CELL_CHUNK chunk
+        of a 2,001-node grid at top 3 (152 KiB), whose first cell reads as
+        that cell's own kept blocks, and a size-130 Gram matrix (132 KiB).
+        Kept blocks are keyed on the bits of x0, so 0.0 and -0.0 key two."""
+        domains._KEPT.clear()
         nodes = np.linspace(-1.0, 1.0, 2001)
-        lo, hi, powers = nodes[:CELL_CHUNK], nodes[1 : CELL_CHUNK + 1], np.array([0, 1])
-        blocks = domains.axis_blocks(lo, hi, lo, 0.0, powers, 1)
-        assert [block.shape for block in blocks] == [(CELL_CHUNK, 2, 2)] * 3
-        assert hermite_gram(-1.0, 1.0, 0.0, 70).shape == (70, 70)
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+        lo, hi = nodes[:CELL_CHUNK], nodes[1 : CELL_CHUNK + 1]
+        blocks = domains.axis_blocks(lo, hi, lo, 0.0, 1, 3)
+        assert [block.shape for block in blocks] == [(CELL_CHUNK, 2, 4), (CELL_CHUNK, 2, 2), (CELL_CHUNK, 2, 2)]
+        gram = hermite_gram(-1.0, 1.0, 0.0, 130)
+        assert gram.shape == (130, 130) and not gram.flags.writeable
+        assert kept_entries(domains.axis_blocks) == kept_entries(hermite_gram) == 0
         for x0 in (0.0, -0.0):
-            first = domains.axis_blocks(lo[:1], hi[:1], lo[:1], x0, powers, 1)
+            first = domains.axis_blocks(lo[:1], hi[:1], lo[:1], x0, 1, 3)
             for block, whole in zip(first, blocks):
                 np.testing.assert_allclose(block[0], whole[0], rtol=1e-14, atol=0.0)
-        assert [cache.cache_info().currsize for cache in caches] == [2, 0]
+        assert (kept_entries(domains.axis_blocks), kept_entries(hermite_gram)) == (2, 0)
 
     def test_large_basis_plan_is_built_not_kept(self):
         """The 2-D plan at the degree limit, 11,325 indices of degree <= 149,
-        is over KEPT_TABLE_FLOATS: built in full, not kept; N = 16 is kept."""
-        domains._kept_basis_plan.cache_clear()
+        is 442 KiB, over KEPT_BYTES // 64: built in full, not kept; N = 16 is
+        kept."""
+        domains._KEPT.clear()
         keys, flat, norms, columns = domains.basis_plan(2, 147)
         assert len(keys) == flat.shape[1] == len(norms) == len(columns) == math.comb(151, 2)
         assert flat[1, columns[pack((149, 0))]] == 149 * 150
-        assert domains._kept_basis_plan.cache_info().currsize == 0
+        assert kept_entries(domains.basis_plan) == 0
         domains.basis_plan(2, 16)
-        assert domains._kept_basis_plan.cache_info().currsize == 1
+        assert kept_entries(domains.basis_plan) == 1
+
+    def test_one_store_drops_the_least_recently_read_first(self):
+        """Past KEPT_BYTES the store drops its least recently read results
+        first, so it never holds more, and a result read again stays."""
+        built = []
+
+        @domains._kept
+        def table(i):
+            built.append(i)
+            return np.full(domains.KEPT_BYTES // 1024, float(i))  # 64 KiB
+
+        domains._KEPT.clear()
+        first = table(-1)
+        for i in range(1, 300):
+            table(i)
+            assert table(-1) is first
+            assert sum(size for _, size in domains._KEPT.values()) <= domains.KEPT_BYTES
+        kept = [key[1] for key in domains._KEPT]
+        assert 100 < len(kept) < 300
+        assert kept == [*range(301 - len(kept), 300), -1]
+        assert built == [-1, *range(1, 300)]
+        table(1)
+        assert built[-1] == 1 and [key[1] for key in domains._KEPT][-1] == 1
 
     def test_non_dyadic_grid(self):
         """The 7 x 6 grid whose weighted norm the panel tree missed by 3.2e-4
@@ -754,20 +784,46 @@ class TestEmbeddings:
         f = SampledFunction.from_polynomial(Polynomial(box.dim, terms), box)
         lo, hi = box.corners
         expected = f(lo + domains._sup_lattice(box.dim) * (hi - lo))
-        domains._kept_lattice_rows.cache_clear()
+        domains._KEPT.clear()
+        rounds = []
         for _ in range(2):
-            located = [domains.lattice_rows(box.dim, j, lo[j], hi[j], *axis) for j, axis in enumerate(f.axes)]
+            located = [domains.lattice_rows(box.dim, j, lo[j], hi[j], e, o, int(p[-1])) for j, (e, o, p) in enumerate(f.axes)]
+            rounds.append(located)
             assert f._values(located).tobytes() == expected.tobytes()
-        assert domains._kept_lattice_rows.cache_info()[:2] == (box.dim, box.dim)
+        assert all(cold is warm for cold, warm in zip(*rounds))
+        assert kept_entries(domains.lattice_rows) == box.dim
         assert embedding_check(f).sup_sq >= float(np.max(np.abs(expected))) ** 2
 
     def test_high_power_lattice_rows_are_built_not_kept(self):
-        """x^5 needs 8 x SUP_SAMPLES floats of rows, cells and flags, over
-        KEPT_ROW_FLOATS: its rows are built on each call."""
+        """x^6 needs 7 x SUP_SAMPLES floats of rows, SUP_SAMPLES cells and
+        flags, 130 KiB, over KEPT_BYTES // 64: its rows are built on each
+        call."""
         box = BoxDomain(((-1.0, 1.0),))
-        domains._kept_lattice_rows.cache_clear()
-        embedding_check(SampledFunction.from_polynomial(Polynomial(1, {(5,): 1, (2,): -1}), box))
-        assert domains._kept_lattice_rows.cache_info().currsize == 0
+        domains._KEPT.clear()
+        embedding_check(SampledFunction.from_polynomial(Polynomial(1, {(6,): 1, (2,): -1}), box))
+        assert kept_entries(domains.lattice_rows) == 0
+
+    def test_relative_tolerance_sees_an_inflated_weighted_norm(self, monkeypatch):
+        """Each route's slack is EMBEDDING_TOL times its right-hand side, so
+        a 2x inflation of ||f~||^2_w fails the L2 route on data scaled by
+        1e-6, whose squared norms are far below the tolerance itself."""
+        box = BoxDomain(((-1.0, 1.0), (-0.5, 0.5)))
+        f = SampledFunction.from_grid(box, (7, 6), (1e-6 * np.random.default_rng(5).uniform(-1, 1, 42)).tolist())
+        honest = embedding_check(f)
+        assert honest.holds and honest.l2_sq < 1e-11
+        integrals = SampledFunction.integrals
+        monkeypatch.setattr(
+            SampledFunction, "integrals", lambda self, x0, top: (lambda p, w, l2: (p, 2 * w, l2))(*integrals(self, x0, top))
+        )
+        report = embedding_check(f)
+        assert report.weighted_sq == 2 * honest.weighted_sq and report.l2_holds is False and not report.holds
+
+    def test_negative_weighted_norm_raises(self):
+        """x^4 on [-0.01, 0.01]: the moments' recurrence reads ||f~||^2_w as
+        -1.2e-17, below -QUAD_TOL ||f||^2_L2 (2.2e-19): no verdict on it."""
+        box = BoxDomain(((-0.01, 0.01),))
+        with pytest.raises(QuadratureError, match=r"\|\|f~\|\|\^2_w = -1\.2"):
+            embedding_check(SampledFunction.from_polynomial(Polynomial(1, {(4,): 1}), box))
 
     def test_nonconstant_polynomial_rejected(self):
         with pytest.raises(ValueError):

@@ -438,7 +438,7 @@ def test_gauss_rule_built_once_per_order(monkeypatch):
     steps = []
     newton = domains._legendre_newton
     monkeypatch.setattr(domains, "_legendre_newton", lambda x, n: steps.append(n) or newton(x, n))
-    domains.gauss_rule.cache_clear()
+    domains._KEPT.clear()
     first = domains.gauss_rule(7)
     for _ in range(3):
         assert domains.gauss_rule(7) is first

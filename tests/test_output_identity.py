@@ -406,37 +406,30 @@ def embedding_documents() -> list[dict]:
     return docs
 
 
-# What a box keeps across calls: the per-axis blocks its data's pairings
-# and norms contract with, its Hermite Gram matrices, the basis plan of
-# its truncation and the sup-lattice rows of its data's axes.
-BOX_CACHES = (
-    domains._kept_axis_blocks,
-    domains._kept_gram_matrix,
-    domains._kept_basis_plan,
-    domains._kept_lattice_rows,
-)
+# What a box keeps across calls, in the one store of domains._kept: the
+# per-axis blocks its data's pairings and norms contract with, its Hermite
+# Gram matrices, the basis plan of its truncation and the sup-lattice rows
+# of its data's axes.
+BOX_BUILDERS = (domains.axis_blocks, domains.hermite_gram, domains.basis_plan, domains.lattice_rows)
 
 
 def test_cold_box_caches_give_warm_bytes():
-    """The bounded and embedding reports from emptied caches, and again
-    from what they kept, give the same bytes, and the bounded ones match
-    the recorded reports; every kept array is read-only."""
-    for cache in BOX_CACHES:
-        cache.cache_clear()
+    """The bounded and embedding reports from an emptied store, and again
+    from what it kept, give the same bytes, and the bounded ones match the
+    recorded reports; every kept array is read-only."""
+    domains._KEPT.clear()
     cold = bounded_documents(), embedding_documents()
-    assert all(cache.cache_info().currsize for cache in BOX_CACHES)
+    assert all(any(key[0] is build.__wrapped__ for key in domains._KEPT) for build in BOX_BUILDERS)
     warm = bounded_documents(), embedding_documents()
     assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
     assert bounded_mismatches(json.loads(BOUNDED_DOCUMENTS.read_text()), cold[0]) == []
-    for cache in BOX_CACHES:
-        assert cache.cache_info().maxsize is not None
+    assert sum(size for _, size in domains._KEPT.values()) <= domains.KEPT_BYTES
     ends = np.array([-1.0]), np.array([1.0])
     kept = (
-        domains.gaussian_moments(*ends, np.zeros(1), 0.0, 1, 4),
-        *domains.axis_blocks(*ends, np.zeros(1), 0.0, np.arange(3), 3),
+        *domains.axis_blocks(*ends, np.zeros(1), 0.0, 2, 3),
         domains.hermite_gram(-1.0, 1.0, 0.0, 4),
         *domains.basis_plan(1, 4)[1:3],
-        *domains.lattice_rows(1, 0, -1.0, 1.0, np.array([-1.0, 1.0]), np.zeros(1), np.array([0, 2])),
+        *domains.lattice_rows(1, 0, -1.0, 1.0, np.array([-1.0, 1.0]), np.zeros(1), 2),
     )
     for table in kept:
         with pytest.raises(ValueError):
@@ -445,14 +438,12 @@ def test_cold_box_caches_give_warm_bytes():
 
 @pytest.fixture
 def cold_box_caches():
-    """Empty the table caches before a test and after it: a warm table
-    would hide a fault planted in its builder, and a table built under the
-    fault would outlive the test."""
-    for cache in BOX_CACHES:
-        cache.cache_clear()
+    """Empty the kept store before a test and after it: a warm table would
+    hide a fault planted in its builder, and a table built under the fault
+    would outlive the test."""
+    domains._KEPT.clear()
     yield
-    for cache in BOX_CACHES:
-        cache.cache_clear()
+    domains._KEPT.clear()
 
 
 def test_wrong_rodrigues_factor_is_caught(monkeypatch, cold_box_caches):
