@@ -2,15 +2,15 @@
 
 The bounded-domain pipeline extends data f in L2(U) by zero, projects it
 onto the orthonormal Hermite basis centered inside U, solves exactly in
-coefficient space, and restricts back.  Every integral on the way has a
-closed form: f is a tensor-product piecewise polynomial (a constant, a
-polynomial, or a grid's multilinear interpolant), so each pairing
-<f~, h_alpha>_w and norm is its coefficient tensor contracted with 1-D
-tables per axis: the Gaussian moments of the Hermite functions
-(``gaussian_moments``, from erf and Rodrigues' formula; Szego, *Orthogonal
-Polynomials*, 5.5), and for ||u||_{L2(U)} their Gram matrices over the
-sides of U (``hermite_gram``), by Gauss-Legendre rules exact to their
-degree (Davis & Rabinowitz, 1984, ch. 2).  The solution obeys
+coefficient space, and restricts back.  f is a tensor-product piecewise
+polynomial (a constant, a polynomial, or a grid's multilinear
+interpolant), so each pairing <f~, h_alpha>_w and norm is its coefficient
+tensor contracted with 1-D tables per axis, each from Gauss-Legendre rules:
+the Gaussian moments of the Hermite functions (``gaussian_moments``, one
+rule per cell, converging geometrically on these entire integrands), and
+for ||u||_{L2(U)} their Gram matrices over the sides of U
+(``hermite_gram``, a rule exact to its degree; Davis & Rabinowitz, 1984,
+ch. 2).  The unweighted norms are exact.  The solution obeys
 
     ||u||_{L2(U)} <= sqrt(e^{|U|^2} / (8n)) ||f||_{L2(U)},
 
@@ -67,11 +67,9 @@ PANEL_ORDER = 12
 # Bisection depth of integrate_box; a panel unconverged there raises.
 MAX_DEPTH = 24
 # Error budget of each float integral of solve_bounded; the Bessel
-# tolerance is derived from it, and it is printed as "quad_tol".  The
-# closed forms meet it to rounding, except the weighted norm: the forward
-# recurrence of gaussian_moments loses about 1/w^2 per power on cells of
-# half-width w (x^10 on [-1, 1] reads 2.9e-9 relative, a 2,000-node grid
-# 1e-10).  A weighted norm below -QUAD_TOL ||f||^2_L2 raises, and solve_bounded
+# tolerance and the diameter bound's relative slack are derived from it,
+# and it is printed as "quad_tol".  The Gauss rules meet it to rounding.  A
+# weighted norm below -QUAD_TOL ||f||^2_L2 raises, and solve_bounded
 # refuses one above (1 + QUAD_TOL) ||f||^2_L2.
 QUAD_TOL = 1e-10
 # Points of the sup estimate of embedding_check, a Kronecker lattice in the
@@ -104,8 +102,12 @@ MAX_TENSOR_ENTRIES = 32_768
 # Largest box diameter |U| of a bounded solve: its constant's e^{|U|^2}
 # overflows a float past sqrt(ln(float max)) = 26.64.
 MAX_DIAMETER = math.sqrt(math.log(sys.float_info.max))
+# Half-width in t = x - x0 of the window gaussian_moments integrates over:
+# past |t| = 38.6 the factor e^{-t^2/2} of every integrand is 0 in floats.
+MOMENT_WINDOW = 40.0
 # Grid cells whose Gaussian moments are tabulated at once, so that a long
-# axis holds at most 1024 x 3 x (N+1) floats (3.6 MB at N = 147).
+# axis holds the Hermite values of at most 1024 x q x (N+1) rule nodes (39 MB
+# at N = 147 and q = 32, the order grid cells of a box take at that N).
 CELL_CHUNK = 1024
 # Bytes kept across calls, keys included (8 MiB); a result over 1/64 of it is not kept.
 KEPT_BYTES = 8 << 20
@@ -227,23 +229,8 @@ def tensor_rule(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndar
 
 
 # ----------------------------------------------------------------------
-# closed-form 1-D integrals of the orthonormal basis
+# 1-D integrals of the orthonormal basis
 # ----------------------------------------------------------------------
-
-
-def _gauss_mass(a: float, b: float) -> float:
-    """integral_a^b e^{-t^2} dt, by erfc when both ends lie on one side of
-    0, where the difference of erfs would cancel."""
-    if a >= 0.0 or b <= 0.0:
-        near, far = sorted((abs(a), abs(b)))
-        return math.sqrt(math.pi) / 2.0 * (math.erfc(near) - math.erfc(far))
-    return math.sqrt(math.pi) / 2.0 * (math.erf(b) - math.erf(a))
-
-
-@_kept
-def _rodrigues_factors(cols: int) -> np.ndarray:
-    """1/sqrt(2k), k = 1..cols-1: d/dt [h_(k-1)(t) e^{-t^2}] = -sqrt(2k) h_k(t) e^{-t^2}."""
-    return 1.0 / np.sqrt(2.0 * np.arange(1, cols))
 
 
 def gaussian_moments(
@@ -253,29 +240,37 @@ def gaussian_moments(
     of s^m h_k(t) e^{-t^2} dx, s = x - origins_c, t = x - x0; cols >= 2.
     ``axis_blocks`` keeps the blocks it reads from it, not the table.
 
-    M[0, 0] is erf.  For k >= 1, Rodrigues' formula integrated by parts
-    gives M[m, k] = (m M[m-1, k-1] - [s^m h_(k-1) e^{-t^2}]) / sqrt(2k);
-    for m >= 1, s = t + x0 - origin and t h_0 = h_1 / sqrt(2) give M[m, 0].
-    That last step loses about |x0 - origin| / (hi - lo) per row when the
-    origin is far from x0 next to the cell width; SampledFunction
-    asks for m <= 2 on grid cells and puts a polynomial's origin at 0.
-    h_(k-1) e^{-t^2} is the Hermite function h_(k-1) e^{-t^2/2} times
+    One Gauss-Legendre rule of order q serves every cell, clipped to |t| <=
+    MOMENT_WINDOW.  The integrands are entire, so the rule converges
+    geometrically (Trefethen, SIAM Review 50, 2008).  q is the power of two
+    at or above the largest w (max(nu, w) + |mid - x0|) over the cells, with
+    w the half-width and nu = sqrt(2 cols - 1) the highest frequency of the
+    h_k, plus rows // 2 for s^m and 20: a short ladder of orders, each rule
+    built once.  Each node's integrand is summed with its mirror's before
+    the rest, so on a cell centred on x0 and on its origin, where s^m h_k(t)
+    is even or odd in exact float arithmetic, every entry of odd m + k is
+    exactly 0.  h_k(t) e^{-t^2} is the Hermite function h_k e^{-t^2/2} times
     e^{-t^2/2}: a far end underflows to 0, not inf * 0.
     """
-    cells = len(lo)
-    t = np.concatenate([lo, hi]) - x0
-    half = np.exp(-t * t / 2.0)
-    ends = (np.array(normalized_hermite_values(cols - 2, t, math.pi**-0.25 * half)) * half).T
-    factors = _rodrigues_factors(cols)
-    table = np.empty((cells, rows, cols))
-    table[:, 0, 0] = [math.pi**-0.25 * _gauss_mass(a, b) for a, b in zip(t[:cells], t[cells:])]
-    table[:, 0, 1:] = (ends[:cells] - ends[cells:]) * factors
-    s_lo, s_hi = (lo - origins)[:, None], (hi - origins)[:, None]
-    for m in range(1, rows):
-        edge = s_hi**m * ends[cells:] - s_lo**m * ends[:cells]
-        table[:, m, 1:] = (m * table[:, m - 1, :-1] - edge) * factors
-        table[:, m, 0] = table[:, m - 1, 1] * math.sqrt(0.5) + (x0 - origins) * table[:, m - 1, 0]
-    return table
+    lo, hi = (np.minimum(np.maximum(ends, x0 - MOMENT_WINDOW), x0 + MOMENT_WINDOW) for ends in (lo, hi))
+    # the centres in s and t from the ends themselves: a grid cell's s runs
+    # over [0, hi - lo] exactly, though (lo + hi) / 2 rounds on its scale
+    s_mid, t_mid, half = ((lo - origins) + (hi - origins)) / 2.0, ((lo - x0) + (hi - x0)) / 2.0, (hi - lo) / 2.0
+    need = math.ceil((half * (np.maximum(math.sqrt(2 * cols - 1), half) + abs(t_mid))).max()) + rows // 2 + 20
+    order = 1 << (need - 1).bit_length()
+    nodes, weights = (part[order // 2 :] for part in gauss_rule(order))  # the nodes > 0 of an even order
+    # both sides at once: offsets (2, C, q/2) at +xi and -xi, exact negatives
+    offset = np.array([1.0, -1.0])[:, None, None] * (half[:, None] * nodes)
+    s, t = s_mid[:, None] + offset, t_mid[:, None] + offset
+    gauss = np.exp(-t * t / 2.0)
+    values = np.array(normalized_hermite_values(cols - 1, t, math.pi**-0.25 * gauss))
+    values *= gauss
+    # the weights times s^m, by products, which keep the sign symmetry np.power can break
+    powers = [np.broadcast_to(half[:, None] * weights, s.shape)]
+    for _ in range(rows - 1):
+        powers.append(powers[-1] * s)
+    # each node's (cols, C, q/2) integrand plus its mirror's, then their sum
+    return np.stack([(p[0] * values[:, 0] + p[1] * values[:, 1]).sum(-1) for p in powers]).transpose(2, 0, 1)
 
 
 @_kept
@@ -695,9 +690,10 @@ def solve_bounded(
     project the zero extension f~ of f onto the orthonormal Hermite basis
     h_alpha up to the truncation degree, solve the projected problem
     exactly in coefficient space, and restrict.  The float integrals are
-    closed forms: SampledFunction.integrals for the data, per-axis Gram
-    matrices of the basis for ||u||^2_{L2(U)}.  The report checks
-    ||u||_{L2(U)} <= sqrt(e^{|U|^2}/(8n)) ||f||_{L2(U)}.
+    tabulated by Gauss rules: SampledFunction.integrals for the data,
+    per-axis Gram matrices of the basis for ||u||^2_{L2(U)}.  The report
+    checks ||u||_{L2(U)} <= sqrt(e^{|U|^2}/(8n)) ||f||_{L2(U)} within
+    QUAD_TOL relative.
     The solution is the minimal-norm weak one on V_N (see
     ``rightinverse.solve_min_norm``), so the weighted ratio is at most
     1/(8n) for every a.  ``residual_exact`` is the exact check P_N (lap +
@@ -772,7 +768,7 @@ def solve_bounded(
         norm_f_l2=norm_f_l2,
         diameter_constant=constant,
         bound_value=bound_value,
-        bound_satisfied=norm_u_l2 <= bound_value + 1e-12,
+        bound_satisfied=norm_u_l2 <= bound_value * (1.0 + QUAD_TOL),
         margin=margin,
         weighted_ratio=weighted_ratio,
         weighted_bound=Fraction(1, 8 * n),
@@ -852,9 +848,9 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
     """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2,
     each within EMBEDDING_TOL times its right-hand side.
 
-    Sampled data gets both squared norms in closed form over its support
-    box (the zero extension contributes nothing outside) and, for the sup,
-    the largest |f| at its cell vertices: sup|f| itself for data multilinear
+    Sampled data gets both squared norms from its per-axis tables over its
+    support box (the zero extension contributes nothing outside) and, for
+    the sup, the largest |f| at its cell vertices: sup|f| itself for data multilinear
     on each cell (constants, grids), and for other data the larger of that
     and the SUP_SAMPLES points of ``_sup_lattice`` mapped onto the box.
     These values are attained, so a passing sup route stays a certificate.

@@ -90,7 +90,7 @@ def test_criterion_03_operator_norm():
     _criterion(3, "operator norm", ok, f"n=1 err {err1:.2e}, n=2 err {err2:.2e}")
 
 
-def test_criterion_04_kernel_enriched_bound(suite_runs):
+def test_criterion_04_shifted_solve(suite_runs):
     """The shifted solve that replaced the kernel enrichment: at a = +-1,
     f = 1, the exact ratio of the weak solution on V_N rises with N = 0, 2,
     ..., 8 and at N = 8 is within 1e-10 of 1 - 2e^{-1/2}/(1+e^{-1}) <= 1/8,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gauss_rinv import cli, rightinverse
+from gauss_rinv import cli, domains, rightinverse
 from gauss_rinv.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERIC,
@@ -557,16 +557,17 @@ class TestNumericFailureExits3:
         assert "numeric failure: non-finite ||u||^2_L2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "box, exp, degree, message",
-        [("-0.01,0.01", 4, 30, "is below -QUAD_TOL ||f||^2_L2"), ("-1,1", 40, 4, "is above ||f||^2_L2")],
+        "box, exp, degree, factor, message",
+        [("-0.01,0.01", 4, 30, -1.0, "is below -QUAD_TOL ||f||^2_L2"), ("-1,1", 40, 4, 1e40, "is above ||f||^2_L2")],
         ids=["negative", "above-l2"],
     )
-    def test_bounded_weighted_norm_out_of_range(self, tmp_path, capsys, box, exp, degree, message):
-        """The Gaussian moments' forward recurrence reads ||f~||^2_w of x^4
-        on [-0.01, 0.01] as -1.2e-17, and of x^40 on [-1, 1] as 1.3e31 (its
-        true value is 0.0093): a weighted norm below 0 or above the L2
-        norm exits 3 naming ||f~||^2_w instead of passing or failing the
-        bound on a wrong number."""
+    def test_bounded_weighted_norm_out_of_range(self, tmp_path, capsys, monkeypatch, box, exp, degree, factor, message):
+        """With the weighted block of ||f~||^2_w planted negated (x^4 on
+        [-0.01, 0.01]) or scaled by 1e40 (x^40 on [-1, 1]), a weighted norm
+        below 0 or above the L2 norm exits 3 naming ||f~||^2_w instead of
+        passing or failing the bound on a wrong number."""
+        blocks = domains.axis_blocks
+        monkeypatch.setattr(domains, "axis_blocks", lambda *args: (lambda p, w, l: (p, factor * w, l))(*blocks(*args)))
         path = tmp_path / "p.json"
         path.write_text(json.dumps(Polynomial(1, {(exp,): 1}).to_json_dict()))
         assert main(["bounded", f"--box={box}", "--degree", str(degree), "--f", f"poly:{path}"]) == EXIT_NUMERIC

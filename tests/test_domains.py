@@ -397,6 +397,19 @@ class TestSolveBounded:
         assert not rep.bessel_holds
         assert rep.projection_defect_rel < 0.0
 
+    def test_inflated_gram_fails_the_bound_on_small_data(self, monkeypatch):
+        """The diameter bound is compared relatively, so it can fail on small
+        data: f = 1e-15 on [-1, 1] with every Gram matrix 1e4 too large reads
+        ||u||_L2 100 times too large, above the bound."""
+        box = BoxDomain(((-1.0, 1.0),))
+        f = SampledFunction.constant(box, 1e-15)
+        assert solve_bounded(box, f).bound_satisfied
+        gram = domains.hermite_gram
+        monkeypatch.setattr(domains, "hermite_gram", lambda *args: 1e4 * gram(*args))
+        rep = solve_bounded(box, f)
+        assert rep.norm_u_l2 > rep.bound_value > 0.0
+        assert not rep.bound_satisfied and not rep.passed
+
     def test_corrupted_solution_fails_residuals(self, monkeypatch):
         """One wrong coefficient in u fails the exact residual; the data-side
         Bessel check does not read u and still holds."""
@@ -571,6 +584,75 @@ class TestClosedForms:
         assert np.isfinite(table).all()
         assert table[0, 0, 0] == pytest.approx(math.pi**-0.25 * math.sqrt(math.pi) / 2, rel=1e-15)
         assert np.abs(table[1]).max() < 1e-300
+
+    @pytest.mark.parametrize("half", [1.0, 0.01])
+    def test_weighted_norm_of_powers_matches_mpmath(self, half):
+        """||f~||^2_w of x^d, d <= 16, on [-half, half] at x0 = 0, within
+        1e-13 relative of gamma(d + 1/2, half^2), the same integral, at 40
+        digits: the k = 0 column to the power 32 on a wide cell and on a
+        narrow one."""
+        mpmath = pytest.importorskip("mpmath")
+        box = BoxDomain(((-half, half),))
+        with mpmath.workdps(40):
+            for d in range(17):
+                _, weighted, _ = SampledFunction.from_polynomial(Polynomial(1, {(d,): 1}), box).integrals((0.0,), 0)
+                exact = mpmath.gammainc(d + mpmath.mpf(0.5), 0, mpmath.mpf(half) ** 2)
+                assert abs(weighted - exact) <= 1e-13 * exact, d
+
+    def test_fine_grid_matches_a_rule_per_cell(self):
+        """The cells of a 2,001-node grid on [3, 4] at x0 = 0, each with its
+        left end as origin: the moments s^m h_k(t) e^{-t^2}, m <= 2, k <= 3
+        (one sign on every cell), and the grid's ||f~||^2_w are within
+        1e-13 relative of a 20-point Gauss-Legendre rule per cell."""
+        nodes = np.linspace(3.0, 4.0, 2001)
+        lo, hi = nodes[:-1], nodes[1:]
+        table = gaussian_moments(lo, hi, lo, 0.0, 3, 4)
+        rule, weights = np.polynomial.legendre.leggauss(20)
+        s = ((hi - lo) / 2)[:, None] * (1.0 + rule)
+        x = lo[:, None] + s
+        # h_0..h_3 times pi^{1/4}, in closed form
+        h = np.array([x**0, math.sqrt(2) * x, (2 * x**2 - 1) / math.sqrt(2), (2 * x**3 - 3 * x) / math.sqrt(3)])
+        ws = np.exp(-x * x) * weights * ((hi - lo) / 2)[:, None]
+        reference = np.einsum("mci,kci,ci->cmk", s[None] ** np.arange(3)[:, None, None], h, ws)
+        np.testing.assert_allclose(table, math.pi**-0.25 * reference, rtol=1e-13, atol=0.0)
+        values = np.random.default_rng(7).uniform(-1, 1, 2001)
+        grid = SampledFunction.from_grid(BoxDomain(((3.0, 4.0),)), (2001,), values.tolist())
+        _, weighted, _ = grid.integrals((0.0,), 0)
+        f = values[:-1, None] + np.diff(values)[:, None] * s / (hi - lo)[:, None]
+        assert weighted == pytest.approx(float((f * f * ws).sum()), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "intervals, terms",
+        [
+            (((-1.0, 1.0),), {(0,): 1, (2,): -3, (6,): Fraction(1, 2)}),
+            (((-1.0, 1.0), (-0.5, 0.5)), {(0, 0): 2, (2, 4): 1, (4, 0): -1}),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_odd_pairings_of_even_data_are_zero(self, intervals, terms):
+        """Even data on a box centred at x0, the origin of its powers: every
+        pairing <f~, h_alpha>_w with an odd alpha_j is exactly 0.0, as the
+        mirrored nodes of the folded rule give, and no even one is."""
+        box = BoxDomain(intervals)
+        for f in (SampledFunction.constant(box, 1.5), SampledFunction.from_polynomial(Polynomial(box.dim, terms), box)):
+            pairs, _, _ = f.integrals(box.center, 12)
+            odd = np.logical_or.reduce(np.indices(pairs.shape) % 2 == 1)
+            assert (pairs[odd] == 0.0).all() and (pairs[~odd] != 0.0).all()
+
+    def test_wide_and_far_cells_read_only_the_window(self, monkeypatch):
+        """Past |t| = MOMENT_WINDOW every integrand is 0 in floats, so a cell
+        reaching to 1000 is integrated over its part inside the window, by a
+        rule of order at most 1024, and a cell beyond it reads 0."""
+        rule = domains.gauss_rule
+
+        def bounded_rule(order):
+            assert order <= 1024, order
+            return rule(order)
+
+        monkeypatch.setattr(domains, "gauss_rule", bounded_rule)
+        table = gaussian_moments(np.array([0.0, 1000.0]), np.array([1000.0, 1001.0]), np.zeros(2), 0.0, 3, 4)
+        assert table[0, 0, 0] == pytest.approx(math.pi**-0.25 * math.sqrt(math.pi) / 2, rel=1e-15)
+        assert (table[1] == 0.0).all()
 
     def test_large_tables_are_built_not_kept(self):
         """Blocks or a Gram matrix over KEPT_BYTES // 64 with their key are
@@ -818,11 +900,13 @@ class TestEmbeddings:
         report = embedding_check(f)
         assert report.weighted_sq == 2 * honest.weighted_sq and report.l2_holds is False and not report.holds
 
-    def test_negative_weighted_norm_raises(self):
-        """x^4 on [-0.01, 0.01]: the moments' recurrence reads ||f~||^2_w as
-        -1.2e-17, below -QUAD_TOL ||f||^2_L2 (2.2e-19): no verdict on it."""
+    def test_negative_weighted_norm_raises(self, monkeypatch):
+        """x^4 on [-0.01, 0.01] with its weighted block negated reads
+        ||f~||^2_w as -2.2e-19, below -QUAD_TOL ||f||^2_L2: no verdict on it."""
+        blocks = domains.axis_blocks
+        monkeypatch.setattr(domains, "axis_blocks", lambda *args: (lambda p, w, l: (p, -w, l))(*blocks(*args)))
         box = BoxDomain(((-0.01, 0.01),))
-        with pytest.raises(QuadratureError, match=r"\|\|f~\|\|\^2_w = -1\.2"):
+        with pytest.raises(QuadratureError, match=r"\|\|f~\|\|\^2_w = -2\.2\d*e-19 is below -QUAD_TOL"):
             embedding_check(SampledFunction.from_polynomial(Polynomial(1, {(4,): 1}), box))
 
     def test_nonconstant_polynomial_rejected(self):

@@ -446,10 +446,21 @@ def cold_box_caches():
     domains._KEPT.clear()
 
 
-def test_wrong_rodrigues_factor_is_caught(monkeypatch, cold_box_caches):
-    """Rodrigues' d/dt [h_(k-1) e^{-t^2}] = -sqrt(2k) h_k e^{-t^2} with
-    sqrt(2k + 1) in its place: the Bessel check or the pinned reports see it."""
-    monkeypatch.setattr(domains, "_rodrigues_factors", lambda cols: 1.0 / np.sqrt(2.0 * np.arange(1, cols) + 1.0))
+def test_wrong_moment_rule_weight_is_caught(monkeypatch, cold_box_caches):
+    """The per-cell Gauss rule of the Gaussian moments with its weights
+    1 + 1e-6 too large: the pinned reports or the Bessel check see it.  Those
+    rules have order 32 or more here, the Gram matrices' N + 3 <= 11."""
+    rule, faulted = domains.gauss_rule, []
+
+    def wrong(order):
+        nodes, weights = rule(order)
+        if order < 32:
+            return nodes, weights
+        faulted.append(order)
+        return nodes, weights * (1.0 + 1e-6)
+
+    monkeypatch.setattr(domains, "gauss_rule", wrong)
     recorded = json.loads(BOUNDED_DOCUMENTS.read_text())
     current = bounded_documents()
+    assert faulted
     assert bounded_mismatches(recorded, current) or not all(doc["bessel_holds"] for doc in current)
