@@ -456,7 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputLimitError as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return EXIT_SPEC
-    except ArithmeticError as exc:  # quadrature, float overflow, zero division
+    except ArithmeticError as exc:  # quadrature, float overflow, zero division, a rational too long to print
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
 

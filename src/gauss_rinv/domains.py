@@ -23,7 +23,10 @@ fixed-point Newton step), are defined here, outside the exact core.
 
 What a bounded op reads that the data values and a do not set is kept
 across calls, read-only, by one rule (``_kept``) in one store of at most
-KEPT_BYTES; a result over KEPT_BYTES // 64 is built on each call.
+KEPT_BYTES; a result over KEPT_BYTES // 64 is built on each call.  The
+one working set that grows with the data, the Hermite values at the rule
+nodes of an axis's cells, is built a slice of cells at a time, each slice
+within KEPT_BYTES // 4.
 
 The embedding checks confirm ||f||^2_w <= ||f||^2_{L2} (the weight is at
 most 1) and ||f||^2_w <= pi^{n/2} sup|f|^2 (total Gaussian mass), which
@@ -105,10 +108,6 @@ MAX_DIAMETER = math.sqrt(math.log(sys.float_info.max))
 # Half-width in t = x - x0 of the window gaussian_moments integrates over:
 # past |t| = 38.6 the factor e^{-t^2/2} of every integrand is 0 in floats.
 MOMENT_WINDOW = 40.0
-# Grid cells whose Gaussian moments are tabulated at once, so that a long
-# axis holds the Hermite values of at most 1024 x q x (N+1) rule nodes (39 MB
-# at N = 147 and q = 32, the order grid cells of a box take at that N).
-CELL_CHUNK = 1024
 # Bytes kept across calls, keys included (8 MiB); a result over 1/64 of it is not kept.
 KEPT_BYTES = 8 << 20
 
@@ -259,18 +258,26 @@ def gaussian_moments(
     need = math.ceil((half * (np.maximum(math.sqrt(2 * cols - 1), half) + abs(t_mid))).max()) + rows // 2 + 20
     order = 1 << (need - 1).bit_length()
     nodes, weights = (part[order // 2 :] for part in gauss_rule(order))  # the nodes > 0 of an even order
-    # both sides at once: offsets (2, C, q/2) at +xi and -xi, exact negatives
-    offset = np.array([1.0, -1.0])[:, None, None] * (half[:, None] * nodes)
-    s, t = s_mid[:, None] + offset, t_mid[:, None] + offset
-    gauss = np.exp(-t * t / 2.0)
-    values = np.array(normalized_hermite_values(cols - 1, t, math.pi**-0.25 * gauss))
-    values *= gauss
-    # the weights times s^m, by products, which keep the sign symmetry np.power can break
-    powers = [np.broadcast_to(half[:, None] * weights, s.shape)]
-    for _ in range(rows - 1):
-        powers.append(powers[-1] * s)
-    # each node's (cols, C, q/2) integrand plus its mirror's, then their sum
-    return np.stack([(p[0] * values[:, 0] + p[1] * values[:, 1]).sum(-1) for p in powers]).transpose(2, 0, 1)
+    # Slices of cells within KEPT_BYTES // 4 at 3 cols q floats a cell (the Hermite
+    # values as a list and an array, then the array and its products): a long axis
+    # adds a quarter of the store to the peak, and a slice spans enough cells that
+    # numpy's arithmetic, not the recurrence's Python steps, takes the time.
+    step = max(1, KEPT_BYTES // 4 // (24 * cols * order))
+    table = np.empty((rows, cols, len(lo)))
+    for first in range(0, len(lo), step):
+        part = slice(first, first + step)
+        # both sides at once: offsets (2, c, q/2) at +xi and -xi, exact negatives
+        offset = np.array([1.0, -1.0])[:, None, None] * (half[part, None] * nodes)
+        s, t = s_mid[part, None] + offset, t_mid[part, None] + offset
+        gauss = np.exp(-t * t / 2.0)
+        values = np.array(normalized_hermite_values(cols - 1, t, math.pi**-0.25 * gauss))
+        values *= gauss
+        # the weights times s^m, by products, which keep the sign symmetry np.power can break
+        power = np.broadcast_to(half[part, None] * weights, s.shape)
+        for m in range(rows):  # each node's (cols, c, q/2) integrand plus its mirror's, then their sum
+            table[m, :, part] = (power[0] * values[:, 0] + power[1] * values[:, 1]).sum(-1)
+            power = power * s
+    return table.transpose(2, 0, 1)
 
 
 @_kept
@@ -286,8 +293,9 @@ def axis_blocks(
     powers = np.arange(power + 1)
     rows, square = 2 * power + 1, powers[:, None] + powers
     table = gaussian_moments(lo, hi, origins, x0, rows, max(top + 1, 2))
-    p = np.arange(1, rows + 1)
-    plain = ((hi - origins)[:, None] ** p - (lo - origins)[:, None] ** p) / p
+    # s^p at both ends, p = 1..rows, by products, so a symmetric cell's odd moments are exactly 0
+    ends = np.stack([hi - origins, lo - origins], -1)[..., None].repeat(rows, -1).cumprod(-1)
+    plain = (ends[:, 0] - ends[:, 1]) / np.arange(1, rows + 1)
     return table[:, powers, : top + 1], math.pi**0.25 * table[:, :, 0][:, square], plain[:, square]
 
 
@@ -445,15 +453,10 @@ class SampledFunction:
         # the longest axes first, so no intermediate outgrows the data or the result
         for j in sorted(range(self.box.dim), key=lambda j: -self.coeffs.shape[j]):
             edges, origins, powers = self.axes[j]
-            total, blocks = 0.0, []
-            for first in range(0, len(origins), CELL_CHUNK):
-                part = slice(first, first + CELL_CHUNK)
-                blocks.append(axis_blocks(edges[:-1][part], edges[1:][part], origins[part], x0[j], int(powers[-1]), top))
-                if len(powers) <= powers[-1]:  # a power set with gaps reads its own rows
-                    blocks[-1] = blocks[-1][0][:, powers], *[b[:, powers[:, None], powers] for b in blocks[-1][1:]]
-                total = total + _contract(pairs, j, blocks[-1][0], first, keep=False)
-            pairs = total
-            _, w, p = blocks[0] if len(blocks) == 1 else [np.concatenate(chunks) for chunks in zip(*blocks)]
+            block, w, p = axis_blocks(edges[:-1], edges[1:], origins, x0[j], int(powers[-1]), top)
+            if len(powers) <= powers[-1]:  # a power set with gaps reads its own rows
+                block, w, p = block[:, powers], w[:, powers[:, None], powers], p[:, powers[:, None], powers]
+            pairs = _contract(pairs, j, block, keep=False)
             weighted.append((j, w))
             plain.append((j, p))
         pairs = _finite("pairings <f~, h_alpha>_w", pairs)
@@ -475,11 +478,11 @@ def _finite(name: str, value):
     return value
 
 
-def _contract(t: np.ndarray, j: int, table: np.ndarray, first: int = 0, keep: bool = True) -> np.ndarray:
-    """t's axis j, read as (cells, D) from cell ``first`` on, against
-    table[c, d, e]: out[.., c, e, ..] (keep) or summed over c (not keep)."""
+def _contract(t: np.ndarray, j: int, table: np.ndarray, keep: bool = True) -> np.ndarray:
+    """t's axis j, read as (cells, D), against table[c, d, e]:
+    out[.., c, e, ..] (keep) or summed over c (not keep)."""
     cells, depth, _ = table.shape
-    moved = t.swapaxes(j, -1)[..., first * depth : (first + cells) * depth]
+    moved = t.swapaxes(j, -1)
     moved = moved.reshape(moved.shape[:-1] + (cells, depth))
     if not keep:
         return np.einsum("...cd,cde->...e", moved, table).swapaxes(j, -1)

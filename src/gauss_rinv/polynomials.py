@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -155,10 +156,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as 'p/q' (or 'p' when the denominator is 1)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as 'p/q' (or 'p' when the denominator is 1).  A
+    part past Python's int-to-str limit raises OverflowError naming its
+    digits and the limit: the value is exact, but has no decimal string."""
+    try:
+        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        digits = math.floor(math.log10(max(abs(value.numerator), value.denominator))) + 1
+        raise OverflowError(
+            f"a rational of about {digits} digits exceeds Python's int-to-str limit of "
+            f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+        ) from None
 
 
 def _as_fraction(value: RationalLike) -> Fraction:

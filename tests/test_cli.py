@@ -575,6 +575,27 @@ class TestNumericFailureExits3:
         assert err.startswith("numeric failure: ||f~||^2_w = ") and message in err
 
 
+    def test_bounded_ratio_past_the_int_to_str_limit(self, capsys):
+        """At a = 1/(10^200 - 1) the bounded report's exact weighted_ratio
+        has over 4,300 digits, Python's int-to-str limit: exit 3 naming its
+        digits and the limit, with no traceback, and the limit unchanged."""
+        limit = sys.get_int_max_str_digits()
+        assert main(["bounded", "--box=-1,1", "--f", "const:1", f"--a=1/{'9' * 200}"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: a rational of about ") and "Traceback" not in err
+        assert f"exceeds Python's int-to-str limit of {limit} digits" in err
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_solve_coefficient_past_the_int_to_str_limit(self, tmp_path, capsys):
+        """x^6 / (7...7) + 3 at a = 1/(3...3), 1,500 digits each: a Hermite
+        coefficient of the solution passes the int-to-str limit, exit 3."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(Polynomial(1, {(6,): Fraction(1, int("7" * 1500)), (0,): 3}).to_json_dict()))
+        assert main(["solve", "--dim", "1", "--f", str(path), f"--a=1/{'3' * 1500}"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: a rational of about ") and "int-to-str limit" in err
+
+
 class TestLargeShifts:
     """Shifts at the ends of the float range end with a report or a named stage."""
 

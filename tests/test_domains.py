@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from gauss_rinv import domains, rightinverse
 from gauss_rinv.domains import (
-    CELL_CHUNK,
     MAX_DEPTH,
     PANEL_ORDER,
     BoxDomain,
@@ -639,6 +639,14 @@ class TestClosedForms:
             odd = np.logical_or.reduce(np.indices(pairs.shape) % 2 == 1)
             assert (pairs[odd] == 0.0).all() and (pairs[~odd] != 0.0).all()
 
+    def test_odd_plain_moments_of_a_symmetric_box_are_zero(self):
+        """The plain block of [-0.7, 0.7] at power 8 takes its powers of the
+        ends by products, which keep their sign symmetry: every integral of
+        an odd power s^(p+q) is exactly 0.0, and no even one is."""
+        plain = domains.axis_blocks(np.array([-0.7]), np.array([0.7]), np.zeros(1), 0.0, 8, 3)[2][0]
+        odd = np.add.outer(np.arange(9), np.arange(9)) % 2 == 1
+        assert (plain[odd] == 0.0).all() and (plain[~odd] > 0.0).all()
+
     def test_wide_and_far_cells_read_only_the_window(self, monkeypatch):
         """Past |t| = MOMENT_WINDOW every integrand is 0 in floats, so a cell
         reaching to 1000 is integrated over its part inside the window, by a
@@ -656,15 +664,16 @@ class TestClosedForms:
 
     def test_large_tables_are_built_not_kept(self):
         """Blocks or a Gram matrix over KEPT_BYTES // 64 with their key are
-        returned, read-only, but not kept: the blocks of a CELL_CHUNK chunk
-        of a 2,001-node grid at top 3 (152 KiB), whose first cell reads as
-        that cell's own kept blocks, and a size-130 Gram matrix (132 KiB).
+        returned, read-only, but not kept: the blocks of the whole 2,000-cell
+        axis of a 2,001-node grid at top 3 (250 KiB), whose first cell reads
+        as that cell's own kept blocks, and a size-130 Gram matrix (132 KiB).
         Kept blocks are keyed on the bits of x0, so 0.0 and -0.0 key two."""
         domains._KEPT.clear()
         nodes = np.linspace(-1.0, 1.0, 2001)
-        lo, hi = nodes[:CELL_CHUNK], nodes[1 : CELL_CHUNK + 1]
+        lo, hi = nodes[:-1], nodes[1:]
         blocks = domains.axis_blocks(lo, hi, lo, 0.0, 1, 3)
-        assert [block.shape for block in blocks] == [(CELL_CHUNK, 2, 4), (CELL_CHUNK, 2, 2), (CELL_CHUNK, 2, 2)]
+        assert [block.shape for block in blocks] == [(2000, 2, 4), (2000, 2, 2), (2000, 2, 2)]
+        assert not any(block.flags.writeable for block in blocks)
         gram = hermite_gram(-1.0, 1.0, 0.0, 130)
         assert gram.shape == (130, 130) and not gram.flags.writeable
         assert kept_entries(domains.axis_blocks) == kept_entries(hermite_gram) == 0
@@ -673,6 +682,38 @@ class TestClosedForms:
             for block, whole in zip(first, blocks):
                 np.testing.assert_allclose(block[0], whole[0], rtol=1e-14, atol=0.0)
         assert (kept_entries(domains.axis_blocks), kept_entries(hermite_gram)) == (2, 0)
+
+    def test_slices_do_not_change_the_bits(self, monkeypatch):
+        """gaussian_moments takes its cells in slices under KEPT_BYTES, with q
+        chosen over all of them: 512 grid cells and a wide one, which sets q
+        = 64, give the same bytes, and the same (C, rows, cols) view of a
+        (rows, cols, C) array, whether a slice holds one cell, the default's
+        9 or all 513."""
+        nodes = np.append(np.linspace(-1.0, 1.0, 513), 3.0)
+        lo, hi = nodes[:-1], nodes[1:]
+        tables = []
+        for budget in (1, domains.KEPT_BYTES, 1 << 40):
+            monkeypatch.setattr(domains, "KEPT_BYTES", budget)
+            tables.append(gaussian_moments(lo, hi, lo, 0.0, 3, 148))
+        assert {table.strides for table in tables} == {(8, 148 * 513 * 8, 513 * 8)}
+        assert len({table.tobytes() for table in tables}) == 1
+
+    def test_long_grid_working_set_stays_under_budget(self):
+        """solve_bounded of a 2,049-node grid on [-1, 1] at N = 147, its
+        rules warm, allocates at most 40 MiB at its peak: the Hermite values
+        at the 65,536 rule nodes of its 2,048 cells, 78 MB, are built a slice
+        of at most KEPT_BYTES // 4 at a time."""
+        box = BoxDomain(((-1.0, 1.0),))
+        f = SampledFunction.from_grid(box, (2049,), np.random.default_rng(5).uniform(-1, 1, 2049).tolist())
+        solve_bounded(box, f, truncation=147)
+        tracemalloc.start()
+        try:
+            report = solve_bounded(box, f, truncation=147)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 40 << 20, peak
 
     def test_large_basis_plan_is_built_not_kept(self):
         """The 2-D plan at the degree limit, 11,325 indices of degree <= 149,
