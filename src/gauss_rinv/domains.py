@@ -26,7 +26,7 @@ across calls, read-only, by one rule (``_kept``) in one store of at most
 KEPT_BYTES; a result over KEPT_BYTES // 64 is built on each call.  The
 one working set that grows with the data, the Hermite values at the rule
 nodes of an axis's cells, is built a slice of cells at a time, each slice
-within KEPT_BYTES // 4.
+within KEPT_BYTES // 4.  The sup estimate's sample points are not kept.
 
 The embedding checks confirm ||f||^2_w <= ||f||^2_{L2} (the weight is at
 most 1) and ||f||^2_w <= pi^{n/2} sup|f|^2 (total Gaussian mass), which
@@ -57,7 +57,7 @@ from .hermite import (
     _axis_norms,
     norm_sq,
 )
-from .polynomials import Polynomial, RationalLike, format_rational, pack, reduced
+from .polynomials import Polynomial, RationalLike, format_fields, pack, reduced
 from .rightinverse import InputLimitError, exact_solve, input_float, multi_indices_up_to
 
 # linalg, the exact row reduction the tests use as a reference, loads with
@@ -75,8 +75,9 @@ MAX_DEPTH = 24
 # weighted norm below -QUAD_TOL ||f||^2_L2 raises, and solve_bounded
 # refuses one above (1 + QUAD_TOL) ||f||^2_L2.
 QUAD_TOL = 1e-10
-# Points of the sup estimate of embedding_check, a Kronecker lattice in the
-# box, for data of power above 1 on some axis: its sup may lie inside a cell.
+# Sample budget of embedding_check's sup estimate: s equispaced points of each
+# cell, its ends and centre among them, on each of the k axes of power above 1,
+# s the largest odd number >= 3 with s^k <= SUP_SAMPLES (3 past k = 6).
 SUP_SAMPLES = 2048
 # Slack of the two embedding inequalities, relative to each right-hand side.
 EMBEDDING_TOL = 1e-8
@@ -383,24 +384,6 @@ class SampledFunction:
     axes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     coeffs: np.ndarray
 
-    def __call__(self, points) -> np.ndarray:
-        """Values at an (m, n) array of points, zero outside the box."""
-        x = np.asarray(points, dtype=float)
-        lo, hi = self.box.corners
-        return self._values([_axis_rows(x[:, j], lo[j], hi[j], *axis) for j, axis in enumerate(self.axes)])
-
-    def _values(self, located) -> np.ndarray:
-        """Values at the points that ``_axis_rows`` located on each axis."""
-        cells, rows = [], []
-        for (inside, c, vander), (edges, origins, powers) in zip(located, self.axes):
-            cells += [c, slice(None)]
-            rows.append(vander[:, powers])
-        # each point's (D_1, ..., D_n) block, contracted with its power rows
-        values = self.coeffs.reshape([s for e, o, p in self.axes for s in (len(o), len(p))])[tuple(cells)]
-        for row in reversed(rows):
-            values = np.einsum("m...d,md->m...", values, row)
-        return np.where(np.logical_and.reduce([inside for inside, _, _ in located]), values, 0.0)
-
     @classmethod
     def constant(cls, box: BoxDomain, value: float) -> "SampledFunction":
         axes = tuple((np.array(ends), np.zeros(1), np.zeros(1, dtype=int)) for ends in box.intervals)
@@ -659,9 +642,9 @@ class BoundedSolveReport:
         return self.bound_satisfied and self.bessel_holds and self.residual_exact
 
     def to_json_dict(self) -> dict:
-        return {
-            "box": self.box.to_json_dict(),
-            "a": format_rational(self.a),
+        return format_fields({
+            "box": self.box,
+            "a": self.a,
             "truncation": self.truncation,
             "x0": list(self.x0),
             "residual_exact": self.residual_exact,
@@ -671,14 +654,14 @@ class BoundedSolveReport:
             "bound_value": self.bound_value,
             "bound_satisfied": self.bound_satisfied,
             "margin": self.margin,
-            "weighted_ratio": format_rational(self.weighted_ratio),
-            "weighted_bound": format_rational(self.weighted_bound),
+            "weighted_ratio": self.weighted_ratio,
+            "weighted_bound": self.weighted_bound,
             "weighted_ratio_vs_data": self.weighted_ratio_vs_data,
             "projection_defect_rel": self.projection_defect_rel,
             "bessel_holds": self.bessel_holds,
             "bessel_tol": self.bessel_tol,
             "quad_tol": QUAD_TOL,
-        }
+        })
 
 
 def solve_bounded(
@@ -816,46 +799,16 @@ class EmbeddingReport:
         }
 
 
-@_kept
-def _sup_lattice(n: int) -> np.ndarray:
-    """SUP_SAMPLES points of [0, 1)^n, kept, read-only: the Kronecker lattice
-    u_k = frac(1/2 + k alpha), k < SUP_SAMPLES, alpha_j = phi^-j (j = 1..n),
-    phi the positive root of x^(n+1) = x + 1, whose powers keep the points
-    evenly spread in every dimension (M. Roberts, 2018).  u_0 is the
-    center."""
-    phi = 2.0
-    for _ in range(64):  # x -> (1 + x)^(1/(n+1)) contracts by 1/2 or more
-        phi = (1.0 + phi) ** (1.0 / (n + 1))
-    alpha = phi ** -np.arange(1.0, n + 1)
-    return (0.5 + np.arange(SUP_SAMPLES)[:, None] * alpha) % 1.0
-
-
-def _axis_rows(v: np.ndarray, lo: float, hi: float, edges: np.ndarray, origins: np.ndarray, powers):
-    """Points' coordinates v on one axis [lo, hi] of a SampledFunction:
-    whether each lies in [lo, hi], its cell once clipped there, and its
-    offset from that cell's origin to the powers 0..powers[-1]."""
-    inside = (lo <= v) & (v <= hi)
-    v = np.clip(v, lo, hi)
-    c = np.clip(np.searchsorted(edges, v) - 1, 0, len(origins) - 1)
-    return inside, c, np.vander(v - origins[c], powers[-1] + 1, increasing=True)
-
-
-@_kept
-def lattice_rows(n: int, j: int, lo: float, hi: float, edges: np.ndarray, origins: np.ndarray, top: int):
-    """_axis_rows, to the power top, of coordinate j of the _sup_lattice(n)
-    points mapped onto [lo, hi]; kept, read-only."""
-    return _axis_rows(lo + _sup_lattice(n)[:, j] * (hi - lo), lo, hi, edges, origins, (top,))
-
-
 def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
     """Check ||f||^2_w <= ||f||^2_{L2} and ||f||^2_w <= pi^{n/2} sup|f|^2,
     each within EMBEDDING_TOL times its right-hand side.
 
     Sampled data gets both squared norms from its per-axis tables over its
     support box (the zero extension contributes nothing outside) and, for
-    the sup, the largest |f| at its cell vertices: sup|f| itself for data multilinear
-    on each cell (constants, grids), and for other data the larger of that
-    and the SUP_SAMPLES points of ``_sup_lattice`` mapped onto the box.
+    the sup, the largest |f| on a tensor grid, one axis contracted at a
+    time: the ends of every cell, where data multilinear on each cell
+    (constants, grids) peaks, and on an axis of power above 1 the odd
+    number of equispaced points of each cell that SUP_SAMPLES sets.
     These values are attained, so a passing sup route stays a certificate.
     At least one of the two routes must be available.
     Polynomials get the exact weighted norm; their L2/sup norms over R^n
@@ -880,16 +833,16 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
         n = f.box.dim
         with np.errstate(all="ignore"):
             _, weighted, l2_sq = f.integrals((0.0,) * n, 0)
-        vertices = f.coeffs
+        side = int(SUP_SAMPLES ** (1.0 / max(1, sum(powers[-1] > 1 for _, _, powers in f.axes))))
+        steps = max(2, (side - 1) // 2 * 2)  # s - 1 of SUP_SAMPLES: even, so the centre is a sample
+        values = f.coeffs
         for j, (edges, origins, powers) in enumerate(f.axes):
-            ends = np.stack([edges[:-1], edges[1:]], axis=-1) - origins[:, None]
-            vertices = _contract(vertices, j, ends[:, None, :] ** powers[:, None])
-        sup = float(np.max(np.abs(vertices)))
-        if any(powers[-1] > 1 for _, _, powers in f.axes):
-            lo, hi = f.box.corners
-            located = [lattice_rows(n, j, lo[j], hi[j], e, o, int(p[-1])) for j, (e, o, p) in enumerate(f.axes)]
-            sup = max(sup, float(np.max(np.abs(f._values(located)))))
-        sup_sq = sup**2
+            points = np.stack([edges[:-1], edges[1:]], axis=-1)
+            if powers[-1] > 1:  # and the s - 2 points inside each cell
+                inner = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(1, steps) / steps)
+                points = np.concatenate([points, inner], axis=-1)
+            values = _contract(values, j, (points - origins[:, None])[:, None, :] ** powers[:, None])
+        sup_sq = float(np.max(np.abs(values))) ** 2
 
     pi_mass = math.pi ** (n / 2.0)
     l2_holds = None if l2_sq is None else weighted <= l2_sq * (1.0 + EMBEDDING_TOL)
@@ -941,12 +894,12 @@ class CounterexampleReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "c1": format_rational(self.c1),
-            "c2": format_rational(self.c2),
+        return format_fields({
+            "c1": self.c1,
+            "c2": self.c2,
             "R": self.r_max,
-            "u1_closed": format_rational(self.u1_closed),
-            "u1_integral": format_rational(self.u1_integral),
+            "u1_closed": self.u1_closed,
+            "u1_integral": self.u1_integral,
             "closed_vs_integral_max_rel": self.closed_vs_integral_max_rel,
             "second_derivative_max_rel": self.second_derivative_max_rel,
             "second_derivative_tol": self.second_derivative_tol,
@@ -955,7 +908,7 @@ class CounterexampleReport:
             "weighted_integral": self.weighted_integral,
             "weighted_tail_bound": self.weighted_tail_bound,
             "weighted_finite": self.weighted_finite,
-        }
+        })
 
 
 def _closed_form(

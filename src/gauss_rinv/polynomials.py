@@ -169,6 +169,20 @@ def format_rational(value: Fraction) -> str:
         ) from None
 
 
+def format_fields(fields: dict) -> dict:
+    """A report's JSON fields, in order, with each Fraction rendered by
+    format_rational and each exact record by its ``to_json_dict``; one past
+    the int-to-str limit raises OverflowError naming its key."""
+    out = {}
+    for key, value in fields.items():
+        try:
+            record = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+            out[key] = format_rational(value) if isinstance(value, Fraction) else record
+        except OverflowError as exc:
+            raise OverflowError(f"{exc}, in the report field {key!r}") from None
+    return out
+
+
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value

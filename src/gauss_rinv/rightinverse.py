@@ -56,7 +56,7 @@ from .polynomials import (
     MultiIndex,
     Polynomial,
     RationalLike,
-    format_rational,
+    format_fields,
     key_layout,
     pack,
     reduced,
@@ -343,9 +343,9 @@ class SolveReport(NamedTuple):
         return self.solution.to_polynomial()
 
     def to_json_dict(self) -> dict:
-        return {
-            "weight": self.weight.to_json_dict(),
-            "a": format_rational(self.a),
+        return format_fields({
+            "weight": self.weight,
+            "a": self.a,
             "truncation": self.truncation,
             "solution": {
                 "hermite": self.solution.to_json_dict(),
@@ -357,22 +357,18 @@ class SolveReport(NamedTuple):
             },
             "residual_exact": self.residual_exact,
             "kernel_defect": self.kernel_defect,
-            "norm_f_sq": self.norm_f_sq.to_json_dict() if self.norm_f_sq else None,
-            "norm_u_sq": self.norm_u_sq.to_json_dict() if self.norm_u_sq else None,
+            "norm_f_sq": self.norm_f_sq,
+            "norm_u_sq": self.norm_u_sq,
             "norm_u_sq_float": self.norm_u_sq_float,
-            "ratio": format_rational(self.ratio) if self.ratio is not None else None,
+            "ratio": self.ratio,
             "ratio_float": self.ratio_float,
-            "pre_enrichment_ratio": (
-                format_rational(self.pre_enrichment_ratio)
-                if self.pre_enrichment_ratio is not None
-                else None
-            ),
+            "pre_enrichment_ratio": self.pre_enrichment_ratio,
             "pre_enrichment_ratio_float": self.pre_enrichment_ratio_float,
-            "bound": format_rational(self.bound),
+            "bound": self.bound,
             "bound_satisfied": self.bound_satisfied,
             "enrichment": self.enrichment,
             "gram_condition": self.gram_condition,
-        }
+        })
 
 
 # ----------------------------------------------------------------------

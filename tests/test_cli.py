@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, validation, determinism."""
 
+import dataclasses
 import json
 import math
 import re
@@ -586,6 +587,26 @@ class TestNumericFailureExits3:
         assert f"exceeds Python's int-to-str limit of {limit} digits" in err
         assert sys.get_int_max_str_digits() == limit
 
+    def test_int_to_str_failure_names_the_report_field(self, capsys):
+        """The same bounded report names the field whose rational has no
+        decimal string: the JSON key weighted_ratio."""
+        assert main(["bounded", "--box=-1,1", "--f", "const:1", f"--a=1/{'9' * 200}"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.endswith(", in the report field 'weighted_ratio'\n")
+
+    def test_report_scalars_name_their_field(self):
+        """A solve report's and a counterexample report's exact scalars past
+        the int-to-str limit name their JSON keys too."""
+        huge = Fraction(1, 10**5000)
+        solve = rightinverse.solve_min_norm(Polynomial.constant(1, 1))
+        cases = {
+            "ratio": solve._replace(ratio=huge),
+            "norm_u_sq": solve._replace(norm_u_sq=solve.norm_u_sq.scale(huge)),
+            "u1_closed": dataclasses.replace(domains.counterexample_report(10.0), u1_closed=huge),
+        }
+        for key, report in cases.items():
+            with pytest.raises(OverflowError, match=f"in the report field '{key}'$"):
+                report.to_json_dict()
+
     def test_solve_coefficient_past_the_int_to_str_limit(self, tmp_path, capsys):
         """x^6 / (7...7) + 3 at a = 1/(3...3), 1,500 digits each: a Hermite
         coefficient of the solution passes the int-to-str limit, exit 3."""
@@ -787,8 +808,9 @@ class TestReporting:
 # imports (the exact core's records are NamedTuples), and the float layer
 # must still load on demand through the package afterwards.  The float runs
 # then load numpy's core and linalg only: the one Gauss rule, Gauss-Legendre,
-# is the package's own and the sup estimate of embedding_check reads cell
-# vertices and a lattice, so numpy.random and numpy.polynomial stay out.
+# is the package's own and the sup estimate of embedding_check contracts
+# the data with its powers at cell ends and equispaced points, on grid and
+# power-2 polynomial data alike, so numpy.random and numpy.polynomial stay out.
 NUMPY_FREE_PROGRAM = """
 import contextlib, io, json, os, sys, tempfile
 import gauss_rinv, gauss_rinv.cli as cli
@@ -836,6 +858,9 @@ assert codes == [0, 0, 0, 0], codes
 domains = gauss_rinv.domains
 f = domains.SampledFunction.from_grid(domains.BoxDomain(((0.0, 1.0), (-1.0, 2.0))), (2, 3), [1, -2, 0.5, 3, 0, -1])
 assert domains.embedding_check(f).holds
+box = domains.BoxDomain(((-1.0, 1.0), (-0.5, 0.5)))
+p = domains.SampledFunction.from_polynomial(gauss_rinv.Polynomial(2, {(1, 0): 1, (1, 2): -1}), box)
+assert domains.embedding_check(p).holds
 loaded = sorted(name for name in ("numpy.random", "numpy.polynomial") if name in sys.modules)
 assert not loaded, loaded
 print(json.dumps([code, json.loads(out.getvalue())["results"]["opnorm"]["value"]]))

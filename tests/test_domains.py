@@ -50,6 +50,22 @@ def orthonormal_table(weight: WeightSpec, indices, points: np.ndarray) -> np.nda
     return table
 
 
+def sampled_values(f: SampledFunction, points) -> np.ndarray:
+    """f at an (m, n) array of points, zero outside its box, read from its
+    data alone: per point, each axis's cell by np.searchsorted on its
+    edges, then that cell's polynomial in x_j - origin."""
+    coeffs = f.coeffs.reshape([s for _, origins, powers in f.axes for s in (len(origins), len(powers))])
+    values = []
+    for point in np.asarray(points, dtype=float):
+        value = coeffs
+        for x, (edges, origins, powers) in zip(point, f.axes):
+            c = min(max(int(np.searchsorted(edges, x)) - 1, 0), len(origins) - 1)
+            value = np.tensordot((x - origins[c]) ** powers, value[c], axes=1)
+        inside = all(lo <= x <= hi for x, (lo, hi) in zip(point, f.box.intervals))
+        values.append(float(value) if inside else 0.0)
+    return np.array(values)
+
+
 def kept_entries(build) -> int:
     """The results of a ``domains._kept`` builder in its one store."""
     return sum(key[0] is build.__wrapped__ for key in domains._KEPT)
@@ -253,7 +269,7 @@ class TestLevelBatching:
 
         def data_side(x):
             gauss = np.exp(-((x - x0) ** 2).sum(axis=1))
-            fx = f(x)
+            fx = sampled_values(f, x)
             return np.column_stack([fx[:, None] * orthonormal_table(w, indices, x) * gauss[:, None], fx**2 * gauss, fx**2])
 
         got = integrate_box(data_side, box, tol=domains.QUAD_TOL)
@@ -825,19 +841,6 @@ class TestClosedForms:
         assert f_exp == HermiteExpansion(_weight(box), coeffs)
         assert len(f_exp.nums) == len(coeffs) > 1
 
-    def test_evaluation_matches_data(self):
-        """__call__ on the coefficient tensor: the polynomial itself, and the
-        grid's interpolant (np.interp in 1-D)."""
-        rng = np.random.default_rng(3)
-        box, f = DATA_CASES["2d-polynomial"]
-        points = rng.uniform(*zip(*box.intervals), size=(50, 2))
-        poly = Polynomial(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)})
-        assert f(points) == pytest.approx([float(poly.evaluate(list(p))) for p in points], abs=1e-15)
-        box, f = DATA_CASES["1d-grid"]
-        x = rng.uniform(0.25, 1.5, size=50)
-        nodes = np.linspace(0.25, 1.5, 5)
-        assert f(x[:, None]) == pytest.approx(np.interp(x, nodes, [0.3, -1.0, 0.5, 2.0, 0.0]), abs=1e-15)
-
 
 class TestEmbeddings:
     def test_constant_equality_witness(self):
@@ -860,7 +863,7 @@ class TestEmbeddings:
 
     def test_polynomial_cutoff_2d(self):
         """x + y^2/3 on [-2, 2] x [-1, 1] peaks at the corners (2, +-1):
-        sup^2 = 49/9, which the lattice alone reads 6 % low."""
+        sup^2 = 49/9, at two vertices of the sample grid."""
         box = BoxDomain(((-2.0, 2.0), (-1.0, 1.0)))
         poly = Polynomial(2, {(1, 0): 1, (0, 2): Fraction(1, 3)})
         report = embedding_check(SampledFunction.from_polynomial(poly, box))
@@ -868,11 +871,36 @@ class TestEmbeddings:
         assert report.sup_sq == pytest.approx(49 / 9, rel=1e-12)
 
     def test_polynomial_sup_inside_a_cell(self):
-        """1 - x^2 on [-1, 1] vanishes at the vertices; the lattice's center
-        point reads its sup 1."""
+        """1 - x^2 on [-1, 1] vanishes at the vertices; the cell's centre,
+        one of its samples, reads its sup 1."""
         box = BoxDomain(((-1.0, 1.0),))
         poly = Polynomial(1, {(0,): 1, (2,): -1})
         assert embedding_check(SampledFunction.from_polynomial(poly, box)).sup_sq == 1.0
+
+    def test_polynomial_sup_at_a_vertex_and_a_centre(self):
+        """x (1 - y^2) on [-1, 1]^2 peaks at x = +-1, y = 0: an end of the
+        affine axis and the centre of the quadratic one, so sup^2 reads 1
+        exactly."""
+        box = BoxDomain(((-1.0, 1.0),) * 2)
+        poly = Polynomial(2, {(1, 0): 1, (1, 2): -1})
+        assert embedding_check(SampledFunction.from_polynomial(poly, box)).sup_sq == 1.0
+
+    def test_many_quadratic_axes_stay_small(self):
+        """12 - |x|^2 on [-1, 1]^12 has 12 axes of power 2, so 3 samples on
+        each: its 3^12 values, built one axis at a time, keep a warm check's
+        tracemalloc peak under 24 MiB, and the sup is 12 at the centre."""
+        box = BoxDomain(((-1.0, 1.0),) * 12)
+        terms = {(0,) * 12: 12, **{tuple(2 * (i == j) for i in range(12)): -1 for j in range(12)}}
+        f = SampledFunction.from_polynomial(Polynomial(12, terms), box)
+        embedding_check(f)
+        tracemalloc.start()
+        try:
+            report = embedding_check(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.sup_sq == 144.0 and report.holds
+        assert peak <= 24 << 20, peak
 
     @pytest.mark.parametrize(
         "intervals, shape, seed, rel",
@@ -891,40 +919,9 @@ class TestEmbeddings:
     def test_grid_function(self):
         box = BoxDomain(((0.0, 1.0),))
         f = SampledFunction.from_grid(box, (5,), [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert f([[0.5]]) == pytest.approx([0.5])
-        assert f([[0.3], [1.5]]).tolist() == pytest.approx([0.3, 0.0])  # zero outside
+        assert sampled_values(f, [[0.5]]) == pytest.approx([0.5])
+        assert sampled_values(f, [[0.3], [1.5]]).tolist() == pytest.approx([0.3, 0.0])  # zero outside
         assert embedding_check(f).holds
-
-    @pytest.mark.parametrize(
-        "intervals, terms",
-        [(((0.25, 1.5),), {(3,): 2, (2,): -1, (0,): 1}), (((0.0, 1.0), (-0.25, 0.75)), {(2, 1): 1, (0, 3): -2, (1, 0): 1})],
-        ids=["1-D", "2-D"],
-    )
-    def test_lattice_rows_give_the_values_at_the_lattice(self, intervals, terms):
-        """The sup estimate's lattice rows, cold and then kept, give f at the
-        _sup_lattice points mapped onto the box, bit for bit."""
-        box = BoxDomain(intervals)
-        f = SampledFunction.from_polynomial(Polynomial(box.dim, terms), box)
-        lo, hi = box.corners
-        expected = f(lo + domains._sup_lattice(box.dim) * (hi - lo))
-        domains._KEPT.clear()
-        rounds = []
-        for _ in range(2):
-            located = [domains.lattice_rows(box.dim, j, lo[j], hi[j], e, o, int(p[-1])) for j, (e, o, p) in enumerate(f.axes)]
-            rounds.append(located)
-            assert f._values(located).tobytes() == expected.tobytes()
-        assert all(cold is warm for cold, warm in zip(*rounds))
-        assert kept_entries(domains.lattice_rows) == box.dim
-        assert embedding_check(f).sup_sq >= float(np.max(np.abs(expected))) ** 2
-
-    def test_high_power_lattice_rows_are_built_not_kept(self):
-        """x^6 needs 7 x SUP_SAMPLES floats of rows, SUP_SAMPLES cells and
-        flags, 130 KiB, over KEPT_BYTES // 64: its rows are built on each
-        call."""
-        box = BoxDomain(((-1.0, 1.0),))
-        domains._KEPT.clear()
-        embedding_check(SampledFunction.from_polynomial(Polynomial(1, {(6,): 1, (2,): -1}), box))
-        assert kept_entries(domains.lattice_rows) == 0
 
     def test_relative_tolerance_sees_an_inflated_weighted_norm(self, monkeypatch):
         """Each route's slack is EMBEDDING_TOL times its right-hand side, so

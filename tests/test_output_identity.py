@@ -396,7 +396,7 @@ def test_bounded_digest_pinned():
 
 def embedding_documents() -> list[dict]:
     """embedding_check reports of polynomials of power 2 or more on the
-    bounded boxes, whose sup estimates read the lattice rows."""
+    bounded boxes, whose sup estimates sample inside the cells."""
     rng = random.Random(4043)
     docs = []
     for intervals, *_ in BOUNDED_CASES:
@@ -408,9 +408,8 @@ def embedding_documents() -> list[dict]:
 
 # What a box keeps across calls, in the one store of domains._kept: the
 # per-axis blocks its data's pairings and norms contract with, its Hermite
-# Gram matrices, the basis plan of its truncation and the sup-lattice rows
-# of its data's axes.
-BOX_BUILDERS = (domains.axis_blocks, domains.hermite_gram, domains.basis_plan, domains.lattice_rows)
+# Gram matrices and the basis plan of its truncation.
+BOX_BUILDERS = (domains.axis_blocks, domains.hermite_gram, domains.basis_plan)
 
 
 def test_cold_box_caches_give_warm_bytes():
@@ -429,7 +428,6 @@ def test_cold_box_caches_give_warm_bytes():
         *domains.axis_blocks(*ends, np.zeros(1), 0.0, 2, 3),
         domains.hermite_gram(-1.0, 1.0, 0.0, 4),
         *domains.basis_plan(1, 4)[1:3],
-        *domains.lattice_rows(1, 0, -1.0, 1.0, np.array([-1.0, 1.0]), np.zeros(1), 2),
     )
     for table in kept:
         with pytest.raises(ValueError):
