@@ -16,7 +16,9 @@ byte-identical JSON.  Exit codes: 0 all checks pass,
 The float layer, ``domains`` and numpy, is imported inside the runners
 that use it (``bounded``, ``counterexample``, ``suite``), so ``solve``,
 ``verify`` and ``opnorm``, at every a, never load numpy.  Of numpy, a float
-run loads the core and ``numpy.linalg`` only, with the package's one Gauss rule.
+run loads the core and the ``numpy.linalg`` it imports; a ``bounded`` op calls no
+LAPACK or BLAS routine, ``integrate_box`` and ``_integral_form`` take BLAS dots,
+and only the plane-wave code (ROADMAP item 1 deletes it) calls ``numpy.linalg``.
 """
 
 from __future__ import annotations

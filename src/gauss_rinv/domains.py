@@ -18,8 +18,9 @@ with |U| the Euclidean diameter of the box: on U the Gaussian factor
 e^{-|x-x0|^2} is at least e^{-|U|^2} once x0 lies in U.
 
 Those tables, the Hermite-function values and ``gauss_rule``, the one
-Gauss rule of the package (Jacobi-matrix eigenvalues, each polished by one
-fixed-point Newton step), are defined here, outside the exact core.
+Gauss rule of the package (Tricomi's asymptotic roots, Newton steps on the
+three-term recurrence), are defined here, outside the exact core; a bounded
+op calls no LAPACK or BLAS routine.
 
 What a bounded op reads that the data values and a do not set is kept
 across calls, read-only, by one rule (``_kept``) in one store of at most
@@ -201,17 +202,23 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-point Gauss-Legendre rule, exact to degree 2 order - 1 on
     [-1, 1]: ascending nodes and their weights, kept, read-only.
 
-    The nodes start as the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix, off-diagonal k / sqrt(4k^2 - 1), k < order (Golub & Welsch,
-    Math. Comp. 23, 1969).  One Newton step on the three-term recurrence,
-    in fixed point, takes each to the nearest float of its root, and the
-    weight is the derivative formula at the root.  The rule is symmetric,
-    so only the roots >= 0 take the step.
+    The rule is symmetric, so only its roots >= 0 are found, all at once:
+    each starts at Tricomi's asymptotic value (Abramowitz & Stegun 22.16.6)
+    and takes two float Newton steps on the three-term recurrence, so a rule
+    holds O(order) floats.  One more Newton step, in fixed point, takes each
+    to the nearest float of its root, whatever the start, and the weight is
+    the derivative formula at the root.
     """
     if order < 1:
         raise ValueError(f"a Gauss rule needs order >= 1, got {order}")
-    k = np.arange(1.0, order)
-    start = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))[order // 2:]
+    k = np.arange((order + 1) // 2, 0, -1)  # the roots >= 0, ascending
+    start = (1.0 - (1.0 - 1.0 / order) / (8.0 * order * order)) * np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
+    for _ in range(2):
+        q, p = 0.0, 1.0
+        for j in range(order):  # P_(j+1) = x P_j + j / (j + 1) (x P_j - P_(j-1))
+            xp = start * p
+            q, p = p, xp + (xp - q) * (j / (j + 1))
+        start = start - p * (1.0 - start * start) / (order * (q - start * p))
     if order % 2:
         start[0] = 0.0  # the middle root of an odd order
     half = np.array([_legendre_newton(x, order) for x in start.tolist()]).T
@@ -308,7 +315,7 @@ def hermite_gram(lo: float, hi: float, x0: float, size: int) -> np.ndarray:
     nodes, weights = gauss_rule(size)
     t = (hi + lo) / 2.0 - x0 + (hi - lo) / 2.0 * nodes
     values = np.array(normalized_hermite_values(size - 1, t, np.full(size, math.pi**-0.25)))
-    return (values * (weights * (hi - lo) / 2.0)) @ values.T
+    return np.einsum("ai,bi->ab", values * (weights * (hi - lo) / 2.0), values)  # no BLAS call
 
 
 # ----------------------------------------------------------------------

@@ -169,17 +169,18 @@ def format_rational(value: Fraction) -> str:
         ) from None
 
 
-def format_fields(fields: dict) -> dict:
+def format_fields(fields: dict, block: str = "") -> dict:
     """A report's JSON fields, in order, with each Fraction rendered by
     format_rational and each exact record by its ``to_json_dict``; one past
-    the int-to-str limit raises OverflowError naming its key."""
+    the int-to-str limit raises OverflowError naming its key, after the
+    ``block`` prefix of a nested block ("solution.")."""
     out = {}
     for key, value in fields.items():
         try:
             record = value.to_json_dict() if hasattr(value, "to_json_dict") else value
             out[key] = format_rational(value) if isinstance(value, Fraction) else record
         except OverflowError as exc:
-            raise OverflowError(f"{exc}, in the report field {key!r}") from None
+            raise OverflowError(f"{exc}, in the report field {block + key!r}") from None
     return out
 
 

@@ -347,14 +347,14 @@ class SolveReport(NamedTuple):
             "weight": self.weight,
             "a": self.a,
             "truncation": self.truncation,
-            "solution": {
-                "hermite": self.solution.to_json_dict(),
-                "polynomial": self.solution_polynomial().to_json_dict(),
+            "solution": format_fields({
+                "hermite": self.solution,
+                "polynomial": self.solution_polynomial(),
                 "kernel": [
                     {"function": g.describe(), "coefficient": c}
                     for g, c in self.kernel_part
                 ],
-            },
+            }, "solution."),
             "residual_exact": self.residual_exact,
             "kernel_defect": self.kernel_defect,
             "norm_f_sq": self.norm_f_sq,

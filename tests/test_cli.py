@@ -616,6 +616,14 @@ class TestNumericFailureExits3:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: a rational of about ") and "int-to-str limit" in err
 
+    def test_solve_coefficient_failure_names_the_solution_field(self, tmp_path, capsys):
+        """The same solve names the nested field whose coefficient has no
+        decimal string: the solution's Hermite coefficients, solution.hermite."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(Polynomial(1, {(6,): Fraction(1, int("7" * 1500)), (0,): 3}).to_json_dict()))
+        assert main(["solve", "--dim", "1", "--f", str(path), f"--a=1/{'3' * 1500}"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.endswith(", in the report field 'solution.hermite'\n")
+
 
 class TestLargeShifts:
     """Shifts at the ends of the float range end with a report or a named stage."""

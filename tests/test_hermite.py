@@ -1,6 +1,7 @@
 """Weighted-space engine: conversions, exact integrals, quadrature, moments."""
 
 import ast
+import hashlib
 import math
 import random
 import re
@@ -400,6 +401,19 @@ def _mp_legendre_root(mpmath, n: int, start: float):
         weight = 2 / ((1 - x * x) * dp * dp)
         x = x - p / dp
     return x, weight
+
+
+def test_gauss_rule_bytes_are_pinned():
+    """The rules of orders 1-160 (every Gram rule up to the 2-D truncation
+    limit) and of the moment orders 256, 512, 1,024 and 2,048 keep the bytes
+    they had when the nodes started from Jacobi-matrix eigenvalues: the
+    fixed-point step takes any start near enough to the nearest float of its
+    root."""
+    digest = hashlib.sha256()
+    for order in [*range(1, 161), 256, 512, 1024, 2048]:
+        for part in domains.gauss_rule.__wrapped__(order):
+            digest.update(part.astype("<f8").tobytes())
+    assert digest.hexdigest() == "297884abcb681bae17e1080b02adbb2b823d9dafe902a0403b47617cbe5c5cb7"
 
 
 def test_gauss_rule_matches_mpmath():
