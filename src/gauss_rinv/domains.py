@@ -43,6 +43,7 @@ quadrature ``integrate_box``.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -112,6 +113,9 @@ MAX_DIAMETER = math.sqrt(math.log(sys.float_info.max))
 MOMENT_WINDOW = 40.0
 # Bytes kept across calls, keys included (8 MiB); a result over 1/64 of it is not kept.
 KEPT_BYTES = 8 << 20
+# Largest Gauss rule the tests pin.  The Gaussian moments of a data power p
+# ask for more than p + 20 nodes, so a power above 2,027 is refused.
+MAX_RULE_ORDER = 2048
 
 
 # ----------------------------------------------------------------------
@@ -412,12 +416,14 @@ class SampledFunction:
     def from_grid(
         cls, box: BoxDomain, shape: Sequence[int], values: Sequence[float]
     ) -> "SampledFunction":
-        """Multilinear interpolation of a flat value grid over the box."""
-        arr = np.asarray(values, dtype=float).reshape(tuple(shape))
-        if arr.ndim != box.dim:
-            raise ValueError(f"grid rank {arr.ndim} != box dimension {box.dim}")
-        if min(arr.shape) < 2:
-            raise ValueError(f"grid shape {arr.shape} needs at least 2 points per axis")
+        """Multilinear interpolation of a flat value grid over the box; a
+        shape entry that is not an int >= 2 is refused before the reshape."""
+        shape = tuple(operator.index(num) for num in shape)
+        if len(shape) != box.dim:
+            raise ValueError(f"grid rank {len(shape)} != box dimension {box.dim}")
+        if min(shape) < 2:
+            raise ValueError(f"grid shape {shape} needs at least 2 points per axis")
+        arr = np.asarray(values, dtype=float).reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError("grid values must be finite")
         axes, coeffs = [], arr
@@ -577,11 +583,12 @@ def max_truncation(dim: int) -> int:
     return degree - 2
 
 
-def check_input_limits(dim: int, truncation: int, diameter: float = 0.0) -> None:
+def check_input_limits(dim: int, truncation: int, diameter: float = 0.0, power: int = 0) -> None:
     """Raise ValueError for a negative N, and InputLimitError, naming the
     limit, for a bounded solve whose (N+3)^n coefficient array is over
-    MAX_TENSOR_ENTRIES, whose N is above max_truncation(dim) or whose box
-    diameter is above MAX_DIAMETER."""
+    MAX_TENSOR_ENTRIES, whose N is above max_truncation(dim), whose box
+    diameter is above MAX_DIAMETER or whose data's highest power on an axis
+    asks its moments for a rule above MAX_RULE_ORDER."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     entries = (truncation + 3) ** dim
@@ -600,6 +607,11 @@ def check_input_limits(dim: int, truncation: int, diameter: float = 0.0) -> None
         raise InputLimitError(
             f"box diameter |U| = {diameter!r} is above MAX_DIAMETER = {MAX_DIAMETER!r}: "
             f"the diameter constant's e^(|U|^2) overflows a float"
+        )
+    if power + 20 >= MAX_RULE_ORDER:
+        raise InputLimitError(
+            f"the data's power {power} asks its Gaussian moments for a Gauss rule of over {power + 20} nodes, "
+            f"above MAX_RULE_ORDER = {MAX_RULE_ORDER}"
         )
 
 
@@ -649,26 +661,10 @@ class BoundedSolveReport:
         return self.bound_satisfied and self.bessel_holds and self.residual_exact
 
     def to_json_dict(self) -> dict:
-        return format_fields({
-            "box": self.box,
-            "a": self.a,
-            "truncation": self.truncation,
-            "x0": list(self.x0),
-            "residual_exact": self.residual_exact,
-            "norm_u_l2": self.norm_u_l2,
-            "norm_f_l2": self.norm_f_l2,
-            "diameter_constant": self.diameter_constant,
-            "bound_value": self.bound_value,
-            "bound_satisfied": self.bound_satisfied,
-            "margin": self.margin,
-            "weighted_ratio": self.weighted_ratio,
-            "weighted_bound": self.weighted_bound,
-            "weighted_ratio_vs_data": self.weighted_ratio_vs_data,
-            "projection_defect_rel": self.projection_defect_rel,
-            "bessel_holds": self.bessel_holds,
-            "bessel_tol": self.bessel_tol,
-            "quad_tol": QUAD_TOL,
-        })
+        """The fields but the solution, in order, then quad_tol."""
+        fields = dict(vars(self), x0=list(self.x0), quad_tol=QUAD_TOL)
+        del fields["solution"]
+        return format_fields(fields)
 
 
 def solve_bounded(
@@ -705,7 +701,7 @@ def solve_bounded(
     if f.box.intervals != box.intervals:
         raise ValueError("sampled function must live on the target box")
     diameter = box.diameter
-    check_input_limits(n, truncation, diameter)
+    check_input_limits(n, truncation, diameter, max(int(powers[-1]) for _, _, powers in f.axes))
     point0 = box.center
     weight = WeightSpec(
         dim=n, lam=Fraction(1), center=tuple(Fraction(v) for v in point0)
@@ -794,16 +790,8 @@ class EmbeddingReport:
         return bool(routes) and all(routes)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "weighted_sq": self.weighted_sq,
-            "l2_sq": self.l2_sq,
-            "sup_sq": self.sup_sq,
-            "l2_holds": self.l2_holds,
-            "sup_holds": self.sup_holds,
-            "pass": self.holds,
-            "tol": EMBEDDING_TOL,
-        }
+        """The fields in order, then the verdict and EMBEDDING_TOL."""
+        return {**vars(self), "pass": self.holds, "tol": EMBEDDING_TOL}
 
 
 def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
@@ -901,21 +889,8 @@ class CounterexampleReport:
         )
 
     def to_json_dict(self) -> dict:
-        return format_fields({
-            "c1": self.c1,
-            "c2": self.c2,
-            "R": self.r_max,
-            "u1_closed": self.u1_closed,
-            "u1_integral": self.u1_integral,
-            "closed_vs_integral_max_rel": self.closed_vs_integral_max_rel,
-            "second_derivative_max_rel": self.second_derivative_max_rel,
-            "second_derivative_tol": self.second_derivative_tol,
-            "growth": [[r, v] for r, v in self.growth],
-            "strictly_increasing": self.strictly_increasing,
-            "weighted_integral": self.weighted_integral,
-            "weighted_tail_bound": self.weighted_tail_bound,
-            "weighted_finite": self.weighted_finite,
-        })
+        """The fields in order, r_max under the key R."""
+        return format_fields({"R" if key == "r_max" else key: value for key, value in vars(self).items()})
 
 
 def _closed_form(

@@ -343,32 +343,14 @@ class SolveReport(NamedTuple):
         return self.solution.to_polynomial()
 
     def to_json_dict(self) -> dict:
-        return format_fields({
-            "weight": self.weight,
-            "a": self.a,
-            "truncation": self.truncation,
-            "solution": format_fields({
-                "hermite": self.solution,
-                "polynomial": self.solution_polynomial(),
-                "kernel": [
-                    {"function": g.describe(), "coefficient": c}
-                    for g, c in self.kernel_part
-                ],
-            }, "solution."),
-            "residual_exact": self.residual_exact,
-            "kernel_defect": self.kernel_defect,
-            "norm_f_sq": self.norm_f_sq,
-            "norm_u_sq": self.norm_u_sq,
-            "norm_u_sq_float": self.norm_u_sq_float,
-            "ratio": self.ratio,
-            "ratio_float": self.ratio_float,
-            "pre_enrichment_ratio": self.pre_enrichment_ratio,
-            "pre_enrichment_ratio_float": self.pre_enrichment_ratio_float,
-            "bound": self.bound,
-            "bound_satisfied": self.bound_satisfied,
-            "enrichment": self.enrichment,
-            "gram_condition": self.gram_condition,
-        })
+        """The fields in order, ``kernel_part`` folded into the solution block."""
+        fields = self._asdict()
+        fields["solution"] = format_fields({
+            "hermite": self.solution,
+            "polynomial": self.solution_polynomial(),
+            "kernel": [{"function": g.describe(), "coefficient": c} for g, c in fields.pop("kernel_part")],
+        }, "solution.")
+        return format_fields(fields)
 
 
 # ----------------------------------------------------------------------
@@ -390,8 +372,19 @@ class SolveReport(NamedTuple):
 # counts 198,564 at a = 0 (0.9 s in a whole cold `gauss-rinv solve`) and
 # 1,867,200 at a != 0; x^1000 in 1-D counts 754,506 at a = 1 (0.9 s), and
 # x^80 in 2-D 3,159,296 (2.8 s); x1^12 in 12-D (2,283,972) and x1^2 in
-# 1000-D (504,502,000) are refused at a = 0.
+# 1000-D (504,502,000) are refused at a = 0.  The data's conversion to
+# Hermite coefficients is held to it too, before its first row is built: the
+# ints of the cold rows 1..d of an axis, d (d + 3) / 2 for data of degree d.
+# x^1000 counts 501,500 (0.9 s), x^1412 998,990 (2.7 s); x^1413 is refused.
 MAX_MIN_NORM_WORK = 1_000_000
+
+
+def _check_work(what: str, work: int, units: str) -> None:
+    """InputLimitError naming what, its work and the limit, for work over MAX_MIN_NORM_WORK."""
+    if work > MAX_MIN_NORM_WORK:
+        raise InputLimitError(
+            f"{what} needs {work} units of work ({units}), above MAX_MIN_NORM_WORK = {MAX_MIN_NORM_WORK}"
+        )
 
 
 def _nu(dim: int, m: int, k: int) -> int:
@@ -556,11 +549,7 @@ def _min_norm_coeffs(f: HermiteExpansion, a: Fraction = Fraction(0), top: int | 
     for chain in plan:
         for j, (d, parity) in enumerate(chain):
             work += (2 * (j + 1) if p else 1) * _level_work(dim, d, parity.bit_count())
-    if work > MAX_MIN_NORM_WORK:
-        raise InputLimitError(
-            f"the min-norm solve in {dim}-D needs {work} units of work (lap entries times towers, "
-            f"plus the {dim}-entry multi-indices), above MAX_MIN_NORM_WORK = {MAX_MIN_NORM_WORK}"
-        )
+    _check_work(f"the min-norm solve in {dim}-D", work, f"lap entries times towers, plus the {dim}-entry multi-indices")
     parts: list[tuple[int, int, tuple[int, ...], list[int], int]] = []  # (degree, parity, members, nums, den)
     for chain in plan:
         ys: list[tuple[list[int], int]] = []
@@ -643,13 +632,16 @@ def solve_min_norm(
     every N >= deg f and solves lap u = f exactly.  ``residual_exact`` is
     the exact weak residual check P_N shifted_laplacian(u, a) == f on
     Hermite coefficients, ``ratio`` the exact ratio and ``bound_satisfied``
-    ratio <= bound with zero tolerance.
+    ratio <= bound with zero tolerance.  Data whose conversion counts over
+    MAX_MIN_NORM_WORK (see there) raises InputLimitError before any row is built.
     """
     a = Fraction(a)
     w = weight if weight is not None else WeightSpec.unit(f.dim)
     if f.dim != w.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {w.dim}")
-    top = max(f.total_degree(), 0) if truncation is None else truncation
+    degree = max(f.total_degree(), 0)
+    top = degree if truncation is None else truncation
+    _check_work(f"the data's conversion to Hermite coefficients in {f.dim}-D", degree * (degree + 3) // 2, "row ints")
     u_exp, residual_exact, norm_f, norm_u, ratio = exact_solve(monomial_to_hermite(f, w), a, top)
     bound = Fraction(1, 8 * w.dim * w.lam**2)
     return SolveReport(

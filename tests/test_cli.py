@@ -183,6 +183,24 @@ class TestSolveCommand:
         assert main(["solve", "--dim", "3", "--f", str(poly_path)]) == EXIT_SPEC
         assert "needs 162 units of work" in capsys.readouterr().err
 
+    def test_high_degree_conversion_over_work_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        """x^100000 in 1-D: converting it to Hermite coefficients would build
+        every cold row up to 100,000, a chain of calls past the recursion
+        limit.  Its 5,000,150,000 units of work are refused before the first
+        row is built, naming the limit, with no traceback.  x^1000 counts
+        501,500, within the limit: a limit one below refuses it."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(Polynomial.monomial((100_000,)).to_json_dict()))
+        argv = [sys.executable, "-m", "gauss_rinv", "solve", "--dim", "1", "--f", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_SPEC and "Traceback" not in proc.stderr
+        assert "needs 5000150000 units of work" in proc.stderr and "MAX_MIN_NORM_WORK = 1000000" in proc.stderr
+        path.write_text(json.dumps(Polynomial.monomial((1000,)).to_json_dict()))
+        assert 501_500 <= rightinverse.MAX_MIN_NORM_WORK
+        monkeypatch.setattr(rightinverse, "MAX_MIN_NORM_WORK", 501_499)
+        assert main(["solve", "--dim", "1", "--f", str(path)]) == EXIT_SPEC
+        assert "coefficients in 1-D needs 501500 units of work" in capsys.readouterr().err
+
 
 class TestScaledSolve:
     def test_lambda_two(self, tmp_path):
@@ -496,12 +514,25 @@ class TestBadInputExits2:
         assert "spec error at f:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "shape, values", [([1], [1.0]), ([0], []), ([3], [1.0, math.nan, 2.0])]
+        "shape, values", [([1], [1.0]), ([0], []), ([3], [1.0, math.nan, 2.0]), ([-5], [1.0, 2.0, 3.0])]
     )
     def test_grid_degenerate_or_non_finite(self, tmp_path, shape, values):
-        """Such grids used to crash the interpolant or stall the adaptive quadrature."""
+        """Such grids used to crash the interpolant or stall the adaptive
+        quadrature; numpy's reshape read the shape [-5] as an inferred axis."""
         path = self._write(tmp_path, "g.json", {"shape": shape, "values": values})
         assert main(["bounded", "--box=0,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
+
+    def test_bounded_power_over_rule_order_exits_2(self, tmp_path, capsys):
+        """x^100000 on [-1, 1]: its Gaussian moments would take a rule of
+        order 131,072 and a (p + 1)^2 index table of 74.5 GiB.  It is refused
+        within a second, naming MAX_RULE_ORDER, with no traceback."""
+        path = self._write(tmp_path, "p.json", Polynomial.monomial((100_000,)).to_json_dict())
+        started = time.perf_counter()
+        assert main(["bounded", "--box=-1,1", "--f", f"poly:{path}"]) == EXIT_SPEC
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "the data's power 100000 asks its Gaussian moments for a Gauss rule of over 100020 nodes" in err
+        assert "MAX_RULE_ORDER = 2048" in err and "Traceback" not in err
 
     def test_grid_slope_overflow(self, tmp_path, capsys):
         """1e308 to -1e308 over a spacing of 2 is a slope of -inf: exit 2

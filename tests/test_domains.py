@@ -512,6 +512,18 @@ class TestInputLimits:
         for dim, degree in [(1, 16), (2, 3), (2, 30), (1, 30)]:
             check_input_limits(dim, degree)
 
+    def test_rule_order_limit_both_sides(self, monkeypatch):
+        """x^2027 asks its moments for at least 2,048 nodes and passes;
+        x^2028 asks for over 2,048, a rule past MAX_RULE_ORDER, and is
+        refused before any table is built."""
+        check_input_limits(1, 30, 2.0, 2027)
+        monkeypatch.setattr(domains, "axis_blocks", None)
+        monkeypatch.setattr(domains, "basis_plan", None)
+        box = BoxDomain(((-1.0, 1.0),))
+        f = SampledFunction.from_polynomial(Polynomial.monomial((2028,)), box)
+        with pytest.raises(InputLimitError, match="rule of over 2048 nodes, above MAX_RULE_ORDER = 2048"):
+            solve_bounded(box, f)
+
     @pytest.mark.parametrize(
         "intervals, degree",
         [(((-1.0, 1.0),), 149), (((-1.0, 1.0),) * 2, 148), (((-1.0, 1.0),) * 3, 30), (((-40.0, 40.0),), 4)],

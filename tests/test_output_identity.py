@@ -394,6 +394,24 @@ def test_bounded_digest_pinned():
     assert bounded_mismatches(recorded, bounded_documents()) == []
 
 
+def test_counterexample_and_embedding_keys_pinned():
+    """The counterexample report's keys in order and its exact fields, and
+    the embedding report's keys in order, as recorded before the reports
+    serialized their own fields."""
+    report = domains.counterexample_report(50.0, Fraction(-1, 3), Fraction(7, 5)).to_json_dict()
+    assert list(report) == [
+        "c1", "c2", "R", "u1_closed", "u1_integral", "closed_vs_integral_max_rel", "second_derivative_max_rel",
+        "second_derivative_tol", "growth", "strictly_increasing", "weighted_integral", "weighted_tail_bound",
+        "weighted_finite",
+    ]
+    exact = {key: report[key] for key in ("c1", "c2", "u1_closed", "u1_integral")}
+    assert exact == {"c1": "-1/3", "c2": "7/5", "u1_closed": "37/30", "u1_integral": "37/30"}
+    box = BoxDomain(((-1.0, 1.0),))
+    for f in (SampledFunction.constant(box, 2.0), Polynomial.constant(2, 3)):
+        keys = list(embedding_check(f).to_json_dict())
+        assert keys == ["dim", "weighted_sq", "l2_sq", "sup_sq", "l2_holds", "sup_holds", "pass", "tol"]
+
+
 def embedding_documents() -> list[dict]:
     """embedding_check reports of polynomials of power 2 or more on the
     bounded boxes, whose sup estimates sample inside the cells."""
