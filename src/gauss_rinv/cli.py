@@ -17,7 +17,7 @@ The float layer, ``domains`` and numpy, is imported inside the runners
 that use it (``bounded``, ``counterexample``, ``suite``), so ``solve``,
 ``verify`` and ``opnorm``, at every a, never load numpy.  Of numpy, a float
 run loads the core and the ``numpy.linalg`` it imports; a ``bounded`` op calls no
-LAPACK or BLAS routine, ``integrate_box`` and ``_integral_form`` take BLAS dots,
+LAPACK or BLAS routine, the counterexample's 64-point rules take BLAS dots,
 and only the plane-wave code (ROADMAP item 1 deletes it) calls ``numpy.linalg``.
 """
 

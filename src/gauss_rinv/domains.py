@@ -36,8 +36,8 @@ transport unweighted data into the weighted theory.
 The counterexample is the classical 1/x-sourced second antiderivative:
 u'' = f with f = 1/x on [1, inf) has u = -x/2 + x ln x + 2/3 (+ affine),
 which leaves L2(R) (its square integral grows like R^3 ln^2 R) yet stays
-square-integrable against the Gaussian weight, by the adaptive panel
-quadrature ``integrate_box``.
+square-integrable against the Gaussian weight, by the fixed
+INTEGRAL_FORM_ORDER-point Gauss-Legendre rule ``integrate_box``.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ from .rightinverse import InputLimitError, exact_solve, input_float, multi_indic
 # tracer targets resolve until it moves to the tests (ROADMAP item 1).
 from . import linalg  # noqa: F401  (imported for its side effect)
 
-# Gauss-Legendre nodes per axis of one quadrature panel.
-PANEL_ORDER = 12
-# Bisection depth of integrate_box; a panel unconverged there raises.
-MAX_DEPTH = 24
 # Error budget of each float integral of solve_bounded; the Bessel
 # tolerance and the diameter bound's relative slack are derived from it,
 # and it is printed as "quad_tol".  The Gauss rules meet it to rounding.  A
@@ -100,10 +96,10 @@ INTEGRAL_FORM_ORDER = 64
 # grows like R^3 ln^2 R / 3, which passes the float maximum 1.8e308 near
 # R = 2.5e101.
 MAX_R = 1e101
-# Entries of the dense (N+3)^n array of a bounded solution's orthonormal
-# coefficients, the largest table its truncation N sets; its Gram
-# contraction costs n (N+3)^(n+1) multiply-adds.  2-D reaches its degree
-# limit 147 (22,500 entries), 3-D stops at N = 29, 4-D at N = 10.
+# Entries of a dense coefficient array built from sparse input: a bounded
+# solution's (N+3)^n orthonormal ones (Gram contraction n (N+3)^(n+1)
+# multiply-adds; 2-D reaches its degree limit 147 at 22,500, 3-D stops at
+# N = 29, 4-D at N = 10) and polynomial data's, over each axis's powers.
 MAX_TENSOR_ENTRIES = 32_768
 # Largest box diameter |U| of a bounded solve: its constant's e^{|U|^2}
 # overflows a float past sqrt(ln(float max)) = 26.64.
@@ -113,8 +109,8 @@ MAX_DIAMETER = math.sqrt(math.log(sys.float_info.max))
 MOMENT_WINDOW = 40.0
 # Bytes kept across calls, keys included (8 MiB); a result over 1/64 of it is not kept.
 KEPT_BYTES = 8 << 20
-# Largest Gauss rule the tests pin.  The Gaussian moments of a data power p
-# ask for more than p + 20 nodes, so a power above 2,027 is refused.
+# Largest Gauss rule the tests pin, and the largest gaussian_moments builds:
+# on [-1, 1] it admits data powers up to 2,020 at N = 30 and 2,026 at N = 0.
 MAX_RULE_ORDER = 2048
 
 
@@ -261,7 +257,8 @@ def gaussian_moments(
     the rest, so on a cell centred on x0 and on its origin, where s^m h_k(t)
     is even or odd in exact float arithmetic, every entry of odd m + k is
     exactly 0.  h_k(t) e^{-t^2} is the Hermite function h_k e^{-t^2/2} times
-    e^{-t^2/2}: a far end underflows to 0, not inf * 0.
+    e^{-t^2/2}: a far end underflows to 0, not inf * 0.  A q above
+    MAX_RULE_ORDER raises InputLimitError before any rule or table is built.
     """
     lo, hi = (np.minimum(np.maximum(ends, x0 - MOMENT_WINDOW), x0 + MOMENT_WINDOW) for ends in (lo, hi))
     # the centres in s and t from the ends themselves: a grid cell's s runs
@@ -269,6 +266,11 @@ def gaussian_moments(
     s_mid, t_mid, half = ((lo - origins) + (hi - origins)) / 2.0, ((lo - x0) + (hi - x0)) / 2.0, (hi - lo) / 2.0
     need = math.ceil((half * (np.maximum(math.sqrt(2 * cols - 1), half) + abs(t_mid))).max()) + rows // 2 + 20
     order = 1 << (need - 1).bit_length()
+    if order > MAX_RULE_ORDER:
+        raise InputLimitError(
+            f"the Gaussian moments of s^m h_k, m < {rows}, k < {cols}, ask for a Gauss rule of {need} nodes, "
+            f"above MAX_RULE_ORDER = {MAX_RULE_ORDER}"
+        )
     nodes, weights = (part[order // 2 :] for part in gauss_rule(order))  # the nodes > 0 of an even order
     # Slices of cells within KEPT_BYTES // 4 at 3 cols q floats a cell (the Hermite
     # values as a list and an array, then the array and its products): a long axis
@@ -302,9 +304,10 @@ def axis_blocks(
     block pi^{1/4} M[c, p + q, 0] of ||f~||^2_w (h_0 = pi^{-1/4}, so it
     integrates s^(p+q) e^{-t^2}); and the plain block, the integral of
     s^(p+q) over the cell.  Kept, read-only."""
+    rows = 2 * power + 1
+    table = gaussian_moments(lo, hi, origins, x0, rows, max(top + 1, 2))  # refuses past MAX_RULE_ORDER first
     powers = np.arange(power + 1)
-    rows, square = 2 * power + 1, powers[:, None] + powers
-    table = gaussian_moments(lo, hi, origins, x0, rows, max(top + 1, 2))
+    square = powers[:, None] + powers
     # s^p at both ends, p = 1..rows, by products, so a symmetric cell's odd moments are exactly 0
     ends = np.stack([hi - origins, lo - origins], -1)[..., None].repeat(rows, -1).cumprod(-1)
     plain = (ends[:, 0] - ends[:, 1]) / np.arange(1, rows + 1)
@@ -376,8 +379,7 @@ class BoxDomain:
 
 
 class QuadratureError(ArithmeticError):
-    """An integral is not a finite float, or integrate_box reached
-    MAX_DEPTH before its tolerance."""
+    """An integral is not a finite float."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +389,8 @@ class SampledFunction:
     cells [edges[c], edges[c+1]] and on cell c the basis (x_j -
     origins[c])^p, p in powers; ``coeffs`` has one axis of length
     cells * len(powers) per box axis, cell-major.  A constant is one term;
-    a polynomial is its monomial terms (one cell, origin 0); a grid is its
+    a polynomial is its monomial terms (one cell, origin 0), a dense tensor
+    over each axis's powers of at most MAX_TENSOR_ENTRIES; a grid is its
     multilinear interpolant, v_c + (v_(c+1) - v_c) (x - x_c) / h_c per cell.
     """
 
@@ -406,7 +409,13 @@ class SampledFunction:
             raise ValueError(f"dimension mismatch: {poly.dim} vs {box.dim}")
         terms = poly.sorted_terms()
         powers = [sorted({exps[j] for exps, _ in terms} or {0}) for j in range(box.dim)]
-        coeffs = np.zeros([len(p) for p in powers])
+        shape = tuple(map(len, powers))
+        if math.prod(shape) > MAX_TENSOR_ENTRIES:  # refused before any array: sparse terms can ask for TiB
+            raise InputLimitError(
+                f"the polynomial's dense coefficient tensor {shape} over the powers of each axis has "
+                f"{math.prod(shape)} entries, above MAX_TENSOR_ENTRIES = {MAX_TENSOR_ENTRIES}"
+            )
+        coeffs = np.zeros(shape)
         for exps, coef in terms:
             coeffs[tuple(p.index(e) for p, e in zip(powers, exps))] = float(coef)
         axes = tuple((np.array(ends), np.zeros(1), np.array(p)) for ends, p in zip(box.intervals, powers))
@@ -496,72 +505,27 @@ def _quadratic(coeffs: np.ndarray, blocks: Sequence[tuple[int, np.ndarray]]) -> 
 
 
 # ----------------------------------------------------------------------
-# adaptive panel quadrature over boxes
+# the fixed Gauss-Legendre rule over boxes
 # ----------------------------------------------------------------------
 
 
-@_kept
-def _panel_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The PANEL_ORDER^dim tensor Gauss-Legendre nodes on [-1, 1]^dim and
-    their weights; kept, read-only."""
-    return tensor_rule(*gauss_rule(PANEL_ORDER), dim)
-
-
-def integrate_box(
-    fn: Callable[[np.ndarray], np.ndarray],
-    box: BoxDomain,
-    tol: float = 1e-10,
-) -> float | np.ndarray:
-    """Adaptive composite Gauss-Legendre integral of fn over the box.
+def integrate_box(fn: Callable[[np.ndarray], np.ndarray], box: BoxDomain) -> float | np.ndarray:
+    """The INTEGRAL_FORM_ORDER-point Gauss-Legendre tensor rule for fn over
+    the box, geometric on integrands analytic near it (Trefethen, SIAM
+    Review 50, 2008).
 
     ``fn`` maps an (m, n) array of nodes to m values (the result is a
     float) or to an (m, k) array (the result is k integrals); it is called
-    once per panel, with that panel's nodes.  Depth first, each panel is
-    bisected along its longest axis, and the sum of its halves is accepted
-    when it agrees with the panel's own estimate in every component within
-    the panel's share of tol (halved at each bisection), so each component
-    gets a panel set at least as fine as it would alone; the half-panel
-    estimates are the children's coarse ones.
-    A non-finite estimate raises QuadratureError at once: NaN never passes
-    the agreement test, so it would bisect to ``MAX_DEPTH``.  A panel that
-    has not converged at ``MAX_DEPTH`` raises QuadratureError too, naming
-    the depth and the unmet tolerance.
+    once.  A non-finite result raises QuadratureError.
     """
-    ref_nodes, ref_weights = _panel_rule(box.dim)
-
-    def panel(lo: np.ndarray, hi: np.ndarray):
-        half = (hi - lo) / 2.0
-        values = np.asarray(fn((hi + lo) / 2.0 + half * ref_nodes), dtype=float)
-        return (ref_weights @ values) * np.prod(half)
-
-    def refine(lo: np.ndarray, hi: np.ndarray, coarse, budget: float, depth: int):
-        axis = int(np.argmax(hi - lo))
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[axis] = right_lo[axis] = (lo[axis] + hi[axis]) / 2.0
-        left, right = panel(lo, left_hi), panel(right_lo, hi)
-        fine = left + right
-        if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
-            raise QuadratureError(
-                f"non-finite integrand estimate {fine.tolist()!r} on panel "
-                f"{list(zip(lo.tolist(), hi.tolist()))}"
-            )
-        # the relative floor stops refinement once float rounding dominates
-        noise = 4e-15 * np.maximum(abs(coarse), abs(fine))
-        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)):
-            return fine
-        if depth >= MAX_DEPTH:
-            raise QuadratureError(
-                f"integrate_box reached MAX_DEPTH = {MAX_DEPTH} on panel "
-                f"{list(zip(lo.tolist(), hi.tolist()))} with |fine - coarse| = "
-                f"{float(np.max(abs(fine - coarse)))!r} above its share {budget!r} of tol = {tol!r}"
-            )
-        share = budget / 2.0
-        return refine(lo, left_hi, left, share, depth + 1) + refine(right_lo, hi, right, share, depth + 1)
-
+    nodes, weights = tensor_rule(*gauss_rule(INTEGRAL_FORM_ORDER), box.dim)
     lo, hi = box.corners
-    # overflow and NaN surface as the QuadratureError above, not as warnings
+    half = (hi - lo) / 2.0
+    # overflow and NaN surface as the QuadratureError below, not as warnings
     with np.errstate(all="ignore"):
-        total = refine(lo, hi, panel(lo, hi), tol, 0)
+        total = (weights @ np.asarray(fn((hi + lo) / 2.0 + half * nodes), dtype=float)) * np.prod(half)
+    if not np.isfinite(total).all():
+        raise QuadratureError(f"non-finite integral {total.tolist()!r} over {list(box.intervals)}")
     return float(total) if total.ndim == 0 else total
 
 
@@ -583,12 +547,11 @@ def max_truncation(dim: int) -> int:
     return degree - 2
 
 
-def check_input_limits(dim: int, truncation: int, diameter: float = 0.0, power: int = 0) -> None:
+def check_input_limits(dim: int, truncation: int, diameter: float = 0.0) -> None:
     """Raise ValueError for a negative N, and InputLimitError, naming the
     limit, for a bounded solve whose (N+3)^n coefficient array is over
-    MAX_TENSOR_ENTRIES, whose N is above max_truncation(dim), whose box
-    diameter is above MAX_DIAMETER or whose data's highest power on an axis
-    asks its moments for a rule above MAX_RULE_ORDER."""
+    MAX_TENSOR_ENTRIES, whose N is above max_truncation(dim) or whose box
+    diameter is above MAX_DIAMETER."""
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     entries = (truncation + 3) ** dim
@@ -607,11 +570,6 @@ def check_input_limits(dim: int, truncation: int, diameter: float = 0.0, power: 
         raise InputLimitError(
             f"box diameter |U| = {diameter!r} is above MAX_DIAMETER = {MAX_DIAMETER!r}: "
             f"the diameter constant's e^(|U|^2) overflows a float"
-        )
-    if power + 20 >= MAX_RULE_ORDER:
-        raise InputLimitError(
-            f"the data's power {power} asks its Gaussian moments for a Gauss rule of over {power + 20} nodes, "
-            f"above MAX_RULE_ORDER = {MAX_RULE_ORDER}"
         )
 
 
@@ -692,16 +650,16 @@ def solve_bounded(
     follows from QUAD_TOL and the number of pairings; it fails when a
     pairing or the basis is wrong.  ``projection_defect_rel`` = 1 -
     ||P_N f~||^2_w / ||f~||^2_w is the share of the data the truncation
-    drops (0 for zero data).  Inputs beyond ``check_input_limits`` raise
-    InputLimitError first, and a negative truncation ValueError; a
-    ||f~||^2_w above ||f||^2_{L2} (1 + QUAD_TOL) raises QuadratureError.
+    drops (0 for zero data).  Inputs past ``check_input_limits`` or
+    MAX_RULE_ORDER raise InputLimitError, a negative truncation ValueError,
+    and a ||f~||^2_w above ||f||^2_{L2} (1 + QUAD_TOL) QuadratureError.
     """
     a = Fraction(a)
     n = box.dim
     if f.box.intervals != box.intervals:
         raise ValueError("sampled function must live on the target box")
     diameter = box.diameter
-    check_input_limits(n, truncation, diameter, max(int(powers[-1]) for _, _, powers in f.axes))
+    check_input_limits(n, truncation, diameter)
     point0 = box.center
     weight = WeightSpec(
         dim=n, lam=Fraction(1), center=tuple(Fraction(v) for v in point0)
@@ -806,24 +764,18 @@ def embedding_check(f: SampledFunction | Polynomial) -> EmbeddingReport:
     number of equispaced points of each cell that SUP_SAMPLES sets.
     These values are attained, so a passing sup route stays a certificate.
     At least one of the two routes must be available.
-    Polynomials get the exact weighted norm; their L2/sup norms over R^n
-    are infinite except in the constant case, so only the applicable route
-    is reported.
+    A constant polynomial gets the exact weighted norm and the applicable
+    route; a non-constant one, whose L2 and sup norms over R^n are
+    infinite, raises ValueError before any norm is taken.
     """
     if isinstance(f, Polynomial):
+        if f.total_degree() > 0:
+            raise ValueError("non-constant polynomials have neither finite L2 nor sup norm")
         n = f.dim
         weighted = norm_sq(f, WeightSpec.unit(n)).to_float()
-        if f.total_degree() <= 0:
-            c = float(f.coefficient((0,) * n)) if not f.is_zero() else 0.0
-            sup_sq = c * c
-            l2_sq = None if c != 0.0 else 0.0
-        else:
-            sup_sq = None
-            l2_sq = None
-        if sup_sq is None and l2_sq is None:
-            raise ValueError(
-                "non-constant polynomials have neither finite L2 nor sup norm"
-            )
+        c = float(f.coefficient((0,) * n)) if not f.is_zero() else 0.0
+        sup_sq = c * c
+        l2_sq = None if c != 0.0 else 0.0
     else:
         n = f.box.dim
         with np.errstate(all="ignore"):
@@ -958,11 +910,11 @@ def counterexample_report(
     is exact on both routes of (i) and has u'' = 0, and the exact u(1)
     check covers it, so (i) and (ii) run at c1 = c2 = 0: in float, a large
     affine part would round away the x ln x term they check.  The growth
-    integrals are elementary (_square_integral); the weighted one goes
-    through integrate_box.  An R above MAX_R, or a c1 or c2 above the float
-    range, raises InputLimitError; a square integral of u (QuadratureError)
-    or the tail bound (OverflowError) that leaves the float range raises
-    naming it, c1 and c2.
+    integrals are elementary (_square_integral); the weighted one over [1,
+    8] is the fixed rule integrate_box, and past 8 a bound.  An R above
+    MAX_R, or a c1 or c2 above the float range, raises InputLimitError; a
+    square integral of u (QuadratureError) or the tail bound (OverflowError)
+    that leaves the float range raises naming it, c1 and c2.
     """
     if r_max < 1.0:
         raise ValueError(f"R must be >= 1, got {r_max}")
@@ -1009,9 +961,7 @@ def counterexample_report(
 
     cutoff = 8.0
     try:
-        weighted = integrate_box(
-            lambda x: u(x[:, 0]) ** 2 * np.exp(-x[:, 0] ** 2), BoxDomain(((1.0, cutoff),)), tol=1e-12
-        )
+        weighted = integrate_box(lambda x: u(x[:, 0]) ** 2 * np.exp(-x[:, 0] ** 2), BoxDomain(((1.0, cutoff),)))
     except QuadratureError as exc:
         raise QuadratureError(
             f"counterexample: the weighted integral of u^2 over [1, {cutoff!r}] at c1 = {c1_float:.6g}, "

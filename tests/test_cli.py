@@ -523,16 +523,29 @@ class TestBadInputExits2:
         assert main(["bounded", "--box=0,1", "--f", f"expr-grid:{path}"]) == EXIT_SPEC
 
     def test_bounded_power_over_rule_order_exits_2(self, tmp_path, capsys):
-        """x^100000 on [-1, 1]: its Gaussian moments would take a rule of
-        order 131,072 and a (p + 1)^2 index table of 74.5 GiB.  It is refused
-        within a second, naming MAX_RULE_ORDER, with no traceback."""
-        path = self._write(tmp_path, "p.json", Polynomial.monomial((100_000,)).to_json_dict())
+        """On [-1, 1] at N = 30, x^2021's Gaussian moments ask for 2,049
+        nodes (a rule of order 4,096, 5.8 s), and x^100000's for a rule of
+        order 131,072 and a (p + 1)^2 index table of 74.5 GiB.  Each is
+        refused within a second, naming MAX_RULE_ORDER, with no traceback."""
+        for power, nodes in ((2021, 2049), (100_000, 100_028)):
+            path = self._write(tmp_path, "p.json", Polynomial.monomial((power,)).to_json_dict())
+            started = time.perf_counter()
+            assert main(["bounded", "--box=-1,1", "--f", f"poly:{path}"]) == EXIT_SPEC
+            assert time.perf_counter() - started < 1.0
+            err = capsys.readouterr().err
+            assert f"ask for a Gauss rule of {nodes} nodes, above MAX_RULE_ORDER = 2048" in err
+            assert "Traceback" not in err
+
+    def test_bounded_sparse_polynomial_over_tensor_limit_exits_2(self, tmp_path, capsys):
+        """The 600 terms x_j^e (j <= 6, e <= 100) would fill a dense 101^6
+        tensor of 7.72 TiB: refused within a second, naming the limit."""
+        terms = [{"exp": [e if k == j else 0 for k in range(6)], "coef": "1"} for j in range(6) for e in range(1, 101)]
+        path = self._write(tmp_path, "p.json", {"dim": 6, "terms": terms})
         started = time.perf_counter()
-        assert main(["bounded", "--box=-1,1", "--f", f"poly:{path}"]) == EXIT_SPEC
+        assert main(["bounded", "--box=" + ";".join(["-1,1"] * 6), "--degree", "0", "--f", f"poly:{path}"]) == EXIT_SPEC
         assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
-        assert "the data's power 100000 asks its Gaussian moments for a Gauss rule of over 100020 nodes" in err
-        assert "MAX_RULE_ORDER = 2048" in err and "Traceback" not in err
+        assert "1061520150601 entries, above MAX_TENSOR_ENTRIES = 32768" in err and "Traceback" not in err
 
     def test_grid_slope_overflow(self, tmp_path, capsys):
         """1e308 to -1e308 over a spacing of 2 is a slope of -inf: exit 2

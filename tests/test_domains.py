@@ -1,6 +1,7 @@
 """Bounded-domain pipeline, embedding checks, and the counterexample."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -12,8 +13,6 @@ import pytest
 from gauss_rinv import domains, rightinverse
 from gauss_rinv.cli import run_suite
 from gauss_rinv.domains import (
-    MAX_DEPTH,
-    PANEL_ORDER,
     BoxDomain,
     InputLimitError,
     QuadratureError,
@@ -27,7 +26,6 @@ from gauss_rinv.domains import (
     integrate_box,
     normalized_hermite_values,
     solve_bounded,
-    tensor_rule,
 )
 from gauss_rinv.hermite import HermiteExpansion, WeightSpec, monomial_to_hermite
 from gauss_rinv.polynomials import Polynomial, pack
@@ -72,11 +70,6 @@ def kept_entries(build) -> int:
     return sum(key[0] is build.__wrapped__ for key in domains._KEPT)
 
 
-# sqrt(x + SQRT_SHIFT) is steep enough near 0 to refine 43 1-D panels
-# there at tol 1e-10, and smooth enough to converge above MAX_DEPTH.
-SQRT_SHIFT = 1e-4
-
-
 class TestBoxDomain:
     def test_diameter(self):
         box = BoxDomain(((0.0, 3.0), (0.0, 4.0)))
@@ -101,123 +94,42 @@ class TestQuadrature:
 
     def test_2d(self):
         box = BoxDomain(((0.0, 1.0), (0.0, 2.0)))
-        val = integrate_box(lambda x: x[:, 0] * x[:, 1], box, tol=1e-12)
+        val = integrate_box(lambda x: x[:, 0] * x[:, 1], box)
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_gaussian_against_erf(self):
         box = BoxDomain(((0.0, 1.0),))
-        val = integrate_box(lambda x: np.exp(-x[:, 0] ** 2), box, tol=1e-13)
+        val = integrate_box(lambda x: np.exp(-x[:, 0] ** 2), box)
         assert val == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(1.0), rel=1e-12)
 
     def test_array_integrand_gives_every_component(self):
         """An (m, k) integrand returns k integrals: x^j on [0, 1] is 1/(j+1)."""
-        tol = 1e-12
-        vals = integrate_box(lambda x: x[:, :1] ** np.arange(6), BoxDomain(((0.0, 1.0),)), tol=tol)
+        vals = integrate_box(lambda x: x[:, :1] ** np.arange(6), BoxDomain(((0.0, 1.0),)))
         assert vals.shape == (6,)
         for j, v in enumerate(vals):
-            assert abs(v - 1.0 / (j + 1)) <= tol
-
-    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_every_component_refined(self, order):
-        """sqrt(x + c) needs panels near 0 that the constant never asks for;
-        the shared tree refines for it whichever column it is.  (sqrt(x)
-        itself never meets 1e-10 above MAX_DEPTH: see test_max_depth_raises.)"""
-        tol = 1e-10
-        columns = [lambda t: np.ones_like(t), lambda t: np.sqrt(t + SQRT_SHIFT)]
-        vals = integrate_box(
-            lambda x: np.column_stack([columns[j](x[:, 0]) for j in order]),
-            BoxDomain(((0.0, 1.0),)),
-            tol=tol,
-        )
-        exact = [1.0, 2.0 / 3.0 * ((1.0 + SQRT_SHIFT) ** 1.5 - SQRT_SHIFT**1.5)]
-        for j, v in zip(order, vals):
-            assert abs(v - exact[j]) <= tol
+            assert abs(v - 1.0 / (j + 1)) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_integrand_raises_at_once(self, bad):
-        """NaN never passes the agreement test; it used to bisect to depth 24."""
+        """One call on the 64 x 64 nodes of the fixed rule, then the error."""
         calls = []
 
         def fn(x):
             calls.append(len(x))
             return np.where(x[:, 0] > 0.5, bad, 1.0)
 
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="non-finite integral"):
             integrate_box(fn, BoxDomain(((0.0, 1.0), (0.0, 1.0))))
-        # the first coarse panel, then its two halves, 12 x 12 nodes each,
-        # and nothing deeper
-        assert calls == [12 * 12, 12 * 12, 12 * 12]
-
-    @pytest.mark.parametrize(
-        "fn, tol",
-        [(lambda x: abs(x[:, 0] - 1.0 / 3.0), 1e-13), (lambda x: np.sqrt(x[:, 0]), 1e-10)],
-        ids=["kink-at-third", "sqrt"],
-    )
-    def test_max_depth_raises(self, fn, tol):
-        """1/3 is never a panel edge, and the error of sqrt(x) on [0, h]
-        shrinks like h^1.5 while the panel's share of tol shrinks like h, so
-        both bisect to MAX_DEPTH unconverged, and say so instead of returning."""
-        with pytest.raises(QuadratureError, match=rf"reached MAX_DEPTH = 24 on panel .* above its share .* of tol = {tol!r}"):
-            integrate_box(fn, BoxDomain(((0.0, 1.0),)), tol=tol)
+        assert calls == [domains.INTEGRAL_FORM_ORDER**2]
 
 
-def recursive_integrate_box(fn, box, tol=1e-10):
-    """Reference integrate_box: the depth-first recursion, one integrand
-    call per panel, over a rule built per call."""
-    ref_nodes, ref_weights = tensor_rule(*gauss_rule.__wrapped__(PANEL_ORDER), box.dim)
-
-    def panel(lo, hi):
-        half = (hi - lo) / 2.0
-        values = np.asarray(fn((hi + lo) / 2.0 + half * ref_nodes), dtype=float)
-        return (ref_weights @ values) * np.prod(half)
-
-    def recurse(lo, hi, coarse, budget, depth):
-        axis = int(np.argmax(hi - lo))
-        mid = (lo[axis] + hi[axis]) / 2.0
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[axis] = right_lo[axis] = mid
-        left, right = panel(lo, left_hi), panel(right_lo, hi)
-        fine = left + right
-        if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
-            raise QuadratureError(f"non-finite integrand estimate {fine.tolist()!r}")
-        noise = 4e-15 * np.maximum(abs(coarse), abs(fine))
-        if np.all(abs(fine - coarse) <= np.maximum(budget, noise)):
-            return fine
-        if depth >= MAX_DEPTH:
-            raise QuadratureError("unconverged at MAX_DEPTH")
-        return recurse(lo, left_hi, left, budget / 2.0, depth + 1) + recurse(
-            right_lo, hi, right, budget / 2.0, depth + 1
-        )
-
-    lo, hi = box.corners
-    with np.errstate(all="ignore"):
-        total = recurse(lo, hi, panel(lo, hi), tol, 0)
-    return float(total) if total.ndim == 0 else total
-
-
-def assert_same_bits(got, reference) -> None:
-    assert type(got) is type(reference)
-    assert np.shape(got) == np.shape(reference)
-    assert np.all(got == reference)
-
-
-def recorded(fn, calls):
-    """fn, appending the nodes of every call to ``calls``."""
-
-    def wrapped(x):
-        calls.append(x.copy())
-        return fn(x)
-
-    return wrapped
-
-
-UNIT, SQUARE = BoxDomain(((0.0, 1.0),)), BoxDomain(((0.0, 1.0), (0.0, 2.0)))
+UNIT = BoxDomain(((0.0, 1.0),))
 _LINE, _PLANE = BoxDomain(((0.25, 1.5),)), BoxDomain(((0.5, 1.5), (-1.0, 0.0)))
 # One of each data kind, on symmetric and off-center boxes.
 DATA_CASES = {
     "1d-constant": (BoxDomain(((-1.0, 1.0),)), SampledFunction.constant(BoxDomain(((-1.0, 1.0),)), 1.0)),
     "1d-grid": (_LINE, SampledFunction.from_grid(_LINE, (5,), [0.3, -1.0, 0.5, 2.0, 0.0])),
-    # sqrt(x) sampled on 9 nodes: its interpolant's kinks fall on panel edges
+    # sqrt(x) sampled on 9 nodes: its interpolant kinks at every node
     "1d-sqrt": (UNIT, SampledFunction.from_grid(UNIT, (9,), np.sqrt(np.linspace(0.0, 1.0, 9)))),
     "2d-polynomial": (
         _PLANE,
@@ -230,39 +142,17 @@ DATA_CASES = {
 def _weight(box: BoxDomain) -> WeightSpec:
     """The unit weight centered at the box center, as solve_bounded takes it."""
     return WeightSpec(dim=box.dim, lam=Fraction(1), center=tuple(Fraction(c) for c in box.center))
-REFERENCE_CASES = {
-    "1d-scalar": (lambda x: x[:, 0] ** 2, UNIT, 1e-10),
-    "2d-scalar": (lambda x: x[:, 0] * x[:, 1], SQUARE, 1e-12),
-    "gaussian-erf": (lambda x: np.exp(-x[:, 0] ** 2), UNIT, 1e-13),
-    "1d-array": (lambda x: x[:, :1] ** np.arange(6), UNIT, 1e-12),
-    "sqrt-refined": (lambda x: np.column_stack([np.ones(len(x)), np.sqrt(x[:, 0] + SQRT_SHIFT)]), UNIT, 1e-10),
-    "2d-array": (lambda x: np.column_stack([np.sqrt(x[:, 0] * x[:, 1] + SQRT_SHIFT), x[:, 1]]), SQUARE, 1e-8),
-    # wide trees: 64 1-D panels, 16 2-D panels on one level
-    "1d-oscillation": (lambda x: np.cos(300.0 * x[:, 0]), UNIT, 1e-12),
-    "2d-kink": (lambda x: abs(x[:, 0] + x[:, 1] - 2.0 / 3.0), BoxDomain(((0.0, 1.0),) * 2), 1e-5),
-}
 
 
 class TestLevelBatching:
-    """integrate_box against the recursive reference: the same panel tree
-    and bit-identical integrals."""
-
-    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
-    def test_matches_recursive_reference(self, name):
-        fn, box, tol = REFERENCE_CASES[name]
-        calls, reference_calls = [], []
-        got = integrate_box(recorded(fn, calls), box, tol=tol)
-        reference = recursive_integrate_box(recorded(fn, reference_calls), box, tol=tol)
-        assert_same_bits(got, reference)
-        # the same panels: the same nodes
-        nodes, reference_nodes = np.concatenate(calls), np.concatenate(reference_calls)
-        assert np.array_equal(nodes[np.lexsort(nodes.T)], reference_nodes[np.lexsort(reference_nodes.T)])
+    """The closed-form tables against integrate_box on the integrands they
+    replaced."""
 
     @pytest.mark.parametrize("name", sorted(DATA_CASES))
     def test_solve_bounded_integrands_match(self, name):
         """The integrands the bounded pipeline handed integrate_box before its
-        closed forms: integrate_box gives the recursion's bits on them, and
-        both agree with the closed forms within QUAD_TOL."""
+        closed forms, integrated cell by cell of the data, on each of which it
+        is a polynomial: within QUAD_TOL of the closed forms."""
         box, f = DATA_CASES[name]
         w = _weight(box)
         indices = rightinverse.multi_indices_up_to(box.dim, 6)
@@ -273,26 +163,11 @@ class TestLevelBatching:
             fx = sampled_values(f, x)
             return np.column_stack([fx[:, None] * orthonormal_table(w, indices, x) * gauss[:, None], fx**2 * gauss, fx**2])
 
-        got = integrate_box(data_side, box, tol=domains.QUAD_TOL)
-        assert_same_bits(got, recursive_integrate_box(data_side, box, tol=domains.QUAD_TOL))
+        cells = itertools.product(*[zip(edges[:-1], edges[1:]) for edges, _, _ in f.axes])
+        got = sum(integrate_box(data_side, BoxDomain(cell)) for cell in cells)
         pairs, weighted, l2_sq = f.integrals(box.center, 6)
         closed = [pairs[alpha] for alpha in indices] + [weighted, l2_sq]
         assert np.abs(got - closed).max() <= domains.QUAD_TOL
-
-    def test_panel_rule_built_once_and_read_only(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(domains, "gauss_rule", lambda *key: built.append(key) or gauss_rule(*key))
-        domains._KEPT.clear()
-        for _ in range(3):
-            for box in (UNIT, SQUARE):
-                integrate_box(lambda x: x[:, 0] ** 2, box)
-        assert built == [(PANEL_ORDER,)] * 2
-        for dim in (1, 2):
-            nodes, weights = domains._panel_rule(dim)
-            with pytest.raises(ValueError):
-                nodes[0, 0] = 0.0
-            with pytest.raises(ValueError):
-                weights[0] = 0.0
 
 
 def _evaluate(expansion: HermiteExpansion, points) -> np.ndarray:
@@ -337,7 +212,7 @@ class TestExpansionEvaluator:
             gauss = np.exp(-((x - [0.5, -1.0]) ** 2).sum(axis=1))
             return (h[:, :, None] * h[:, None, :] * gauss[:, None, None]).reshape(len(x), -1)
 
-        g = integrate_box(gram, box, tol=1e-11).reshape(len(indices), len(indices))
+        g = integrate_box(gram, box).reshape(len(indices), len(indices))
         assert np.abs(g - np.eye(len(indices))).max() <= 1e-10
 
 
@@ -513,16 +388,33 @@ class TestInputLimits:
             check_input_limits(dim, degree)
 
     def test_rule_order_limit_both_sides(self, monkeypatch):
-        """x^2027 asks its moments for at least 2,048 nodes and passes;
-        x^2028 asks for over 2,048, a rule past MAX_RULE_ORDER, and is
-        refused before any table is built."""
-        check_input_limits(1, 30, 2.0, 2027)
-        monkeypatch.setattr(domains, "axis_blocks", None)
-        monkeypatch.setattr(domains, "basis_plan", None)
+        """On [-1, 1] the moments of x^p ask for p + 28 nodes at N = 30 and
+        p + 22 in embedding_check (k = 0 only): x^2020 and x^2026 ask for a
+        rule of MAX_RULE_ORDER; one power more is refused before any rule."""
+
+        class Asked(Exception):
+            pass
+
+        asked = []
+        monkeypatch.setattr(domains, "gauss_rule", lambda order: asked.append(order) or _raise(Asked()))
+        domains._KEPT.clear()
         box = BoxDomain(((-1.0, 1.0),))
-        f = SampledFunction.from_polynomial(Polynomial.monomial((2028,)), box)
-        with pytest.raises(InputLimitError, match="rule of over 2048 nodes, above MAX_RULE_ORDER = 2048"):
-            solve_bounded(box, f)
+        for check, last_ok in ((lambda f: solve_bounded(box, f), 2020), (embedding_check, 2026)):
+            with pytest.raises(Asked):
+                check(SampledFunction.from_polynomial(Polynomial.monomial((last_ok,)), box))
+            with pytest.raises(InputLimitError, match="a Gauss rule of 2049 nodes, above MAX_RULE_ORDER = 2048"):
+                check(SampledFunction.from_polynomial(Polynomial.monomial((last_ok + 1,)), box))
+        assert asked == [2048, 2048]
+
+    def test_polynomial_tensor_limit_both_sides(self, monkeypatch):
+        """x^i (i < 128) and y^j (j < 256) fill a dense 128 x 256 tensor,
+        MAX_TENSOR_ENTRIES; one more power of x is refused before any array."""
+        box = BoxDomain(((-1.0, 1.0),) * 2)
+        terms = {(i, 0): 1 for i in range(128)} | {(0, j): 1 for j in range(256)}
+        assert SampledFunction.from_polynomial(Polynomial(2, terms), box).coeffs.size == domains.MAX_TENSOR_ENTRIES
+        monkeypatch.setattr(domains, "np", None)
+        with pytest.raises(InputLimitError, match=r"\(129, 256\) over the powers of each axis has 33024 entries"):
+            SampledFunction.from_polynomial(Polynomial(2, terms | {(128, 0): 1}), box)
 
     @pytest.mark.parametrize(
         "intervals, degree",
@@ -542,6 +434,10 @@ class TestInputLimits:
         box = BoxDomain(intervals)
         with pytest.raises(InputLimitError):
             solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=degree)
+
+
+def _raise(exc: Exception):
+    raise exc
 
 
 def _mp_hermite_values(mpmath, top: int, t):
@@ -991,6 +887,13 @@ class TestEmbeddings:
         with pytest.raises(ValueError):
             embedding_check(Polynomial.variable(1, 0))
 
+    def test_nonconstant_polynomial_rejected_before_its_norm(self, monkeypatch):
+        """x^200's exact weighted norm is past the float range: the degree is
+        read first, so the refusal names the polynomial, not an overflow."""
+        monkeypatch.setattr(domains, "norm_sq", lambda *args: _raise(AssertionError("norm taken")))
+        with pytest.raises(ValueError, match="non-constant polynomials have neither finite L2 nor sup norm"):
+            embedding_check(Polynomial.monomial((200,)))
+
 
 class TestCounterexample:
     def test_value_at_one(self):
@@ -1047,6 +950,17 @@ class TestCounterexample:
         report = counterexample_report(1000.0, c1, c2)
         assert report.u1_closed == report.u1_integral == Fraction(1, 6) + c1 + c2
         assert report.passed
+
+    @pytest.mark.parametrize("c1, c2", [(0, 0), (Fraction(-1, 3), Fraction(7, 5))])
+    def test_weighted_integral_matches_mpmath(self, c1, c2):
+        """The fixed rule over [1, 8] against a 30-digit mpmath.quad."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            lin = mpmath.mpf(-1) / 2 + mpmath.mpf(c1.numerator) / c1.denominator
+            const = mpmath.mpf(2) / 3 + mpmath.mpf(c2.numerator) / c2.denominator
+            exact = mpmath.quad(lambda x: (lin * x + x * mpmath.log(x) + const) ** 2 * mpmath.exp(-x * x), [1, 8])
+            got = counterexample_report(1000.0, c1, c2).weighted_integral
+            assert abs(got - exact) <= 1e-14 * exact
 
     def test_square_integral_overflow_named(self):
         with pytest.raises(QuadratureError, match=r"growth integral of u\^2 over \[1, 10.0\] at c1 = 1e\+200"):
