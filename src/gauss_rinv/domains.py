@@ -388,9 +388,10 @@ class SampledFunction:
     piecewise polynomial.  Axis j is a triple (edges, origins, powers):
     cells [edges[c], edges[c+1]] and on cell c the basis (x_j -
     origins[c])^p, p in powers; ``coeffs`` has one axis of length
-    cells * len(powers) per box axis, cell-major.  A constant is one term;
-    a polynomial is its monomial terms (one cell, origin 0), a dense tensor
-    over each axis's powers of at most MAX_TENSOR_ENTRIES; a grid is its
+    cells * len(powers) per box axis, cell-major.  A polynomial is its
+    monomial terms (one cell, origin 0), a dense tensor over each axis's
+    powers of at most MAX_TENSOR_ENTRIES, and a constant is the constant
+    polynomial (its Fraction refuses NaN and infinities); a grid is its
     multilinear interpolant, v_c + (v_(c+1) - v_c) (x - x_c) / h_c per cell.
     """
 
@@ -400,15 +401,14 @@ class SampledFunction:
 
     @classmethod
     def constant(cls, box: BoxDomain, value: float) -> "SampledFunction":
-        axes = tuple((np.array(ends), np.zeros(1), np.zeros(1, dtype=int)) for ends in box.intervals)
-        return cls(box, axes, np.full((1,) * box.dim, float(value)))
+        return cls.from_polynomial(Polynomial.constant(box.dim, float(value)), box)
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, box: BoxDomain) -> "SampledFunction":
         if poly.dim != box.dim:
             raise ValueError(f"dimension mismatch: {poly.dim} vs {box.dim}")
-        terms = poly.sorted_terms()
-        powers = [sorted({exps[j] for exps, _ in terms} or {0}) for j in range(box.dim)]
+        terms = poly.terms
+        powers = [sorted({exps[j] for exps in terms} or {0}) for j in range(box.dim)]
         shape = tuple(map(len, powers))
         if math.prod(shape) > MAX_TENSOR_ENTRIES:  # refused before any array: sparse terms can ask for TiB
             raise InputLimitError(
@@ -416,8 +416,9 @@ class SampledFunction:
                 f"{math.prod(shape)} entries, above MAX_TENSOR_ENTRIES = {MAX_TENSOR_ENTRIES}"
             )
         coeffs = np.zeros(shape)
-        for exps, coef in terms:
-            coeffs[tuple(p.index(e) for p, e in zip(powers, exps))] = float(coef)
+        slots = [{e: i for i, e in enumerate(p)} for p in powers]
+        for exps, coef in terms.items():
+            coeffs[tuple(slot[e] for slot, e in zip(slots, exps))] = float(coef)
         axes = tuple((np.array(ends), np.zeros(1), np.array(p)) for ends, p in zip(box.intervals, powers))
         return cls(box, axes, coeffs)
 

@@ -616,27 +616,18 @@ def coordinate_vector(dim: int) -> tuple[Polynomial, ...]:
     return tuple(Polynomial._trusted(dim, 1, {step: 1}) for _, step in key_layout(dim).axes)
 
 
-@lru_cache(maxsize=16)
-def _lcm_upto(bound: int) -> int:
-    """lcm(1..bound), the common denominator of ``random_polynomial``'s coefficients."""
-    return math.lcm(*range(1, bound + 1))
+COEFF_BOUND = 16
+COEFF_LCM = math.lcm(*range(1, COEFF_BOUND + 1))
 
 
-def random_polynomial(
-    rng,
-    dim: int,
-    max_degree: int,
-    max_terms: int = 10,
-    coeff_bound: int = 16,
-    nonzero: bool = False,
-) -> Polynomial:
+def random_polynomial(rng, dim: int, max_degree: int, max_terms: int = 10, nonzero: bool = False) -> Polynomial:
     """Seeded random sparse polynomial for verification corpora.
 
-    Coefficients are uniform rationals p/q with |p| <= coeff_bound and
-    1 <= q <= coeff_bound, summed as int numerators over
-    lcm(1..coeff_bound); exponents are uniform subject to the total
-    degree cap.  ``rng`` is a random.Random so corpora reproduce exactly
-    from a recorded seed.  Each draw is read from ``rng.getrandbits`` by
+    Coefficients are uniform rationals p/q with |p| <= COEFF_BOUND and
+    1 <= q <= COEFF_BOUND, summed as int numerators over COEFF_LCM =
+    lcm(1..COEFF_BOUND); exponents are uniform subject to the total degree
+    cap.  ``rng`` is a random.Random so corpora reproduce exactly from a
+    recorded seed.  Each draw is read from ``rng.getrandbits`` by
     the rule of CPython's ``randrange``, so ``randint`` and ``randrange``
     would give the same polynomials and leave ``rng`` in the same state.
     """
@@ -652,17 +643,15 @@ def random_polynomial(
             r = rng.getrandbits(k)
         return r
 
-    # each term's below(degrees), below(signed) and below(coeff_bound) are
+    # each term's below(degrees), below(signed) and below(COEFF_BOUND) are
     # inlined too, their bit widths taken once
-    common = _lcm_upto(coeff_bound)
-    degrees, signed = max_degree + 1, 2 * coeff_bound + 1
+    degrees, signed = max_degree + 1, 2 * COEFF_BOUND + 1
     n_terms = 1 + below(max_terms)
-    for n in (degrees, signed, coeff_bound):
-        if n < 1:
-            raise ValueError(f"empty range for randrange({n})")
+    if degrees < 1:
+        raise ValueError(f"empty range for randrange({degrees})")
     steps = [step for _, step in key_layout(dim).axes]
     getrandbits, axis_bits = rng.getrandbits, dim.bit_length()
-    degree_bits, signed_bits, den_bits = degrees.bit_length(), signed.bit_length(), coeff_bound.bit_length()
+    degree_bits, signed_bits, den_bits = degrees.bit_length(), signed.bit_length(), COEFF_BOUND.bit_length()
     nums: dict[int, int] = {}
     for _ in range(n_terms):
         degree = getrandbits(degree_bits)
@@ -678,10 +667,10 @@ def random_polynomial(
         while num >= signed:
             num = getrandbits(signed_bits)
         den = getrandbits(den_bits)
-        while den >= coeff_bound:
+        while den >= COEFF_BOUND:
             den = getrandbits(den_bits)
-        nums[key] = nums.get(key, 0) + (num - coeff_bound) * (common // (den + 1))
-    p = Polynomial._trusted(dim, *reduced(common, nums))
+        nums[key] = nums.get(key, 0) + (num - COEFF_BOUND) * (COEFF_LCM // (den + 1))
+    p = Polynomial._trusted(dim, *reduced(COEFF_LCM, nums))
     if nonzero and p.is_zero():
-        return Polynomial.constant(dim, Fraction(1, 1 + below(coeff_bound)))
+        return Polynomial.constant(dim, Fraction(1, 1 + below(COEFF_BOUND)))
     return p

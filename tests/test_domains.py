@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -416,6 +417,13 @@ class TestInputLimits:
         with pytest.raises(InputLimitError, match=r"\(129, 256\) over the powers of each axis has 33024 entries"):
             SampledFunction.from_polynomial(Polynomial(2, terms | {(128, 0): 1}), box)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_refused_before_any_array(self, monkeypatch, value):
+        box = BoxDomain(((-1.0, 1.0),))
+        monkeypatch.setattr(domains, "np", None)
+        with pytest.raises(ValueError if math.isnan(value) else OverflowError):
+            SampledFunction.constant(box, value)
+
     @pytest.mark.parametrize(
         "intervals, degree",
         [(((-1.0, 1.0),), 149), (((-1.0, 1.0),) * 2, 148), (((-1.0, 1.0),) * 3, 30), (((-40.0, 40.0),), 4)],
@@ -434,6 +442,37 @@ class TestInputLimits:
         box = BoxDomain(intervals)
         with pytest.raises(InputLimitError):
             solve_bounded(box, SampledFunction.constant(box, 1.0), truncation=degree)
+
+
+class TestPolynomialData:
+    """Constant and polynomial data are one path: a constant is the constant
+    polynomial's one-cell tensor, and each term lands at its powers' slots."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("value", [0.0, -2.5, 1e-15, 1e308])
+    def test_constant_is_the_constant_polynomial(self, dim, value):
+        box = BoxDomain(tuple((-1.0 - j, 0.5 * j) for j in range(dim)))
+        got = SampledFunction.constant(box, value)
+        want = SampledFunction.from_polynomial(Polynomial.constant(dim, Fraction(value)), box)
+        assert got.coeffs.tobytes() == np.full((1,) * dim, value).tobytes() == want.coeffs.tobytes()
+        assert got.coeffs.shape == want.coeffs.shape and got.coeffs.dtype == want.coeffs.dtype
+        for got_axis, want_axis in zip(got.axes, want.axes, strict=True):
+            for a, b in zip(got_axis, want_axis, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_many_terms_land_where_a_dict_says(self):
+        """20,000 terms over 160 x 200 gapped powers: every entry of the dense
+        tensor is its term's coefficient, or 0 where no term has those powers."""
+        rng = random.Random(5)
+        x_powers, y_powers = rng.sample(range(1000), 160), rng.sample(range(1000), 200)
+        pairs = rng.sample([(i, j) for i in x_powers for j in y_powers], 20_000)
+        terms = {pair: Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 9)) for pair in pairs}
+        box = BoxDomain(((-1.0, 1.0), (0.0, 2.0)))
+        f = SampledFunction.from_polynomial(Polynomial(2, terms), box)
+        axis_powers = [sorted({pair[j] for pair in terms}) for j in range(2)]
+        assert [axis[2].tolist() for axis in f.axes] == axis_powers
+        want = [[float(terms.get((i, j), 0)) for j in axis_powers[1]] for i in axis_powers[0]]
+        assert f.coeffs.tolist() == want
 
 
 def _raise(exc: Exception):
